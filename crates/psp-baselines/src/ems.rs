@@ -21,7 +21,8 @@
 use psp_opt::depgraph::build_deps;
 use psp_opt::ifconv::if_convert;
 use psp_opt::rename::rename_inductions;
-pub use psp_opt::{all_edges, ModEdge, ModuloSchedule};
+pub use psp_opt::ModuloSchedule;
+use psp_opt::{all_edges, ModEdge};
 
 use psp_ir::{LoopSpec, Operation};
 use psp_machine::{MachineConfig, ResourceUse};

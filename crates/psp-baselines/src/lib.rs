@@ -16,12 +16,12 @@
 //!   idealized cycle model; see DESIGN.md §4 for the scope of this
 //!   substitution.
 //!
-//! Shared machinery: [`ifconv`] (flattening + compound-guard
-//! materialization), [`depgraph`] (dependence DAG with disjoint-path
-//! pruning), and [`rename`] (induction-variable renaming) now live in
-//! `psp-opt` — they are the constraint system shared between the greedy
-//! EMS baseline and the exact II certifier — and are re-exported here
-//! unchanged. [`listsched`] (height-priority list scheduler) stays local.
+//! Shared machinery: if-conversion (flattening + compound-guard
+//! materialization), the dependence DAG with disjoint-path pruning, and
+//! induction-variable renaming live in `psp-opt` (`psp_opt::ifconv`,
+//! `psp_opt::depgraph`, `psp_opt::rename`) — they are the constraint
+//! system shared between the greedy EMS baseline and the exact II
+//! certifier. [`listsched`] (height-priority list scheduler) stays local.
 
 pub mod ems;
 pub mod listsched;
@@ -29,11 +29,7 @@ pub mod local;
 pub mod seq;
 pub mod unroll;
 
-pub use psp_opt::{depgraph, ifconv, rename};
-
 pub use ems::{modulo_schedule, ModuloSchedule};
-pub use ifconv::{if_convert, IfConverted};
 pub use local::compile_local;
-pub use psp_opt::{all_edges, ModEdge};
 pub use seq::compile_sequential;
 pub use unroll::compile_unrolled;

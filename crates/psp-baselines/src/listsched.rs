@@ -1,8 +1,8 @@
 //! Height-priority cycle-by-cycle list scheduler.
 
-use crate::depgraph::DepGraph;
 use psp_ir::Operation;
 use psp_machine::{MachineConfig, ResourceUse};
+use psp_opt::depgraph::DepGraph;
 use psp_predicate::PredicateMatrix;
 
 /// Schedule `ops` into cycles honoring `deps` and the machine's per-cycle
@@ -72,11 +72,11 @@ pub fn list_schedule(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::depgraph::build_deps;
-    use crate::ifconv::if_convert;
-    use crate::rename::rename_inductions;
     use psp_ir::op::build::*;
     use psp_ir::Reg;
+    use psp_opt::depgraph::build_deps;
+    use psp_opt::ifconv::if_convert;
+    use psp_opt::rename::rename_inductions;
 
     fn u() -> PredicateMatrix {
         PredicateMatrix::universe()

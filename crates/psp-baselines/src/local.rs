@@ -5,12 +5,12 @@
 //! dependence graph, list-schedule into tree-VLIW cycles, and wrap the
 //! result in a single-block loop that jumps back to itself.
 
-use crate::depgraph::build_deps;
-use crate::ifconv::if_convert;
 use crate::listsched::list_schedule;
-use crate::rename::rename_inductions;
 use psp_ir::LoopSpec;
 use psp_machine::{MachineConfig, Succ, VliwBlock, VliwLoop, VliwTerm};
+use psp_opt::depgraph::build_deps;
+use psp_opt::ifconv::if_convert;
+use psp_opt::rename::rename_inductions;
 use psp_predicate::PredicateMatrix;
 
 /// Compile one iteration into a single tree-VLIW block (no motion across

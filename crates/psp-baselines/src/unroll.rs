@@ -8,14 +8,14 @@
 //! so that predicates of different copies are distinct — complementary
 //! branches prune dependences only *within* a copy.
 //!
-//! The BREAK protocol of [`crate::depgraph`] keeps early exits correct for
-//! trip counts not divisible by `U`.
+//! The BREAK protocol of [`psp_opt::depgraph`] keeps early exits correct
+//! for trip counts not divisible by `U`.
 
-use crate::depgraph::build_deps;
-use crate::ifconv::if_convert;
 use crate::listsched::list_schedule;
 use psp_ir::{CcReg, LoopSpec, Operation, Reg, RegRef};
 use psp_machine::{MachineConfig, Succ, VliwBlock, VliwLoop, VliwTerm};
+use psp_opt::depgraph::build_deps;
+use psp_opt::ifconv::if_convert;
 use psp_predicate::PredicateMatrix;
 use std::collections::BTreeMap;
 

@@ -1,39 +1,21 @@
 //! Experiment E5 — scheduling cost (the paper's "efficient code at
 //! acceptable cost"). Per kernel: wall-clock to pipeline, candidate
-//! evaluations, applied transformations, codegen-memo hit rate, and code
-//! growth — plus a sequential-vs-parallel comparison on synthetic scaling
-//! loops, where candidate evaluation dominates.
+//! evaluations, applied transformations, and code growth — plus a
+//! sequential-vs-parallel comparison on synthetic scaling loops, where
+//! candidate evaluation dominates.
 
 use psp_bench::synthetic;
-use psp_core::{pipeline_loop, PspConfig, PspResult, Schedule};
+use psp_core::{pipeline_loop, PspConfig, Schedule};
 use psp_kernels::all_kernels;
 use std::time::Instant;
-
-fn hit_pct(res: &PspResult) -> f64 {
-    let total = res.stats.cache_hits + res.stats.cache_misses;
-    if total == 0 {
-        0.0
-    } else {
-        100.0 * res.stats.cache_hits as f64 / total as f64
-    }
-}
 
 fn main() {
     let json = std::env::args().any(|a| a == "--json");
 
     println!("E5 — scheduling cost of the PSP technique (wide machine)\n");
     println!(
-        "{:<16} {:>8} {:>10} {:>7} {:>6} {:>7} {:>9} {:>7} {:>9} {:>10}",
-        "kernel",
-        "src ops",
-        "final ops",
-        "moves",
-        "wraps",
-        "splits",
-        "cands",
-        "hit%",
-        "time(ms)",
-        "growth"
+        "{:<16} {:>8} {:>10} {:>7} {:>6} {:>7} {:>9} {:>9} {:>10}",
+        "kernel", "src ops", "final ops", "moves", "wraps", "splits", "cands", "time(ms)", "growth"
     );
 
     let cfg = PspConfig::default();
@@ -47,7 +29,7 @@ fn main() {
         total_ms += ms;
         let final_ops = res.schedule.n_instances();
         println!(
-            "{:<16} {:>8} {:>10} {:>7} {:>6} {:>7} {:>9} {:>6.0}% {:>9.2} {:>9.2}x",
+            "{:<16} {:>8} {:>10} {:>7} {:>6} {:>7} {:>9} {:>9.2} {:>9.2}x",
             kernel.name,
             src_ops,
             final_ops,
@@ -55,7 +37,6 @@ fn main() {
             res.stats.wraps,
             res.stats.splits,
             res.stats.candidates,
-            hit_pct(&res),
             ms,
             final_ops as f64 / src_ops as f64,
         );
@@ -90,12 +71,12 @@ fn main() {
 
     // Scaling sweep: synthetic loops with a growing chain of conditional
     // blocks (codegen block count is exponential in live IFs), comparing
-    // the original sequential driver against the parallel + memoized one.
+    // the original sequential driver against the parallel + pruned one.
     // Results are bit-identical by construction; only wall-clock differs.
     println!("\nscaling (synthetic loops, b conditional blocks each with 3 ops):");
     println!(
-        "{:>4} {:>8} {:>9} {:>7} {:>11} {:>11} {:>8} {:>10}",
-        "b", "src ops", "cands", "hit%", "seq(ms)", "par(ms)", "speedup", "final II"
+        "{:>4} {:>8} {:>9} {:>11} {:>11} {:>8} {:>10}",
+        "b", "src ops", "cands", "seq(ms)", "par(ms)", "speedup", "final II"
     );
     let seq_cfg = PspConfig::default().sequential();
     for blocks in [1usize, 2, 4, 6, 8] {
@@ -125,11 +106,10 @@ fn main() {
             })
             .unwrap_or_default();
         println!(
-            "{:>4} {:>8} {:>9} {:>6.0}% {:>11.2} {:>11.2} {:>7.2}x {:>10}",
+            "{:>4} {:>8} {:>9} {:>11.2} {:>11.2} {:>7.2}x {:>10}",
             blocks,
             src_ops,
             par.stats.candidates,
-            hit_pct(&par),
             seq_ms,
             par_ms,
             seq_ms / par_ms,

@@ -11,12 +11,8 @@
 //! **in parallel** (see [`PspConfig::threads`]) with a deterministic
 //! index-ordered reduction: transformation counts, final IIs, and generated
 //! code are bit-identical to the sequential driver regardless of thread
-//! count. Because candidate evaluation is dominated by code generation —
-//! whose block count is exponential in the number of live IFs — repeated
-//! identical trials are also **memoized** by a schedule fingerprint
-//! ([`PspConfig::enable_memo`]), and every phase is **instrumented**
-//! ([`PspStats`]: per-phase wall-clock, transformation counters, cache
-//! hit/miss counters, JSON dump).
+//! count. Every phase is **instrumented** ([`PspStats`]: per-phase
+//! wall-clock, transformation counters, JSON dump).
 
 use crate::codegen::{generate, CodegenError};
 use crate::compact::compact_ext;
@@ -27,10 +23,7 @@ use crate::transform::{self, split_candidates, Transformation};
 use psp_ir::LoopSpec;
 use psp_machine::{MachineConfig, VliwLoop};
 use psp_predicate::{PredOpStats, PredicateMatrix};
-use psp_sim::SimStats;
 use rayon::prelude::*;
-use std::collections::HashMap;
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// Configuration of the PSP pipeliner.
@@ -57,12 +50,6 @@ pub struct PspConfig {
     /// pool. The reduction is deterministic (best score, ties broken by
     /// candidate index), so results are bit-identical for every setting.
     pub threads: usize,
-    /// Memoize code generation + scoring by schedule fingerprint
-    /// ([`Schedule::fingerprint`]). Candidate trials that reproduce an
-    /// already-evaluated schedule skip the exponential code-generation
-    /// step; hit/miss telemetry lands in [`PspStats`]. Never changes
-    /// results — only how often codegen actually runs.
-    pub enable_memo: bool,
     /// Discard candidate trials by a sound score lower bound before code
     /// generation (branch-and-bound admission). A trial's `rows` and
     /// `instances` are exact after compaction, and under the static
@@ -98,7 +85,6 @@ impl Default for PspConfig {
             enable_rename: true,
             probs: None,
             threads: 0,
-            enable_memo: true,
             enable_prune: true,
             exact_floor: None,
         }
@@ -115,11 +101,10 @@ impl PspConfig {
     }
 
     /// The reference configuration for cross-checking: single-threaded,
-    /// no memo, no pruning — the exact shape of the original sequential
-    /// driver, which exhaustively code-generates every candidate trial.
+    /// no pruning — the exact shape of the original sequential driver,
+    /// which exhaustively code-generates every candidate trial.
     pub fn sequential(mut self) -> Self {
         self.threads = 1;
-        self.enable_memo = false;
         self.enable_prune = false;
         self
     }
@@ -157,9 +142,8 @@ impl PhaseTimes {
 }
 
 /// Statistics of one pipelining run (the paper's "acceptable cost" claim is
-/// measured from these). Counters are deterministic; timers and — under
-/// parallel evaluation — cache telemetry vary run to run, so cross-run
-/// comparisons should use [`PspStats::counters`].
+/// measured from these). Counters are deterministic; timers vary run to
+/// run, so cross-run comparisons should use [`PspStats::counters`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PspStats {
     /// Moveups applied by compaction.
@@ -169,14 +153,10 @@ pub struct PspStats {
     /// Splits applied.
     pub splits: usize,
     /// Candidates evaluated (each evaluation = clone + compact + codegen,
-    /// unless the memo short-circuits the codegen).
+    /// unless pruning decides the trial first).
     pub candidates: usize,
     /// Improvement rounds taken.
     pub rounds: usize,
-    /// Candidate trials answered from the codegen/score memo.
-    pub cache_hits: usize,
-    /// Candidate trials that ran code generation and populated the memo.
-    pub cache_misses: usize,
     /// Candidate trials that never ran code generation: rejected by the
     /// score lower bound, or exactly scored from the schedule but out-ranked
     /// by the step winner (see [`PspConfig::enable_prune`]). Deterministic,
@@ -187,25 +167,17 @@ pub struct PspStats {
     pub floor_hit: bool,
     /// Predicate-algebra work done by this run (conjoins, disjoint/subsume
     /// tests, interner memo hit rate). Process-global counters sampled
-    /// around the run, so like the cache telemetry they are excluded from
+    /// around the run, so they are excluded from
     /// [`counters`](Self::counters) — concurrent runs in the same process
     /// bleed into each other's deltas.
     pub pred: PredOpStats,
-    /// Simulator throughput observed during this run (process-global
-    /// counters sampled around the run, like [`pred`](Self::pred)). The
-    /// pipeliner itself does not simulate, so this is zero unless a
-    /// simulation hook ran; callers that follow the run with equivalence
-    /// checking (e.g. `pspc`) widen the sampling window to cover it.
-    pub sim: SimStats,
     /// Per-phase wall-clock.
     pub times: PhaseTimes,
 }
 
 impl PspStats {
     /// The deterministic counters: `[moves, wraps, splits, candidates,
-    /// rounds]`. Bit-identical across thread counts and memo settings;
-    /// excludes timers and cache telemetry (two concurrent identical
-    /// trials may both miss, so hit counts can vary under parallelism).
+    /// rounds]`. Bit-identical across thread counts; excludes timers.
     pub fn counters(&self) -> [usize; 5] {
         [
             self.moves,
@@ -223,8 +195,8 @@ impl PspStats {
         format!(
             concat!(
                 "{{\"moves\":{},\"wraps\":{},\"splits\":{},\"candidates\":{},",
-                "\"rounds\":{},\"cache_hits\":{},\"cache_misses\":{},\"pruned\":{},",
-                "\"floor_hit\":{},\"pred\":{},\"sim\":{},",
+                "\"rounds\":{},\"pruned\":{},",
+                "\"floor_hit\":{},\"pred\":{},",
                 "\"times_us\":{{\"candidate_gen\":{},",
                 "\"apply\":{},\"compact\":{},\"codegen\":{},\"score\":{},",
                 "\"total\":{}}}}}"
@@ -234,12 +206,9 @@ impl PspStats {
             self.splits,
             self.candidates,
             self.rounds,
-            self.cache_hits,
-            self.cache_misses,
             self.pruned,
             self.floor_hit,
             self.pred.to_json(),
-            self.sim.to_json(),
             self.times.candidate_gen.as_micros(),
             self.times.apply.as_micros(),
             self.times.compact.as_micros(),
@@ -263,10 +232,6 @@ pub struct PspResult {
     pub score: Score,
 }
 
-/// The codegen/score memo: schedule fingerprint → scoring outcome (`None`
-/// records a codegen failure, which is just as expensive to rediscover).
-type Memo = Mutex<HashMap<String, Option<(Score, VliwLoop)>>>;
-
 /// Outcome of one candidate trial.
 struct Trial {
     t: Transformation,
@@ -281,8 +246,6 @@ struct Trial {
     /// reduction picks this trial as the step winner.
     bound: Option<Score>,
     times: PhaseTimes,
-    cache_hit: bool,
-    cache_miss: bool,
     /// Discarded by the score lower bound without running codegen.
     pruned: bool,
 }
@@ -408,32 +371,15 @@ fn universe_row_bound(sched: &Schedule) -> usize {
         .count()
 }
 
-/// Generate + score `sched`, consulting the memo when enabled.
-fn score_cached(
-    sched: &Schedule,
-    cfg: &PspConfig,
-    memo: Option<&Memo>,
-    times: &mut PhaseTimes,
-) -> (Option<(Score, VliwLoop)>, bool, bool) {
-    let key = memo.map(|_| sched.fingerprint());
-    if let (Some(memo), Some(key)) = (memo, key.as_ref()) {
-        if let Some(cached) = memo.lock().expect("memo lock").get(key) {
-            return (cached.clone(), true, false);
-        }
-    }
+/// Generate + score `sched`; `None` when code generation fails.
+fn score(sched: &Schedule, cfg: &PspConfig, times: &mut PhaseTimes) -> Option<(Score, VliwLoop)> {
     let t0 = Instant::now();
     let prog = generate(sched, &cfg.machine).ok();
     times.codegen += t0.elapsed();
     let t1 = Instant::now();
     let scored = prog.map(|p| (score_program(&p, sched, cfg.probs.as_ref()), p));
     times.score += t1.elapsed();
-    let miss = if let (Some(memo), Some(key)) = (memo, key) {
-        memo.lock().expect("memo lock").insert(key, scored.clone());
-        true
-    } else {
-        false
-    };
-    (scored, false, miss)
+    scored
 }
 
 /// Evaluate one candidate transformation on a clone of `sched`. `cur` is
@@ -444,7 +390,6 @@ fn eval_candidate(
     sched: &Schedule,
     t: Transformation,
     cfg: &PspConfig,
-    memo: Option<&Memo>,
     cur: Option<&Score>,
 ) -> Trial {
     let mut times = PhaseTimes::default();
@@ -460,8 +405,6 @@ fn eval_candidate(
             scored: None,
             bound: None,
             times,
-            cache_hit: false,
-            cache_miss: false,
             pruned: false,
         };
     }
@@ -494,8 +437,6 @@ fn eval_candidate(
                     scored: None,
                     bound: None,
                     times,
-                    cache_hit: false,
-                    cache_miss: false,
                     pruned: true,
                 };
             }
@@ -511,13 +452,11 @@ fn eval_candidate(
                 scored: None,
                 bound: Some(potential),
                 times,
-                cache_hit: false,
-                cache_miss: false,
                 pruned: false,
             };
         }
     }
-    let (scored, cache_hit, cache_miss) = score_cached(&trial, cfg, memo, &mut times);
+    let scored = score(&trial, cfg, &mut times);
     Trial {
         t,
         moves,
@@ -525,8 +464,6 @@ fn eval_candidate(
         scored,
         bound: None,
         times,
-        cache_hit,
-        cache_miss,
         pruned: false,
     }
 }
@@ -538,19 +475,18 @@ fn evaluate_candidates(
     sched: &Schedule,
     candidates: Vec<Transformation>,
     cfg: &PspConfig,
-    memo: Option<&Memo>,
     cur: Option<&Score>,
 ) -> Vec<Trial> {
     if cfg.threads == 1 || candidates.len() <= 1 {
         candidates
             .into_iter()
-            .map(|t| eval_candidate(sched, t, cfg, memo, cur))
+            .map(|t| eval_candidate(sched, t, cfg, cur))
             .collect()
     } else {
         candidates
             .into_par_iter()
             .with_threads(cfg.threads)
-            .map(|t| eval_candidate(sched, t, cfg, memo, cur))
+            .map(|t| eval_candidate(sched, t, cfg, cur))
             .collect()
     }
 }
@@ -567,24 +503,14 @@ fn evaluate_candidates(
 pub fn pipeline_loop(spec: &LoopSpec, cfg: &PspConfig) -> Result<PspResult, CodegenError> {
     let t_total = Instant::now();
     let pred_before = psp_predicate::stats::snapshot();
-    let sim_before = psp_sim::stats::snapshot();
     let mut stats = PspStats::default();
-    let memo: Option<Memo> = if cfg.enable_memo {
-        Some(Mutex::new(HashMap::new()))
-    } else {
-        None
-    };
-    let memo = memo.as_ref();
 
     let mut sched = Schedule::initial(spec);
     let t0 = Instant::now();
     stats.moves += compact_ext(&mut sched, &cfg.machine, cfg.enable_rename);
     stats.times.compact += t0.elapsed();
 
-    let (initial_scored, hit, miss) = score_cached(&sched, cfg, memo, &mut stats.times);
-    stats.cache_hits += hit as usize;
-    stats.cache_misses += miss as usize;
-    let (s0, p0) = match initial_scored {
+    let (s0, p0) = match score(&sched, cfg, &mut stats.times) {
         Some(x) => x,
         None => {
             // The compacted schedule should always be generatable; fall
@@ -627,11 +553,9 @@ pub fn pipeline_loop(spec: &LoopSpec, cfg: &PspConfig) -> Result<PspResult, Code
             stats.times.candidate_gen += t1.elapsed();
             stats.candidates += candidates.len();
 
-            let mut trials = evaluate_candidates(&sched, candidates, cfg, memo, cur_score.as_ref());
+            let mut trials = evaluate_candidates(&sched, candidates, cfg, cur_score.as_ref());
             for trial in &trials {
                 stats.times.absorb(&trial.times);
-                stats.cache_hits += trial.cache_hit as usize;
-                stats.cache_misses += trial.cache_miss as usize;
                 stats.pruned += trial.pruned as usize;
             }
 
@@ -664,15 +588,8 @@ pub fn pipeline_loop(spec: &LoopSpec, cfg: &PspConfig) -> Result<PspResult, Code
                 }
                 let Some(i) = best else { break None };
                 if trials[i].scored.is_none() {
-                    let (scored, hit, miss) = score_cached(
-                        trials[i].sched.as_ref().expect("deferred trial applied"),
-                        cfg,
-                        memo,
-                        &mut stats.times,
-                    );
-                    stats.cache_hits += hit as usize;
-                    stats.cache_misses += miss as usize;
-                    match scored {
+                    let deferred = trials[i].sched.as_ref().expect("deferred trial applied");
+                    match score(deferred, cfg, &mut stats.times) {
                         Some(sp) => trials[i].scored = Some(sp),
                         None => {
                             trials[i].bound = None;
@@ -737,10 +654,7 @@ pub fn pipeline_loop(spec: &LoopSpec, cfg: &PspConfig) -> Result<PspResult, Code
         let t3 = Instant::now();
         stats.moves += compact_ext(&mut sched, &cfg.machine, cfg.enable_rename);
         stats.times.compact += t3.elapsed();
-        let (scored, hit, miss) = score_cached(&sched, cfg, memo, &mut stats.times);
-        stats.cache_hits += hit as usize;
-        stats.cache_misses += miss as usize;
-        match scored {
+        match score(&sched, cfg, &mut stats.times) {
             Some((s, prog)) => {
                 stats.candidates += 1;
                 if s.better_than(&best.0) {
@@ -757,7 +671,6 @@ pub fn pipeline_loop(spec: &LoopSpec, cfg: &PspConfig) -> Result<PspResult, Code
     stats.pred = psp_predicate::stats::snapshot().delta(&pred_before);
     stats.times.total = t_total.elapsed();
     crate::hook::check(spec, &cfg.machine, &best.1, &best.2);
-    stats.sim = psp_sim::stats::snapshot().delta(&sim_before);
     Ok(PspResult {
         schedule: best.1,
         program: best.2,
@@ -917,16 +830,12 @@ mod tests {
             "\"splits\":",
             "\"candidates\":",
             "\"rounds\":",
-            "\"cache_hits\":",
-            "\"cache_misses\":",
+            "\"pruned\":",
             "\"floor_hit\":",
             "\"pred\":",
             "\"conjoins\":",
             "\"disjoint_tests\":",
             "\"memo_hit_rate\":",
-            "\"sim\":",
-            "\"engine\":",
-            "\"decoded_cycles\":",
             "\"times_us\":",
             "\"candidate_gen\":",
             "\"codegen\":",
@@ -938,19 +847,6 @@ mod tests {
         // The run must have done (and counted) real predicate work.
         assert!(res.stats.pred.disjoint_tests > 0);
         assert!(res.stats.pred.subsume_tests > 0);
-    }
-
-    #[test]
-    fn memo_hits_on_repeated_trials() {
-        let kernel = by_name("vecmin").unwrap();
-        let res = pipeline_loop(&kernel.spec, &PspConfig::default()).unwrap();
-        assert!(
-            res.stats.cache_hits + res.stats.cache_misses > 0,
-            "memo telemetry not populated"
-        );
-        let seq = pipeline_loop(&kernel.spec, &PspConfig::default().sequential()).unwrap();
-        assert_eq!(seq.stats.cache_hits, 0, "memo disabled must never hit");
-        assert_eq!(seq.stats.cache_misses, 0);
     }
 
     #[test]

@@ -77,8 +77,8 @@ pub fn expected_ii(prog: &VliwLoop, probs: &[f64]) -> f64 {
 }
 
 /// Score an already-generated loop against the schedule it came from.
-/// Split out of [`score`] so the driver can memoize code generation and
-/// score cached programs without regenerating them.
+/// Split out of [`score`] so the driver can time code generation and
+/// scoring as separate phases.
 pub fn score_program(prog: &VliwLoop, sched: &Schedule, probs: Option<&BranchProbs>) -> Score {
     let primary = match probs {
         Some(p) => expected_ii(prog, p),

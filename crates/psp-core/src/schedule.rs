@@ -114,37 +114,6 @@ impl Schedule {
         self.rows.iter().flatten()
     }
 
-    /// A content fingerprint for memoizing code generation + scoring.
-    ///
-    /// Two schedules of the same source loop with equal fingerprints
-    /// generate identical programs and scores: the key covers everything
-    /// code generation reads that a transformation can change — the
-    /// register/CC budget of the spec (renames grow it; preloop temps are
-    /// allocated past it) and, for every instance in row order, exactly
-    /// the fields the generator consumes: operation, iteration index,
-    /// formal matrix, computed predicate row, and origin. Bookkeeping
-    /// fields (`id`, `late`, `snapshots`) are deliberately excluded — they
-    /// never reach generated code, and keying on them would make trials
-    /// that converge to the same schedule look distinct. Fields fixed for
-    /// the lifetime of one pipelining run (body, live-ins/outs, machine)
-    /// are also omitted: the memo is scoped to a run.
-    pub fn fingerprint(&self) -> String {
-        use std::fmt::Write as _;
-        let mut s = String::with_capacity(64 * (1 + self.n_instances()));
-        let _ = write!(s, "r{}c{}", self.spec.n_regs, self.spec.n_ccs);
-        for row in &self.rows {
-            s.push('|');
-            for inst in row {
-                let _ = write!(
-                    s,
-                    "{:?}@{}^{}~{:?}:{:?};",
-                    inst.op, inst.index, inst.origin, inst.computes_if, inst.formal
-                );
-            }
-        }
-        s
-    }
-
     /// Largest operation index (pipeline depth; determines preloop length).
     pub fn max_index(&self) -> i32 {
         self.instances().map(|i| i.index).max().unwrap_or(0)

@@ -752,9 +752,8 @@ impl Default for PredicateMatrix {
 }
 
 impl fmt::Debug for PredicateMatrix {
-    /// Deterministic and injective over the constrained entry set (the
-    /// schedule fingerprint keys a memo on it), identical across
-    /// representations.
+    /// Deterministic and injective over the constrained entry set,
+    /// identical across representations.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "PM[")?;
         for (i, (r, c, v)) in self.constrained().enumerate() {

@@ -8,6 +8,18 @@
 //! over reusable scratch state, so a batch of equivalence trials pays for
 //! decoding once and allocates nothing per trial.
 //!
+//! The engine has exactly two kinds of code. The *generic evaluator* is
+//! safe and handles every program, state, and budget: the two-phase
+//! [`step_decoded_cycle`] for VLIW code and the [`RefInstr`] loop over
+//! [`DecodedRef::exec_seq`] for the reference. On top of it sit three
+//! `unsafe` steady-state loops, each kept because it measurably pays on
+//! the benchmark workloads: [`superloop`] (single-block self-loops),
+//! [`vliw_dispatchloop`] (multi-block CFGs), and [`ref_fusedloop`] (a
+//! source iteration as one predicated stream). Each runs only while the
+//! state meets the program's static demand and the remaining budget
+//! covers a whole step, and hands the rest of the run to the generic
+//! evaluator, which raises any error at the interpreter's exact cycle.
+//!
 //! The engine is **bit-identical** to the interpreters by construction:
 //! evaluation order, effect commit order, write-conflict detection, cycle
 //! budget placement, the pre-cycle condition-register snapshot for branch
@@ -135,8 +147,8 @@ mod fop {
 /// One packed fast-path micro-op: a single 32-byte record per op (one
 /// cache line holds two), consumed by [`exec_pop`]. The struct-of-arrays
 /// [`UOps`] form remains the canonical decoded program (and drives the
-/// general two-phase path); `POp` streams are execution schedules derived
-/// from it at decode time.
+/// generic evaluator); `POp` streams are execution schedules derived from
+/// it at decode time for the three steady-state loops.
 #[derive(Debug, Clone, Copy)]
 struct POp {
     opc: u8,
@@ -203,14 +215,16 @@ fn sel_bool(take: bool, v: bool, old: bool) -> bool {
 /// index the op can touch is covered by [`UOps::read_slots`]/
 /// [`UOps::write_slot`], so all of them are in bounds and unconditional
 /// evaluation of a squashed op cannot fault — and (b) the op runs
-/// sequentially or inside a [`UOps::fuse_order`]-scheduled cycle, so
-/// immediate commits are unobservable within the cycle (a squashed op's
-/// old-value rewrite is a no-op on the slot's current contents either
-/// way). Out-of-bounds stores are the only reachable error, raised in the
-/// same order with the same message as [`UOps::eval`].
+/// sequentially ([`ref_fusedloop`]) or inside a block stream built from
+/// [`UOps::fuse_order`]-scheduled cycles ([`superloop`],
+/// [`vliw_dispatchloop`]), so immediate commits are unobservable within
+/// the cycle (a squashed op's old-value rewrite is a no-op on the slot's
+/// current contents either way). Out-of-bounds stores are the only
+/// reachable error, raised in the same order with the same message as
+/// [`UOps::eval`].
 ///
-/// `inline(always)`: the callers are the three hot stream loops; an
-/// outlined call returns `Result<bool, SimError>` through memory (the
+/// `inline(always)`: the only callers are those three steady-state loops;
+/// an outlined call returns `Result<bool, SimError>` through memory (the
 /// error variant is a `String`), which roughly doubles per-op cost.
 #[inline(always)]
 unsafe fn exec_pop(
@@ -256,8 +270,12 @@ unsafe fn exec_pop_g<const GD: bool>(
     let gd = GD;
     let dst = p.dst as usize;
     if opc <= fop::CMP_NE {
-        let x = unsafe { opnd(regs, p.a, p.flags & A_IMM != 0) };
-        let y = unsafe { opnd(regs, p.b, p.flags & B_IMM != 0) };
+        let (x, y) = unsafe {
+            (
+                opnd(regs, p.a, p.flags & A_IMM != 0),
+                opnd(regs, p.b, p.flags & B_IMM != 0),
+            )
+        };
         if opc <= fop::SHR {
             let v = match opc {
                 fop::ADD => x.wrapping_add(y),
@@ -405,10 +423,11 @@ unsafe fn exec_pop_g<const GD: bool>(
 /// The self-loop fast path of [`DecodedVliw::run`]: iterate a uniformly
 /// self-succeeding merged block as one fused stream until a BREAK fires
 /// or the next iteration could overrun the budget, returning whether it
-/// broke. The head/tail split and inter-stream cc snapshot of the generic
-/// merged path vanish here: `merged` eligibility keeps BREAKs out of the
-/// head (every other opcode returns `false`), and the snapshot only feeds
-/// terminator dispatch, which a uniform self-successor never reads.
+/// broke. The head/tail split and inter-stream cc snapshot of
+/// [`vliw_dispatchloop`] vanish here: `merged` eligibility keeps BREAKs
+/// out of the head (every other opcode returns `false`), and the snapshot
+/// only feeds terminator dispatch, which a uniform self-successor never
+/// reads.
 /// Outlined deliberately: the enclosing run loop keeps a dozen values
 /// live, and inlining this loop there makes the register allocator spill
 /// the stream cursors and state pointers on every micro-op — measured at
@@ -463,12 +482,12 @@ enum DispatchExit {
 
 /// The multi-block fast path of [`DecodedVliw::run`]: iterate a CFG whose
 /// non-empty blocks are all `merged` (checked once at decode as
-/// `dispatch_ok`), with the budget check hoisted to one comparison per
-/// block and no malformedness tests. This is where condition-carrying
-/// loops live — PSP lowers their conditions to data-dependent block
-/// succession, so the generic loop's per-block bookkeeping is pure
-/// overhead paid on every source iteration. Same outlining rationale as
-/// [`superloop`].
+/// `dispatch_ok`), each block one straight-line stream, with the budget
+/// check hoisted to one comparison per block and no malformedness tests.
+/// This is where condition-carrying loops live — PSP lowers their
+/// conditions to data-dependent block succession, so the generic loop's
+/// per-cycle bookkeeping is pure overhead paid on every source iteration.
+/// Same outlining rationale as [`superloop`].
 ///
 /// # Safety
 /// Same preconditions as [`exec_pop`]: the state meets the program's
@@ -543,15 +562,22 @@ unsafe fn vliw_dispatchloop(
     Ok(exit)
 }
 
-/// [`ref_superloop`] for a body that collapsed to a [`FusedRef`]: one pop
-/// stream per iteration, zero instruction dispatch, costs and loop exits
-/// settled by a post-walk read of path predicates. Same contract and
-/// outlining rationale as [`ref_superloop`]. `ccs` is the scratch buffer
+/// The trace-free fast path of [`DecodedRef::run`] for a body that
+/// collapsed to a [`FusedRef`]: one pop stream per iteration, zero
+/// instruction dispatch, costs and loop exits settled by a post-walk read
+/// of path predicates. Every budget check is hoisted behind the program's
+/// [`DecodedRef::iter_cost_bound`]. Returns `true` when a `BREAK` fired
+/// (the run is complete) and `false` when the remaining budget no longer
+/// guarantees a checkless iteration — the caller's generic loop then
+/// finishes with exact per-instruction checks and raises any exhaustion
+/// error at the interpreter's exact cycle. Outlined for the same
+/// register-pressure reason as [`superloop`]. `ccs` is the scratch buffer
 /// described on [`FusedRef`], not the machine state's cc file.
 ///
 /// # Safety
-/// Same preconditions as [`exec_pop`]; additionally every `terms`/`breaks`
-/// cc must be within `ccs` ([`FusedRef::cc_len`] covers them).
+/// Same preconditions as [`exec_pop`], with sequential execution;
+/// additionally every `terms`/`breaks` cc must be within `ccs`
+/// ([`FusedRef::cc_len`] covers them).
 #[allow(clippy::too_many_arguments)]
 #[inline(never)]
 unsafe fn ref_fusedloop(
@@ -591,96 +617,6 @@ unsafe fn ref_fusedloop(
             // SAFETY: as above; each entry is `reached AND tested-cc` for
             // one `Break`, already conjoined with its reach path.
             broke |= unsafe { *ccs.get_unchecked(bc as usize) };
-        }
-    }
-    // An error return skips the write-back: errors discard all state.
-    *cycles = cyc;
-    *iterations = iters;
-    Ok(broke)
-}
-
-/// The trace-free fast path of [`DecodedRef::run`]: execute whole source
-/// iterations with every budget check hoisted behind the program's
-/// [`DecodedRef::iter_cost_bound`] and no outcome recording. Returns
-/// `true` when a `BREAK` fired (the run is complete) and `false` when the
-/// remaining budget no longer guarantees a checkless iteration — the
-/// caller's generic loop then finishes with exact per-instruction checks
-/// and raises any exhaustion error at the interpreter's exact cycle.
-/// Outlined for the same register-pressure reason as [`superloop`].
-///
-/// # Safety
-/// Same preconditions as [`exec_pop`]: the state meets the program's
-/// static demand (including every `If`/`PredRun`/`Break` condition
-/// register) and execution is sequential.
-#[allow(clippy::too_many_arguments)]
-#[inline(never)]
-unsafe fn ref_superloop(
-    code: &[RefInstr],
-    pops: &[POp],
-    regs: &mut [i64],
-    ccs: &mut [bool],
-    arrays: &mut [Vec<i64>],
-    iter_cost_bound: u64,
-    max_cycles: u64,
-    cycles: &mut u64,
-    iterations: &mut u64,
-) -> Result<bool, SimError> {
-    let mut cyc = *cycles;
-    let mut iters = *iterations;
-    let mut broke = false;
-    while !broke && cyc.saturating_add(iter_cost_bound) <= max_cycles {
-        iters += 1;
-        let mut pc = 0usize;
-        while pc < code.len() {
-            match code[pc] {
-                RefInstr::Run { lo, hi } => {
-                    cyc += (hi - lo) as u64;
-                    for p in &pops[lo as usize..hi as usize] {
-                        // SAFETY: forwarded from the caller; a stray BREAK
-                        // from a bare `Item::Op` wrapper is discarded.
-                        unsafe { exec_pop(p, regs, ccs, arrays) }?;
-                    }
-                }
-                RefInstr::If { cc, else_pc, .. } => {
-                    cyc += 1;
-                    // SAFETY: demand covers every tested cc.
-                    let taken = unsafe { *ccs.get_unchecked(cc as usize) };
-                    pc = if taken { pc + 1 } else { else_pc as usize };
-                    continue;
-                }
-                RefInstr::PredRun {
-                    cc,
-                    t_lo,
-                    t_hi,
-                    f_hi,
-                    ..
-                } => {
-                    // SAFETY: as above.
-                    let taken = unsafe { *ccs.get_unchecked(cc as usize) } as u64;
-                    // `taken` is random trial data: select the taken-arm
-                    // cost arithmetically rather than mispredicting a
-                    // branch on it every iteration.
-                    cyc += 1 + taken * (t_hi - t_lo) as u64 + (1 - taken) * (f_hi - t_hi) as u64;
-                    for p in &pops[t_lo as usize..f_hi as usize] {
-                        // SAFETY: forwarded; the untaken arm is squashed by
-                        // its guard and cannot fault.
-                        unsafe { exec_pop(p, regs, ccs, arrays) }?;
-                    }
-                }
-                RefInstr::Break { cc } => {
-                    cyc += 1;
-                    // SAFETY: as above.
-                    if unsafe { *ccs.get_unchecked(cc as usize) } {
-                        broke = true;
-                        break;
-                    }
-                }
-                RefInstr::Goto(t) => {
-                    pc = t as usize;
-                    continue;
-                }
-            }
-            pc += 1;
         }
     }
     // An error return skips the write-back: errors discard all state.
@@ -1101,6 +1037,41 @@ impl UOps {
             b: self.b[i],
         }
     }
+
+    /// Append one VLIW block's cycles to `pexec` as a single straight-line
+    /// stream, each cycle in its [`Self::fuse_order`] with `IF` no-ops
+    /// dropped, and return `(head_lo, tail_lo, tail_hi)`: the last cycle
+    /// starts at `tail_lo`, so the caller can snapshot terminator ccs
+    /// between head and tail. `None` — nothing appended — when the block
+    /// is empty, a cycle has no hazard-free order, or a BREAK precedes the
+    /// last cycle (a BREAK exits after its own cycle).
+    fn merge_block(&self, cycles: &[Cyc], pexec: &mut Vec<POp>) -> Option<(u32, u32, u32)> {
+        let (_, head) = cycles.split_last()?;
+        if head
+            .iter()
+            .any(|c| (c.lo..c.hi).any(|k| self.opc[k as usize] == UOpc::Break))
+        {
+            return None;
+        }
+        let orders: Vec<Vec<u32>> = cycles
+            .iter()
+            .map(|c| self.fuse_order(c.lo, c.hi))
+            .collect::<Option<_>>()?;
+        let head_lo = pexec.len() as u32;
+        let mut tail_lo = head_lo;
+        for (i, order) in orders.iter().enumerate() {
+            if i == head.len() {
+                tail_lo = pexec.len() as u32;
+            }
+            pexec.extend(
+                order
+                    .iter()
+                    .filter(|&&k| self.opc[k as usize] != UOpc::If)
+                    .map(|&k| self.pack(k as usize)),
+            );
+        }
+        Some((head_lo, tail_lo, pexec.len() as u32))
+    }
 }
 
 /// Reusable per-thread execution scratch: the pending-effect buffer,
@@ -1148,64 +1119,26 @@ impl Scratch {
     }
 }
 
-/// One decoded VLIW cycle: a micro-op range plus the decode-time verdict
-/// of the hazard analysis.
+/// One decoded VLIW cycle: the micro-op range `lo..hi` of [`UOps`].
 #[derive(Debug, Clone, Copy)]
 struct Cyc {
     lo: u32,
     hi: u32,
-    /// Start/length of this cycle's packed execution schedule in the
-    /// owning program's `pexec` pool (meaningful only when `fused`; `IF`
-    /// no-ops are dropped, so `slen` may be shorter than the range).
-    slo: u32,
-    slen: u32,
-    /// Hazards resolved at decode time ([`UOps::fuse_order`]): eligible
-    /// for the fused single-pass executor when the run's state also meets
-    /// the program's static demand.
-    fused: bool,
 }
 
-/// Execute one cycle, choosing the fused single-pass executor when the
-/// decode-time analysis and the run-time bounds check (`fast`) both allow
-/// it, and the general two-phase path otherwise.
-#[inline]
-fn exec_cycle(
-    ops: &UOps,
-    pexec: &[POp],
-    c: Cyc,
-    fast: bool,
-    st: &mut MachineState,
-    scr: &mut Scratch,
-) -> Result<bool, SimError> {
-    if fast && c.fused {
-        let mut broke = false;
-        let MachineState {
-            regs, ccs, arrays, ..
-        } = st;
-        for p in &pexec[c.slo as usize..(c.slo + c.slen) as usize] {
-            // SAFETY: `fast` asserts the state meets the static demand and
-            // the stream is a `fuse_order` schedule.
-            broke |= unsafe { exec_pop(p, regs, ccs, arrays) }?;
-        }
-        Ok(broke)
-    } else {
-        step_decoded_cycle(ops, c.lo, c.hi, st, scr)
-    }
-}
-
-/// Execute one parallel cycle (`ops[lo..hi]`): evaluate everything against
-/// pre-cycle state, then commit in op order with same-cycle conflict
-/// detection. Returns whether a `BREAK` fired. Mirrors
-/// [`MachineState::step_cycle`] + [`MachineState::commit`].
+/// Execute one parallel cycle (`ops[c.lo..c.hi]`): evaluate everything
+/// against pre-cycle state, then commit in op order with same-cycle
+/// conflict detection. Returns whether a `BREAK` fired. Mirrors
+/// [`MachineState::step_cycle`] + [`MachineState::commit`]; the generic
+/// VLIW evaluator, safe for any program and state.
 fn step_decoded_cycle(
     ops: &UOps,
-    lo: u32,
-    hi: u32,
+    c: Cyc,
     st: &mut MachineState,
     scr: &mut Scratch,
 ) -> Result<bool, SimError> {
     scr.eff.clear();
-    for i in lo..hi {
+    for i in c.lo..c.hi {
         match ops.eval(i as usize, st)? {
             PEff::Squash => {}
             e => scr.eff.push(e),
@@ -1281,42 +1214,10 @@ enum RefInstr {
     /// Test `cc`; fall through when true, jump to `else_pc` when false.
     /// Costs one cycle and records the outcome under `if_id`.
     If { cc: u32, if_id: u32, else_pc: u32 },
-    /// An if-converted conditional: an `If` whose arms are straight-line
-    /// unguarded ops (none writing `cc`) lowered to predicated micro-ops —
-    /// then-arm `t_lo..t_hi` guarded on `cc` true, else-arm `t_hi..f_hi`
-    /// guarded on `cc` false. The fast path executes *both* arms
-    /// back-to-back and lets the guards squash the untaken one, turning a
-    /// mispredicting data-dependent branch into data flow; only the taken
-    /// arm's ops are costed. Costs one cycle for the test itself.
-    PredRun {
-        cc: u32,
-        if_id: u32,
-        t_lo: u32,
-        t_hi: u32,
-        f_hi: u32,
-    },
     /// Exit the iteration when `cc` is true; costs one cycle.
     Break { cc: u32 },
     /// Unconditional transfer; free.
     Goto(u32),
-}
-
-/// Whether an `If` arm can be if-converted: straight-line unguarded ops
-/// that leave the tested condition register alone (a write to it would
-/// change what later arm ops' injected guards read). Bare `If`/`Break`
-/// wrapper ops qualify too — they write nothing, and their stray outcomes
-/// are discarded under sequential execution either way.
-fn arm_foldable(items: &[Item], cc: u32) -> bool {
-    items.iter().all(|item| match item {
-        Item::Op(op) => {
-            op.guard.is_none()
-                && !matches!(
-                    op.kind,
-                    OpKind::Cmp { dst, .. } | OpKind::CcAnd { dst, .. } if dst.0 == cc
-                )
-        }
-        _ => false,
-    })
 }
 
 /// One conditional cycle-count correction for [`FusedRef`]: after the pop
@@ -1349,9 +1250,8 @@ struct CostTerm {
 /// (real ccs copied in before, committed back after).
 #[derive(Debug, Clone)]
 struct FusedRef {
-    /// The iteration's own pop stream (source ops re-lowered with path
-    /// guards, plus synthetic `CCAND`s) — distinct from the identity-order
-    /// [`DecodedRef::pops`] that the generic path executes.
+    /// The iteration's pop stream: source ops re-lowered with path guards,
+    /// plus synthetic `CCAND`s.
     pops: Vec<POp>,
     /// Cycles charged unconditionally: every op and test on the
     /// always-reached spine of the body.
@@ -1567,22 +1467,19 @@ impl FusedRef {
 pub struct DecodedRef {
     code: Vec<RefInstr>,
     ops: UOps,
-    /// Identity-order packed records for the sequential fast path.
-    pops: Vec<POp>,
     n_regs: u32,
     n_ccs: u32,
-    /// Static register/cc/array demand ([`UOps::demand`]); sequential
-    /// execution takes the direct-apply fast path whenever the grown
-    /// state meets it (arrays included: the branch-free [`exec_pop`]
-    /// evaluates squashed loads/stores unconditionally, which must not
-    /// fault on a missing array).
+    /// Static register/cc/array demand ([`UOps::demand`] plus tested
+    /// ccs); [`ref_fusedloop`] runs only when the grown state meets it
+    /// (arrays included: the branch-free [`exec_pop`] evaluates squashed
+    /// loads/stores unconditionally, which must not fault on a missing
+    /// array).
     reg_demand: u32,
     cc_demand: u32,
     arr_demand: u32,
     /// Worst-case costed cycles of one source iteration (every instruction
-    /// executed, conditionals taking their dearer arm). While at least
-    /// this much budget remains, an iteration cannot trip any budget
-    /// check, so the fast path hoists them all.
+    /// executed). While at least this much budget remains, an iteration
+    /// cannot trip any budget check, so the fused loop hoists them all.
     iter_cost_bound: u64,
     /// The iteration as one fused pop stream, when the body shape allows.
     fused: Option<FusedRef>,
@@ -1595,7 +1492,6 @@ impl DecodedRef {
         let mut d = DecodedRef {
             code: Vec::new(),
             ops: UOps::default(),
-            pops: Vec::new(),
             n_regs: spec.n_regs,
             n_ccs: spec.n_ccs,
             reg_demand: 0,
@@ -1605,15 +1501,12 @@ impl DecodedRef {
             fused: None,
         };
         d.lower_items(&spec.items);
-        d.pops = (0..d.ops.len()).map(|i| d.ops.pack(i)).collect();
         let (reg_demand, cc_demand, arr_demand) = d.ops.demand();
         // `If`/`Break` items read ccs outside the micro-op stream.
         d.reg_demand = reg_demand;
         d.arr_demand = arr_demand;
         d.cc_demand = cc_demand.max(d.code.iter().fold(0, |m, instr| match *instr {
-            RefInstr::If { cc, .. } | RefInstr::Break { cc } | RefInstr::PredRun { cc, .. } => {
-                m.max(cc + 1)
-            }
+            RefInstr::If { cc, .. } | RefInstr::Break { cc } => m.max(cc + 1),
             _ => m,
         }));
         d.iter_cost_bound = d
@@ -1621,10 +1514,7 @@ impl DecodedRef {
             .iter()
             .map(|instr| match *instr {
                 RefInstr::Run { lo, hi } => (hi - lo) as u64,
-                RefInstr::If { .. } | RefInstr::Break { cc: _ } => 1,
-                RefInstr::PredRun {
-                    t_lo, t_hi, f_hi, ..
-                } => 1 + (t_hi - t_lo).max(f_hi - t_hi) as u64,
+                RefInstr::If { .. } | RefInstr::Break { .. } => 1,
                 RefInstr::Goto(_) => 0,
             })
             .sum();
@@ -1647,37 +1537,6 @@ impl DecodedRef {
                         _ => self.code.push(RefInstr::Run { lo: i, hi: i + 1 }),
                     }
                     prev_op = true;
-                }
-                Item::If(f)
-                    if arm_foldable(&f.then_items, f.cc.0)
-                        && arm_foldable(&f.else_items, f.cc.0) =>
-                {
-                    // If-conversion: predicate both arms on the condition
-                    // instead of branching over them. Sound because the
-                    // arms are plain unguarded ops and none of them writes
-                    // the condition register, so every op's guard reads
-                    // the same value the `If` tested.
-                    let cc = f.cc.0;
-                    let ops = &mut self.ops;
-                    let mut lower_arm = |items: &[Item], on_true: u32| {
-                        for item in items {
-                            let Item::Op(op) = item else { unreachable!() };
-                            let i = ops.push_op(op, 0);
-                            ops.guard[i as usize] = (cc << 1) | on_true;
-                        }
-                        ops.len() as u32
-                    };
-                    let t_lo = lower_arm(&[], 0);
-                    let t_hi = lower_arm(&f.then_items, 1);
-                    let f_hi = lower_arm(&f.else_items, 0);
-                    self.code.push(RefInstr::PredRun {
-                        cc,
-                        if_id: f.if_id,
-                        t_lo,
-                        t_hi,
-                        f_hi,
-                    });
-                    prev_op = false;
                 }
                 Item::If(f) => {
                     let if_pc = self.code.len();
@@ -1731,63 +1590,47 @@ impl DecodedRef {
         // IF outcomes exist only to feed the trace; batch callers pass
         // `None` and skip the bookkeeping entirely.
         let record = trace.is_some();
-        // Trace-free fast path: run whole iterations with the budget checks
-        // hoisted behind `iter_cost_bound`. On a budget bail the generic
-        // loop below finishes from the carried counters and raises any
-        // exhaustion error at the interpreter's exact cycle. (A zero bound
-        // means a costless body; the generic loop handles it identically.)
-        if fast && !record && self.iter_cost_bound > 0 {
-            let broke = if let Some(f) = &self.fused {
-                // The fused stream's synthetic predicates live above the
-                // real cc file, so it runs against a scratch cc buffer:
-                // real ccs in, walk, real ccs back out. Errors skip the
-                // write-back — they discard all state anyway.
-                scr.fccs.clear();
-                scr.fccs.extend_from_slice(&st.ccs);
-                if scr.fccs.len() < f.cc_len as usize {
-                    scr.fccs.resize(f.cc_len as usize, false);
-                }
-                let MachineState { regs, arrays, .. } = &mut *st;
-                // SAFETY: `fast` asserts the state meets the static demand
-                // (cc_demand covers every tested condition register), the
-                // buffer meets `cc_len`, and execution is sequential.
-                let broke = unsafe {
-                    ref_fusedloop(
-                        &f.pops,
-                        &f.terms,
-                        &f.breaks,
-                        f.base_cost,
-                        regs,
-                        &mut scr.fccs,
-                        arrays,
-                        self.iter_cost_bound,
-                        max_cycles,
-                        &mut cycles,
-                        &mut iterations,
-                    )?
-                };
-                let n = st.ccs.len();
-                st.ccs.copy_from_slice(&scr.fccs[..n]);
-                broke
-            } else {
-                let MachineState {
-                    regs, ccs, arrays, ..
-                } = &mut *st;
-                // SAFETY: as above, minus the buffer (no synthetics here).
-                unsafe {
-                    ref_superloop(
-                        &self.code,
-                        &self.pops,
-                        regs,
-                        ccs,
-                        arrays,
-                        self.iter_cost_bound,
-                        max_cycles,
-                        &mut cycles,
-                        &mut iterations,
-                    )?
-                }
+        // Trace-free fast path: run whole fused iterations with the budget
+        // checks hoisted behind `iter_cost_bound`. On a budget bail the
+        // generic loop below finishes from the carried counters and raises
+        // any exhaustion error at the interpreter's exact cycle. (A zero
+        // bound means a costless body; the generic loop handles it
+        // identically.)
+        if let Some(f) = self
+            .fused
+            .as_ref()
+            .filter(|_| fast && !record && self.iter_cost_bound > 0)
+        {
+            // The fused stream's synthetic predicates live above the real
+            // cc file, so it runs against a scratch cc buffer: real ccs in,
+            // walk, real ccs back out. Errors skip the write-back — they
+            // discard all state anyway.
+            scr.fccs.clear();
+            scr.fccs.extend_from_slice(&st.ccs);
+            if scr.fccs.len() < f.cc_len as usize {
+                scr.fccs.resize(f.cc_len as usize, false);
+            }
+            let MachineState { regs, arrays, .. } = &mut *st;
+            // SAFETY: `fast` asserts the state meets the static demand
+            // (cc_demand covers every tested condition register), the
+            // buffer meets `cc_len`, and execution is sequential.
+            let broke = unsafe {
+                ref_fusedloop(
+                    &f.pops,
+                    &f.terms,
+                    &f.breaks,
+                    f.base_cost,
+                    regs,
+                    &mut scr.fccs,
+                    arrays,
+                    self.iter_cost_bound,
+                    max_cycles,
+                    &mut cycles,
+                    &mut iterations,
+                )?
             };
+            let n = st.ccs.len();
+            st.ccs.copy_from_slice(&scr.fccs[..n]);
             if broke {
                 let counts = RefCounts { iterations, cycles };
                 stats::count_decoded_run(cycles, t0.elapsed().as_micros() as u64);
@@ -1804,53 +1647,12 @@ impl DecodedRef {
             while pc < self.code.len() {
                 match self.code[pc] {
                     RefInstr::Run { lo, hi } => {
-                        let n = (hi - lo) as u64;
-                        // The interpreter errors before op `j` of the run
-                        // iff `cycles + j > max_cycles`; when even the last
-                        // op clears the budget, one comparison covers the
-                        // whole run. (Errors discard state, so the partial
-                        // commits of the exhaustion fallback are fine —
-                        // only error identity matters, and op order is
-                        // unchanged.)
-                        if cycles.saturating_add(n - 1) <= max_cycles {
-                            cycles += n;
-                            if fast {
-                                // Sequential execution always commits
-                                // immediately, so direct apply is sound as
-                                // soon as the bounds precondition holds. A
-                                // stray BREAK from a bare `Item::Op`
-                                // wrapper is discarded, exactly like
-                                // `exec_seq`.
-                                let MachineState {
-                                    regs, ccs, arrays, ..
-                                } = &mut *st;
-                                for p in &self.pops[lo as usize..hi as usize] {
-                                    // SAFETY: `fast` asserts the state
-                                    // meets the static demand; execution
-                                    // is sequential.
-                                    unsafe { exec_pop(p, regs, ccs, arrays) }?;
-                                }
-                            } else {
-                                for i in lo..hi {
-                                    self.exec_seq(i as usize, st)?;
-                                }
+                        for i in lo..hi {
+                            if cycles > max_cycles {
+                                return Err(SimError::CycleBudgetExceeded(max_cycles));
                             }
-                        } else {
-                            for i in lo..hi {
-                                if cycles > max_cycles {
-                                    return Err(SimError::CycleBudgetExceeded(max_cycles));
-                                }
-                                cycles += 1;
-                                if fast {
-                                    let MachineState {
-                                        regs, ccs, arrays, ..
-                                    } = &mut *st;
-                                    // SAFETY: as above.
-                                    unsafe { exec_pop(&self.pops[i as usize], regs, ccs, arrays) }?;
-                                } else {
-                                    self.exec_seq(i as usize, st)?;
-                                }
-                            }
+                            cycles += 1;
+                            self.exec_seq(i as usize, st)?;
                         }
                         pc += 1;
                     }
@@ -1864,63 +1666,6 @@ impl DecodedRef {
                             scr.outcomes.push((if_id, taken));
                         }
                         pc = if taken { pc + 1 } else { else_pc as usize };
-                    }
-                    RefInstr::PredRun {
-                        cc,
-                        if_id,
-                        t_lo,
-                        t_hi,
-                        f_hi,
-                    } => {
-                        // The test itself: same budget placement, cc read,
-                        // and outcome recording as `If`.
-                        if cycles > max_cycles {
-                            return Err(SimError::CycleBudgetExceeded(max_cycles));
-                        }
-                        cycles += 1;
-                        let taken = read_cc(st, cc)?;
-                        if record {
-                            scr.outcomes.push((if_id, taken));
-                        }
-                        let n = if taken { t_hi - t_lo } else { f_hi - t_hi } as u64;
-                        if fast && (n == 0 || cycles.saturating_add(n - 1) <= max_cycles) {
-                            cycles += n;
-                            let MachineState {
-                                regs, ccs, arrays, ..
-                            } = &mut *st;
-                            for p in &self.pops[t_lo as usize..f_hi as usize] {
-                                // SAFETY: `fast` asserts the state meets
-                                // the static demand; execution is
-                                // sequential. The untaken arm is squashed
-                                // by its guard (its value-select rewrites
-                                // are unobservable and squashed stores
-                                // cannot fault), so only the taken arm's
-                                // effects and errors surface — in the
-                                // interpreter's order.
-                                unsafe { exec_pop(p, regs, ccs, arrays) }?;
-                            }
-                        } else {
-                            // Near budget exhaustion (or demand unmet):
-                            // step the taken arm alone, per-op, exactly
-                            // like the interpreter.
-                            let (lo, hi) = if taken { (t_lo, t_hi) } else { (t_hi, f_hi) };
-                            for i in lo..hi {
-                                if cycles > max_cycles {
-                                    return Err(SimError::CycleBudgetExceeded(max_cycles));
-                                }
-                                cycles += 1;
-                                if fast {
-                                    let MachineState {
-                                        regs, ccs, arrays, ..
-                                    } = &mut *st;
-                                    // SAFETY: as above.
-                                    unsafe { exec_pop(&self.pops[i as usize], regs, ccs, arrays) }?;
-                                } else {
-                                    self.exec_seq(i as usize, st)?;
-                                }
-                            }
-                        }
-                        pc += 1;
                     }
                     RefInstr::Break { cc } => {
                         if cycles > max_cycles {
@@ -2027,15 +1772,15 @@ struct DBlock {
     cycles: Vec<Cyc>,
     term: DTerm,
     /// Condition registers read by any terminator reachable from this
-    /// block through zero-cycle dispatch chains: the fast path snapshots
-    /// exactly these before the block's last cycle instead of copying the
-    /// whole cc file.
+    /// block through zero-cycle dispatch chains: [`vliw_dispatchloop`]
+    /// snapshots exactly these before the block's last cycle instead of
+    /// copying the whole cc file.
     snap_ccs: Vec<u32>,
     /// `(head_lo, tail_lo, tail_hi)` into the packed pool when the whole
-    /// block can run as two straight-line streams (all cycles fused,
-    /// contiguous in the pool, no BREAK before the last cycle): the fast
-    /// path executes `head_lo..tail_lo`, snapshots, then `tail_lo..tail_hi`,
-    /// paying block-loop overhead once per block instead of once per cycle.
+    /// block can run as two straight-line streams ([`UOps::merge_block`]):
+    /// the fast loops execute `head_lo..tail_lo`, snapshot, then
+    /// `tail_lo..tail_hi`, paying block-loop overhead once per block
+    /// instead of once per cycle.
     merged: Option<(u32, u32, u32)>,
     /// `Some(back_edge_weight)` when every terminator successor is this
     /// block itself (a `Jump` to self, or a `Branch` whose arms agree —
@@ -2053,16 +1798,16 @@ struct DBlock {
 #[derive(Debug, Clone)]
 pub struct DecodedVliw {
     ops: UOps,
-    /// Packed execution schedules of all fusible cycles, concatenated
-    /// ([`Cyc::slo`]/[`Cyc::slen`] index into this pool).
+    /// Packed streams of the merged blocks, concatenated
+    /// ([`DBlock::merged`] indexes into this pool).
     pexec: Vec<POp>,
     prologue: Vec<Cyc>,
     epilogue: Vec<Cyc>,
     blocks: Vec<DBlock>,
     entry: usize,
     /// Static register/cc/array demand ([`UOps::demand`] plus terminator
-    /// ccs); runs whose state meets it take the fused fast path on
-    /// hazard-free cycles.
+    /// ccs); only runs whose state meets it enter [`superloop`] or
+    /// [`vliw_dispatchloop`].
     reg_demand: u32,
     cc_demand: u32,
     arr_demand: u32,
@@ -2080,37 +1825,14 @@ impl DecodedVliw {
     /// indices only fault when actually taken.
     pub fn decode(prog: &VliwLoop) -> Self {
         let mut ops = UOps::default();
-        let mut pexec: Vec<POp> = Vec::new();
         let mut lower_cycle = |cycle: &[Operation]| {
             let lo = ops.len() as u32;
             for op in cycle {
                 ops.push_op(op, 0);
             }
-            let hi = ops.len() as u32;
-            match ops.fuse_order(lo, hi) {
-                Some(order) => {
-                    let slo = pexec.len() as u32;
-                    pexec.extend(
-                        order
-                            .iter()
-                            .filter(|&&k| ops.opc[k as usize] != UOpc::If)
-                            .map(|&k| ops.pack(k as usize)),
-                    );
-                    Cyc {
-                        lo,
-                        hi,
-                        slo,
-                        slen: pexec.len() as u32 - slo,
-                        fused: true,
-                    }
-                }
-                None => Cyc {
-                    lo,
-                    hi,
-                    slo: 0,
-                    slen: 0,
-                    fused: false,
-                },
+            Cyc {
+                lo,
+                hi: ops.len() as u32,
             }
         };
         let prologue: Vec<_> = prog.prologue.iter().map(|c| lower_cycle(c)).collect();
@@ -2169,24 +1891,9 @@ impl DecodedVliw {
             blocks[bi].snap_ccs = ccs;
         }
         let epilogue: Vec<_> = prog.epilogue.iter().map(|c| lower_cycle(c)).collect();
-        // Block merging: a BREAK exits after its own cycle, so any BREAK
-        // before the last cycle forces per-cycle stepping; fused cycles of
-        // one block are contiguous in the pool by construction (checked
-        // defensively anyway).
+        let mut pexec = Vec::new();
         for b in &mut blocks {
-            let n = b.cycles.len();
-            let all_fused = n > 0
-                && b.cycles.iter().all(|c| c.fused)
-                && b.cycles
-                    .windows(2)
-                    .all(|w| w[0].slo + w[0].slen == w[1].slo);
-            let head_breakless = b.cycles[..n.saturating_sub(1)]
-                .iter()
-                .all(|c| (c.lo..c.hi).all(|k| ops.opc[k as usize] != UOpc::Break));
-            if all_fused && head_breakless {
-                let last = b.cycles[n - 1];
-                b.merged = Some((b.cycles[0].slo, last.slo, last.slo + last.slen));
-            }
+            b.merged = ops.merge_block(&b.cycles, &mut pexec);
         }
         for (bi, b) in blocks.iter_mut().enumerate() {
             b.self_loop = match b.term {
@@ -2249,8 +1956,8 @@ impl DecodedVliw {
 
         for &c in &self.prologue {
             total_cycles += 1;
-            if exec_cycle(&self.ops, &self.pexec, c, fast, st, scr)? {
-                return self.finish(st, scr, fast, 0, total_cycles, 0, t0);
+            if step_decoded_cycle(&self.ops, c, st, scr)? {
+                return self.finish(st, scr, 0, total_cycles, 0, t0);
             }
         }
 
@@ -2282,16 +1989,13 @@ impl DecodedVliw {
 
         loop {
             if fast {
-                if let (Some(back), Some((head_lo, tail_lo, tail_hi))) =
-                    (block.self_loop, block.merged)
-                {
+                if let (Some(back), Some((head_lo, _, tail_hi))) = (block.self_loop, block.merged) {
                     // Superloop: the block's only successor is itself, so
                     // iterate the two streams with everything else hoisted
                     // out — ends on BREAK or hands the last few cycles to
                     // the generic path when the budget gets close (which
                     // then raises the exact exhaustion error).
                     let n = block.cycles.len() as u64;
-                    let _ = tail_lo;
                     let body = &self.pexec[head_lo as usize..tail_hi as usize];
                     let body_before = body_cycles;
                     let broke = {
@@ -2317,15 +2021,7 @@ impl DecodedVliw {
                     };
                     total_cycles += body_cycles - body_before;
                     if broke {
-                        return self.finish(
-                            st,
-                            scr,
-                            fast,
-                            body_cycles,
-                            total_cycles,
-                            iterations,
-                            t0,
-                        );
+                        return self.finish(st, scr, body_cycles, total_cycles, iterations, t0);
                     }
                 } else if self.dispatch_ok {
                     // Multi-block fast path: condition-dependent block
@@ -2359,15 +2055,7 @@ impl DecodedVliw {
                     total_cycles += body_cycles - body_before;
                     match exit {
                         DispatchExit::Broke | DispatchExit::Exited => {
-                            return self.finish(
-                                st,
-                                scr,
-                                fast,
-                                body_cycles,
-                                total_cycles,
-                                iterations,
-                                t0,
-                            );
+                            return self.finish(st, scr, body_cycles, total_cycles, iterations, t0);
                         }
                         DispatchExit::Bail(nbi) => {
                             bi = nbi;
@@ -2376,78 +2064,28 @@ impl DecodedVliw {
                     }
                 }
             }
-            let mut broke = false;
+            // The generic evaluator: one checked cycle at a time.
             let n = block.cycles.len();
-            // One budget comparison per block covers every cycle in it;
-            // the per-cycle check only runs near exhaustion.
-            let budget_ok = body_cycles.saturating_add(n as u64) <= max_cycles;
-            let merged = if fast && budget_ok {
-                block.merged
-            } else {
-                None
-            };
-            if let Some((head_lo, tail_lo, tail_hi)) = merged {
-                // Whole-block fast path: head stream, targeted snapshot,
-                // tail stream — identical op order and per-cycle semantics
-                // (no head BREAK, budget pre-cleared), one pass of loop
-                // bookkeeping.
-                let MachineState {
-                    regs, ccs, arrays, ..
-                } = &mut *st;
-                for p in &self.pexec[head_lo as usize..tail_lo as usize] {
-                    // SAFETY: `fast` asserts the state meets the static
-                    // demand and the streams are `fuse_order` schedules.
-                    unsafe { exec_pop(p, regs, ccs, arrays) }?;
+            for (i, &c) in block.cycles.iter().enumerate() {
+                if body_cycles >= max_cycles {
+                    return Err(SimError::CycleBudgetExceeded(max_cycles));
                 }
-                for &cc in &block.snap_ccs {
-                    scr.snap[cc as usize] = ccs[cc as usize];
+                if i + 1 == n {
+                    scr.snap.clear();
+                    scr.snap.extend_from_slice(&st.ccs);
+                    have_snap = true;
                 }
-                have_snap = true;
-                for p in &self.pexec[tail_lo as usize..tail_hi as usize] {
-                    // SAFETY: as above.
-                    broke |= unsafe { exec_pop(p, regs, ccs, arrays) }?;
+                body_cycles += 1;
+                total_cycles += 1;
+                if step_decoded_cycle(&self.ops, c, st, scr)? {
+                    return self.finish(st, scr, body_cycles, total_cycles, iterations, t0);
                 }
-                body_cycles += n as u64;
-                total_cycles += n as u64;
-            } else {
-                for (i, &c) in block.cycles.iter().enumerate() {
-                    if !budget_ok && body_cycles >= max_cycles {
-                        return Err(SimError::CycleBudgetExceeded(max_cycles));
-                    }
-                    if i + 1 == n {
-                        if fast {
-                            // Targeted snapshot: only the ccs a reachable
-                            // terminator can read (demand keeps them in
-                            // bounds).
-                            for &cc in &block.snap_ccs {
-                                scr.snap[cc as usize] = st.ccs[cc as usize];
-                            }
-                        } else {
-                            scr.snap.clear();
-                            scr.snap.extend_from_slice(&st.ccs);
-                        }
-                        have_snap = true;
-                    }
-                    body_cycles += 1;
-                    total_cycles += 1;
-                    if exec_cycle(&self.ops, &self.pexec, c, fast, st, scr)? {
-                        broke = true;
-                        break;
-                    }
-                }
-            }
-            if broke {
-                return self.finish(st, scr, fast, body_cycles, total_cycles, iterations, t0);
             }
             let succ = match block.term {
                 DTerm::Jump(s) => s,
                 DTerm::Branch { cc, t, f } => {
                     let v = if have_snap {
-                        if fast {
-                            scr.snap[cc as usize]
-                        } else {
-                            *scr.snap.get(cc as usize).ok_or_else(|| bad_cc(cc))?
-                        }
+                        *scr.snap.get(cc as usize).ok_or_else(|| bad_cc(cc))?
                     } else {
                         // Entry dispatch before any body cycle: committed
                         // state is the right one.
@@ -2459,7 +2097,7 @@ impl DecodedVliw {
                     DSucc::sel(v, t, f)
                 }
                 DTerm::Exit => {
-                    return self.finish(st, scr, fast, body_cycles, total_cycles, iterations, t0);
+                    return self.finish(st, scr, body_cycles, total_cycles, iterations, t0);
                 }
             };
             iterations += succ.back();
@@ -2475,12 +2113,10 @@ impl DecodedVliw {
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn finish(
         &self,
         st: &mut MachineState,
         scr: &mut Scratch,
-        fast: bool,
         body_cycles: u64,
         mut total_cycles: u64,
         iterations: u64,
@@ -2488,7 +2124,7 @@ impl DecodedVliw {
     ) -> Result<VliwCounts, SimError> {
         for &c in &self.epilogue {
             total_cycles += 1;
-            exec_cycle(&self.ops, &self.pexec, c, fast, st, scr)?;
+            step_decoded_cycle(&self.ops, c, st, scr)?;
         }
         stats::count_decoded_run(total_cycles, t0.elapsed().as_micros() as u64);
         Ok(VliwCounts {

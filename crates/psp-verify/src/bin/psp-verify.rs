@@ -82,8 +82,8 @@ fn validate_kernel(name: &str, spec: &psp_ir::LoopSpec, verbose: bool) -> usize 
         }
     }
 
-    let mut ic = psp_baselines::if_convert(spec);
-    psp_baselines::rename::rename_inductions(&mut ic.ops, &mut ic.spec);
+    let mut ic = psp_opt::if_convert(spec);
+    psp_opt::rename_inductions(&mut ic.ops, &mut ic.spec);
     let ems = psp_baselines::modulo_schedule(spec, &wide);
     report(
         &format!("ems (II {})", ems.ii),

@@ -128,8 +128,8 @@ pub fn run_oracle_with(spec: &LoopSpec, engine: EngineKind) -> Result<Features, 
 
     // The modulo validator needs the live-out set of the if-converted,
     // renamed body the EMS scheduler worked on; re-derive it the same way.
-    let mut ic = psp_baselines::if_convert(spec);
-    psp_baselines::rename::rename_inductions(&mut ic.ops, &mut ic.spec);
+    let mut ic = psp_opt::if_convert(spec);
+    psp_opt::rename_inductions(&mut ic.ops, &mut ic.spec);
     let ems = psp_baselines::modulo_schedule(spec, &wide);
     check_violations("ems", validate_modulo(&ic.spec.live_out, &wide, &ems))?;
     feats.ems_ii = ems.ii.min(255) as u8;

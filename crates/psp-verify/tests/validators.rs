@@ -8,8 +8,8 @@ use psp_opt::{certify, Certification, ExactConfig};
 use psp_verify::{validate_modulo, validate_schedule, validate_vliw, Violation};
 
 fn renamed_live_out(spec: &psp_ir::LoopSpec) -> Vec<psp_ir::RegRef> {
-    let mut ic = psp_baselines::if_convert(spec);
-    psp_baselines::rename::rename_inductions(&mut ic.ops, &mut ic.spec);
+    let mut ic = psp_opt::if_convert(spec);
+    psp_opt::rename_inductions(&mut ic.ops, &mut ic.spec);
     ic.spec.live_out
 }
 

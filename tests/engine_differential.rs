@@ -4,18 +4,25 @@
 //! trace — must be bit-identical between the `step_cycle`/`run_items`
 //! interpreters (the trusted base) and the decoded engine.
 //!
-//! Coverage is three-layered:
+//! The decoded engine is one safe generic evaluator plus three unsafe
+//! steady-state loops (VLIW superloop, VLIW dispatch loop, fused
+//! reference loop) that hand the tail of a run back to the generic
+//! evaluator when the budget runs low. Coverage is four-layered:
 //!
 //! 1. all 16 paper kernels × both predicate backends × several compiled
 //!    forms (PSP pipeline, local compaction, unrolled) through the full
-//!    trace-materializing path (`check_equivalence_with`);
-//! 2. the same kernels through the no-trace batch fast path
-//!    (`EquivEngine::check`), which is the only path that engages the
-//!    fused reference loop and the VLIW superloop — the counters it
-//!    returns must equal the interpreter's run observables;
+//!    trace-materializing path (`check_equivalence_with`), where the
+//!    reference runs on the generic evaluator;
+//! 2. the same kernels through the no-trace batch path
+//!    (`EquivEngine::check`), the only path that engages the fused
+//!    reference loop — the counters it returns must equal the
+//!    interpreter's run observables;
 //! 3. a proptest over the psp-verify fuzz grammar (random nested-If
 //!    bodies with breaks), so the decoded engine is exercised on loop
-//!    shapes no hand-written kernel covers.
+//!    shapes no hand-written kernel covers;
+//! 4. a cycle-budget sweep around the end of real runs, so every fast
+//!    loop's handoff to the generic evaluator is checked at every budget
+//!    where it can happen.
 
 mod common;
 
@@ -23,7 +30,7 @@ use common::{arb_body, build_spec, initial, CASES};
 use proptest::prelude::*;
 use psp::predicate::backend::with_backend;
 use psp::prelude::*;
-use psp::sim::{check_equivalence_with, EquivEngine, MachineState};
+use psp::sim::{check_equivalence_with, run_vliw_decoded, EquivEngine, MachineState};
 
 const MAX_CYCLES: u64 = 10_000_000;
 
@@ -64,10 +71,10 @@ fn assert_full_identical(spec: &LoopSpec, prog: &VliwLoop, init: &MachineState, 
     }
 }
 
-/// Run one trial through the decoded engine's no-trace batch fast path
-/// (the one the benchmark and the batched oracle use — it is the only
-/// path that engages the fused reference loop and the VLIW superloop)
-/// and demand its compact counters match the interpreter's runs.
+/// Run one trial through the decoded engine's no-trace batch path (the
+/// one the benchmark and the batched oracle use — it is the only path
+/// that engages the fused reference loop) and demand its compact counters
+/// match the interpreter's runs.
 fn assert_batch_path_identical(
     spec: &LoopSpec,
     prog: &VliwLoop,
@@ -144,7 +151,7 @@ fn kernels_identical_across_engines_and_backends() {
     }
 }
 
-/// The no-trace batch fast path (fused reference + VLIW superloop) over
+/// The no-trace batch path (fused reference loop + VLIW fast loops) over
 /// all kernels: compact counters must equal the interpreter's.
 #[test]
 fn kernels_identical_on_batch_fast_path() {
@@ -183,6 +190,70 @@ fn kernels_identical_across_compiled_forms() {
                 assert_full_identical(&kernel.spec, prog, &init, &label);
                 assert_batch_path_identical(&kernel.spec, prog, &mut eng, &init, &label);
             }
+        }
+    }
+}
+
+/// Budgets from a few dozen cycles before `c` to just past it: the last
+/// steady-state iterations, where a fast loop stops and the generic
+/// evaluator takes over, and the exact cycle where exhaustion fires.
+fn budget_window(c: u64) -> std::ops::RangeInclusive<u64> {
+    c.saturating_sub(48)..=c + 2
+}
+
+/// The handoff from each fast loop to the generic evaluator: at every
+/// `max_cycles` around the end of a run, the decoded engine must give the
+/// interpreter's counters or its exact error. The batched check runs the
+/// reference first, so its sweep (around the reference cycle count)
+/// covers the fused reference loop; the VLIW side is swept on its own
+/// around the body cycle count. Programs: vecmin (a self-loop block, the
+/// superloop), clamp_store (multi-block, the dispatch loop), find_first
+/// (a fused reference body with a mid-body break), and unrolled vecmin,
+/// whose mid-block BREAKs keep it off both VLIW fast loops.
+#[test]
+fn budget_sweep_identical_across_engines() {
+    let mut cases = Vec::new();
+    for name in ["vecmin", "clamp_store", "find_first"] {
+        let kernel = by_name(name).unwrap();
+        let prog = pipeline_loop(&kernel.spec, &PspConfig::default())
+            .unwrap_or_else(|e| panic!("{name}: {e}"))
+            .program;
+        cases.push((format!("{name}/psp"), kernel, prog));
+    }
+    let kernel = by_name("vecmin").unwrap();
+    let prog = compile_unrolled(&kernel.spec, 3, &MachineConfig::paper_default());
+    cases.push(("vecmin/unroll3".into(), kernel, prog));
+
+    for (label, kernel, prog) in &cases {
+        let init = kernel.initial_state(&KernelData::random(5, 64));
+        let batch = |engine, max_cycles| {
+            let cfg = EquivConfig::fixed(1, 0)
+                .with_engine(engine)
+                .with_max_cycles(max_cycles);
+            check_equivalence_batch(&kernel.spec, prog, &cfg, |_, _| &init)
+                .map(|run| run.trials)
+                .map_err(|e| e.to_string())
+        };
+        let full = batch(EngineKind::Interpreter, MAX_CYCLES).unwrap()[0];
+        for max_cycles in budget_window(full.ref_cycles) {
+            assert_eq!(
+                batch(EngineKind::Interpreter, max_cycles),
+                batch(EngineKind::Decoded, max_cycles),
+                "[{label}] batch diverged at max_cycles={max_cycles}"
+            );
+        }
+
+        let (regs, ccs) = prog.register_demand();
+        let mut start = init.clone();
+        start.grow(regs.max(kernel.spec.n_regs), ccs.max(kernel.spec.n_ccs));
+        let observe =
+            |run: psp::sim::VliwRun| (run.state, run.body_cycles, run.total_cycles, run.iterations);
+        for max_cycles in budget_window(full.body_cycles) {
+            assert_eq!(
+                run_vliw(prog, start.clone(), max_cycles).map(observe),
+                run_vliw_decoded(prog, start.clone(), max_cycles).map(observe),
+                "[{label}] vliw diverged at max_cycles={max_cycles}"
+            );
         }
     }
 }
