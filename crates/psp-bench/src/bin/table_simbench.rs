@@ -21,8 +21,7 @@ use psp_sim::{check_equivalence_batch, BatchRun, EngineKind, EquivConfig};
 use std::collections::HashMap;
 use std::time::Instant;
 
-/// Fixed trial sets (immune to `PSP_EQUIV_TRIALS`): benchmarks must stay
-/// comparable across environments.
+/// Fixed trial sets: benchmarks must stay comparable across runs.
 const FULL_TRIALS: usize = 12;
 const SMOKE_TRIALS: usize = 6;
 const SEED: u64 = 5;

@@ -24,7 +24,6 @@ pub mod compact;
 pub mod deps;
 pub mod driver;
 pub mod heuristics;
-pub mod hook;
 pub mod instance;
 pub mod preloop;
 pub mod schedule;

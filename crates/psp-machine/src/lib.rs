@@ -16,7 +16,6 @@
 
 pub mod config;
 pub mod dot;
-pub mod hook;
 pub mod resources;
 pub mod vliw;
 

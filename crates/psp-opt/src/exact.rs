@@ -141,8 +141,7 @@ pub fn certify(
     let mut ic = if_convert(spec);
     rename_inductions(&mut ic.ops, &mut ic.spec);
     let ops = ic.ops;
-    let live_out = ic.spec.live_out.clone();
-    let edges = all_edges(&ops, &live_out, m);
+    let edges = all_edges(&ops, &ic.spec.live_out, m);
     let n = ops.len();
 
     let mii = res_mii(&ops, m).max(crate::bounds::rec_mii(n, &edges));
@@ -183,7 +182,6 @@ pub fn certify(
                             edges,
                         };
                         debug_assert!(sched.verify(m).is_ok());
-                        crate::hook::check("certify (ub witness)", &live_out, m, &sched);
                         return finish(
                             Certification::Certified(u),
                             Some(sched),
@@ -224,7 +222,6 @@ pub fn certify(
                     edges,
                 };
                 debug_assert!(sched.verify(m).is_ok());
-                crate::hook::check("certify", &live_out, m, &sched);
                 return finish(
                     Certification::Certified(lb),
                     Some(sched),

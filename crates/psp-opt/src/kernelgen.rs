@@ -112,7 +112,7 @@ mod tests {
             let prog = modulo_to_vliw(&sched, kernel.name);
             prog.validate(&m)
                 .unwrap_or_else(|e| panic!("{}: {e}", kernel.name));
-            for (seed, len) in EquivConfig::new(4, 21).trial_inputs() {
+            for (seed, len) in EquivConfig::fixed(4, 21).trial_inputs() {
                 let data = KernelData::random(seed, len);
                 let init = kernel.initial_state(&data);
                 let (_, run) = check_equivalence(&kernel.spec, &prog, &init, 10_000_000)
@@ -129,7 +129,7 @@ mod tests {
             let (spec, prog) = exact_program(name, &m);
             prog.validate(&m).unwrap();
             let kernel = by_name(name).unwrap();
-            for (seed, len) in EquivConfig::new(3, 31).trial_inputs() {
+            for (seed, len) in EquivConfig::fixed(3, 31).trial_inputs() {
                 let data = KernelData::random(seed, len);
                 let init = kernel.initial_state(&data);
                 let (_, run) = check_equivalence(&spec, &prog, &init, 10_000_000)

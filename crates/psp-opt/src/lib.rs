@@ -34,7 +34,6 @@
 pub mod bounds;
 pub mod depgraph;
 pub mod exact;
-pub mod hook;
 pub mod ifconv;
 pub mod kernelgen;
 pub mod rename;

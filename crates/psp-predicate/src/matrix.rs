@@ -147,11 +147,25 @@ impl PredicateMatrix {
     ///
     /// Later duplicates of the same key overwrite earlier ones.
     pub fn from_entries<I: IntoIterator<Item = (u32, i32, bool)>>(it: I) -> Self {
-        let mut m = Self::universe();
-        for (row, col, v) in it {
-            m.set(row, col, PredElem::from_bool(v));
+        Self::universe().with_entries(it)
+    }
+
+    /// [`from_entries`](Self::from_entries) on the sparse reference
+    /// representation, whatever the global [`backend`] flag says. Results
+    /// derived from it stay sparse, so a caller can keep the packed algebra
+    /// out of its computation without touching process-global state.
+    pub fn sparse_from_entries<I: IntoIterator<Item = (u32, i32, bool)>>(it: I) -> Self {
+        Self {
+            repr: Repr::Sparse(BTreeMap::new()),
         }
-        m
+        .with_entries(it)
+    }
+
+    fn with_entries<I: IntoIterator<Item = (u32, i32, bool)>>(mut self, it: I) -> Self {
+        for (row, col, v) in it {
+            self.set(row, col, PredElem::from_bool(v));
+        }
+        self
     }
 
     /// The element at `(row, col)` (default `b`).

@@ -10,8 +10,9 @@
 //!   programs are lowered once, trials run over reusable scratch state, and
 //!   [`check_equivalence_batch`] shards a whole trial set across threads;
 //! * **interpreter** — the original `step_cycle`/`run_items` interpreters,
-//!   the trusted reference. `PSP_SIM_ENGINE=interpreter` forces it
-//!   everywhere; the psp-verify validators and repro replay always use it.
+//!   the trusted reference. A caller pins it with
+//!   [`check_equivalence_with`] or [`EquivConfig::with_engine`]; the
+//!   engine differential suites and repro replay do.
 //!
 //! Both produce bit-identical observables (enforced by the differential
 //! suites), so which engine ran is a performance detail, not a semantic
@@ -92,16 +93,6 @@ pub enum EngineKind {
 }
 
 impl EngineKind {
-    /// The engine selected by the `PSP_SIM_ENGINE` environment variable
-    /// (`interpreter`/`interp` forces the reference; anything else, or
-    /// unset, selects the decoded engine).
-    pub fn from_env() -> Self {
-        match std::env::var("PSP_SIM_ENGINE").as_deref() {
-            Ok("interpreter") | Ok("interp") => EngineKind::Interpreter,
-            _ => EngineKind::Decoded,
-        }
-    }
-
     /// Display label (matches [`crate::stats::SimStats::engine`]).
     pub fn label(self) -> &'static str {
         match self {
@@ -138,29 +129,14 @@ pub struct EquivConfig {
 }
 
 impl EquivConfig {
-    /// A configuration honouring the environment: `PSP_EQUIV_TRIALS`
-    /// overrides the trial count (CI can widen or narrow every caller at
-    /// once) and `PSP_SIM_ENGINE` selects the engine.
-    pub fn new(trials: usize, seed: u64) -> Self {
-        let trials = std::env::var("PSP_EQUIV_TRIALS")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .filter(|&n| n > 0)
-            .unwrap_or(trials);
-        Self {
-            trials,
-            ..Self::fixed(trials, seed)
-        }
-    }
-
-    /// A configuration that ignores environment overrides (benchmarks need
-    /// fixed trial counts to stay comparable).
+    /// `trials` trials from base seed `seed` on the decoded engine, one
+    /// thread, a 10M-cycle budget and the [`TRIAL_LENS`] ladder.
     pub fn fixed(trials: usize, seed: u64) -> Self {
         Self {
             trials,
             seed,
             max_cycles: 10_000_000,
-            engine: EngineKind::from_env(),
+            engine: EngineKind::Decoded,
             threads: 1,
             lens: TRIAL_LENS.to_vec(),
         }
@@ -172,7 +148,7 @@ impl EquivConfig {
         self
     }
 
-    /// Force an engine regardless of `PSP_SIM_ENGINE`.
+    /// Pin the execution engine.
     pub fn with_engine(mut self, engine: EngineKind) -> Self {
         self.engine = engine;
         self
@@ -394,15 +370,15 @@ impl EquivEngine {
 
 /// Run `spec` (reference) and `prog` (compiled) from the same initial state
 /// and compare observable results. Returns both runs on success so callers
-/// can also compare cycle counts. Engine selection honours
-/// `PSP_SIM_ENGINE`; use [`check_equivalence_with`] to pin one.
+/// can also compare cycle counts. Runs on the decoded engine; use
+/// [`check_equivalence_with`] to pin another.
 pub fn check_equivalence(
     spec: &LoopSpec,
     prog: &VliwLoop,
     initial: &MachineState,
     max_cycles: u64,
 ) -> Result<(RefRun, VliwRun), EquivalenceError> {
-    check_equivalence_with(spec, prog, initial, max_cycles, EngineKind::from_env())
+    check_equivalence_with(spec, prog, initial, max_cycles, EngineKind::Decoded)
 }
 
 /// [`check_equivalence`] with an explicit engine.

@@ -20,8 +20,8 @@
 //! * [`decode`] — the pre-decoded engine: both programs lowered once into
 //!   flat struct-of-arrays micro-ops and run by a tight dispatch loop over
 //!   reusable scratch, bit-identical to the interpreters but much faster;
-//!   the default behind [`equiv::check_equivalence`] (`PSP_SIM_ENGINE=
-//!   interpreter` forces the reference engine);
+//!   the default behind [`equiv::check_equivalence`] (pass
+//!   [`equiv::EngineKind::Interpreter`] to pin the reference engine);
 //! * [`equiv::check_equivalence`] — runs both sides on the same initial
 //!   state and compares live-out registers and all array contents;
 //!   [`equiv::check_equivalence_batch`] amortizes decoding over a whole

@@ -1,14 +1,14 @@
 //! Cycle-by-cycle execution tracing.
 //!
-//! [`trace_vliw`] runs a compiled loop exactly like
-//! [`crate::run_vliw`] while recording, for every machine cycle, which
+//! [`trace_vliw`] runs a compiled loop through [`crate::run_vliw`]'s own
+//! control flow while recording, for every prologue and body cycle, which
 //! operations issued, which were squashed by their guards, and where
 //! control went. Indispensable when staring at a miscompiled pipeline.
 
 use crate::state::{MachineState, SimError};
-use crate::vliw_run::VliwRun;
+use crate::vliw_run::{run_observed, CycleObserver, VliwRun};
 use psp_ir::Operation;
-use psp_machine::{BlockId, VliwLoop, VliwTerm};
+use psp_machine::{BlockId, VliwLoop};
 use std::fmt;
 
 /// Which part of the loop a cycle belongs to.
@@ -58,150 +58,70 @@ impl fmt::Display for TraceEvent {
     }
 }
 
-/// Execute with tracing; also returns the normal run result. `max_events`
-/// bounds the recorded trace (execution continues untraced past it).
-pub fn trace_vliw(
-    prog: &VliwLoop,
-    mut state: MachineState,
-    max_cycles: u64,
+/// Records one [`TraceEvent`] per observed cycle, up to `max_events`.
+struct Recorder {
+    events: Vec<TraceEvent>,
     max_events: usize,
-) -> Result<(VliwRun, Vec<TraceEvent>), SimError> {
-    let mut events = Vec::new();
-    let mut body_cycles: u64 = 0;
-    let mut total_cycles: u64 = 0;
-    let mut iterations: u64 = 1;
+    /// Cycles observed so far: the global time of the next one.
+    time: u64,
+}
 
-    let record = |events: &mut Vec<TraceEvent>,
-                  state: &MachineState,
-                  phase: Phase,
-                  cycle: usize,
-                  ops: &[Operation],
-                  time: u64|
-     -> Result<bool, SimError> {
-        // Evaluate squash status against pre-cycle state for the trace.
+impl CycleObserver for Recorder {
+    fn before(
+        &mut self,
+        phase: Phase,
+        cycle: usize,
+        ops: &[Operation],
+        pre: &MachineState,
+    ) -> Result<(), SimError> {
+        // Squash status against the pre-cycle state. Guards are read even
+        // past the recording cap, so a bad condition register fails the
+        // run the same way whether or not its cycle is recorded.
         let mut statuses = Vec::with_capacity(ops.len());
         for op in ops {
             let executed = match op.guard {
-                Some(g) => state.cc(g.cc)? == g.on_true,
+                Some(g) => pre.cc(g.cc)? == g.on_true,
                 None => true,
             };
             statuses.push((*op, executed));
         }
-        let mut st2 = state.clone();
-        let (broke, _) = st2.step_cycle(ops)?;
-        if events.len() < max_events {
-            events.push(TraceEvent {
-                time,
+        if self.events.len() < self.max_events {
+            self.events.push(TraceEvent {
+                time: self.time,
                 phase,
                 cycle,
                 ops: statuses,
-                broke,
+                broke: false,
             });
         }
-        Ok(broke)
-    };
-
-    for (i, cycle) in prog.prologue.iter().enumerate() {
-        record(&mut events, &state, Phase::Prologue, i, cycle, total_cycles)?;
-        total_cycles += 1;
-        let (broke, _) = state.step_cycle(cycle)?;
-        if broke {
-            return finish(prog, state, 0, total_cycles, 0, events);
-        }
+        self.time += 1;
+        Ok(())
     }
 
-    let mut block = prog
-        .blocks
-        .get(prog.entry)
-        .ok_or_else(|| SimError::Malformed(format!("entry block {} missing", prog.entry)))?;
-    // See `run_vliw`: all dispatch levels of one branching cycle test the
-    // pre-cycle condition registers.
-    let mut branch_ccs: Option<Vec<bool>> = None;
-    loop {
-        let mut broke = false;
-        for (i, cycle) in block.cycles.iter().enumerate() {
-            if body_cycles >= max_cycles {
-                return Err(SimError::CycleBudgetExceeded(max_cycles));
-            }
-            if i + 1 == block.cycles.len() {
-                branch_ccs = Some(state.ccs.clone());
-            }
-            record(
-                &mut events,
-                &state,
-                Phase::Body(block.id),
-                i,
-                cycle,
-                total_cycles,
-            )?;
-            body_cycles += 1;
-            total_cycles += 1;
-            let (b, _) = state.step_cycle(cycle)?;
-            if b {
-                broke = true;
-                break;
-            }
-        }
-        if broke {
-            return finish(prog, state, body_cycles, total_cycles, iterations, events);
-        }
-        let succ = match block.term {
-            VliwTerm::Jump(s) => s,
-            VliwTerm::Branch {
-                cc,
-                on_true,
-                on_false,
-            } => {
-                let v = match &branch_ccs {
-                    Some(snap) => *snap
-                        .get(cc.0 as usize)
-                        .ok_or_else(|| SimError::BadRegister(format!("{cc}")))?,
-                    None => state.cc(cc)?,
-                };
-                if v {
-                    on_true
-                } else {
-                    on_false
-                }
-            }
-            VliwTerm::Exit => {
-                return finish(prog, state, body_cycles, total_cycles, iterations, events)
-            }
-        };
-        if succ.back_edge {
-            iterations += 1;
-        }
-        block = prog
-            .blocks
-            .get(succ.block)
-            .ok_or_else(|| SimError::Malformed(format!("block {} missing", succ.block)))?;
-        if !block.cycles.is_empty() {
-            branch_ccs = None;
+    fn broke(&mut self) {
+        // Only if the breaking cycle made it under the cap.
+        if let Some(ev) = self.events.last_mut().filter(|e| e.time + 1 == self.time) {
+            ev.broke = true;
         }
     }
 }
 
-fn finish(
+/// Execute with tracing; also returns the normal run result. Events cover
+/// prologue and body cycles; `max_events` bounds the recorded trace
+/// (execution continues untraced past it).
+pub fn trace_vliw(
     prog: &VliwLoop,
-    mut state: MachineState,
-    body_cycles: u64,
-    mut total_cycles: u64,
-    iterations: u64,
-    events: Vec<TraceEvent>,
+    state: MachineState,
+    max_cycles: u64,
+    max_events: usize,
 ) -> Result<(VliwRun, Vec<TraceEvent>), SimError> {
-    for cycle in &prog.epilogue {
-        total_cycles += 1;
-        state.step_cycle(cycle)?;
-    }
-    Ok((
-        VliwRun {
-            state,
-            body_cycles,
-            total_cycles,
-            iterations,
-        },
-        events,
-    ))
+    let mut rec = Recorder {
+        events: Vec::new(),
+        max_events,
+        time: 0,
+    };
+    let run = run_observed(prog, state, max_cycles, &mut rec)?;
+    Ok((run, rec.events))
 }
 
 #[cfg(test)]
@@ -210,7 +130,7 @@ mod tests {
     use crate::vliw_run::run_vliw;
     use psp_ir::op::build::*;
     use psp_ir::{CcReg, Guard, Operation, Reg};
-    use psp_machine::{Succ, VliwBlock};
+    use psp_machine::{Succ, VliwBlock, VliwTerm};
     use psp_predicate::PredicateMatrix;
 
     fn counting_loop() -> VliwLoop {

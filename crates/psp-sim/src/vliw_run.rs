@@ -12,6 +12,8 @@
 
 use crate::state::{Effect, MachineState, SimError};
 use crate::stats;
+use crate::trace::Phase;
+use psp_ir::Operation;
 use psp_machine::{VliwLoop, VliwTerm};
 use std::time::Instant;
 
@@ -39,26 +41,63 @@ impl VliwRun {
     }
 }
 
+/// Sees every prologue and body cycle of a [`run_observed`] run; epilogue
+/// cycles are not observed. Both methods default to no-ops.
+pub(crate) trait CycleObserver {
+    /// Called just before a cycle executes, with the pre-cycle state. An
+    /// error aborts the run.
+    fn before(
+        &mut self,
+        _phase: Phase,
+        _cycle: usize,
+        _ops: &[Operation],
+        _pre: &MachineState,
+    ) -> Result<(), SimError> {
+        Ok(())
+    }
+
+    /// Called after the cycle last passed to `before` fired a `BREAK`.
+    fn broke(&mut self) {}
+}
+
+/// The observer of a plain run.
+impl CycleObserver for () {}
+
 /// Execute the loop to completion (at most `max_cycles` body cycles).
 pub fn run_vliw(
     prog: &VliwLoop,
-    mut state: MachineState,
+    state: MachineState,
     max_cycles: u64,
 ) -> Result<VliwRun, SimError> {
     let t0 = Instant::now();
+    let run = run_observed(prog, state, max_cycles, &mut ())?;
+    stats::count_interp_run(run.total_cycles, t0.elapsed().as_micros() as u64);
+    Ok(run)
+}
+
+/// [`run_vliw`]'s control flow, reporting each cycle to `obs`. Does not
+/// touch the simulator stats.
+pub(crate) fn run_observed(
+    prog: &VliwLoop,
+    mut state: MachineState,
+    max_cycles: u64,
+    obs: &mut impl CycleObserver,
+) -> Result<VliwRun, SimError> {
     let mut body_cycles: u64 = 0;
     let mut total_cycles: u64 = 0;
     let mut iterations: u64 = 1;
     // One effect buffer for the whole run; every cycle reuses it.
     let mut effects: Vec<Effect> = Vec::new();
 
-    for cycle in &prog.prologue {
+    for (i, cycle) in prog.prologue.iter().enumerate() {
+        obs.before(Phase::Prologue, i, cycle, &state)?;
         total_cycles += 1;
         let (broke, _) = state.step_cycle_into(cycle, &mut effects)?;
         if broke {
+            obs.broke();
             // A BREAK may legitimately fire during startup for very short
             // trip counts.
-            return finish(prog, state, 0, total_cycles, 0, &mut effects, t0);
+            return finish(prog, state, 0, total_cycles, 0, &mut effects);
         }
     }
 
@@ -87,10 +126,12 @@ pub fn run_vliw(
                 snap.extend_from_slice(&state.ccs);
                 have_snap = true;
             }
+            obs.before(Phase::Body(block.id), i, cycle, &state)?;
             body_cycles += 1;
             total_cycles += 1;
             let (b, _) = state.step_cycle_into(cycle, &mut effects)?;
             if b {
+                obs.broke();
                 broke = true;
                 break;
             }
@@ -103,7 +144,6 @@ pub fn run_vliw(
                 total_cycles,
                 iterations,
                 &mut effects,
-                t0,
             );
         }
         let succ = match block.term {
@@ -136,7 +176,6 @@ pub fn run_vliw(
                     total_cycles,
                     iterations,
                     &mut effects,
-                    t0,
                 );
             }
         };
@@ -162,13 +201,11 @@ fn finish(
     mut total_cycles: u64,
     iterations: u64,
     effects: &mut Vec<Effect>,
-    t0: Instant,
 ) -> Result<VliwRun, SimError> {
     for cycle in &prog.epilogue {
         total_cycles += 1;
         state.step_cycle_into(cycle, effects)?;
     }
-    stats::count_interp_run(total_cycles, t0.elapsed().as_micros() as u64);
     Ok(VliwRun {
         state,
         body_cycles,

@@ -38,8 +38,7 @@ pub struct Failure {
 }
 
 /// Differential trials: three rungs of the [`psp_sim::TRIAL_LENS`] ladder
-/// (trip counts 1, 2 and 7) from base seed 10; `PSP_EQUIV_TRIALS` widens
-/// every oracle invocation at once.
+/// (trip counts 1, 2 and 7) from base seed 10.
 const EQUIV_TRIALS: usize = 3;
 const EQUIV_SEED: u64 = 10;
 const MAX_CYCLES: u64 = 1_000_000;
@@ -72,7 +71,7 @@ fn check_equiv(
     engine: EngineKind,
 ) -> Result<(), Failure> {
     // Decode once, run the whole trial set over reusable scratch.
-    let cfg = EquivConfig::new(EQUIV_TRIALS, EQUIV_SEED)
+    let cfg = EquivConfig::fixed(EQUIV_TRIALS, EQUIV_SEED)
         .with_max_cycles(MAX_CYCLES)
         .with_engine(engine);
     check_equivalence_batch(spec, prog, &cfg, |seed, len| {
@@ -82,11 +81,11 @@ fn check_equiv(
     .map_err(|e| fail(stage, e))
 }
 
-/// Run every technique and every checker on one loop, using the engine
-/// selected by the environment (decoded unless `PSP_SIM_ENGINE` says
-/// otherwise). `Ok` carries the coverage features of the run.
+/// Run every technique and every checker on one loop, with the decoded
+/// engine as the differential simulator. `Ok` carries the coverage
+/// features of the run.
 pub fn run_oracle(spec: &LoopSpec) -> Result<Features, Failure> {
-    run_oracle_with(spec, EngineKind::from_env())
+    run_oracle_with(spec, EngineKind::Decoded)
 }
 
 /// [`run_oracle`] with an explicit differential engine. Repro replay

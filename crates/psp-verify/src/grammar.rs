@@ -2,12 +2,12 @@
 //! (`n`, `k`, `acc`, three scratch registers, arrays `x` and `y`) that every
 //! generated loop is built from.
 //!
-//! This mirrors the proptest strategies of the repo's differential suites
-//! (`tests/common/mod.rs`) — same encodings, same lowering — but is
-//! self-contained: generation and mutation run off a deterministic
-//! [`SplitMix64`] stream so a corpus entry is reproducible from its seed
-//! alone, and [`to_source`] renders any statement list as `psp-lang` text,
-//! which is how minimized reproducers are stored on disk.
+//! The repo's differential suites draw statement lists of this grammar from
+//! proptest strategies (`tests/common/mod.rs`) and lower them with
+//! [`build_spec`]. The fuzzer's own generation and mutation run off a
+//! deterministic [`SplitMix64`] stream so a corpus entry is reproducible
+//! from its seed alone, and [`to_source`] renders any statement list as
+//! `psp-lang` text, which is how minimized reproducers are stored on disk.
 
 use psp_ir::op::build;
 use psp_ir::{AluOp, ArrayId, CmpOp, LoopBuilder, LoopSpec, Operand, Reg};

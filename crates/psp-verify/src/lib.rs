@@ -17,10 +17,9 @@
 //! * [`reduce`] — delta-debugging any failing loop down to a locally
 //!   minimal, replayable `.psp` reproducer.
 //!
-//! Calling [`install`] registers the validators with the producer-side
-//! hook registries (`psp_machine::hook`, `psp_core::hook`,
-//! `psp_opt::hook`), after which every debug-build (or `PSP_VALIDATE=1`)
-//! compilation anywhere in the workspace is checked automatically.
+//! The producers never call back into this crate: a caller that wants a
+//! result checked passes it to the validator explicitly, as the
+//! per-producer tests, the fuzz oracle and the `psp-verify` binary do.
 
 pub mod features;
 pub mod fuzz;
@@ -38,39 +37,3 @@ pub use reduce::{reduce_failure, reduce_with};
 pub use schedule::validate_schedule;
 pub use violation::{CycleSite, Violation};
 pub use vliw::validate_vliw;
-
-fn vliw_hook(
-    spec: &psp_ir::LoopSpec,
-    machine: &psp_machine::MachineConfig,
-    prog: &psp_machine::VliwLoop,
-) -> Vec<String> {
-    violation::to_strings(&validate_vliw(spec, machine, prog))
-}
-
-fn schedule_hook(
-    spec: &psp_ir::LoopSpec,
-    machine: &psp_machine::MachineConfig,
-    sched: &psp_core::Schedule,
-    prog: &psp_machine::VliwLoop,
-) -> Vec<String> {
-    let mut v = validate_schedule(spec, machine, sched);
-    v.extend(validate_vliw(spec, machine, prog));
-    violation::to_strings(&v)
-}
-
-fn modulo_hook(
-    live_out: &[psp_ir::RegRef],
-    machine: &psp_machine::MachineConfig,
-    sched: &psp_opt::ModuloSchedule,
-) -> Vec<String> {
-    violation::to_strings(&validate_modulo(live_out, machine, sched))
-}
-
-/// Register all three validators with the producer-side hook registries.
-/// Idempotent; call once at the start of a test or binary. Hooks only fire
-/// in debug builds or when `PSP_VALIDATE` is set.
-pub fn install() {
-    psp_machine::hook::install(vliw_hook);
-    psp_core::hook::install(schedule_hook);
-    psp_opt::hook::install(modulo_hook);
-}

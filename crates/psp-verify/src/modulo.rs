@@ -20,7 +20,7 @@ use psp_ir::{
 };
 use psp_machine::MachineConfig;
 use psp_opt::ModuloSchedule;
-use psp_predicate::{backend::with_backend, PredicateMatrix};
+use psp_predicate::PredicateMatrix;
 use std::collections::BTreeMap;
 
 /// A re-derived dependence edge.
@@ -184,10 +184,7 @@ fn derive_edges(
 ) -> Vec<Edge> {
     let sparse: Vec<PredicateMatrix> = ops
         .iter()
-        .map(|(_, m)| {
-            let entries: Vec<(u32, i32, bool)> = m.constrained().collect();
-            with_backend(false, || PredicateMatrix::from_entries(entries))
-        })
+        .map(|(_, m)| PredicateMatrix::sparse_from_entries(m.constrained()))
         .collect();
     let st = strides(ops);
     let stride_of = |r: Reg| st.get(&r).copied();

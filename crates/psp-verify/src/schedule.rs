@@ -22,7 +22,7 @@
 //!   non-disjoint paths) must fit the machine's issue width.
 //!
 //! Everything is computed with freshly built **sparse** predicate matrices
-//! ([`psp_predicate::backend::with_backend`]), so the bit-packed algebra
+//! ([`PredicateMatrix::sparse_from_entries`]), so the bit-packed algebra
 //! and its interner — used by the scheduler — are out of the trusted base.
 
 use crate::violation::{CycleSite, Violation};
@@ -32,7 +32,7 @@ use psp_ir::{
     flatten, AluOp, LoopSpec, OpKind, Operand, Operation, Reg, RegRef, ResClass,
 };
 use psp_machine::MachineConfig;
-use psp_predicate::{backend::with_backend, OutcomeMap, PredicateMatrix};
+use psp_predicate::{OutcomeMap, PredicateMatrix};
 
 /// One schedule instance with its freshly rebuilt sparse matrices.
 struct Inst<'a> {
@@ -89,9 +89,7 @@ pub fn validate_schedule(
 
 /// Rebuild a matrix on the sparse backend, shifting columns by `delta`.
 fn sparse_shift(m: &PredicateMatrix, delta: i32) -> PredicateMatrix {
-    let entries: Vec<(u32, i32, bool)> =
-        m.constrained().map(|(r, c, v)| (r, c + delta, v)).collect();
-    with_backend(false, || PredicateMatrix::from_entries(entries))
+    PredicateMatrix::sparse_from_entries(m.constrained().map(|(r, c, v)| (r, c + delta, v)))
 }
 
 // --- source coverage ---------------------------------------------------

@@ -1,9 +1,9 @@
 //! Structured validator findings.
 //!
 //! Every check in this crate reports a [`Violation`] rather than panicking,
-//! so callers (the fuzz oracle, the CLI, the debug-assert hooks) can decide
-//! what a finding means in context. The `Display` form is the canonical
-//! message surfaced in hook panics and CI logs; it names the concrete
+//! so callers (the fuzz oracle, the CLI, the tests) can decide what a
+//! finding means in context. The `Display` form is the canonical message
+//! surfaced in test failures and CI logs; it names the concrete
 //! schedule coordinates involved so a failure is actionable without
 //! re-running the validator.
 
@@ -216,9 +216,4 @@ impl fmt::Display for Violation {
             }
         }
     }
-}
-
-/// Render a violation list as the strings the cross-crate hooks expect.
-pub fn to_strings(violations: &[Violation]) -> Vec<String> {
-    violations.iter().map(|v| v.to_string()).collect()
 }

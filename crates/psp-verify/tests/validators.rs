@@ -79,9 +79,11 @@ fn baseline_compilations_validate() {
         let local = psp_baselines::compile_local(&k.spec, &wide);
         let v = validate_vliw(&k.spec, &wide, &local);
         assert!(v.is_empty(), "{} local: {:?}", k.name, v);
-        let unrolled = psp_baselines::compile_unrolled(&k.spec, 3, &wide);
-        let v = validate_vliw(&k.spec, &wide, &unrolled);
-        assert!(v.is_empty(), "{} unroll: {:?}", k.name, v);
+        for factor in [2, 3] {
+            let unrolled = psp_baselines::compile_unrolled(&k.spec, factor, &wide);
+            let v = validate_vliw(&k.spec, &wide, &unrolled);
+            assert!(v.is_empty(), "{} unroll{factor}: {:?}", k.name, v);
+        }
     }
 }
 
@@ -177,19 +179,4 @@ fn dropped_instance_is_rejected() {
             .any(|v| matches!(v, Violation::DroppedOp { .. } | Violation::Coverage { .. })),
         "expected DroppedOp/Coverage, got {v:?}"
     );
-}
-
-/// The hooks fire in debug builds: installing the validators and compiling
-/// every kernel end-to-end must not panic (each producer calls its hook).
-#[test]
-fn hooks_accept_all_producers() {
-    psp_verify::install();
-    let wide = MachineConfig::paper_default();
-    for k in psp_kernels::all_kernels() {
-        let _ = pipeline_loop(&k.spec, &PspConfig::with_machine(wide.clone())).unwrap();
-        let _ = psp_baselines::modulo_schedule(&k.spec, &wide);
-        let _ = psp_baselines::compile_local(&k.spec, &wide);
-        let _ = psp_baselines::compile_sequential(&k.spec);
-        let _ = psp_baselines::compile_unrolled(&k.spec, 2, &wide);
-    }
 }

@@ -5,6 +5,7 @@
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 fn pspc(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_pspc"))
@@ -13,8 +14,14 @@ fn pspc(args: &[&str]) -> Output {
         .expect("pspc runs")
 }
 
+/// Write `src` to a fresh temp file. Every call gets its own path: tests
+/// run in parallel, and rewriting a file another test's `pspc` is reading
+/// would hand it a truncated kernel.
 fn write_kernel(name: &str, src: &str) -> PathBuf {
-    let path = std::env::temp_dir().join(format!("pspc-test-{name}-{}.psp", std::process::id()));
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
+    let n = NEXT.fetch_add(1, Ordering::Relaxed);
+    let path =
+        std::env::temp_dir().join(format!("pspc-test-{name}-{}-{n}.psp", std::process::id()));
     std::fs::write(&path, src).unwrap();
     path
 }

@@ -1,32 +1,13 @@
-//! Shared random-loop generator for the differential fuzz suites
-//! (`fuzz_random_loops`, `fuzz_exact_certifier`): proptest strategies
-//! producing arbitrary loops with (nested) conditions over the fixed
-//! register universe R0=n, R1=k, R2=acc, R3..=scratch, plus the input
-//! builder and the multi-input equivalence checker.
+//! Shared random-loop strategies for the differential fuzz suites
+//! (`fuzz_random_loops`, `fuzz_exact_certifier`, ...): proptest strategies
+//! producing statement lists of the fuzzer's grammar
+//! ([`psp::verify::grammar`], which also lowers them and builds their
+//! inputs), plus the multi-input equivalence checker.
 #![allow(dead_code)] // each integration-test binary uses a subset
 
 use proptest::prelude::*;
-use psp::ir::op::build;
-use psp::ir::{AluOp, CmpOp, LoopBuilder, LoopSpec, Operand, Reg};
 use psp::prelude::*;
-use psp::sim::MachineState;
-
-/// Register universe of a generated loop: R0=n, R1=k, R2=acc, R3..=scratch.
-pub const N: Reg = Reg(0);
-pub const K: Reg = Reg(1);
-pub const ACC: Reg = Reg(2);
-pub const SCRATCH: u32 = 3;
-pub const N_SCRATCH: u32 = 3;
-
-#[derive(Debug, Clone)]
-pub enum S {
-    Alu(u8, u8, u8, u8),            // op, dst(scratch), a(operand), b(operand)
-    LoadX(u8),                      // dst(scratch)
-    LoadY(u8),                      // dst(scratch)
-    AccAdd(u8),                     // operand
-    StoreY(u8),                     // operand
-    If(u8, u8, u8, Vec<S>, Vec<S>), // cmp, a, b, then, else
-}
+use psp::verify::grammar::{self, N_SCRATCH, S};
 
 pub fn arb_stmt(depth: u32) -> impl Strategy<Value = S> {
     let leaf = prop_oneof![
@@ -53,106 +34,9 @@ pub fn arb_body() -> impl Strategy<Value = Vec<S>> {
     proptest::collection::vec(arb_stmt(2), 2..7)
 }
 
-pub fn operand(code: u8) -> Operand {
-    match code % 6 {
-        0 => Operand::Reg(K),
-        1 => Operand::Reg(ACC),
-        2 => Operand::Reg(Reg(SCRATCH)),
-        3 => Operand::Reg(Reg(SCRATCH + 1)),
-        4 => Operand::Reg(Reg(SCRATCH + 2)),
-        _ => Operand::Imm((code as i64 % 7) - 3),
-    }
-}
-
-pub fn alu(code: u8) -> AluOp {
-    [
-        AluOp::Add,
-        AluOp::Sub,
-        AluOp::Mul,
-        AluOp::Min,
-        AluOp::Max,
-        AluOp::And,
-        AluOp::Or,
-        AluOp::Xor,
-    ][code as usize % 8]
-}
-
-pub fn cmp(code: u8) -> CmpOp {
-    [
-        CmpOp::Lt,
-        CmpOp::Le,
-        CmpOp::Gt,
-        CmpOp::Ge,
-        CmpOp::Eq,
-        CmpOp::Ne,
-    ][code as usize % 6]
-}
-
-pub fn emit(b: &mut LoopBuilder, stmts: &[S], x: psp::ir::ArrayId, y: psp::ir::ArrayId) {
-    for s in stmts {
-        match s {
-            S::Alu(op, d, a2, b2) => {
-                let dst = Reg(SCRATCH + (*d as u32 % N_SCRATCH));
-                b.op(build::alu(alu(*op), dst, operand(*a2), operand(*b2)));
-            }
-            S::LoadX(d) => {
-                let dst = Reg(SCRATCH + (*d as u32 % N_SCRATCH));
-                b.op(build::load(dst, x, K));
-            }
-            S::LoadY(d) => {
-                let dst = Reg(SCRATCH + (*d as u32 % N_SCRATCH));
-                b.op(build::load(dst, y, K));
-            }
-            S::AccAdd(src) => {
-                b.op(build::add(ACC, ACC, operand(*src)));
-            }
-            S::StoreY(src) => {
-                b.op(build::store(y, K, operand(*src)));
-            }
-            S::If(c, a2, b2, t, e) => {
-                let cc = b.cc();
-                b.op(build::cmp(cmp(*c), cc, operand(*a2), operand(*b2)));
-                b.begin_if(cc);
-                emit(b, t, x, y);
-                b.begin_else();
-                emit(b, e, x, y);
-                b.end_if();
-            }
-        }
-    }
-}
-
-pub fn build_spec(stmts: &[S]) -> LoopSpec {
-    let mut b = LoopBuilder::new("fuzz");
-    let x = b.array("x");
-    let y = b.array("y");
-    let n = b.named_reg("n");
-    let k = b.named_reg("k");
-    let acc = b.named_reg("acc");
-    let s0 = b.named_reg("s0");
-    let s1 = b.named_reg("s1");
-    let s2 = b.named_reg("s2");
-    assert_eq!((n, k, acc), (N, K, ACC));
-    emit(&mut b, stmts, x, y);
-    b.op(build::add(K, K, 1i64));
-    let ccb = b.cc();
-    b.op(build::cmp(CmpOp::Ge, ccb, K, N));
-    b.break_(ccb);
-    b.finish([n, k, acc, s0, s1, s2], [acc])
-}
-
-pub fn initial(spec: &LoopSpec, len: usize, seed: u64) -> MachineState {
-    let data = KernelData::random(seed, len);
-    let mut st = MachineState::new(spec.n_regs.max(8), spec.n_ccs.max(4));
-    st.regs[N.0 as usize] = len as i64;
-    st.push_array(data.x);
-    st.push_array(data.y);
-    st
-}
-
 pub fn check_prog(spec: &LoopSpec, prog: &VliwLoop, label: &str) {
-    for (seed, len) in psp::sim::EquivConfig::new(4, 10).trial_inputs() {
-        let init = initial(spec, len, seed);
+    for (seed, len) in psp::sim::EquivConfig::fixed(4, 10).trial_inputs() {
+        let init = grammar::initial(spec, len, seed);
         let (_, _) = check_equivalence(spec, prog, &init, 10_000_000)
             .unwrap_or_else(|e| panic!("[{label}] len {len}: {e}\nspec:\n{spec}\n{prog}"));
     }

@@ -26,11 +26,12 @@
 
 mod common;
 
-use common::{arb_body, build_spec, initial, CASES};
+use common::{arb_body, CASES};
 use proptest::prelude::*;
 use psp::predicate::backend::with_backend;
 use psp::prelude::*;
 use psp::sim::{check_equivalence_with, run_vliw_decoded, EquivEngine, MachineState};
+use psp::verify::grammar::{build_spec, initial};
 
 const MAX_CYCLES: u64 = 10_000_000;
 
@@ -122,7 +123,7 @@ fn assert_batch_path_identical(
 /// for thousands of iterations rather than bailing into the generic
 /// paths after the pipeline drains.
 fn kernel_trials() -> Vec<(u64, usize)> {
-    let mut trials = EquivConfig::new(4, 11).trial_inputs();
+    let mut trials = EquivConfig::fixed(4, 11).trial_inputs();
     trials.push((17, 257));
     trials
 }
@@ -183,7 +184,7 @@ fn kernels_identical_across_compiled_forms() {
         ];
         for (tech, prog) in &progs {
             let mut eng = EquivEngine::new(&kernel.spec, prog);
-            for (seed, len) in EquivConfig::new(3, 23).trial_inputs() {
+            for (seed, len) in EquivConfig::fixed(3, 23).trial_inputs() {
                 let data = KernelData::random(seed, len);
                 let init = kernel.initial_state(&data);
                 let label = format!("{}/{tech}/len={len}", kernel.name);
@@ -275,7 +276,7 @@ proptest! {
             return Ok(());
         };
         let mut eng = EquivEngine::new(&spec, &res.program);
-        for (seed, len) in EquivConfig::new(3, 29).trial_inputs() {
+        for (seed, len) in EquivConfig::fixed(3, 29).trial_inputs() {
             let init = initial(&spec, len, seed);
             assert_full_identical(&spec, &res.program, &init, "fuzz");
             assert_batch_path_identical(&spec, &res.program, &mut eng, &init, "fuzz");

@@ -12,6 +12,7 @@ use common::*;
 use proptest::prelude::*;
 use psp::predicate::backend::with_backend;
 use psp::prelude::*;
+use psp::verify::grammar::build_spec;
 
 proptest! {
     #![proptest_config(ProptestConfig {

@@ -20,6 +20,7 @@ use common::*;
 use proptest::prelude::*;
 use psp::opt::{certify, Certification, ExactConfig};
 use psp::prelude::*;
+use psp::verify::grammar::build_spec;
 
 proptest! {
     #![proptest_config(ProptestConfig {

@@ -13,6 +13,7 @@ mod common;
 use common::*;
 use proptest::prelude::*;
 use psp::prelude::*;
+use psp::verify::grammar::{build_spec, S};
 
 proptest! {
     #![proptest_config(ProptestConfig {

@@ -13,23 +13,7 @@ mod common;
 use common::*;
 use proptest::prelude::*;
 use psp::lang;
-use psp::verify::grammar as vg;
-
-/// The proptest grammar (`tests/common`) and the fuzzer's self-contained
-/// grammar (`psp-verify`) share field-for-field statement encodings.
-fn conv(stmts: &[S]) -> Vec<vg::S> {
-    stmts
-        .iter()
-        .map(|s| match s {
-            S::Alu(op, d, a, b) => vg::S::Alu(*op, *d, *a, *b),
-            S::LoadX(d) => vg::S::LoadX(*d),
-            S::LoadY(d) => vg::S::LoadY(*d),
-            S::AccAdd(src) => vg::S::AccAdd(*src),
-            S::StoreY(src) => vg::S::StoreY(*src),
-            S::If(c, a, b, t, e) => vg::S::If(*c, *a, *b, conv(t), conv(e)),
-        })
-        .collect()
-}
+use psp::verify::grammar::{build_spec, to_source, S};
 
 proptest! {
     #![proptest_config(ProptestConfig {
@@ -40,7 +24,7 @@ proptest! {
     #[test]
     fn rendered_source_lowers_to_the_built_spec(body in arb_body()) {
         let direct = build_spec(&body);
-        let src = vg::to_source(&conv(&body));
+        let src = to_source(&body);
         let compiled = lang::compile(&src)
             .unwrap_or_else(|e| panic!("render does not compile: {e}\n{src}"));
         prop_assert_eq!(direct, compiled);
@@ -48,7 +32,7 @@ proptest! {
 
     #[test]
     fn parse_print_reparse_is_identity(body in arb_body()) {
-        let src = vg::to_source(&conv(&body));
+        let src = to_source(&body);
         let k1 = lang::parse(&lang::lex(&src).unwrap()).unwrap();
         let printed = lang::print_kernel(&k1);
         let k2 = lang::parse(&lang::lex(&printed).unwrap())
@@ -65,7 +49,7 @@ fn negative_literal_after_min_keyword() {
     // 35 % 7 - 3 = -3.
     let body = vec![S::Alu(3 /* Min */, 0, 0, 35)];
     let direct = build_spec(&body);
-    let src = vg::to_source(&conv(&body));
+    let src = to_source(&body);
     assert!(src.contains("min (-3)"), "rendering: {src}");
     assert_eq!(lang::compile(&src).unwrap(), direct);
 }
@@ -78,10 +62,6 @@ fn repro_file_with_comments_compiles() {
         S::AccAdd(2),
         S::If(0, 0, 1, vec![S::StoreY(1)], vec![]),
     ];
-    let stmts = conv(&body);
-    let src = format!(
-        "// stage: none\n// detail: sample\n{}",
-        vg::to_source(&stmts)
-    );
+    let src = format!("// stage: none\n// detail: sample\n{}", to_source(&body));
     assert_eq!(lang::compile(&src).unwrap(), build_spec(&body));
 }

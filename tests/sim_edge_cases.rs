@@ -10,7 +10,7 @@
 //! engine — so the decoded fast paths see the same boundary shapes.
 
 use psp::prelude::*;
-use psp::sim::{check_equivalence_with, MachineState};
+use psp::sim::{check_equivalence_with, trace_vliw, MachineState, Phase};
 
 const ENGINES: [EngineKind; 2] = [EngineKind::Interpreter, EngineKind::Decoded];
 
@@ -142,6 +142,52 @@ fn single_cell_arrays_across_all_kernels_smallest_input() {
                 check_equivalence_with(&kernel.spec, prog, &init, 1_000_000, engine)
                     .unwrap_or_else(|e| panic!("[{}/{tech}/{}] {e}", kernel.name, engine.label()));
             }
+        }
+    }
+}
+
+/// The tracer runs `run_vliw`'s own control flow: on every kernel's PSP
+/// program it must end in the same state with the same counts, record one
+/// event per prologue and body cycle in time order, and flag a BREAK only
+/// on the last recorded cycle.
+#[test]
+fn trace_matches_untraced_run_on_all_kernels() {
+    for kernel in all_kernels() {
+        let prog = pipeline_loop(&kernel.spec, &PspConfig::default())
+            .expect("psp pipelines")
+            .program;
+        let (regs, ccs) = prog.register_demand();
+        for (seed, len) in [(3, 1), (5, 2), (7, 33)] {
+            let label = format!("{}/len {len}", kernel.name);
+            let mut init = kernel.initial_state(&KernelData::random(seed, len));
+            init.grow(regs, ccs);
+            let plain = run_vliw(&prog, init.clone(), 1_000_000).unwrap();
+            let (traced, events) = trace_vliw(&prog, init, 1_000_000, usize::MAX).unwrap();
+            assert_eq!(plain.state, traced.state, "[{label}] state");
+            assert_eq!(plain.body_cycles, traced.body_cycles, "[{label}] body");
+            assert_eq!(plain.total_cycles, traced.total_cycles, "[{label}] total");
+            assert_eq!(plain.iterations, traced.iterations, "[{label}] iterations");
+            let epilogue = prog.epilogue.len() as u64;
+            assert_eq!(
+                events.len() as u64,
+                traced.total_cycles - epilogue,
+                "[{label}] one event per prologue and body cycle"
+            );
+            assert!(
+                events.iter().enumerate().all(|(i, e)| e.time == i as u64),
+                "[{label}] event times"
+            );
+            let body = events
+                .iter()
+                .filter(|e| matches!(e.phase, Phase::Body(_)))
+                .count() as u64;
+            assert_eq!(body, traced.body_cycles, "[{label}] body events");
+            let breaks: Vec<usize> = (0..events.len()).filter(|&i| events[i].broke).collect();
+            assert!(
+                breaks.is_empty() || breaks == [events.len() - 1],
+                "[{label}] BREAK flagged at {breaks:?} of {} events",
+                events.len()
+            );
         }
     }
 }
