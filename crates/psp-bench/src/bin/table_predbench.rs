@@ -8,20 +8,20 @@
 //!    `shifted` and `PathSet::subtract` over a deterministic corpus of
 //!    scheduler-shaped matrices;
 //! 2. **kernels** — end-to-end `pipeline_loop` wall time per kernel, with
-//!    the packed run's predicate-op counters and interner memo hit rate;
+//!    the run's predicate-op counters;
 //! 3. **scaling** — the synthetic conditional-block family of `table_cost`
 //!    (the b=8 point is the headline: predicate work dominates there).
 //!
 //! Every end-to-end pair is also a differential check: the deterministic
-//! counters of the two backends must match exactly. `--json` writes
-//! BENCH_pred.json; `--smoke` trims the corpus and the scaling sweep for
-//! the time-boxed CI job.
+//! counters and the predicate-op counts of the two backends must match
+//! exactly. `--json` writes BENCH_pred.json; `--smoke` trims the corpus
+//! and the scaling sweep for the time-boxed CI job.
 
 use psp_bench::synthetic;
 use psp_core::{pipeline_loop, PspConfig};
 use psp_kernels::all_kernels;
 use psp_predicate::backend::with_backend;
-use psp_predicate::{stats, PathSet, PredicateMatrix};
+use psp_predicate::{PathSet, PredicateMatrix};
 use std::time::Instant;
 
 /// Deterministic corpus: entry lists shaped like scheduler formals (few
@@ -173,12 +173,9 @@ fn main() {
 
     // ---- 2. end-to-end kernels ----
     println!("\nend-to-end pipeline_loop per kernel (wall ms, identical results asserted):");
-    // Packed runs answer most in-window queries with direct word tests
-    // that never touch the interner memo, so the interesting memo hit
-    // rate is the sparse run's (where every cached query goes through it).
     println!(
-        "{:<16} {:>11} {:>11} {:>9} {:>12} {:>10} {:>7}",
-        "kernel", "sparse ms", "packed ms", "speedup", "disj tests", "conjoins", "smemo%"
+        "{:<16} {:>11} {:>11} {:>9} {:>12} {:>10}",
+        "kernel", "sparse ms", "packed ms", "speedup", "disj tests", "conjoins"
     );
     let cfg = PspConfig::default();
     let kernels = all_kernels();
@@ -209,31 +206,33 @@ fn main() {
             kernel.name
         );
         assert_eq!(sparse_res.program.ii_range(), packed_res.program.ii_range());
+        assert_eq!(
+            sparse_res.stats.pred, packed_res.stats.pred,
+            "{}: pred diverged",
+            kernel.name
+        );
         let speedup = sparse_ms_best / packed_ms_best;
         worst_ratio = worst_ratio.min(speedup);
         let pred = &packed_res.stats.pred;
-        let pred_sparse = &sparse_res.stats.pred;
         println!(
-            "{:<16} {:>11.3} {:>11.3} {:>8.2}x {:>12} {:>10} {:>6.0}%",
+            "{:<16} {:>11.3} {:>11.3} {:>8.2}x {:>12} {:>10}",
             kernel.name,
             sparse_ms_best,
             packed_ms_best,
             speedup,
             pred.disjoint_tests,
             pred.conjoins,
-            100.0 * pred_sparse.memo_hit_rate(),
         );
         kernel_records.push(format!(
             concat!(
                 "{{\"kernel\":\"{}\",\"sparse_ms\":{:.4},\"packed_ms\":{:.4},",
-                "\"speedup\":{:.3},\"pred\":{},\"pred_sparse\":{}}}"
+                "\"speedup\":{:.3},\"pred\":{}}}"
             ),
             kernel.name,
             sparse_ms_best,
             packed_ms_best,
             speedup,
             pred.to_json(),
-            pred_sparse.to_json(),
         ));
     }
     println!("worst kernel speedup: {worst_ratio:.2}x");
@@ -241,8 +240,8 @@ fn main() {
     // ---- 3. synthetic scaling ----
     println!("\nscaling (synthetic loops, b conditional blocks):");
     println!(
-        "{:<4} {:>11} {:>11} {:>9} {:>12} {:>7}",
-        "b", "sparse ms", "packed ms", "speedup", "disj tests", "smemo%"
+        "{:<4} {:>11} {:>11} {:>9} {:>12}",
+        "b", "sparse ms", "packed ms", "speedup", "disj tests"
     );
     let blocks: &[usize] = if smoke { &[1, 2, 4] } else { &[1, 2, 4, 6, 8] };
     let mut scaling_records = Vec::new();
@@ -260,39 +259,28 @@ fn main() {
             "b={b}: diverged"
         );
         assert_eq!(sparse.program.ii_range(), packed.program.ii_range());
+        assert_eq!(sparse.stats.pred, packed.stats.pred, "b={b}: pred diverged");
         let pred = &packed.stats.pred;
-        let pred_sparse = &sparse.stats.pred;
         println!(
-            "{:<4} {:>11.2} {:>11.2} {:>8.2}x {:>12} {:>6.0}%",
+            "{:<4} {:>11.2} {:>11.2} {:>8.2}x {:>12}",
             b,
             sparse_ms,
             packed_ms,
             sparse_ms / packed_ms,
             pred.disjoint_tests,
-            100.0 * pred_sparse.memo_hit_rate(),
         );
         scaling_records.push(format!(
             concat!(
                 "{{\"blocks\":{},\"sparse_ms\":{:.3},\"packed_ms\":{:.3},",
-                "\"speedup\":{:.3},\"pred\":{},\"pred_sparse\":{}}}"
+                "\"speedup\":{:.3},\"pred\":{}}}"
             ),
             b,
             sparse_ms,
             packed_ms,
             sparse_ms / packed_ms,
             pred.to_json(),
-            pred_sparse.to_json(),
         ));
     }
-
-    let totals = stats::snapshot();
-    println!(
-        "\nprocess totals: {} conjoins, {} disjoint tests, {} subsume tests, memo hit rate {:.0}%",
-        totals.conjoins,
-        totals.disjoint_tests,
-        totals.subsume_tests,
-        100.0 * totals.memo_hit_rate(),
-    );
 
     if json {
         let payload = format!(

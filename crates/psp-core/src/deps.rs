@@ -19,7 +19,6 @@
 use crate::instance::Instance;
 use psp_ir::{mem_access, AccessKind, AluOp, OpKind, Operand, Reg, RegRef};
 use psp_machine::MachineConfig;
-use psp_predicate::intern::{cached_disjoint, cached_subsumes};
 
 /// A fix that makes an otherwise illegal reordering legal.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -159,7 +158,7 @@ fn copy_subst(y: &Instance, x: &Instance) -> Option<(Reg, Reg)> {
         src: Operand::Reg(s),
     } = y.op.kind
     {
-        if x.op.uses().contains(&RegRef::Gpr(dst)) && cached_subsumes(&y.formal, &x.formal) {
+        if x.op.uses().contains(&RegRef::Gpr(dst)) && y.formal.subsumes(&x.formal) {
             return Some((dst, s));
         }
     }
@@ -173,10 +172,8 @@ pub fn check_pair(
     live_out: &[RegRef],
     machine: &MachineConfig,
 ) -> PairCheck {
-    // Disjoined matrices: no dependence testing at all (paper §2). The
-    // same formal pairs recur across every candidate trial, so the test is
-    // memoized for expensive (sparse/spilled) matrices.
-    if cached_disjoint(&x.formal, &y.formal) {
+    // Disjoined matrices: no dependence testing at all (paper §2).
+    if x.formal.is_disjoint(&y.formal) {
         return PairCheck::free();
     }
 
@@ -396,7 +393,7 @@ pub fn flow_latency(y: &Instance, machine: &MachineConfig) -> usize {
 /// Whether `y` produces a register value that `x` consumes *in program
 /// order* (y precedes x and their path sets overlap).
 pub fn is_flow(y: &Instance, x: &Instance) -> bool {
-    if cached_disjoint(&x.formal, &y.formal) {
+    if x.formal.is_disjoint(&y.formal) {
         return false;
     }
     if y.prog_order() >= x.prog_order() {

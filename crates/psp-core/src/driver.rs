@@ -166,10 +166,10 @@ pub struct PspStats {
     /// [`PspConfig::exact_floor`].
     pub floor_hit: bool,
     /// Predicate-algebra work done by this run (conjoins, disjoint/subsume
-    /// tests, interner memo hit rate). Process-global counters sampled
-    /// around the run, so they are excluded from
-    /// [`counters`](Self::counters) — concurrent runs in the same process
-    /// bleed into each other's deltas.
+    /// tests): the calling thread's counters sampled around the run plus
+    /// each worker trial's own delta. Deterministic: the same for every
+    /// thread count and predicate backend, whatever else the process runs.
+    /// Reported apart from [`counters`](Self::counters).
     pub pred: PredOpStats,
     /// Per-phase wall-clock.
     pub times: PhaseTimes,
@@ -248,6 +248,9 @@ struct Trial {
     times: PhaseTimes,
     /// Discarded by the score lower bound without running codegen.
     pruned: bool,
+    /// Predicate work of this trial when it ran on a worker thread (the
+    /// caller thread's own counters already hold the trials it ran).
+    pred: PredOpStats,
 }
 
 impl Trial {
@@ -406,6 +409,7 @@ fn eval_candidate(
             bound: None,
             times,
             pruned: false,
+            pred: PredOpStats::default(),
         };
     }
     let t1 = Instant::now();
@@ -438,6 +442,7 @@ fn eval_candidate(
                     bound: None,
                     times,
                     pruned: true,
+                    pred: PredOpStats::default(),
                 };
             }
         }
@@ -453,6 +458,7 @@ fn eval_candidate(
                 bound: Some(potential),
                 times,
                 pruned: false,
+                pred: PredOpStats::default(),
             };
         }
     }
@@ -465,6 +471,7 @@ fn eval_candidate(
         bound: None,
         times,
         pruned: false,
+        pred: PredOpStats::default(),
     }
 }
 
@@ -483,10 +490,18 @@ fn evaluate_candidates(
             .map(|t| eval_candidate(sched, t, cfg, cur))
             .collect()
     } else {
+        let caller = std::thread::current().id();
         candidates
             .into_par_iter()
             .with_threads(cfg.threads)
-            .map(|t| eval_candidate(sched, t, cfg, cur))
+            .map(|t| {
+                let before = psp_predicate::stats::snapshot();
+                let mut trial = eval_candidate(sched, t, cfg, cur);
+                if std::thread::current().id() != caller {
+                    trial.pred = psp_predicate::stats::snapshot().delta(&before);
+                }
+                trial
+            })
             .collect()
     }
 }
@@ -556,6 +571,7 @@ pub fn pipeline_loop(spec: &LoopSpec, cfg: &PspConfig) -> Result<PspResult, Code
             let mut trials = evaluate_candidates(&sched, candidates, cfg, cur_score.as_ref());
             for trial in &trials {
                 stats.times.absorb(&trial.times);
+                stats.pred += trial.pred;
                 stats.pruned += trial.pruned as usize;
             }
 
@@ -668,7 +684,7 @@ pub fn pipeline_loop(spec: &LoopSpec, cfg: &PspConfig) -> Result<PspResult, Code
         }
     }
 
-    stats.pred = psp_predicate::stats::snapshot().delta(&pred_before);
+    stats.pred += psp_predicate::stats::snapshot().delta(&pred_before);
     stats.times.total = t_total.elapsed();
     Ok(PspResult {
         schedule: best.1,
@@ -834,7 +850,7 @@ mod tests {
             "\"pred\":",
             "\"conjoins\":",
             "\"disjoint_tests\":",
-            "\"memo_hit_rate\":",
+            "\"subsume_tests\":",
             "\"times_us\":",
             "\"candidate_gen\":",
             "\"codegen\":",

@@ -3,22 +3,32 @@
 //! The packed bitplane algebra is a pure representation change: for every
 //! kernel, pipelining under the packed backend must produce the same
 //! transformation counters, the same final II, the same generated program
-//! text, and the same schedule rendering as the sparse reference backend
-//! (the same observable surface `driver_parallel.rs` pins across thread
-//! counts). A single `#[test]` holds both phases so no concurrently
+//! text, the same schedule rendering and the same predicate-op counts as
+//! the sparse reference backend (the same observable surface
+//! `driver_parallel.rs` pins across thread counts). A single `#[test]` holds both phases so no concurrently
 //! running test can interleave with the process-global backend flag while
 //! the sparse phase runs.
 
 use psp_core::driver::{pipeline_loop, PspConfig, PspResult};
 use psp_kernels::all_kernels;
 use psp_predicate::backend::with_backend;
+use psp_predicate::PredOpStats;
 
-fn observe(res: &PspResult) -> (Vec<usize>, Option<(usize, usize)>, String, String) {
+type Observed = (
+    Vec<usize>,
+    Option<(usize, usize)>,
+    String,
+    String,
+    PredOpStats,
+);
+
+fn observe(res: &PspResult) -> Observed {
     (
         res.stats.counters().to_vec(),
         res.program.ii_range(),
         res.program.to_string(),
         res.schedule.render(),
+        res.stats.pred,
     )
 }
 

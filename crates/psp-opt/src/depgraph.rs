@@ -21,7 +21,6 @@
 
 use psp_ir::{mem_access, AluOp, OpKind, Operand, Operation, Reg, RegRef};
 use psp_machine::MachineConfig;
-use psp_predicate::intern::cached_disjoint;
 use psp_predicate::PredicateMatrix;
 use std::collections::BTreeMap;
 
@@ -141,7 +140,7 @@ pub fn build_deps(
         let (opj, mj) = &ops[j];
         for i in 0..j {
             let (opi, mi) = &ops[i];
-            if cached_disjoint(mi, mj) {
+            if mi.is_disjoint(mj) {
                 continue; // different paths never co-execute
             }
             let defs_i = opi.defs();

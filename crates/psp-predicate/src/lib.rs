@@ -37,14 +37,12 @@
 //! default — set algebra as word ops over a fixed row/column window, with a
 //! sparse spill outside it) and the original sparse `BTreeMap`, kept as a
 //! reference for differential testing. See [`matrix`] for the layout,
-//! [`backend`] for the construction-time switch, [`intern`] for
-//! hash-consing + memoized pairwise queries, and [`stats`] for the global
-//! predicate-op counters surfaced in the driver's `PspStats`.
+//! [`backend`] for the construction-time switch, and [`stats`] for the
+//! per-thread predicate-op counters behind the driver's `PspStats.pred`.
 
 pub mod backend;
 pub mod elem;
 pub mod iflog;
-pub mod intern;
 pub mod matrix;
 pub mod outcome;
 pub mod pathset;
@@ -52,7 +50,6 @@ pub mod stats;
 
 pub use elem::PredElem;
 pub use iflog::{IfLog, IfLogEntry, PredAvailability};
-pub use intern::{MatrixId, PathSetId, PredInterner};
 pub use matrix::{PredKey, PredicateMatrix};
 pub use outcome::OutcomeMap;
 pub use pathset::PathSet;

@@ -273,8 +273,7 @@ impl PredicateMatrix {
     }
 
     /// Whether this matrix is fully in-window packed: pairwise operations
-    /// on two such matrices are a handful of word instructions (and thus
-    /// cheaper than any memo lookup — see [`crate::intern`]).
+    /// on two such matrices are a handful of word instructions.
     #[inline]
     pub fn is_word_packed(&self) -> bool {
         matches!(&self.repr, Repr::Packed(p) if p.spill.is_none())

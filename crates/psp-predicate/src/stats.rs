@@ -1,45 +1,40 @@
-//! Process-global counters of predicate-algebra work.
+//! Per-thread counters of predicate-algebra work.
 //!
 //! The scheduler's hot loops bottom out in `conjoin`/`is_disjoint`/
 //! `subsumes`; these counters make that work observable (driver stats,
-//! `table_predbench`) instead of asserted. They are plain relaxed atomics:
-//! increments from rayon worker threads land in the same totals, and a
-//! caller measures a region with [`snapshot`] + [`PredOpStats::delta`].
-//! Like the driver's cache telemetry, they are *not* part of any
-//! determinism contract — concurrent work in the same process (e.g.
-//! parallel tests) shows up in everyone's deltas.
+//! `table_predbench`) instead of asserted. Each thread counts its own
+//! calls, so a caller measures a region with [`snapshot`] +
+//! [`PredOpStats::delta`] and sees exactly the work done on its thread,
+//! whatever other threads in the process are doing. Work handed to other
+//! threads is the caller's to collect: the driver samples a delta inside
+//! each worker trial and sums them into its run's total.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
-static CONJOINS: AtomicU64 = AtomicU64::new(0);
-static DISJOINT_TESTS: AtomicU64 = AtomicU64::new(0);
-static SUBSUME_TESTS: AtomicU64 = AtomicU64::new(0);
-static MEMO_HITS: AtomicU64 = AtomicU64::new(0);
-static MEMO_MISSES: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    static CONJOINS: Cell<u64> = const { Cell::new(0) };
+    static DISJOINT_TESTS: Cell<u64> = const { Cell::new(0) };
+    static SUBSUME_TESTS: Cell<u64> = const { Cell::new(0) };
+}
+
+#[inline]
+fn bump(counter: &'static std::thread::LocalKey<Cell<u64>>) {
+    counter.with(|c| c.set(c.get() + 1));
+}
 
 #[inline]
 pub(crate) fn count_conjoin() {
-    CONJOINS.fetch_add(1, Ordering::Relaxed);
+    bump(&CONJOINS);
 }
 
 #[inline]
 pub(crate) fn count_disjoint_test() {
-    DISJOINT_TESTS.fetch_add(1, Ordering::Relaxed);
+    bump(&DISJOINT_TESTS);
 }
 
 #[inline]
 pub(crate) fn count_subsume_test() {
-    SUBSUME_TESTS.fetch_add(1, Ordering::Relaxed);
-}
-
-#[inline]
-pub(crate) fn count_memo_hit() {
-    MEMO_HITS.fetch_add(1, Ordering::Relaxed);
-}
-
-#[inline]
-pub(crate) fn count_memo_miss() {
-    MEMO_MISSES.fetch_add(1, Ordering::Relaxed);
+    bump(&SUBSUME_TESTS);
 }
 
 /// A snapshot (or delta) of the predicate-op counters.
@@ -47,13 +42,15 @@ pub(crate) fn count_memo_miss() {
 pub struct PredOpStats {
     /// `PredicateMatrix::conjoin` calls.
     pub conjoins: u64,
-    /// `PredicateMatrix::is_disjoint` calls (including memo misses).
+    /// `PredicateMatrix::is_disjoint` calls.
     pub disjoint_tests: u64,
-    /// `PredicateMatrix::subsumes` calls (including memo misses).
+    /// `PredicateMatrix::subsumes` calls.
     pub subsume_tests: u64,
-    /// Memoized disjoint/subsume queries answered from the interner.
+    /// Always 0. Kept, with [`memo_misses`](Self::memo_misses) and
+    /// [`memo_hit_rate`](Self::memo_hit_rate), for readers written against
+    /// the removed pairwise memo (the E12 benchmark reports its hit rate).
     pub memo_hits: u64,
-    /// Memoized queries that had to run the underlying test.
+    /// Always 0; see [`memo_hits`](Self::memo_hits).
     pub memo_misses: u64,
 }
 
@@ -64,46 +61,41 @@ impl PredOpStats {
             conjoins: self.conjoins.saturating_sub(since.conjoins),
             disjoint_tests: self.disjoint_tests.saturating_sub(since.disjoint_tests),
             subsume_tests: self.subsume_tests.saturating_sub(since.subsume_tests),
-            memo_hits: self.memo_hits.saturating_sub(since.memo_hits),
-            memo_misses: self.memo_misses.saturating_sub(since.memo_misses),
+            memo_hits: 0,
+            memo_misses: 0,
         }
     }
 
-    /// Fraction of memoized queries answered from the memo (0 when none ran).
+    /// Always 0: nothing is memoized (see [`memo_hits`](Self::memo_hits)).
     pub fn memo_hit_rate(&self) -> f64 {
-        let total = self.memo_hits + self.memo_misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.memo_hits as f64 / total as f64
-        }
+        0.0
     }
 
     /// Hand-rolled JSON object (the workspace has no serde).
     pub fn to_json(&self) -> String {
         format!(
-            concat!(
-                "{{\"conjoins\":{},\"disjoint_tests\":{},\"subsume_tests\":{},",
-                "\"memo_hits\":{},\"memo_misses\":{},\"memo_hit_rate\":{:.4}}}"
-            ),
-            self.conjoins,
-            self.disjoint_tests,
-            self.subsume_tests,
-            self.memo_hits,
-            self.memo_misses,
-            self.memo_hit_rate(),
+            "{{\"conjoins\":{},\"disjoint_tests\":{},\"subsume_tests\":{}}}",
+            self.conjoins, self.disjoint_tests, self.subsume_tests,
         )
     }
 }
 
-/// Current totals since process start.
+impl std::ops::AddAssign for PredOpStats {
+    fn add_assign(&mut self, o: PredOpStats) {
+        self.conjoins += o.conjoins;
+        self.disjoint_tests += o.disjoint_tests;
+        self.subsume_tests += o.subsume_tests;
+    }
+}
+
+/// This thread's totals since it started.
 pub fn snapshot() -> PredOpStats {
     PredOpStats {
-        conjoins: CONJOINS.load(Ordering::Relaxed),
-        disjoint_tests: DISJOINT_TESTS.load(Ordering::Relaxed),
-        subsume_tests: SUBSUME_TESTS.load(Ordering::Relaxed),
-        memo_hits: MEMO_HITS.load(Ordering::Relaxed),
-        memo_misses: MEMO_MISSES.load(Ordering::Relaxed),
+        conjoins: CONJOINS.get(),
+        disjoint_tests: DISJOINT_TESTS.get(),
+        subsume_tests: SUBSUME_TESTS.get(),
+        memo_hits: 0,
+        memo_misses: 0,
     }
 }
 
@@ -112,39 +104,38 @@ mod tests {
     use super::*;
 
     #[test]
-    fn delta_and_hit_rate() {
+    fn deltas_count_only_this_thread() {
         let before = snapshot();
         count_conjoin();
-        count_memo_hit();
-        count_memo_hit();
-        count_memo_miss();
+        count_disjoint_test();
+        count_disjoint_test();
+        std::thread::spawn(|| {
+            for _ in 0..100 {
+                count_conjoin();
+                count_subsume_test();
+            }
+        })
+        .join()
+        .unwrap();
         let d = snapshot().delta(&before);
-        // Other test threads may also count; deltas are lower-bounded.
-        assert!(d.conjoins >= 1);
-        assert!(d.memo_hits >= 2);
-        assert!(d.memo_misses >= 1);
-        let s = PredOpStats {
-            memo_hits: 3,
-            memo_misses: 1,
-            ..PredOpStats::default()
-        };
-        assert!((s.memo_hit_rate() - 0.75).abs() < 1e-12);
-        assert_eq!(PredOpStats::default().memo_hit_rate(), 0.0);
+        assert_eq!(
+            d,
+            PredOpStats {
+                conjoins: 1,
+                disjoint_tests: 2,
+                ..PredOpStats::default()
+            }
+        );
+        assert_eq!(d.memo_hit_rate(), 0.0);
     }
 
     #[test]
     fn json_is_an_object() {
         let j = PredOpStats::default().to_json();
         assert!(j.starts_with('{') && j.ends_with('}'));
-        for key in [
-            "conjoins",
-            "disjoint_tests",
-            "subsume_tests",
-            "memo_hits",
-            "memo_misses",
-            "memo_hit_rate",
-        ] {
+        for key in ["conjoins", "disjoint_tests", "subsume_tests"] {
             assert!(j.contains(key), "missing {key} in {j}");
         }
+        assert!(!j.contains("memo"), "{j}");
     }
 }

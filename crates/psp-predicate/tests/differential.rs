@@ -105,16 +105,6 @@ proptest! {
     }
 
     #[test]
-    fn cached_queries_match_direct(ea in arb_entries(), eb in arb_entries()) {
-        let (pa, sa) = both_modes(&ea);
-        let (pb, sb) = both_modes(&eb);
-        for (a, b) in [(&pa, &pb), (&sa, &sb), (&pa, &sb)] {
-            prop_assert_eq!(psp_predicate::intern::cached_disjoint(a, b), a.is_disjoint(b));
-            prop_assert_eq!(psp_predicate::intern::cached_subsumes(a, b), a.subsumes(b));
-        }
-    }
-
-    #[test]
     fn shift_is_mode_independent(e in arb_entries(), d in -20i32..=20) {
         let (p, s) = both_modes(&e);
         assert_same(&p.shifted(d), &s.shifted(d));

@@ -32,12 +32,10 @@
 
 use crate::reference::RefRun;
 use crate::state::{MachineState, SimError};
-use crate::stats;
 use crate::vliw_run::VliwRun;
 use psp_ir::{AluOp, CmpOp, Item, LoopSpec, OpKind, Operand, Operation};
 use psp_machine::{VliwLoop, VliwTerm};
 use std::collections::BTreeMap;
-use std::time::Instant;
 
 /// Micro-opcode: one fieldless-ish discriminant per operation shape.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -1519,7 +1517,6 @@ impl DecodedRef {
             })
             .sum();
         d.fused = FusedRef::build(spec, d.cc_demand);
-        stats::count_decode(d.ops.len());
         d
     }
 
@@ -1580,7 +1577,6 @@ impl DecodedRef {
         max_cycles: u64,
         mut trace: Option<&mut Vec<BTreeMap<u32, bool>>>,
     ) -> Result<RefCounts, SimError> {
-        let t0 = Instant::now();
         st.grow(self.n_regs, self.n_ccs);
         let fast = self.reg_demand as usize <= st.regs.len()
             && self.cc_demand as usize <= st.ccs.len()
@@ -1632,9 +1628,7 @@ impl DecodedRef {
             let n = st.ccs.len();
             st.ccs.copy_from_slice(&scr.fccs[..n]);
             if broke {
-                let counts = RefCounts { iterations, cycles };
-                stats::count_decoded_run(cycles, t0.elapsed().as_micros() as u64);
-                return Ok(counts);
+                return Ok(RefCounts { iterations, cycles });
             }
         }
         loop {
@@ -1691,9 +1685,7 @@ impl DecodedRef {
                 return Err(SimError::CycleBudgetExceeded(max_cycles));
             }
         }
-        let counts = RefCounts { iterations, cycles };
-        stats::count_decoded_run(cycles, t0.elapsed().as_micros() as u64);
-        Ok(counts)
+        Ok(RefCounts { iterations, cycles })
     }
 
     /// Sequential execution applies each effect immediately (one op per
@@ -1919,7 +1911,7 @@ impl DecodedVliw {
                 };
                 succs_ok && (b.cycles.is_empty() || b.merged.is_some())
             });
-        let d = DecodedVliw {
+        DecodedVliw {
             ops,
             pexec,
             prologue,
@@ -1930,9 +1922,7 @@ impl DecodedVliw {
             cc_demand,
             arr_demand,
             dispatch_ok,
-        };
-        stats::count_decode(d.ops.len());
-        d
+        }
     }
 
     /// Execute to completion (at most `max_cycles` body cycles), mirroring
@@ -1945,7 +1935,6 @@ impl DecodedVliw {
         scr: &mut Scratch,
         max_cycles: u64,
     ) -> Result<VliwCounts, SimError> {
-        let t0 = Instant::now();
         scr.prepare(st);
         let fast = self.reg_demand as usize <= st.regs.len()
             && self.cc_demand as usize <= st.ccs.len()
@@ -1957,7 +1946,7 @@ impl DecodedVliw {
         for &c in &self.prologue {
             total_cycles += 1;
             if step_decoded_cycle(&self.ops, c, st, scr)? {
-                return self.finish(st, scr, 0, total_cycles, 0, t0);
+                return self.finish(st, scr, 0, total_cycles, 0);
             }
         }
 
@@ -2021,7 +2010,7 @@ impl DecodedVliw {
                     };
                     total_cycles += body_cycles - body_before;
                     if broke {
-                        return self.finish(st, scr, body_cycles, total_cycles, iterations, t0);
+                        return self.finish(st, scr, body_cycles, total_cycles, iterations);
                     }
                 } else if self.dispatch_ok {
                     // Multi-block fast path: condition-dependent block
@@ -2055,7 +2044,7 @@ impl DecodedVliw {
                     total_cycles += body_cycles - body_before;
                     match exit {
                         DispatchExit::Broke | DispatchExit::Exited => {
-                            return self.finish(st, scr, body_cycles, total_cycles, iterations, t0);
+                            return self.finish(st, scr, body_cycles, total_cycles, iterations);
                         }
                         DispatchExit::Bail(nbi) => {
                             bi = nbi;
@@ -2078,7 +2067,7 @@ impl DecodedVliw {
                 body_cycles += 1;
                 total_cycles += 1;
                 if step_decoded_cycle(&self.ops, c, st, scr)? {
-                    return self.finish(st, scr, body_cycles, total_cycles, iterations, t0);
+                    return self.finish(st, scr, body_cycles, total_cycles, iterations);
                 }
             }
             let succ = match block.term {
@@ -2097,7 +2086,7 @@ impl DecodedVliw {
                     DSucc::sel(v, t, f)
                 }
                 DTerm::Exit => {
-                    return self.finish(st, scr, body_cycles, total_cycles, iterations, t0);
+                    return self.finish(st, scr, body_cycles, total_cycles, iterations);
                 }
             };
             iterations += succ.back();
@@ -2120,13 +2109,11 @@ impl DecodedVliw {
         body_cycles: u64,
         mut total_cycles: u64,
         iterations: u64,
-        t0: Instant,
     ) -> Result<VliwCounts, SimError> {
         for &c in &self.epilogue {
             total_cycles += 1;
             step_decoded_cycle(&self.ops, c, st, scr)?;
         }
-        stats::count_decoded_run(total_cycles, t0.elapsed().as_micros() as u64);
         Ok(VliwCounts {
             body_cycles,
             total_cycles,

@@ -21,7 +21,6 @@
 use crate::decode::{DecodedRef, DecodedVliw, Scratch};
 use crate::reference::{run_reference, RefRun};
 use crate::state::{MachineState, SimError};
-use crate::stats;
 use crate::vliw_run::{run_vliw, VliwRun};
 use psp_ir::{LoopSpec, RegRef};
 use psp_machine::VliwLoop;
@@ -93,7 +92,7 @@ pub enum EngineKind {
 }
 
 impl EngineKind {
-    /// Display label (matches [`crate::stats::SimStats::engine`]).
+    /// Display label.
     pub fn label(self) -> &'static str {
         match self {
             EngineKind::Decoded => "decoded",
@@ -308,7 +307,6 @@ impl EquivEngine {
         initial: &MachineState,
         max_cycles: u64,
     ) -> Result<EquivRun, EquivalenceError> {
-        stats::count_trial();
         self.ref_state.copy_from(initial);
         let rc = self
             .dref
@@ -336,7 +334,6 @@ impl EquivEngine {
         initial: &MachineState,
         max_cycles: u64,
     ) -> Result<(RefRun, VliwRun), EquivalenceError> {
-        stats::count_trial();
         self.ref_state.copy_from(initial);
         let mut trace = Vec::new();
         let rc = self.dref.run(
@@ -392,7 +389,6 @@ pub fn check_equivalence_with(
     match engine {
         EngineKind::Decoded => EquivEngine::new(spec, prog).check_full(initial, max_cycles),
         EngineKind::Interpreter => {
-            stats::count_trial();
             let golden = run_reference(spec, initial.clone(), max_cycles)?;
             let mut start = initial.clone();
             // Compiled code may use renamed registers beyond the spec's
@@ -425,7 +421,6 @@ where
     S: std::borrow::Borrow<MachineState>,
 {
     let inputs = cfg.trial_inputs();
-    stats::count_batch(inputs.len());
     let run_shard = |mut eng: EquivEngine, shard: &[(u64, usize)]| {
         let mut out = Vec::with_capacity(shard.len());
         for &(seed, len) in shard {

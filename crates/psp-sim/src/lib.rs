@@ -28,16 +28,17 @@
 //!   [`equiv::EquivConfig`] trial set, sharded across threads;
 //! * [`profile::BranchProfile`] — per-IF truth probabilities estimated from
 //!   a reference trace, feeding the paper's §4 probability-driven
-//!   heuristics;
-//! * [`stats`] — process-global throughput counters ([`stats::SimStats`])
-//!   covering both engines.
+//!   heuristics.
+//!
+//! The crate keeps no process-global state: every run reports its own
+//! cycle and iteration counts in its result, and callers time what they
+//! call.
 
 pub mod decode;
 pub mod equiv;
 pub mod profile;
 pub mod reference;
 pub mod state;
-pub mod stats;
 pub mod trace;
 pub mod vliw_run;
 
@@ -49,6 +50,5 @@ pub use equiv::{
 pub use profile::BranchProfile;
 pub use reference::{run_reference, RefRun};
 pub use state::{MachineState, SimError};
-pub use stats::SimStats;
 pub use trace::{trace_vliw, Phase, TraceEvent};
 pub use vliw_run::{run_vliw, VliwRun};

@@ -7,10 +7,8 @@
 //! and a per-iteration trace of IF outcomes for profiling.
 
 use crate::state::{MachineState, SimError};
-use crate::stats;
 use psp_ir::{Item, LoopSpec};
 use std::collections::BTreeMap;
-use std::time::Instant;
 
 /// Result of a reference run.
 #[derive(Debug, Clone)]
@@ -43,7 +41,6 @@ pub fn run_reference(
     mut state: MachineState,
     max_cycles: u64,
 ) -> Result<RefRun, SimError> {
-    let t0 = Instant::now();
     state.grow(spec.n_regs, spec.n_ccs);
     let mut cycles: u64 = 0;
     let mut iterations: u64 = 0;
@@ -68,7 +65,6 @@ pub fn run_reference(
         }
     }
 
-    stats::count_interp_run(cycles, t0.elapsed().as_micros() as u64);
     Ok(RefRun {
         state,
         iterations,

@@ -11,11 +11,9 @@
 //! in the IF's own cycle does not affect the taken direction.
 
 use crate::state::{Effect, MachineState, SimError};
-use crate::stats;
 use crate::trace::Phase;
 use psp_ir::Operation;
 use psp_machine::{VliwLoop, VliwTerm};
-use std::time::Instant;
 
 /// Result of running a compiled loop.
 #[derive(Debug, Clone)]
@@ -69,14 +67,10 @@ pub fn run_vliw(
     state: MachineState,
     max_cycles: u64,
 ) -> Result<VliwRun, SimError> {
-    let t0 = Instant::now();
-    let run = run_observed(prog, state, max_cycles, &mut ())?;
-    stats::count_interp_run(run.total_cycles, t0.elapsed().as_micros() as u64);
-    Ok(run)
+    run_observed(prog, state, max_cycles, &mut ())
 }
 
-/// [`run_vliw`]'s control flow, reporting each cycle to `obs`. Does not
-/// touch the simulator stats.
+/// [`run_vliw`]'s control flow, reporting each cycle to `obs`.
 pub(crate) fn run_observed(
     prog: &VliwLoop,
     mut state: MachineState,

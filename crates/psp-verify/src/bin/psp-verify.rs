@@ -163,9 +163,7 @@ fn cmd_fuzz(rest: &[&str]) -> ExitCode {
             _ => return usage_fuzz(),
         }
     }
-    let sim_before = psp_sim::stats::snapshot();
     let outcome = fuzz(&cfg);
-    let sim = psp_sim::stats::snapshot().delta(&sim_before);
     if json {
         let findings: Vec<String> = outcome
             .findings
@@ -186,12 +184,11 @@ fn cmd_fuzz(rest: &[&str]) -> ExitCode {
             })
             .collect();
         println!(
-            "{{\"seed\":{},\"executed\":{},\"corpus\":{},\"elapsed_ms\":{},\"sim\":{},\"findings\":[{}]}}",
+            "{{\"seed\":{},\"executed\":{},\"corpus\":{},\"elapsed_ms\":{},\"findings\":[{}]}}",
             cfg.seed,
             outcome.executed,
             outcome.corpus,
             outcome.elapsed.as_millis(),
-            sim.to_json(),
             findings.join(",")
         );
     } else {

@@ -23,7 +23,7 @@
 //!
 //! Everything is computed with freshly built **sparse** predicate matrices
 //! ([`PredicateMatrix::sparse_from_entries`]), so the bit-packed algebra
-//! and its interner — used by the scheduler — are out of the trusted base.
+//! the scheduler uses is out of the trusted base.
 
 use crate::violation::{CycleSite, Violation};
 use psp_core::Schedule;

@@ -19,12 +19,15 @@
 //! `--no-rename`, `--probs p1,p2,...`.
 
 use std::process::ExitCode;
+use std::time::Instant;
 
 use psp::baselines::{compile_local, compile_sequential, compile_unrolled, modulo_schedule};
 use psp::core::{pipeline_loop, PspConfig, PspResult};
 use psp::ir::{LoopSpec, RegRef};
 use psp::machine::{to_dot, MachineConfig, VliwLoop};
-use psp::sim::{check_equivalence, run_reference, trace_vliw, BranchProfile, MachineState};
+use psp::sim::{
+    check_equivalence, run_reference, trace_vliw, BranchProfile, EngineKind, MachineState,
+};
 
 /// Everything parsed from the command line.
 struct Args {
@@ -333,7 +336,6 @@ fn cmd_compile(args: &Args) -> Result<(), String> {
 fn cmd_run(args: &Args) -> Result<(), String> {
     let spec = args.load_spec()?;
     let init = initial_state(&spec, args)?;
-    let sim_before = psp::sim::stats::snapshot();
 
     let mut cfg = args.psp_config();
     if args.profile {
@@ -363,8 +365,10 @@ fn cmd_run(args: &Args) -> Result<(), String> {
         }
     }
 
+    let t_check = Instant::now();
     let (golden, run) = check_equivalence(&spec, &res.program, &init, 1_000_000_000)
         .map_err(|e| format!("EQUIVALENCE FAILURE: {e}"))?;
+    let check_secs = t_check.elapsed().as_secs_f64();
     println!(
         "\nexecuted {} iterations: {} body cycles ({:.2} cycles/iter), reference {} cycles — speedup {:.2}x",
         run.iterations,
@@ -374,14 +378,11 @@ fn cmd_run(args: &Args) -> Result<(), String> {
         golden.cycles as f64 / run.body_cycles.max(1) as f64,
     );
     println!("verified: live-outs and array memory match the reference interpreter ✓");
-    let sim = psp::sim::stats::snapshot().delta(&sim_before);
-    let rate = sim.decoded_cycles_per_sec() + sim.interp_cycles_per_sec();
+    let simulated = golden.cycles + run.total_cycles;
     println!(
-        "simulator: {} engine, {} trials, {} cycles simulated ({:.1}M cycles/sec)",
-        sim.engine(),
-        sim.trials,
-        sim.decoded_cycles + sim.interp_cycles,
-        rate / 1e6,
+        "simulator: {} engine, 1 trial, {simulated} cycles simulated ({:.1}M cycles/sec)",
+        EngineKind::Decoded.label(),
+        simulated as f64 / check_secs.max(1e-9) / 1e6,
     );
     for r in &spec.live_out {
         let v = match r {

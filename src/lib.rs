@@ -77,7 +77,7 @@ pub mod prelude {
     pub use psp_predicate::{PathSet, PredicateMatrix};
     pub use psp_sim::{
         check_equivalence, check_equivalence_batch, run_reference, run_vliw, BranchProfile,
-        EngineKind, EquivConfig, MachineState, SimStats,
+        EngineKind, EquivConfig, MachineState,
     };
     pub use psp_verify::{validate_modulo, validate_schedule, validate_vliw, Violation};
 }

@@ -92,6 +92,8 @@ fn run_profile_measures_and_uses_branch_probabilities() {
     let text = String::from_utf8(out.stdout).unwrap();
     assert!(text.contains("measured branch profile"), "{text}");
     assert!(text.contains("verified"), "{text}");
+    // The profiling run is not part of the equivalence check it reports.
+    assert!(text.contains("simulator: decoded engine"), "{text}");
 }
 
 #[test]

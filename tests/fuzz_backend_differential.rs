@@ -1,6 +1,7 @@
 //! Differential fuzzing of the packed predicate backend: random loops with
-//! (nested) conditions must pipeline to bit-identical results under the
-//! packed bitplane algebra and the sparse reference algebra, and the
+//! (nested) conditions must pipeline to bit-identical results, with the
+//! same predicate-op counts, under the packed bitplane algebra and the
+//! sparse reference algebra, and the
 //! packed-compiled program must stay observationally equivalent to the
 //! source loop. The loop generator is shared with the other fuzz suites
 //! (`tests/common/mod.rs`); its nesting depth also drives matrices past
@@ -30,6 +31,7 @@ proptest! {
         match (packed, sparse) {
             (Ok(p), Ok(s)) => {
                 prop_assert_eq!(p.stats.counters(), s.stats.counters());
+                prop_assert_eq!(p.stats.pred, s.stats.pred);
                 prop_assert_eq!(p.program.ii_range(), s.program.ii_range());
                 prop_assert_eq!(p.program.to_string(), s.program.to_string());
                 prop_assert_eq!(p.schedule.render(), s.schedule.render());

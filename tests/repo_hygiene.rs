@@ -8,6 +8,11 @@
 //! Library code also must not read the process environment: a behaviour
 //! switch belongs in an explicit argument or config, where callers and
 //! tests can see it. Only binaries (`src/bin/`) may read `std::env`.
+//!
+//! Nor may library code keep process-global mutable state (static atomics,
+//! locks, lazily initialised statics, `static mut`): one caller's run must
+//! never see another's. Counters live in the run's own result or in
+//! per-thread cells. The one exception is the predicate backend flag.
 
 use std::path::{Path, PathBuf};
 
@@ -67,8 +72,9 @@ fn library_sources(dir: &Path, out: &mut Vec<PathBuf>) {
     }
 }
 
-#[test]
-fn no_library_reads_the_environment() {
+/// `file:line: code` for every non-comment line of the root package's and
+/// every crate's library sources that `bad` flags.
+fn library_lines_matching(bad: impl Fn(&Path, &str) -> bool) -> Vec<String> {
     let root = workspace_root();
     let mut files = Vec::new();
     library_sources(&root.join("src"), &mut files);
@@ -81,14 +87,43 @@ fn no_library_reads_the_environment() {
         let text = std::fs::read_to_string(file).unwrap();
         for (i, line) in text.lines().enumerate() {
             let code = line.trim_start();
-            if !code.starts_with("//") && code.contains("env::") {
+            if !code.starts_with("//") && bad(file, code) {
                 hits.push(format!("{}:{}: {code}", file.display(), i + 1));
             }
         }
     }
+    hits
+}
+
+#[test]
+fn no_library_reads_the_environment() {
+    let hits = library_lines_matching(|_, code| code.contains("env::"));
     assert!(
         hits.is_empty(),
         "library code reads the environment:\n{}",
+        hits.join("\n")
+    );
+}
+
+#[test]
+fn no_process_global_state_in_libraries() {
+    // The process-global backend flag is a known open item (ROADMAP,
+    // "Backend flag"); nothing else may join it.
+    let exempt = Path::new("crates/psp-predicate/src/backend.rs");
+    let hits = library_lines_matching(|file, code| {
+        let is_static = ["static ", "pub static ", "pub(crate) static "]
+            .iter()
+            .any(|p| code.starts_with(p));
+        !file.ends_with(exempt)
+            && ((is_static && code.contains("Atomic"))
+                || code.contains("static mut ")
+                || ["Mutex", "RwLock", "OnceLock", "LazyLock"]
+                    .iter()
+                    .any(|t| code.contains(t)))
+    });
+    assert!(
+        hits.is_empty(),
+        "process-global state in library code:\n{}",
         hits.join("\n")
     );
 }
