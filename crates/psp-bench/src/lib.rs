@@ -1,6 +1,6 @@
-//! Shared helpers for the experiment binaries (`fig1` … `table_ablation`)
-//! and the criterion benches. Each binary regenerates one figure or table
-//! of EXPERIMENTS.md; run them all with
+//! Shared helpers for the experiment binaries (`fig1` … `table_ablation`).
+//! Each binary regenerates one figure or table of EXPERIMENTS.md; run them
+//! all with
 //! `for b in fig1 fig2 fig3 table_kernels table_cost table_resources table_gap
 //! table_prob table_ablation; do cargo run -p psp-bench --bin $b --release; done`.
 

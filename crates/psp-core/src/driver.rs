@@ -26,6 +26,10 @@ use psp_predicate::{PredOpStats, PredicateMatrix};
 use rayon::prelude::*;
 use std::time::{Duration, Instant};
 
+/// Maximum number of strictly improving refinement steps per pipelining
+/// round, a safeguard against pathological growth.
+const MAX_STEPS: usize = 32;
+
 /// Configuration of the PSP pipeliner.
 #[derive(Debug, Clone)]
 pub struct PspConfig {
@@ -34,9 +38,6 @@ pub struct PspConfig {
     /// Maximum pipelining depth: rounds of wrapping the whole first row
     /// across the loop boundary (each round can add one level of overlap).
     pub max_depth: usize,
-    /// Maximum number of strictly improving refinement steps afterwards, a
-    /// safeguard against pathological growth.
-    pub max_steps: usize,
     /// Whether split candidates are generated.
     pub enable_split: bool,
     /// Whether compaction may rename (ablation of "local scheduling with
@@ -80,7 +81,6 @@ impl Default for PspConfig {
         Self {
             machine: MachineConfig::paper_default(),
             max_depth: 4,
-            max_steps: 32,
             enable_split: true,
             enable_rename: true,
             probs: None,
@@ -477,7 +477,9 @@ fn eval_candidate(
 
 /// Evaluate all candidates of one step — concurrently unless
 /// [`PspConfig::threads`] is `1`. Trials return in candidate order either
-/// way, so the reduction below is deterministic.
+/// way, so the reduction below is deterministic. Worker threads build
+/// their matrices in the caller's predicate backend, which is a per-thread
+/// choice.
 fn evaluate_candidates(
     sched: &Schedule,
     candidates: Vec<Transformation>,
@@ -491,12 +493,15 @@ fn evaluate_candidates(
             .collect()
     } else {
         let caller = std::thread::current().id();
+        let packed = psp_predicate::backend::is_packed();
         candidates
             .into_par_iter()
             .with_threads(cfg.threads)
             .map(|t| {
                 let before = psp_predicate::stats::snapshot();
-                let mut trial = eval_candidate(sched, t, cfg, cur);
+                let mut trial = psp_predicate::backend::with_backend(packed, || {
+                    eval_candidate(sched, t, cfg, cur)
+                });
                 if std::thread::current().id() != caller {
                     trial.pred = psp_predicate::stats::snapshot().delta(&before);
                 }
@@ -562,7 +567,7 @@ pub fn pipeline_loop(spec: &LoopSpec, cfg: &PspConfig) -> Result<PspResult, Code
         }
         // Refinement: strictly improving split/wrap steps on the current
         // schedule, each step's trials evaluated in parallel.
-        for _step in 0..cfg.max_steps {
+        for _step in 0..MAX_STEPS {
             let t1 = Instant::now();
             let candidates = generate_candidates(&sched, cfg);
             stats.times.candidate_gen += t1.elapsed();

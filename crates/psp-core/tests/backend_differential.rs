@@ -5,9 +5,9 @@
 //! transformation counters, the same final II, the same generated program
 //! text, the same schedule rendering and the same predicate-op counts as
 //! the sparse reference backend (the same observable surface
-//! `driver_parallel.rs` pins across thread counts). A single `#[test]` holds both phases so no concurrently
-//! running test can interleave with the process-global backend flag while
-//! the sparse phase runs.
+//! `driver_parallel.rs` pins across thread counts). The backend is a
+//! per-thread choice, so the driver must hand it to its worker threads: a
+//! sparse run stays sparse at every thread count.
 
 use psp_core::driver::{pipeline_loop, PspConfig, PspResult};
 use psp_kernels::all_kernels;
@@ -47,6 +47,30 @@ fn packed_matches_sparse_on_all_kernels() {
                 observe(&packed),
                 observe(&sparse),
                 "{} ({label}): packed backend diverged from the sparse reference",
+                kernel.name
+            );
+        }
+    }
+}
+
+#[test]
+fn sparse_run_stays_sparse_on_worker_threads() {
+    // Without pruning every trial generates its code on a worker, so the
+    // winning program's block matrices are built off the caller thread.
+    for enable_prune in [true, false] {
+        let cfg = PspConfig {
+            threads: 2,
+            enable_prune,
+            ..PspConfig::default()
+        };
+        for kernel in all_kernels() {
+            let res = with_backend(false, || pipeline_loop(&kernel.spec, &cfg))
+                .unwrap_or_else(|e| panic!("{}: {e}", kernel.name));
+            let formals = res.schedule.instances().map(|i| &i.formal);
+            let blocks = res.program.blocks.iter().map(|b| &b.matrix);
+            assert!(
+                !formals.chain(blocks).any(|m| m.is_word_packed()),
+                "{} (prune {enable_prune}): a worker built a packed matrix",
                 kernel.name
             );
         }

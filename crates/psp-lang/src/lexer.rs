@@ -53,18 +53,28 @@ impl fmt::Display for Token {
     }
 }
 
-/// Tokenization failure.
+/// Tokenization failure; `at` is a byte offset into the source.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LexError {
-    /// Byte offset of the offending character.
-    pub at: usize,
-    /// The character.
-    pub ch: char,
+pub enum LexError {
+    /// A character that starts no token.
+    UnexpectedChar { at: usize, ch: char },
+    /// An integer literal, sign included, outside the `i64` range.
+    IntOutOfRange { at: usize },
 }
 
 impl fmt::Display for LexError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "unexpected character {:?} at byte {}", self.ch, self.at)
+        match self {
+            LexError::UnexpectedChar { at, ch } => {
+                write!(f, "unexpected character {ch:?} at byte {at}")
+            }
+            LexError::IntOutOfRange { at } => {
+                write!(
+                    f,
+                    "integer literal at byte {at} is outside the i64 range [-2^63, 2^63)"
+                )
+            }
+        }
     }
 }
 
@@ -73,6 +83,12 @@ impl std::error::Error for LexError {}
 /// Tokenize `src`. Comments run from `//` to end of line.
 pub fn lex(src: &str) -> Result<Vec<Token>, LexError> {
     let bytes: Vec<char> = src.chars().collect();
+    let byte_at = |i: usize| bytes[..i].iter().map(|c| c.len_utf8()).sum();
+    let int = |start: usize, end: usize| {
+        let text: String = bytes[start..end].iter().collect();
+        text.parse::<i64>()
+            .map_err(|_| LexError::IntOutOfRange { at: byte_at(start) })
+    };
     let mut out = Vec::new();
     let mut i = 0;
     while i < bytes.len() {
@@ -140,13 +156,11 @@ pub fn lex(src: &str) -> Result<Vec<Token>, LexError> {
                     )
                 {
                     // Negative literal in operand position.
-                    let start = i + 1;
-                    let mut j = start;
+                    let mut j = i + 1;
                     while j < bytes.len() && bytes[j].is_ascii_digit() {
                         j += 1;
                     }
-                    let text: String = bytes[start..j].iter().collect();
-                    out.push(Token::Int(-text.parse::<i64>().unwrap()));
+                    out.push(Token::Int(int(i, j)?));
                     i = j;
                 } else {
                     out.push(Token::Op("-".into()));
@@ -181,8 +195,7 @@ pub fn lex(src: &str) -> Result<Vec<Token>, LexError> {
                 while i < bytes.len() && bytes[i].is_ascii_digit() {
                     i += 1;
                 }
-                let text: String = bytes[start..i].iter().collect();
-                out.push(Token::Int(text.parse().unwrap()));
+                out.push(Token::Int(int(start, i)?));
             }
             c if c.is_alphabetic() || c == '_' => {
                 let start = i;
@@ -191,7 +204,12 @@ pub fn lex(src: &str) -> Result<Vec<Token>, LexError> {
                 }
                 out.push(Token::Ident(bytes[start..i].iter().collect()));
             }
-            _ => return Err(LexError { at: i, ch: c }),
+            _ => {
+                return Err(LexError::UnexpectedChar {
+                    at: byte_at(i),
+                    ch: c,
+                })
+            }
         }
     }
     Ok(out)
@@ -237,6 +255,26 @@ mod tests {
     #[test]
     fn rejects_unknown_characters() {
         let err = lex("a = #;").unwrap_err();
-        assert_eq!(err.ch, '#');
+        assert_eq!(err, LexError::UnexpectedChar { at: 4, ch: '#' });
+        // Offsets count bytes, not characters.
+        let err = lex("// é\na = #;").unwrap_err();
+        assert_eq!(err, LexError::UnexpectedChar { at: 10, ch: '#' });
+    }
+
+    #[test]
+    fn integer_literals_are_bounded_by_i64() {
+        let src = "acc = acc + 99999999999999999999999;";
+        let err = lex(src).unwrap_err();
+        assert_eq!(err, LexError::IntOutOfRange { at: 12 });
+        let msg = err.to_string();
+        assert!(msg.contains("byte 12") && msg.contains("i64"), "{msg}");
+        assert!(matches!(
+            lex("a = -9999999999999999999;"),
+            Err(LexError::IntOutOfRange { at: 4 })
+        ));
+        // Both extremes still lex.
+        let toks = lex("a = 9223372036854775807; b = -9223372036854775808;").unwrap();
+        assert!(toks.contains(&Token::Int(i64::MAX)));
+        assert!(toks.contains(&Token::Int(i64::MIN)));
     }
 }

@@ -1,40 +1,40 @@
-//! Process-global selection of the predicate-algebra backend.
+//! Per-thread selection of the predicate-algebra backend.
 //!
 //! The packed bitplane representation (see [`crate::matrix`]) is the
 //! default; the sparse `BTreeMap` representation is kept as the reference
 //! implementation for differential testing and as the honest baseline of
-//! the `table_predbench` experiment. The flag is consulted at
+//! the `table_predbench` experiment. The choice belongs to the calling
+//! thread, so one caller's [`with_backend`] never changes the
+//! representation another thread builds in; a caller that hands work to
+//! other threads passes its choice along (the PSP driver runs each worker
+//! trial under the caller's backend). The flag is consulted at
 //! *construction* time only: matrices built in either mode interoperate
 //! (every operation falls back to a generic element-wise path on mixed
-//! inputs), so flipping the flag mid-process changes performance, never
-//! results.
+//! inputs), so switching backends changes performance, never results.
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::cell::Cell;
 
-static PACKED: AtomicBool = AtomicBool::new(true);
+thread_local! {
+    static PACKED: Cell<bool> = const { Cell::new(true) };
+}
 
-/// Whether newly constructed matrices use the packed bitplane layout.
+/// Whether matrices this thread constructs use the packed bitplane layout.
 #[inline]
 pub fn is_packed() -> bool {
-    PACKED.load(Ordering::Relaxed)
+    PACKED.with(Cell::get)
 }
 
-/// Select the backend for subsequently constructed matrices.
-pub fn set_packed(on: bool) {
-    PACKED.store(on, Ordering::Relaxed);
-}
-
-/// Run `f` with the chosen backend, restoring the previous one afterwards
-/// (also on unwind, so a failing test cannot leak its mode).
+/// Run `f` with this thread's backend set to `packed`, restoring the
+/// previous choice afterwards (also on unwind, so a failing test cannot
+/// leak its mode).
 pub fn with_backend<T>(packed: bool, f: impl FnOnce() -> T) -> T {
     struct Restore(bool);
     impl Drop for Restore {
         fn drop(&mut self) {
-            set_packed(self.0);
+            PACKED.with(|p| p.set(self.0));
         }
     }
-    let _restore = Restore(is_packed());
-    set_packed(packed);
+    let _restore = Restore(PACKED.with(|p| p.replace(packed)));
     f()
 }
 

@@ -37,8 +37,9 @@
 //! default — set algebra as word ops over a fixed row/column window, with a
 //! sparse spill outside it) and the original sparse `BTreeMap`, kept as a
 //! reference for differential testing. See [`matrix`] for the layout,
-//! [`backend`] for the construction-time switch, and [`stats`] for the
-//! per-thread predicate-op counters behind the driver's `PspStats.pred`.
+//! [`backend`] for the per-thread construction-time switch, and [`stats`]
+//! for the per-thread predicate-op counters behind the driver's
+//! `PspStats.pred`.
 
 pub mod backend;
 pub mod elem;

@@ -124,7 +124,7 @@ impl PredicateMatrix {
     }
 
     /// Empty matrix in the same representation mode as `self`, so derived
-    /// results stay mode-stable regardless of the global backend flag.
+    /// results stay mode-stable whichever backend the thread selects.
     fn empty_like(&self) -> Self {
         match &self.repr {
             Repr::Packed(_) => Self {
@@ -151,9 +151,9 @@ impl PredicateMatrix {
     }
 
     /// [`from_entries`](Self::from_entries) on the sparse reference
-    /// representation, whatever the global [`backend`] flag says. Results
-    /// derived from it stay sparse, so a caller can keep the packed algebra
-    /// out of its computation without touching process-global state.
+    /// representation, whatever [`backend`] the calling thread selects.
+    /// Results derived from it stay sparse, so a caller can keep the packed
+    /// algebra out of its computation without switching backends.
     pub fn sparse_from_entries<I: IntoIterator<Item = (u32, i32, bool)>>(it: I) -> Self {
         Self {
             repr: Repr::Sparse(BTreeMap::new()),

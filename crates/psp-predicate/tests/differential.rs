@@ -55,8 +55,11 @@ fn hash_of(m: &PredicateMatrix) -> u64 {
     h.finish()
 }
 
-/// The full observable surface of one matrix.
-fn observe(m: &PredicateMatrix) -> (Vec<(u32, i32, bool)>, usize, bool, String, String, u64) {
+/// The full observable surface of one matrix: its constrained entries,
+/// their count, universality, `Debug` and `Display` text, and hash.
+type Observed = (Vec<(u32, i32, bool)>, usize, bool, String, String, u64);
+
+fn observe(m: &PredicateMatrix) -> Observed {
     (
         m.constrained().collect(),
         m.constrained_len(),

@@ -15,7 +15,12 @@
 //! `unsafe` steady-state loops, each kept because it measurably pays on
 //! the benchmark workloads: [`superloop`] (single-block self-loops),
 //! [`vliw_dispatchloop`] (multi-block CFGs), and [`ref_fusedloop`] (a
-//! source iteration as one predicated stream). Each runs only while the
+//! source iteration as one predicated stream). Their unchecked indexing
+//! pays too: a build with plain checked indexing in `exec_pop_g` and
+//! `ref_fusedloop` lost all 8 alternating E12 `kernels` pairs on a 2-vCPU
+//! VM (median `jobs_per_s` 61.6 → 49.4, −20%; median `job_p50_ms` 15.7 →
+//! 20.0 ms, +27%). No other file may hold `unsafe` code
+//! (`tests/repo_hygiene.rs`). Each fast loop runs only while the
 //! state meets the program's static demand and the remaining budget
 //! covers a whole step, and hands the rest of the run to the generic
 //! evaluator, which raises any error at the interpreter's exact cycle.

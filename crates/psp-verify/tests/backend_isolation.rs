@@ -1,16 +1,15 @@
 //! The validators rebuild their matrices on the sparse reference backend
-//! without touching the process-global backend flag, so a validation
-//! running on one thread cannot change the representation another thread's
-//! matrices are built in.
+//! without switching the calling thread's backend, so a caller's matrices
+//! come out in the representation it chose, before and after validation.
 
 use psp_core::{pipeline_loop, PspConfig};
 use psp_machine::MachineConfig;
-use psp_predicate::{backend, PredicateMatrix};
+use psp_predicate::backend::{is_packed, with_backend};
+use psp_predicate::PredicateMatrix;
 use psp_verify::validate_schedule;
-use std::sync::atomic::{AtomicBool, Ordering};
 
 #[test]
-fn concurrent_validation_leaves_the_global_backend_alone() {
+fn validation_leaves_the_callers_backend_alone() {
     let wide = MachineConfig::paper_default();
     let results: Vec<_> = psp_kernels::all_kernels()
         .into_iter()
@@ -20,31 +19,27 @@ fn concurrent_validation_leaves_the_global_backend_alone() {
             (k, res.schedule)
         })
         .collect();
-    assert!(backend::is_packed(), "packed is the default backend");
+    assert!(is_packed(), "packed is the default backend");
 
-    let done = AtomicBool::new(false);
-    std::thread::scope(|s| {
-        s.spawn(|| {
-            for _ in 0..20 {
-                for (k, sched) in &results {
-                    let v = validate_schedule(&k.spec, &wide, sched);
-                    assert!(v.is_empty(), "{}: {v:?}", k.name);
-                }
+    for packed in [true, false] {
+        with_backend(packed, || {
+            for (k, sched) in &results {
+                let v = validate_schedule(&k.spec, &wide, sched);
+                assert!(v.is_empty(), "{}: {v:?}", k.name);
+                assert_eq!(
+                    is_packed(),
+                    packed,
+                    "{}: validation switched backends",
+                    k.name
+                );
+                assert_eq!(
+                    PredicateMatrix::single(0, 0, true).is_word_packed(),
+                    packed,
+                    "{}: a new matrix came out in the other backend",
+                    k.name
+                );
             }
-            done.store(true, Ordering::Release);
         });
-        let mut polls = 0u64;
-        while !done.load(Ordering::Acquire) {
-            assert!(
-                backend::is_packed(),
-                "backend flipped to sparse after {polls} polls"
-            );
-            assert!(
-                PredicateMatrix::single(0, 0, true).is_word_packed(),
-                "a new matrix came out sparse after {polls} polls"
-            );
-            polls += 1;
-        }
-    });
-    assert!(backend::is_packed());
+    }
+    assert!(is_packed());
 }

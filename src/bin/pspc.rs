@@ -159,6 +159,11 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
                 let [alu, mem, br] = parts[..] else {
                     return Err("--machine expects ALU,MEM,BR".into());
                 };
+                for (unit, count) in [("ALU", alu), ("MEM", mem), ("BR", br)] {
+                    if count == 0 {
+                        return Err(format!("--machine: the {unit} count must be at least 1"));
+                    }
+                }
                 a.machine.n_alu = alu;
                 a.machine.n_mem = mem;
                 a.machine.n_branch = br;

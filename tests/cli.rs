@@ -212,6 +212,31 @@ fn errors_exit_nonzero_with_messages() {
     let out = pspc(&["compile", f.to_str().unwrap(), "--machine", "8,4"]);
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("ALU,MEM,BR"));
+
+    // A zero unit count is an argument error, not a packing failure.
+    for (machine, unit) in [("0,0,0", "ALU"), ("8,0,4", "MEM"), ("8,4,0", "BR")] {
+        let out = pspc(&["compile", f.to_str().unwrap(), "--machine", machine]);
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{machine}: {err}");
+        assert!(
+            err.contains(&format!("--machine: the {unit} count must be at least 1")),
+            "{machine}: {err}"
+        );
+    }
+
+    // An integer literal past i64 is a lex error naming the limit, not a
+    // panic (exit code 101).
+    let huge = write_kernel(
+        "huge",
+        "kernel k(n, acc; x[]) -> acc { acc = acc + 99999999999999999999999; break if (acc >= n); }",
+    );
+    let out = pspc(&["compile", huge.to_str().unwrap()]);
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{err}");
+    assert!(
+        err.contains("integer literal at byte 43 is outside the i64 range"),
+        "{err}"
+    );
 }
 
 #[test]
