@@ -2,7 +2,7 @@
 //! flow of control implicitly encoded in their predicate matrices.
 
 use crate::instance::{InstId, Instance};
-use psp_ir::{flatten, CcReg, Item, LoopSpec, OpKind, ResClass};
+use psp_ir::{flatten, CcReg, Item, LoopSpec, OpKind, Reg, RegRef, ResClass};
 use psp_machine::MachineConfig;
 use psp_predicate::{IfLog, IfLogEntry};
 use std::fmt;
@@ -62,6 +62,18 @@ impl Schedule {
         let id = InstId(self.next_id);
         self.next_id += 1;
         id
+    }
+
+    /// Split borrow for planning a move: the rows and the live-out set to
+    /// read, and the counters a rename draws fresh registers and ids from.
+    /// A plan holding this view can read every row without copying it, and
+    /// cannot move an instance until the view is dropped.
+    pub(crate) fn plan_view(&mut self) -> (&[Vec<Instance>], &[RegRef], Fresh<'_>) {
+        let fresh = Fresh {
+            n_regs: &mut self.spec.n_regs,
+            next_id: &mut self.next_id,
+        };
+        (&self.rows, &self.spec.live_out, fresh)
     }
 
     /// Number of rows (the static II upper bound).
@@ -173,19 +185,10 @@ impl Schedule {
     /// graph — a safe upper bound on the largest set that is jointly on one
     /// path).
     pub fn row_resource_ok(&self, r: usize, m: &MachineConfig) -> bool {
-        let row = match self.rows.get(r) {
-            Some(x) => x,
-            None => return true,
-        };
-        for class in [ResClass::Alu, ResClass::Mem, ResClass::Branch] {
-            let members: Vec<&Instance> =
-                row.iter().filter(|i| i.op.res_class() == class).collect();
-            let limit = m.limit(class) as usize;
-            if members.len() > limit && compatible_clique_exceeds(&members, limit) {
-                return false;
-            }
+        match self.rows.get(r) {
+            Some(row) => row_fits(row, None, m),
+            None => true,
         }
-        true
     }
 
     /// Full resource validation.
@@ -212,6 +215,48 @@ impl Schedule {
     }
 }
 
+/// The fresh-register and fresh-id counters of a [`Schedule`], borrowed
+/// apart from its rows (see [`Schedule::plan_view`]).
+pub(crate) struct Fresh<'a> {
+    n_regs: &'a mut u32,
+    next_id: &'a mut u64,
+}
+
+impl Fresh<'_> {
+    /// Allocate a fresh general-purpose register (as
+    /// [`LoopSpec::fresh_reg`] does).
+    pub(crate) fn reg(&mut self) -> Reg {
+        let r = Reg(*self.n_regs);
+        *self.n_regs += 1;
+        r
+    }
+
+    /// Allocate a fresh instance id.
+    pub(crate) fn id(&mut self) -> InstId {
+        let id = InstId(*self.next_id);
+        *self.next_id += 1;
+        id
+    }
+}
+
+/// Resource feasibility of `row` with `extra` added to it (see
+/// [`Schedule::row_resource_ok`]). A class's members are counted first; the
+/// clique search runs only when they outnumber the class's slots.
+pub(crate) fn row_fits(row: &[Instance], extra: Option<&Instance>, m: &MachineConfig) -> bool {
+    for class in [ResClass::Alu, ResClass::Mem, ResClass::Branch] {
+        let members = row
+            .iter()
+            .chain(extra)
+            .filter(|i| i.op.res_class() == class);
+        let n = members.clone().count();
+        let limit = m.limit(class) as usize;
+        if n > limit && compatible_clique_exceeds(members, n, limit) {
+            return false;
+        }
+    }
+    true
+}
+
 /// Whether a clique of pairwise non-disjoint instances larger than `limit`
 /// exists. Branch-and-bound DFS: returns as soon as a clique of size
 /// `limit + 1` is found, and prunes branches that cannot reach it — this is
@@ -222,21 +267,27 @@ impl Schedule {
 /// per member, computed once up front: the DFS re-reads each pair many
 /// times, and over a row check this is the memoized form of the old
 /// per-node `is_disjoint` chain (each pair tested exactly once). The DFS
-/// explores the same tree and returns the same boolean.
-fn compatible_clique_exceeds(members: &[&Instance], limit: usize) -> bool {
-    let n = members.len();
-    if n > 128 {
-        return clique_exceeds_general(members, limit);
+/// explores the same tree and returns the same boolean. The `n` members
+/// are walked in place; only rows wider than the bitset are collected.
+fn compatible_clique_exceeds<'a>(
+    members: impl Iterator<Item = &'a Instance> + Clone,
+    n: usize,
+    limit: usize,
+) -> bool {
+    const BITS: usize = u128::BITS as usize;
+    if n > BITS {
+        return clique_exceeds_general(&members.collect::<Vec<_>>(), limit);
     }
-    let mut adj = vec![0u128; n];
-    for i in 0..n {
-        for j in (i + 1)..n {
-            if !members[i].formal.is_disjoint(&members[j].formal) {
+    let mut adj = [0u128; BITS];
+    for (i, a) in members.clone().enumerate() {
+        for (j, b) in members.clone().enumerate().skip(i + 1) {
+            if !a.formal.is_disjoint(&b.formal) {
                 adj[i] |= 1 << j;
                 adj[j] |= 1 << i;
             }
         }
     }
+    let adj = &adj[..n];
     fn go(adj: &[u128], chosen: u128, size: usize, from: usize, limit: usize) -> bool {
         if size > limit {
             return true;
@@ -252,7 +303,7 @@ fn compatible_clique_exceeds(members: &[&Instance], limit: usize) -> bool {
         }
         false
     }
-    go(&adj, 0, 0, 0, limit)
+    go(adj, 0, 0, 0, limit)
 }
 
 /// Fallback for rows wider than the bitset (never hit by the kernel suite;

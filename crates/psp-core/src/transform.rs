@@ -13,11 +13,11 @@
 //! the unrolled timeline. Pipelining arises from alternating wraps and
 //! compaction.
 
-use crate::deps::{check_pair, flow_latency, is_flow, Fix, Permission};
+use crate::deps::{check_pair, flow_latency, is_flow, Fix, PairCheck, Permission};
 use crate::instance::{InstId, Instance};
-use crate::schedule::Schedule;
+use crate::schedule::{row_fits, Fresh, Schedule};
 use psp_ir::op::build;
-use psp_ir::OpKind;
+use psp_ir::{OpKind, RegRef};
 use psp_machine::MachineConfig;
 use psp_predicate::PredElem;
 use std::fmt;
@@ -120,14 +120,6 @@ pub fn apply(
     }
 }
 
-/// Plan an upward crossing: process the jumped rows bottom-up, one row at a
-/// time, accumulating and applying fixes compositionally. Within a row, all
-/// pair checks are evaluated against the mover's state *at row entry* (the
-/// row's operations read pre-cycle state simultaneously) and the row's
-/// fixes are applied together afterwards.
-///
-/// Returns the rewritten mover and, when a rename was needed, the `COPY`
-/// to leave behind at the original slot.
 /// What fixes a motion pass may apply.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MovePolicy {
@@ -168,219 +160,205 @@ struct PlanState {
     combined_from: Vec<(usize, i32)>,
 }
 
-fn apply_row_fixes(
-    state: &mut PlanState,
-    fixes: Vec<(InstId, (usize, i32), Fix)>,
-    x: &Instance,
-    sched: &mut Schedule,
+/// An upward plan's view of the schedule: the rows it reads in place and
+/// the counters a rename draws fresh registers and ids from (see
+/// [`Schedule::plan_view`]). The borrow keeps a plan from moving anything;
+/// the caller commits the move once the view is dropped.
+///
+/// A plan processes the jumped rows bottom-up, one row at a time,
+/// accumulating and applying fixes compositionally. Within a row, all pair
+/// checks are evaluated against the mover's state *at row entry* (the row's
+/// operations read pre-cycle state simultaneously) and the row's fixes are
+/// applied together afterwards. A rename draws its fresh register and id
+/// when its row's fixes are applied, even if a later row then refuses the
+/// plan: failed plans consume fresh names, and the generated code's
+/// register names depend on that order.
+struct Planner<'a> {
+    rows: &'a [Vec<Instance>],
+    live_out: &'a [RegRef],
+    fresh: Fresh<'a>,
     policy: MovePolicy,
-) -> Result<(), MoveError> {
-    // Substitutions in one row must not disagree on a source register.
-    let mut substs: Vec<(psp_ir::Reg, psp_ir::Reg)> = Vec::new();
-    let mut disp: i64 = 0;
-    let mut rename = false;
-    for (by, blocker, f) in fixes {
-        match f {
-            Fix::CombineDisp(d) => {
-                if !state.combined_from.contains(&blocker) {
-                    state.combined_from.push(blocker);
-                    disp += d;
-                }
-            }
-            Fix::Subst { from, to } => {
-                if substs.iter().any(|&(f2, t2)| f2 == from && t2 != to) {
-                    return Err(MoveError::Blocked {
-                        by,
-                        reason: "ambiguous copy substitution",
-                    });
-                }
-                if !substs.contains(&(from, to)) {
-                    substs.push((from, to));
-                }
-            }
-            Fix::Rename => {
-                if !policy.rename {
-                    return Err(MoveError::Blocked {
-                        by,
-                        reason: "rename disabled in this pass",
-                    });
-                }
-                rename = true;
-            }
-            Fix::SpeculateRename => {
-                if !policy.speculate {
-                    return Err(MoveError::Blocked {
-                        by,
-                        reason: "speculation disabled in this pass",
-                    });
-                }
-                rename = true;
-            }
-        }
-    }
-    for (from, to) in substs {
-        state.work.op = state.work.op.with_uses_renamed(from, to);
-    }
-    if disp != 0 {
-        state.work.op.kind = match state.work.op.kind {
-            OpKind::Load { dst, addr } => OpKind::Load {
-                dst,
-                addr: addr.displaced(disp),
-            },
-            OpKind::Store { src, addr } => OpKind::Store {
-                src,
-                addr: addr.displaced(disp),
-            },
-            _ => return Err(MoveError::BadTarget),
-        };
-    }
-    if rename && state.leftover.is_none() {
-        let old = match state.work.op.defs().as_slice() {
-            [psp_ir::RegRef::Gpr(r)] => *r,
-            _ => return Err(MoveError::BadTarget),
-        };
-        let fresh = sched.spec.fresh_reg();
-        state.work.op = state.work.op.with_dst_gpr(fresh);
-        state.leftover = Some(Instance {
-            id: sched.fresh_id(),
-            op: build::copy(old, fresh),
-            index: x.index,
-            formal: x.formal.clone(),
-            computes_if: None,
-            origin: x.origin,
-            late: x.late + 1,
-            // Leftover copies are steady-state plumbing only; the
-            // preloop's snapshot ops write the architectural registers
-            // directly.
-            snapshots: Vec::new(),
-        });
-    }
-    Ok(())
+    machine: &'a MachineConfig,
 }
 
-/// Partners of the mover's own row: leaving a shared cycle upward preserves
-/// pre-cycle read semantics, so positional fixes (combining, substitution)
-/// demanded by the pair check are *already incorporated* in the mover's
-/// operation and must not be re-applied; only renames (a same-row reader
-/// that would start seeing the write) are genuinely new. The
-/// already-incorporated combines are recorded so jumped clones of the same
-/// update are not double-counted.
-fn plan_own_row(
-    sched: &mut Schedule,
-    x: &Instance,
-    own_row: &[Instance],
-    live_out: &[psp_ir::RegRef],
-    policy: MovePolicy,
-    machine: &MachineConfig,
-) -> Result<PlanState, MoveError> {
-    let mut state = PlanState {
-        work: x.clone(),
-        leftover: None,
-        combined_from: Vec::new(),
-    };
-    let mut fixes: Vec<(InstId, (usize, i32), Fix)> = Vec::new();
-    for y in own_row {
-        if y.id == x.id {
-            continue;
+impl<'a> Planner<'a> {
+    fn new(sched: &'a mut Schedule, policy: MovePolicy, machine: &'a MachineConfig) -> Self {
+        let (rows, live_out, fresh) = sched.plan_view();
+        Self {
+            rows,
+            live_out,
+            fresh,
+            policy,
+            machine,
         }
-        let c = check_pair(&state.work, y, live_out, machine);
-        match c.above {
-            Permission::Yes => {}
-            Permission::WithFixes(fs) => {
-                for f in fs {
-                    match f {
-                        Fix::Rename | Fix::SpeculateRename => {
-                            fixes.push((y.id, (y.origin, y.index), f))
-                        }
-                        Fix::CombineDisp(_) => {
-                            let key = (y.origin, y.index);
-                            if !state.combined_from.contains(&key) {
-                                state.combined_from.push(key);
-                            }
-                        }
-                        Fix::Subst { .. } => {}
+    }
+
+    fn apply_fixes(
+        &mut self,
+        state: &mut PlanState,
+        fixes: Vec<(InstId, (usize, i32), Fix)>,
+    ) -> Result<(), MoveError> {
+        // Substitutions in one row must not disagree on a source register.
+        let mut substs: Vec<(psp_ir::Reg, psp_ir::Reg)> = Vec::new();
+        let mut disp: i64 = 0;
+        let mut rename = false;
+        for (by, blocker, f) in fixes {
+            match f {
+                Fix::CombineDisp(d) => {
+                    if !state.combined_from.contains(&blocker) {
+                        state.combined_from.push(blocker);
+                        disp += d;
                     }
                 }
+                Fix::Subst { from, to } => {
+                    if substs.iter().any(|&(f2, t2)| f2 == from && t2 != to) {
+                        return Err(MoveError::Blocked {
+                            by,
+                            reason: "ambiguous copy substitution",
+                        });
+                    }
+                    if !substs.contains(&(from, to)) {
+                        substs.push((from, to));
+                    }
+                }
+                Fix::Rename => {
+                    if !self.policy.rename {
+                        return Err(MoveError::Blocked {
+                            by,
+                            reason: "rename disabled in this pass",
+                        });
+                    }
+                    rename = true;
+                }
+                Fix::SpeculateRename => {
+                    if !self.policy.speculate {
+                        return Err(MoveError::Blocked {
+                            by,
+                            reason: "speculation disabled in this pass",
+                        });
+                    }
+                    rename = true;
+                }
             }
-            Permission::No(reason) => return Err(MoveError::Blocked { by: y.id, reason }),
         }
+        for (from, to) in substs {
+            state.work.op = state.work.op.with_uses_renamed(from, to);
+        }
+        if disp != 0 {
+            state.work.op.kind = match state.work.op.kind {
+                OpKind::Load { dst, addr } => OpKind::Load {
+                    dst,
+                    addr: addr.displaced(disp),
+                },
+                OpKind::Store { src, addr } => OpKind::Store {
+                    src,
+                    addr: addr.displaced(disp),
+                },
+                _ => return Err(MoveError::BadTarget),
+            };
+        }
+        if rename && state.leftover.is_none() {
+            let old = match state.work.op.defs().as_slice() {
+                [RegRef::Gpr(r)] => *r,
+                _ => return Err(MoveError::BadTarget),
+            };
+            let fresh = self.fresh.reg();
+            state.work.op = state.work.op.with_dst_gpr(fresh);
+            // Planning rewrites only the mover's operation, so its other
+            // fields are still the original instance's.
+            let x = &state.work;
+            state.leftover = Some(Instance {
+                id: self.fresh.id(),
+                op: build::copy(old, fresh),
+                index: x.index,
+                formal: x.formal.clone(),
+                computes_if: None,
+                origin: x.origin,
+                late: x.late + 1,
+                // Leftover copies are steady-state plumbing only; the
+                // preloop's snapshot ops write the architectural registers
+                // directly.
+                snapshots: Vec::new(),
+            });
+        }
+        Ok(())
     }
-    apply_row_fixes(&mut state, fixes, x, sched, policy)?;
-    Ok(state)
-}
 
-/// Cross one jumped row (full `above` permissions).
-fn plan_cross_row(
-    state: &mut PlanState,
-    row: &[Instance],
-    x: &Instance,
-    sched: &mut Schedule,
-    live_out: &[psp_ir::RegRef],
-    policy: MovePolicy,
-    machine: &MachineConfig,
-) -> Result<(), MoveError> {
-    let mut fixes: Vec<(InstId, (usize, i32), Fix)> = Vec::new();
-    for y in row {
-        if y.id == x.id {
-            continue;
-        }
-        let c = check_pair(&state.work, y, live_out, machine);
-        match c.above {
-            Permission::Yes => {}
-            Permission::WithFixes(fs) => {
-                fixes.extend(fs.into_iter().map(|f| (y.id, (y.origin, y.index), f)));
+    /// Partners of the mover's own row `r`: leaving a shared cycle upward
+    /// preserves pre-cycle read semantics, so positional fixes (combining,
+    /// substitution) demanded by the pair check are *already incorporated*
+    /// in the mover's operation and must not be re-applied; only renames (a
+    /// same-row reader that would start seeing the write) are genuinely
+    /// new. The already-incorporated combines are recorded so jumped clones
+    /// of the same update are not double-counted.
+    fn own_row(&mut self, x: &Instance, r: usize) -> Result<PlanState, MoveError> {
+        let mut state = PlanState {
+            work: x.clone(),
+            leftover: None,
+            combined_from: Vec::new(),
+        };
+        let mut fixes: Vec<(InstId, (usize, i32), Fix)> = Vec::new();
+        for y in &self.rows[r] {
+            if y.id == x.id {
+                continue;
             }
-            Permission::No(reason) => return Err(MoveError::Blocked { by: y.id, reason }),
-        }
-    }
-    apply_row_fixes(state, fixes, x, sched, policy)
-}
-
-/// Land in the target row (cycle-sharing `same` permissions).
-fn plan_into_row(
-    state: &mut PlanState,
-    row: &[Instance],
-    x: &Instance,
-    sched: &mut Schedule,
-    live_out: &[psp_ir::RegRef],
-    policy: MovePolicy,
-    machine: &MachineConfig,
-) -> Result<(), MoveError> {
-    let mut fixes: Vec<(InstId, (usize, i32), Fix)> = Vec::new();
-    for y in row {
-        if y.id == x.id {
-            continue;
-        }
-        let c = check_pair(&state.work, y, live_out, machine);
-        match c.same {
-            Permission::Yes => {}
-            Permission::WithFixes(fs) => {
-                fixes.extend(fs.into_iter().map(|f| (y.id, (y.origin, y.index), f)))
+            let c = check_pair(&state.work, y, self.live_out, self.machine);
+            match c.above {
+                Permission::Yes => {}
+                Permission::WithFixes(fs) => {
+                    for f in fs {
+                        match f {
+                            Fix::Rename | Fix::SpeculateRename => {
+                                fixes.push((y.id, (y.origin, y.index), f))
+                            }
+                            Fix::CombineDisp(_) => {
+                                let key = (y.origin, y.index);
+                                if !state.combined_from.contains(&key) {
+                                    state.combined_from.push(key);
+                                }
+                            }
+                            Fix::Subst { .. } => {}
+                        }
+                    }
+                }
+                Permission::No(reason) => return Err(MoveError::Blocked { by: y.id, reason }),
             }
-            Permission::No(reason) => return Err(MoveError::Blocked { by: y.id, reason }),
         }
+        self.apply_fixes(&mut state, fixes)?;
+        Ok(state)
     }
-    apply_row_fixes(state, fixes, x, sched, policy)
-}
 
-fn plan_upward(
-    sched: &mut Schedule,
-    x: &Instance,
-    own_row: &[Instance],
-    jumped_rows: &[Vec<Instance>],
-    same_row: &[Instance],
-    policy: MovePolicy,
-    machine: &MachineConfig,
-) -> Result<(Instance, Option<Instance>), MoveError> {
-    let live_out = sched.spec.live_out.clone();
-    let mut state = plan_own_row(sched, x, own_row, &live_out, policy, machine)?;
-    // Jumped rows, nearest first (bottom-up).
-    for row in jumped_rows.iter().rev() {
-        plan_cross_row(&mut state, row, x, sched, &live_out, policy, machine)?;
+    /// Cross the jumped row `r` (full `above` permissions).
+    fn cross_row(&mut self, state: &mut PlanState, r: usize) -> Result<(), MoveError> {
+        self.row(state, r, |c| c.above)
     }
-    // Target row (cycle sharing).
-    plan_into_row(&mut state, same_row, x, sched, &live_out, policy, machine)?;
-    Ok((state.work, state.leftover))
+
+    /// Land in the target row `r` (cycle-sharing `same` permissions).
+    fn land_row(&mut self, state: &mut PlanState, r: usize) -> Result<(), MoveError> {
+        self.row(state, r, |c| c.same)
+    }
+
+    fn row(
+        &mut self,
+        state: &mut PlanState,
+        r: usize,
+        permission: fn(PairCheck) -> Permission,
+    ) -> Result<(), MoveError> {
+        let mut fixes: Vec<(InstId, (usize, i32), Fix)> = Vec::new();
+        for y in &self.rows[r] {
+            if y.id == state.work.id {
+                continue;
+            }
+            match permission(check_pair(&state.work, y, self.live_out, self.machine)) {
+                Permission::Yes => {}
+                Permission::WithFixes(fs) => {
+                    fixes.extend(fs.into_iter().map(|f| (y.id, (y.origin, y.index), f)))
+                }
+                Permission::No(reason) => return Err(MoveError::Blocked { by: y.id, reason }),
+            }
+        }
+        self.apply_fixes(state, fixes)
+    }
 }
 
 /// Latency feasibility of `x` sitting at `row`, for every producer in the
@@ -388,9 +366,9 @@ fn plan_upward(
 /// writers at or below supply across the back edge (previous transformed
 /// iteration), including program-later writers whose previous instance
 /// reaches `x`.
-fn latency_ok(sched: &Schedule, x: &Instance, row: usize, machine: &MachineConfig) -> bool {
-    let n_rows = sched.n_rows().max(row + 1);
-    for (ry, r) in sched.rows.iter().enumerate() {
+fn latency_ok(rows: &[Vec<Instance>], x: &Instance, row: usize, machine: &MachineConfig) -> bool {
+    let n_rows = rows.len().max(row + 1);
+    for (ry, r) in rows.iter().enumerate() {
         for y in r {
             if y.id == x.id || !crate::deps::writes_read_by(y, x) {
                 continue;
@@ -416,14 +394,50 @@ fn latency_ok(sched: &Schedule, x: &Instance, row: usize, machine: &MachineConfi
 }
 
 /// Resource feasibility of adding `x` to `row`.
-fn resource_ok(sched: &mut Schedule, x: &Instance, row: usize, machine: &MachineConfig) -> bool {
-    if sched.rows.len() <= row {
-        return true;
+fn resource_ok(rows: &[Vec<Instance>], x: &Instance, row: usize, machine: &MachineConfig) -> bool {
+    match rows.get(row) {
+        Some(r) => row_fits(r, Some(x), machine),
+        None => true,
     }
-    sched.rows[row].push(x.clone());
-    let ok = sched.row_resource_ok(row, machine);
-    sched.rows[row].pop();
-    ok
+}
+
+/// Whether the planned mover (and its leftover `COPY`, if renamed) can be
+/// placed: `x` at `target`, the copy at the mover's current row `cur`.
+fn placement_ok(
+    rows: &[Vec<Instance>],
+    state: &PlanState,
+    target: usize,
+    cur: usize,
+    machine: &MachineConfig,
+) -> Result<(), MoveError> {
+    let moved = &state.work;
+    if !resource_ok(rows, moved, target, machine) {
+        return Err(MoveError::Resource);
+    }
+    if !latency_ok(rows, moved, target, machine) {
+        return Err(MoveError::Latency);
+    }
+    if let Some(copy) = &state.leftover {
+        // The leftover copy consumes the renamed value at the original row.
+        if cur - target < flow_latency(moved, machine) {
+            return Err(MoveError::Latency);
+        }
+        // It also needs a slot there.
+        if !resource_ok(rows, copy, cur, machine) {
+            return Err(MoveError::Resource);
+        }
+    }
+    Ok(())
+}
+
+/// Replace the instance at `(cur, pos)` by the planned mover at `target`,
+/// leaving the rename's `COPY` (if any) in row `cur`.
+fn commit(sched: &mut Schedule, cur: usize, pos: usize, target: usize, state: PlanState) {
+    sched.rows[cur].remove(pos);
+    sched.insert(target, state.work);
+    if let Some(copy) = state.leftover {
+        sched.insert(cur, copy);
+    }
 }
 
 /// Move an instance to an earlier row (all fixes allowed).
@@ -449,46 +463,18 @@ pub fn moveup_ext(
     if target >= cur {
         return Err(MoveError::BadTarget);
     }
-    let x = sched.rows[cur][pos].clone();
-
-    // Jumped rows (target, cur), nearest processed first inside the plan;
-    // the mover's own row is handled separately (fixes for those pairs are
-    // already incorporated).
-    let own_row: Vec<Instance> = sched.rows[cur].clone();
-    let jumped_rows: Vec<Vec<Instance>> = sched.rows[target + 1..cur].to_vec();
-    let same_row: Vec<Instance> = sched.rows[target].clone();
-    let (moved, leftover) = plan_upward(
-        sched,
-        &x,
-        &own_row,
-        &jumped_rows,
-        &same_row,
-        policy,
-        machine,
-    )?;
-
-    if !resource_ok(sched, &moved, target, machine) {
-        return Err(MoveError::Resource);
+    let mut plan = Planner::new(sched, policy, machine);
+    let rows = plan.rows;
+    // The mover's own row first (fixes for those pairs are already
+    // incorporated), then the jumped rows (target, cur) nearest first, then
+    // the target row.
+    let mut state = plan.own_row(&rows[cur][pos], cur)?;
+    for k in (target + 1..cur).rev() {
+        plan.cross_row(&mut state, k)?;
     }
-    if !latency_ok(sched, &moved, target, machine) {
-        return Err(MoveError::Latency);
-    }
-    if let Some(copy) = &leftover {
-        // The leftover copy consumes the renamed value at the original row.
-        if cur - target < flow_latency(&moved, machine) {
-            return Err(MoveError::Latency);
-        }
-        // It also needs a slot there.
-        if !resource_ok(sched, copy, cur, machine) {
-            return Err(MoveError::Resource);
-        }
-    }
-
-    sched.remove(id);
-    sched.insert(target, moved);
-    if let Some(copy) = leftover {
-        sched.insert(cur, copy);
-    }
+    plan.land_row(&mut state, target)?;
+    placement_ok(rows, &state, target, cur, machine)?;
+    commit(sched, cur, pos, target, state);
     Ok(())
 }
 
@@ -502,7 +488,8 @@ pub fn moveup_ext(
 /// failure at row `k` blocks all targets below `k`, exactly as each
 /// individual plan would fail at that same row); an ascending scan then
 /// branches each state through the target row's cycle-sharing checks and
-/// the placement checks, returning on the first success.
+/// the placement checks, returning on the first success. The landing plans
+/// must stay inside that scan: a failed landing may still draw fresh names.
 ///
 /// Returns the chosen target row.
 pub(crate) fn moveup_earliest(
@@ -515,69 +502,28 @@ pub(crate) fn moveup_earliest(
     if cur == 0 {
         return Err(MoveError::BadTarget);
     }
-    let x = sched.rows[cur][pos].clone();
-    let own_row: Vec<Instance> = sched.rows[cur].clone();
-    let rows_below: Vec<Vec<Instance>> = sched.rows[..cur].to_vec();
-    let live_out = sched.spec.live_out.clone();
-
-    let mut state = plan_own_row(sched, &x, &own_row, &live_out, policy, machine)?;
+    let mut plan = Planner::new(sched, policy, machine);
+    let rows = plan.rows;
+    let mut state = plan.own_row(&rows[cur][pos], cur)?;
     // states[t] = plan state after crossing rows (t, cur), i.e. ready to
     // land in row t. Built top state first (t = cur-1 crosses nothing).
     let mut states: Vec<Option<PlanState>> = vec![None; cur];
     states[cur - 1] = Some(state.clone());
     for k in (1..cur).rev() {
-        match plan_cross_row(
-            &mut state,
-            &rows_below[k],
-            &x,
-            sched,
-            &live_out,
-            policy,
-            machine,
-        ) {
+        match plan.cross_row(&mut state, k) {
             Ok(()) => states[k - 1] = Some(state.clone()),
             Err(_) => break, // every target below row k is blocked by row k
         }
     }
 
-    for (target, slot) in states.iter().enumerate() {
-        let Some(st) = slot else { continue };
-        let mut st = st.clone();
-        if plan_into_row(
-            &mut st,
-            &rows_below[target],
-            &x,
-            sched,
-            &live_out,
-            policy,
-            machine,
-        )
-        .is_err()
+    for (target, slot) in states.into_iter().enumerate() {
+        let Some(mut st) = slot else { continue };
+        if plan.land_row(&mut st, target).is_err()
+            || placement_ok(rows, &st, target, cur, machine).is_err()
         {
             continue;
         }
-        let PlanState {
-            work: moved,
-            leftover,
-            ..
-        } = st;
-        if !resource_ok(sched, &moved, target, machine)
-            || !latency_ok(sched, &moved, target, machine)
-        {
-            continue;
-        }
-        if let Some(copy) = &leftover {
-            if cur - target < flow_latency(&moved, machine)
-                || !resource_ok(sched, copy, cur, machine)
-            {
-                continue;
-            }
-        }
-        sched.remove(id);
-        sched.insert(target, moved);
-        if let Some(copy) = leftover {
-            sched.insert(cur, copy);
-        }
+        commit(sched, cur, pos, target, st);
         return Ok(target);
     }
     Err(MoveError::BadTarget)
@@ -624,13 +570,11 @@ pub fn wrap_up(sched: &mut Schedule, id: InstId, machine: &MachineConfig) -> Res
 
     // The wrapped instance ends up strictly earlier than its former row-0
     // partners (checked in the pre-wrap frame).
-    let partners: Vec<Instance> = sched.rows[0]
-        .iter()
-        .filter(|y| y.id != id)
-        .cloned()
-        .collect();
-    let (mut moved, mut leftover) =
-        plan_upward(sched, &x, &partners, &[], &[], MovePolicy::FULL, machine)?;
+    let PlanState {
+        work: mut moved,
+        mut leftover,
+        ..
+    } = Planner::new(sched, MovePolicy::FULL, machine).own_row(&x, 0)?;
     if has_earlier_reader && leftover.is_none() {
         // Force the rename the partners did not demand.
         let old = match moved.op.defs().as_slice() {
@@ -666,7 +610,7 @@ pub fn wrap_up(sched: &mut Schedule, id: InstId, machine: &MachineConfig) -> Res
     moved.formal = moved.formal.shifted(1);
 
     let bottom = sched.n_rows();
-    if !latency_ok(sched, &moved, bottom, machine) {
+    if !latency_ok(&sched.rows, &moved, bottom, machine) {
         return Err(MoveError::Latency);
     }
     if let Some(copy) = &leftover {
@@ -677,7 +621,7 @@ pub fn wrap_up(sched: &mut Schedule, id: InstId, machine: &MachineConfig) -> Res
             return Err(MoveError::Latency);
         }
         // And it needs a free slot there.
-        if !resource_ok(sched, copy, 0, machine) {
+        if !resource_ok(&sched.rows, copy, 0, machine) {
             return Err(MoveError::Resource);
         }
     }
@@ -759,7 +703,7 @@ pub fn movedown(
             }
         }
     }
-    if !resource_ok(sched, &x, target, machine) {
+    if !resource_ok(&sched.rows, &x, target, machine) {
         return Err(MoveError::Resource);
     }
     sched.remove(id);
@@ -829,36 +773,33 @@ pub fn unify(sched: &mut Schedule, a: InstId, b: InstId) -> Result<(), MoveError
 }
 
 /// Try to remove empty rows; an empty row is only removable when no flow
-/// latency depends on the stall it provides.
+/// latency depends on the stall it provides. The row is removed in place
+/// and put back if the check fails.
 pub fn prune_stalls(sched: &mut Schedule, machine: &MachineConfig) {
-    loop {
-        let empty = match sched.rows.iter().position(Vec::is_empty) {
-            Some(r) => r,
-            None => return,
-        };
-        let mut trial = sched.clone();
-        trial.rows.remove(empty);
-        let ok = trial.instances().all(|x| {
-            let (row, _) = trial.find(x.id).expect("instance present");
-            latency_ok(&trial, x, row, machine)
-        });
-        if ok {
-            *sched = trial;
-        } else {
+    while let Some(empty) = sched.rows.iter().position(Vec::is_empty) {
+        let stall = sched.rows.remove(empty);
+        if latency_violation(&sched.rows, machine).is_some() {
+            sched.rows.insert(empty, stall);
             return; // keep remaining stalls
         }
     }
 }
 
+/// The first instance, in schedule order, whose flow latency is violated.
+fn latency_violation(rows: &[Vec<Instance>], machine: &MachineConfig) -> Option<InstId> {
+    rows.iter().enumerate().find_map(|(r, row)| {
+        row.iter()
+            .find(|x| !latency_ok(rows, x, r, machine))
+            .map(|x| x.id)
+    })
+}
+
 /// Check every flow latency in the schedule (used by tests and debugging).
 pub fn validate_latencies(sched: &Schedule, machine: &MachineConfig) -> Result<(), String> {
-    for x in sched.instances() {
-        let (row, _) = sched.find(x.id).expect("instance present");
-        if !latency_ok(sched, x, row, machine) {
-            return Err(format!("latency violated at instance {}", x.id.0));
-        }
+    match latency_violation(&sched.rows, machine) {
+        Some(id) => Err(format!("latency violated at instance {}", id.0)),
+        None => Ok(()),
     }
-    Ok(())
 }
 
 /// Split helper: candidate `(row, col)` positions that could disjoin `x`

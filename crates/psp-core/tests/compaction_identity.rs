@@ -1,0 +1,170 @@
+//! Cross-commit identity fence for the scheduler.
+//!
+//! Compaction and the transformations it drives are deterministic: a
+//! change that only makes them faster must leave every decision, every
+//! fresh register and id, and every predicate test exactly where it was.
+//! The other suites compare runs *within* one build (thread counts,
+//! backends, engines); this one pins literal values recorded from a
+//! known-good build, so a drift between commits fails here.
+//!
+//! For each loop and machine it records, from `pipeline_loop`:
+//! `stats.counters()`, the run's `disjoint_tests` and `subsume_tests`, and
+//! the final schedule's register count, row count and instance count.
+//! A deliberate behaviour change re-pins the table: the failure message
+//! prints the whole observed table in source form.
+
+use psp_core::driver::{pipeline_loop, PspConfig};
+use psp_ir::op::build;
+use psp_ir::{CmpOp, LoopBuilder, LoopSpec};
+use psp_machine::MachineConfig;
+
+/// `(loop, machine, counters, disjoint_tests, subsume_tests, n_regs,
+/// n_rows, n_instances)`.
+type Row = (
+    &'static str,
+    &'static str,
+    [usize; 5],
+    u64,
+    u64,
+    u32,
+    usize,
+    usize,
+);
+
+/// Recorded before compaction's inner loop was made allocation-free.
+#[rustfmt::skip]
+const EXPECTED: &[Row] = &[
+    ("vecmin", "paper", [53, 19, 1, 33, 5], 3264, 159, 7, 2, 11),
+    ("vecmin", "narrow211", [46, 12, 0, 32, 7], 3222, 172, 9, 3, 8),
+    ("cond_sum", "paper", [33, 16, 0, 23, 4], 1211, 57, 6, 1, 8),
+    ("cond_sum", "narrow211", [26, 9, 0, 20, 4], 1404, 42, 6, 2, 7),
+    ("count_above", "paper", [27, 15, 0, 22, 4], 752, 51, 5, 1, 7),
+    ("count_above", "narrow211", [29, 11, 0, 30, 6], 2169, 66, 9, 2, 7),
+    ("clamp_store", "paper", [73, 18, 0, 79, 6], 9446, 599, 7, 3, 13),
+    ("clamp_store", "narrow211", [64, 11, 0, 83, 5], 18373, 984, 13, 4, 13),
+    ("sat_add", "paper", [42, 19, 0, 31, 5], 2455, 159, 5, 3, 8),
+    ("sat_add", "narrow211", [38, 9, 0, 23, 5], 2028, 50, 5, 4, 8),
+    ("abs_sum", "paper", [52, 27, 0, 48, 5], 3867, 178, 7, 2, 11),
+    ("abs_sum", "narrow211", [41, 11, 0, 29, 5], 3515, 66, 5, 3, 9),
+    ("runmax", "paper", [44, 17, 0, 25, 4], 2491, 93, 8, 2, 11),
+    ("runmax", "narrow211", [44, 11, 0, 30, 5], 3757, 171, 7, 3, 9),
+    ("sign_store", "paper", [36, 14, 0, 30, 4], 1672, 72, 5, 1, 10),
+    ("sign_store", "narrow211", [37, 7, 0, 34, 5], 4926, 207, 4, 3, 9),
+    ("two_cond", "paper", [56, 27, 0, 48, 5], 5602, 241, 9, 2, 12),
+    ("two_cond", "narrow211", [52, 12, 0, 45, 6], 7145, 241, 7, 3, 10),
+    ("find_first", "paper", [35, 14, 0, 28, 4], 1811, 58, 7, 1, 10),
+    ("find_first", "narrow211", [29, 8, 0, 28, 4], 2077, 48, 7, 3, 8),
+    ("skewed", "paper", [37, 17, 0, 24, 4], 1673, 61, 7, 1, 9),
+    ("skewed", "narrow211", [39, 12, 0, 29, 5], 3990, 122, 7, 3, 8),
+    ("dot_cond", "paper", [62, 33, 0, 46, 5], 3614, 117, 9, 1, 12),
+    ("dot_cond", "narrow211", [51, 12, 0, 27, 4], 5376, 110, 8, 4, 11),
+    ("threshold_store", "paper", [37, 13, 0, 33, 4], 2449, 65, 7, 1, 11),
+    ("threshold_store", "narrow211", [31, 5, 0, 36, 4], 5665, 253, 7, 4, 9),
+    ("bubble_pass", "paper", [53, 14, 0, 61, 5], 16199, 274, 8, 2, 15),
+    ("bubble_pass", "narrow211", [56, 8, 0, 39, 4], 12599, 449, 7, 5, 13),
+    ("minmax", "paper", [46, 18, 0, 29, 4], 3099, 199, 6, 2, 11),
+    ("minmax", "narrow211", [48, 12, 0, 45, 5], 7171, 237, 8, 3, 10),
+    ("mac_cond", "paper", [62, 33, 0, 46, 5], 3605, 117, 10, 1, 12),
+    ("mac_cond", "narrow211", [37, 11, 0, 30, 4], 3879, 96, 9, 3, 9),
+    ("synthetic4", "paper", [88, 38, 0, 73, 5], 40393, 1501, 9, 2, 18),
+    ("synthetic4", "narrow211", [88, 12, 0, 145, 5], 59127, 2410, 10, 5, 16),
+    ("synthetic6", "paper", [123, 43, 0, 174, 5], 134595, 14895, 12, 2, 24),
+    ("synthetic6", "narrow211", [122, 12, 0, 308, 5], 291275, 20042, 12, 7, 22),
+];
+
+/// The synthetic scaling loop: `blocks` independent conditional
+/// accumulations over one loaded element (the same shape the benchmark
+/// crate's `synthetic` builds).
+fn synthetic(blocks: usize) -> LoopSpec {
+    let mut b = LoopBuilder::new(format!("synthetic{blocks}"));
+    let x = b.array("x");
+    let n = b.named_reg("n");
+    let k = b.named_reg("k");
+    let xk = b.reg();
+    let mut live = vec![n, k];
+    b.op(build::load(xk, x, k));
+    for i in 0..blocks {
+        let acc = b.named_reg(format!("acc{i}"));
+        live.push(acc);
+        let cc = b.cc();
+        b.op(build::cmp(CmpOp::Gt, cc, xk, (i as i64) * 10 - 40));
+        b.if_else(
+            cc,
+            |b| {
+                b.op(build::add(acc, acc, xk));
+            },
+            |_| {},
+        );
+    }
+    b.op(build::add(k, k, 1i64));
+    let ccb = b.cc();
+    b.op(build::cmp(CmpOp::Ge, ccb, k, n));
+    b.break_(ccb);
+    let outs: Vec<_> = live[2..].to_vec();
+    b.finish(live.clone(), outs)
+}
+
+fn loops() -> Vec<(&'static str, LoopSpec)> {
+    let mut out: Vec<(&'static str, LoopSpec)> = psp_kernels::all_kernels()
+        .into_iter()
+        .map(|k| (k.name, k.spec))
+        .collect();
+    out.push(("synthetic4", synthetic(4)));
+    out.push(("synthetic6", synthetic(6)));
+    out
+}
+
+fn observe() -> Vec<Row> {
+    let machines = [
+        ("paper", MachineConfig::paper_default()),
+        ("narrow211", MachineConfig::narrow(2, 1, 1)),
+    ];
+    let mut rows = Vec::new();
+    for (name, spec) in loops() {
+        for (label, machine) in &machines {
+            let res = pipeline_loop(&spec, &PspConfig::with_machine(machine.clone()))
+                .unwrap_or_else(|e| panic!("{name} on {label}: {e}"));
+            rows.push((
+                name,
+                *label,
+                res.stats.counters(),
+                res.stats.pred.disjoint_tests,
+                res.stats.pred.subsume_tests,
+                res.schedule.spec.n_regs,
+                res.schedule.n_rows(),
+                res.schedule.n_instances(),
+            ));
+        }
+    }
+    rows
+}
+
+fn render(rows: &[Row]) -> String {
+    let mut s = String::from("const EXPECTED: &[Row] = &[\n");
+    for r in rows {
+        s.push_str(&format!("    {r:?},\n"));
+    }
+    s.push_str("];\n");
+    s
+}
+
+#[test]
+fn compaction_counts_match_the_pinned_table() {
+    let observed = observe();
+    for (want, got) in EXPECTED.iter().zip(&observed) {
+        assert_eq!(
+            want,
+            got,
+            "{} on {} drifted; observed table:\n{}",
+            got.0,
+            got.1,
+            render(&observed)
+        );
+    }
+    assert_eq!(
+        EXPECTED.len(),
+        observed.len(),
+        "table size drifted; observed table:\n{}",
+        render(&observed)
+    );
+}

@@ -35,5 +35,5 @@ pub use analysis::{mem_access, AccessKind, MemAccess};
 pub use flatten::{flatten, FlatOp};
 pub use op::{AluOp, CmpOp, Guard, OpKind, Operation, ResClass};
 pub use operand::{Address, Operand};
-pub use reg::{ArrayId, CcReg, Reg, RegRef};
+pub use reg::{ArrayId, CcReg, Reg, RegList, RegRef};
 pub use spec::{BreakItem, IfItem, Item, LoopBuilder, LoopSpec};

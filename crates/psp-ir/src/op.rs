@@ -2,7 +2,7 @@
 //! `IF` and `BREAK`.
 
 use crate::operand::{Address, Operand};
-use crate::reg::{CcReg, Reg, RegRef};
+use crate::reg::{CcReg, Reg, RegList, RegRef};
 
 /// Binary ALU opcodes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -253,24 +253,27 @@ impl Operation {
         }
     }
 
-    /// Registers written.
-    pub fn defs(&self) -> Vec<RegRef> {
+    /// Registers written (at most one).
+    pub fn defs(&self) -> RegList {
+        let mut out = RegList::EMPTY;
         match self.kind {
             OpKind::Alu { dst, .. }
             | OpKind::Copy { dst, .. }
             | OpKind::Select { dst, .. }
-            | OpKind::Load { dst, .. } => vec![RegRef::Gpr(dst)],
-            OpKind::Cmp { dst, .. } | OpKind::CcAnd { dst, .. } => vec![RegRef::Cc(dst)],
-            OpKind::Store { .. } | OpKind::If { .. } | OpKind::Break { .. } => vec![],
+            | OpKind::Load { dst, .. } => out.insert(RegRef::Gpr(dst)),
+            OpKind::Cmp { dst, .. } | OpKind::CcAnd { dst, .. } => out.insert(RegRef::Cc(dst)),
+            OpKind::Store { .. } | OpKind::If { .. } | OpKind::Break { .. } => {}
         }
+        out
     }
 
-    /// Registers read (including the guard's condition register).
-    pub fn uses(&self) -> Vec<RegRef> {
-        let mut out = Vec::with_capacity(4);
-        let push_operand = |o: Operand, out: &mut Vec<RegRef>| {
+    /// Registers read (including the guard's condition register), sorted
+    /// and deduplicated.
+    pub fn uses(&self) -> RegList {
+        let mut out = RegList::EMPTY;
+        let push_operand = |o: Operand, out: &mut RegList| {
             if let Some(r) = o.reg() {
-                out.push(RegRef::Gpr(r));
+                out.insert(RegRef::Gpr(r));
             }
         };
         match self.kind {
@@ -285,32 +288,30 @@ impl Operation {
                 on_false,
                 ..
             } => {
-                out.push(RegRef::Cc(cc));
+                out.insert(RegRef::Cc(cc));
                 push_operand(on_true, &mut out);
                 push_operand(on_false, &mut out);
             }
             OpKind::Load { addr, .. } => {
                 if let Some(r) = addr.index {
-                    out.push(RegRef::Gpr(r));
+                    out.insert(RegRef::Gpr(r));
                 }
             }
             OpKind::Store { src, addr } => {
                 push_operand(src, &mut out);
                 if let Some(r) = addr.index {
-                    out.push(RegRef::Gpr(r));
+                    out.insert(RegRef::Gpr(r));
                 }
             }
             OpKind::CcAnd { a, b, .. } => {
-                out.push(RegRef::Cc(a));
-                out.push(RegRef::Cc(b));
+                out.insert(RegRef::Cc(a));
+                out.insert(RegRef::Cc(b));
             }
-            OpKind::If { cc } | OpKind::Break { cc } => out.push(RegRef::Cc(cc)),
+            OpKind::If { cc } | OpKind::Break { cc } => out.insert(RegRef::Cc(cc)),
         }
         if let Some(g) = self.guard {
-            out.push(RegRef::Cc(g.cc));
+            out.insert(RegRef::Cc(g.cc));
         }
-        out.sort_unstable();
-        out.dedup();
         out
     }
 

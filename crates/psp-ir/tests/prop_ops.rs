@@ -4,7 +4,7 @@
 use proptest::prelude::*;
 use psp_ir::op::build;
 use psp_ir::{
-    Address, AluOp, ArrayId, CcReg, CmpOp, Guard, OpKind, Operand, Operation, Reg, RegRef,
+    Address, AluOp, ArrayId, CcReg, CmpOp, Guard, OpKind, Operand, Operation, Reg, RegList, RegRef,
 };
 
 fn arb_reg() -> impl Strategy<Value = Reg> {
@@ -44,14 +44,17 @@ fn arb_cmp() -> impl Strategy<Value = CmpOp> {
     ]
 }
 
-fn arb_op() -> impl Strategy<Value = Operation> {
-    let g = prop_oneof![
+fn arb_guard() -> impl Strategy<Value = Option<Guard>> {
+    prop_oneof![
         Just(None),
         (0u32..3, any::<bool>()).prop_map(|(c, v)| Some(Guard {
             cc: CcReg(c),
             on_true: v
         })),
-    ];
+    ]
+}
+
+fn arb_op() -> impl Strategy<Value = Operation> {
     let kind = prop_oneof![
         (arb_alu(), arb_reg(), arb_operand(), arb_operand())
             .prop_map(|(op, dst, a, b)| OpKind::Alu { op, dst, a, b }),
@@ -74,10 +77,95 @@ fn arb_op() -> impl Strategy<Value = Operation> {
         (0u32..3).prop_map(|c| OpKind::If { cc: CcReg(c) }),
         (0u32..3).prop_map(|c| OpKind::Break { cc: CcReg(c) }),
     ];
-    (kind, g).prop_map(|(kind, guard)| Operation { kind, guard })
+    (kind, arb_guard()).prop_map(|(kind, guard)| Operation { kind, guard })
+}
+
+/// Every `OpKind`, including the if-conversion forms (`SELECT`, `CCAND`)
+/// and an unindexed load, with or without a guard.
+fn arb_any_op() -> impl Strategy<Value = Operation> {
+    let extra = prop_oneof![
+        (arb_reg(), 0u32..3, arb_operand(), arb_operand()).prop_map(
+            |(dst, cc, on_true, on_false)| OpKind::Select {
+                dst,
+                cc: CcReg(cc),
+                on_true,
+                on_false,
+            }
+        ),
+        (0u32..3, 0u32..3, any::<bool>(), 0u32..3, any::<bool>()).prop_map(
+            |(dst, a, a_val, b, b_val)| OpKind::CcAnd {
+                dst: CcReg(dst),
+                a: CcReg(a),
+                a_val,
+                b: CcReg(b),
+                b_val,
+            }
+        ),
+        (arb_reg(), -2i64..3).prop_map(|(dst, d)| OpKind::Load {
+            dst,
+            addr: Address::constant(ArrayId(0), d),
+        }),
+    ];
+    prop_oneof![
+        arb_op(),
+        (extra, arb_guard()).prop_map(|(kind, guard)| Operation { kind, guard }),
+    ]
+}
+
+/// The executable spec of `Operation::uses`: the `Vec`-based computation
+/// it replaced.
+fn uses_spec(op: &Operation) -> Vec<RegRef> {
+    let mut out = Vec::new();
+    let push_operand = |o: Operand, out: &mut Vec<RegRef>| {
+        if let Some(r) = o.reg() {
+            out.push(RegRef::Gpr(r));
+        }
+    };
+    match op.kind {
+        OpKind::Alu { a, b, .. } | OpKind::Cmp { a, b, .. } => {
+            push_operand(a, &mut out);
+            push_operand(b, &mut out);
+        }
+        OpKind::Copy { src, .. } => push_operand(src, &mut out),
+        OpKind::Select {
+            cc,
+            on_true,
+            on_false,
+            ..
+        } => {
+            out.push(RegRef::Cc(cc));
+            push_operand(on_true, &mut out);
+            push_operand(on_false, &mut out);
+        }
+        OpKind::Load { addr, .. } => out.extend(addr.index.map(RegRef::Gpr)),
+        OpKind::Store { src, addr } => {
+            push_operand(src, &mut out);
+            out.extend(addr.index.map(RegRef::Gpr));
+        }
+        OpKind::CcAnd { a, b, .. } => {
+            out.push(RegRef::Cc(a));
+            out.push(RegRef::Cc(b));
+        }
+        OpKind::If { cc } | OpKind::Break { cc } => out.push(RegRef::Cc(cc)),
+    }
+    if let Some(g) = op.guard {
+        out.push(RegRef::Cc(g.cc));
+    }
+    out.sort_unstable();
+    out.dedup();
+    out
 }
 
 proptest! {
+    #[test]
+    fn reg_lists_are_sorted_deduplicated_and_match_the_vec_spec(op in arb_any_op()) {
+        let uses = op.uses();
+        prop_assert!(uses.len() <= RegList::CAPACITY);
+        prop_assert!(uses.windows(2).all(|w| w[0] < w[1]), "sorted, no duplicates");
+        prop_assert_eq!(uses, uses_spec(&op));
+        prop_assert!(op.defs().len() <= 1);
+    }
+
     #[test]
     fn rename_gpr_is_consistent_with_defs_uses(op in arb_op(), from in arb_reg(), to in 10u32..14) {
         let to = Reg(to);
