@@ -5,8 +5,7 @@
 //! sparse `BTreeMap` reference, selected via `psp_predicate::backend`):
 //!
 //! 1. **micro** — per-op latency of `conjoin`/`is_disjoint`/`subsumes`/
-//!    `shifted` and `PathSet::subtract` over a deterministic corpus of
-//!    scheduler-shaped matrices;
+//!    `shifted` over a deterministic corpus of scheduler-shaped matrices;
 //! 2. **kernels** — end-to-end `pipeline_loop` wall time per kernel, with
 //!    the run's predicate-op counters;
 //! 3. **scaling** — the synthetic conditional-block family of `table_cost`
@@ -21,7 +20,7 @@ use psp_bench::synthetic;
 use psp_core::{pipeline_loop, PspConfig};
 use psp_kernels::all_kernels;
 use psp_predicate::backend::with_backend;
-use psp_predicate::{PathSet, PredicateMatrix};
+use psp_predicate::PredicateMatrix;
 use std::time::Instant;
 
 /// Deterministic corpus: entry lists shaped like scheduler formals (few
@@ -97,14 +96,6 @@ fn main() {
     let entries = corpus_entries(n_mats, !smoke);
     let packed_ms = build(true, &entries);
     let sparse_ms = build(false, &entries);
-    let packed_sets: Vec<PathSet> = packed_ms
-        .chunks(3)
-        .map(|c| PathSet::from_matrices(c.iter().cloned()))
-        .collect();
-    let sparse_sets: Vec<PathSet> = sparse_ms
-        .chunks(3)
-        .map(|c| PathSet::from_matrices(c.iter().cloned()))
-        .collect();
 
     println!(
         "{:<14} {:>12} {:>12} {:>9}",
@@ -142,28 +133,6 @@ fn main() {
         sink += a.shifted(1).constrained_len()
     });
     row("shifted", s, p);
-    let set_reps = if smoke { 2 } else { 10 };
-    let t0 = Instant::now();
-    for _ in 0..set_reps {
-        for a in &sparse_sets {
-            for b in &sparse_sets {
-                sink += a.subtract(b).len();
-            }
-        }
-    }
-    let s =
-        t0.elapsed().as_nanos() as f64 / (set_reps * sparse_sets.len() * sparse_sets.len()) as f64;
-    let t0 = Instant::now();
-    for _ in 0..set_reps {
-        for a in &packed_sets {
-            for b in &packed_sets {
-                sink += a.subtract(b).len();
-            }
-        }
-    }
-    let p =
-        t0.elapsed().as_nanos() as f64 / (set_reps * packed_sets.len() * packed_sets.len()) as f64;
-    row("set_subtract", s, p);
     assert!(sink > 0);
 
     // Differential spot check on the corpus itself.

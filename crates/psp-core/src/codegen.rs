@@ -131,9 +131,9 @@ enum DoneTerm {
 
 /// The predicates the steady state dispatches on at block entry: those a
 /// constrained instance needs from the *previous* iteration. Shared by
-/// [`generate`] and the driver's score lower bound, so both agree exactly
-/// on the entry fan-out (and on the failure modes that precede it).
-pub(crate) fn incoming_predicates(sched: &Schedule) -> Result<Vec<(u32, i32)>, CodegenError> {
+/// [`generate`] and [`max_steady_path_cycles`], so both agree exactly on
+/// the entry fan-out (and on the failure modes that precede it).
+fn incoming_predicates(sched: &Schedule) -> Result<Vec<(u32, i32)>, CodegenError> {
     let iflog = sched.iflog();
     let mut incoming: Vec<(u32, i32)> = Vec::new();
     for inst in sched.instances() {
@@ -160,6 +160,47 @@ pub(crate) fn incoming_predicates(sched: &Schedule) -> Result<Vec<(u32, i32)>, C
     Ok(incoming)
 }
 
+/// The steady state's entry matrices: the universe split on every
+/// incoming predicate in turn. `None` when a split meets an element that
+/// is already constrained.
+fn entry_matrices(incoming: &[(u32, i32)]) -> Option<Vec<PredicateMatrix>> {
+    let mut entries = vec![PredicateMatrix::universe()];
+    for &(r, c) in incoming {
+        let mut next = Vec::with_capacity(entries.len() * 2);
+        for m in entries {
+            let (f, t) = m.split(r, c)?;
+            next.push(f);
+            next.push(t);
+        }
+        entries = next;
+    }
+    Some(entries)
+}
+
+/// The successor matrices of a block that ends in a row whose IFs compute
+/// the predicates `splits`: the block's matrix split on each in turn.
+fn fan_out(
+    m: PredicateMatrix,
+    splits: impl IntoIterator<Item = (u32, i32)>,
+) -> Vec<PredicateMatrix> {
+    let mut mats = vec![m];
+    for (r, c) in splits {
+        let mut next = Vec::with_capacity(mats.len() * 2);
+        for m in mats {
+            match m.split(r, c) {
+                Some((f, t)) => {
+                    next.push(f);
+                    next.push(t);
+                }
+                // Outcome already known on these paths: one child.
+                None => next.push(m),
+            }
+        }
+        mats = next;
+    }
+    mats
+}
+
 /// Generate executable code for a schedule.
 pub fn generate(sched: &Schedule, machine: &MachineConfig) -> Result<VliwLoop, CodegenError> {
     let incoming = incoming_predicates(sched)?;
@@ -179,19 +220,10 @@ pub fn generate(sched: &Schedule, machine: &MachineConfig) -> Result<VliwLoop, C
         next_token += 1;
         t
     };
-    let mut entry_matrices = vec![PredicateMatrix::universe()];
-    for &(r, c) in &incoming {
-        let mut next = Vec::with_capacity(entry_matrices.len() * 2);
-        for m in entry_matrices {
-            let (f, t) = m.split(r, c).ok_or(CodegenError::Internal(
-                "entry split on a constrained element",
-            ))?;
-            next.push(f);
-            next.push(t);
-        }
-        entry_matrices = next;
-    }
-    let mut open: Vec<OpenBlock> = entry_matrices
+    let entries = entry_matrices(&incoming).ok_or(CodegenError::Internal(
+        "entry split on a constrained element",
+    ))?;
+    let mut open: Vec<OpenBlock> = entries
         .iter()
         .map(|m| OpenBlock {
             token: fresh(),
@@ -249,21 +281,10 @@ pub fn generate(sched: &Schedule, machine: &MachineConfig) -> Result<VliwLoop, C
                 ))?;
                 splits.push((cc, r, i.index));
             }
-            let mut mats = vec![block.matrix.clone()];
-            for &(_cc, r, c) in &splits {
-                let mut next = Vec::with_capacity(mats.len() * 2);
-                for m in mats {
-                    match m.split(r, c) {
-                        Some((f, t)) => {
-                            next.push(f);
-                            next.push(t);
-                        }
-                        // Outcome already known on these paths: one child.
-                        None => next.push(m),
-                    }
-                }
-                mats = next;
-            }
+            let mats = fan_out(
+                block.matrix.clone(),
+                splits.iter().map(|&(_cc, r, c)| (r, c)),
+            );
             let mut children = Vec::with_capacity(mats.len());
             for m in mats {
                 let token = fresh();
@@ -327,7 +348,7 @@ pub fn generate(sched: &Schedule, machine: &MachineConfig) -> Result<VliwLoop, C
         match &d.term {
             DoneTerm::Back => {
                 let shifted = d.matrix.shifted(-1);
-                let target = entry_matrices
+                let target = entries
                     .iter()
                     .position(|e| e.subsumes(&shifted))
                     .ok_or(CodegenError::NoBackEdgeTarget)?;
@@ -361,10 +382,7 @@ pub fn generate(sched: &Schedule, machine: &MachineConfig) -> Result<VliwLoop, C
             })
             .collect::<Result<_, CodegenError>>()?;
         let lookup = |m: &PredicateMatrix| -> Option<BlockId> {
-            entry_matrices
-                .iter()
-                .position(|e| e == m)
-                .map(|i| entry_ids[i])
+            entries.iter().position(|e| e == m).map(|i| entry_ids[i])
         };
         let root_matrix = PredicateMatrix::universe();
         let root_id = blocks.len();
@@ -389,6 +407,83 @@ pub fn generate(sched: &Schedule, machine: &MachineConfig) -> Result<VliwLoop, C
     cleanup_empty_jump_blocks(&mut result);
     result.validate(machine).map_err(CodegenError::Resource)?;
     Ok(result)
+}
+
+/// Abort the path enumeration in [`max_steady_path_cycles`] past this many
+/// concurrent chains; the caller falls back to a weaker bound. Code
+/// generation enumerates exactly the same chains as blocks but does an
+/// order of magnitude more work per block (instance placement, conflict
+/// validation, per-child deep clones), so the cap can sit well above any
+/// block count codegen itself could digest.
+const MAX_BOUND_CHAINS: usize = 1 << 18;
+
+/// The maximal steady-state-path II of any successful code generation of
+/// `sched`, computed without generating code.
+///
+/// Replays exactly the generator's block-matrix evolution — the universe
+/// split on every incoming predicate at entry, one cycle per row holding a
+/// compatible instance, a fan-out on every compatible IF of a row, a back
+/// edge resolved by matching the `shifted(-1)` final matrix against the
+/// entry matrices — but tracks only (matrix, cycle count) per chain:
+/// no instance placement, guard assignment, or conflict validation. The
+/// generator enumerates every *syntactic* outcome combination and wires
+/// every entry block from the first-iteration dispatch, so each enumerated
+/// chain exists verbatim in the generated program; a chain is a steady-state
+/// path iff its entry receives some back edge, so the maximum over those
+/// chains is exactly `ii_range().1` (empty-block cleanup only rewires
+/// zero-cycle blocks and cannot change any chain's cycle count).
+///
+/// `None` when code generation would fail before the walk diverges from it
+/// (unresolved or colliding incoming predicates, a constrained entry split,
+/// an IF computing no predicate row, a chain with no back-edge target) or
+/// when the enumeration exceeds [`MAX_BOUND_CHAINS`].
+pub(crate) fn max_steady_path_cycles(sched: &Schedule) -> Option<usize> {
+    let incoming = incoming_predicates(sched).ok()?;
+    let entries = entry_matrices(&incoming)?;
+
+    // (entry index, current matrix, non-empty cycles so far) per open chain.
+    let mut chains: Vec<(usize, PredicateMatrix, usize)> = entries
+        .iter()
+        .enumerate()
+        .map(|(e, m)| (e, m.clone(), 0))
+        .collect();
+    for row in &sched.rows {
+        let mut next = Vec::with_capacity(chains.len());
+        for (e, m, mut cycles) in chains {
+            if row.iter().any(|i| !i.formal.is_disjoint(&m)) {
+                cycles += 1;
+            }
+            let mut splits = Vec::new();
+            for i in row {
+                if i.op.is_if() && !i.formal.is_disjoint(&m) {
+                    splits.push((i.computes_if?, i.index));
+                }
+            }
+            for mm in fan_out(m, splits) {
+                next.push((e, mm, cycles));
+            }
+        }
+        if next.len() > MAX_BOUND_CHAINS {
+            return None;
+        }
+        chains = next;
+    }
+
+    // A chain is a steady-state path iff its entry is some chain's
+    // back-edge target.
+    let mut is_steady = vec![false; entries.len()];
+    let mut finals = Vec::with_capacity(chains.len());
+    for (e, m, cycles) in chains {
+        let shifted = m.shifted(-1);
+        let target = entries.iter().position(|x| x.subsumes(&shifted))?;
+        is_steady[target] = true;
+        finals.push((e, cycles));
+    }
+    finals
+        .into_iter()
+        .filter(|&(e, _)| is_steady[e])
+        .map(|(_, cycles)| cycles)
+        .max()
 }
 
 /// Terminator (possibly via zero-cycle dispatch blocks) implementing a

@@ -14,7 +14,7 @@
 //! count. Every phase is **instrumented** ([`PspStats`]: per-phase
 //! wall-clock, transformation counters, JSON dump).
 
-use crate::codegen::{generate, CodegenError};
+use crate::codegen::{generate, max_steady_path_cycles, CodegenError};
 use crate::compact::compact_ext;
 use crate::heuristics::{score_program, BranchProbs, Score};
 use crate::instance::InstId;
@@ -22,7 +22,7 @@ use crate::schedule::Schedule;
 use crate::transform::{self, split_candidates, Transformation};
 use psp_ir::LoopSpec;
 use psp_machine::{MachineConfig, VliwLoop};
-use psp_predicate::{PredOpStats, PredicateMatrix};
+use psp_predicate::PredOpStats;
 use rayon::prelude::*;
 use std::time::{Duration, Instant};
 
@@ -261,107 +261,6 @@ impl Trial {
     }
 }
 
-/// Abort the path enumeration in [`max_steady_path_cycles`] past this many
-/// concurrent chains; the caller falls back to a weaker bound. Code
-/// generation enumerates exactly the same chains as blocks but does an
-/// order of magnitude more work per block (instance placement, conflict
-/// validation, per-child deep clones), so the cap can sit well above any
-/// block count codegen itself could digest.
-const MAX_BOUND_CHAINS: usize = 1 << 18;
-
-/// The maximal steady-state-path II of any successful code generation of
-/// `sched`, computed without generating code.
-///
-/// Replays exactly the generator's block-matrix evolution — the universe
-/// split on every incoming predicate at entry, one cycle per row holding a
-/// compatible instance, a fan-out on every compatible IF of a row, a back
-/// edge resolved by matching the `shifted(-1)` final matrix against the
-/// entry matrices — but tracks only (matrix, cycle count) per chain:
-/// no instance placement, guard assignment, or conflict validation. The
-/// generator enumerates every *syntactic* outcome combination and wires
-/// every entry block from the first-iteration dispatch, so each enumerated
-/// chain exists verbatim in the generated program; a chain is a steady-state
-/// path iff its entry receives some back edge, so the maximum over those
-/// chains is exactly `ii_range().1` (empty-block cleanup only rewires
-/// zero-cycle blocks and cannot change any chain's cycle count).
-///
-/// `None` when code generation would fail before the walk diverges from it
-/// (unresolved or colliding incoming predicates, a constrained entry split,
-/// an IF computing no predicate row, a chain with no back-edge target) or
-/// when the enumeration exceeds [`MAX_BOUND_CHAINS`].
-fn max_steady_path_cycles(sched: &Schedule) -> Option<usize> {
-    let incoming = crate::codegen::incoming_predicates(sched).ok()?;
-    let mut entries = vec![PredicateMatrix::universe()];
-    for &(r, c) in &incoming {
-        let mut next = Vec::with_capacity(entries.len() * 2);
-        for m in entries {
-            let (f, t) = m.split(r, c)?;
-            next.push(f);
-            next.push(t);
-        }
-        entries = next;
-    }
-
-    // (entry index, current matrix, non-empty cycles so far) per open chain.
-    let mut chains: Vec<(usize, PredicateMatrix, usize)> = entries
-        .iter()
-        .enumerate()
-        .map(|(e, m)| (e, m.clone(), 0))
-        .collect();
-    for row in &sched.rows {
-        let mut next = Vec::with_capacity(chains.len());
-        for (e, m, mut cycles) in chains {
-            if row.iter().any(|i| !i.formal.is_disjoint(&m)) {
-                cycles += 1;
-            }
-            let mut splits = Vec::new();
-            for i in row {
-                if i.op.is_if() && !i.formal.is_disjoint(&m) {
-                    splits.push((i.computes_if?, i.index));
-                }
-            }
-            let mut mats = vec![m];
-            for &(r, c) in &splits {
-                let mut nx = Vec::with_capacity(mats.len() * 2);
-                for mm in mats {
-                    match mm.split(r, c) {
-                        Some((f, t)) => {
-                            nx.push(f);
-                            nx.push(t);
-                        }
-                        // Outcome already known on these paths: one child.
-                        None => nx.push(mm),
-                    }
-                }
-                mats = nx;
-            }
-            for mm in mats {
-                next.push((e, mm, cycles));
-            }
-        }
-        if next.len() > MAX_BOUND_CHAINS {
-            return None;
-        }
-        chains = next;
-    }
-
-    // A chain is a steady-state path iff its entry is some chain's
-    // back-edge target.
-    let mut is_steady = vec![false; entries.len()];
-    let mut finals = Vec::with_capacity(chains.len());
-    for (e, m, cycles) in chains {
-        let shifted = m.shifted(-1);
-        let target = entries.iter().position(|x| x.subsumes(&shifted))?;
-        is_steady[target] = true;
-        finals.push((e, cycles));
-    }
-    finals
-        .into_iter()
-        .filter(|&(e, _)| is_steady[e])
-        .map(|(_, cycles)| cycles)
-        .max()
-}
-
 /// A lower bound on the primary score that holds for *every* objective: a
 /// row holding a universe-predicate instance emits a non-empty cycle on
 /// every steady-state path, so the count of such rows bounds each path's
@@ -539,15 +438,7 @@ pub fn pipeline_loop(spec: &LoopSpec, cfg: &PspConfig) -> Result<PspResult, Code
             let t1 = Instant::now();
             let prog = generate(&sched, &cfg.machine)?;
             stats.times.codegen += t1.elapsed();
-            let primary = prog.ii_range().map(|(_, m)| m as f64).unwrap_or(0.0);
-            (
-                Score {
-                    primary,
-                    rows: sched.n_rows(),
-                    instances: sched.n_instances(),
-                },
-                prog,
-            )
+            (score_program(&prog, &sched, cfg.probs.as_ref()), prog)
         }
     };
     let mut best: (Score, Schedule, VliwLoop) = (s0.clone(), sched.clone(), p0);

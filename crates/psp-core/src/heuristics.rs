@@ -8,10 +8,9 @@
 //! the expected mean dynamic II under a branch profile (the §4 extension:
 //! "heuristics driven by dynamic probabilities of path sets").
 
-use crate::codegen::generate;
 use crate::schedule::Schedule;
-use psp_machine::{MachineConfig, VliwLoop};
-use psp_predicate::PathSet;
+use psp_machine::VliwLoop;
+use psp_predicate::PredicateMatrix;
 
 /// A schedule's figure of merit. Lower is better, compared
 /// lexicographically.
@@ -45,14 +44,30 @@ pub type BranchProbs = Vec<f64>;
 /// The probability of one steady-state path of the generated loop: conjoin
 /// the matrices of its blocks and measure under the profile.
 fn path_probability(prog: &VliwLoop, blocks: &[usize], probs: &[f64]) -> f64 {
-    let mut m = psp_predicate::PredicateMatrix::universe();
+    let mut m = PredicateMatrix::universe();
     for &b in blocks {
         match m.conjoin(&prog.blocks[b].matrix) {
             Some(x) => m = x,
             None => return 0.0,
         }
     }
-    PathSet::from_matrix(m).probability(|row, _| probs.get(row as usize).copied().unwrap_or(0.5))
+    measure(&m, probs)
+}
+
+/// The measure of a matrix's path set: the product, over its constrained
+/// elements in key order, of the row's True probability (clamped to
+/// `[0, 1]`; rows beyond `probs` count as 0.5) or its complement.
+fn measure(m: &PredicateMatrix, probs: &[f64]) -> f64 {
+    m.constrained()
+        .map(|(row, _, v)| {
+            let p = probs.get(row as usize).map_or(0.5, |p| p.clamp(0.0, 1.0));
+            if v {
+                p
+            } else {
+                1.0 - p
+            }
+        })
+        .product()
 }
 
 /// Expected steady-state II of a generated loop under a branch profile.
@@ -77,8 +92,6 @@ pub fn expected_ii(prog: &VliwLoop, probs: &[f64]) -> f64 {
 }
 
 /// Score an already-generated loop against the schedule it came from.
-/// Split out of [`score`] so the driver can time code generation and
-/// scoring as separate phases.
 pub fn score_program(prog: &VliwLoop, sched: &Schedule, probs: Option<&BranchProbs>) -> Score {
     let primary = match probs {
         Some(p) => expected_ii(prog, p),
@@ -91,21 +104,11 @@ pub fn score_program(prog: &VliwLoop, sched: &Schedule, probs: Option<&BranchPro
     }
 }
 
-/// Score a schedule by generating code for it. `None` when code generation
-/// fails (the candidate that produced this schedule must be discarded).
-pub fn score(
-    sched: &Schedule,
-    machine: &MachineConfig,
-    probs: Option<&BranchProbs>,
-) -> Option<(Score, VliwLoop)> {
-    let prog = generate(sched, machine).ok()?;
-    let s = score_program(&prog, sched, probs);
-    Some((s, prog))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codegen::generate;
+    use psp_machine::MachineConfig;
 
     #[test]
     fn score_ordering_is_lexicographic() {
@@ -134,14 +137,14 @@ mod tests {
     fn initial_vecmin_scores_with_paper_iis() {
         let kernel = psp_kernels::by_name("vecmin").unwrap();
         let sched = Schedule::initial(&kernel.spec);
-        let m = MachineConfig::paper_default();
-        let (s, prog) = score(&sched, &m, None).unwrap();
+        let prog = generate(&sched, &MachineConfig::paper_default()).unwrap();
+        let s = score_program(&prog, &sched, None);
         assert_eq!(s.primary, 8.0); // max II of the unscheduled loop
         assert_eq!(prog.ii_range(), Some((7, 8)));
         // Profiled: True branch taken with probability 0.25 → E[II] =
         // 0.25·8 + 0.75·7 = 7.25.
         let probs = vec![0.25];
-        let (s, _) = score(&sched, &m, Some(&probs)).unwrap();
+        let s = score_program(&prog, &sched, Some(&probs));
         assert!((s.primary - 7.25).abs() < 1e-9, "{}", s.primary);
     }
 

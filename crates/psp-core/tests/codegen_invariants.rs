@@ -5,7 +5,7 @@
 use psp_core::{pipeline_loop, PspConfig};
 use psp_kernels::all_kernels;
 use psp_machine::{MachineConfig, VliwTerm};
-use psp_predicate::PathSet;
+use psp_predicate::OutcomeMap;
 
 fn machines() -> Vec<MachineConfig> {
     vec![
@@ -21,21 +21,26 @@ fn steady_entries_partition_the_incoming_paths() {
         for m in machines() {
             let res = pipeline_loop(&kernel.spec, &PspConfig::with_machine(m)).unwrap();
             let prog = &res.program;
-            let entries = prog.steady_entries();
-            // Entry matrices are pairwise disjoint and jointly cover all
-            // paths.
-            for (i, &a) in entries.iter().enumerate() {
-                for &b in &entries[i + 1..] {
-                    assert!(
-                        prog.blocks[a].matrix.is_disjoint(&prog.blocks[b].matrix),
-                        "{}: entry blocks overlap",
-                        kernel.name
-                    );
+            let entries: Vec<_> = prog
+                .steady_entries()
+                .iter()
+                .map(|&b| &prog.blocks[b].matrix)
+                .collect();
+            // Every outcome of the predicates the entries constrain is
+            // admitted by exactly one entry block: the entries are
+            // pairwise disjoint and jointly cover all paths.
+            let mut keys: Vec<(u32, i32)> = entries.iter().flat_map(|m| m.keys()).collect();
+            keys.sort_unstable();
+            keys.dedup();
+            assert!(keys.len() <= 12, "{}: entry support too large", kernel.name);
+            for bits in 0u32..1 << keys.len() {
+                let mut o = OutcomeMap::new();
+                for (j, &(r, c)) in keys.iter().enumerate() {
+                    o.set(r, c, bits >> j & 1 == 1);
                 }
+                let admitting = entries.iter().filter(|m| m.admits(&o)).count();
+                assert_eq!(admitting, 1, "{}: outcome {o:?}", kernel.name);
             }
-            let union =
-                PathSet::from_matrices(entries.iter().map(|&b| prog.blocks[b].matrix.clone()));
-            assert!(union.is_universe(), "{}: entries do not cover", kernel.name);
         }
     }
 }

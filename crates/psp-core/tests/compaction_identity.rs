@@ -10,10 +10,18 @@
 //! For each loop and machine it records, from `pipeline_loop`:
 //! `stats.counters()`, the run's `disjoint_tests` and `subsume_tests`, and
 //! the final schedule's register count, row count and instance count.
-//! A deliberate behaviour change re-pins the table: the failure message
+//! A second table pins the §4 profile objective: for each kernel on the
+//! paper machine, scheduled under a fixed branch profile, the final
+//! score's bits, `stats.counters()` and the generated loop's II range,
+//! plus the bits of the unscheduled loop's expected II under the same
+//! profile (its paths have unequal IIs, so every path weight counts).
+//! A deliberate behaviour change re-pins a table: the failure message
 //! prints the whole observed table in source form.
 
+use psp_core::codegen::generate;
 use psp_core::driver::{pipeline_loop, PspConfig};
+use psp_core::heuristics::expected_ii;
+use psp_core::schedule::Schedule;
 use psp_ir::op::build;
 use psp_ir::{CmpOp, LoopBuilder, LoopSpec};
 use psp_machine::MachineConfig;
@@ -139,8 +147,8 @@ fn observe() -> Vec<Row> {
     rows
 }
 
-fn render(rows: &[Row]) -> String {
-    let mut s = String::from("const EXPECTED: &[Row] = &[\n");
+fn render<T: std::fmt::Debug>(name: &str, ty: &str, rows: &[T]) -> String {
+    let mut s = format!("const {name}: &[{ty}] = &[\n");
     for r in rows {
         s.push_str(&format!("    {r:?},\n"));
     }
@@ -158,13 +166,89 @@ fn compaction_counts_match_the_pinned_table() {
             "{} on {} drifted; observed table:\n{}",
             got.0,
             got.1,
-            render(&observed)
+            render("EXPECTED", "Row", &observed)
         );
     }
     assert_eq!(
         EXPECTED.len(),
         observed.len(),
         "table size drifted; observed table:\n{}",
-        render(&observed)
+        render("EXPECTED", "Row", &observed)
+    );
+}
+
+/// `(kernel, score.primary.to_bits(), counters, ii_range,
+/// initial expected II bits)` under the profile objective on the paper
+/// machine.
+type ProfileRow = (&'static str, u64, [usize; 5], Option<(usize, usize)>, u64);
+
+/// Recorded before the path-set union algebra was deleted.
+#[rustfmt::skip]
+const EXPECTED_PROFILE: &[ProfileRow] = &[
+    ("vecmin", 4611686018427387904, [53, 19, 1, 33, 5], Some((2, 2)), 4619679907765970534),
+    ("cond_sum", 4607182418800017408, [33, 16, 0, 23, 4], Some((1, 1)), 4619116957812549223),
+    ("count_above", 4607182418800017408, [27, 15, 0, 22, 4], Some((1, 1)), 4618666597849812174),
+    ("clamp_store", 4613937818241073152, [73, 18, 0, 79, 6], Some((3, 3)), 4620878991166757929),
+    ("sat_add", 4613937818241073152, [42, 19, 0, 31, 5], Some((3, 3)), 4619905087747339058),
+    ("abs_sum", 4609184018634404295, [52, 27, 0, 48, 5], Some((1, 2)), 4620468037700760371),
+    ("runmax", 4611686018427387904, [44, 17, 0, 25, 4], Some((2, 2)), 4619342137793917747),
+    ("sign_store", 4607182418800017408, [36, 14, 0, 30, 4], Some((1, 1)), 4619567317775286272),
+    ("two_cond", 4611686018427387904, [56, 27, 0, 48, 5], Some((2, 2)), 4620017677738023322),
+    ("find_first", 4607182418800017408, [35, 14, 0, 28, 4], Some((1, 1)), 4619679907765970534),
+    ("skewed", 4607182418800017408, [37, 17, 0, 24, 4], Some((1, 1)), 4619792497756654797),
+    ("dot_cond", 4607182418800017408, [62, 33, 0, 46, 5], Some((1, 1)), 4620017677738023322),
+    ("threshold_store", 4607182418800017408, [37, 13, 0, 33, 4], Some((1, 1)), 4619567317775286272),
+    ("bubble_pass", 4611686018427387904, [53, 14, 0, 61, 5], Some((2, 2)), 4621256167635550208),
+    ("minmax", 4611686018427387904, [46, 18, 0, 29, 4], Some((2, 2)), 4621256167635550209),
+    ("mac_cond", 4607182418800017408, [62, 33, 0, 46, 5], Some((1, 1)), 4620468037700760372),
+];
+
+/// The branch profile kernel number `k` is scheduled under: one True
+/// probability per IF row, skewed and distinct across kernels so the
+/// expected II is not a plain mean of the path IIs.
+fn profile(k: usize) -> Vec<f64> {
+    (0..8)
+        .map(|row| ((k * 5 + row * 3) % 9 + 1) as f64 / 10.0)
+        .collect()
+}
+
+fn observe_profile() -> Vec<ProfileRow> {
+    psp_kernels::all_kernels()
+        .into_iter()
+        .enumerate()
+        .map(|(k, kernel)| {
+            let machine = MachineConfig::paper_default();
+            let probs = profile(k);
+            let initial = generate(&Schedule::initial(&kernel.spec), &machine)
+                .unwrap_or_else(|e| panic!("{}: {e}", kernel.name));
+            let initial_ii = expected_ii(&initial, &probs);
+            let cfg = PspConfig {
+                probs: Some(probs),
+                ..PspConfig::with_machine(machine)
+            };
+            let res = pipeline_loop(&kernel.spec, &cfg)
+                .unwrap_or_else(|e| panic!("{} under a profile: {e}", kernel.name));
+            (
+                kernel.name,
+                res.score.primary.to_bits(),
+                res.stats.counters(),
+                res.program.ii_range(),
+                initial_ii.to_bits(),
+            )
+        })
+        .collect()
+}
+
+#[test]
+fn profile_scores_match_the_pinned_table() {
+    let observed = observe_profile();
+    let table = render("EXPECTED_PROFILE", "ProfileRow", &observed);
+    for (want, got) in EXPECTED_PROFILE.iter().zip(&observed) {
+        assert_eq!(want, got, "{} drifted; observed table:\n{table}", got.0);
+    }
+    assert_eq!(
+        EXPECTED_PROFILE.len(),
+        observed.len(),
+        "table size drifted; observed table:\n{table}"
     );
 }

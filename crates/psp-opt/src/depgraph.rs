@@ -118,11 +118,8 @@ pub fn induction_strides(ops: &[(Operation, PredicateMatrix)]) -> BTreeMap<Reg, 
 /// Whether `op` must stay ordered relative to BREAKs: it has an observable
 /// side effect if the loop exits (store or definition of a live-out
 /// register).
-fn is_observable(op: &Operation, live_out: &[RegRef]) -> bool {
-    if op.is_store() {
-        return true;
-    }
-    op.defs().iter().any(|d| live_out.contains(d))
+pub(crate) fn is_observable(op: &Operation, live_out: &[RegRef]) -> bool {
+    op.is_store() || op.defs().iter().any(|d| live_out.contains(d))
 }
 
 /// Build the dependence graph for one straight-line iteration.

@@ -15,7 +15,7 @@
 //! lifetime to one II (under the simulator's pre-cycle-read /
 //! end-of-cycle-write semantics the equality case is safe).
 
-use crate::depgraph::{build_deps, induction_strides};
+use crate::depgraph::{build_deps, induction_strides, is_observable};
 use psp_ir::{mem_access, Operation, RegRef};
 use psp_machine::{MachineConfig, ResourceUse};
 use psp_predicate::PredicateMatrix;
@@ -87,11 +87,6 @@ impl ModuloSchedule {
     pub fn res_mii(ops: &[(Operation, PredicateMatrix)], m: &MachineConfig) -> u32 {
         crate::bounds::res_mii(ops, m)
     }
-}
-
-/// Is this operation observable after a loop exit (store / live-out def)?
-fn is_observable(op: &Operation, live_out: &[RegRef]) -> bool {
-    op.is_store() || op.defs().iter().any(|d| live_out.contains(d))
 }
 
 /// All edges: intra-iteration (from [`build_deps`]) plus distance-1

@@ -45,41 +45,6 @@ impl PredElem {
         !matches!(self, PredElem::Both)
     }
 
-    /// Intersection of the two element constraints.
-    ///
-    /// Returns `None` when the elements are complementary (`1` ∧ `0`),
-    /// meaning the intersected path set is empty.
-    #[inline]
-    pub fn meet(self, other: PredElem) -> Option<PredElem> {
-        match (self, other) {
-            (PredElem::Both, x) => Some(x),
-            (x, PredElem::Both) => Some(x),
-            (a, b) if a == b => Some(a),
-            _ => None,
-        }
-    }
-
-    /// Whether the two elements are complementary (`1` vs `0`).
-    #[inline]
-    pub fn conflicts(self, other: PredElem) -> bool {
-        matches!(
-            (self, other),
-            (PredElem::True, PredElem::False) | (PredElem::False, PredElem::True)
-        )
-    }
-
-    /// The opposite constrained element; `b` is its own negation under the
-    /// set interpretation (the complement of "both" is handled at the
-    /// [`crate::PathSet`] level, not element-wise).
-    #[inline]
-    pub fn negate(self) -> PredElem {
-        match self {
-            PredElem::Both => PredElem::Both,
-            PredElem::True => PredElem::False,
-            PredElem::False => PredElem::True,
-        }
-    }
-
     /// `self` admits every path that `other` admits (i.e. as a constraint,
     /// `self` is equal to or weaker than `other`).
     #[inline]
@@ -124,43 +89,6 @@ mod tests {
         assert_eq!(PredElem::from_bool(true).as_bool(), Some(true));
         assert_eq!(PredElem::from_bool(false).as_bool(), Some(false));
         assert_eq!(PredElem::Both.as_bool(), None);
-    }
-
-    #[test]
-    fn meet_identity_with_both() {
-        for e in [PredElem::Both, PredElem::True, PredElem::False] {
-            assert_eq!(PredElem::Both.meet(e), Some(e));
-            assert_eq!(e.meet(PredElem::Both), Some(e));
-        }
-    }
-
-    #[test]
-    fn meet_conflict_is_empty() {
-        assert_eq!(PredElem::True.meet(PredElem::False), None);
-        assert_eq!(PredElem::False.meet(PredElem::True), None);
-    }
-
-    #[test]
-    fn meet_idempotent() {
-        for e in [PredElem::Both, PredElem::True, PredElem::False] {
-            assert_eq!(e.meet(e), Some(e));
-        }
-    }
-
-    #[test]
-    fn conflicts_only_on_complements() {
-        assert!(PredElem::True.conflicts(PredElem::False));
-        assert!(PredElem::False.conflicts(PredElem::True));
-        assert!(!PredElem::True.conflicts(PredElem::True));
-        assert!(!PredElem::Both.conflicts(PredElem::True));
-        assert!(!PredElem::Both.conflicts(PredElem::Both));
-    }
-
-    #[test]
-    fn negate_involution() {
-        for e in [PredElem::Both, PredElem::True, PredElem::False] {
-            assert_eq!(e.negate().negate(), e);
-        }
     }
 
     #[test]

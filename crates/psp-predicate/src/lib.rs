@@ -1,4 +1,4 @@
-//! Predicate matrices and path-set algebra for Predicated Software Pipelining.
+//! Predicate matrices for Predicated Software Pipelining.
 //!
 //! This crate implements the formal core of Milicev & Jovanovic's PSP
 //! framework (IPPS 1998): execution paths through a loop with conditional
@@ -11,9 +11,13 @@
 //!
 //! A single matrix denotes the (infinite) set of all concrete execution
 //! paths consistent with its constrained elements; the default element is
-//! `b`, so the empty matrix denotes *all* paths. Unions of such sets — needed
-//! for *actual* path sets of speculatively scheduled operations — are
-//! represented by [`PathSet`], a finite union of matrices.
+//! `b`, so the empty matrix denotes *all* paths. An operation's *formal*
+//! path set is one matrix; its *actual* path set, wider when it executes
+//! speculatively, is the union of the matrices of the generated blocks it
+//! is placed in. Nothing computes with that union as a value: code
+//! generation labels each block with one matrix, and the validators check
+//! speculation by enumerating concrete outcomes ([`OutcomeMap`] and
+//! [`PredicateMatrix::admits`]).
 //!
 //! The crate provides the set operations the scheduler and code generator
 //! rely on:
@@ -28,8 +32,6 @@
 //!   instance moves across the loop boundary;
 //! * [`PredicateMatrix::split`] — the elementary *split* transformation on
 //!   one `b` element;
-//! * [`PathSet`] union/intersection/complement/subtraction with
-//!   normalization (subsumption pruning and complementary-pair merging);
 //! * [`IfLog`] — the auxiliary structure tracing where IF instances are
 //!   scheduled, which links predicates to the operations that compute them.
 //!
@@ -46,12 +48,10 @@ pub mod elem;
 pub mod iflog;
 pub mod matrix;
 pub mod outcome;
-pub mod pathset;
 pub mod stats;
 
 pub use elem::PredElem;
 pub use iflog::{IfLog, IfLogEntry, PredAvailability};
 pub use matrix::{PredKey, PredicateMatrix};
 pub use outcome::OutcomeMap;
-pub use pathset::PathSet;
 pub use stats::PredOpStats;

@@ -17,22 +17,26 @@
 //!   — `mask` marks the constrained positions, `vals` the outcome at each
 //!   (and is zero elsewhere, keeping the form canonical). One 16-bit lane
 //!   per row, row-major, so the whole window is two `u64` words per plane
-//!   and `conjoin`/`is_disjoint`/`subsumes` are a handful of AND/XOR/OR
-//!   instructions. Keys outside the window spill into a sorted side map
-//!   (correct, slower); the window covers every matrix the kernel suite and
-//!   the scaling loops produce, so the spill is effectively a fuzz-only
-//!   path.
+//!   and `conjoin`/`is_disjoint`/`subsumes`/`unify` are a handful of
+//!   AND/XOR/OR instructions. Keys outside the window spill into a sorted
+//!   side map; the window covers every matrix the kernel suite and the
+//!   scaling loops produce, so the spill is effectively a fuzz-only path.
 //! - **Sparse**: the original `BTreeMap<PredKey, bool>`, kept as the
 //!   reference implementation for differential tests and benchmarks.
 //!
+//! Each pairwise operation has exactly two implementations: the word path,
+//! taken only when both operands are spill-free packed
+//! ([`PredicateMatrix::is_word_packed`]), and the element-wise reference
+//! path over [`PredicateMatrix::constrained`] and
+//! [`PredicateMatrix::get`], which serves sparse, mixed and spilled
+//! operands alike.
+//!
 //! Equality, ordering, hashing and `Debug` are defined over the logical
 //! element sequence, so a packed matrix and a sparse matrix with the same
-//! constraints are fully interchangeable — mixed-representation operands
-//! take a generic element-wise path. In particular `Ord` reproduces the
-//! lexicographic `((row, col), value)` sequence order the sparse map used
-//! to derive: `PathSet` normalization sorts by it, and the profile-driven
-//! score sums member probabilities in that order, so changing it would
-//! change f64 rounding and hence candidate selection.
+//! constraints are fully interchangeable. In particular `Ord` reproduces
+//! the lexicographic `((row, col), value)` sequence order the sparse map
+//! used to derive, so maps keyed by matrices (if-conversion in `psp-opt`)
+//! iterate in the same order under either backend.
 
 use crate::backend;
 use crate::elem::PredElem;
@@ -101,8 +105,7 @@ enum Repr {
 /// A sparse, conceptually infinite matrix of [`PredElem`]s.
 ///
 /// The empty matrix denotes the universe (all paths admitted). Matrices are
-/// ordered and hashable so they can key maps and be deduplicated in
-/// [`crate::PathSet`]s.
+/// ordered and hashable so they can key maps.
 #[derive(Clone)]
 pub struct PredicateMatrix {
     repr: Repr,
@@ -276,7 +279,16 @@ impl PredicateMatrix {
     /// on two such matrices are a handful of word instructions.
     #[inline]
     pub fn is_word_packed(&self) -> bool {
-        matches!(&self.repr, Repr::Packed(p) if p.spill.is_none())
+        self.words().is_some()
+    }
+
+    /// The bitplanes of a spill-free packed matrix.
+    #[inline]
+    fn words(&self) -> Option<&Packed> {
+        match &self.repr {
+            Repr::Packed(p) if p.spill.is_none() => Some(p),
+            _ => None,
+        }
     }
 
     /// Iterate over the constrained elements in `(row, col)` order.
@@ -319,40 +331,21 @@ impl PredicateMatrix {
     /// some position.
     pub fn conjoin(&self, other: &Self) -> Option<Self> {
         stats::count_conjoin();
-        if let (Repr::Packed(a), Repr::Packed(b)) = (&self.repr, &other.repr) {
-            for i in 0..W {
-                if (a.vals[i] ^ b.vals[i]) & a.mask[i] & b.mask[i] != 0 {
-                    return None;
-                }
+        if let (Some(a), Some(b)) = (self.words(), other.words()) {
+            if words_conflict(a, b) {
+                return None;
             }
             let mut out = Packed::default();
             for i in 0..W {
                 out.mask[i] = a.mask[i] | b.mask[i];
                 out.vals[i] = a.vals[i] | b.vals[i];
             }
-            out.spill = match (&a.spill, &b.spill) {
-                (None, None) => None,
-                (Some(s), None) | (None, Some(s)) => Some(s.clone()),
-                (Some(x), Some(y)) => {
-                    let (small, large) = if x.len() <= y.len() { (x, y) } else { (y, x) };
-                    for (k, v) in small.iter() {
-                        if matches!(large.get(k), Some(w) if w != v) {
-                            return None;
-                        }
-                    }
-                    let mut merged = large.clone();
-                    for (&k, &v) in small.iter() {
-                        merged.insert(k, v);
-                    }
-                    Some(merged)
-                }
-            };
             return Some(Self {
                 repr: Repr::Packed(out),
             });
         }
-        // Generic path (sparse or mixed representations): iterate the
-        // smaller entry set for the conflict scan, then overlay it.
+        // Element-wise path: iterate the smaller entry set for the
+        // conflict scan, then overlay it.
         let (small, large) = if self.constrained_len() <= other.constrained_len() {
             (self, other)
         } else {
@@ -376,19 +369,8 @@ impl PredicateMatrix {
     /// are never tested for data or control dependence.
     pub fn is_disjoint(&self, other: &Self) -> bool {
         stats::count_disjoint_test();
-        if let (Repr::Packed(a), Repr::Packed(b)) = (&self.repr, &other.repr) {
-            for i in 0..W {
-                if (a.vals[i] ^ b.vals[i]) & a.mask[i] & b.mask[i] != 0 {
-                    return true;
-                }
-            }
-            if let (Some(x), Some(y)) = (&a.spill, &b.spill) {
-                let (small, large) = if x.len() <= y.len() { (x, y) } else { (y, x) };
-                return small
-                    .iter()
-                    .any(|(k, v)| matches!(large.get(k), Some(w) if w != v));
-            }
-            return false;
+        if let (Some(a), Some(b)) = (self.words(), other.words()) {
+            return words_conflict(a, b);
         }
         let (small, large) = if self.constrained_len() <= other.constrained_len() {
             (self, other)
@@ -404,22 +386,9 @@ impl PredicateMatrix {
     /// `self` (i.e. `self`'s constraints are a subset of `other`'s).
     pub fn subsumes(&self, other: &Self) -> bool {
         stats::count_subsume_test();
-        if let (Repr::Packed(a), Repr::Packed(b)) = (&self.repr, &other.repr) {
-            for i in 0..W {
-                if a.mask[i] & !b.mask[i] != 0 {
-                    return false;
-                }
-                if (a.vals[i] ^ b.vals[i]) & a.mask[i] != 0 {
-                    return false;
-                }
-            }
-            return match (&a.spill, &b.spill) {
-                (None, _) => true,
-                (Some(_), None) => false,
-                (Some(x), Some(y)) => {
-                    x.len() <= y.len() && x.iter().all(|(k, v)| y.get(k) == Some(v))
-                }
-            };
+        if let (Some(a), Some(b)) = (self.words(), other.words()) {
+            return (0..W)
+                .all(|i| a.mask[i] & !b.mask[i] == 0 && (a.vals[i] ^ b.vals[i]) & a.mask[i] == 0);
         }
         if self.constrained_len() > other.constrained_len() {
             return false;
@@ -438,14 +407,10 @@ impl PredicateMatrix {
         if delta == 0 {
             return self.clone();
         }
-        if let Repr::Packed(p) = &self.repr {
-            if p.spill.is_none() {
-                if let Some(s) = shift_lanes(p, delta) {
-                    return Self {
-                        repr: Repr::Packed(s),
-                    };
-                }
-            }
+        if let Some(s) = self.words().and_then(|p| shift_lanes(p, delta)) {
+            return Self {
+                repr: Repr::Packed(s),
+            };
         }
         let mut out = self.empty_like();
         for (r, c, v) in self.constrained() {
@@ -472,7 +437,7 @@ impl PredicateMatrix {
     /// exactly one element and that element is complementary, return the
     /// merged matrix with the element reset to `b`.
     pub fn unify(&self, other: &Self) -> Option<Self> {
-        if let (Repr::Packed(a), Repr::Packed(b)) = (&self.repr, &other.repr) {
+        if let (Some(a), Some(b)) = (self.words(), other.words()) {
             if a.mask != b.mask {
                 return None;
             }
@@ -486,26 +451,6 @@ impl PredicateMatrix {
                 if at.is_none() && d != 0 {
                     at = Some(key_of(i * 64 + d.trailing_zeros() as usize));
                 }
-            }
-            match (&a.spill, &b.spill) {
-                (None, None) => {}
-                (Some(x), Some(y)) => {
-                    if x.len() != y.len() {
-                        return None;
-                    }
-                    for ((kx, vx), (ky, vy)) in x.iter().zip(y.iter()) {
-                        if kx != ky {
-                            return None;
-                        }
-                        if vx != vy {
-                            diffs += 1;
-                            if at.is_none() {
-                                at = Some(*kx);
-                            }
-                        }
-                    }
-                }
-                _ => return None,
             }
             if diffs != 1 {
                 return None;
@@ -537,18 +482,6 @@ impl PredicateMatrix {
     pub fn admits(&self, outcomes: &OutcomeMap) -> bool {
         self.constrained()
             .all(|(r, c, v)| outcomes.get(r, c) == Some(v))
-    }
-
-    /// Drop constraints outside the column window `[lo, hi]` (inclusive),
-    /// widening the path set.
-    pub fn widened_to_window(&self, lo: i32, hi: i32) -> Self {
-        let mut out = self.empty_like();
-        for (r, c, v) in self.constrained() {
-            if (lo..=hi).contains(&c) {
-                out.set(r, c, PredElem::from_bool(v));
-            }
-        }
-        out
     }
 
     /// Smallest and largest constrained column, if any element is
@@ -599,6 +532,13 @@ impl PredicateMatrix {
             hi,
         }
     }
+}
+
+/// Whether two spill-free packed matrices carry complementary elements at
+/// some position.
+#[inline]
+fn words_conflict(a: &Packed, b: &Packed) -> bool {
+    (0..W).any(|i| (a.vals[i] ^ b.vals[i]) & a.mask[i] & b.mask[i] != 0)
 }
 
 /// Shift a spill-free packed matrix within its lanes, `None` when any
@@ -947,13 +887,6 @@ mod tests {
     }
 
     #[test]
-    fn widen_to_window_drops_outside_columns() {
-        let a = m(&[(0, -2, true), (0, 0, false), (0, 3, true)]);
-        let w = a.widened_to_window(-1, 1);
-        assert_eq!(w, m(&[(0, 0, false)]));
-    }
-
-    #[test]
     fn col_span_and_max_row() {
         let a = m(&[(0, -2, true), (2, 3, false)]);
         assert_eq!(a.col_span(), Some((-2, 3)));
@@ -1062,8 +995,7 @@ mod tests {
     #[test]
     fn ord_matches_sparse_reference_order() {
         // The sparse derive ordered matrices by their ((r,c),v) sequence;
-        // PathSet normalization (and thus probability summation order)
-        // depends on it.
+        // maps keyed by matrices iterate in that order under either backend.
         let a = m(&[(0, 0, false)]);
         let b = m(&[(0, 0, true)]);
         let c = m(&[(0, 0, false), (1, 0, true)]);

@@ -5,9 +5,10 @@ use std::collections::BTreeMap;
 /// A concrete assignment of outcomes to predicates — one execution path
 /// through (a window of) the loop.
 ///
-/// Used to test membership of a path in a path set, both in unit/property
-/// tests and when the simulator maps a dynamic trace back onto the formal
-/// path sets for profile-driven heuristics.
+/// Used to test membership of a path in a path set
+/// ([`crate::PredicateMatrix::admits`]): the schedule validator enumerates
+/// outcomes over a matrix's support to check coverage, and the tests state
+/// the set operations' semantics the same way.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct OutcomeMap {
     outcomes: BTreeMap<(u32, i32), bool>,
@@ -27,17 +28,6 @@ impl OutcomeMap {
     /// The recorded outcome, if this predicate was assigned.
     pub fn get(&self, row: u32, col: i32) -> Option<bool> {
         self.outcomes.get(&(row, col)).copied()
-    }
-
-    /// Build a total assignment over `rows × [lo, hi]` from a function.
-    pub fn from_fn(rows: u32, lo: i32, hi: i32, mut f: impl FnMut(u32, i32) -> bool) -> Self {
-        let mut o = Self::new();
-        for r in 0..rows {
-            for c in lo..=hi {
-                o.set(r, c, f(r, c));
-            }
-        }
-        o
     }
 
     /// Shift all columns by `delta`, e.g. to re-center a trace window on a
@@ -81,14 +71,6 @@ mod tests {
         assert_eq!(o.get(0, -1), Some(false));
         assert_eq!(o.get(1, 0), None);
         assert_eq!(o.len(), 1);
-    }
-
-    #[test]
-    fn from_fn_builds_window() {
-        let o = OutcomeMap::from_fn(2, -1, 1, |r, c| (r as i32 + c) % 2 == 0);
-        assert_eq!(o.len(), 6);
-        assert_eq!(o.get(0, 0), Some(true));
-        assert_eq!(o.get(1, 0), Some(false));
     }
 
     #[test]

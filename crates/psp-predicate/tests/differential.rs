@@ -10,7 +10,7 @@
 use proptest::prelude::*;
 use psp_predicate::backend::with_backend;
 use psp_predicate::matrix::{PACKED_COL_HI, PACKED_COL_LO, PACKED_ROWS};
-use psp_predicate::{PathSet, PredElem, PredicateMatrix};
+use psp_predicate::{PredElem, PredicateMatrix};
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 
@@ -102,7 +102,7 @@ proptest! {
         prop_assert_eq!(pa.is_disjoint(&sb), sa.is_disjoint(&pb));
         prop_assert_eq!(pa.subsumes(&sb), sa.subsumes(&pb));
         prop_assert_eq!(pa.conjoin(&sb), sa.conjoin(&pb));
-        // Ordering is content-based — PathSet normalization sorts by it.
+        // Ordering is content-based.
         prop_assert_eq!(pa.cmp(&pb), sa.cmp(&sb));
         prop_assert_eq!(pa.cmp(&sb), std::cmp::Ordering::Equal.then(pa.cmp(&pb)));
     }
@@ -141,42 +141,6 @@ proptest! {
         assert_same(&p.with(r, c, PredElem::from_bool(v)), &s.with(r, c, PredElem::from_bool(v)));
         assert_same(&p.with(r, c, PredElem::Both), &s.with(r, c, PredElem::Both));
     }
-
-    #[test]
-    fn pathset_algebra_is_mode_independent(
-        es_a in proptest::collection::vec(arb_entries(), 0..4),
-        es_b in proptest::collection::vec(arb_entries(), 0..4),
-    ) {
-        let build = |packed: bool, es: &[Vec<(u32, i32, bool)>]| {
-            with_backend(packed, || {
-                PathSet::from_matrices(
-                    es.iter().map(|e| PredicateMatrix::from_entries(e.iter().copied())),
-                )
-            })
-        };
-        let (pa, sa) = (build(true, &es_a), build(false, &es_a));
-        let (pb, sb) = (build(true, &es_b), build(false, &es_b));
-        // PathSet equality is member-wise matrix equality, which is
-        // content-based; normalization must have produced the same members
-        // in the same (sorted) order.
-        prop_assert_eq!(&pa, &sa);
-        prop_assert_eq!(&pb, &sb);
-        prop_assert_eq!(pa.union(&pb), sa.union(&sb));
-        prop_assert_eq!(pa.intersect(&pb), sa.intersect(&sb));
-        prop_assert_eq!(pa.subtract(&pb), sa.subtract(&sb));
-        prop_assert_eq!(pa.subsumes(&pb), sa.subsumes(&sb));
-        prop_assert_eq!(pb.subsumes(&pa), sb.subsumes(&sa));
-        prop_assert_eq!(pa.is_universe(), sa.is_universe());
-        prop_assert_eq!(pa.disjointify(), sa.disjointify());
-        if let Some(m) = pb.matrices().first() {
-            prop_assert_eq!(pa.intersect_matrix(m), sa.intersect_matrix(m));
-        }
-        // Probability sums f64 terms in member order; identical members in
-        // identical order make it bit-identical, which candidate scoring
-        // relies on.
-        let prob = |r: u32, c: i32| 1.0 / (2.0 + r as f64 + (c.unsigned_abs() % 3) as f64);
-        prop_assert_eq!(pa.probability(prob).to_bits(), sa.probability(prob).to_bits());
-    }
 }
 
 #[test]
@@ -198,24 +162,4 @@ fn window_edges_spill_exactly_outside() {
     let (p, s) = both_modes(&outside);
     assert!(!p.is_word_packed(), "out-of-window keys must spill");
     assert_same(&p, &s);
-}
-
-#[test]
-fn subtract_matrix_pieces_match_across_modes() {
-    // The staircase decomposition drives subtract/disjointify/covers; pin
-    // one overlapping case in both modes, with one spilled key.
-    let mk = |packed| {
-        with_backend(packed, || {
-            let a = PredicateMatrix::from_entries([(0, 0, true), (1, PACKED_COL_HI + 2, true)]);
-            let b = PredicateMatrix::from_entries([(0, 0, true), (2, 0, false)]);
-            PathSet::from_matrix(a).subtract(&PathSet::from_matrix(b))
-        })
-    };
-    let (p, s) = (mk(true), mk(false));
-    assert_eq!(p, s);
-    assert_eq!(p.len(), 1);
-    assert_eq!(
-        p.matrices()[0],
-        PredicateMatrix::from_entries([(0, 0, true), (1, PACKED_COL_HI + 2, true), (2, 0, true)])
-    );
 }

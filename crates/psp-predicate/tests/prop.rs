@@ -1,11 +1,11 @@
-//! Property-based tests for the predicate-matrix / path-set algebra.
+//! Property-based tests for the predicate-matrix algebra.
 //!
 //! Strategy: generate small random matrices over a bounded window of rows
 //! and columns, plus total outcome assignments over the same window, and
-//! check the set-algebra operations against their membership semantics.
+//! check the set operations against their membership semantics.
 
 use proptest::prelude::*;
-use psp_predicate::{OutcomeMap, PathSet, PredElem, PredicateMatrix};
+use psp_predicate::{OutcomeMap, PredElem, PredicateMatrix};
 
 const ROWS: u32 = 3;
 const COL_LO: i32 = -2;
@@ -16,22 +16,20 @@ fn arb_matrix() -> impl Strategy<Value = PredicateMatrix> {
         .prop_map(PredicateMatrix::from_entries)
 }
 
-fn arb_pathset() -> impl Strategy<Value = PathSet> {
-    proptest::collection::vec(arb_matrix(), 0..4).prop_map(PathSet::from_matrices)
-}
-
 fn arb_outcomes() -> impl Strategy<Value = OutcomeMap> {
     proptest::collection::vec(
         any::<bool>(),
         (ROWS as usize) * ((COL_HI - COL_LO + 1) as usize),
     )
     .prop_map(|bits| {
-        let mut i = 0;
-        OutcomeMap::from_fn(ROWS, COL_LO, COL_HI, |_, _| {
-            let b = bits[i];
-            i += 1;
-            b
-        })
+        let mut o = OutcomeMap::new();
+        let mut bits = bits.into_iter();
+        for r in 0..ROWS {
+            for c in COL_LO..=COL_HI {
+                o.set(r, c, bits.next().unwrap());
+            }
+        }
+        o
     })
 }
 
@@ -51,11 +49,8 @@ fn outcomes_over(keys: &[(u32, i32)]) -> Vec<OutcomeMap> {
         .collect()
 }
 
-fn support_of(sets: &[&PathSet]) -> Vec<(u32, i32)> {
-    let mut keys: Vec<(u32, i32)> = sets
-        .iter()
-        .flat_map(|s| s.matrices().iter().flat_map(|m| m.keys()))
-        .collect();
+fn support_of(ms: &[&PredicateMatrix]) -> Vec<(u32, i32)> {
+    let mut keys: Vec<(u32, i32)> = ms.iter().flat_map(|m| m.keys()).collect();
     keys.sort_unstable();
     keys.dedup();
     keys
@@ -101,6 +96,22 @@ proptest! {
     }
 
     #[test]
+    fn subsumes_matches_exhaustive_model(a in arb_matrix(), b in arb_matrix()) {
+        let model = outcomes_over(&support_of(&[&a, &b]))
+            .iter()
+            .all(|o| !b.admits(o) || a.admits(o));
+        prop_assert_eq!(a.subsumes(&b), model);
+    }
+
+    #[test]
+    fn disjoint_matches_exhaustive_model(a in arb_matrix(), b in arb_matrix()) {
+        let model = outcomes_over(&support_of(&[&a, &b]))
+            .iter()
+            .all(|o| !(a.admits(o) && b.admits(o)));
+        prop_assert_eq!(a.is_disjoint(&b), model);
+    }
+
+    #[test]
     fn shift_roundtrip(a in arb_matrix(), d in -3i32..=3) {
         prop_assert_eq!(a.shifted(d).shifted(-d), a);
     }
@@ -118,87 +129,15 @@ proptest! {
             prop_assert!(f.is_disjoint(&t));
             prop_assert_eq!(f.get(row, col), PredElem::False);
             prop_assert_eq!(t.get(row, col), PredElem::True);
-            // Union of the halves is the original set.
-            let u = PathSet::from_matrices([f.clone(), t.clone()]);
-            prop_assert!(u.equivalent(&PathSet::from_matrix(a.clone())));
+            // The halves' union is the original set: `a` admits an outcome
+            // iff `f` or `t` does.
+            for o in outcomes_over(&support_of(&[&a, &f, &t])) {
+                prop_assert_eq!(a.admits(&o), f.admits(&o) || t.admits(&o));
+            }
             // unify is the inverse.
             prop_assert_eq!(f.unify(&t), Some(a.clone()));
         } else {
             prop_assert!(a.get(row, col).is_constrained());
         }
-    }
-
-    #[test]
-    fn pathset_union_models_or(a in arb_pathset(), b in arb_pathset(), o in arb_outcomes()) {
-        let u = a.union(&b);
-        prop_assert_eq!(u.admits(&o), a.admits(&o) || b.admits(&o));
-    }
-
-    #[test]
-    fn pathset_intersect_models_and(a in arb_pathset(), b in arb_pathset(), o in arb_outcomes()) {
-        let i = a.intersect(&b);
-        prop_assert_eq!(i.admits(&o), a.admits(&o) && b.admits(&o));
-    }
-
-    #[test]
-    fn pathset_subtract_models_and_not(a in arb_pathset(), b in arb_pathset(), o in arb_outcomes()) {
-        let d = a.subtract(&b);
-        prop_assert_eq!(d.admits(&o), a.admits(&o) && !b.admits(&o));
-    }
-
-    #[test]
-    fn pathset_complement_models_not(a in arb_pathset(), o in arb_outcomes()) {
-        prop_assert_eq!(a.complement().admits(&o), !a.admits(&o));
-    }
-
-    #[test]
-    fn pathset_subsumes_exhaustive(a in arb_pathset(), b in arb_pathset()) {
-        let keys = support_of(&[&a, &b]);
-        if keys.len() <= 10 {
-            let model = outcomes_over(&keys)
-                .iter()
-                .all(|o| !b.admits(o) || a.admits(o));
-            prop_assert_eq!(a.subsumes(&b), model);
-        }
-    }
-
-    #[test]
-    fn disjointify_is_disjoint_and_equal(a in arb_pathset()) {
-        let d = a.disjointify();
-        for i in 0..d.len() {
-            for j in (i + 1)..d.len() {
-                prop_assert!(d[i].is_disjoint(&d[j]));
-            }
-        }
-        let rebuilt = PathSet::from_matrices(d);
-        prop_assert!(rebuilt.equivalent(&a));
-    }
-
-    #[test]
-    fn probability_is_a_measure(a in arb_pathset(), b in arb_pathset(), p in 0.0f64..=1.0) {
-        let pa = a.probability(|_, _| p);
-        let pb = b.probability(|_, _| p);
-        let pu = a.union(&b).probability(|_, _| p);
-        let pi = a.intersect(&b).probability(|_, _| p);
-        prop_assert!((-1e-9..=1.0 + 1e-9).contains(&pa));
-        // Inclusion–exclusion.
-        prop_assert!((pu + pi - (pa + pb)).abs() < 1e-9);
-    }
-
-    #[test]
-    fn probability_matches_exhaustive_count_at_half(a in arb_pathset()) {
-        let keys = support_of(&[&a]);
-        if keys.len() <= 10 {
-            let outs = outcomes_over(&keys);
-            let frac = outs.iter().filter(|o| a.admits(o)).count() as f64 / outs.len() as f64;
-            prop_assert!((a.probability(|_, _| 0.5) - frac).abs() < 1e-9);
-        }
-    }
-
-    #[test]
-    fn normalization_preserves_semantics(ms in proptest::collection::vec(arb_matrix(), 0..4), o in arb_outcomes()) {
-        let s = PathSet::from_matrices(ms.clone());
-        let raw = ms.iter().any(|m| m.admits(&o));
-        prop_assert_eq!(s.admits(&o), raw);
     }
 }

@@ -4,12 +4,12 @@
 //! path sets … to their probabilities would enable exact calculation of
 //! estimated mean (dynamic) II of each intermediate schedule." A
 //! [`BranchProfile`] holds per-IF truth probabilities estimated from a
-//! reference-run trace; combined with [`psp_predicate::PathSet::probability`]
-//! it assigns a measure to any path set, assuming outcomes independent
-//! across iterations (a stationary model).
+//! reference-run trace. The profile-driven scorer in `psp-core` measures a
+//! path's matrix as the product of its constrained outcomes'
+//! probabilities, assuming outcomes independent across iterations (a
+//! stationary model).
 
 use crate::reference::RefRun;
-use psp_predicate::PathSet;
 
 /// Per-IF probability of the True outcome.
 #[derive(Debug, Clone, PartialEq)]
@@ -22,20 +22,6 @@ pub struct BranchProfile {
 }
 
 impl BranchProfile {
-    /// A uniform profile (every branch 50/50) for `n_ifs` IFs — the static
-    /// assumption used when no profile is available.
-    pub fn uniform(n_ifs: u32) -> Self {
-        Self {
-            p_true: vec![0.5; n_ifs as usize],
-            samples: 0,
-        }
-    }
-
-    /// A profile with explicitly given probabilities.
-    pub fn with_probs(p_true: Vec<f64>) -> Self {
-        Self { p_true, samples: 0 }
-    }
-
     /// Estimate from a reference-run trace. IFs that never executed get
     /// probability 0.5.
     pub fn from_run(run: &RefRun, n_ifs: u32) -> Self {
@@ -67,21 +53,6 @@ impl BranchProfile {
     pub fn prob(&self, row: u32) -> f64 {
         self.p_true.get(row as usize).copied().unwrap_or(0.5)
     }
-
-    /// Measure of a path set under this profile.
-    pub fn path_probability(&self, set: &PathSet) -> f64 {
-        set.probability(|row, _col| self.prob(row))
-    }
-
-    /// Expected value over `(path set, value)` pairs, e.g. the estimated
-    /// mean dynamic II from per-path IIs. The path sets should partition
-    /// the universe; any residual probability mass is ignored.
-    pub fn expected_value(&self, paths: &[(PathSet, f64)]) -> f64 {
-        paths
-            .iter()
-            .map(|(s, v)| self.path_probability(s) * v)
-            .sum()
-    }
 }
 
 #[cfg(test)]
@@ -91,14 +62,15 @@ mod tests {
     use crate::state::MachineState;
     use psp_ir::op::build::*;
     use psp_ir::{CmpOp, LoopBuilder};
-    use psp_predicate::PredicateMatrix;
 
     #[test]
-    fn uniform_profile() {
-        let p = BranchProfile::uniform(3);
-        assert_eq!(p.p_true, vec![0.5; 3]);
-        assert_eq!(p.prob(0), 0.5);
-        assert_eq!(p.prob(9), 0.5); // out of range defaults
+    fn prob_defaults_out_of_range_rows_to_half() {
+        let p = BranchProfile {
+            p_true: vec![0.9, 0.2],
+            samples: 0,
+        };
+        assert_eq!(p.prob(1), 0.2);
+        assert_eq!(p.prob(9), 0.5);
     }
 
     #[test]
@@ -135,32 +107,5 @@ mod tests {
         let prof = BranchProfile::from_run(&run, 1);
         assert_eq!(prof.samples, 4);
         assert!((prof.prob(0) - 0.75).abs() < 1e-9);
-    }
-
-    #[test]
-    fn path_probability_uses_profile() {
-        let prof = BranchProfile::with_probs(vec![0.9]);
-        let true_path = PathSet::from_matrix(PredicateMatrix::single(0, 0, true));
-        assert!((prof.path_probability(&true_path) - 0.9).abs() < 1e-9);
-        let both = PathSet::universe();
-        assert!((prof.path_probability(&both) - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn expected_ii_of_variable_ii_loop() {
-        // True path II 2 with prob 0.25, false path II 3 with prob 0.75.
-        let prof = BranchProfile::with_probs(vec![0.25]);
-        let paths = vec![
-            (
-                PathSet::from_matrix(PredicateMatrix::single(0, 0, true)),
-                2.0,
-            ),
-            (
-                PathSet::from_matrix(PredicateMatrix::single(0, 0, false)),
-                3.0,
-            ),
-        ];
-        let e = prof.expected_value(&paths);
-        assert!((e - 2.75).abs() < 1e-9);
     }
 }

@@ -1,11 +1,11 @@
-//! A tour of the formal framework: predicate matrices, path sets, and the
-//! IFLog — the paper's §1.2/§2 machinery, standalone.
+//! A tour of the formal framework: predicate matrices, the path sets they
+//! denote, and the IFLog — the paper's §1.2/§2 machinery, standalone.
 //!
 //! ```sh
 //! cargo run --example predicate_algebra --release
 //! ```
 
-use psp::predicate::{IfLog, IfLogEntry, PathSet, PredicateMatrix};
+use psp::predicate::{IfLog, IfLogEntry, PredicateMatrix};
 
 fn main() {
     // The paper's example matrix: first IF = True for previous and current
@@ -21,16 +21,23 @@ fn main() {
     println!("  {}\n", m.display(2, -1, 1));
 
     // Formal vs actual path sets (§2): an operation control-dependent on
-    // the current IF but scheduled before it is speculative; its actual
-    // set needs a union of matrices.
-    let formal = PathSet::from_matrix(PredicateMatrix::single(0, 0, true));
-    let actual = PathSet::from_matrices([
+    // the current IF but scheduled before it is speculative. Its actual
+    // paths are those of the two generated blocks it sits in, one matrix
+    // each. Splitting the formal matrix on the previous IF shows that each
+    // formal path lies in one of them.
+    let formal = PredicateMatrix::single(0, 0, true);
+    let actual = [
         PredicateMatrix::single(0, -1, true),
         PredicateMatrix::from_entries([(0, -1, false), (0, 0, true)]),
-    ]);
+    ];
     println!("formal paths: {formal}");
-    println!("actual paths: {actual}");
-    println!("actual ⊇ formal: {}\n", actual.subsumes(&formal));
+    println!("actual paths: {} ∪ {}", actual[0], actual[1]);
+    let (f, t) = formal.split(0, -1).unwrap();
+    println!("formal split on the previous IF: {f} and {t}");
+    println!(
+        "actual ⊇ formal: {}\n",
+        actual[1].subsumes(&f) && actual[0].subsumes(&t)
+    );
 
     // Disjointness is what exempts operations from dependence testing.
     let then_branch = PredicateMatrix::single(0, 0, true);
@@ -47,19 +54,6 @@ fn main() {
     let (f, t) = PredicateMatrix::universe().split(0, 0).unwrap();
     println!("split [b] at (0,0): {f} and {t}");
     println!("unify back: {}\n", f.unify(&t).unwrap());
-
-    // Path probabilities (§4): measure a set under a branch profile.
-    let set = PathSet::from_matrices([
-        PredicateMatrix::single(0, 0, true),
-        PredicateMatrix::single(0, 1, true),
-    ]);
-    for p in [0.1, 0.5, 0.9] {
-        println!(
-            "P({set}) with p(True) = {p}: {:.3}",
-            set.probability(|_, _| p)
-        );
-    }
-    println!();
 
     // The IFLog links predicates to the IF instances that compute them.
     let mut log = IfLog::new();

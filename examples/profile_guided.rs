@@ -62,6 +62,7 @@ fn main() {
     }
 
     println!("\nThe guided scorer weights each reconstructed path by its measured");
-    println!("probability (PathSet::probability under the profile), so transformations");
-    println!("that shorten the hot path win even when they lengthen the cold one.");
+    println!("probability (the product of its branch outcomes' probabilities under the");
+    println!("profile), so transformations that shorten the hot path win even when they");
+    println!("lengthen the cold one.");
 }

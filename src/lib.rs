@@ -74,7 +74,7 @@ pub mod prelude {
     pub use psp_opt::{
         certify, mii_lower_bound, modulo_to_vliw, Certification, ExactConfig, ExactResult,
     };
-    pub use psp_predicate::{PathSet, PredicateMatrix};
+    pub use psp_predicate::PredicateMatrix;
     pub use psp_sim::{
         check_equivalence, check_equivalence_batch, run_reference, run_vliw, BranchProfile,
         EngineKind, EquivConfig, MachineState,

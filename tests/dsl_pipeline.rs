@@ -131,3 +131,42 @@ fn dsl_vecmin_equals_handbuilt_vecmin() {
     let b = pipeline_loop(&hand, &PspConfig::default()).unwrap();
     assert_eq!(a.program.ii_range(), b.program.ii_range());
 }
+
+/// A loop whose compacted initial schedule fails code generation, so the
+/// driver starts from the raw initial schedule instead. That start must be
+/// scored under the run's objective: the expected II when a profile is
+/// given, not the maximal II the static objective uses.
+#[test]
+fn uncompactable_start_is_scored_under_the_profile() {
+    let spec = psp::lang::compile(
+        "kernel fallback(n, k, acc, s0, s1, s2; x[], y[]) -> acc {
+            if (s2 < acc) { s0 = x[k]; s0 = x[k]; }
+            s0 = x[k];
+            k = k + 1;
+            break if (k >= n);
+        }",
+    )
+    .expect("DSL compiles");
+    let machine = MachineConfig::paper_default();
+    let mut compacted = Schedule::initial(&spec);
+    psp::core::compact::compact_ext(&mut compacted, &machine, true);
+    assert!(
+        generate(&compacted, &machine).is_err(),
+        "the loop no longer exercises the fallback"
+    );
+    let probs = vec![0.9];
+    let start = |probs: Option<Vec<f64>>| {
+        let cfg = PspConfig {
+            max_depth: 0,
+            probs,
+            ..PspConfig::with_machine(machine.clone())
+        };
+        pipeline_loop(&spec, &cfg).expect("the raw initial schedule generates")
+    };
+    let profiled = start(Some(probs.clone()));
+    let (min, max) = profiled.program.ii_range().unwrap();
+    assert!(min < max, "the start needs paths of unequal II");
+    let expected = psp::core::heuristics::expected_ii(&profiled.program, &probs);
+    assert_eq!(profiled.score.primary, expected);
+    assert_eq!(start(None).score.primary, max as f64);
+}
