@@ -5,7 +5,7 @@
 //! candidate evaluation dominates.
 
 use psp_bench::synthetic;
-use psp_core::{pipeline_loop, PspConfig, Schedule};
+use psp_core::{json_object, pipeline_loop, PspConfig, Schedule};
 use psp_kernels::all_kernels;
 use std::time::Instant;
 
@@ -41,7 +41,8 @@ fn main() {
             final_ops as f64 / src_ops as f64,
         );
         if json {
-            println!("  stats: {}", res.stats.to_json());
+            let doc = json_object! { "kernel": kernel.name, "stats": &res.stats };
+            println!("{}", doc.document());
         }
         phase.candidate_gen += res.stats.times.candidate_gen;
         phase.apply += res.stats.times.apply;
@@ -94,17 +95,7 @@ fn main() {
             "parallel driver diverged at b={blocks}"
         );
         assert_eq!(seq.program.ii_range(), par.program.ii_range());
-        let ii = par
-            .program
-            .ii_range()
-            .map(|(a, b)| {
-                if a == b {
-                    format!("{a}")
-                } else {
-                    format!("{a}..{b}")
-                }
-            })
-            .unwrap_or_default();
+        let ii = psp_bench::ii_string(&par.program);
         println!(
             "{:>4} {:>8} {:>9} {:>11.2} {:>11.2} {:>7.2}x {:>10}",
             blocks,
@@ -116,8 +107,8 @@ fn main() {
             ii
         );
         if json {
-            println!("  seq: {}", seq.stats.to_json());
-            println!("  par: {}", par.stats.to_json());
+            let doc = json_object! { "blocks": blocks, "seq": &seq.stats, "par": &par.stats };
+            println!("{}", doc.document());
         }
     }
 }

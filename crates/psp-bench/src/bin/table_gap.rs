@@ -17,7 +17,8 @@
 
 use psp_baselines::modulo_schedule;
 use psp_bench::measure;
-use psp_core::{pipeline_loop, PspConfig};
+use psp_core::json::Json;
+use psp_core::{json_object, pipeline_loop, PspConfig};
 use psp_kernels::{all_kernels, KernelData};
 use psp_machine::MachineConfig;
 use psp_opt::{certify, mii_lower_bound, modulo_to_vliw, Certification, ExactConfig};
@@ -110,25 +111,11 @@ fn main() {
             "{:<16} {:>7} {:>8} {:>8} {:>8} {:>+8} {:>9} {:>8.2}",
             kernel.name, ems.ii, exact_cell, ems_gap, psp_max, psp_gap, res.nodes, ms
         );
-        records.push(format!(
-            concat!(
-                "{{\"kernel\":\"{}\",\"ems_ii\":{},\"exact_lb\":{},\"exact_ub\":{},",
-                "\"certified\":{},\"psp_max_ii\":{},\"psp_gap\":{},\"nodes\":{},",
-                "\"wall_ms\":{:.3}}}"
-            ),
-            kernel.name,
-            ems.ii,
-            lb,
-            res.outcome
-                .ub()
-                .map(|u| u.to_string())
-                .unwrap_or_else(|| "null".into()),
-            matches!(res.outcome, Certification::Certified(_)),
-            psp_max,
-            psp_gap,
-            res.nodes,
-            ms,
-        ));
+        records.push(json_object! {
+            "kernel": kernel.name, "ems_ii": ems.ii, "exact_lb": lb, "exact_ub": res.outcome.ub(),
+            "certified": matches!(res.outcome, Certification::Certified(_)),
+            "psp_max_ii": psp_max, "psp_gap": psp_gap, "nodes": res.nodes, "wall_ms": ms,
+        });
     }
 
     println!(
@@ -149,8 +136,8 @@ fn main() {
     }
 
     if json {
-        let payload = format!("[{}]", records.join(","));
-        std::fs::write("BENCH_gap.json", &payload).expect("write BENCH_gap.json");
-        println!("wrote BENCH_gap.json ({} records)", records.len());
+        let payload = Json::from(records).document();
+        std::fs::write("BENCH_gap.json", payload).expect("write BENCH_gap.json");
+        println!("wrote BENCH_gap.json ({total} records)");
     }
 }

@@ -6,8 +6,9 @@
 //! verified single II with the idealized cycle model (DESIGN.md §4).
 
 use psp_baselines::{compile_local, compile_sequential, compile_unrolled, modulo_schedule};
-use psp_bench::{ii_string, measure};
-use psp_core::{pipeline_loop, PspConfig};
+use psp_bench::measure;
+use psp_core::json::Json;
+use psp_core::{json_object, pipeline_loop, PspConfig};
 use psp_kernels::{all_kernels, KernelData};
 use psp_machine::MachineConfig;
 use psp_opt::{certify, Certification, ExactConfig};
@@ -67,13 +68,10 @@ fn main() {
         );
         // Sanity: the paper's claim — PSP at least matches local scheduling.
         assert!(
-            pspm.body_cycles
-                <= measure(&kernel, &compile_local(&kernel.spec, &machine), &data).body_cycles
-                    + golden.iterations / 8,
+            pspm.body_cycles <= local.body_cycles + golden.iterations / 8,
             "{}: psp regressed vs local",
             kernel.name
         );
-        let _ = ii_string(&psp.program);
         if json {
             let exact = certify(
                 &kernel.spec,
@@ -82,22 +80,12 @@ fn main() {
                 Some(ems.ii),
             );
             let lb = exact.outcome.lb();
-            records.push(format!(
-                concat!(
-                    "{{\"kernel\":\"{}\",\"ems_ii\":{},\"certified_lb\":{},",
-                    "\"certified\":{},\"ems_gap\":{},\"psp_ii\":\"{}\",",
-                    "\"psp_speedup\":{:.4},\"wall_ms\":{:.3},\"pred\":{}}}"
-                ),
-                kernel.name,
-                ems.ii,
-                lb,
-                matches!(exact.outcome, Certification::Certified(_)),
-                ems.ii - lb,
-                pspm.ii,
-                pspm.speedup,
-                t_kernel.elapsed().as_secs_f64() * 1e3,
-                psp.stats.pred.to_json(),
-            ));
+            records.push(json_object! {
+                "kernel": kernel.name, "ems_ii": ems.ii, "certified_lb": lb,
+                "certified": matches!(exact.outcome, Certification::Certified(_)),
+                "ems_gap": ems.ii - lb, "psp_ii": pspm.ii.as_str(), "psp_speedup": pspm.speedup,
+                "wall_ms": t_kernel.elapsed().as_secs_f64() * 1e3, "pred": &psp.stats.pred,
+            });
         }
     }
     let g = geo.iter().map(|s| s.ln()).sum::<f64>() / geo.len() as f64;
@@ -106,8 +94,9 @@ fn main() {
         g.exp()
     );
     if json {
-        let payload = format!("[{}]", records.join(","));
-        std::fs::write("BENCH_kernels.json", &payload).expect("write BENCH_kernels.json");
-        println!("wrote BENCH_kernels.json ({} records)", records.len());
+        let n = records.len();
+        let payload = Json::from(records).document();
+        std::fs::write("BENCH_kernels.json", payload).expect("write BENCH_kernels.json");
+        println!("wrote BENCH_kernels.json ({n} records)");
     }
 }

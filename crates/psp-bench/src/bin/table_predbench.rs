@@ -17,7 +17,7 @@
 //! and the scaling sweep for the time-boxed CI job.
 
 use psp_bench::synthetic;
-use psp_core::{pipeline_loop, PspConfig};
+use psp_core::{json_object, pipeline_loop, PspConfig};
 use psp_kernels::all_kernels;
 use psp_predicate::backend::with_backend;
 use psp_predicate::PredicateMatrix;
@@ -104,14 +104,11 @@ fn main() {
     let mut micro = Vec::new();
     let mut sink = 0usize; // defeat dead-code elimination
     let mut row = |op: &str, sparse_ns: f64, packed_ns: f64| {
-        println!(
-            "{op:<14} {sparse_ns:>12.1} {packed_ns:>12.1} {:>8.2}x",
-            sparse_ns / packed_ns
-        );
-        micro.push(format!(
-            "{{\"op\":\"{op}\",\"sparse_ns\":{sparse_ns:.2},\"packed_ns\":{packed_ns:.2},\"speedup\":{:.3}}}",
-            sparse_ns / packed_ns
-        ));
+        let speedup = sparse_ns / packed_ns;
+        println!("{op:<14} {sparse_ns:>12.1} {packed_ns:>12.1} {speedup:>8.2}x");
+        micro.push(json_object! {
+            "op": op, "sparse_ns": sparse_ns, "packed_ns": packed_ns, "speedup": speedup,
+        });
     };
     let s = time_pairs(&sparse_ms, reps, |a, b| sink += a.is_disjoint(b) as usize);
     let p = time_pairs(&packed_ms, reps, |a, b| sink += a.is_disjoint(b) as usize);
@@ -192,17 +189,10 @@ fn main() {
             pred.disjoint_tests,
             pred.conjoins,
         );
-        kernel_records.push(format!(
-            concat!(
-                "{{\"kernel\":\"{}\",\"sparse_ms\":{:.4},\"packed_ms\":{:.4},",
-                "\"speedup\":{:.3},\"pred\":{}}}"
-            ),
-            kernel.name,
-            sparse_ms_best,
-            packed_ms_best,
-            speedup,
-            pred.to_json(),
-        ));
+        kernel_records.push(json_object! {
+            "kernel": kernel.name, "sparse_ms": sparse_ms_best, "packed_ms": packed_ms_best,
+            "speedup": speedup, "pred": pred,
+        });
     }
     println!("worst kernel speedup: {worst_ratio:.2}x");
 
@@ -238,27 +228,17 @@ fn main() {
             sparse_ms / packed_ms,
             pred.disjoint_tests,
         );
-        scaling_records.push(format!(
-            concat!(
-                "{{\"blocks\":{},\"sparse_ms\":{:.3},\"packed_ms\":{:.3},",
-                "\"speedup\":{:.3},\"pred\":{}}}"
-            ),
-            b,
-            sparse_ms,
-            packed_ms,
-            sparse_ms / packed_ms,
-            pred.to_json(),
-        ));
+        scaling_records.push(json_object! {
+            "blocks": b, "sparse_ms": sparse_ms, "packed_ms": packed_ms,
+            "speedup": sparse_ms / packed_ms, "pred": pred,
+        });
     }
 
     if json {
-        let payload = format!(
-            "{{\"micro\":[{}],\"kernels\":[{}],\"scaling\":[{}]}}",
-            micro.join(","),
-            kernel_records.join(","),
-            scaling_records.join(","),
-        );
-        std::fs::write("BENCH_pred.json", &payload).expect("write BENCH_pred.json");
+        let doc = json_object! {
+            "micro": micro, "kernels": kernel_records, "scaling": scaling_records,
+        };
+        std::fs::write("BENCH_pred.json", doc.document()).expect("write BENCH_pred.json");
         println!("wrote BENCH_pred.json");
     }
 }

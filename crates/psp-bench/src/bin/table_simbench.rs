@@ -15,7 +15,7 @@
 //! BENCH_sim.json; `--smoke` trims trials and repetitions for the
 //! time-boxed CI job.
 
-use psp_core::{pipeline_loop, PspConfig};
+use psp_core::{json_object, pipeline_loop, PspConfig};
 use psp_kernels::{all_kernels, Kernel, KernelData};
 use psp_sim::{check_equivalence_batch, BatchRun, EngineKind, EquivConfig};
 use std::collections::HashMap;
@@ -129,14 +129,11 @@ fn main() {
             "{:<16} {:>7} {:>11.3} {:>11.3} {:>11.3} {:>8.2}x {:>8.2}x {:>12}",
             kernel.name, ii, interp_ms, dec_ms, dec_mt_ms, speedup, mt_speedup, cycles
         );
-        records.push(format!(
-            concat!(
-                "{{\"kernel\":\"{}\",\"ii\":\"{}\",\"trials\":{},\"sim_cycles\":{},",
-                "\"interp_ms\":{:.4},\"decoded_ms\":{:.4},\"decoded_mt_ms\":{:.4},",
-                "\"speedup_1t\":{:.3},\"speedup_mt\":{:.3}}}"
-            ),
-            kernel.name, ii, trials, cycles, interp_ms, dec_ms, dec_mt_ms, speedup, mt_speedup
-        ));
+        records.push(json_object! {
+            "kernel": kernel.name, "ii": ii.as_str(), "trials": trials, "sim_cycles": cycles,
+            "interp_ms": interp_ms, "decoded_ms": dec_ms, "decoded_mt_ms": dec_mt_ms,
+            "speedup_1t": speedup, "speedup_mt": mt_speedup,
+        });
     }
 
     let geomean = (log_speedup_sum / kernels.len() as f64).exp();
@@ -151,21 +148,12 @@ fn main() {
     );
 
     if json {
-        let payload = format!(
-            concat!(
-                "{{\"trials\":{},\"runs\":{},\"geomean_speedup_1t\":{:.3},",
-                "\"worst_speedup_1t\":{:.3},\"decoded_cycles_per_sec\":{:.0},",
-                "\"interp_cycles_per_sec\":{:.0},\"kernels\":[{}]}}"
-            ),
-            trials,
-            runs,
-            geomean,
-            worst,
-            dec_rate,
-            interp_rate,
-            records.join(","),
-        );
-        std::fs::write("BENCH_sim.json", &payload).expect("write BENCH_sim.json");
+        let doc = json_object! {
+            "trials": trials, "runs": runs, "geomean_speedup_1t": geomean,
+            "worst_speedup_1t": worst, "decoded_cycles_per_sec": dec_rate,
+            "interp_cycles_per_sec": interp_rate, "kernels": records,
+        };
+        std::fs::write("BENCH_sim.json", doc.document()).expect("write BENCH_sim.json");
         println!("wrote BENCH_sim.json");
     }
 }

@@ -18,6 +18,8 @@ use crate::codegen::{generate, max_steady_path_cycles, CodegenError};
 use crate::compact::compact_ext;
 use crate::heuristics::{score_program, BranchProbs, Score};
 use crate::instance::InstId;
+use crate::json::Json;
+use crate::json_object;
 use crate::schedule::Schedule;
 use crate::transform::{self, split_candidates, Transformation};
 use psp_ir::LoopSpec;
@@ -188,34 +190,26 @@ impl PspStats {
         ]
     }
 
-    /// Machine-readable dump (hand-rolled JSON; the build container has no
-    /// crates.io access, so `serde` is unavailable — the format is stable
-    /// and documented in README.md). Times are microseconds.
+    /// Machine-readable dump: one [`json`](crate::json) document, with the
+    /// keys README.md documents. Times are microseconds.
     pub fn to_json(&self) -> String {
-        format!(
-            concat!(
-                "{{\"moves\":{},\"wraps\":{},\"splits\":{},\"candidates\":{},",
-                "\"rounds\":{},\"pruned\":{},",
-                "\"floor_hit\":{},\"pred\":{},",
-                "\"times_us\":{{\"candidate_gen\":{},",
-                "\"apply\":{},\"compact\":{},\"codegen\":{},\"score\":{},",
-                "\"total\":{}}}}}"
-            ),
-            self.moves,
-            self.wraps,
-            self.splits,
-            self.candidates,
-            self.rounds,
-            self.pruned,
-            self.floor_hit,
-            self.pred.to_json(),
-            self.times.candidate_gen.as_micros(),
-            self.times.apply.as_micros(),
-            self.times.compact.as_micros(),
-            self.times.codegen.as_micros(),
-            self.times.score.as_micros(),
-            self.times.total.as_micros(),
-        )
+        Json::from(self).document()
+    }
+}
+
+impl From<&PspStats> for Json {
+    fn from(s: &PspStats) -> Json {
+        let t = &s.times;
+        json_object! {
+            "moves": s.moves, "wraps": s.wraps, "splits": s.splits,
+            "candidates": s.candidates, "rounds": s.rounds, "pruned": s.pruned,
+            "floor_hit": s.floor_hit, "pred": &s.pred,
+            "times_us": json_object! {
+                "candidate_gen": t.candidate_gen.as_micros(), "apply": t.apply.as_micros(),
+                "compact": t.compact.as_micros(), "codegen": t.codegen.as_micros(),
+                "score": t.score.as_micros(), "total": t.total.as_micros(),
+            },
+        }
     }
 }
 
@@ -729,32 +723,45 @@ mod tests {
 
     #[test]
     fn stats_json_is_machine_readable() {
+        use crate::json::parse::{get, keys, parse};
         let kernel = by_name("vecmin").unwrap();
         let res = pipeline_loop(&kernel.spec, &PspConfig::default()).unwrap();
         let json = res.stats.to_json();
-        // Shape checks (no JSON parser in the offline container): balanced
-        // braces, all keys present, numeric values.
-        assert!(json.starts_with('{') && json.ends_with('}'));
-        for key in [
-            "\"moves\":",
-            "\"wraps\":",
-            "\"splits\":",
-            "\"candidates\":",
-            "\"rounds\":",
-            "\"pruned\":",
-            "\"floor_hit\":",
-            "\"pred\":",
-            "\"conjoins\":",
-            "\"disjoint_tests\":",
-            "\"subsume_tests\":",
-            "\"times_us\":",
-            "\"candidate_gen\":",
-            "\"codegen\":",
-            "\"total\":",
-        ] {
-            assert!(json.contains(key), "missing {key} in {json}");
-        }
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
+        let doc = parse(&json).unwrap_or_else(|e| panic!("{e}: {json}"));
+        assert_eq!(
+            keys(&doc),
+            [
+                "schema",
+                "moves",
+                "wraps",
+                "splits",
+                "candidates",
+                "rounds",
+                "pruned",
+                "floor_hit",
+                "pred",
+                "times_us"
+            ]
+        );
+        assert_eq!(get(&doc, "schema"), Some(&Json::from(crate::json::SCHEMA)));
+        assert_eq!(get(&doc, "moves"), Some(&Json::from(res.stats.moves)));
+        let pred = get(&doc, "pred").unwrap();
+        assert_eq!(keys(pred), ["conjoins", "disjoint_tests", "subsume_tests"]);
+        assert_eq!(
+            get(pred, "disjoint_tests"),
+            Some(&Json::from(res.stats.pred.disjoint_tests))
+        );
+        assert_eq!(
+            keys(get(&doc, "times_us").unwrap()),
+            [
+                "candidate_gen",
+                "apply",
+                "compact",
+                "codegen",
+                "score",
+                "total"
+            ]
+        );
         // The run must have done (and counted) real predicate work.
         assert!(res.stats.pred.disjoint_tests > 0);
         assert!(res.stats.pred.subsume_tests > 0);

@@ -25,6 +25,7 @@ pub mod deps;
 pub mod driver;
 pub mod heuristics;
 pub mod instance;
+pub mod json;
 pub mod preloop;
 pub mod schedule;
 pub mod transform;

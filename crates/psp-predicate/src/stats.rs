@@ -70,14 +70,6 @@ impl PredOpStats {
     pub fn memo_hit_rate(&self) -> f64 {
         0.0
     }
-
-    /// Hand-rolled JSON object (the workspace has no serde).
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"conjoins\":{},\"disjoint_tests\":{},\"subsume_tests\":{}}}",
-            self.conjoins, self.disjoint_tests, self.subsume_tests,
-        )
-    }
 }
 
 impl std::ops::AddAssign for PredOpStats {
@@ -127,15 +119,5 @@ mod tests {
             }
         );
         assert_eq!(d.memo_hit_rate(), 0.0);
-    }
-
-    #[test]
-    fn json_is_an_object() {
-        let j = PredOpStats::default().to_json();
-        assert!(j.starts_with('{') && j.ends_with('}'));
-        for key in ["conjoins", "disjoint_tests", "subsume_tests"] {
-            assert!(j.contains(key), "missing {key} in {j}");
-        }
-        assert!(!j.contains("memo"), "{j}");
     }
 }

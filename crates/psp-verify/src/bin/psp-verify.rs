@@ -11,7 +11,7 @@
 //! Exits nonzero iff a violation or fuzz finding surfaced, so CI can gate
 //! on the raw exit code.
 
-use psp_core::{pipeline_loop, PspConfig};
+use psp_core::{json_object, pipeline_loop, PspConfig};
 use psp_machine::MachineConfig;
 use psp_opt::{certify, ExactConfig};
 use psp_verify::{
@@ -37,22 +37,9 @@ fn main() -> ExitCode {
     }
 }
 
-fn json_escape(s: &str) -> String {
-    s.chars()
-        .flat_map(|c| match c {
-            '"' => "\\\"".chars().collect::<Vec<_>>(),
-            '\\' => "\\\\".chars().collect(),
-            '\n' => "\\n".chars().collect(),
-            '\t' => "\\t".chars().collect(),
-            c if (c as u32) < 0x20 => format!("\\u{:04x}", c as u32).chars().collect(),
-            c => vec![c],
-        })
-        .collect()
-}
-
 /// Validate one kernel's PSP schedule, generated code, EMS modulo schedule,
 /// and certifier witness. Returns the number of violations found.
-fn validate_kernel(name: &str, spec: &psp_ir::LoopSpec, verbose: bool) -> usize {
+fn validate_kernel(spec: &psp_ir::LoopSpec, verbose: bool) -> usize {
     let bad = std::cell::Cell::new(0usize);
     let wide = MachineConfig::paper_default();
     let report = |label: &str, vs: Vec<psp_verify::Violation>| {
@@ -103,7 +90,6 @@ fn validate_kernel(name: &str, spec: &psp_ir::LoopSpec, verbose: bool) -> usize 
     } else if verbose {
         println!("  certifier: no witness (bounded search), skipped");
     }
-    let _ = name;
     bad.get()
 }
 
@@ -113,13 +99,13 @@ fn cmd_validate(rest: &[&str]) -> ExitCode {
         ["--all"] => {
             for k in psp_kernels::all_kernels() {
                 println!("{}:", k.name);
-                total += validate_kernel(k.name, &k.spec, false);
+                total += validate_kernel(&k.spec, false);
             }
         }
         [name] => match psp_kernels::by_name(name) {
             Some(k) => {
                 println!("{}:", k.name);
-                total += validate_kernel(k.name, &k.spec, true);
+                total += validate_kernel(&k.spec, true);
             }
             None => {
                 eprintln!("unknown kernel `{name}`");
@@ -165,32 +151,19 @@ fn cmd_fuzz(rest: &[&str]) -> ExitCode {
     }
     let outcome = fuzz(&cfg);
     if json {
-        let findings: Vec<String> = outcome
-            .findings
-            .iter()
-            .map(|f| {
-                format!(
-                    "{{\"stage\":\"{}\",\"detail\":\"{}\",\"reduced_stmts\":{},\"repro\":\"{}\"}}",
-                    json_escape(&f.failure.stage),
-                    json_escape(&f.failure.detail),
-                    psp_verify::grammar::stmt_count(&f.reduced),
-                    json_escape(
-                        &f.path
-                            .as_ref()
-                            .map(|p| p.display().to_string())
-                            .unwrap_or_default()
-                    ),
-                )
-            })
-            .collect();
-        println!(
-            "{{\"seed\":{},\"executed\":{},\"corpus\":{},\"elapsed_ms\":{},\"findings\":[{}]}}",
-            cfg.seed,
-            outcome.executed,
-            outcome.corpus,
-            outcome.elapsed.as_millis(),
-            findings.join(",")
-        );
+        let findings = outcome.findings.iter().map(|f| {
+            let repro = f.path.as_ref().map(|p| p.display().to_string());
+            json_object! {
+                "stage": f.failure.stage.as_str(), "detail": f.failure.detail.as_str(),
+                "reduced_stmts": psp_verify::grammar::stmt_count(&f.reduced),
+                "repro": repro.unwrap_or_default().as_str(),
+            }
+        });
+        let doc = json_object! {
+            "seed": cfg.seed, "executed": outcome.executed, "corpus": outcome.corpus,
+            "elapsed_ms": outcome.elapsed.as_millis(), "findings": findings.collect::<Vec<_>>(),
+        };
+        println!("{}", doc.document());
     } else {
         println!(
             "seed {}: {} runs, corpus {}, {} finding(s) in {:.1}s",

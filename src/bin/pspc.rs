@@ -29,6 +29,13 @@ use psp::sim::{
     check_equivalence, run_reference, trace_vliw, BranchProfile, EngineKind, MachineState,
 };
 
+/// Largest `--unroll` factor: the unrolled body is list-scheduled as one
+/// block, and that cost grows much faster than the factor.
+const MAX_UNROLL: u32 = 64;
+
+/// Largest `--n`: each array gets `--n` elements, copied per run.
+const MAX_N: usize = 1 << 22;
+
 /// Everything parsed from the command line.
 struct Args {
     command: String,
@@ -47,8 +54,9 @@ struct Args {
     probs: Option<Vec<f64>>,
 }
 
-fn usage() -> &'static str {
-    "pspc — predicated software pipelining compiler driver
+fn usage() -> String {
+    format!(
+        "pspc — predicated software pipelining compiler driver
 
 USAGE:
   pspc compile <file.psp> [--emit schedule|cfg|dot|all]
@@ -74,7 +82,9 @@ TECHNIQUE OPTIONS:
                       them from the reference execution instead
 
 DATA OPTIONS (run/compare):
-  --n LEN             array length / trip count          (default 1024)
+  --n LEN             array length / trip count          (default 1024),
+                      at most {MAX_N}
+  --unroll U          (compare) unroll factor, 1..={MAX_UNROLL}    (default 4)
   --seed S            RNG seed for array contents        (default 42)
   --set name=val      preset a named scalar register; the register named
                       `n` defaults to LEN when not set
@@ -83,13 +93,14 @@ DATA OPTIONS (run/compare):
 
 The input file holds one kernel in the mini DSL, e.g.:
 
-  kernel vecmin(n, k, m; x[]) -> m {
+  kernel vecmin(n, k, m; x[]) -> m {{
       xk = x[k]; xm = x[m];
-      if (xk < xm) { m = k; }
+      if (xk < xm) {{ m = k; }}
       k = k + 1;
       break if (k >= n);
-  }
+  }}
 "
+    )
 }
 
 fn parse_args(argv: &[String]) -> Result<Args, String> {
@@ -124,7 +135,10 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
             "--n" => {
                 a.n = value(&mut it, arg)?
                     .parse()
-                    .map_err(|e| format!("--n: {e}"))?
+                    .map_err(|e| format!("--n: {e}"))?;
+                if a.n > MAX_N {
+                    return Err(format!("--n: {} is above the limit of {MAX_N}", a.n));
+                }
             }
             "--seed" => {
                 a.seed = value(&mut it, arg)?
@@ -134,7 +148,10 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
             "--unroll" => {
                 a.unroll = value(&mut it, arg)?
                     .parse()
-                    .map_err(|e| format!("--unroll: {e}"))?
+                    .map_err(|e| format!("--unroll: {e}"))?;
+                if !(1..=MAX_UNROLL).contains(&a.unroll) {
+                    return Err(format!("--unroll: the factor must be in 1..={MAX_UNROLL}"));
+                }
             }
             "--set" => {
                 let v = value(&mut it, arg)?;
@@ -197,6 +214,9 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
                     .split(',')
                     .map(|p| p.parse().map_err(|e| format!("--probs: {e}")))
                     .collect::<Result<_, _>>()?;
+                if let Some(p) = ps.iter().find(|p| !(0.0..=1.0).contains(*p)) {
+                    return Err(format!("--probs: {p} is not a probability in [0, 1]"));
+                }
                 a.probs = Some(ps);
             }
             _ if a.file.is_none() && !arg.starts_with("--") => a.file = Some(arg.clone()),

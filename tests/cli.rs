@@ -224,6 +224,45 @@ fn errors_exit_nonzero_with_messages() {
         );
     }
 
+    // Out-of-range numeric flags are argument errors naming the flag: no
+    // panic (`--unroll 0`), allocation abort (`--n`) or silent NaN scores.
+    for (args, msg) in [
+        (
+            &["compare", "--unroll", "0"][..],
+            "--unroll: the factor must be in 1..=64",
+        ),
+        (
+            &["compare", "--unroll", "65"],
+            "--unroll: the factor must be in 1..=64",
+        ),
+        (
+            &["run", "--n", "100000000000"],
+            "--n: 100000000000 is above the limit of 4194304",
+        ),
+        (
+            &["compile", "--probs", "nan"],
+            "--probs: NaN is not a probability in [0, 1]",
+        ),
+        (
+            &["compile", "--probs", "0.5,-1"],
+            "--probs: -1 is not a probability in [0, 1]",
+        ),
+        (
+            &["compile", "--probs", "2.0"],
+            "--probs: 2 is not a probability in [0, 1]",
+        ),
+    ] {
+        let out = pspc(&[&[args[0], f.to_str().unwrap()], &args[1..]].concat());
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {err}");
+        assert!(err.contains(msg), "{args:?}: {err}");
+    }
+    let help = String::from_utf8(pspc(&["help"]).stdout).unwrap();
+    assert!(
+        help.contains("1..=64") && help.contains("at most 4194304"),
+        "{help}"
+    );
+
     // An integer literal past i64 is a lex error naming the limit, not a
     // panic (exit code 101).
     let huge = write_kernel(
