@@ -53,14 +53,14 @@ fn main() {
     }
     println!(
         "\ntotal: {:.1} ms for {} kernels — the technique is iterative with \
-         no backtracking (candidate trials are clone+compact+codegen).",
+         no backtracking (candidate trials are clone+compact+score).",
         total_ms,
         all_kernels().len()
     );
     println!(
         "aggregate phase work (summed across worker threads): candidate-gen \
          {:.1} ms, apply {:.1} ms, compact {:.1} ms, codegen {:.1} ms, score \
-         {:.1} ms — with exact-II pruning deferring most codegen, compaction \
+         {:.1} ms — with exact scores deferring codegen to step winners, compaction \
          is the remaining cost; without pruning (sequential driver), codegen \
          dominates and grows exponentially with live IFs.",
         phase.candidate_gen.as_secs_f64() * 1e3,

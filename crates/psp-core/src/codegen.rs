@@ -60,6 +60,10 @@ pub enum CodegenError {
     /// The startup contract cannot be established by the preloop emulator
     /// (see `preloop`); the driver discards the candidate.
     PreloopUnsupported(&'static str),
+    /// The schedule's steady state has more than this many open paths at
+    /// once ([`MAX_WALK_PATHS`]); the loop is refused before its code is
+    /// generated.
+    TooManyPaths(usize),
     /// An internal invariant of the generator did not hold. Reaching this
     /// indicates a bug in a transformation or in the generator itself, but
     /// it is reported as a typed error (the driver discards the candidate)
@@ -86,12 +90,19 @@ impl fmt::Display for CodegenError {
             CodegenError::PreloopUnsupported(s) => {
                 write!(f, "preloop cannot establish the entry contract: {s}")
             }
+            CodegenError::TooManyPaths(n) => {
+                write!(f, "more than {n} open steady-state paths (MAX_WALK_PATHS)")
+            }
             CodegenError::Internal(s) => write!(f, "internal invariant violated: {s}"),
         }
     }
 }
 
 impl std::error::Error for CodegenError {}
+
+/// Shared by [`generate`] and [`steady_paths`], which fail the same way.
+const ENTRY_SPLIT: CodegenError = CodegenError::Internal("entry split on a constrained element");
+const NO_IF_ROW: CodegenError = CodegenError::Internal("IF instance computes no predicate row");
 
 /// Token identifying one logical block during construction.
 type Token = usize;
@@ -131,7 +142,7 @@ enum DoneTerm {
 
 /// The predicates the steady state dispatches on at block entry: those a
 /// constrained instance needs from the *previous* iteration. Shared by
-/// [`generate`] and [`max_steady_path_cycles`], so both agree exactly on
+/// [`generate`] and [`steady_paths`], so both agree exactly on
 /// the entry fan-out (and on the failure modes that precede it).
 fn incoming_predicates(sched: &Schedule) -> Result<Vec<(u32, i32)>, CodegenError> {
     let iflog = sched.iflog();
@@ -220,9 +231,7 @@ pub fn generate(sched: &Schedule, machine: &MachineConfig) -> Result<VliwLoop, C
         next_token += 1;
         t
     };
-    let entries = entry_matrices(&incoming).ok_or(CodegenError::Internal(
-        "entry split on a constrained element",
-    ))?;
+    let entries = entry_matrices(&incoming).ok_or(ENTRY_SPLIT)?;
     let mut open: Vec<OpenBlock> = entries
         .iter()
         .map(|m| OpenBlock {
@@ -276,9 +285,7 @@ pub fn generate(sched: &Schedule, machine: &MachineConfig) -> Result<VliwLoop, C
                 let psp_ir::OpKind::If { cc } = i.op.kind else {
                     return Err(CodegenError::Internal("row_ifs holds a non-IF instance"));
                 };
-                let r = i.computes_if.ok_or(CodegenError::Internal(
-                    "IF instance computes no predicate row",
-                ))?;
+                let r = i.computes_if.ok_or(NO_IF_ROW)?;
                 splits.push((cc, r, i.index));
             }
             let mats = fan_out(
@@ -409,81 +416,87 @@ pub fn generate(sched: &Schedule, machine: &MachineConfig) -> Result<VliwLoop, C
     Ok(result)
 }
 
-/// Abort the path enumeration in [`max_steady_path_cycles`] past this many
-/// concurrent chains; the caller falls back to a weaker bound. Code
-/// generation enumerates exactly the same chains as blocks but does an
-/// order of magnitude more work per block (instance placement, conflict
-/// validation, per-child deep clones), so the cap can sit well above any
-/// block count codegen itself could digest.
-const MAX_BOUND_CHAINS: usize = 1 << 18;
+/// The most open paths the steady-state walk that scores a schedule
+/// ([`score_schedule`](crate::heuristics::score_schedule)) holds at once.
+/// Code generation builds one block per open path, so a schedule past this
+/// cap could not be generated in reasonable time either; the walk refuses
+/// it with [`CodegenError::TooManyPaths`].
+pub const MAX_WALK_PATHS: usize = 1 << 18;
 
-/// The maximal steady-state-path II of any successful code generation of
+/// One steady-state path of the loop [`generate`] builds: the predicate
+/// matrix of its last block and its cycle count, which is its II.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct SteadyPath {
+    pub(crate) matrix: PredicateMatrix,
+    pub(crate) cycles: usize,
+}
+
+/// Every steady-state path of the loop [`generate`] would build from
 /// `sched`, computed without generating code.
 ///
 /// Replays exactly the generator's block-matrix evolution — the universe
 /// split on every incoming predicate at entry, one cycle per row holding a
 /// compatible instance, a fan-out on every compatible IF of a row, a back
 /// edge resolved by matching the `shifted(-1)` final matrix against the
-/// entry matrices — but tracks only (matrix, cycle count) per chain:
+/// entry matrices — but tracks only (matrix, cycle count) per path:
 /// no instance placement, guard assignment, or conflict validation. The
 /// generator enumerates every *syntactic* outcome combination and wires
-/// every entry block from the first-iteration dispatch, so each enumerated
-/// chain exists verbatim in the generated program; a chain is a steady-state
-/// path iff its entry receives some back edge, so the maximum over those
-/// chains is exactly `ii_range().1` (empty-block cleanup only rewires
-/// zero-cycle blocks and cannot change any chain's cycle count).
+/// every entry block from the first-iteration dispatch, so each walked
+/// path exists verbatim in the generated program; a path is a steady-state
+/// path iff its entry receives some back edge (empty-block cleanup only
+/// rewires zero-cycle blocks and cannot change any path's cycle count).
 ///
-/// `None` when code generation would fail before the walk diverges from it
-/// (unresolved or colliding incoming predicates, a constrained entry split,
-/// an IF computing no predicate row, a chain with no back-edge target) or
-/// when the enumeration exceeds [`MAX_BOUND_CHAINS`].
-pub(crate) fn max_steady_path_cycles(sched: &Schedule) -> Option<usize> {
-    let incoming = incoming_predicates(sched).ok()?;
-    let entries = entry_matrices(&incoming)?;
+/// The errors are those `generate` raises for the same reason, plus
+/// [`CodegenError::TooManyPaths`] past [`MAX_WALK_PATHS`]; whenever the
+/// walk fails, so does `generate`.
+pub(crate) fn steady_paths(sched: &Schedule) -> Result<Vec<SteadyPath>, CodegenError> {
+    let incoming = incoming_predicates(sched)?;
+    let entries = entry_matrices(&incoming).ok_or(ENTRY_SPLIT)?;
 
-    // (entry index, current matrix, non-empty cycles so far) per open chain.
-    let mut chains: Vec<(usize, PredicateMatrix, usize)> = entries
+    // (entry index, current matrix, non-empty cycles so far) per open path.
+    let mut open: Vec<(usize, PredicateMatrix, usize)> = entries
         .iter()
         .enumerate()
         .map(|(e, m)| (e, m.clone(), 0))
         .collect();
     for row in &sched.rows {
-        let mut next = Vec::with_capacity(chains.len());
-        for (e, m, mut cycles) in chains {
+        let mut next = Vec::with_capacity(open.len());
+        for (e, m, mut cycles) in open {
             if row.iter().any(|i| !i.formal.is_disjoint(&m)) {
                 cycles += 1;
             }
             let mut splits = Vec::new();
             for i in row {
                 if i.op.is_if() && !i.formal.is_disjoint(&m) {
-                    splits.push((i.computes_if?, i.index));
+                    splits.push((i.computes_if.ok_or(NO_IF_ROW)?, i.index));
                 }
             }
             for mm in fan_out(m, splits) {
                 next.push((e, mm, cycles));
             }
         }
-        if next.len() > MAX_BOUND_CHAINS {
-            return None;
+        if next.len() > MAX_WALK_PATHS {
+            return Err(CodegenError::TooManyPaths(MAX_WALK_PATHS));
         }
-        chains = next;
+        open = next;
     }
 
-    // A chain is a steady-state path iff its entry is some chain's
+    // A path is a steady-state path iff its entry is some path's
     // back-edge target.
     let mut is_steady = vec![false; entries.len()];
-    let mut finals = Vec::with_capacity(chains.len());
-    for (e, m, cycles) in chains {
+    for (_, m, _) in &open {
         let shifted = m.shifted(-1);
-        let target = entries.iter().position(|x| x.subsumes(&shifted))?;
+        let target = entries
+            .iter()
+            .position(|x| x.subsumes(&shifted))
+            .ok_or(CodegenError::NoBackEdgeTarget)?;
         is_steady[target] = true;
-        finals.push((e, cycles));
     }
-    finals
+    Ok(open
         .into_iter()
-        .filter(|&(e, _)| is_steady[e])
-        .map(|(_, cycles)| cycles)
-        .max()
+        .filter(|&(e, _, _)| is_steady[e])
+        .map(|(_, matrix, cycles)| SteadyPath { matrix, cycles })
+        .collect())
 }
 
 /// Terminator (possibly via zero-cycle dispatch blocks) implementing a
@@ -715,14 +728,18 @@ mod tests {
 
     #[test]
     fn variable_ii_blocks_skip_disjoint_rows() {
-        // The COPY row issues nothing on the False path: the False block
-        // is one cycle shorter.
+        // The COPY row issues nothing on the False path: the False path is
+        // one cycle shorter, in the walk and in the generated loop alike.
         let kernel = by_name("vecmin").unwrap();
         let sched = Schedule::initial(&kernel.spec);
-        let prog = generate(&sched, &m()).unwrap();
-        let iis = prog.path_iis();
-        let cycles: Vec<usize> = iis.iter().map(|p| p.cycles).collect();
-        assert!(cycles.contains(&7) && cycles.contains(&8));
+        let mut paths: Vec<(Option<bool>, usize)> = steady_paths(&sched)
+            .unwrap()
+            .into_iter()
+            .map(|p| (p.matrix.get(0, 0).as_bool(), p.cycles))
+            .collect();
+        paths.sort_unstable();
+        assert_eq!(paths, [(Some(false), 7), (Some(true), 8)]);
+        assert_eq!(generate(&sched, &m()).unwrap().ii_range(), Some((7, 8)));
     }
 
     #[test]

@@ -3,9 +3,10 @@
 //! Each step generates a set of candidate transformations directed at
 //! shortening the II (wraps of row-0 instances, splits that disjoin blocked
 //! movers), evaluates each candidate on a clone of the schedule (apply +
-//! compact + code generation + score), applies the best strictly-improving
-//! one, and repeats. There is no backtracking: a candidate that fails to
-//! improve — or whose code generation fails — is simply discarded.
+//! compact + exact score from the steady-state walk), applies the best
+//! strictly-improving one, and repeats. There is no backtracking: a
+//! candidate that fails to improve — or whose code generation fails — is
+//! simply discarded.
 //!
 //! Candidate trials within a step are independent, so they are evaluated
 //! **in parallel** (see [`PspConfig::threads`]) with a deterministic
@@ -14,9 +15,9 @@
 //! count. Every phase is **instrumented** ([`PspStats`]: per-phase
 //! wall-clock, transformation counters, JSON dump).
 
-use crate::codegen::{generate, max_steady_path_cycles, CodegenError};
+use crate::codegen::{generate, CodegenError};
 use crate::compact::compact_ext;
-use crate::heuristics::{score_program, BranchProbs, Score};
+use crate::heuristics::{score_schedule, BranchProbs, Score};
 use crate::instance::InstId;
 use crate::json::Json;
 use crate::json_object;
@@ -53,18 +54,15 @@ pub struct PspConfig {
     /// pool. The reduction is deterministic (best score, ties broken by
     /// candidate index), so results are bit-identical for every setting.
     pub threads: usize,
-    /// Discard candidate trials by a sound score lower bound before code
-    /// generation (branch-and-bound admission). A trial's `rows` and
-    /// `instances` are exact after compaction, and under the static
-    /// objective the maximal II itself is computed exactly from the
-    /// schedule without generating code (`max_steady_path_cycles`; the
-    /// expected-II objective falls back to a universe-row lower bound).
-    /// Trials that cannot strictly beat the current score are discarded
-    /// before codegen; trials with an exactly-known score defer codegen
-    /// until the reduction picks them as the step winner. The chosen
-    /// candidate is provably identical to the exhaustive scan
-    /// ([`PspStats::counters`] stays bit-identical; only wall-clock and
-    /// the `pruned` counter change).
+    /// Generate code only for the trial that wins a step. Every trial is
+    /// scored exactly from its schedule, without generating code
+    /// ([`score_schedule`]), under either objective. With pruning on, a
+    /// trial that cannot strictly beat the current score is discarded, and
+    /// the rest defer code generation until the reduction picks one as
+    /// the step winner; off, every scored trial generates its code. The
+    /// chosen candidate is identical either way ([`PspStats::counters`]
+    /// stays bit-identical; only wall-clock, the predicate counts and the
+    /// `pruned` counter change).
     pub enable_prune: bool,
     /// Stop refining as soon as the primary score (maximal or expected II)
     /// reaches this floor — typically a certified fixed-II optimum from
@@ -104,7 +102,7 @@ impl PspConfig {
 
     /// The reference configuration for cross-checking: single-threaded,
     /// no pruning — the exact shape of the original sequential driver,
-    /// which exhaustively code-generates every candidate trial.
+    /// which code-generates every candidate trial.
     pub fn sequential(mut self) -> Self {
         self.threads = 1;
         self.enable_prune = false;
@@ -126,7 +124,8 @@ pub struct PhaseTimes {
     pub compact: Duration,
     /// Loop code generation (the exponential phase).
     pub codegen: Duration,
-    /// Scoring of generated programs (II extraction / expected II).
+    /// Scoring: the steady-state walks of trial, seed and deepened
+    /// schedules.
     pub score: Duration,
     /// Whole-run elapsed wall-clock.
     pub total: Duration,
@@ -154,15 +153,16 @@ pub struct PspStats {
     pub wraps: usize,
     /// Splits applied.
     pub splits: usize,
-    /// Candidates evaluated (each evaluation = clone + compact + codegen,
-    /// unless pruning decides the trial first).
+    /// Candidates evaluated (each evaluation = clone + compact + score,
+    /// plus code generation for the step winner or, without pruning, for
+    /// every trial).
     pub candidates: usize,
     /// Improvement rounds taken.
     pub rounds: usize,
-    /// Candidate trials that never ran code generation: rejected by the
-    /// score lower bound, or exactly scored from the schedule but out-ranked
-    /// by the step winner (see [`PspConfig::enable_prune`]). Deterministic,
-    /// but configuration-dependent: the exhaustive reference prunes nothing.
+    /// Scored candidate trials that never ran code generation: unable to
+    /// beat the current score, or out-ranked by the step winner (see
+    /// [`PspConfig::enable_prune`]). Deterministic, but
+    /// configuration-dependent: the exhaustive reference prunes nothing.
     pub pruned: usize,
     /// Whether refinement stopped early because the score reached
     /// [`PspConfig::exact_floor`].
@@ -228,60 +228,66 @@ pub struct PspResult {
 
 /// Outcome of one candidate trial.
 struct Trial {
-    t: Transformation,
-    /// Moveups compaction applied to this trial (counted into stats only
-    /// if the trial is chosen, matching the sequential driver).
-    moves: usize,
-    /// The compacted trial schedule; `None` when `apply` rejected it.
-    sched: Option<Schedule>,
-    scored: Option<(Score, VliwLoop)>,
-    /// The exact score of this trial, known without generating code (see
-    /// [`max_steady_path_cycles`]). Code generation is deferred until the
-    /// reduction picks this trial as the step winner.
-    bound: Option<Score>,
+    /// The scored trial; `None` when `apply`, the walk or code generation
+    /// rejected it, or pruning discarded it.
+    scored: Option<Scored>,
     times: PhaseTimes,
-    /// Discarded by the score lower bound without running codegen.
+    /// Discarded without running codegen: it cannot beat the current score.
     pruned: bool,
     /// Predicate work of this trial when it ran on a worker thread (the
     /// caller thread's own counters already hold the trials it ran).
     pred: PredOpStats,
 }
 
-impl Trial {
-    /// The score this trial competes with in the reduction: the generated
-    /// program's when available, the (exact) deferred bound otherwise.
-    fn competing_score(&self) -> Option<&Score> {
-        self.scored.as_ref().map(|(s, _)| s).or(self.bound.as_ref())
-    }
+/// A trial that competes in the step's reduction.
+struct Scored {
+    t: Transformation,
+    /// Moveups compaction applied to this trial (counted into stats only
+    /// if the trial is chosen, matching the sequential driver).
+    moves: usize,
+    /// The compacted trial schedule.
+    sched: Schedule,
+    /// Its exact score.
+    score: Score,
+    /// Its generated program; `None` until it is generated.
+    prog: Option<VliwLoop>,
 }
 
-/// A lower bound on the primary score that holds for *every* objective: a
-/// row holding a universe-predicate instance emits a non-empty cycle on
-/// every steady-state path, so the count of such rows bounds each path's
-/// II — and hence both the maximal and the expected II — from below.
-fn universe_row_bound(sched: &Schedule) -> usize {
-    sched
-        .rows
-        .iter()
-        .filter(|row| row.iter().any(|i| i.formal.is_universe()))
-        .count()
-}
-
-/// Generate + score `sched`; `None` when code generation fails.
-fn score(sched: &Schedule, cfg: &PspConfig, times: &mut PhaseTimes) -> Option<(Score, VliwLoop)> {
+/// Score `sched` exactly from its steady-state walk.
+fn score(sched: &Schedule, cfg: &PspConfig, times: &mut PhaseTimes) -> Result<Score, CodegenError> {
     let t0 = Instant::now();
-    let prog = generate(sched, &cfg.machine).ok();
+    let s = score_schedule(sched, cfg.probs.as_deref());
+    times.score += t0.elapsed();
+    s
+}
+
+/// Generate the code of `sched`.
+fn codegen(
+    sched: &Schedule,
+    cfg: &PspConfig,
+    times: &mut PhaseTimes,
+) -> Result<VliwLoop, CodegenError> {
+    let t0 = Instant::now();
+    let prog = generate(sched, &cfg.machine);
     times.codegen += t0.elapsed();
-    let t1 = Instant::now();
-    let scored = prog.map(|p| (score_program(&p, sched, cfg.probs.as_ref()), p));
-    times.score += t1.elapsed();
-    scored
+    prog
+}
+
+/// Walk, then generate: the walk refuses a loop past its path cap before
+/// the exponential code generation starts.
+fn score_and_generate(
+    sched: &Schedule,
+    cfg: &PspConfig,
+    times: &mut PhaseTimes,
+) -> Result<(Score, VliwLoop), CodegenError> {
+    let s = score(sched, cfg, times)?;
+    Ok((s, codegen(sched, cfg, times)?))
 }
 
 /// Evaluate one candidate transformation on a clone of `sched`. `cur` is
 /// the score a chosen candidate must strictly beat; when pruning is on, a
-/// trial whose best-possible score cannot beat it is discarded before the
-/// exponential code-generation step.
+/// trial that cannot beat it is discarded, and the others defer code
+/// generation to the reduction.
 fn eval_candidate(
     sched: &Schedule,
     t: Transformation,
@@ -289,81 +295,41 @@ fn eval_candidate(
     cur: Option<&Score>,
 ) -> Trial {
     let mut times = PhaseTimes::default();
+    let mut pruned = false;
     let t0 = Instant::now();
-    let mut trial = sched.clone();
-    let applied = transform::apply(&mut trial, &t, &cfg.machine).is_ok();
+    let mut next = sched.clone();
+    let applied = transform::apply(&mut next, &t, &cfg.machine).is_ok();
     times.apply += t0.elapsed();
-    if !applied {
-        return Trial {
-            t,
-            moves: 0,
-            sched: None,
-            scored: None,
-            bound: None,
-            times,
-            pruned: false,
-            pred: PredOpStats::default(),
-        };
-    }
-    let t1 = Instant::now();
-    let moves = compact_ext(&mut trial, &cfg.machine, cfg.enable_rename);
-    times.compact += t1.elapsed();
-    if cfg.enable_prune {
-        let t2 = Instant::now();
-        let exact = if cfg.probs.is_none() {
-            max_steady_path_cycles(&trial)
-        } else {
-            None
-        };
-        times.score += t2.elapsed();
-        let primary = exact.unwrap_or_else(|| universe_row_bound(&trial)) as f64;
-        let potential = Score {
-            primary,
-            rows: trial.n_rows(),
-            instances: trial.n_instances(),
-        };
-        // The bound only depends on the step-entry score, never on the
-        // other trials, so pruning is order-independent (deterministic
-        // under any thread count).
-        if let Some(cur) = cur {
-            if !potential.better_than(cur) {
-                return Trial {
-                    t,
-                    moves,
-                    sched: Some(trial),
-                    scored: None,
-                    bound: None,
-                    times,
-                    pruned: true,
-                    pred: PredOpStats::default(),
-                };
-            }
-        }
-        if exact.is_some() {
-            // The exact score is known without generating code: defer the
-            // exponential codegen to the reduction, which runs it only for
-            // the trial that wins the step.
-            return Trial {
+    let mut scored = None;
+    if applied {
+        let t1 = Instant::now();
+        let moves = compact_ext(&mut next, &cfg.machine, cfg.enable_rename);
+        times.compact += t1.elapsed();
+        if let Ok(s) = score(&next, cfg, &mut times) {
+            let mut trial = Scored {
                 t,
                 moves,
-                sched: Some(trial),
-                scored: None,
-                bound: Some(potential),
-                times,
-                pruned: false,
-                pred: PredOpStats::default(),
+                sched: next,
+                score: s,
+                prog: None,
             };
+            if !cfg.enable_prune {
+                trial.prog = codegen(&trial.sched, cfg, &mut times).ok();
+                scored = trial.prog.is_some().then_some(trial);
+            } else if cur.is_none_or(|c| trial.score.better_than(c)) {
+                scored = Some(trial);
+            } else {
+                // Pruning only depends on the step-entry score, never on
+                // the other trials, so pruning is order-independent
+                // (deterministic under any thread count).
+                pruned = true;
+            }
         }
     }
-    let scored = score(&trial, cfg, &mut times);
     Trial {
-        t,
-        moves,
-        sched: Some(trial),
         scored,
-        bound: None,
         times,
-        pruned: false,
+        pruned,
         pred: PredOpStats::default(),
     }
 }
@@ -423,16 +389,13 @@ pub fn pipeline_loop(spec: &LoopSpec, cfg: &PspConfig) -> Result<PspResult, Code
     stats.moves += compact_ext(&mut sched, &cfg.machine, cfg.enable_rename);
     stats.times.compact += t0.elapsed();
 
-    let (s0, p0) = match score(&sched, cfg, &mut stats.times) {
-        Some(x) => x,
-        None => {
+    let (s0, p0) = match score_and_generate(&sched, cfg, &mut stats.times) {
+        Ok(x) => x,
+        Err(_) => {
             // The compacted schedule should always be generatable; fall
             // back to the raw initial schedule if a corner case breaks it.
             sched = Schedule::initial(spec);
-            let t1 = Instant::now();
-            let prog = generate(&sched, &cfg.machine)?;
-            stats.times.codegen += t1.elapsed();
-            (score_program(&prog, &sched, cfg.probs.as_ref()), prog)
+            score_and_generate(&sched, cfg, &mut stats.times)?
         }
     };
     let mut best: (Score, Schedule, VliwLoop) = (s0.clone(), sched.clone(), p0);
@@ -458,74 +421,63 @@ pub fn pipeline_loop(spec: &LoopSpec, cfg: &PspConfig) -> Result<PspResult, Code
             stats.times.candidate_gen += t1.elapsed();
             stats.candidates += candidates.len();
 
-            let mut trials = evaluate_candidates(&sched, candidates, cfg, cur_score.as_ref());
-            for trial in &trials {
+            let trials = evaluate_candidates(&sched, candidates, cfg, cur_score.as_ref());
+            let mut scored = Vec::with_capacity(trials.len());
+            for trial in trials {
                 stats.times.absorb(&trial.times);
                 stats.pred += trial.pred;
                 stats.pruned += trial.pruned as usize;
+                scored.extend(trial.scored);
             }
 
             // Deterministic reduction: first strict improvement in
             // candidate order wins ties, exactly like the sequential scan.
-            // Deferred trials compete with their bound score — which equals
-            // the score their generated program would get — so the scan
-            // picks the same winner as the exhaustive sequential pass. The
-            // winner's code is then generated; if that fails (a placement-
-            // level failure the bound cannot rule out), the trial is
-            // discarded exactly as the sequential scan would have
-            // discarded it, and the scan repeats without it.
-            let round_best: Option<(Transformation, Score, Schedule, VliwLoop, usize)> = loop {
+            // Every trial competes with its exact score, so the scan picks
+            // the same winner whether or not its code was generated yet.
+            // The winner's code is generated now if it was deferred; if
+            // that fails (a placement-level failure the walk cannot see),
+            // the trial is discarded exactly as the sequential scan would
+            // have discarded it, and the scan repeats without it.
+            let round_best = loop {
                 let mut best: Option<usize> = None;
-                for (i, trial) in trials.iter().enumerate() {
-                    let Some(s) = trial.competing_score() else {
-                        continue;
-                    };
-                    let improves_current = match &cur_score {
-                        Some(c) => s.better_than(c),
-                        None => true,
-                    };
+                for (i, c) in scored.iter().enumerate() {
+                    let improves_current = cur_score
+                        .as_ref()
+                        .is_none_or(|cur| c.score.better_than(cur));
                     if improves_current
-                        && best
-                            .map(|b| s.better_than(trials[b].competing_score().unwrap()))
-                            .unwrap_or(true)
+                        && best.is_none_or(|b| c.score.better_than(&scored[b].score))
                     {
                         best = Some(i);
                     }
                 }
                 let Some(i) = best else { break None };
-                if trials[i].scored.is_none() {
-                    let deferred = trials[i].sched.as_ref().expect("deferred trial applied");
-                    match score(deferred, cfg, &mut stats.times) {
-                        Some(sp) => trials[i].scored = Some(sp),
-                        None => {
-                            trials[i].bound = None;
-                            continue;
-                        }
-                    }
-                }
-                let trial = trials.swap_remove(i);
-                // Deferred losers never ran the exponential codegen either.
-                stats.pruned += trials
-                    .iter()
-                    .filter(|t| t.bound.is_some() && t.scored.is_none())
-                    .count();
-                let (Some((s, prog)), Some(trial_sched)) = (trial.scored, trial.sched) else {
-                    unreachable!("winner was scored above");
+                // `remove`, not `swap_remove`: a rescan must see the other
+                // trials in candidate order.
+                let mut win = scored.remove(i);
+                let prog = match win.prog.take() {
+                    Some(prog) => prog,
+                    None => match codegen(&win.sched, cfg, &mut stats.times) {
+                        Ok(prog) => prog,
+                        Err(_) => continue,
+                    },
                 };
-                break Some((trial.t, s, trial_sched, prog, trial.moves));
+                // Deferred losers never ran the exponential codegen either.
+                stats.pruned += scored.iter().filter(|c| c.prog.is_none()).count();
+                break Some((win, prog));
             };
             match round_best {
-                Some((t, s, trial, prog, moves)) => {
-                    match &t {
+                Some((win, prog)) => {
+                    match &win.t {
                         Transformation::WrapUp { .. } => stats.wraps += 1,
                         Transformation::Split { .. } => stats.splits += 1,
                         _ => {}
                     }
-                    stats.moves += moves;
+                    stats.moves += win.moves;
                     stats.rounds += 1;
-                    sched = trial.clone();
+                    sched = win.sched.clone();
+                    let s = win.score;
                     if s.better_than(&best.0) {
-                        best = (s.clone(), trial, prog);
+                        best = (s.clone(), win.sched, prog);
                     }
                     let hit = cfg.exact_floor.is_some_and(|f| s.primary <= f);
                     cur_score = Some(s);
@@ -560,15 +512,15 @@ pub fn pipeline_loop(spec: &LoopSpec, cfg: &PspConfig) -> Result<PspResult, Code
         let t3 = Instant::now();
         stats.moves += compact_ext(&mut sched, &cfg.machine, cfg.enable_rename);
         stats.times.compact += t3.elapsed();
-        match score(&sched, cfg, &mut stats.times) {
-            Some((s, prog)) => {
+        match score_and_generate(&sched, cfg, &mut stats.times) {
+            Ok((s, prog)) => {
                 stats.candidates += 1;
                 if s.better_than(&best.0) {
                     best = (s.clone(), sched.clone(), prog);
                 }
                 cur_score = Some(s);
             }
-            None => {
+            Err(_) => {
                 cur_score = None; // keep refining; codegen may recover
             }
         }

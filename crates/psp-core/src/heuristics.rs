@@ -2,14 +2,17 @@
 //!
 //! The paper's technique evaluates candidate transformations heuristically
 //! and applies the best (§3). Our evaluation is *semantic*: a candidate is
-//! tried on a clone of the schedule, compacted, run through code
-//! generation, and scored on the resulting per-path initiation intervals —
+//! tried on a clone of the schedule, compacted, and scored exactly on the
+//! initiation intervals of the loop code generation would build from it —
 //! either by worst-case II (the static, data-dependence-driven mode) or by
 //! the expected mean dynamic II under a branch profile (the §4 extension:
-//! "heuristics driven by dynamic probabilities of path sets").
+//! "heuristics driven by dynamic probabilities of path sets"). Both come
+//! from one walk of the schedule's steady state (`codegen::steady_paths`),
+//! which yields every steady-state path with its final predicate matrix and
+//! cycle count, so scoring never needs the generated program.
 
+use crate::codegen::{steady_paths, CodegenError, SteadyPath};
 use crate::schedule::Schedule;
-use psp_machine::VliwLoop;
 use psp_predicate::PredicateMatrix;
 
 /// A schedule's figure of merit. Lower is better, compared
@@ -41,19 +44,6 @@ impl Score {
 /// Per-IF-row probability of the True outcome (stationary model).
 pub type BranchProbs = Vec<f64>;
 
-/// The probability of one steady-state path of the generated loop: conjoin
-/// the matrices of its blocks and measure under the profile.
-fn path_probability(prog: &VliwLoop, blocks: &[usize], probs: &[f64]) -> f64 {
-    let mut m = PredicateMatrix::universe();
-    for &b in blocks {
-        match m.conjoin(&prog.blocks[b].matrix) {
-            Some(x) => m = x,
-            None => return 0.0,
-        }
-    }
-    measure(&m, probs)
-}
-
 /// The measure of a matrix's path set: the product, over its constrained
 /// elements in key order, of the row's True probability (clamped to
 /// `[0, 1]`; rows beyond `probs` count as 0.5) or its complement.
@@ -70,38 +60,45 @@ fn measure(m: &PredicateMatrix, probs: &[f64]) -> f64 {
         .product()
 }
 
-/// Expected steady-state II of a generated loop under a branch profile.
-pub fn expected_ii(prog: &VliwLoop, probs: &[f64]) -> f64 {
-    let iis = prog.path_iis();
-    if iis.is_empty() {
+/// The primary objective over a loop's steady-state paths: the maximal II,
+/// or under a profile the expected II, each path weighted by the measure
+/// of its final matrix. The expected II is computed as `II_min + Σw·(II −
+/// II_min) / Σw`, so a loop whose paths share one II scores exactly that
+/// II; a profile that gives every path weight 0 falls back to the
+/// unweighted mean.
+fn objective(paths: &[SteadyPath], probs: Option<&[f64]>) -> f64 {
+    let Some(min) = paths.iter().map(|p| p.cycles).min() else {
         return 0.0;
-    }
-    let mut num = 0.0;
-    let mut den = 0.0;
-    for p in &iis {
-        let w = path_probability(prog, &p.blocks, probs);
-        num += w * p.cycles as f64;
+    };
+    let Some(probs) = probs else {
+        return paths.iter().map(|p| p.cycles).max().unwrap_or(min) as f64;
+    };
+    let (mut num, mut den) = (0.0, 0.0);
+    for p in paths {
+        let w = measure(&p.matrix, probs);
+        num += w * (p.cycles - min) as f64;
         den += w;
     }
-    if den <= 0.0 {
-        // Degenerate profile: fall back to the unweighted mean.
-        iis.iter().map(|p| p.cycles as f64).sum::<f64>() / iis.len() as f64
-    } else {
+    let excess = if den > 0.0 {
         num / den
-    }
+    } else {
+        paths.iter().map(|p| (p.cycles - min) as f64).sum::<f64>() / paths.len() as f64
+    };
+    min as f64 + excess
 }
 
-/// Score an already-generated loop against the schedule it came from.
-pub fn score_program(prog: &VliwLoop, sched: &Schedule, probs: Option<&BranchProbs>) -> Score {
-    let primary = match probs {
-        Some(p) => expected_ii(prog, p),
-        None => prog.ii_range().map(|(_, max)| max as f64).unwrap_or(0.0),
-    };
-    Score {
-        primary,
+/// Score a schedule exactly without generating its code: walk the steady
+/// state of the loop [`generate`](crate::codegen::generate) would build and
+/// reduce its paths to the objective (`probs: None` is the static mode).
+/// Fails when code generation would fail for a reason the walk can see, or
+/// past the walk's path cap.
+pub fn score_schedule(sched: &Schedule, probs: Option<&[f64]>) -> Result<Score, CodegenError> {
+    let paths = steady_paths(sched)?;
+    Ok(Score {
+        primary: objective(&paths, probs),
         rows: sched.n_rows(),
         instances: sched.n_instances(),
-    }
+    })
 }
 
 #[cfg(test)]
@@ -137,14 +134,13 @@ mod tests {
     fn initial_vecmin_scores_with_paper_iis() {
         let kernel = psp_kernels::by_name("vecmin").unwrap();
         let sched = Schedule::initial(&kernel.spec);
-        let prog = generate(&sched, &MachineConfig::paper_default()).unwrap();
-        let s = score_program(&prog, &sched, None);
+        let s = score_schedule(&sched, None).unwrap();
         assert_eq!(s.primary, 8.0); // max II of the unscheduled loop
+        let prog = generate(&sched, &MachineConfig::paper_default()).unwrap();
         assert_eq!(prog.ii_range(), Some((7, 8)));
         // Profiled: True branch taken with probability 0.25 → E[II] =
         // 0.25·8 + 0.75·7 = 7.25.
-        let probs = vec![0.25];
-        let s = score_program(&prog, &sched, Some(&probs));
+        let s = score_schedule(&sched, Some(&[0.25])).unwrap();
         assert!((s.primary - 7.25).abs() < 1e-9, "{}", s.primary);
     }
 
@@ -152,9 +148,29 @@ mod tests {
     fn expected_ii_uniform_matches_mean_for_symmetric_loop() {
         let kernel = psp_kernels::by_name("vecmin").unwrap();
         let sched = Schedule::initial(&kernel.spec);
-        let m = MachineConfig::paper_default();
-        let prog = generate(&sched, &m).unwrap();
-        let e = expected_ii(&prog, &[0.5]);
+        let e = score_schedule(&sched, Some(&[0.5])).unwrap().primary;
         assert!((e - 7.5).abs() < 1e-9);
+    }
+
+    #[test]
+    fn equal_iis_score_exactly_and_dead_profiles_fall_back() {
+        let kernel = psp_kernels::by_name("vecmin").unwrap();
+        let sched = Schedule::initial(&kernel.spec);
+        // A certain branch weights one path only.
+        assert_eq!(score_schedule(&sched, Some(&[1.0])).unwrap().primary, 8.0);
+        assert_eq!(score_schedule(&sched, Some(&[0.0])).unwrap().primary, 7.0);
+        let path = |outcome, cycles| SteadyPath {
+            matrix: PredicateMatrix::single(0, 0, outcome),
+            cycles,
+        };
+        // Paths sharing one II score exactly it under any profile.
+        let even = [path(false, 2), path(true, 2)];
+        assert_eq!(objective(&even, Some(&[0.3])), 2.0);
+        // Every path of weight 0: the unweighted mean.
+        assert_eq!(
+            objective(&[path(true, 2), path(true, 3)], Some(&[0.0])),
+            2.5
+        );
+        assert_eq!(objective(&[], Some(&[0.5])), 0.0);
     }
 }

@@ -334,7 +334,6 @@ pub fn build_preloop(
                         // Handled (and `continue`d) before remapping; if one
                         // slips through anyway, refuse via the poison path
                         // instead of unwinding through the public API.
-                        debug_assert!(false, "stores/IFs/breaks are handled before remapping");
                         return Err(());
                     }
                 };
@@ -381,10 +380,6 @@ pub fn build_preloop(
                                 // destination class ever disagree with the
                                 // contract register class (a transform bug)
                                 // — refuses rather than panics.
-                                debug_assert!(
-                                    !matches!(prior, Loc::Arch),
-                                    "GPR contract register for a non-GPR destination"
-                                );
                                 poison(&mut env, Some(orig_dst));
                                 refuse_if_needed(&needed_targets, "prior value unavailable")?;
                                 continue;

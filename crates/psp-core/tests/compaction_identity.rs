@@ -13,14 +13,13 @@
 //! A second table pins the §4 profile objective: for each kernel on the
 //! paper machine, scheduled under a fixed branch profile, the final
 //! score's bits, `stats.counters()` and the generated loop's II range,
-//! plus the bits of the unscheduled loop's expected II under the same
+//! plus the bits of the unscheduled schedule's expected II under the same
 //! profile (its paths have unequal IIs, so every path weight counts).
 //! A deliberate behaviour change re-pins a table: the failure message
 //! prints the whole observed table in source form.
 
-use psp_core::codegen::generate;
 use psp_core::driver::{pipeline_loop, PspConfig};
-use psp_core::heuristics::expected_ii;
+use psp_core::heuristics::score_schedule;
 use psp_core::schedule::Schedule;
 use psp_ir::op::build;
 use psp_ir::{CmpOp, LoopBuilder, LoopSpec};
@@ -39,45 +38,49 @@ type Row = (
     usize,
 );
 
-/// Recorded before compaction's inner loop was made allocation-free.
+/// Recorded before compaction's inner loop was made allocation-free; the
+/// predicate-test columns were re-recorded when every candidate came to be
+/// scored by the steady-state walk (the seed and deepened schedules are now
+/// walked as well as generated, and a trial the walk refuses no longer
+/// runs code generation to fail).
 #[rustfmt::skip]
 const EXPECTED: &[Row] = &[
-    ("vecmin", "paper", [53, 19, 1, 33, 5], 3264, 159, 7, 2, 11),
-    ("vecmin", "narrow211", [46, 12, 0, 32, 7], 3222, 172, 9, 3, 8),
-    ("cond_sum", "paper", [33, 16, 0, 23, 4], 1211, 57, 6, 1, 8),
-    ("cond_sum", "narrow211", [26, 9, 0, 20, 4], 1404, 42, 6, 2, 7),
-    ("count_above", "paper", [27, 15, 0, 22, 4], 752, 51, 5, 1, 7),
-    ("count_above", "narrow211", [29, 11, 0, 30, 6], 2169, 66, 9, 2, 7),
-    ("clamp_store", "paper", [73, 18, 0, 79, 6], 9446, 599, 7, 3, 13),
-    ("clamp_store", "narrow211", [64, 11, 0, 83, 5], 18373, 984, 13, 4, 13),
-    ("sat_add", "paper", [42, 19, 0, 31, 5], 2455, 159, 5, 3, 8),
-    ("sat_add", "narrow211", [38, 9, 0, 23, 5], 2028, 50, 5, 4, 8),
-    ("abs_sum", "paper", [52, 27, 0, 48, 5], 3867, 178, 7, 2, 11),
-    ("abs_sum", "narrow211", [41, 11, 0, 29, 5], 3515, 66, 5, 3, 9),
-    ("runmax", "paper", [44, 17, 0, 25, 4], 2491, 93, 8, 2, 11),
-    ("runmax", "narrow211", [44, 11, 0, 30, 5], 3757, 171, 7, 3, 9),
-    ("sign_store", "paper", [36, 14, 0, 30, 4], 1672, 72, 5, 1, 10),
-    ("sign_store", "narrow211", [37, 7, 0, 34, 5], 4926, 207, 4, 3, 9),
-    ("two_cond", "paper", [56, 27, 0, 48, 5], 5602, 241, 9, 2, 12),
-    ("two_cond", "narrow211", [52, 12, 0, 45, 6], 7145, 241, 7, 3, 10),
-    ("find_first", "paper", [35, 14, 0, 28, 4], 1811, 58, 7, 1, 10),
-    ("find_first", "narrow211", [29, 8, 0, 28, 4], 2077, 48, 7, 3, 8),
-    ("skewed", "paper", [37, 17, 0, 24, 4], 1673, 61, 7, 1, 9),
-    ("skewed", "narrow211", [39, 12, 0, 29, 5], 3990, 122, 7, 3, 8),
-    ("dot_cond", "paper", [62, 33, 0, 46, 5], 3614, 117, 9, 1, 12),
-    ("dot_cond", "narrow211", [51, 12, 0, 27, 4], 5376, 110, 8, 4, 11),
-    ("threshold_store", "paper", [37, 13, 0, 33, 4], 2449, 65, 7, 1, 11),
-    ("threshold_store", "narrow211", [31, 5, 0, 36, 4], 5665, 253, 7, 4, 9),
-    ("bubble_pass", "paper", [53, 14, 0, 61, 5], 16199, 274, 8, 2, 15),
-    ("bubble_pass", "narrow211", [56, 8, 0, 39, 4], 12599, 449, 7, 5, 13),
-    ("minmax", "paper", [46, 18, 0, 29, 4], 3099, 199, 6, 2, 11),
-    ("minmax", "narrow211", [48, 12, 0, 45, 5], 7171, 237, 8, 3, 10),
-    ("mac_cond", "paper", [62, 33, 0, 46, 5], 3605, 117, 10, 1, 12),
-    ("mac_cond", "narrow211", [37, 11, 0, 30, 4], 3879, 96, 9, 3, 9),
-    ("synthetic4", "paper", [88, 38, 0, 73, 5], 40393, 1501, 9, 2, 18),
-    ("synthetic4", "narrow211", [88, 12, 0, 145, 5], 59127, 2410, 10, 5, 16),
-    ("synthetic6", "paper", [123, 43, 0, 174, 5], 134595, 14895, 12, 2, 24),
-    ("synthetic6", "narrow211", [122, 12, 0, 308, 5], 291275, 20042, 12, 7, 22),
+    ("vecmin", "paper", [53, 19, 1, 33, 5], 3285, 169, 7, 2, 11),
+    ("vecmin", "narrow211", [46, 12, 0, 32, 7], 3254, 182, 9, 3, 8),
+    ("cond_sum", "paper", [33, 16, 0, 23, 4], 1235, 71, 6, 1, 8),
+    ("cond_sum", "narrow211", [26, 9, 0, 20, 4], 1422, 50, 6, 2, 7),
+    ("count_above", "paper", [27, 15, 0, 22, 4], 773, 65, 5, 1, 7),
+    ("count_above", "narrow211", [29, 11, 0, 30, 6], 2194, 76, 9, 2, 7),
+    ("clamp_store", "paper", [73, 18, 0, 79, 6], 9505, 626, 7, 3, 13),
+    ("clamp_store", "narrow211", [64, 11, 0, 83, 5], 18446, 1005, 13, 4, 13),
+    ("sat_add", "paper", [42, 19, 0, 31, 5], 2481, 169, 5, 3, 8),
+    ("sat_add", "narrow211", [38, 9, 0, 23, 5], 2063, 60, 5, 4, 8),
+    ("abs_sum", "paper", [52, 27, 0, 48, 5], 3901, 196, 7, 2, 11),
+    ("abs_sum", "narrow211", [41, 11, 0, 29, 5], 3543, 76, 5, 3, 9),
+    ("runmax", "paper", [44, 17, 0, 25, 4], 2513, 103, 8, 2, 11),
+    ("runmax", "narrow211", [44, 11, 0, 30, 5], 3792, 185, 7, 3, 9),
+    ("sign_store", "paper", [36, 14, 0, 30, 4], 1555, 84, 5, 1, 10),
+    ("sign_store", "narrow211", [37, 7, 0, 34, 5], 4982, 231, 4, 3, 9),
+    ("two_cond", "paper", [56, 27, 0, 48, 5], 5674, 269, 9, 2, 12),
+    ("two_cond", "narrow211", [52, 12, 0, 45, 6], 7207, 262, 7, 3, 10),
+    ("find_first", "paper", [35, 14, 0, 28, 4], 1826, 68, 7, 1, 10),
+    ("find_first", "narrow211", [29, 8, 0, 28, 4], 2095, 54, 7, 3, 8),
+    ("skewed", "paper", [37, 17, 0, 24, 4], 1700, 75, 7, 1, 9),
+    ("skewed", "narrow211", [39, 12, 0, 29, 5], 4027, 136, 7, 3, 8),
+    ("dot_cond", "paper", [62, 33, 0, 46, 5], 3640, 133, 9, 1, 12),
+    ("dot_cond", "narrow211", [51, 12, 0, 27, 4], 5421, 124, 8, 4, 11),
+    ("threshold_store", "paper", [37, 13, 0, 33, 4], 1996, 77, 7, 1, 11),
+    ("threshold_store", "narrow211", [31, 5, 0, 36, 4], 5707, 267, 7, 4, 9),
+    ("bubble_pass", "paper", [53, 14, 0, 61, 5], 15396, 290, 8, 2, 15),
+    ("bubble_pass", "narrow211", [56, 8, 0, 39, 4], 12659, 463, 7, 5, 13),
+    ("minmax", "paper", [46, 18, 0, 29, 4], 3133, 219, 6, 2, 11),
+    ("minmax", "narrow211", [48, 12, 0, 45, 5], 7219, 257, 8, 3, 10),
+    ("mac_cond", "paper", [62, 33, 0, 46, 5], 3631, 133, 10, 1, 12),
+    ("mac_cond", "narrow211", [37, 11, 0, 30, 4], 3911, 108, 9, 3, 9),
+    ("synthetic4", "paper", [88, 38, 0, 73, 5], 40818, 2141, 9, 2, 18),
+    ("synthetic4", "narrow211", [88, 12, 0, 145, 5], 59325, 2490, 10, 5, 16),
+    ("synthetic6", "paper", [123, 43, 0, 174, 5], 136680, 23983, 12, 2, 24),
+    ("synthetic6", "narrow211", [122, 12, 0, 308, 5], 292091, 20362, 12, 7, 22),
 ];
 
 /// The synthetic scaling loop: `blocks` independent conditional
@@ -182,15 +185,20 @@ fn compaction_counts_match_the_pinned_table() {
 /// machine.
 type ProfileRow = (&'static str, u64, [usize; 5], Option<(usize, usize)>, u64);
 
-/// Recorded before the path-set union algebra was deleted.
+/// Recorded before the path-set union algebra was deleted; re-recorded
+/// when scoring moved to the steady-state walk: `abs_sum`'s score became
+/// the exact 1.8 (the program-side scorer weighted a path that returns to
+/// the loop head straight from a branching block by the whole block), and
+/// five unscheduled expected IIs moved by one ulp (the walk sums
+/// `II_min + Σw·(II − II_min) / Σw`).
 #[rustfmt::skip]
 const EXPECTED_PROFILE: &[ProfileRow] = &[
     ("vecmin", 4611686018427387904, [53, 19, 1, 33, 5], Some((2, 2)), 4619679907765970534),
-    ("cond_sum", 4607182418800017408, [33, 16, 0, 23, 4], Some((1, 1)), 4619116957812549223),
-    ("count_above", 4607182418800017408, [27, 15, 0, 22, 4], Some((1, 1)), 4618666597849812174),
+    ("cond_sum", 4607182418800017408, [33, 16, 0, 23, 4], Some((1, 1)), 4619116957812549222),
+    ("count_above", 4607182418800017408, [27, 15, 0, 22, 4], Some((1, 1)), 4618666597849812173),
     ("clamp_store", 4613937818241073152, [73, 18, 0, 79, 6], Some((3, 3)), 4620878991166757929),
-    ("sat_add", 4613937818241073152, [42, 19, 0, 31, 5], Some((3, 3)), 4619905087747339058),
-    ("abs_sum", 4609184018634404295, [52, 27, 0, 48, 5], Some((1, 2)), 4620468037700760371),
+    ("sat_add", 4613937818241073152, [42, 19, 0, 31, 5], Some((3, 3)), 4619905087747339059),
+    ("abs_sum", 4610785298501913805, [52, 27, 0, 48, 5], Some((1, 2)), 4620468037700760371),
     ("runmax", 4611686018427387904, [44, 17, 0, 25, 4], Some((2, 2)), 4619342137793917747),
     ("sign_store", 4607182418800017408, [36, 14, 0, 30, 4], Some((1, 1)), 4619567317775286272),
     ("two_cond", 4611686018427387904, [56, 27, 0, 48, 5], Some((2, 2)), 4620017677738023322),
@@ -199,8 +207,8 @@ const EXPECTED_PROFILE: &[ProfileRow] = &[
     ("dot_cond", 4607182418800017408, [62, 33, 0, 46, 5], Some((1, 1)), 4620017677738023322),
     ("threshold_store", 4607182418800017408, [37, 13, 0, 33, 4], Some((1, 1)), 4619567317775286272),
     ("bubble_pass", 4611686018427387904, [53, 14, 0, 61, 5], Some((2, 2)), 4621256167635550208),
-    ("minmax", 4611686018427387904, [46, 18, 0, 29, 4], Some((2, 2)), 4621256167635550209),
-    ("mac_cond", 4607182418800017408, [62, 33, 0, 46, 5], Some((1, 1)), 4620468037700760372),
+    ("minmax", 4611686018427387904, [46, 18, 0, 29, 4], Some((2, 2)), 4621256167635550208),
+    ("mac_cond", 4607182418800017408, [62, 33, 0, 46, 5], Some((1, 1)), 4620468037700760371),
 ];
 
 /// The branch profile kernel number `k` is scheduled under: one True
@@ -219,9 +227,9 @@ fn observe_profile() -> Vec<ProfileRow> {
         .map(|(k, kernel)| {
             let machine = MachineConfig::paper_default();
             let probs = profile(k);
-            let initial = generate(&Schedule::initial(&kernel.spec), &machine)
-                .unwrap_or_else(|e| panic!("{}: {e}", kernel.name));
-            let initial_ii = expected_ii(&initial, &probs);
+            let initial_ii = score_schedule(&Schedule::initial(&kernel.spec), Some(&probs))
+                .unwrap_or_else(|e| panic!("{}: {e}", kernel.name))
+                .primary;
             let cfg = PspConfig {
                 probs: Some(probs),
                 ..PspConfig::with_machine(machine)

@@ -22,4 +22,4 @@ pub mod vliw;
 pub use config::MachineConfig;
 pub use dot::to_dot;
 pub use resources::{cycle_fits, cycle_use, ResourceUse};
-pub use vliw::{BlockId, PathII, Succ, Utilization, VliwBlock, VliwLoop, VliwTerm};
+pub use vliw::{BlockId, Succ, Utilization, VliwBlock, VliwLoop, VliwTerm};

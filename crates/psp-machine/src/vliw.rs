@@ -99,17 +99,6 @@ impl VliwBlock {
     }
 }
 
-/// Initiation interval of one steady-state path through the body.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PathII {
-    /// Steady-state entry block (a back-edge target).
-    pub entry: BlockId,
-    /// Block sequence of the path (entry first).
-    pub blocks: Vec<BlockId>,
-    /// Cycle count — the II of this path.
-    pub cycles: usize,
-}
-
 /// A compiled, possibly software-pipelined loop.
 #[derive(Debug, Clone, PartialEq)]
 pub struct VliwLoop {
@@ -191,50 +180,57 @@ impl VliwLoop {
         out
     }
 
-    /// Enumerate every steady-state path and its initiation interval.
+    /// Minimum and maximum II over all steady-state paths.
     ///
     /// A path starts at a back-edge target and follows terminator edges
     /// until it traverses a back edge (paths reaching `Exit` terminate the
-    /// loop and are not IIs). The body CFG minus back edges must be acyclic.
-    pub fn path_iis(&self) -> Vec<PathII> {
-        let mut out = Vec::new();
-        for entry in self.steady_entries() {
-            let mut stack = vec![(entry, vec![entry], self.blocks[entry].cycles.len())];
-            while let Some((b, path, cycles)) = stack.pop() {
-                let succs = self.blocks[b].term.succs();
-                if succs.is_empty() {
-                    continue; // Exit: not a steady-state path
-                }
-                for s in succs {
-                    if s.back_edge {
-                        out.push(PathII {
-                            entry,
-                            blocks: path.clone(),
-                            cycles,
-                        });
-                    } else {
-                        assert!(
-                            !path.contains(&s.block),
-                            "body CFG must be acyclic apart from back edges"
-                        );
-                        let mut p = path.clone();
-                        p.push(s.block);
-                        stack.push((s.block, p, cycles + self.blocks[s.block].cycles.len()));
-                    }
+    /// loop and are not IIs). One pass over the body DAG in reverse
+    /// topological order gives each block the fewest and most cycles from
+    /// its start to a back edge. `None` when no steady-state path exists,
+    /// when an edge targets a missing block, or when the body minus its back
+    /// edges has a cycle.
+    pub fn ii_range(&self) -> Option<(usize, usize)> {
+        type Range = Option<(usize, usize)>;
+        const BACK: Range = Some((0, 0));
+        fn join(a: Range, b: Range) -> Range {
+            match (a, b) {
+                (Some((lo, hi)), Some((l, h))) => Some((lo.min(l), hi.max(h))),
+                _ => a.or(b),
+            }
+        }
+        let forward = |b: &VliwBlock| b.term.succs().into_iter().filter(|s| !s.back_edge);
+        let mut preds = vec![0usize; self.blocks.len()];
+        for s in self.blocks.iter().flat_map(forward) {
+            *preds.get_mut(s.block)? += 1;
+        }
+        // Kahn's algorithm: a block is ordered once all its forward
+        // predecessors are.
+        let mut order: Vec<BlockId> = (0..preds.len()).filter(|&b| preds[b] == 0).collect();
+        let mut next = 0;
+        while let Some(&b) = order.get(next) {
+            next += 1;
+            for s in forward(&self.blocks[b]) {
+                preds[s.block] -= 1;
+                if preds[s.block] == 0 {
+                    order.push(s.block);
                 }
             }
         }
-        out.sort_by(|a, b| (a.entry, &a.blocks).cmp(&(b.entry, &b.blocks)));
-        out.dedup();
-        out
-    }
-
-    /// Minimum and maximum II over all steady-state paths.
-    pub fn ii_range(&self) -> Option<(usize, usize)> {
-        let iis = self.path_iis();
-        let min = iis.iter().map(|p| p.cycles).min()?;
-        let max = iis.iter().map(|p| p.cycles).max()?;
-        Some((min, max))
+        if order.len() < self.blocks.len() {
+            return None; // a forward cycle
+        }
+        let mut tail: Vec<Range> = vec![None; self.blocks.len()];
+        for &b in order.iter().rev() {
+            let block = &self.blocks[b];
+            // A back edge ends the path with no further cycles.
+            let to_back = |s: Succ| if s.back_edge { BACK } else { tail[s.block] };
+            let n = block.cycles.len();
+            let r = block.term.succs().into_iter().map(to_back).fold(None, join);
+            tail[b] = r.map(|(lo, hi)| (lo + n, hi + n));
+        }
+        self.steady_entries()
+            .into_iter()
+            .try_fold(None, |r, e| Some(join(r, *tail.get(e)?)))?
     }
 
     /// Total static operation count (body only).
@@ -451,78 +447,100 @@ mod tests {
     }
 
     #[test]
-    fn path_iis_of_two_block_kernel() {
-        let l = fig3_like();
-        let iis = l.path_iis();
+    fn ii_range_of_two_block_kernel() {
         // Both entries, each one block long, 2 cycles each.
-        assert_eq!(iis.len(), 2);
-        assert!(iis.iter().all(|p| p.cycles == 2 && p.blocks.len() == 1));
-        assert_eq!(l.ii_range(), Some((2, 2)));
+        assert_eq!(fig3_like().ii_range(), Some((2, 2)));
+    }
+
+    /// A universe-matrix block of `cycles` one-op cycles.
+    fn block(id: usize, cycles: usize, term: VliwTerm) -> VliwBlock {
+        VliwBlock {
+            id,
+            matrix: PredicateMatrix::universe(),
+            cycles: vec![vec![add(Reg(0), Reg(0), Reg(1))]; cycles],
+            term,
+        }
+    }
+
+    fn body(blocks: Vec<VliwBlock>) -> VliwLoop {
+        VliwLoop {
+            name: "body".into(),
+            prologue: vec![],
+            blocks,
+            entry: 0,
+            epilogue: vec![],
+        }
+    }
+
+    /// B0 (1 cycle) branches on CC0 to `on_true` or `on_false`.
+    fn branch(on_true: Succ, on_false: Succ) -> VliwBlock {
+        VliwBlock {
+            id: 0,
+            matrix: PredicateMatrix::universe(),
+            cycles: vec![vec![if_(CcReg(0))]],
+            term: VliwTerm::Branch {
+                cc: CcReg(0),
+                on_true,
+                on_false,
+            },
+        }
     }
 
     #[test]
     fn variable_ii_paths() {
         // B0 (1 cycle) branches: true -> B1 (2 more cycles) -> back B0;
         // false -> back to B0 directly. IIs: 1 and 3.
-        let b0 = VliwBlock {
-            id: 0,
-            matrix: PredicateMatrix::universe(),
-            cycles: vec![vec![if_(CcReg(0))]],
-            term: VliwTerm::Branch {
-                cc: CcReg(0),
-                on_true: Succ::fall(1),
-                on_false: Succ::back(0),
-            },
-        };
-        let b1 = VliwBlock {
-            id: 1,
-            matrix: PredicateMatrix::universe(),
-            cycles: vec![
-                vec![add(Reg(0), Reg(0), Reg(1))],
-                vec![copy(Reg(2), Reg(0))],
-            ],
-            term: VliwTerm::Jump(Succ::back(0)),
-        };
-        let l = VliwLoop {
-            name: "var".into(),
-            prologue: vec![],
-            blocks: vec![b0, b1],
-            entry: 0,
-            epilogue: vec![],
-        };
+        let l = body(vec![
+            branch(Succ::fall(1), Succ::back(0)),
+            block(1, 2, VliwTerm::Jump(Succ::back(0))),
+        ]);
         assert!(l.validate(&MachineConfig::paper_default()).is_ok());
         assert_eq!(l.ii_range(), Some((1, 3)));
-        assert_eq!(l.path_iis().len(), 2);
+    }
+
+    #[test]
+    fn shared_blocks_are_walked_once_per_path() {
+        // A diamond: B0 -> {B1 (1 cycle), B2 (3 cycles)} -> B3 (2 cycles)
+        // -> back B0. IIs: 1 + 1 + 2 and 1 + 3 + 2.
+        let l = body(vec![
+            branch(Succ::fall(1), Succ::fall(2)),
+            block(1, 1, VliwTerm::Jump(Succ::fall(3))),
+            block(2, 3, VliwTerm::Jump(Succ::fall(3))),
+            block(3, 2, VliwTerm::Jump(Succ::back(0))),
+        ]);
+        assert_eq!(l.ii_range(), Some((4, 6)));
     }
 
     #[test]
     fn exit_paths_are_not_iis() {
-        let b0 = VliwBlock {
-            id: 0,
-            matrix: PredicateMatrix::universe(),
-            cycles: vec![vec![if_(CcReg(0))]],
-            term: VliwTerm::Branch {
-                cc: CcReg(0),
-                on_true: Succ::fall(1),
-                on_false: Succ::back(0),
+        let l = body(vec![
+            branch(Succ::fall(1), Succ::back(0)),
+            block(1, 0, VliwTerm::Exit),
+        ]);
+        assert_eq!(l.ii_range(), Some((1, 1)));
+        // Only exits: no steady-state path at all.
+        let l = body(vec![block(0, 1, VliwTerm::Exit)]);
+        assert_eq!(l.ii_range(), None);
+    }
+
+    #[test]
+    fn forward_cycles_and_missing_blocks_have_no_range() {
+        // B0 -> B1 -> B0 without a back edge; B0 is a steady entry
+        // through B1's other edge.
+        let l = body(vec![
+            block(0, 1, VliwTerm::Jump(Succ::fall(1))),
+            VliwBlock {
+                id: 1,
+                ..branch(Succ::fall(0), Succ::back(0))
             },
-        };
-        let b1 = VliwBlock {
-            id: 1,
-            matrix: PredicateMatrix::universe(),
-            cycles: vec![],
-            term: VliwTerm::Exit,
-        };
-        let l = VliwLoop {
-            name: "exit".into(),
-            prologue: vec![],
-            blocks: vec![b0, b1],
-            entry: 0,
-            epilogue: vec![],
-        };
-        let iis = l.path_iis();
-        assert_eq!(iis.len(), 1);
-        assert_eq!(iis[0].cycles, 1);
+        ]);
+        assert_eq!(l.ii_range(), None);
+        // A back edge into a block that does not exist.
+        let l = body(vec![block(0, 1, VliwTerm::Jump(Succ::back(5)))]);
+        assert_eq!(l.ii_range(), None);
+        // A forward edge into a block that does not exist.
+        let l = body(vec![branch(Succ::fall(5), Succ::back(0))]);
+        assert_eq!(l.ii_range(), None);
     }
 
     #[test]

@@ -166,7 +166,8 @@ fn uncompactable_start_is_scored_under_the_profile() {
     let profiled = start(Some(probs.clone()));
     let (min, max) = profiled.program.ii_range().unwrap();
     assert!(min < max, "the start needs paths of unequal II");
-    let expected = psp::core::heuristics::expected_ii(&profiled.program, &probs);
-    assert_eq!(profiled.score.primary, expected);
+    let expected = psp::core::heuristics::score_schedule(&profiled.schedule, Some(&probs))
+        .expect("the start walks");
+    assert_eq!(profiled.score.primary, expected.primary);
     assert_eq!(start(None).score.primary, max as f64);
 }
