@@ -74,13 +74,12 @@ pub fn compile_unrolled(spec: &LoopSpec, factor: u32, m: &MachineConfig) -> Vliw
             }
         }
         for (op, ctrl) in &ic.ops {
-            let mut o = *op;
-            for (&from, &to) in &gmap {
-                o = o.renamed_gpr(from, to);
-            }
-            for (&from, &to) in &cmap {
-                o = o.renamed_cc(from, to);
-            }
+            // Fresh names never collide with scratch names, so one lookup
+            // per slot renames every scratch register at once.
+            let o = op.map_regs(
+                |r, _| gmap.get(&r).copied().unwrap_or(r),
+                |c, _| cmap.get(&c).copied().unwrap_or(c),
+            );
             // Copy u's predicates live in column u: distinct instances.
             all_ops.push((o, ctrl.shifted(u as i32)));
         }

@@ -35,7 +35,7 @@ use crate::schedule::Schedule;
 
 /// Preloop cycles plus the dispatch map (see [`build_preloop`]).
 pub type PreloopResult = (Vec<Vec<Operation>>, BTreeMap<(u32, i32), psp_ir::CcReg>);
-use psp_ir::{flatten, op::build, FlatOp, Guard, OpKind, Operand, Operation, Reg, RegRef};
+use psp_ir::{flatten, op::build, FlatOp, Guard, OpKind, Operand, Operation, Reg, RegRef, Role};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Value location of an original register during emulation.
@@ -166,23 +166,6 @@ pub fn build_preloop(
     let mut out: Vec<Operation> = Vec::new();
 
     let loc_of = |env: &BTreeMap<RegRef, Loc>, r: RegRef| *env.get(&r).unwrap_or(&Loc::Arch);
-    let gpr_operand = |env: &BTreeMap<RegRef, Loc>, o: Operand| -> Result<Operand, ()> {
-        match o {
-            Operand::Imm(_) => Ok(o),
-            Operand::Reg(g) => match loc_of(env, RegRef::Gpr(g)) {
-                Loc::Arch => Ok(o),
-                Loc::At(RegRef::Gpr(t)) => Ok(Operand::Reg(t)),
-                _ => Err(()),
-            },
-        }
-    };
-    let gpr_reg = |env: &BTreeMap<RegRef, Loc>, g: Reg| -> Result<Reg, ()> {
-        match loc_of(env, RegRef::Gpr(g)) {
-            Loc::Arch => Ok(g),
-            Loc::At(RegRef::Gpr(t)) => Ok(t),
-            _ => Err(()),
-        }
-    };
 
     for level in 0..levels {
         // Guard base per IF row at this level (the compare's current cc).
@@ -258,87 +241,24 @@ pub fn build_preloop(
                 _ => {}
             }
 
-            // Remap the operation's uses through the environment.
-            let remapped: Result<Operation, ()> = (|| {
-                let kind = match f.op.kind {
-                    OpKind::Alu { op, dst, a, b } => OpKind::Alu {
-                        op,
-                        dst,
-                        a: gpr_operand(&env, a)?,
-                        b: gpr_operand(&env, b)?,
-                    },
-                    OpKind::Copy { dst, src } => OpKind::Copy {
-                        dst,
-                        src: gpr_operand(&env, src)?,
-                    },
-                    OpKind::Select {
-                        dst,
-                        cc,
-                        on_true,
-                        on_false,
-                    } => {
-                        let cc = match loc_of(&env, RegRef::Cc(cc)) {
-                            Loc::Arch => cc,
-                            Loc::At(RegRef::Cc(t)) => t,
-                            _ => return Err(()),
-                        };
-                        OpKind::Select {
-                            dst,
-                            cc,
-                            on_true: gpr_operand(&env, on_true)?,
-                            on_false: gpr_operand(&env, on_false)?,
-                        }
-                    }
-                    OpKind::Cmp { op, dst, a, b } => OpKind::Cmp {
-                        op,
-                        dst,
-                        a: gpr_operand(&env, a)?,
-                        b: gpr_operand(&env, b)?,
-                    },
-                    OpKind::CcAnd {
-                        dst,
-                        a,
-                        a_val,
-                        b,
-                        b_val,
-                    } => {
-                        let ra = match loc_of(&env, RegRef::Cc(a)) {
-                            Loc::Arch => a,
-                            Loc::At(RegRef::Cc(t)) => t,
-                            _ => return Err(()),
-                        };
-                        let rb = match loc_of(&env, RegRef::Cc(b)) {
-                            Loc::Arch => b,
-                            Loc::At(RegRef::Cc(t)) => t,
-                            _ => return Err(()),
-                        };
-                        OpKind::CcAnd {
-                            dst,
-                            a: ra,
-                            a_val,
-                            b: rb,
-                            b_val,
-                        }
-                    }
-                    OpKind::Load { dst, addr } => OpKind::Load {
-                        dst,
-                        addr: match addr.index {
-                            Some(ix) => psp_ir::Address {
-                                index: Some(gpr_reg(&env, ix)?),
-                                ..addr
-                            },
-                            None => addr,
-                        },
-                    },
-                    OpKind::Store { .. } | OpKind::If { .. } | OpKind::Break { .. } => {
-                        // Handled (and `continue`d) before remapping; if one
-                        // slips through anyway, refuse via the poison path
-                        // instead of unwinding through the public API.
-                        return Err(());
-                    }
-                };
-                Ok(Operation { kind, guard: None })
-            })();
+            // Remap the operation's uses through the environment. The guard
+            // was re-derived from the control matrix above.
+            let remapped = Operation {
+                guard: None,
+                ..f.op
+            }
+            .try_map_regs(
+                |g, role| match (role, loc_of(&env, RegRef::Gpr(g))) {
+                    (Role::Def, _) | (Role::Use, Loc::Arch) => Ok(g),
+                    (Role::Use, Loc::At(RegRef::Gpr(t))) => Ok(t),
+                    _ => Err(()),
+                },
+                |c, role| match (role, loc_of(&env, RegRef::Cc(c))) {
+                    (Role::Def, _) | (Role::Use, Loc::Arch) => Ok(c),
+                    (Role::Use, Loc::At(RegRef::Cc(t))) => Ok(t),
+                    _ => Err(()),
+                },
+            );
             let Ok(mut op) = remapped else {
                 poison(&mut env, orig_dst);
                 refuse_if_needed(&needed_targets, "operand depends on an unavailable value")?;
@@ -398,37 +318,23 @@ pub fn build_preloop(
                 op.guard = Some(g);
             }
 
-            // Retarget the destination.
-            op = match (primary, op.kind) {
-                (RegRef::Gpr(p), _) => op.with_dst_gpr(p),
-                (RegRef::Cc(p), OpKind::Cmp { op: c, a, b, .. }) => Operation {
-                    kind: OpKind::Cmp {
-                        op: c,
-                        dst: p,
-                        a,
-                        b,
-                    },
-                    guard: op.guard,
+            // Retarget the destination; a class mismatch between it and the
+            // contract register (a transform bug) refuses.
+            let retargeted = op.try_map_regs(
+                |g, role| match (role, primary) {
+                    (Role::Use, _) => Ok(g),
+                    (Role::Def, RegRef::Gpr(p)) => Ok(p),
+                    (Role::Def, RegRef::Cc(_)) => Err(()),
                 },
-                (
-                    RegRef::Cc(p),
-                    OpKind::CcAnd {
-                        a, a_val, b, b_val, ..
-                    },
-                ) => Operation {
-                    kind: OpKind::CcAnd {
-                        dst: p,
-                        a,
-                        a_val,
-                        b,
-                        b_val,
-                    },
-                    guard: op.guard,
+                |c, role| match (role, primary) {
+                    (Role::Use, _) => Ok(c),
+                    (Role::Def, RegRef::Cc(p)) => Ok(p),
+                    (Role::Def, RegRef::Gpr(_)) => Err(()),
                 },
-                _ => {
-                    refuse_if_needed(&needed_targets, "destination kind mismatch")?;
-                    continue;
-                }
+            );
+            let Ok(op) = retargeted else {
+                refuse_if_needed(&needed_targets, "destination kind mismatch")?;
+                continue;
             };
             out.push(op);
             // Extra contract targets receive copies of the same value.

@@ -17,7 +17,7 @@ use crate::deps::{check_pair, flow_latency, is_flow, Fix, PairCheck, Permission}
 use crate::instance::{InstId, Instance};
 use crate::schedule::{row_fits, Fresh, Schedule};
 use psp_ir::op::build;
-use psp_ir::{OpKind, RegRef};
+use psp_ir::{OpKind, Operation, Reg, RegRef, Role};
 use psp_machine::MachineConfig;
 use psp_predicate::PredElem;
 use std::fmt;
@@ -242,7 +242,13 @@ impl<'a> Planner<'a> {
             }
         }
         for (from, to) in substs {
-            state.work.op = state.work.op.with_uses_renamed(from, to);
+            state.work.op = state.work.op.map_regs(
+                |r, role| match role {
+                    Role::Use if r == from => to,
+                    _ => r,
+                },
+                |c, _| c,
+            );
         }
         if disp != 0 {
             state.work.op.kind = match state.work.op.kind {
@@ -263,7 +269,7 @@ impl<'a> Planner<'a> {
                 _ => return Err(MoveError::BadTarget),
             };
             let fresh = self.fresh.reg();
-            state.work.op = state.work.op.with_dst_gpr(fresh);
+            state.work.op = renamed_dst(&state.work.op, fresh);
             // Planning rewrites only the mover's operation, so its other
             // fields are still the original instance's.
             let x = &state.work;
@@ -359,6 +365,11 @@ impl<'a> Planner<'a> {
         }
         self.apply_fixes(state, fixes)
     }
+}
+
+/// `op` with its GPR destination renamed to `to` (renaming at definition).
+fn renamed_dst(op: &Operation, to: Reg) -> Operation {
+    op.map_regs(|r, role| if role == Role::Def { to } else { r }, |c, _| c)
 }
 
 /// Latency feasibility of `x` sitting at `row`, for every producer in the
@@ -582,7 +593,7 @@ pub fn wrap_up(sched: &mut Schedule, id: InstId, machine: &MachineConfig) -> Res
             _ => return Err(MoveError::BadTarget),
         };
         let fresh = sched.spec.fresh_reg();
-        moved.op = moved.op.with_dst_gpr(fresh);
+        moved.op = renamed_dst(&moved.op, fresh);
         leftover = Some(Instance {
             id: sched.fresh_id(),
             op: build::copy(old, fresh),
@@ -602,7 +613,7 @@ pub fn wrap_up(sched: &mut Schedule, id: InstId, machine: &MachineConfig) -> Res
     let mut snapshot = x.op;
     if leftover.is_some() {
         if let [psp_ir::RegRef::Gpr(new_dst)] = moved.op.defs().as_slice() {
-            snapshot = snapshot.with_dst_gpr(*new_dst);
+            snapshot = renamed_dst(&snapshot, *new_dst);
         }
     }
     moved.snapshots.push(snapshot);

@@ -14,7 +14,11 @@
 //!   paper's §1.1 distinction);
 //! * an optional per-operation [`Guard`] — tree-VLIW semantics let an
 //!   operation execute in the *same cycle* as the IF computing its guard,
-//!   on the matching subtree.
+//!   on the matching subtree;
+//! * one register map, [`Operation::try_map_regs`] /
+//!   [`Operation::map_regs`], through which every rewrite of an operation's
+//!   registers goes; each slot is visited as a [`Role::Def`] or a
+//!   [`Role::Use`] (see [`op`] for why `defs`/`uses` stay hand-written).
 //!
 //! A source loop is a [`LoopSpec`]: a structured body (straight-line
 //! operations, nested `if`/`else` regions, and `break` exit tests) plus
@@ -33,7 +37,7 @@ pub mod spec;
 
 pub use analysis::{mem_access, AccessKind, MemAccess};
 pub use flatten::{flatten, FlatOp};
-pub use op::{AluOp, CmpOp, Guard, OpKind, Operation, ResClass};
+pub use op::{AluOp, CmpOp, Guard, OpKind, Operation, ResClass, Role};
 pub use operand::{Address, Operand};
 pub use reg::{ArrayId, CcReg, Reg, RegList, RegRef};
 pub use spec::{BreakItem, IfItem, Item, LoopBuilder, LoopSpec};

@@ -1,8 +1,18 @@
 //! Operations: ALU, moves, compares, memory, and the control operations
 //! `IF` and `BREAK`.
+//!
+//! Every rewrite of an operation's registers (renaming at a definition,
+//! substitution in uses, per-copy renaming when unrolling, the preloop's
+//! remapping) goes through [`Operation::try_map_regs`] or its infallible
+//! form [`Operation::map_regs`], which visit each register slot with its
+//! [`Role`]. [`Operation::defs`] and [`Operation::uses`] spell the same slot
+//! layout out by hand: they are the hot read-only views behind every
+//! dependence check, and deriving them from the map made compaction
+//! measurably slower. A property test pins the two to agree.
 
 use crate::operand::{Address, Operand};
 use crate::reg::{CcReg, Reg, RegList, RegRef};
+use std::convert::Infallible;
 
 /// Binary ALU opcodes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -140,6 +150,17 @@ impl Guard {
     pub fn unless(cc: CcReg) -> Self {
         Self { cc, on_true: false }
     }
+}
+
+/// Whether a register slot is written or read (see
+/// [`Operation::try_map_regs`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Role {
+    /// The destination.
+    Def,
+    /// A source, address index, selecting or tested condition register, or
+    /// the guard.
+    Use,
 }
 
 /// The operation payload.
@@ -351,72 +372,73 @@ impl Operation {
         )
     }
 
-    /// Rename every occurrence of GPR `from` (in defs and uses) to `to`.
-    pub fn renamed_gpr(&self, from: Reg, to: Reg) -> Self {
+    /// Rewrite every register slot through `gpr` and `cc`, stopping at the
+    /// first `Err`.
+    ///
+    /// The destination is visited as [`Role::Def`]; sources, the address
+    /// index, the selecting or tested condition register and the guard as
+    /// [`Role::Use`]. Slots are visited in field order, the guard last. This
+    /// is the one place that knows each kind's slot layout for rewriting;
+    /// [`Operation::defs`] and [`Operation::uses`] repeat it by hand because
+    /// they are the hot read-only views behind dependence checks.
+    pub fn try_map_regs<E>(
+        &self,
+        mut gpr: impl FnMut(Reg, Role) -> Result<Reg, E>,
+        mut cc: impl FnMut(CcReg, Role) -> Result<CcReg, E>,
+    ) -> Result<Operation, E> {
+        fn operand<E>(
+            o: Operand,
+            gpr: &mut impl FnMut(Reg, Role) -> Result<Reg, E>,
+        ) -> Result<Operand, E> {
+            Ok(match o {
+                Operand::Reg(r) => Operand::Reg(gpr(r, Role::Use)?),
+                imm => imm,
+            })
+        }
+        fn address<E>(
+            a: Address,
+            gpr: &mut impl FnMut(Reg, Role) -> Result<Reg, E>,
+        ) -> Result<Address, E> {
+            Ok(Address {
+                index: a.index.map(|r| gpr(r, Role::Use)).transpose()?,
+                ..a
+            })
+        }
         let kind = match self.kind {
             OpKind::Alu { op, dst, a, b } => OpKind::Alu {
                 op,
-                dst: if dst == from { to } else { dst },
-                a: a.rename(from, to),
-                b: b.rename(from, to),
+                dst: gpr(dst, Role::Def)?,
+                a: operand(a, &mut gpr)?,
+                b: operand(b, &mut gpr)?,
             },
             OpKind::Copy { dst, src } => OpKind::Copy {
-                dst: if dst == from { to } else { dst },
-                src: src.rename(from, to),
+                dst: gpr(dst, Role::Def)?,
+                src: operand(src, &mut gpr)?,
             },
             OpKind::Select {
                 dst,
-                cc,
+                cc: sel,
                 on_true,
                 on_false,
             } => OpKind::Select {
-                dst: if dst == from { to } else { dst },
-                cc,
-                on_true: on_true.rename(from, to),
-                on_false: on_false.rename(from, to),
+                dst: gpr(dst, Role::Def)?,
+                cc: cc(sel, Role::Use)?,
+                on_true: operand(on_true, &mut gpr)?,
+                on_false: operand(on_false, &mut gpr)?,
             },
             OpKind::Cmp { op, dst, a, b } => OpKind::Cmp {
                 op,
-                dst,
-                a: a.rename(from, to),
-                b: b.rename(from, to),
+                dst: cc(dst, Role::Def)?,
+                a: operand(a, &mut gpr)?,
+                b: operand(b, &mut gpr)?,
             },
             OpKind::Load { dst, addr } => OpKind::Load {
-                dst: if dst == from { to } else { dst },
-                addr: addr.rename(from, to),
+                dst: gpr(dst, Role::Def)?,
+                addr: address(addr, &mut gpr)?,
             },
             OpKind::Store { src, addr } => OpKind::Store {
-                src: src.rename(from, to),
-                addr: addr.rename(from, to),
-            },
-            k @ (OpKind::If { .. } | OpKind::Break { .. } | OpKind::CcAnd { .. }) => k,
-        };
-        Self {
-            kind,
-            guard: self.guard,
-        }
-    }
-
-    /// Rename every occurrence of CC register `from` to `to`.
-    pub fn renamed_cc(&self, from: CcReg, to: CcReg) -> Self {
-        let sub = |c: CcReg| if c == from { to } else { c };
-        let kind = match self.kind {
-            OpKind::Cmp { op, dst, a, b } => OpKind::Cmp {
-                op,
-                dst: sub(dst),
-                a,
-                b,
-            },
-            OpKind::Select {
-                dst,
-                cc,
-                on_true,
-                on_false,
-            } => OpKind::Select {
-                dst,
-                cc: sub(cc),
-                on_true,
-                on_false,
+                src: operand(src, &mut gpr)?,
+                addr: address(addr, &mut gpr)?,
             },
             OpKind::CcAnd {
                 dst,
@@ -425,70 +447,37 @@ impl Operation {
                 b,
                 b_val,
             } => OpKind::CcAnd {
-                dst: sub(dst),
-                a: sub(a),
+                dst: cc(dst, Role::Def)?,
+                a: cc(a, Role::Use)?,
                 a_val,
-                b: sub(b),
+                b: cc(b, Role::Use)?,
                 b_val,
             },
-            OpKind::If { cc } => OpKind::If { cc: sub(cc) },
-            OpKind::Break { cc } => OpKind::Break { cc: sub(cc) },
-            k => k,
-        };
-        let guard = self.guard.map(|g| Guard {
-            cc: sub(g.cc),
-            on_true: g.on_true,
-        });
-        Self { kind, guard }
-    }
-
-    /// Rename GPR `from` to `to` in *uses only* (sources and address
-    /// indices), leaving the destination untouched — the substitution step
-    /// of copy-propagation combining.
-    pub fn with_uses_renamed(&self, from: Reg, to: Reg) -> Self {
-        let dst_of = |k: &OpKind| -> Option<Reg> {
-            match *k {
-                OpKind::Alu { dst, .. }
-                | OpKind::Copy { dst, .. }
-                | OpKind::Select { dst, .. }
-                | OpKind::Load { dst, .. } => Some(dst),
-                _ => None,
-            }
-        };
-        let old_dst = dst_of(&self.kind);
-        let mut renamed = self.renamed_gpr(from, to);
-        // Restore the destination if the blanket rename touched it.
-        if let (Some(d), Some(nd)) = (old_dst, dst_of(&renamed.kind)) {
-            if d != nd {
-                renamed = renamed.with_dst_gpr(d);
-            }
-        }
-        renamed
-    }
-
-    /// Replace the destination GPR only (for renaming-at-definition).
-    pub fn with_dst_gpr(&self, to: Reg) -> Self {
-        let kind = match self.kind {
-            OpKind::Alu { op, a, b, .. } => OpKind::Alu { op, dst: to, a, b },
-            OpKind::Copy { src, .. } => OpKind::Copy { dst: to, src },
-            OpKind::Select {
-                cc,
-                on_true,
-                on_false,
-                ..
-            } => OpKind::Select {
-                dst: to,
-                cc,
-                on_true,
-                on_false,
+            OpKind::If { cc: t } => OpKind::If {
+                cc: cc(t, Role::Use)?,
             },
-            OpKind::Load { addr, .. } => OpKind::Load { dst: to, addr },
-            k => k,
+            OpKind::Break { cc: t } => OpKind::Break {
+                cc: cc(t, Role::Use)?,
+            },
         };
-        Self {
+        let guard = self
+            .guard
+            .map(|g| cc(g.cc, Role::Use).map(|cc| Guard { cc, ..g }));
+        Ok(Operation {
             kind,
-            guard: self.guard,
-        }
+            guard: guard.transpose()?,
+        })
+    }
+
+    /// [`Operation::try_map_regs`] with maps that cannot fail.
+    pub fn map_regs(
+        &self,
+        mut gpr: impl FnMut(Reg, Role) -> Reg,
+        mut cc: impl FnMut(CcReg, Role) -> CcReg,
+    ) -> Operation {
+        let Ok(op) =
+            self.try_map_regs::<Infallible>(|r, role| Ok(gpr(r, role)), |c, role| Ok(cc(c, role)));
+        op
     }
 }
 
@@ -723,49 +712,156 @@ mod tests {
         assert!(!break_(CcReg(0)).is_speculable());
     }
 
+    /// Rename `from` to `to` in every GPR slot.
+    fn gpr_renamed(op: Operation, from: Reg, to: Reg) -> Operation {
+        op.map_regs(|r, _| if r == from { to } else { r }, |c, _| c)
+    }
+
+    /// Rename `from` to `to` in every CC slot.
+    fn cc_renamed(op: Operation, from: CcReg, to: CcReg) -> Operation {
+        op.map_regs(|r, _| r, |c, _| if c == from { to } else { c })
+    }
+
     #[test]
     fn rename_gpr_everywhere() {
-        let op = add(Reg(2), Reg(2), Reg(0)).renamed_gpr(Reg(2), Reg(9));
+        let op = gpr_renamed(add(Reg(2), Reg(2), Reg(0)), Reg(2), Reg(9));
         assert_eq!(op, add(Reg(9), Reg(9), Reg(0)));
-        let ld = load(Reg(4), ArrayId(0), Reg(2)).renamed_gpr(Reg(2), Reg(9));
+        let ld = gpr_renamed(load(Reg(4), ArrayId(0), Reg(2)), Reg(2), Reg(9));
         assert_eq!(ld, load(Reg(4), ArrayId(0), Reg(9)));
+        let st = gpr_renamed(store(ArrayId(0), Reg(2), Reg(2)), Reg(2), Reg(9));
+        assert_eq!(st, store(ArrayId(0), Reg(9), Reg(9)));
     }
 
     #[test]
     fn rename_cc_everywhere() {
-        let op = if_(CcReg(0)).renamed_cc(CcReg(0), CcReg(5));
-        assert_eq!(op, if_(CcReg(5)));
-        let c = lt(CcReg(0), Reg(1), Reg(2)).renamed_cc(CcReg(0), CcReg(5));
+        assert_eq!(cc_renamed(if_(CcReg(0)), CcReg(0), CcReg(5)), if_(CcReg(5)));
+        let c = cc_renamed(lt(CcReg(0), Reg(1), Reg(2)), CcReg(0), CcReg(5));
         assert_eq!(c, lt(CcReg(5), Reg(1), Reg(2)));
+        let and = cc_renamed(
+            cc_and(CcReg(0), CcReg(0), true, CcReg(0), false),
+            CcReg(0),
+            CcReg(5),
+        );
+        assert_eq!(and, cc_and(CcReg(5), CcReg(5), true, CcReg(5), false));
         let g = Operation {
             guard: Some(Guard::when(CcReg(0))),
             ..copy(Reg(3), Reg(2))
-        }
-        .renamed_cc(CcReg(0), CcReg(5));
-        assert_eq!(g.guard, Some(Guard::when(CcReg(5))));
+        };
+        assert_eq!(
+            cc_renamed(g, CcReg(0), CcReg(5)).guard,
+            Some(Guard::when(CcReg(5)))
+        );
     }
 
     #[test]
     fn with_uses_renamed_keeps_destination() {
+        let uses = |op: Operation| {
+            op.map_regs(
+                |r, role| {
+                    if role == Role::Use && r == Reg(2) {
+                        Reg(9)
+                    } else {
+                        r
+                    }
+                },
+                |c, _| c,
+            )
+        };
         // ADD m, m, 1 substituting m→k in uses only.
-        let op = add(Reg(2), Reg(2), 1i64).with_uses_renamed(Reg(2), Reg(9));
-        assert_eq!(op, add(Reg(2), Reg(9), 1i64));
-        // Load address index substitutes; destination register stays.
-        let ld = load(Reg(2), ArrayId(0), Reg(2)).with_uses_renamed(Reg(2), Reg(9));
-        assert_eq!(ld, load(Reg(2), ArrayId(0), Reg(9)));
-        // Plain use-only op.
-        let st = store(ArrayId(0), Reg(1), Reg(2)).with_uses_renamed(Reg(2), Reg(9));
-        assert_eq!(st, store(ArrayId(0), Reg(1), Reg(9)));
+        assert_eq!(uses(add(Reg(2), Reg(2), 1i64)), add(Reg(2), Reg(9), 1i64));
+        // The load's index substitutes; its destination stays.
+        assert_eq!(
+            uses(load(Reg(2), ArrayId(0), Reg(2))),
+            load(Reg(2), ArrayId(0), Reg(9))
+        );
+        assert_eq!(
+            uses(store(ArrayId(0), Reg(1), Reg(2))),
+            store(ArrayId(0), Reg(1), Reg(9))
+        );
     }
 
     #[test]
     fn with_dst_gpr_changes_only_destination() {
-        let op = add(Reg(2), Reg(2), Reg(0)).with_dst_gpr(Reg(9));
-        assert_eq!(op, add(Reg(9), Reg(2), Reg(0)));
-        let ld = load(Reg(4), ArrayId(0), Reg(2)).with_dst_gpr(Reg(8));
-        assert_eq!(ld, load(Reg(8), ArrayId(0), Reg(2)));
+        let dst = |op: Operation, to: Reg| {
+            op.map_regs(|r, role| if role == Role::Def { to } else { r }, |c, _| c)
+        };
+        assert_eq!(
+            dst(add(Reg(2), Reg(2), Reg(0)), Reg(9)),
+            add(Reg(9), Reg(2), Reg(0))
+        );
+        assert_eq!(
+            dst(load(Reg(4), ArrayId(0), Reg(2)), Reg(8)),
+            load(Reg(8), ArrayId(0), Reg(2))
+        );
         // No GPR destination: unchanged.
-        let br = break_(CcReg(1)).with_dst_gpr(Reg(8));
-        assert_eq!(br, break_(CcReg(1)));
+        assert_eq!(dst(break_(CcReg(1)), Reg(8)), break_(CcReg(1)));
+        assert_eq!(
+            dst(lt(CcReg(0), Reg(1), Reg(2)), Reg(8)),
+            lt(CcReg(0), Reg(1), Reg(2))
+        );
+    }
+
+    #[test]
+    fn map_regs_visits_each_slot_with_its_role() {
+        let visits = |op: Operation| {
+            let mut seen = Vec::new();
+            let mut cc_seen = Vec::new();
+            op.map_regs(
+                |r, role| {
+                    seen.push((r, role));
+                    r
+                },
+                |c, role| {
+                    cc_seen.push((c, role));
+                    c
+                },
+            );
+            (seen, cc_seen)
+        };
+        // A store's source and index are both reads; an immediate and an
+        // unindexed address have no slot.
+        let st = store_addr(Address::indexed(ArrayId(0), Reg(1)).displaced(2), Reg(4));
+        assert_eq!(visits(st).0, vec![(Reg(4), Role::Use), (Reg(1), Role::Use)]);
+        let st = store_addr(Address::constant(ArrayId(0), 3), 7i64);
+        assert_eq!(visits(st), (vec![], vec![]));
+        // SELECT writes its GPR and reads the selecting condition.
+        let (g, c) = visits(select(Reg(3), CcReg(1), Reg(2), 0i64));
+        assert_eq!(g, vec![(Reg(3), Role::Def), (Reg(2), Role::Use)]);
+        assert_eq!(c, vec![(CcReg(1), Role::Use)]);
+        // CCAND writes one condition register and reads two.
+        let (g, c) = visits(cc_and(CcReg(2), CcReg(0), true, CcReg(1), false));
+        assert!(g.is_empty());
+        assert_eq!(
+            c,
+            vec![
+                (CcReg(2), Role::Def),
+                (CcReg(0), Role::Use),
+                (CcReg(1), Role::Use)
+            ]
+        );
+        // The guard is a read, visited last.
+        let guarded = Operation::guarded(build::copy(Reg(3), Reg(2)).kind, Guard::unless(CcReg(4)));
+        assert_eq!(visits(guarded).1, vec![(CcReg(4), Role::Use)]);
+    }
+
+    #[test]
+    fn try_map_regs_stops_at_the_first_err() {
+        let op = add(Reg(2), Reg(3), Reg(4));
+        let mut seen = Vec::new();
+        let out = op.try_map_regs(
+            |r, _| {
+                seen.push(r);
+                if r == Reg(3) {
+                    Err(r)
+                } else {
+                    Ok(Reg(r.0 + 10))
+                }
+            },
+            |c, _| Ok(c),
+        );
+        assert_eq!(out, Err(Reg(3)));
+        assert_eq!(seen, vec![Reg(2), Reg(3)], "Reg(4) is never visited");
+        let ok: Result<Operation, ()> = op.try_map_regs(|r, _| Ok(r), |c, _| Ok(c));
+        assert_eq!(ok, Ok(op));
     }
 }

@@ -30,15 +30,6 @@ impl Operand {
             Operand::Reg(_) => None,
         }
     }
-
-    /// Substitute register `from` by `to`.
-    #[inline]
-    pub fn rename(self, from: Reg, to: Reg) -> Self {
-        match self {
-            Operand::Reg(r) if r == from => Operand::Reg(to),
-            other => other,
-        }
-    }
 }
 
 impl From<Reg> for Operand {
@@ -106,14 +97,6 @@ impl Address {
             ..self
         }
     }
-
-    /// Substitute the index register.
-    pub fn rename(self, from: Reg, to: Reg) -> Self {
-        Self {
-            index: self.index.map(|r| if r == from { to } else { r }),
-            ..self
-        }
-    }
 }
 
 impl fmt::Display for Address {
@@ -140,14 +123,6 @@ mod tests {
     }
 
     #[test]
-    fn operand_rename() {
-        let o = Operand::Reg(Reg(1));
-        assert_eq!(o.rename(Reg(1), Reg(9)), Operand::Reg(Reg(9)));
-        assert_eq!(o.rename(Reg(2), Reg(9)), o);
-        assert_eq!(Operand::Imm(3).rename(Reg(1), Reg(9)), Operand::Imm(3));
-    }
-
-    #[test]
     fn address_display() {
         let a = ArrayId(0);
         assert_eq!(Address::indexed(a, Reg(2)).to_string(), "a0[R2]");
@@ -168,13 +143,5 @@ mod tests {
             .displaced(2)
             .displaced(-5);
         assert_eq!(a.disp, -3);
-    }
-
-    #[test]
-    fn address_rename_only_index() {
-        let a = Address::indexed(ArrayId(0), Reg(1)).rename(Reg(1), Reg(4));
-        assert_eq!(a.index, Some(Reg(4)));
-        let c = Address::constant(ArrayId(0), 3).rename(Reg(1), Reg(4));
-        assert_eq!(c.index, None);
     }
 }

@@ -274,21 +274,11 @@ impl LoopBuilder {
         then_f: impl FnOnce(&mut Self),
         else_f: impl FnOnce(&mut Self),
     ) -> &mut Self {
-        let if_id = self.n_ifs;
-        self.n_ifs += 1;
-        self.stack.push(Vec::new());
+        self.begin_if(cc);
         then_f(self);
-        let then_items = self.stack.pop().expect("builder stack underflow");
-        self.stack.push(Vec::new());
+        self.begin_else();
         else_f(self);
-        let else_items = self.stack.pop().expect("builder stack underflow");
-        self.top().push(Item::If(IfItem {
-            if_id,
-            cc,
-            then_items,
-            else_items,
-        }));
-        self
+        self.end_if()
     }
 
     /// Append a `BREAK cc` exit test.

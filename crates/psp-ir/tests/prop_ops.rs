@@ -1,10 +1,12 @@
-//! Property tests for operation algebra: renaming and def/use reporting
-//! must agree, and opcode evaluation must match a direct i64 model.
+//! Property tests for operation algebra: the register map, renaming and
+//! def/use reporting must agree, and opcode evaluation must match a direct
+//! i64 model.
 
 use proptest::prelude::*;
 use psp_ir::op::build;
 use psp_ir::{
     Address, AluOp, ArrayId, CcReg, CmpOp, Guard, OpKind, Operand, Operation, Reg, RegList, RegRef,
+    Role,
 };
 
 fn arb_reg() -> impl Strategy<Value = Reg> {
@@ -156,7 +158,52 @@ fn uses_spec(op: &Operation) -> Vec<RegRef> {
     out
 }
 
+/// Rename GPR `from` to `to` in every slot.
+fn renamed_gpr(op: &Operation, from: Reg, to: Reg) -> Operation {
+    op.map_regs(|r, _| if r == from { to } else { r }, |c, _| c)
+}
+
+/// Rename CC register `from` to `to` in every slot.
+fn renamed_cc(op: &Operation, from: CcReg, to: CcReg) -> Operation {
+    op.map_regs(|r, _| r, |c, _| if c == from { to } else { c })
+}
+
+/// The registers `map_regs` visits in `role`, sorted and deduplicated.
+fn visited(op: &Operation, role: Role) -> Vec<RegRef> {
+    let (mut gprs, mut ccs) = (Vec::new(), Vec::new());
+    op.map_regs(
+        |r, got| {
+            if got == role {
+                gprs.push(RegRef::Gpr(r));
+            }
+            r
+        },
+        |c, got| {
+            if got == role {
+                ccs.push(RegRef::Cc(c));
+            }
+            c
+        },
+    );
+    let mut out: Vec<RegRef> = gprs.into_iter().chain(ccs).collect();
+    out.sort_unstable();
+    out.dedup();
+    out
+}
+
 proptest! {
+    #[test]
+    fn map_regs_roles_match_defs_and_uses(op in arb_any_op()) {
+        prop_assert_eq!(visited(&op, Role::Def), op.defs().to_vec());
+        prop_assert_eq!(visited(&op, Role::Use), op.uses().to_vec());
+    }
+
+    #[test]
+    fn identity_map_returns_the_operation_unchanged(op in arb_any_op()) {
+        prop_assert_eq!(op.map_regs(|r, _| r, |c, _| c), op);
+        prop_assert_eq!(op.try_map_regs::<()>(|r, _| Ok(r), |c, _| Ok(c)), Ok(op));
+    }
+
     #[test]
     fn reg_lists_are_sorted_deduplicated_and_match_the_vec_spec(op in arb_any_op()) {
         let uses = op.uses();
@@ -167,9 +214,9 @@ proptest! {
     }
 
     #[test]
-    fn rename_gpr_is_consistent_with_defs_uses(op in arb_op(), from in arb_reg(), to in 10u32..14) {
+    fn rename_gpr_is_consistent_with_defs_uses(op in arb_any_op(), from in arb_reg(), to in 10u32..14) {
         let to = Reg(to);
-        let renamed = op.renamed_gpr(from, to);
+        let renamed = renamed_gpr(&op, from, to);
         // After renaming, `from` appears nowhere.
         prop_assert!(!renamed.defs().contains(&RegRef::Gpr(from)) || from == to);
         prop_assert!(!renamed.uses().contains(&RegRef::Gpr(from)) || from == to);
@@ -185,13 +232,16 @@ proptest! {
             }
         }
         // Renaming to a fresh register is reversible.
-        prop_assert_eq!(renamed.renamed_gpr(to, from), op.renamed_gpr(from, from));
+        prop_assert_eq!(renamed_gpr(&renamed, to, from), renamed_gpr(&op, from, from));
     }
 
     #[test]
-    fn uses_only_rename_preserves_destination(op in arb_op(), from in arb_reg()) {
+    fn uses_only_rename_preserves_destination(op in arb_any_op(), from in arb_reg()) {
         let to = Reg(20);
-        let renamed = op.with_uses_renamed(from, to);
+        let renamed = op.map_regs(
+            |r, role| if role == Role::Use && r == from { to } else { r },
+            |c, _| c,
+        );
         prop_assert_eq!(renamed.defs(), op.defs(), "destination untouched");
         prop_assert!(
             !renamed.uses().contains(&RegRef::Gpr(from)),
@@ -200,10 +250,10 @@ proptest! {
     }
 
     #[test]
-    fn rename_cc_is_consistent(op in arb_op(), from in 0u32..3) {
+    fn rename_cc_is_consistent(op in arb_any_op(), from in 0u32..3) {
         let from = CcReg(from);
         let to = CcReg(9);
-        let renamed = op.renamed_cc(from, to);
+        let renamed = renamed_cc(&op, from, to);
         prop_assert!(!renamed.defs().contains(&RegRef::Cc(from)));
         prop_assert!(!renamed.uses().contains(&RegRef::Cc(from)));
         prop_assert_eq!(
@@ -243,9 +293,9 @@ proptest! {
     }
 
     #[test]
-    fn with_dst_gpr_changes_exactly_the_destination(op in arb_op()) {
+    fn with_dst_gpr_changes_exactly_the_destination(op in arb_any_op()) {
         let to = Reg(21);
-        let changed = op.with_dst_gpr(to);
+        let changed = op.map_regs(|r, role| if role == Role::Def { to } else { r }, |c, _| c);
         match op.defs().as_slice() {
             [RegRef::Gpr(_)] => {
                 prop_assert_eq!(changed.defs(), vec![RegRef::Gpr(to)]);

@@ -21,7 +21,8 @@
 //!
 //! Scalars named in the parameter list are live-in registers; names after
 //! `->` are live-out. Compound expressions lower through fresh temporary
-//! registers; comparisons lower to condition registers.
+//! registers; comparisons lower to condition registers. Nesting is bounded
+//! by [`MAX_NESTING`] levels.
 //!
 //! ```
 //! let src = r#"
@@ -48,7 +49,7 @@ pub mod print;
 pub use ast::{BinOp, Expr, Kernel, Stmt};
 pub use lexer::{lex, LexError, Token};
 pub use lower::{lower, LowerError};
-pub use parser::{parse, ParseError};
+pub use parser::{parse, ParseError, MAX_NESTING};
 pub use print::{print_expr, print_kernel};
 
 /// Parse and lower a kernel in one step.

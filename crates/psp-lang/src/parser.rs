@@ -4,18 +4,40 @@ use crate::ast::{cmp_from_str, BinOp, Expr, Kernel, Stmt};
 use crate::lexer::Token;
 use std::fmt;
 
-/// Parse failure with a human-readable description.
+/// Deepest nesting the parser accepts. Each `(`, each array index, each
+/// `if` block (an `else if` included) and each binary operator of a
+/// left-associative chain opens one level. The parser and every pass over
+/// the AST (printing, lowering, dropping) recurse once per level; in a debug
+/// build on a 2 MiB thread, 512 nested `if`s or 1,024 nested parentheses
+/// overflow the stack, which aborts the process.
+pub const MAX_NESTING: usize = 256;
+
+/// Parse failure.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ParseError {
-    /// Token index.
-    pub at: usize,
-    /// What went wrong.
-    pub msg: String,
+pub enum ParseError {
+    /// The tokens do not match the grammar.
+    Syntax {
+        /// Token index.
+        at: usize,
+        /// What went wrong.
+        msg: String,
+    },
+    /// The level opened at token `at` is deeper than [`MAX_NESTING`].
+    TooDeep {
+        /// Token index.
+        at: usize,
+    },
 }
 
 impl fmt::Display for ParseError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{} (token {})", self.msg, self.at)
+        match self {
+            ParseError::Syntax { at, msg } => write!(f, "{msg} (token {at})"),
+            ParseError::TooDeep { at } => write!(
+                f,
+                "nesting at token {at} is deeper than the limit of {MAX_NESTING} levels"
+            ),
+        }
     }
 }
 
@@ -24,14 +46,25 @@ impl std::error::Error for ParseError {}
 struct P<'a> {
     toks: &'a [Token],
     pos: usize,
+    /// Levels open at `pos` (see [`MAX_NESTING`]).
+    depth: usize,
 }
 
 impl<'a> P<'a> {
     fn err<T>(&self, msg: impl Into<String>) -> Result<T, ParseError> {
-        Err(ParseError {
+        Err(ParseError::Syntax {
             at: self.pos,
             msg: msg.into(),
         })
+    }
+
+    /// Open one nesting level; the caller closes it with `self.depth -= 1`.
+    fn enter(&mut self) -> Result<(), ParseError> {
+        if self.depth == MAX_NESTING {
+            return Err(ParseError::TooDeep { at: self.pos });
+        }
+        self.depth += 1;
+        Ok(())
     }
 
     fn peek(&self) -> Option<&Token> {
@@ -143,6 +176,7 @@ impl<'a> P<'a> {
         match self.peek() {
             Some(Token::Ident(id)) if id == "if" => {
                 self.next();
+                self.enter()?;
                 self.expect(&Token::LParen)?;
                 let (cmp, lhs, rhs) = self.condition()?;
                 self.expect(&Token::RParen)?;
@@ -161,6 +195,7 @@ impl<'a> P<'a> {
                         self.expect(&Token::RBrace)?;
                     }
                 }
+                self.depth -= 1;
                 Ok(Stmt::If {
                     cmp,
                     lhs,
@@ -219,6 +254,7 @@ impl<'a> P<'a> {
     }
 
     fn expr(&mut self) -> Result<Expr, ParseError> {
+        let depth = self.depth;
         let mut lhs = self.term()?;
         loop {
             // `min`/`max` spelled as identifiers act as infix operators.
@@ -233,9 +269,12 @@ impl<'a> P<'a> {
                 _ => break,
             };
             self.next();
+            // Each operator nests the chain so far one level deeper.
+            self.enter()?;
             let rhs = self.term()?;
             lhs = Expr::Bin(op, Box::new(lhs), Box::new(rhs));
         }
+        self.depth = depth;
         Ok(lhs)
     }
 
@@ -243,15 +282,19 @@ impl<'a> P<'a> {
         match self.next() {
             Some(Token::Int(v)) => Ok(Expr::Int(v)),
             Some(Token::LParen) => {
+                self.enter()?;
                 let e = self.expr()?;
                 self.expect(&Token::RParen)?;
+                self.depth -= 1;
                 Ok(e)
             }
             Some(Token::Ident(id)) => {
                 if self.peek() == Some(&Token::LBracket) {
                     self.next();
+                    self.enter()?;
                     let idx = self.expr()?;
                     self.expect(&Token::RBracket)?;
+                    self.depth -= 1;
                     Ok(Expr::Index(id, Box::new(idx)))
                 } else {
                     Ok(Expr::Var(id))
@@ -267,7 +310,11 @@ impl<'a> P<'a> {
 
 /// Parse a token stream into a kernel.
 pub fn parse(toks: &[Token]) -> Result<Kernel, ParseError> {
-    let mut p = P { toks, pos: 0 };
+    let mut p = P {
+        toks,
+        pos: 0,
+        depth: 0,
+    };
     let k = p.kernel()?;
     if p.pos != toks.len() {
         return p.err("trailing input after kernel");
@@ -282,6 +329,59 @@ mod tests {
 
     fn parse_src(src: &str) -> Result<Kernel, ParseError> {
         parse(&lex(src).unwrap())
+    }
+
+    fn syntax_msg(e: ParseError) -> String {
+        match e {
+            ParseError::Syntax { msg, .. } => msg,
+            other => panic!("expected a syntax error, got {other}"),
+        }
+    }
+
+    /// Kernels nesting `n` levels deep: parentheses, array indexes, `if`
+    /// blocks, `else if` chains and a left-associative operator chain.
+    fn nested(n: usize) -> Vec<String> {
+        let kernel =
+            |body: String| format!("kernel p(a; x[]) -> a {{ {body} break if (a >= 0); }}");
+        vec![
+            kernel(format!("a = {}a{};", "(".repeat(n), ")".repeat(n))),
+            kernel(format!("a = {}a{};", "x[".repeat(n), "]".repeat(n))),
+            kernel(format!(
+                "{}a = 1;{}",
+                "if (a < 1) { ".repeat(n),
+                " }".repeat(n)
+            )),
+            kernel(format!(
+                "if (a < 0) {{ a = 1; }}{} else {{ a = 2; }}",
+                " else if (a < 1) { a = 1; }".repeat(n - 1)
+            )),
+            kernel(format!("a = a{};", " + 1".repeat(n))),
+        ]
+    }
+
+    #[test]
+    fn nesting_at_the_limit_compiles_and_prints() {
+        for src in nested(MAX_NESTING) {
+            let k = parse_src(&src).unwrap_or_else(|e| panic!("{e}"));
+            let printed = crate::print_kernel(&k);
+            assert_eq!(parse_src(&printed).unwrap(), k);
+            crate::compile(&src).unwrap();
+        }
+    }
+
+    #[test]
+    fn nesting_past_the_limit_is_a_typed_error() {
+        for n in [MAX_NESTING + 1, 30_000] {
+            for src in nested(n) {
+                let e = parse_src(&src).unwrap_err();
+                assert!(matches!(e, ParseError::TooDeep { .. }), "{e}");
+                assert!(
+                    e.to_string()
+                        .contains("deeper than the limit of 256 levels"),
+                    "{e}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -376,17 +476,17 @@ mod tests {
 
     #[test]
     fn error_reports_position() {
-        let e = parse_src("kernel b(a) { a = ; }").unwrap_err();
-        assert!(e.msg.contains("expected expression"), "{e}");
-        let e = parse_src("kernel b(a) { if (a) { } }").unwrap_err();
-        assert!(e.msg.contains("comparison"), "{e}");
-        let e = parse_src("loop b(a) { }").unwrap_err();
-        assert!(e.msg.contains("kernel"), "{e}");
+        let e = syntax_msg(parse_src("kernel b(a) { a = ; }").unwrap_err());
+        assert!(e.contains("expected expression"), "{e}");
+        let e = syntax_msg(parse_src("kernel b(a) { if (a) { } }").unwrap_err());
+        assert!(e.contains("comparison"), "{e}");
+        let e = syntax_msg(parse_src("loop b(a) { }").unwrap_err());
+        assert!(e.contains("kernel"), "{e}");
     }
 
     #[test]
     fn rejects_trailing_tokens() {
-        let e = parse_src("kernel b(a) { a = 1; } extra").unwrap_err();
-        assert!(e.msg.contains("trailing"));
+        let e = syntax_msg(parse_src("kernel b(a) { a = 1; } extra").unwrap_err());
+        assert!(e.contains("trailing"));
     }
 }

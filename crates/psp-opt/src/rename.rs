@@ -7,7 +7,7 @@
 //! breaks the anti-dependence; a `COPY k, k'` appended at the end restores
 //! the architectural value for the next iteration.
 
-use psp_ir::{op::build, OpKind, Operand, Operation, Reg, RegRef};
+use psp_ir::{op::build, OpKind, Operand, Operation, Reg, RegRef, Role};
 use psp_predicate::PredicateMatrix;
 use std::collections::BTreeMap;
 
@@ -68,9 +68,12 @@ pub fn rename_inductions(
             continue;
         }
         let fresh = spec.fresh_reg();
-        ops[d].0 = ops[d].0.with_dst_gpr(fresh);
+        ops[d].0 = ops[d].0.map_regs(
+            |g, role| if role == Role::Def { fresh } else { g },
+            |c, _| c,
+        );
         for (op, _) in ops[d + 1..].iter_mut() {
-            *op = op.renamed_gpr(r, fresh);
+            *op = op.map_regs(|g, _| if g == r { fresh } else { g }, |c, _| c);
         }
         ops.push((build::copy(r, fresh), PredicateMatrix::universe()));
         renames += 1;

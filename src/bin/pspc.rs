@@ -18,6 +18,7 @@
 //! `--no-spec-loads`; technique options: `--depth N`, `--no-split`,
 //! `--no-rename`, `--probs p1,p2,...`.
 
+use std::io::{self, Write};
 use std::process::ExitCode;
 use std::time::Instant;
 
@@ -35,6 +36,9 @@ const MAX_UNROLL: u32 = 64;
 
 /// Largest `--n`: each array gets `--n` elements, copied per run.
 const MAX_N: usize = 1 << 22;
+
+/// A command's failure: a message, or the `io::Error` of a failed write.
+type Failure = Box<dyn std::error::Error>;
 
 /// Everything parsed from the command line.
 struct Args {
@@ -312,53 +316,63 @@ fn ii_str(prog: &VliwLoop) -> String {
     }
 }
 
-fn print_pipeline_summary(spec: &LoopSpec, res: &PspResult, m: &MachineConfig) {
+fn print_pipeline_summary(
+    out: &mut impl Write,
+    spec: &LoopSpec,
+    res: &PspResult,
+    m: &MachineConfig,
+) -> io::Result<()> {
     let u = res.program.utilization(m);
-    println!(
+    writeln!(
+        out,
         "pipelined `{}`: II {}  depth {}  rows {}  instances {}",
         spec.name,
         ii_str(&res.program),
         res.schedule.max_index(),
         res.schedule.rows.len(),
         res.schedule.rows.iter().map(Vec::len).sum::<usize>(),
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "cost: {} moves, {} wraps, {} splits, {} candidates, {} rounds",
         res.stats.moves, res.stats.wraps, res.stats.splits, res.stats.candidates, res.stats.rounds,
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "issue density: {:.2} ops/cycle ({:.0}% ALU, {:.0}% MEM, {:.0}% BR slots)",
         u.ops_per_cycle,
         u.alu * 100.0,
         u.mem * 100.0,
         u.branch * 100.0,
-    );
+    )
 }
 
-fn cmd_compile(args: &Args) -> Result<(), String> {
+fn cmd_compile(args: &Args, out: &mut impl Write) -> Result<(), Failure> {
     let spec = args.load_spec()?;
     let res = pipeline_loop(&spec, &args.psp_config()).map_err(|e| e.to_string())?;
-    print_pipeline_summary(&spec, &res, &args.machine);
+    print_pipeline_summary(out, &spec, &res, &args.machine)?;
     match args.emit.as_str() {
-        "schedule" => println!("\n{}", res.schedule.render()),
-        "cfg" => println!("\n{}", res.program),
-        "dot" => println!("\n{}", to_dot(&res.program)),
+        "schedule" => writeln!(out, "\n{}", res.schedule.render())?,
+        "cfg" => writeln!(out, "\n{}", res.program)?,
+        "dot" => writeln!(out, "\n{}", to_dot(&res.program))?,
         "all" => {
-            println!(
+            writeln!(
+                out,
                 "\n== schedule (paper Figure 2 style) ==\n{}",
                 res.schedule.render()
-            );
-            println!(
+            )?;
+            writeln!(
+                out,
                 "== generated loop (paper Figure 3 style) ==\n{}",
                 res.program
-            );
+            )?;
         }
-        other => return Err(format!("--emit {other}: expected schedule|cfg|dot|all")),
+        other => return Err(format!("--emit {other}: expected schedule|cfg|dot|all").into()),
     }
     Ok(())
 }
 
-fn cmd_run(args: &Args) -> Result<(), String> {
+fn cmd_run(args: &Args, out: &mut impl Write) -> Result<(), Failure> {
     let spec = args.load_spec()?;
     let init = initial_state(&spec, args)?;
 
@@ -368,15 +382,16 @@ fn cmd_run(args: &Args) -> Result<(), String> {
             .map_err(|e| format!("reference run: {e}"))?;
         let profile = BranchProfile::from_run(&golden, spec.n_ifs);
         let probs: Vec<f64> = (0..spec.n_ifs).map(|i| profile.prob(i)).collect();
-        println!(
+        writeln!(
+            out,
             "measured branch profile: {:?}",
             probs.iter().map(|p| format!("{p:.3}")).collect::<Vec<_>>()
-        );
+        )?;
         cfg.probs = Some(probs);
     }
 
     let res = pipeline_loop(&spec, &cfg).map_err(|e| e.to_string())?;
-    print_pipeline_summary(&spec, &res, &args.machine);
+    print_pipeline_summary(out, &spec, &res, &args.machine)?;
 
     if args.trace > 0 {
         let mut traced = init.clone();
@@ -384,9 +399,13 @@ fn cmd_run(args: &Args) -> Result<(), String> {
         traced.grow(regs.max(spec.n_regs), ccs.max(spec.n_ccs));
         let (_, events) = trace_vliw(&res.program, traced, 1_000_000_000, args.trace)
             .map_err(|e| format!("trace: {e}"))?;
-        println!("\nfirst {} cycles (~~op~~ = guard-squashed):", events.len());
+        writeln!(
+            out,
+            "\nfirst {} cycles (~~op~~ = guard-squashed):",
+            events.len()
+        )?;
         for ev in &events {
-            println!("  {ev}");
+            writeln!(out, "  {ev}")?;
         }
     }
 
@@ -394,90 +413,121 @@ fn cmd_run(args: &Args) -> Result<(), String> {
     let (golden, run) = check_equivalence(&spec, &res.program, &init, 1_000_000_000)
         .map_err(|e| format!("EQUIVALENCE FAILURE: {e}"))?;
     let check_secs = t_check.elapsed().as_secs_f64();
-    println!(
+    writeln!(
+        out,
         "\nexecuted {} iterations: {} body cycles ({:.2} cycles/iter), reference {} cycles — speedup {:.2}x",
         run.iterations,
         run.body_cycles,
         run.cycles_per_iteration(),
         golden.cycles,
         golden.cycles as f64 / run.body_cycles.max(1) as f64,
-    );
-    println!("verified: live-outs and array memory match the reference interpreter ✓");
+    )?;
+    writeln!(
+        out,
+        "verified: live-outs and array memory match the reference interpreter ✓"
+    )?;
     let simulated = golden.cycles + run.total_cycles;
-    println!(
+    writeln!(
+        out,
         "simulator: {} engine, 1 trial, {simulated} cycles simulated ({:.1}M cycles/sec)",
         EngineKind::Decoded.label(),
         simulated as f64 / check_secs.max(1e-9) / 1e6,
-    );
+    )?;
     for r in &spec.live_out {
         let v = match r {
             RegRef::Gpr(g) => run.state.regs[g.0 as usize],
             RegRef::Cc(c) => i64::from(run.state.ccs[c.0 as usize]),
         };
-        println!("  {} = {}", reg_name(&spec, *r), v);
+        writeln!(out, "  {} = {}", reg_name(&spec, *r), v)?;
     }
     Ok(())
 }
 
-fn cmd_compare(args: &Args) -> Result<(), String> {
+fn cmd_compare(args: &Args, out: &mut impl Write) -> Result<(), Failure> {
     let spec = args.load_spec()?;
     let init = initial_state(&spec, args)?;
     let golden = run_reference(&spec, init.clone(), 1_000_000_000)
         .map_err(|e| format!("reference run: {e}"))?;
 
-    println!(
+    writeln!(
+        out,
         "{:<22} {:>8} {:>12} {:>9}",
         "technique", "II", "cycles/iter", "speedup"
-    );
-    let show = |label: &str, prog: &VliwLoop| -> Result<(), String> {
+    )?;
+    let show = |out: &mut dyn Write, label: &str, prog: &VliwLoop| -> Result<(), Failure> {
         let (_, run) = check_equivalence(&spec, prog, &init, 1_000_000_000)
             .map_err(|e| format!("{label}: EQUIVALENCE FAILURE: {e}"))?;
-        println!(
+        writeln!(
+            out,
             "{:<22} {:>8} {:>12.2} {:>8.2}x",
             label,
             ii_str(prog),
             run.cycles_per_iteration(),
             golden.cycles as f64 / run.body_cycles.max(1) as f64,
-        );
+        )?;
         Ok(())
     };
-    show("sequential", &compile_sequential(&spec))?;
-    show("local scheduling", &compile_local(&spec, &args.machine))?;
+    show(out, "sequential", &compile_sequential(&spec))?;
     show(
+        out,
+        "local scheduling",
+        &compile_local(&spec, &args.machine),
+    )?;
+    show(
+        out,
         &format!("unroll x{}", args.unroll),
         &compile_unrolled(&spec, args.unroll, &args.machine),
     )?;
     let ems = modulo_schedule(&spec, &args.machine);
     ems.verify(&args.machine).map_err(|e| format!("EMS: {e}"))?;
     let ems_cycles = ems.estimated_cycles(golden.iterations);
-    println!(
+    writeln!(
+        out,
         "{:<22} {:>8} {:>12.2} {:>8.2}x   (idealized cycle model)",
         "EMS modulo",
         ems.ii,
         ems_cycles as f64 / golden.iterations.max(1) as f64,
         golden.cycles as f64 / ems_cycles.max(1) as f64,
-    );
+    )?;
     let res = pipeline_loop(&spec, &args.psp_config()).map_err(|e| e.to_string())?;
-    show("PSP (this paper)", &res.program)?;
-    println!("\nall compiled loops verified against the reference interpreter ✓");
+    show(out, "PSP (this paper)", &res.program)?;
+    writeln!(
+        out,
+        "\nall compiled loops verified against the reference interpreter ✓"
+    )?;
     Ok(())
 }
 
-fn cmd_kernels() {
-    println!(
+fn cmd_kernels(out: &mut impl Write) -> Result<(), Failure> {
+    writeln!(
+        out,
         "{:<18} {:>6} {:>5} {:>4}  description",
         "name", "ops", "ifs", "regs"
-    );
+    )?;
     for k in psp::kernels::all_kernels() {
-        println!(
+        writeln!(
+            out,
             "{:<18} {:>6} {:>5} {:>4}  {}",
             k.name,
             k.spec.op_count(),
             k.spec.n_ifs,
             k.spec.n_regs,
             k.description,
-        );
+        )?;
     }
+    Ok(())
+}
+
+fn dispatch(args: &Args, out: &mut impl Write) -> Result<(), Failure> {
+    match args.command.as_str() {
+        "compile" => cmd_compile(args, out)?,
+        "run" => cmd_run(args, out)?,
+        "compare" => cmd_compare(args, out)?,
+        "kernels" => cmd_kernels(out)?,
+        "help" | "--help" | "-h" => write!(out, "{}", usage())?,
+        other => return Err(format!("unknown command `{other}` (try `pspc help`)").into()),
+    }
+    Ok(out.flush()?)
 }
 
 fn main() -> ExitCode {
@@ -489,25 +539,13 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let outcome = match args.command.as_str() {
-        "compile" => cmd_compile(&args),
-        "run" => cmd_run(&args),
-        "compare" => cmd_compare(&args),
-        "kernels" => {
-            cmd_kernels();
-            Ok(())
-        }
-        "help" | "--help" | "-h" => {
-            print!("{}", usage());
-            Ok(())
-        }
-        other => Err(format!("unknown command `{other}` (try `pspc help`)")),
+    let Err(e) = dispatch(&args, &mut io::stdout().lock()) else {
+        return ExitCode::SUCCESS;
     };
-    match outcome {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("pspc: {e}");
-            ExitCode::FAILURE
-        }
+    // A reader that closed the pipe (`pspc … | head`) has all it wants.
+    if e.downcast_ref::<io::Error>().map(io::Error::kind) == Some(io::ErrorKind::BrokenPipe) {
+        return ExitCode::SUCCESS;
     }
+    eprintln!("pspc: {e}");
+    ExitCode::FAILURE
 }

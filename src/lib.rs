@@ -42,8 +42,8 @@
 //!
 //! | module | crate | contents |
 //! |--------|-------|----------|
-//! | [`ir`] | `psp-ir` | registers, operations, loops, flattening |
-//! | [`predicate`] | `psp-predicate` | predicate matrices, path sets, IFLog |
+//! | [`ir`] | `psp-ir` | registers, operations and their register map, loops, flattening |
+//! | [`predicate`] | `psp-predicate` | predicate matrices, outcome maps, IFLog |
 //! | [`machine`] | `psp-machine` | tree-VLIW machine model, compiled loops |
 //! | [`core`] | `psp-core` | the PSP schedule, transformations, driver, codegen |
 //! | [`sim`] | `psp-sim` | reference & VLIW interpreters, equivalence, profiling |

@@ -3,8 +3,9 @@
 //! are checked. The `run` and `compare` paths execute the compiled loops
 //! and verify them, so these also act as a final system test.
 
+use std::io::{BufRead, BufReader};
 use std::path::PathBuf;
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 fn pspc(args: &[&str]) -> Output {
@@ -274,6 +275,56 @@ fn errors_exit_nonzero_with_messages() {
     assert_eq!(out.status.code(), Some(1), "{err}");
     assert!(
         err.contains("integer literal at byte 43 is outside the i64 range"),
+        "{err}"
+    );
+}
+
+#[test]
+fn closed_stdout_pipe_exits_quietly() {
+    // Roughly 1 MB of trace, far more than a pipe buffers, so `pspc` is
+    // still writing when the reader goes away (`pspc run … | head -1`).
+    let f = vecmin_file();
+    let mut child = Command::new(env!("CARGO_BIN_EXE_pspc"))
+        .args([
+            "run",
+            f.to_str().unwrap(),
+            "--n",
+            "4096",
+            "--trace",
+            "100000",
+        ])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("pspc runs");
+    let mut first = String::new();
+    BufReader::new(child.stdout.take().unwrap())
+        .read_line(&mut first)
+        .unwrap();
+    assert!(first.starts_with("pipelined `vecmin`"), "{first}");
+    let out = child.wait_with_output().unwrap();
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(!err.contains("panicked"), "{err}");
+    assert!(out.status.success(), "{:?}: {err}", out.status);
+}
+
+#[test]
+fn nesting_past_the_dsl_limit_is_a_parse_error() {
+    // 30,000 nested parentheses once overflowed the parser's stack and
+    // aborted the process (exit 134).
+    let deep = write_kernel(
+        "deep",
+        &format!(
+            "kernel p(a) -> a {{ a = {}a{}; break if (a >= 0); }}",
+            "(".repeat(30_000),
+            ")".repeat(30_000)
+        ),
+    );
+    let out = pspc(&["compile", deep.to_str().unwrap()]);
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{err}");
+    assert!(
+        err.contains("parse error: nesting at token 267 is deeper than the limit of 256 levels"),
         "{err}"
     );
 }
