@@ -23,6 +23,13 @@
 //!    loop-back linkage rule;
 //! 5. empty jump-only blocks are deleted.
 //!
+//! A placement is checked for speculative conflicts once, against the
+//! placements before it on its block's path; children share their parent's
+//! placement history instead of copying it. The generator refuses a
+//! schedule that would open more than [`MAX_WALK_PATHS`] blocks in one row,
+//! or more entry blocks than that, with the error the schedule walk that
+//! scores it raises ([`score_schedule`](crate::heuristics::score_schedule)).
+//!
 //! The *preloop* (startup code) re-executes, once per level of pipelining,
 //! the wrapped instances (operation index ≥ 1) that the steady state
 //! assumes were issued by earlier iterations; a dispatch chain then enters
@@ -32,7 +39,7 @@
 
 use crate::instance::Instance;
 use crate::schedule::Schedule;
-use psp_ir::{Guard, Operation};
+use psp_ir::{Guard, Operation, RegList};
 use psp_machine::{BlockId, MachineConfig, Succ, VliwBlock, VliwLoop, VliwTerm};
 use psp_predicate::{PredAvailability, PredicateMatrix};
 use std::fmt;
@@ -100,23 +107,56 @@ impl fmt::Display for CodegenError {
 
 impl std::error::Error for CodegenError {}
 
-/// Shared by [`generate`] and [`steady_paths`], which fail the same way.
-const ENTRY_SPLIT: CodegenError = CodegenError::Internal("entry split on a constrained element");
-const NO_IF_ROW: CodegenError = CodegenError::Internal("IF instance computes no predicate row");
+/// Shared by [`generate`] and the schedule walk, which fail the same way.
+pub(crate) const ENTRY_SPLIT: CodegenError =
+    CodegenError::Internal("entry split on a constrained element");
+pub(crate) const NO_IF_ROW: CodegenError =
+    CodegenError::Internal("IF instance computes no predicate row");
 
 /// Token identifying one logical block during construction.
 type Token = usize;
 
 /// An open (under-construction) block.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct OpenBlock {
     token: Token,
     matrix: PredicateMatrix,
     cycles: Vec<Vec<Operation>>,
-    /// Placed instances with their guards and *actual execution
-    /// conditions* (block matrix at placement time conjoined with the
-    /// guard's predicate), for conflict validation.
-    placed: Vec<(Instance, Option<Guard>, PredicateMatrix)>,
+    /// The last placement on this block's path, in [`generate`]'s
+    /// placement history.
+    placed: Option<usize>,
+}
+
+/// One placed instance, as the conflict check reads it: an entry of the
+/// placement history shared by every block of one [`generate`] call.
+#[derive(Debug)]
+struct Placed {
+    formal: PredicateMatrix,
+    defs: RegList,
+    /// The *actual execution condition*: the block matrix at placement
+    /// time conjoined with the guard's predicate.
+    exec: PredicateMatrix,
+    /// The placement before this one on the same path.
+    prev: Option<usize>,
+}
+
+impl Placed {
+    /// Whether `self` conflicts with a placement before it on its path:
+    /// two placed instances whose formal path sets are disjoint must never
+    /// *actually* co-execute while writing the same destination.
+    fn conflicts(&self, history: &[Placed]) -> bool {
+        let mut at = self.prev;
+        while let Some(p) = at.and_then(|i| history.get(i)) {
+            if self.defs.iter().any(|d| p.defs.contains(d))
+                && self.formal.is_disjoint(&p.formal)
+                && !self.exec.is_disjoint(&p.exec)
+            {
+                return true;
+            }
+            at = p.prev;
+        }
+        false
+    }
 }
 
 /// A finished logical block.
@@ -142,9 +182,9 @@ enum DoneTerm {
 
 /// The predicates the steady state dispatches on at block entry: those a
 /// constrained instance needs from the *previous* iteration. Shared by
-/// [`generate`] and [`steady_paths`], so both agree exactly on
-/// the entry fan-out (and on the failure modes that precede it).
-fn incoming_predicates(sched: &Schedule) -> Result<Vec<(u32, i32)>, CodegenError> {
+/// [`generate`] and the schedule walk, so both agree exactly on the entry
+/// fan-out (and on the failure modes that precede it).
+pub(crate) fn incoming_predicates(sched: &Schedule) -> Result<Vec<(u32, i32)>, CodegenError> {
     let iflog = sched.iflog();
     let mut incoming: Vec<(u32, i32)> = Vec::new();
     for inst in sched.instances() {
@@ -174,7 +214,7 @@ fn incoming_predicates(sched: &Schedule) -> Result<Vec<(u32, i32)>, CodegenError
 /// The steady state's entry matrices: the universe split on every
 /// incoming predicate in turn. `None` when a split meets an element that
 /// is already constrained.
-fn entry_matrices(incoming: &[(u32, i32)]) -> Option<Vec<PredicateMatrix>> {
+pub(crate) fn entry_matrices(incoming: &[(u32, i32)]) -> Option<Vec<PredicateMatrix>> {
     let mut entries = vec![PredicateMatrix::universe()];
     for &(r, c) in incoming {
         let mut next = Vec::with_capacity(entries.len() * 2);
@@ -212,6 +252,20 @@ fn fan_out(
     mats
 }
 
+/// How many successors `fan_out(m, splits)` opens: two per distinct split
+/// key that `m` leaves unconstrained (saturating).
+pub(crate) fn fan_out_len(m: &PredicateMatrix, splits: &[(u32, i32)]) -> usize {
+    let free = splits
+        .iter()
+        .enumerate()
+        .filter(|&(i, &(r, c))| !m.get(r, c).is_constrained() && !splits[..i].contains(&(r, c)))
+        .count();
+    u32::try_from(free)
+        .ok()
+        .and_then(|k| 1usize.checked_shl(k))
+        .unwrap_or(usize::MAX)
+}
+
 /// Generate executable code for a schedule.
 pub fn generate(sched: &Schedule, machine: &MachineConfig) -> Result<VliwLoop, CodegenError> {
     let incoming = incoming_predicates(sched)?;
@@ -225,6 +279,9 @@ pub fn generate(sched: &Schedule, machine: &MachineConfig) -> Result<VliwLoop, C
     let (prologue, dispatch_map) = crate::preloop::build_preloop(sched, &incoming)?;
 
     // --- entry blocks ------------------------------------------------------
+    if incoming.len() > MAX_ENTRY_SPLITS {
+        return Err(CodegenError::TooManyPaths(MAX_WALK_PATHS));
+    }
     let mut next_token: Token = 0;
     let mut fresh = move || {
         let t = next_token;
@@ -238,11 +295,12 @@ pub fn generate(sched: &Schedule, machine: &MachineConfig) -> Result<VliwLoop, C
             token: fresh(),
             matrix: m.clone(),
             cycles: Vec::new(),
-            placed: Vec::new(),
+            placed: None,
         })
         .collect();
     let entry_tokens: Vec<Token> = open.iter().map(|b| b.token).collect();
     let mut done: Vec<Done> = Vec::new();
+    let mut history: Vec<Placed> = Vec::new();
 
     // --- walk the rows ---------------------------------------------------
     for row in &sched.rows {
@@ -253,11 +311,12 @@ pub fn generate(sched: &Schedule, machine: &MachineConfig) -> Result<VliwLoop, C
                 .filter(|i| i.op.is_if() && !i.formal.is_disjoint(&block.matrix))
                 .collect();
             let mut cycle: Vec<Operation> = Vec::new();
+            let mut conflict = false;
             for inst in row {
                 if inst.formal.is_disjoint(&block.matrix) {
                     continue;
                 }
-                let (guard, guard_pred) = guard_for(inst, &block, &row_ifs)?;
+                let (guard, guard_pred) = guard_for(inst, &block.matrix, &row_ifs)?;
                 let mut op = inst.op;
                 op.guard = guard;
                 cycle.push(op);
@@ -269,9 +328,21 @@ pub fn generate(sched: &Schedule, machine: &MachineConfig) -> Result<VliwLoop, C
                     }
                     None => block.matrix.clone(),
                 };
-                block.placed.push((inst.clone(), guard, exec));
+                let placed = Placed {
+                    formal: inst.formal.clone(),
+                    defs: inst.op.defs(),
+                    exec,
+                    prev: block.placed,
+                };
+                conflict = conflict || placed.conflicts(&history);
+                block.placed = Some(history.len());
+                history.push(placed);
             }
-            validate_block_conflicts(&block)?;
+            // Reported after the row's placements, so a guard error later
+            // in the row takes precedence.
+            if conflict {
+                return Err(CodegenError::SpeculativeConflict);
+            }
             if !cycle.is_empty() {
                 block.cycles.push(cycle);
             }
@@ -288,10 +359,15 @@ pub fn generate(sched: &Schedule, machine: &MachineConfig) -> Result<VliwLoop, C
                 let r = i.computes_if.ok_or(NO_IF_ROW)?;
                 splits.push((cc, r, i.index));
             }
-            let mats = fan_out(
-                block.matrix.clone(),
-                splits.iter().map(|&(_cc, r, c)| (r, c)),
-            );
+            let keys: Vec<(u32, i32)> = splits.iter().map(|&(_cc, r, c)| (r, c)).collect();
+            if next_open
+                .len()
+                .saturating_add(fan_out_len(&block.matrix, &keys))
+                > MAX_WALK_PATHS
+            {
+                return Err(CodegenError::TooManyPaths(MAX_WALK_PATHS));
+            }
+            let mats = fan_out(block.matrix.clone(), keys);
             let mut children = Vec::with_capacity(mats.len());
             for m in mats {
                 let token = fresh();
@@ -300,7 +376,7 @@ pub fn generate(sched: &Schedule, machine: &MachineConfig) -> Result<VliwLoop, C
                     token,
                     matrix: m,
                     cycles: Vec::new(),
-                    placed: block.placed.clone(),
+                    placed: block.placed,
                 });
             }
             done.push(Done {
@@ -309,6 +385,9 @@ pub fn generate(sched: &Schedule, machine: &MachineConfig) -> Result<VliwLoop, C
                 cycles: block.cycles,
                 term: DoneTerm::Splits { splits, children },
             });
+        }
+        if next_open.len() > MAX_WALK_PATHS {
+            return Err(CodegenError::TooManyPaths(MAX_WALK_PATHS));
         }
         open = next_open;
     }
@@ -417,87 +496,16 @@ pub fn generate(sched: &Schedule, machine: &MachineConfig) -> Result<VliwLoop, C
 }
 
 /// The most open paths the steady-state walk that scores a schedule
-/// ([`score_schedule`](crate::heuristics::score_schedule)) holds at once.
-/// Code generation builds one block per open path, so a schedule past this
-/// cap could not be generated in reasonable time either; the walk refuses
-/// it with [`CodegenError::TooManyPaths`].
+/// ([`score_schedule`](crate::heuristics::score_schedule)) counts after any
+/// row, and the most open blocks [`generate`] holds. The walk merges paths
+/// whose futures agree, but code generation still builds one block per
+/// path, so a schedule past this cap could not be generated in reasonable
+/// time; both refuse it with [`CodegenError::TooManyPaths`].
 pub const MAX_WALK_PATHS: usize = 1 << 18;
 
-/// One steady-state path of the loop [`generate`] builds: the predicate
-/// matrix of its last block and its cycle count, which is its II.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) struct SteadyPath {
-    pub(crate) matrix: PredicateMatrix,
-    pub(crate) cycles: usize,
-}
-
-/// Every steady-state path of the loop [`generate`] would build from
-/// `sched`, computed without generating code.
-///
-/// Replays exactly the generator's block-matrix evolution — the universe
-/// split on every incoming predicate at entry, one cycle per row holding a
-/// compatible instance, a fan-out on every compatible IF of a row, a back
-/// edge resolved by matching the `shifted(-1)` final matrix against the
-/// entry matrices — but tracks only (matrix, cycle count) per path:
-/// no instance placement, guard assignment, or conflict validation. The
-/// generator enumerates every *syntactic* outcome combination and wires
-/// every entry block from the first-iteration dispatch, so each walked
-/// path exists verbatim in the generated program; a path is a steady-state
-/// path iff its entry receives some back edge (empty-block cleanup only
-/// rewires zero-cycle blocks and cannot change any path's cycle count).
-///
-/// The errors are those `generate` raises for the same reason, plus
-/// [`CodegenError::TooManyPaths`] past [`MAX_WALK_PATHS`]; whenever the
-/// walk fails, so does `generate`.
-pub(crate) fn steady_paths(sched: &Schedule) -> Result<Vec<SteadyPath>, CodegenError> {
-    let incoming = incoming_predicates(sched)?;
-    let entries = entry_matrices(&incoming).ok_or(ENTRY_SPLIT)?;
-
-    // (entry index, current matrix, non-empty cycles so far) per open path.
-    let mut open: Vec<(usize, PredicateMatrix, usize)> = entries
-        .iter()
-        .enumerate()
-        .map(|(e, m)| (e, m.clone(), 0))
-        .collect();
-    for row in &sched.rows {
-        let mut next = Vec::with_capacity(open.len());
-        for (e, m, mut cycles) in open {
-            if row.iter().any(|i| !i.formal.is_disjoint(&m)) {
-                cycles += 1;
-            }
-            let mut splits = Vec::new();
-            for i in row {
-                if i.op.is_if() && !i.formal.is_disjoint(&m) {
-                    splits.push((i.computes_if.ok_or(NO_IF_ROW)?, i.index));
-                }
-            }
-            for mm in fan_out(m, splits) {
-                next.push((e, mm, cycles));
-            }
-        }
-        if next.len() > MAX_WALK_PATHS {
-            return Err(CodegenError::TooManyPaths(MAX_WALK_PATHS));
-        }
-        open = next;
-    }
-
-    // A path is a steady-state path iff its entry is some path's
-    // back-edge target.
-    let mut is_steady = vec![false; entries.len()];
-    for (_, m, _) in &open {
-        let shifted = m.shifted(-1);
-        let target = entries
-            .iter()
-            .position(|x| x.subsumes(&shifted))
-            .ok_or(CodegenError::NoBackEdgeTarget)?;
-        is_steady[target] = true;
-    }
-    Ok(open
-        .into_iter()
-        .filter(|&(e, _, _)| is_steady[e])
-        .map(|(_, matrix, cycles)| SteadyPath { matrix, cycles })
-        .collect())
-}
+/// The most incoming predicates whose 2^n entry paths fit under
+/// [`MAX_WALK_PATHS`].
+pub(crate) const MAX_ENTRY_SPLITS: usize = MAX_WALK_PATHS.trailing_zeros() as usize;
 
 /// Terminator (possibly via zero-cycle dispatch blocks) implementing a
 /// sequence of matrix splits from `base`, resolving leaves with `lookup`.
@@ -547,13 +555,13 @@ fn build_dispatch(
 #[allow(clippy::type_complexity)]
 fn guard_for(
     inst: &Instance,
-    block: &OpenBlock,
+    block: &PredicateMatrix,
     row_ifs: &[&Instance],
 ) -> Result<(Option<Guard>, Option<(u32, i32, bool)>), CodegenError> {
     let mut guard: Option<Guard> = None;
     let mut guard_pred: Option<(u32, i32, bool)> = None;
     for (r, c, v) in inst.formal.constrained() {
-        if block.matrix.get(r, c).is_constrained() {
+        if block.get(r, c).is_constrained() {
             // The block preselects the path (values agree, else the
             // matrices would be disjoint).
             continue;
@@ -586,29 +594,6 @@ fn guard_for(
         }
     }
     Ok((guard, guard_pred))
-}
-
-/// Two placed instances whose formal path sets are disjoint must never
-/// *actually* co-execute while writing the same destination: compare their
-/// actual execution conditions (placement matrix ∧ guard predicate).
-fn validate_block_conflicts(block: &OpenBlock) -> Result<(), CodegenError> {
-    for i in 0..block.placed.len() {
-        for j in (i + 1)..block.placed.len() {
-            let (a, _ga, ea) = &block.placed[i];
-            let (b, _gb, eb) = &block.placed[j];
-            if !a.formal.is_disjoint(&b.formal) {
-                continue; // ordinary (ordered) writes on shared paths
-            }
-            if ea.is_disjoint(eb) {
-                continue; // never co-execute at runtime
-            }
-            let defs_a = a.op.defs();
-            if defs_a.iter().any(|d| b.op.defs().contains(d)) {
-                return Err(CodegenError::SpeculativeConflict);
-            }
-        }
-    }
-    Ok(())
 }
 
 /// Delete empty jump-only blocks by redirecting their predecessors
@@ -695,6 +680,7 @@ fn cleanup_empty_jump_blocks(prog: &mut VliwLoop) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::heuristics::score_schedule;
     use psp_kernels::{by_name, KernelData};
     use psp_sim::check_equivalence;
 
@@ -732,13 +718,8 @@ mod tests {
         // one cycle shorter, in the walk and in the generated loop alike.
         let kernel = by_name("vecmin").unwrap();
         let sched = Schedule::initial(&kernel.spec);
-        let mut paths: Vec<(Option<bool>, usize)> = steady_paths(&sched)
-            .unwrap()
-            .into_iter()
-            .map(|p| (p.matrix.get(0, 0).as_bool(), p.cycles))
-            .collect();
-        paths.sort_unstable();
-        assert_eq!(paths, [(Some(false), 7), (Some(true), 8)]);
+        let walked = |p: f64| score_schedule(&sched, Some(&[p])).unwrap().primary;
+        assert_eq!((walked(0.0), walked(1.0)), (7.0, 8.0));
         assert_eq!(generate(&sched, &m()).unwrap().ii_range(), Some((7, 8)));
     }
 

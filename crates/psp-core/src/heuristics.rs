@@ -7,13 +7,27 @@
 //! either by worst-case II (the static, data-dependence-driven mode) or by
 //! the expected mean dynamic II under a branch profile (the §4 extension:
 //! "heuristics driven by dynamic probabilities of path sets"). Both come
-//! from one walk of the schedule's steady state (`codegen::steady_paths`),
-//! which yields every steady-state path with its final predicate matrix and
-//! cycle count, so scoring never needs the generated program.
+//! from one walk of the schedule's steady state, so scoring never needs the
+//! generated program.
+//!
+//! The walk replays the generator's block matrices row by row, but it
+//! merges paths. After a row that leaves more than a few open states (and,
+//! after a merge, more than twice as many as the merge left), it projects
+//! every state's matrix onto the keys the rest of the walk reads:
+//! the formal keys of later instances, the split keys of later IFs, and the
+//! back-edge keys. States with the same entry and the same projection have
+//! the same future, so they merge into one state that carries the tallies
+//! the objectives need. The work is bounded by the states, which stay few
+//! when IF outcomes are read soon after they are computed; the path cap
+//! ([`MAX_WALK_PATHS`]) still counts paths, because code generation emits
+//! one block per path.
 
-use crate::codegen::{steady_paths, CodegenError, SteadyPath};
+use crate::codegen::{
+    entry_matrices, fan_out_len, incoming_predicates, CodegenError, ENTRY_SPLIT, MAX_ENTRY_SPLITS,
+    MAX_WALK_PATHS, NO_IF_ROW,
+};
 use crate::schedule::Schedule;
-use psp_predicate::PredicateMatrix;
+use psp_predicate::{PredElem, PredicateMatrix};
 
 /// A schedule's figure of merit. Lower is better, compared
 /// lexicographically.
@@ -44,45 +58,317 @@ impl Score {
 /// Per-IF-row probability of the True outcome (stationary model).
 pub type BranchProbs = Vec<f64>;
 
-/// The measure of a matrix's path set: the product, over its constrained
-/// elements in key order, of the row's True probability (clamped to
-/// `[0, 1]`; rows beyond `probs` count as 0.5) or its complement.
+/// The probability of one matrix element: the row's True probability
+/// (clamped to `[0, 1]`; rows beyond `probs` count as 0.5) or its
+/// complement.
+fn factor(probs: &[f64], row: u32, v: bool) -> f64 {
+    let p = probs.get(row as usize).map_or(0.5, |p| p.clamp(0.0, 1.0));
+    if v {
+        p
+    } else {
+        1.0 - p
+    }
+}
+
+/// The measure of a matrix's path set: the product of the factors of its
+/// constrained elements, in key order.
 fn measure(m: &PredicateMatrix, probs: &[f64]) -> f64 {
     m.constrained()
-        .map(|(row, _, v)| {
-            let p = probs.get(row as usize).map_or(0.5, |p| p.clamp(0.0, 1.0));
-            if v {
-                p
-            } else {
-                1.0 - p
-            }
-        })
+        .map(|(r, _, v)| factor(probs, r, v))
         .product()
 }
 
-/// The primary objective over a loop's steady-state paths: the maximal II,
-/// or under a profile the expected II, each path weighted by the measure
-/// of its final matrix. The expected II is computed as `II_min + Σw·(II −
+/// What the objectives need of a set of paths that share their future.
+#[derive(Debug, Clone, Copy)]
+struct Tally {
+    /// Number of paths (saturating).
+    paths: usize,
+    /// Cycle counts of the longest and the shortest path.
+    max: usize,
+    min: usize,
+    /// Σ(cycles − min) over the paths.
+    excess: usize,
+    /// Under a profile, Σw and Σw·(cycles − min), where w is the measure of
+    /// the elements the walk has projected away.
+    w: f64,
+    w_excess: f64,
+}
+
+impl Tally {
+    /// One path that has not issued a cycle yet.
+    const START: Tally = Tally {
+        paths: 1,
+        max: 0,
+        min: 0,
+        excess: 0,
+        w: 1.0,
+        w_excess: 0.0,
+    };
+
+    /// Σ(cycles − `base`) and Σw·(cycles − `base`), for `base` ≤ `min`.
+    fn excess_over(&self, base: usize) -> (usize, f64) {
+        let lift = self.min - base;
+        (
+            self.excess.saturating_add(self.paths.saturating_mul(lift)),
+            self.w_excess + self.w * lift as f64,
+        )
+    }
+
+    /// Add the paths of `other`. Excess stays relative to the shortest path,
+    /// so paths that share one cycle count keep an excess of exactly 0.
+    fn absorb(&mut self, other: &Tally) {
+        let min = self.min.min(other.min);
+        let (x, wx) = self.excess_over(min);
+        let (ox, owx) = other.excess_over(min);
+        *self = Tally {
+            paths: self.paths.saturating_add(other.paths),
+            max: self.max.max(other.max),
+            min,
+            excess: x.saturating_add(ox),
+            w: self.w + other.w,
+            w_excess: wx + owx,
+        };
+    }
+}
+
+/// Open paths of the walk with one entry and one matrix.
+#[derive(Debug, Clone)]
+struct State {
+    /// Index of the entry matrix the paths started from.
+    entry: usize,
+    /// The paths' matrix; once projected, restricted to the keys later rows
+    /// and the back edge read.
+    matrix: PredicateMatrix,
+    tally: Tally,
+}
+
+impl State {
+    /// Restrict the matrix to `keys`; under a profile, the weights take the
+    /// factors of the elements dropped.
+    fn project(&mut self, keys: &PredicateMatrix, probs: Option<&[f64]>) {
+        let kept = self.matrix.restricted_to(keys);
+        if let Some(probs) = probs {
+            if kept.constrained_len() < self.matrix.constrained_len() {
+                for (r, c, v) in self.matrix.constrained() {
+                    if !keys.get(r, c).is_constrained() {
+                        let f = factor(probs, r, v);
+                        self.tally.w *= f;
+                        self.tally.w_excess *= f;
+                    }
+                }
+            }
+        }
+        self.matrix = kept;
+    }
+}
+
+/// The most states a row may leave before the walk first projects and
+/// merges them: while a loop has few paths, the key analysis projection
+/// needs costs more than it saves. After each merge the walk waits until
+/// the state count doubles, so rows whose paths cannot merge (nested IFs
+/// keep every outer outcome live) pay for few attempts.
+const MERGE_AT: usize = 4;
+
+/// Merge the states that share an entry and a matrix. Sorting by a
+/// fingerprint makes equal states adjacent; a fingerprint collision can
+/// only leave two equal states unmerged, which costs work, not exactness.
+fn merge(states: &mut Vec<State>) {
+    states.sort_by_cached_key(|s| {
+        // FNV-1a over the elements: cheap, and the same on every platform.
+        let h = s
+            .matrix
+            .constrained()
+            .fold(0xcbf2_9ce4_8422_2325, |h, (r, c, v)| {
+                let e = u64::from(r) << 33 | u64::from(c as u32) << 1 | u64::from(v);
+                (h ^ e).wrapping_mul(0x0100_0000_01b3)
+            });
+        (s.entry, h)
+    });
+    states.dedup_by(|later, kept| {
+        let same = later.entry == kept.entry && later.matrix == kept.matrix;
+        if same {
+            kept.tally.absorb(&later.tally);
+        }
+        same
+    });
+}
+
+/// The keys the walk reads after row `i`: the formal keys of the
+/// instances in later rows, the split keys of the IFs in later rows, and
+/// the back-edge key `(r, c + 1)` of every incoming `(r, c)`. The values
+/// are meaningless.
+fn live_keys(sched: &Schedule, incoming: &[(u32, i32)], i: usize) -> PredicateMatrix {
+    let mut keys = PredicateMatrix::universe();
+    for &(r, c) in incoming {
+        keys.set(r, c + 1, PredElem::True);
+    }
+    for inst in sched.rows.iter().skip(i + 1).flatten() {
+        if !inst.formal.is_universe() {
+            for (r, c) in inst.formal.keys() {
+                keys.set(r, c, PredElem::True);
+            }
+        }
+        if let Some(r) = inst.computes_if.filter(|_| inst.op.is_if()) {
+            keys.set(r, inst.index, PredElem::True);
+        }
+    }
+    keys
+}
+
+/// The steady-state paths of the loop [`generate`](crate::codegen::generate)
+/// would build from `sched`, merged into states (module docs).
+///
+/// Replays exactly the generator's block-matrix evolution — the universe
+/// split on every incoming predicate at entry, one cycle per row holding a
+/// compatible instance, a fan-out on every compatible IF of a row, a back
+/// edge resolved by matching the `shifted(-1)` final matrix against the
+/// entry matrices — with no instance placement, guard assignment or
+/// conflict check. Every walked path exists verbatim in the generated
+/// program; a path is a steady-state path iff its entry receives some back
+/// edge. After a row that leaves more than [`MERGE_AT`] states, and more
+/// than twice as many as the last merge left, every state is projected and
+/// equal states merge; under a profile, each state's weights carry the
+/// factors of the elements projected away, and the factors of its final
+/// matrix are left to the objective.
+///
+/// The errors are those `generate` raises for the same reason, plus
+/// [`CodegenError::TooManyPaths`] when more than [`MAX_WALK_PATHS`] paths
+/// are open after a row; whenever the walk fails, so does `generate`.
+/// Projection keeps every key a later test reads, so each error fires on
+/// exactly the schedules a per-path walk would refuse.
+fn steady_states(sched: &Schedule, probs: Option<&[f64]>) -> Result<Vec<State>, CodegenError> {
+    let incoming = incoming_predicates(sched)?;
+    if incoming.len() > MAX_ENTRY_SPLITS {
+        // Each entry is a path of its own, so the count after the first
+        // row is past the cap; every IF of that row is compatible with
+        // some entry.
+        let first = sched.rows.first().into_iter().flatten();
+        if first
+            .filter(|i| i.op.is_if())
+            .any(|i| i.computes_if.is_none())
+        {
+            return Err(NO_IF_ROW);
+        }
+        return Err(CodegenError::TooManyPaths(MAX_WALK_PATHS));
+    }
+    let entries = entry_matrices(&incoming).ok_or(ENTRY_SPLIT)?;
+    let mut merge_at = MERGE_AT;
+
+    let mut states: Vec<State> = entries
+        .iter()
+        .enumerate()
+        .map(|(entry, m)| State {
+            entry,
+            matrix: m.clone(),
+            tally: Tally::START,
+        })
+        .collect();
+    let mut next: Vec<State> = Vec::with_capacity(states.len());
+    let mut splits: Vec<(u32, i32)> = Vec::new();
+    let mut fan: Vec<PredicateMatrix> = Vec::new();
+    for (i, row) in sched.rows.iter().enumerate() {
+        let mut paths = 0usize;
+        for State {
+            entry,
+            matrix,
+            mut tally,
+        } in states.drain(..)
+        {
+            let mut issues = false;
+            splits.clear();
+            for inst in row {
+                if (!issues || inst.op.is_if()) && !inst.formal.is_disjoint(&matrix) {
+                    issues = true;
+                    if inst.op.is_if() {
+                        splits.push((inst.computes_if.ok_or(NO_IF_ROW)?, inst.index));
+                    }
+                }
+            }
+            paths = paths.saturating_add(tally.paths.saturating_mul(fan_out_len(&matrix, &splits)));
+            if paths > MAX_WALK_PATHS {
+                // Refused after this row. Only a later state's NO_IF_ROW
+                // takes precedence, so the rest of the row is scanned
+                // without fanning out.
+                continue;
+            }
+            if issues {
+                tally.max += 1;
+                tally.min += 1;
+            }
+            fan.clear();
+            fan.push(matrix);
+            for &(r, c) in &splits {
+                for k in 0..fan.len() {
+                    // Outcome already known on these paths: one child.
+                    if let Some((f, t)) = fan[k].split(r, c) {
+                        fan[k] = f;
+                        fan.push(t);
+                    }
+                }
+            }
+            next.extend(fan.drain(..).map(|matrix| State {
+                entry,
+                matrix,
+                tally,
+            }));
+        }
+        if paths > MAX_WALK_PATHS {
+            return Err(CodegenError::TooManyPaths(MAX_WALK_PATHS));
+        }
+        if next.len() > merge_at {
+            let keys = live_keys(sched, &incoming, i);
+            for s in &mut next {
+                s.project(&keys, probs);
+            }
+            merge(&mut next);
+            merge_at = MERGE_AT.max(2 * next.len());
+        }
+        std::mem::swap(&mut states, &mut next);
+    }
+
+    // A path is a steady-state path iff its entry is some path's
+    // back-edge target.
+    let mut is_steady = vec![false; entries.len()];
+    for s in &states {
+        let shifted = s.matrix.shifted(-1);
+        let target = entries
+            .iter()
+            .position(|x| x.subsumes(&shifted))
+            .ok_or(CodegenError::NoBackEdgeTarget)?;
+        is_steady[target] = true;
+    }
+    states.retain(|s| is_steady[s.entry]);
+    Ok(states)
+}
+
+/// The primary objective over a loop's steady states: the maximal II, or
+/// under a profile the expected II, each path weighted by the measure of
+/// its final matrix. The expected II is computed as `II_min + Σw·(II −
 /// II_min) / Σw`, so a loop whose paths share one II scores exactly that
 /// II; a profile that gives every path weight 0 falls back to the
 /// unweighted mean.
-fn objective(paths: &[SteadyPath], probs: Option<&[f64]>) -> f64 {
-    let Some(min) = paths.iter().map(|p| p.cycles).min() else {
+fn objective(states: &[State], probs: Option<&[f64]>) -> f64 {
+    let Some(min) = states.iter().map(|s| s.tally.min).min() else {
         return 0.0;
     };
     let Some(probs) = probs else {
-        return paths.iter().map(|p| p.cycles).max().unwrap_or(min) as f64;
+        return states.iter().map(|s| s.tally.max).max().unwrap_or(min) as f64;
     };
     let (mut num, mut den) = (0.0, 0.0);
-    for p in paths {
-        let w = measure(&p.matrix, probs);
-        num += w * (p.cycles - min) as f64;
-        den += w;
+    for s in states {
+        let kept = measure(&s.matrix, probs);
+        num += kept * s.tally.excess_over(min).1;
+        den += kept * s.tally.w;
     }
     let excess = if den > 0.0 {
         num / den
     } else {
-        paths.iter().map(|p| (p.cycles - min) as f64).sum::<f64>() / paths.len() as f64
+        let (mut sum, mut paths) = (0usize, 0usize);
+        for s in states {
+            sum = sum.saturating_add(s.tally.excess_over(min).0);
+            paths = paths.saturating_add(s.tally.paths);
+        }
+        sum as f64 / paths as f64
     };
     min as f64 + excess
 }
@@ -93,9 +379,9 @@ fn objective(paths: &[SteadyPath], probs: Option<&[f64]>) -> f64 {
 /// Fails when code generation would fail for a reason the walk can see, or
 /// past the walk's path cap.
 pub fn score_schedule(sched: &Schedule, probs: Option<&[f64]>) -> Result<Score, CodegenError> {
-    let paths = steady_paths(sched)?;
+    let states = steady_states(sched, probs)?;
     Ok(Score {
-        primary: objective(&paths, probs),
+        primary: objective(&states, probs),
         rows: sched.n_rows(),
         instances: sched.n_instances(),
     })
@@ -159,18 +445,41 @@ mod tests {
         // A certain branch weights one path only.
         assert_eq!(score_schedule(&sched, Some(&[1.0])).unwrap().primary, 8.0);
         assert_eq!(score_schedule(&sched, Some(&[0.0])).unwrap().primary, 7.0);
-        let path = |outcome, cycles| SteadyPath {
+        let state = |outcome, cycles| State {
+            entry: 0,
             matrix: PredicateMatrix::single(0, 0, outcome),
-            cycles,
+            tally: Tally {
+                max: cycles,
+                min: cycles,
+                ..Tally::START
+            },
         };
         // Paths sharing one II score exactly it under any profile.
-        let even = [path(false, 2), path(true, 2)];
+        let even = [state(false, 2), state(true, 2)];
         assert_eq!(objective(&even, Some(&[0.3])), 2.0);
         // Every path of weight 0: the unweighted mean.
         assert_eq!(
-            objective(&[path(true, 2), path(true, 3)], Some(&[0.0])),
+            objective(&[state(true, 2), state(true, 3)], Some(&[0.0])),
             2.5
         );
         assert_eq!(objective(&[], Some(&[0.5])), 0.0);
+    }
+
+    #[test]
+    fn absorbed_tallies_keep_excess_relative_to_the_shortest_path() {
+        let paths = |cycles, w| Tally {
+            max: cycles,
+            min: cycles,
+            w,
+            ..Tally::START
+        };
+        let mut t = paths(3, 0.25);
+        t.absorb(&paths(2, 0.5));
+        t.absorb(&paths(5, 0.125));
+        assert_eq!((t.paths, t.min, t.max, t.excess), (3, 2, 5, 4));
+        assert_eq!((t.w, t.w_excess), (0.875, 0.25 + 0.375));
+        let mut even = paths(4, 0.1);
+        even.absorb(&paths(4, 0.7));
+        assert_eq!((even.excess, even.w_excess), (0, 0.0));
     }
 }

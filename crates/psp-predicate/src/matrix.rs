@@ -397,6 +397,29 @@ impl PredicateMatrix {
             .all(|(r, c, v)| other.get(r, c).as_bool() == Some(v))
     }
 
+    /// The projection of this matrix onto the keys `keys` constrains: the
+    /// elements of `self` at those keys, every other element reset to `b`.
+    /// The values `keys` holds are ignored.
+    pub fn restricted_to(&self, keys: &Self) -> Self {
+        if let (Some(a), Some(k)) = (self.words(), keys.words()) {
+            let mut out = Packed::default();
+            for i in 0..W {
+                out.mask[i] = a.mask[i] & k.mask[i];
+                out.vals[i] = a.vals[i] & k.mask[i];
+            }
+            return Self {
+                repr: Repr::Packed(out),
+            };
+        }
+        let mut out = self.empty_like();
+        for (r, c, v) in self.constrained() {
+            if keys.get(r, c).is_constrained() {
+                out.set(r, c, PredElem::from_bool(v));
+            }
+        }
+        out
+    }
+
     /// Shift all columns by `delta` (positive = later iterations).
     ///
     /// Applied when an operation instance crosses the loop boundary: moving

@@ -136,6 +136,34 @@ proptest! {
     }
 
     #[test]
+    fn restriction_is_mode_independent(
+        ea in arb_entries(),
+        ek in arb_entries(),
+        wa in arb_entries_inwindow(),
+        wk in arb_entries_inwindow(),
+    ) {
+        // Straddling operands cover the spilled and sparse element-wise
+        // path, in-window ones the word path, and mixed pairs both.
+        for (ea, ek) in [(&ea, &ek), (&wa, &wk), (&wa, &ek), (&ea, &wk)] {
+            let (pa, sa) = both_modes(ea);
+            let (pk, sk) = both_modes(ek);
+            let restricted = pa.restricted_to(&pk);
+            assert_same(&restricted, &sa.restricted_to(&sk));
+            assert_same(&pa.restricted_to(&sk), &sa.restricted_to(&pk));
+            let model: Vec<_> = pa
+                .constrained()
+                .filter(|&(r, c, _)| pk.get(r, c).is_constrained())
+                .collect();
+            // A packed result spills exactly the out-of-window keys it keeps.
+            let in_window = |&(r, c, _): &(u32, i32, bool)| {
+                r < PACKED_ROWS && (PACKED_COL_LO..=PACKED_COL_HI).contains(&c)
+            };
+            prop_assert_eq!(restricted.is_word_packed(), model.iter().all(in_window));
+            prop_assert_eq!(restricted.constrained().collect::<Vec<_>>(), model);
+        }
+    }
+
+    #[test]
     fn with_and_set_are_mode_independent(e in arb_entries(), r in 0..PACKED_ROWS + 3, c in -10i32..=10, v in any::<bool>()) {
         let (p, s) = both_modes(&e);
         assert_same(&p.with(r, c, PredElem::from_bool(v)), &s.with(r, c, PredElem::from_bool(v)));

@@ -5,19 +5,21 @@
 //!
 //! - `walk_scores_match_the_generated_program` is the walk's executable
 //!   specification: on every schedule it is shown, its maximal II is the
-//!   generated loop's `ii_range` maximum, and its expected II equals an
-//!   outcome enumeration over the generated loop's block matrices;
+//!   generated loop's `ii_range` maximum, its expected II equals an
+//!   outcome enumeration over the generated loop's block matrices, and
+//!   both agree with a per-path reference walk that merges nothing;
 //! - `expected_ii_matches_the_simulator_on_abs_sum` pins the §4 score of a
 //!   loop whose short path returns to the loop head straight from a
 //!   branching block;
-//! - `past_the_path_cap_pipelining_fails_with_the_named_error` pins the
-//!   walk's one limit.
+//! - `past_the_path_cap_pipelining_fails_with_the_named_error` and
+//!   `past_the_path_cap_generate_fails_with_the_named_error` pin the one
+//!   limit the walk and the generator share.
 
 use psp::core::codegen::MAX_WALK_PATHS;
 use psp::core::compact::compact_ext;
 use psp::core::heuristics::score_schedule;
 use psp::core::{transform, CodegenError, Transformation};
-use psp::predicate::OutcomeMap;
+use psp::predicate::{OutcomeMap, PredAvailability, PredicateMatrix};
 use psp::prelude::*;
 use psp::verify::grammar::{self, SplitMix64};
 use std::collections::HashSet;
@@ -92,6 +94,147 @@ fn enumerated_expected_ii(prog: &VliwLoop, probs: &[f64]) -> f64 {
     num / den
 }
 
+/// The per-path reference walk: every steady-state path of the loop
+/// `generate` would build, as its final matrix and cycle count, with one
+/// chain per actual path and no merging. It fails with the errors the
+/// merged walk must raise on the same schedules.
+fn reference_paths(sched: &Schedule) -> Result<Vec<(PredicateMatrix, usize)>, CodegenError> {
+    let iflog = sched.iflog();
+    let mut incoming: Vec<(u32, i32)> = Vec::new();
+    for inst in sched.instances() {
+        for (r, c, _) in inst.formal.constrained() {
+            match iflog.availability(r, c) {
+                PredAvailability::PreviousIteration { .. } if !incoming.contains(&(r, c)) => {
+                    incoming.push((r, c))
+                }
+                PredAvailability::NotComputed => {
+                    return Err(CodegenError::UnresolvedPredicate(r, c))
+                }
+                _ => {}
+            }
+        }
+    }
+    incoming.sort_unstable();
+    if incoming.windows(2).any(|w| w[0].0 == w[1].0) {
+        return Err(CodegenError::DispatchUnsupported);
+    }
+    let mut entries = vec![PredicateMatrix::universe()];
+    for &(r, c) in &incoming {
+        entries = entries
+            .iter()
+            .flat_map(|m| {
+                let (f, t) = m.split(r, c).expect("incoming keys are distinct");
+                [f, t]
+            })
+            .collect();
+    }
+    // (entry, matrix, cycles) per open path.
+    let mut open: Vec<(usize, PredicateMatrix, usize)> = entries
+        .iter()
+        .cloned()
+        .enumerate()
+        .map(|(e, m)| (e, m, 0))
+        .collect();
+    for row in &sched.rows {
+        let mut next = Vec::new();
+        for (e, m, mut cycles) in open {
+            if row.iter().any(|i| !i.formal.is_disjoint(&m)) {
+                cycles += 1;
+            }
+            let mut splits = Vec::new();
+            for i in row {
+                if i.op.is_if() && !i.formal.is_disjoint(&m) {
+                    let r = i.computes_if.ok_or(CodegenError::Internal(
+                        "IF instance computes no predicate row",
+                    ))?;
+                    splits.push((r, i.index));
+                }
+            }
+            let mut mats = vec![m];
+            for (r, c) in splits {
+                mats = mats
+                    .into_iter()
+                    .flat_map(|m| match m.split(r, c) {
+                        Some((f, t)) => vec![f, t],
+                        None => vec![m],
+                    })
+                    .collect();
+            }
+            next.extend(mats.into_iter().map(|m| (e, m, cycles)));
+        }
+        if next.len() > MAX_WALK_PATHS {
+            return Err(CodegenError::TooManyPaths(MAX_WALK_PATHS));
+        }
+        open = next;
+    }
+    let mut steady = vec![false; entries.len()];
+    for (_, m, _) in &open {
+        let shifted = m.shifted(-1);
+        let target = entries
+            .iter()
+            .position(|x| x.subsumes(&shifted))
+            .ok_or(CodegenError::NoBackEdgeTarget)?;
+        steady[target] = true;
+    }
+    Ok(open
+        .into_iter()
+        .filter(|&(e, _, _)| steady[e])
+        .map(|(_, m, cycles)| (m, cycles))
+        .collect())
+}
+
+/// The reference objective over [`reference_paths`]: the maximal II, or
+/// `II_min + Σw·(II − II_min) / Σw` with w the profile measure of each
+/// path's final matrix (the unweighted mean when every w is 0).
+fn reference_score(sched: &Schedule, probs: Option<&[f64]>) -> Result<f64, CodegenError> {
+    let paths = reference_paths(sched)?;
+    let Some(min) = paths.iter().map(|p| p.1).min() else {
+        return Ok(0.0);
+    };
+    let Some(probs) = probs else {
+        return Ok(paths.iter().map(|p| p.1).max().unwrap_or(min) as f64);
+    };
+    let (mut num, mut den) = (0.0, 0.0);
+    for (m, cycles) in &paths {
+        let w: f64 = m
+            .constrained()
+            .map(|(r, _, v)| {
+                let p = probs.get(r as usize).map_or(0.5, |p| p.clamp(0.0, 1.0));
+                if v {
+                    p
+                } else {
+                    1.0 - p
+                }
+            })
+            .product();
+        num += w * (cycles - min) as f64;
+        den += w;
+    }
+    let excess = if den > 0.0 {
+        num / den
+    } else {
+        paths.iter().map(|p| (p.1 - min) as f64).sum::<f64>() / paths.len() as f64
+    };
+    Ok(min as f64 + excess)
+}
+
+/// Hold the merged walk to the per-path reference on `sched`: the same
+/// static score, a profile score within 1e-12, and the same refusal.
+fn check_reference(sched: &Schedule, what: &str) {
+    let probs = profile();
+    for probs in [None, Some(&probs[..])] {
+        let walked = score_schedule(sched, probs).map(|s| s.primary);
+        match (walked, reference_score(sched, probs)) {
+            (Ok(a), Ok(b)) if probs.is_none() => assert_eq!(a, b, "{what}: maximal II"),
+            (Ok(a), Ok(b)) => assert!(
+                (a - b).abs() <= 1e-12,
+                "{what}: expected II {a} merged, {b} per path"
+            ),
+            (a, b) => assert_eq!(a, b, "{what}: refusals (merged, per path)"),
+        }
+    }
+}
+
 /// Tallies of what the executable specification saw.
 #[derive(Default)]
 struct Seen {
@@ -102,6 +245,7 @@ struct Seen {
 
 /// Hold the walk's two objectives to the generated program of `sched`.
 fn check(sched: &Schedule, machine: &MachineConfig, what: &str, seen: &mut Seen) {
+    check_reference(sched, what);
     let probs = profile();
     let max = score_schedule(sched, None);
     let expected = score_schedule(sched, Some(&probs));
@@ -189,9 +333,23 @@ fn walk_scores_match_the_generated_program() {
             check_loop(spec, machine, &mut seen);
         }
     }
-    // The corpus must exercise both outcomes, or the spec proves little.
-    assert!(seen.generated > 1000, "{} generated", seen.generated);
-    assert!(seen.refused_by_both > 0, "no schedule the walk refuses");
+    // Pinned, so a change to what codegen or the walk refuses fails here.
+    assert_eq!(
+        (
+            seen.generated,
+            seen.refused_by_both,
+            seen.refused_by_codegen
+        ),
+        (1208, 2, 168),
+        "(generated, refused by both, refused by codegen only)"
+    );
+    // Past the cap, the two walks refuse alike.
+    let past_cap = Schedule::initial(&psp_bench::synthetic(19));
+    check_reference(&past_cap, "synthetic19 initial");
+    assert_eq!(
+        score_schedule(&past_cap, None),
+        Err(CodegenError::TooManyPaths(MAX_WALK_PATHS))
+    );
 }
 
 /// `abs_sum` on `n` elements, a fraction `q` of them negative, at random
@@ -257,4 +415,27 @@ fn past_the_path_cap_pipelining_fails_with_the_named_error() {
     let err = pipeline_loop(&spec, &PspConfig::default()).unwrap_err();
     assert_eq!(err, CodegenError::TooManyPaths(MAX_WALK_PATHS));
     assert!(err.to_string().contains("MAX_WALK_PATHS"), "{err}");
+}
+
+#[test]
+fn past_the_path_cap_generate_fails_with_the_named_error() {
+    // 19 independent IFs compacted into one row of a machine that issues
+    // them together: that row fans out to 2^19 blocks. The generator
+    // refuses the schedule by itself, as the walk does, before it opens
+    // them (an unchecked `generate` ran for over a minute on such loops).
+    let machine = MachineConfig {
+        n_alu: 64,
+        n_branch: 64,
+        ..MachineConfig::paper_default()
+    };
+    let mut sched = Schedule::initial(&psp_bench::synthetic(19));
+    compact_ext(&mut sched, &machine, true);
+    let widest = sched
+        .rows
+        .iter()
+        .map(|row| row.iter().filter(|i| i.op.is_if()).count());
+    assert_eq!(widest.max(), Some(19));
+    let too_many = CodegenError::TooManyPaths(MAX_WALK_PATHS);
+    assert_eq!(score_schedule(&sched, None).unwrap_err(), too_many);
+    assert_eq!(generate(&sched, &machine).unwrap_err(), too_many);
 }
