@@ -228,42 +228,47 @@ pub(crate) fn entry_matrices(incoming: &[(u32, i32)]) -> Option<Vec<PredicateMat
     Some(entries)
 }
 
-/// The successor matrices of a block that ends in a row whose IFs compute
-/// the predicates `splits`: the block's matrix split on each in turn.
-fn fan_out(
+/// The successor matrices of a block with matrix `m` that ends in a row
+/// whose IFs compute the predicates `splits`: `m` split on each in turn,
+/// written to `out` in place of its contents. An outcome `m` already fixes
+/// leaves one child. Splitting stops once `out` holds more than `cap`
+/// matrices, which the caller refuses; returns `out.len()`.
+pub(crate) fn fan_out(
     m: PredicateMatrix,
-    splits: impl IntoIterator<Item = (u32, i32)>,
-) -> Vec<PredicateMatrix> {
-    let mut mats = vec![m];
-    for (r, c) in splits {
-        let mut next = Vec::with_capacity(mats.len() * 2);
-        for m in mats {
+    splits: &[(u32, i32)],
+    cap: usize,
+    out: &mut Vec<PredicateMatrix>,
+) -> usize {
+    out.clear();
+    out.push(m);
+    for &(r, c) in splits {
+        if out.len() > cap {
+            break;
+        }
+        let n = out.len();
+        for k in 0..n {
+            let m = std::mem::take(&mut out[k]);
             match m.split(r, c) {
                 Some((f, t)) => {
-                    next.push(f);
-                    next.push(t);
+                    out.push(f);
+                    out.push(t);
                 }
-                // Outcome already known on these paths: one child.
-                None => next.push(m),
+                None => out.push(m),
             }
         }
-        mats = next;
+        out.drain(..n);
     }
-    mats
+    out.len()
 }
 
-/// How many successors `fan_out(m, splits)` opens: two per distinct split
-/// key that `m` leaves unconstrained (saturating).
-pub(crate) fn fan_out_len(m: &PredicateMatrix, splits: &[(u32, i32)]) -> usize {
-    let free = splits
-        .iter()
-        .enumerate()
-        .filter(|&(i, &(r, c))| !m.get(r, c).is_constrained() && !splits[..i].contains(&(r, c)))
-        .count();
-    u32::try_from(free)
-        .ok()
-        .and_then(|k| 1usize.checked_shl(k))
-        .unwrap_or(usize::MAX)
+/// Open `block` in `open`, the blocks of the next row, unless that would
+/// hold more than [`MAX_WALK_PATHS`] of them.
+fn push_open(open: &mut Vec<OpenBlock>, block: OpenBlock) -> Result<(), CodegenError> {
+    if open.len() >= MAX_WALK_PATHS {
+        return Err(CodegenError::TooManyPaths(MAX_WALK_PATHS));
+    }
+    open.push(block);
+    Ok(())
 }
 
 /// Generate executable code for a schedule.
@@ -301,6 +306,7 @@ pub fn generate(sched: &Schedule, machine: &MachineConfig) -> Result<VliwLoop, C
     let entry_tokens: Vec<Token> = open.iter().map(|b| b.token).collect();
     let mut done: Vec<Done> = Vec::new();
     let mut history: Vec<Placed> = Vec::new();
+    let mut mats: Vec<PredicateMatrix> = Vec::new();
 
     // --- walk the rows ---------------------------------------------------
     for row in &sched.rows {
@@ -347,7 +353,7 @@ pub fn generate(sched: &Schedule, machine: &MachineConfig) -> Result<VliwLoop, C
                 block.cycles.push(cycle);
             }
             if row_ifs.is_empty() {
-                next_open.push(block);
+                push_open(&mut next_open, block)?;
                 continue;
             }
             // Block ends: fan out over the IFs placed in this row.
@@ -360,24 +366,22 @@ pub fn generate(sched: &Schedule, machine: &MachineConfig) -> Result<VliwLoop, C
                 splits.push((cc, r, i.index));
             }
             let keys: Vec<(u32, i32)> = splits.iter().map(|&(_cc, r, c)| (r, c)).collect();
-            if next_open
-                .len()
-                .saturating_add(fan_out_len(&block.matrix, &keys))
-                > MAX_WALK_PATHS
-            {
-                return Err(CodegenError::TooManyPaths(MAX_WALK_PATHS));
-            }
-            let mats = fan_out(block.matrix.clone(), keys);
+            // Past the room left under the cap, `push_open` refuses.
+            let room = MAX_WALK_PATHS.saturating_sub(next_open.len());
+            fan_out(block.matrix.clone(), &keys, room, &mut mats);
             let mut children = Vec::with_capacity(mats.len());
-            for m in mats {
+            for m in mats.drain(..) {
                 let token = fresh();
                 children.push((m.clone(), token));
-                next_open.push(OpenBlock {
-                    token,
-                    matrix: m,
-                    cycles: Vec::new(),
-                    placed: block.placed,
-                });
+                push_open(
+                    &mut next_open,
+                    OpenBlock {
+                        token,
+                        matrix: m,
+                        cycles: Vec::new(),
+                        placed: block.placed,
+                    },
+                )?;
             }
             done.push(Done {
                 token: block.token,
@@ -385,9 +389,6 @@ pub fn generate(sched: &Schedule, machine: &MachineConfig) -> Result<VliwLoop, C
                 cycles: block.cycles,
                 term: DoneTerm::Splits { splits, children },
             });
-        }
-        if next_open.len() > MAX_WALK_PATHS {
-            return Err(CodegenError::TooManyPaths(MAX_WALK_PATHS));
         }
         open = next_open;
     }

@@ -23,7 +23,7 @@
 //! one block per path.
 
 use crate::codegen::{
-    entry_matrices, fan_out_len, incoming_predicates, CodegenError, ENTRY_SPLIT, MAX_ENTRY_SPLITS,
+    entry_matrices, fan_out, incoming_predicates, CodegenError, ENTRY_SPLIT, MAX_ENTRY_SPLITS,
     MAX_WALK_PATHS, NO_IF_ROW,
 };
 use crate::schedule::Schedule;
@@ -166,12 +166,17 @@ impl State {
 /// merges them: while a loop has few paths, the key analysis projection
 /// needs costs more than it saves. After each merge the walk waits until
 /// the state count doubles, so rows whose paths cannot merge (nested IFs
-/// keep every outer outcome live) pay for few attempts.
+/// keep every outer outcome live) pay for few attempts: merging after
+/// every row past `MERGE_AT` instead scored 40- and 60-level nested-IF
+/// loops 2-2.5× slower, and ran the E12 workloads no faster.
 const MERGE_AT: usize = 4;
 
 /// Merge the states that share an entry and a matrix. Sorting by a
 /// fingerprint makes equal states adjacent; a fingerprint collision can
 /// only leave two equal states unmerged, which costs work, not exactness.
+/// (Sorting by the matrices' own `Ord`, or by their `Hash` through std's
+/// `DefaultHasher`, made the walk about 40% or 15% slower on the
+/// synthetic loops.)
 fn merge(states: &mut Vec<State>) {
     states.sort_by_cached_key(|s| {
         // FNV-1a over the elements: cheap, and the same on every platform.
@@ -284,33 +289,23 @@ fn steady_states(sched: &Schedule, probs: Option<&[f64]>) -> Result<Vec<State>, 
                     }
                 }
             }
-            paths = paths.saturating_add(tally.paths.saturating_mul(fan_out_len(&matrix, &splits)));
-            if paths > MAX_WALK_PATHS {
-                // Refused after this row. Only a later state's NO_IF_ROW
-                // takes precedence, so the rest of the row is scanned
-                // without fanning out.
-                continue;
-            }
-            if issues {
-                tally.max += 1;
-                tally.min += 1;
-            }
-            fan.clear();
-            fan.push(matrix);
-            for &(r, c) in &splits {
-                for k in 0..fan.len() {
-                    // Outcome already known on these paths: one child.
-                    if let Some((f, t)) = fan[k].split(r, c) {
-                        fan[k] = f;
-                        fan.push(t);
-                    }
+            // Past the cap the row is refused. Only a later state's
+            // NO_IF_ROW takes precedence, so the rest of the row is scanned
+            // without fanning out.
+            if paths <= MAX_WALK_PATHS {
+                if issues {
+                    tally.max += 1;
+                    tally.min += 1;
                 }
+                let room = (MAX_WALK_PATHS - paths) / tally.paths;
+                let n = fan_out(matrix, &splits, room, &mut fan);
+                paths = paths.saturating_add(tally.paths.saturating_mul(n));
+                next.extend(fan.drain(..).map(|matrix| State {
+                    entry,
+                    matrix,
+                    tally,
+                }));
             }
-            next.extend(fan.drain(..).map(|matrix| State {
-                entry,
-                matrix,
-                tally,
-            }));
         }
         if paths > MAX_WALK_PATHS {
             return Err(CodegenError::TooManyPaths(MAX_WALK_PATHS));

@@ -11,9 +11,11 @@
 //! - `expected_ii_matches_the_simulator_on_abs_sum` pins the §4 score of a
 //!   loop whose short path returns to the loop head straight from a
 //!   branching block;
-//! - `past_the_path_cap_pipelining_fails_with_the_named_error` and
-//!   `past_the_path_cap_generate_fails_with_the_named_error` pin the one
-//!   limit the walk and the generator share.
+//! - `past_the_path_cap_pipelining_fails_with_the_named_error`,
+//!   `past_the_path_cap_generate_fails_with_the_named_error` and
+//!   `past_the_entry_cap_every_walk_and_generate_refuse_alike` pin the one
+//!   limit the walk and the generator share, crossed by a row's fan-out and
+//!   by the entry split.
 
 use psp::core::codegen::MAX_WALK_PATHS;
 use psp::core::compact::compact_ext;
@@ -94,11 +96,9 @@ fn enumerated_expected_ii(prog: &VliwLoop, probs: &[f64]) -> f64 {
     num / den
 }
 
-/// The per-path reference walk: every steady-state path of the loop
-/// `generate` would build, as its final matrix and cycle count, with one
-/// chain per actual path and no merging. It fails with the errors the
-/// merged walk must raise on the same schedules.
-fn reference_paths(sched: &Schedule) -> Result<Vec<(PredicateMatrix, usize)>, CodegenError> {
+/// The incoming predicates of `sched`, sorted: the constrained keys whose
+/// IF runs in an earlier transformed iteration, per the IFLog.
+fn reference_incoming(sched: &Schedule) -> Result<Vec<(u32, i32)>, CodegenError> {
     let iflog = sched.iflog();
     let mut incoming: Vec<(u32, i32)> = Vec::new();
     for inst in sched.instances() {
@@ -118,6 +118,15 @@ fn reference_paths(sched: &Schedule) -> Result<Vec<(PredicateMatrix, usize)>, Co
     if incoming.windows(2).any(|w| w[0].0 == w[1].0) {
         return Err(CodegenError::DispatchUnsupported);
     }
+    Ok(incoming)
+}
+
+/// The per-path reference walk: every steady-state path of the loop
+/// `generate` would build, as its final matrix and cycle count, with one
+/// chain per actual path and no merging. It fails with the errors the
+/// merged walk must raise on the same schedules.
+fn reference_paths(sched: &Schedule) -> Result<Vec<(PredicateMatrix, usize)>, CodegenError> {
+    let incoming = reference_incoming(sched)?;
     let mut entries = vec![PredicateMatrix::universe()];
     for &(r, c) in &incoming {
         entries = entries
@@ -423,13 +432,13 @@ fn past_the_path_cap_generate_fails_with_the_named_error() {
     // them together: that row fans out to 2^19 blocks. The generator
     // refuses the schedule by itself, as the walk does, before it opens
     // them (an unchecked `generate` ran for over a minute on such loops).
-    let machine = MachineConfig {
-        n_alu: 64,
-        n_branch: 64,
-        ..MachineConfig::paper_default()
-    };
+    let machine = issue_all_together();
     let mut sched = Schedule::initial(&psp_bench::synthetic(19));
     compact_ext(&mut sched, &machine, true);
+    // The generator checks the cap as it opens each block, so a row whose
+    // last blocks do not split takes the same check. A schedule that crosses
+    // the cap there needs more than 2^17 blocks open before the row, which
+    // is too slow to generate in a debug test.
     let widest = sched
         .rows
         .iter()
@@ -438,4 +447,66 @@ fn past_the_path_cap_generate_fails_with_the_named_error() {
     let too_many = CodegenError::TooManyPaths(MAX_WALK_PATHS);
     assert_eq!(score_schedule(&sched, None).unwrap_err(), too_many);
     assert_eq!(generate(&sched, &machine).unwrap_err(), too_many);
+}
+
+/// A machine that issues all of `synthetic(19)`'s compares and IFs in one
+/// cycle each.
+fn issue_all_together() -> MachineConfig {
+    MachineConfig {
+        n_alu: 64,
+        n_branch: 64,
+        ..MachineConfig::paper_default()
+    }
+}
+
+#[test]
+fn past_the_entry_cap_every_walk_and_generate_refuse_alike() {
+    // `synthetic(19)` with its load, compare and IF rows wrapped into the
+    // previous iteration: all 19 predicates are incoming, so the loop has
+    // 2^19 entry paths before its first row. The merged walk and the
+    // generator refuse it without splitting the entries; the per-path
+    // reference splits them and refuses after the first row.
+    let machine = issue_all_together();
+    let mut sched = Schedule::initial(&psp_bench::synthetic(19));
+    compact_ext(&mut sched, &machine, true);
+    for round in 0..3 {
+        if round > 0 {
+            compact_ext(&mut sched, &machine, true);
+        }
+        // Only the unconditional instances wrap, so the guarded adds stay
+        // behind their IFs; the exit, once in the first row, does not wrap.
+        let row0: Vec<_> = sched.rows[0]
+            .iter()
+            .filter(|i| i.formal.is_universe())
+            .map(|i| i.id)
+            .collect();
+        for id in row0 {
+            let _ = transform::apply(&mut sched, &Transformation::WrapUp { id }, &machine);
+        }
+    }
+    // Not compacted after the IFs wrap: they stay at the bottom, so the
+    // first row opens no more paths than the 2^19 entries (compacted, the
+    // per-path reference would split every entry 2^19 ways there).
+    let first_row_ifs = sched.rows[0].iter().filter(|i| i.op.is_if()).count();
+    assert_eq!(first_row_ifs, 0);
+    assert_eq!(reference_incoming(&sched).map(|i| i.len()), Ok(19));
+    let too_many = CodegenError::TooManyPaths(MAX_WALK_PATHS);
+    assert_eq!(score_schedule(&sched, None).unwrap_err(), too_many);
+    assert_eq!(reference_paths(&sched).unwrap_err(), too_many);
+    assert_eq!(generate(&sched, &machine).unwrap_err(), too_many);
+
+    // An IF of the first row that computes no predicate (a malformed
+    // schedule) is an internal error that both walks raise before the
+    // count past the cap.
+    let mut stray = sched
+        .instances()
+        .find(|i| i.op.is_if() && i.computes_if.is_some())
+        .expect("an IF")
+        .clone();
+    stray.computes_if = None;
+    stray.formal = PredicateMatrix::universe();
+    sched.rows[0].push(stray);
+    let no_if_row = CodegenError::Internal("IF instance computes no predicate row");
+    assert_eq!(score_schedule(&sched, None).unwrap_err(), no_if_row);
+    assert_eq!(reference_paths(&sched).unwrap_err(), no_if_row);
 }
