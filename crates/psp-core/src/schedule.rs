@@ -76,6 +76,19 @@ impl Schedule {
         (&self.rows, &self.spec.live_out, fresh)
     }
 
+    /// The fresh-name counters: the next register number and the next
+    /// instance id.
+    pub(crate) fn fresh_counters(&self) -> (u32, u64) {
+        (self.spec.n_regs, self.next_id)
+    }
+
+    /// Advance the fresh-name counters by `regs` registers and `ids` ids,
+    /// as if that many had been drawn.
+    pub(crate) fn skip_fresh(&mut self, (regs, ids): (u32, u64)) {
+        self.spec.n_regs += regs;
+        self.next_id += ids;
+    }
+
     /// Number of rows (the static II upper bound).
     pub fn n_rows(&self) -> usize {
         self.rows.len()

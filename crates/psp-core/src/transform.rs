@@ -179,6 +179,8 @@ struct Planner<'a> {
     fresh: Fresh<'a>,
     policy: MovePolicy,
     machine: &'a MachineConfig,
+    /// Whether the policy refused a rename fix at some point of the plan.
+    rename_refused: bool,
 }
 
 impl<'a> Planner<'a> {
@@ -190,6 +192,7 @@ impl<'a> Planner<'a> {
             fresh,
             policy,
             machine,
+            rename_refused: false,
         }
     }
 
@@ -223,6 +226,7 @@ impl<'a> Planner<'a> {
                 }
                 Fix::Rename => {
                     if !self.policy.rename {
+                        self.rename_refused = true;
                         return Err(MoveError::Blocked {
                             by,
                             reason: "rename disabled in this pass",
@@ -381,14 +385,16 @@ fn latency_ok(rows: &[Vec<Instance>], x: &Instance, row: usize, machine: &Machin
     let n_rows = rows.len().max(row + 1);
     for (ry, r) in rows.iter().enumerate() {
         for y in r {
-            if y.id == x.id || !crate::deps::writes_read_by(y, x) {
+            // A one-cycle latency holds between any two rows (same-row
+            // reads need none), so only slower producers can violate it.
+            let lat = flow_latency(y, machine);
+            if lat <= 1 || y.id == x.id || !crate::deps::writes_read_by(y, x) {
                 continue;
             }
-            let lat = flow_latency(y, machine);
             if ry < row {
                 // Same-iteration supply exists only for program-order
                 // producers on overlapping paths.
-                if is_flow(y, x) && row - ry < lat {
+                if row - ry < lat && is_flow(y, x) {
                     return false;
                 }
             } else if ry > row {
@@ -502,42 +508,90 @@ pub fn moveup_ext(
 /// the placement checks, returning on the first success. The landing plans
 /// must stay inside that scan: a failed landing may still draw fresh names.
 ///
-/// Returns the chosen target row.
+/// Returns the rows `(cur, target)` the instance moved between, or what the
+/// refused attempt read.
 pub(crate) fn moveup_earliest(
     sched: &mut Schedule,
     id: InstId,
     machine: &MachineConfig,
     policy: MovePolicy,
-) -> Result<usize, MoveError> {
-    let (cur, pos) = sched.find(id).ok_or(MoveError::NotFound)?;
+) -> Result<(usize, usize), Refusal> {
+    let Some((cur, pos)) = sched.find(id) else {
+        // Nothing was read; a refusal that any move invalidates.
+        return Err(Refusal {
+            lo: 0,
+            hi: 0,
+            placed: true,
+            rename_refused: true,
+        });
+    };
+    let mut refusal = Refusal {
+        lo: cur,
+        hi: cur,
+        placed: false,
+        rename_refused: false,
+    };
     if cur == 0 {
-        return Err(MoveError::BadTarget);
+        return Err(refusal);
     }
     let mut plan = Planner::new(sched, policy, machine);
     let rows = plan.rows;
-    let mut state = plan.own_row(&rows[cur][pos], cur)?;
+    let Ok(mut state) = plan.own_row(&rows[cur][pos], cur) else {
+        refusal.rename_refused = plan.rename_refused;
+        return Err(refusal);
+    };
     // states[t] = plan state after crossing rows (t, cur), i.e. ready to
     // land in row t. Built top state first (t = cur-1 crosses nothing).
     let mut states: Vec<Option<PlanState>> = vec![None; cur];
     states[cur - 1] = Some(state.clone());
+    refusal.lo = 0;
     for k in (1..cur).rev() {
         match plan.cross_row(&mut state, k) {
             Ok(()) => states[k - 1] = Some(state.clone()),
-            Err(_) => break, // every target below row k is blocked by row k
+            Err(_) => {
+                // Every target below row k is blocked by row k.
+                refusal.lo = k;
+                break;
+            }
         }
     }
 
     for (target, slot) in states.into_iter().enumerate() {
         let Some(mut st) = slot else { continue };
-        if plan.land_row(&mut st, target).is_err()
-            || placement_ok(rows, &st, target, cur, machine).is_err()
-        {
+        if plan.land_row(&mut st, target).is_err() {
+            continue;
+        }
+        refusal.placed = true;
+        if placement_ok(rows, &st, target, cur, machine).is_err() {
             continue;
         }
         commit(sched, cur, pos, target, st);
-        return Ok(target);
+        return Ok((cur, target));
     }
-    Err(MoveError::BadTarget)
+    refusal.rename_refused = plan.rename_refused;
+    Err(refusal)
+}
+
+/// What a refused [`moveup_earliest`] read: the same attempt on an
+/// unchanged view is refused again and draws the same fresh names.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Refusal {
+    /// The attempt read rows `lo..=hi` (`hi` is the mover's row).
+    pub(crate) lo: usize,
+    /// The mover's row.
+    pub(crate) hi: usize,
+    /// Some landing reached [`placement_ok`], whose latency check reads
+    /// every producer in the schedule.
+    pub(crate) placed: bool,
+    /// The policy refused a rename fix somewhere in the attempt.
+    pub(crate) rename_refused: bool,
+}
+
+impl Refusal {
+    /// Whether the attempt read row `r`.
+    pub(crate) fn reads(&self, r: usize) -> bool {
+        (self.lo..=self.hi).contains(&r)
+    }
 }
 
 /// Move an instance from row 0 across the loop boundary.
@@ -783,10 +837,89 @@ pub fn unify(sched: &mut Schedule, a: InstId, b: InstId) -> Result<(), MoveError
     Ok(())
 }
 
-/// Try to remove empty rows; an empty row is only removable when no flow
-/// latency depends on the stall it provides. The row is removed in place
-/// and put back if the check fails.
+/// Remove empty rows, first to last, stopping at the first one whose stall
+/// a flow latency needs (a schedule that already violates a latency keeps
+/// every stall). Each removal is tested against the latency edges
+/// [`latency_ok`] checks, collected once per call with their rows shifted
+/// as stalls go, instead of re-checking every pair of the schedule.
 pub fn prune_stalls(sched: &mut Schedule, machine: &MachineConfig) {
+    let Some(mut empty) = sched.rows.iter().position(Vec::is_empty) else {
+        return;
+    };
+    let mut edges = latency_edges(&sched.rows, machine);
+    loop {
+        // Rows below the stall move up one; the schedule loses one row.
+        let up = |r: usize| if r > empty { r - 1 } else { r };
+        let n_rows = sched.rows.len() - 1;
+        if !edges.iter().all(|e| e.holds(up, n_rows)) {
+            return; // keep remaining stalls
+        }
+        sched.rows.remove(empty);
+        for e in &mut edges {
+            e.producer = up(e.producer);
+            e.consumer = up(e.consumer);
+        }
+        match sched.rows[empty..].iter().position(Vec::is_empty) {
+            Some(p) => empty += p,
+            None => return,
+        }
+    }
+}
+
+/// A producer → consumer pair whose latency [`latency_ok`] checks.
+struct LatencyEdge {
+    producer: usize,
+    consumer: usize,
+    latency: usize,
+}
+
+impl LatencyEdge {
+    /// Whether the consumer still issues at least `latency` cycles after
+    /// the producer once rows are renumbered by `up` in a schedule of
+    /// `n_rows` rows (within the iteration, or across the back edge).
+    fn holds(&self, up: impl Fn(usize) -> usize, n_rows: usize) -> bool {
+        let (p, c) = (up(self.producer), up(self.consumer));
+        let distance = if p < c { c - p } else { c + n_rows - p };
+        distance >= self.latency
+    }
+}
+
+/// Every latency edge [`latency_ok`] can find violated: a producer slower
+/// than one cycle in another row than its reader, supplying it within the
+/// iteration if above it and a program-order flow, across the back edge if
+/// below it.
+fn latency_edges(rows: &[Vec<Instance>], machine: &MachineConfig) -> Vec<LatencyEdge> {
+    let mut edges = Vec::new();
+    for (rx, row_x) in rows.iter().enumerate() {
+        for x in row_x {
+            for (ry, row_y) in rows.iter().enumerate() {
+                if ry == rx {
+                    continue;
+                }
+                for y in row_y {
+                    let latency = flow_latency(y, machine);
+                    if latency > 1
+                        && crate::deps::writes_read_by(y, x)
+                        && (ry > rx || is_flow(y, x))
+                    {
+                        edges.push(LatencyEdge {
+                            producer: ry,
+                            consumer: rx,
+                            latency,
+                        });
+                    }
+                }
+            }
+        }
+    }
+    edges
+}
+
+/// The stall pruning the latency edge list replaced, kept as the test
+/// reference for [`prune_stalls`]: remove the first empty row, re-check
+/// every latency in the schedule, and put the row back on a violation.
+#[cfg(test)]
+pub(crate) fn prune_stalls_reference(sched: &mut Schedule, machine: &MachineConfig) {
     while let Some(empty) = sched.rows.iter().position(Vec::is_empty) {
         let stall = sched.rows.remove(empty);
         if latency_violation(&sched.rows, machine).is_some() {
@@ -1064,6 +1197,102 @@ mod tests {
         prune_stalls(&mut s2, &m());
         assert_eq!(s2.n_rows(), before - 1);
         let _ = s;
+    }
+
+    /// The paper machine with two-cycle loads.
+    fn slow_loads() -> MachineConfig {
+        MachineConfig {
+            load_latency: 2,
+            ..m()
+        }
+    }
+
+    /// The initial schedule of a straight-line body, with an empty row
+    /// inserted at each of `stalls` (row numbers of the result, ascending).
+    fn with_stalls(spec: &psp_ir::LoopSpec, stalls: &[usize]) -> Schedule {
+        let mut s = Schedule::initial(spec);
+        for &r in stalls {
+            s.rows.insert(r, Vec::new());
+        }
+        s
+    }
+
+    /// Prune `s`, check the result against the reference pruning, and
+    /// check that every stall left is one a latency needs.
+    fn prune_and_check(mut s: Schedule, machine: &MachineConfig) -> Schedule {
+        let mut reference = s.clone();
+        prune_stalls_reference(&mut reference, machine);
+        prune_stalls(&mut s, machine);
+        assert_eq!(s.render(), reference.render());
+        if let Some(empty) = s.rows.iter().position(Vec::is_empty) {
+            let mut without = s.clone();
+            without.rows.remove(empty);
+            assert!(validate_latencies(&without, machine).is_err(), "\n{s}");
+        }
+        s
+    }
+
+    #[test]
+    fn prune_stalls_stops_at_the_first_needed_stall() {
+        // LOAD a; LOAD c; s = a + c — with a stall after each load. The
+        // first stall is slack (a stays three cycles ahead of its use); the
+        // second is what gives c its two cycles.
+        let mut b = psp_ir::LoopBuilder::new("two_loads");
+        let x = b.array("x");
+        let k = b.named_reg("k");
+        let s_reg = b.named_reg("s");
+        let (a, c) = (b.reg(), b.reg());
+        b.op(build::load(a, x, k));
+        b.op(build::load(c, x, k));
+        b.op(build::add(s_reg, a, c));
+        let spec = b.finish([k, s_reg], [s_reg]);
+        let machine = slow_loads();
+        let s = prune_and_check(with_stalls(&spec, &[1, 3]), &machine);
+        assert_eq!(s.n_rows(), 4, "\n{s}");
+        assert!(s.rows[2].is_empty(), "\n{s}");
+        validate_latencies(&s, &machine).unwrap();
+    }
+
+    #[test]
+    fn prune_stalls_keeps_a_stall_needed_across_the_back_edge() {
+        // s = s + a reads the a loaded one row below it in the previous
+        // iteration: only the trailing stall gives that load two cycles.
+        let mut b = psp_ir::LoopBuilder::new("carried");
+        let x = b.array("x");
+        let k = b.named_reg("k");
+        let s_reg = b.named_reg("s");
+        let a = b.named_reg("a");
+        b.op(build::add(s_reg, s_reg, a));
+        b.op(build::load(a, x, k));
+        let spec = b.finish([k, s_reg, a], [s_reg]);
+        let machine = slow_loads();
+        let s = prune_and_check(with_stalls(&spec, &[2]), &machine);
+        assert_eq!(s.n_rows(), 3, "\n{s}");
+        validate_latencies(&s, &machine).unwrap();
+        // On unit latencies the same stall goes.
+        let s = prune_and_check(with_stalls(&spec, &[2]), &m());
+        assert_eq!(s.n_rows(), 2, "\n{s}");
+    }
+
+    #[test]
+    fn prune_stalls_keeps_every_stall_of_a_violating_schedule() {
+        // The load's consumer sits right below it: the schedule already
+        // violates the two-cycle latency, so no removal is accepted.
+        let mut b = psp_ir::LoopBuilder::new("violating");
+        let x = b.array("x");
+        let k = b.named_reg("k");
+        let s_reg = b.named_reg("s");
+        let a = b.reg();
+        b.op(build::load(a, x, k));
+        b.op(build::add(s_reg, s_reg, a));
+        b.op(build::add(k, k, 1i64));
+        let spec = b.finish([k, s_reg], [s_reg]);
+        let machine = slow_loads();
+        let before = with_stalls(&spec, &[2, 4]);
+        assert!(validate_latencies(&before, &machine).is_err());
+        let s = prune_and_check(before.clone(), &machine);
+        assert_eq!(s.render(), before.render());
+        assert!(validate_latencies(&s, &machine).is_err());
     }
 
     #[test]

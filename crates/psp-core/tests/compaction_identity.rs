@@ -44,45 +44,47 @@ type Row = (
 /// walked as well as generated, and a trial the walk refuses no longer
 /// runs code generation to fail), and again when the walk came to merge
 /// paths with equal futures and code generation to check each placement
-/// once against the placements before it.
+/// once against the placements before it, and again when compaction came
+/// to skip moveups whose refusal still held and to check latencies only
+/// for producers slower than one cycle.
 #[rustfmt::skip]
 const EXPECTED: &[Row] = &[
-    ("vecmin", "paper", [53, 19, 1, 33, 5], 2838, 169, 7, 2, 11),
-    ("vecmin", "narrow211", [46, 12, 0, 32, 7], 2791, 182, 9, 3, 8),
-    ("cond_sum", "paper", [33, 16, 0, 23, 4], 1133, 71, 6, 1, 8),
-    ("cond_sum", "narrow211", [26, 9, 0, 20, 4], 1242, 50, 6, 2, 7),
-    ("count_above", "paper", [27, 15, 0, 22, 4], 684, 65, 5, 1, 7),
-    ("count_above", "narrow211", [29, 11, 0, 30, 6], 1931, 76, 9, 2, 7),
-    ("clamp_store", "paper", [73, 18, 0, 79, 6], 8532, 551, 7, 3, 13),
-    ("clamp_store", "narrow211", [64, 11, 0, 83, 5], 16069, 882, 13, 4, 13),
-    ("sat_add", "paper", [42, 19, 0, 31, 5], 2376, 169, 5, 3, 8),
-    ("sat_add", "narrow211", [38, 9, 0, 23, 5], 1870, 60, 5, 4, 8),
-    ("abs_sum", "paper", [52, 27, 0, 48, 5], 3426, 196, 7, 2, 11),
-    ("abs_sum", "narrow211", [41, 11, 0, 29, 5], 3222, 76, 5, 3, 9),
-    ("runmax", "paper", [44, 17, 0, 25, 4], 2172, 103, 8, 2, 11),
-    ("runmax", "narrow211", [44, 11, 0, 30, 5], 3495, 185, 7, 3, 9),
-    ("sign_store", "paper", [36, 14, 0, 30, 4], 1310, 84, 5, 1, 10),
-    ("sign_store", "narrow211", [37, 7, 0, 34, 5], 3574, 231, 4, 3, 9),
-    ("two_cond", "paper", [56, 27, 0, 48, 5], 5314, 251, 9, 2, 12),
-    ("two_cond", "narrow211", [52, 12, 0, 45, 6], 6595, 218, 7, 3, 10),
-    ("find_first", "paper", [35, 14, 0, 28, 4], 1442, 68, 7, 1, 10),
-    ("find_first", "narrow211", [29, 8, 0, 28, 4], 1597, 54, 7, 3, 8),
-    ("skewed", "paper", [37, 17, 0, 24, 4], 1574, 75, 7, 1, 9),
-    ("skewed", "narrow211", [39, 12, 0, 29, 5], 3762, 136, 7, 3, 8),
-    ("dot_cond", "paper", [62, 33, 0, 46, 5], 3165, 133, 9, 1, 12),
-    ("dot_cond", "narrow211", [51, 12, 0, 27, 4], 4355, 124, 8, 4, 11),
-    ("threshold_store", "paper", [37, 13, 0, 33, 4], 1689, 77, 7, 1, 11),
-    ("threshold_store", "narrow211", [31, 5, 0, 36, 4], 3378, 267, 7, 4, 9),
-    ("bubble_pass", "paper", [53, 14, 0, 61, 5], 14141, 290, 8, 2, 15),
-    ("bubble_pass", "narrow211", [56, 8, 0, 39, 4], 9369, 463, 7, 5, 13),
-    ("minmax", "paper", [46, 18, 0, 29, 4], 2722, 207, 6, 2, 11),
-    ("minmax", "narrow211", [48, 12, 0, 45, 5], 6403, 245, 8, 3, 10),
-    ("mac_cond", "paper", [62, 33, 0, 46, 5], 3156, 133, 10, 1, 12),
-    ("mac_cond", "narrow211", [37, 11, 0, 30, 4], 3416, 108, 9, 3, 9),
-    ("synthetic4", "paper", [88, 38, 0, 73, 5], 33080, 1281, 9, 2, 18),
-    ("synthetic4", "narrow211", [88, 12, 0, 145, 5], 46610, 508, 10, 5, 16),
-    ("synthetic6", "paper", [123, 43, 0, 174, 5], 113557, 2965, 12, 2, 24),
-    ("synthetic6", "narrow211", [122, 12, 0, 308, 5], 171639, 865, 12, 7, 22),
+    ("vecmin", "paper", [53, 19, 1, 33, 5], 1963, 144, 7, 2, 11),
+    ("vecmin", "narrow211", [46, 12, 0, 32, 7], 1862, 138, 9, 3, 8),
+    ("cond_sum", "paper", [33, 16, 0, 23, 4], 820, 69, 6, 1, 8),
+    ("cond_sum", "narrow211", [26, 9, 0, 20, 4], 832, 49, 6, 2, 7),
+    ("count_above", "paper", [27, 15, 0, 22, 4], 529, 64, 5, 1, 7),
+    ("count_above", "narrow211", [29, 11, 0, 30, 6], 1346, 74, 9, 2, 7),
+    ("clamp_store", "paper", [73, 18, 0, 79, 6], 5255, 444, 7, 3, 13),
+    ("clamp_store", "narrow211", [64, 11, 0, 83, 5], 10825, 666, 13, 4, 13),
+    ("sat_add", "paper", [42, 19, 0, 31, 5], 1574, 139, 5, 3, 8),
+    ("sat_add", "narrow211", [38, 9, 0, 23, 5], 1329, 59, 5, 4, 8),
+    ("abs_sum", "paper", [52, 27, 0, 48, 5], 2439, 191, 7, 2, 11),
+    ("abs_sum", "narrow211", [41, 11, 0, 29, 5], 2068, 75, 5, 3, 9),
+    ("runmax", "paper", [44, 17, 0, 25, 4], 1532, 91, 8, 2, 11),
+    ("runmax", "narrow211", [44, 11, 0, 30, 5], 2287, 159, 7, 3, 9),
+    ("sign_store", "paper", [36, 14, 0, 30, 4], 1001, 84, 5, 1, 10),
+    ("sign_store", "narrow211", [37, 7, 0, 34, 5], 2343, 208, 4, 3, 9),
+    ("two_cond", "paper", [56, 27, 0, 48, 5], 3571, 238, 9, 2, 12),
+    ("two_cond", "narrow211", [52, 12, 0, 45, 6], 4055, 213, 7, 3, 10),
+    ("find_first", "paper", [35, 14, 0, 28, 4], 1048, 68, 7, 1, 10),
+    ("find_first", "narrow211", [29, 8, 0, 28, 4], 1056, 54, 7, 3, 8),
+    ("skewed", "paper", [37, 17, 0, 24, 4], 1123, 72, 7, 1, 9),
+    ("skewed", "narrow211", [39, 12, 0, 29, 5], 2343, 122, 7, 3, 8),
+    ("dot_cond", "paper", [62, 33, 0, 46, 5], 2364, 132, 9, 1, 12),
+    ("dot_cond", "narrow211", [51, 12, 0, 27, 4], 2767, 115, 8, 4, 11),
+    ("threshold_store", "paper", [37, 13, 0, 33, 4], 1305, 76, 7, 1, 11),
+    ("threshold_store", "narrow211", [31, 5, 0, 36, 4], 2245, 229, 7, 4, 9),
+    ("bubble_pass", "paper", [53, 14, 0, 61, 5], 10275, 282, 8, 2, 15),
+    ("bubble_pass", "narrow211", [56, 8, 0, 39, 4], 6521, 433, 7, 5, 13),
+    ("minmax", "paper", [46, 18, 0, 29, 4], 1826, 172, 6, 2, 11),
+    ("minmax", "narrow211", [48, 12, 0, 45, 5], 4168, 219, 8, 3, 10),
+    ("mac_cond", "paper", [62, 33, 0, 46, 5], 2359, 132, 10, 1, 12),
+    ("mac_cond", "narrow211", [37, 11, 0, 30, 4], 2417, 108, 9, 3, 9),
+    ("synthetic4", "paper", [88, 38, 0, 73, 5], 19343, 1134, 9, 2, 18),
+    ("synthetic4", "narrow211", [88, 12, 0, 145, 5], 29069, 503, 10, 5, 16),
+    ("synthetic6", "paper", [123, 43, 0, 174, 5], 67048, 2958, 12, 2, 24),
+    ("synthetic6", "narrow211", [122, 12, 0, 308, 5], 103186, 860, 12, 7, 22),
 ];
 
 /// The synthetic scaling loop: `blocks` independent conditional
