@@ -52,39 +52,9 @@ pub fn machine_label(m: &MachineConfig) -> String {
     format!("{}alu/{}mem/{}br", m.n_alu, m.n_mem, m.n_branch)
 }
 
-/// Synthetic scaling loop: `b` independent conditional accumulations over
-/// one loaded element. Codegen block count is exponential in live IFs, so
-/// this family stresses every predicate-algebra hot path; shared by
-/// `table_cost` (driver scaling) and `table_predbench` (backend scaling).
-pub fn synthetic(blocks: usize) -> psp_ir::LoopSpec {
-    use psp_ir::op::build;
-    let mut b = psp_ir::LoopBuilder::new(format!("synthetic{blocks}"));
-    let x = b.array("x");
-    let n = b.named_reg("n");
-    let k = b.named_reg("k");
-    let xk = b.reg();
-    let mut live = vec![n, k];
-    b.op(build::load(xk, x, k));
-    for i in 0..blocks {
-        let acc = b.named_reg(format!("acc{i}"));
-        live.push(acc);
-        let cc = b.cc();
-        b.op(build::cmp(psp_ir::CmpOp::Gt, cc, xk, (i as i64) * 10 - 40));
-        b.if_else(
-            cc,
-            |b| {
-                b.op(build::add(acc, acc, xk));
-            },
-            |_| {},
-        );
-    }
-    b.op(build::add(k, k, 1i64));
-    let ccb = b.cc();
-    b.op(build::cmp(psp_ir::CmpOp::Ge, ccb, k, n));
-    b.break_(ccb);
-    let outs: Vec<_> = live[2..].to_vec();
-    b.finish(live.clone(), outs)
-}
+/// The synthetic scaling loop, shared by `table_cost` (driver scaling) and
+/// `table_predbench` (backend scaling).
+pub use psp_kernels::synthetic;
 
 #[cfg(test)]
 mod tests {

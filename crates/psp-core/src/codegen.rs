@@ -485,7 +485,7 @@ pub fn generate(sched: &Schedule, machine: &MachineConfig) -> Result<VliwLoop, C
     };
 
     let mut result = VliwLoop {
-        name: format!("{}-psp", sched.spec.name),
+        name: format!("{}-psp", sched.source.name),
         prologue,
         blocks,
         entry,
@@ -617,23 +617,16 @@ fn cleanup_empty_jump_blocks(prog: &mut VliwLoop) {
         }
         s
     }
-    let snapshot = prog.clone();
-    for b in &mut prog.blocks {
-        b.term = match b.term {
-            VliwTerm::Jump(s) => VliwTerm::Jump(resolve(&snapshot, s)),
-            VliwTerm::Branch {
-                cc,
-                on_true,
-                on_false,
-            } => VliwTerm::Branch {
-                cc,
-                on_true: resolve(&snapshot, on_true),
-                on_false: resolve(&snapshot, on_false),
-            },
-            VliwTerm::Exit => VliwTerm::Exit,
-        };
+    // Every chain is resolved against the unchanged blocks, then written.
+    let terms: Vec<VliwTerm> = prog
+        .blocks
+        .iter()
+        .map(|b| map_succs(b.term, |s| resolve(prog, s)))
+        .collect();
+    prog.entry = resolve(prog, Succ::fall(prog.entry)).block;
+    for (b, term) in prog.blocks.iter_mut().zip(terms) {
+        b.term = term;
     }
-    prog.entry = resolve(&snapshot, Succ::fall(prog.entry)).block;
     // Garbage-collect unreachable blocks, remapping ids.
     let mut reach = vec![false; prog.blocks.len()];
     let mut stack = vec![prog.entry];
@@ -660,22 +653,27 @@ fn cleanup_empty_jump_blocks(prog: &mut VliwLoop) {
     };
     for (new_id, b) in kept.iter_mut().enumerate() {
         b.id = new_id;
-        b.term = match b.term {
-            VliwTerm::Jump(s) => VliwTerm::Jump(fix(s)),
-            VliwTerm::Branch {
-                cc,
-                on_true,
-                on_false,
-            } => VliwTerm::Branch {
-                cc,
-                on_true: fix(on_true),
-                on_false: fix(on_false),
-            },
-            VliwTerm::Exit => VliwTerm::Exit,
-        };
+        b.term = map_succs(b.term, fix);
     }
     prog.blocks = kept;
     prog.entry = remap[prog.entry];
+}
+
+/// `term` with every successor edge passed through `f`.
+fn map_succs(term: VliwTerm, f: impl Fn(Succ) -> Succ) -> VliwTerm {
+    match term {
+        VliwTerm::Jump(s) => VliwTerm::Jump(f(s)),
+        VliwTerm::Branch {
+            cc,
+            on_true,
+            on_false,
+        } => VliwTerm::Branch {
+            cc,
+            on_true: f(on_true),
+            on_false: f(on_false),
+        },
+        VliwTerm::Exit => VliwTerm::Exit,
+    }
 }
 
 #[cfg(test)]

@@ -169,7 +169,8 @@ mod tests {
     use crate::schedule::Schedule;
     use crate::transform::{apply, prune_stalls_reference, split_candidates, Transformation};
     use psp_ir::op::build;
-    use psp_ir::{CmpOp, LoopBuilder, LoopSpec};
+    use psp_ir::{LoopBuilder, LoopSpec};
+    use psp_kernels::synthetic;
 
     fn m() -> MachineConfig {
         MachineConfig::paper_default()
@@ -211,37 +212,6 @@ mod tests {
                 return total;
             }
         }
-    }
-
-    /// The synthetic scaling loop: `blocks` independent conditional
-    /// accumulations over one loaded element.
-    fn synthetic(blocks: usize) -> LoopSpec {
-        let mut b = LoopBuilder::new(format!("synthetic{blocks}"));
-        let x = b.array("x");
-        let n = b.named_reg("n");
-        let k = b.named_reg("k");
-        let xk = b.reg();
-        let mut live = vec![n, k];
-        b.op(build::load(xk, x, k));
-        for i in 0..blocks {
-            let acc = b.named_reg(format!("acc{i}"));
-            live.push(acc);
-            let cc = b.cc();
-            b.op(build::cmp(CmpOp::Gt, cc, xk, (i as i64) * 10 - 40));
-            b.if_else(
-                cc,
-                |b| {
-                    b.op(build::add(acc, acc, xk));
-                },
-                |_| {},
-            );
-        }
-        b.op(build::add(k, k, 1i64));
-        let ccb = b.cc();
-        b.op(build::cmp(CmpOp::Ge, ccb, k, n));
-        b.break_(ccb);
-        let outs = live[2..].to_vec();
-        b.finish(live, outs)
     }
 
     /// Compact `s` both ways and demand the same schedule, fresh counters

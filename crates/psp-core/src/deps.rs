@@ -130,7 +130,7 @@ fn combine_stride(y: &Instance, x: &Instance) -> Option<i64> {
             dst,
             a: Operand::Reg(s),
             b: Operand::Imm(c),
-        } if dst == s => (dst, -c),
+        } if dst == s => (dst, c.wrapping_neg()),
         _ => return None,
     };
     // x must use r exclusively as a memory index.
@@ -429,7 +429,6 @@ mod tests {
             computes_if: None,
             origin,
             late: 0,
-            snapshots: Vec::new(),
         }
     }
 

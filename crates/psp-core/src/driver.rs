@@ -335,39 +335,34 @@ fn eval_candidate(
 }
 
 /// Evaluate all candidates of one step — concurrently unless
-/// [`PspConfig::threads`] is `1`. Trials return in candidate order either
-/// way, so the reduction below is deterministic. Worker threads build
-/// their matrices in the caller's predicate backend, which is a per-thread
-/// choice.
+/// [`PspConfig::threads`] is `1` or there is one candidate, in which case
+/// the map runs inline on the caller. Trials return in candidate order
+/// either way, so the reduction below is deterministic. Worker threads
+/// build their matrices in the caller's predicate backend, which is a
+/// per-thread choice, and report their predicate-op counts in the trial;
+/// the caller's own cells count the trials it runs.
 fn evaluate_candidates(
     sched: &Schedule,
     candidates: Vec<Transformation>,
     cfg: &PspConfig,
     cur: Option<&Score>,
 ) -> Vec<Trial> {
-    if cfg.threads == 1 || candidates.len() <= 1 {
-        candidates
-            .into_iter()
-            .map(|t| eval_candidate(sched, t, cfg, cur))
-            .collect()
-    } else {
-        let caller = std::thread::current().id();
-        let packed = psp_predicate::backend::is_packed();
-        candidates
-            .into_par_iter()
-            .with_threads(cfg.threads)
-            .map(|t| {
-                let before = psp_predicate::stats::snapshot();
-                let mut trial = psp_predicate::backend::with_backend(packed, || {
-                    eval_candidate(sched, t, cfg, cur)
-                });
-                if std::thread::current().id() != caller {
-                    trial.pred = psp_predicate::stats::snapshot().delta(&before);
-                }
-                trial
-            })
-            .collect()
-    }
+    let caller = std::thread::current().id();
+    let packed = psp_predicate::backend::is_packed();
+    candidates
+        .into_par_iter()
+        .with_threads(cfg.threads)
+        .map(|t| {
+            if std::thread::current().id() == caller {
+                return eval_candidate(sched, t, cfg, cur);
+            }
+            let before = psp_predicate::stats::snapshot();
+            let mut trial =
+                psp_predicate::backend::with_backend(packed, || eval_candidate(sched, t, cfg, cur));
+            trial.pred = psp_predicate::stats::snapshot().delta(&before);
+            trial
+        })
+        .collect()
 }
 
 /// Pipeline a loop with the PSP technique.

@@ -14,7 +14,11 @@ pub struct InstId(pub u64);
 /// it should execute).
 ///
 /// The paper's notation `COPY (…) (+1) [b 1]` maps to
-/// `op = COPY …, index = 1, formal = [b 1]`.
+/// `op = COPY …, index = 1, formal = [b 1]`. The other fields are
+/// bookkeeping the paper leaves implicit: an identity, the IF row an IF
+/// instance computes, and the source order that dependence checks rank by.
+/// The preloop derives its startup code from the schedule and the source
+/// loop, so an instance needs no record of its moves.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Instance {
     /// Stable id.
@@ -38,13 +42,6 @@ pub struct Instance {
     /// *just after* the operation they write back for (chains increment).
     /// Breaks program-order ties between a renamed instance and its copy.
     pub late: u16,
-    /// Pre-wrap snapshots, one per boundary crossing: `snapshots[j]` is the
-    /// operation as it was when this instance's index was `j` — the version
-    /// whose operands refer to architectural per-iteration state, which is
-    /// exactly what the *preloop* must execute for the startup iterations.
-    /// Post-wrap rewrites (combining, substitution) compensate for
-    /// cross-iteration placement and are deliberately excluded.
-    pub snapshots: Vec<Operation>,
 }
 
 impl Instance {
@@ -85,7 +82,6 @@ mod tests {
             computes_if: None,
             origin: 3,
             late: 0,
-            snapshots: Vec::new(),
         }
     }
 

@@ -5,7 +5,7 @@
 //! committed. At loop entry no previous iteration exists, so the preloop
 //! must establish the same contract from the architectural initial state.
 //!
-//! The contract is computed, not replayed from schedule snapshots:
+//! The contract is computed from the schedule and its source loop:
 //!
 //! 1. **Entry-live registers** — those the body reads (pre-cycle, in row
 //!    order) before writing;
@@ -83,8 +83,8 @@ pub fn build_preloop(
     }
 
     let is_arch = |r: RegRef| match r {
-        RegRef::Gpr(g) => g.0 < sched.orig_n_regs,
-        RegRef::Cc(c) => c.0 < sched.orig_n_ccs,
+        RegRef::Gpr(g) => g.0 < sched.source.n_regs,
+        RegRef::Cc(c) => c.0 < sched.source.n_ccs,
     };
 
     // --- required (origin, level) → contract targets ---------------------
@@ -127,7 +127,7 @@ pub fn build_preloop(
         }
         // Live-out contract registers would make the startup observable on
         // very short trips where a BREAK skips the body's writer.
-        if sched.spec.live_out.contains(&r) && has_emitted_writer {
+        if sched.source.live_out.contains(&r) && has_emitted_writer {
             return Err(CodegenError::PreloopUnsupported(
                 "live-out register would be written by the preloop",
             ));
@@ -149,7 +149,7 @@ pub fn build_preloop(
     }
 
     // --- emulation --------------------------------------------------------
-    let flat: Vec<FlatOp> = flatten(&sched.spec);
+    let flat: Vec<FlatOp> = flatten(&sched.source);
     // Arrays that the loop stores into: loads from them can observe skipped
     // stores and must be refused past the first store in fictitious order.
     let stored_arrays: BTreeSet<_> = flat
@@ -161,8 +161,8 @@ pub fn build_preloop(
         .collect();
 
     let mut env: BTreeMap<RegRef, Loc> = BTreeMap::new();
-    let mut next_reg = sched.spec.n_regs;
-    let mut next_cc = sched.spec.n_ccs;
+    let mut next_reg = sched.n_regs();
+    let mut next_cc = sched.source.n_ccs;
     let mut out: Vec<Operation> = Vec::new();
 
     let loc_of = |env: &BTreeMap<RegRef, Loc>, r: RegRef| *env.get(&r).unwrap_or(&Loc::Arch);

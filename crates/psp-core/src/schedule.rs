@@ -2,10 +2,11 @@
 //! flow of control implicitly encoded in their predicate matrices.
 
 use crate::instance::{InstId, Instance};
-use psp_ir::{flatten, CcReg, Item, LoopSpec, OpKind, Reg, RegRef, ResClass};
+use psp_ir::{flatten, LoopSpec, Reg, RegRef, ResClass};
 use psp_machine::MachineConfig;
 use psp_predicate::{IfLog, IfLogEntry};
 use std::fmt;
+use std::sync::Arc;
 
 /// A PSP schedule. Row `r` is the set of instances issued in cycle `r` of
 /// the transformed loop body.
@@ -13,16 +14,12 @@ use std::fmt;
 pub struct Schedule {
     /// The rows (cycles).
     pub rows: Vec<Vec<Instance>>,
-    /// The loop being scheduled; owns register allocation, so renaming
-    /// during transformations draws fresh registers from here.
-    pub spec: LoopSpec,
-    /// Register-file sizes of the *original* program (before any renaming):
-    /// the boundary between architectural registers — whose initial values
-    /// are meaningful at loop entry — and scheduler-introduced temporaries.
-    pub orig_n_regs: u32,
-    /// Original condition-register count.
-    pub orig_n_ccs: u32,
-    next_id: u64,
+    /// The loop being scheduled, unchanged and shared by every clone. Its
+    /// `n_regs`/`n_ccs` mark where the architectural registers — whose
+    /// initial values are meaningful at loop entry — end and
+    /// scheduler-introduced temporaries begin.
+    pub source: Arc<LoopSpec>,
+    fresh: Fresh,
 }
 
 impl Schedule {
@@ -43,50 +40,55 @@ impl Schedule {
                     computes_if: f.computes_if,
                     origin: f.pos,
                     late: 0,
-                    snapshots: Vec::new(),
                 }]
             })
             .collect::<Vec<_>>();
-        let next_id = flat.len() as u64;
+        let fresh = Fresh {
+            next_reg: spec.n_regs,
+            next_id: flat.len() as u64,
+        };
         Self {
             rows,
-            spec: spec.clone(),
-            orig_n_regs: spec.n_regs,
-            orig_n_ccs: spec.n_ccs,
-            next_id,
+            source: Arc::new(spec.clone()),
+            fresh,
         }
     }
 
     /// Allocate a fresh instance id.
     pub fn fresh_id(&mut self) -> InstId {
-        let id = InstId(self.next_id);
-        self.next_id += 1;
-        id
+        self.fresh.id()
+    }
+
+    /// Allocate a fresh general-purpose register.
+    pub(crate) fn fresh_reg(&mut self) -> Reg {
+        self.fresh.reg()
+    }
+
+    /// General-purpose registers in use: the source's, then every fresh
+    /// one drawn so far.
+    pub fn n_regs(&self) -> u32 {
+        self.fresh.next_reg
     }
 
     /// Split borrow for planning a move: the rows and the live-out set to
     /// read, and the counters a rename draws fresh registers and ids from.
     /// A plan holding this view can read every row without copying it, and
     /// cannot move an instance until the view is dropped.
-    pub(crate) fn plan_view(&mut self) -> (&[Vec<Instance>], &[RegRef], Fresh<'_>) {
-        let fresh = Fresh {
-            n_regs: &mut self.spec.n_regs,
-            next_id: &mut self.next_id,
-        };
-        (&self.rows, &self.spec.live_out, fresh)
+    pub(crate) fn plan_view(&mut self) -> (&[Vec<Instance>], &[RegRef], &mut Fresh) {
+        (&self.rows, &self.source.live_out, &mut self.fresh)
     }
 
     /// The fresh-name counters: the next register number and the next
     /// instance id.
     pub(crate) fn fresh_counters(&self) -> (u32, u64) {
-        (self.spec.n_regs, self.next_id)
+        (self.fresh.next_reg, self.fresh.next_id)
     }
 
     /// Advance the fresh-name counters by `regs` registers and `ids` ids,
     /// as if that many had been drawn.
     pub(crate) fn skip_fresh(&mut self, (regs, ids): (u32, u64)) {
-        self.spec.n_regs += regs;
-        self.next_id += ids;
+        self.fresh.next_reg += regs;
+        self.fresh.next_id += ids;
     }
 
     /// Number of rows (the static II upper bound).
@@ -154,41 +156,11 @@ impl Schedule {
                         if_row,
                         index: inst.index,
                         cycle: r,
-                        matrix: inst.formal.clone(),
                     });
                 }
             }
         }
         log
-    }
-
-    /// The condition register tested by IF instances of predicate row `r`.
-    pub fn cc_of_if_row(&self, if_row: u32) -> Option<CcReg> {
-        for inst in self.instances() {
-            if inst.computes_if == Some(if_row) {
-                if let OpKind::If { cc } = inst.op.kind {
-                    return Some(cc);
-                }
-            }
-        }
-        // Fall back to the source body (an IF could in principle be absent
-        // from a partially built schedule).
-        fn scan(items: &[Item], if_row: u32) -> Option<CcReg> {
-            for item in items {
-                if let Item::If(i) = item {
-                    if i.if_id == if_row {
-                        return Some(i.cc);
-                    }
-                    if let Some(cc) =
-                        scan(&i.then_items, if_row).or_else(|| scan(&i.else_items, if_row))
-                    {
-                        return Some(cc);
-                    }
-                }
-            }
-            None
-        }
-        scan(&self.spec.items, if_row)
     }
 
     /// Resource feasibility of row `r`: instances whose matrices are
@@ -229,25 +201,25 @@ impl Schedule {
 }
 
 /// The fresh-register and fresh-id counters of a [`Schedule`], borrowed
-/// apart from its rows (see [`Schedule::plan_view`]).
-pub(crate) struct Fresh<'a> {
-    n_regs: &'a mut u32,
-    next_id: &'a mut u64,
+/// apart from its rows by [`Schedule::plan_view`].
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct Fresh {
+    next_reg: u32,
+    next_id: u64,
 }
 
-impl Fresh<'_> {
-    /// Allocate a fresh general-purpose register (as
-    /// [`LoopSpec::fresh_reg`] does).
+impl Fresh {
+    /// Allocate a fresh general-purpose register.
     pub(crate) fn reg(&mut self) -> Reg {
-        let r = Reg(*self.n_regs);
-        *self.n_regs += 1;
+        let r = Reg(self.next_reg);
+        self.next_reg += 1;
         r
     }
 
     /// Allocate a fresh instance id.
     pub(crate) fn id(&mut self) -> InstId {
-        let id = InstId(*self.next_id);
-        *self.next_id += 1;
+        let id = InstId(self.next_id);
+        self.next_id += 1;
         id
     }
 }
@@ -401,13 +373,6 @@ mod tests {
     }
 
     #[test]
-    fn cc_of_if_row_resolves() {
-        let s = vecmin();
-        assert_eq!(s.cc_of_if_row(0), Some(CcReg(0)));
-        assert_eq!(s.cc_of_if_row(9), None);
-    }
-
-    #[test]
     fn disjoint_instances_share_resource_slots() {
         let mut s = vecmin();
         let m = MachineConfig::narrow(1, 1, 1);
@@ -420,7 +385,6 @@ mod tests {
             computes_if: None,
             origin: 0,
             late: 0,
-            snapshots: Vec::new(),
         };
         let b = Instance {
             formal: PredicateMatrix::single(0, 0, false),

@@ -176,7 +176,7 @@ struct PlanState {
 struct Planner<'a> {
     rows: &'a [Vec<Instance>],
     live_out: &'a [RegRef],
-    fresh: Fresh<'a>,
+    fresh: &'a mut Fresh,
     policy: MovePolicy,
     machine: &'a MachineConfig,
     /// Whether the policy refused a rename fix at some point of the plan.
@@ -210,7 +210,7 @@ impl<'a> Planner<'a> {
                 Fix::CombineDisp(d) => {
                     if !state.combined_from.contains(&blocker) {
                         state.combined_from.push(blocker);
-                        disp += d;
+                        disp = disp.wrapping_add(d);
                     }
                 }
                 Fix::Subst { from, to } => {
@@ -285,10 +285,6 @@ impl<'a> Planner<'a> {
                 computes_if: None,
                 origin: x.origin,
                 late: x.late + 1,
-                // Leftover copies are steady-state plumbing only; the
-                // preloop's snapshot ops write the architectural registers
-                // directly.
-                snapshots: Vec::new(),
             });
         }
         Ok(())
@@ -612,11 +608,12 @@ pub fn wrap_up(sched: &mut Schedule, id: InstId, machine: &MachineConfig) -> Res
         });
     }
 
-    // Preloop contract: the wrapped instance's snapshot will execute once
-    // before the loop, writing its (possibly renamed) destination. Any
-    // *program-earlier* reader left in the body expects the pre-update
-    // value of an architectural destination, so such a destination must be
-    // renamed away (or the wrap refused for un-renamable definitions).
+    // Preloop contract: the preloop executes the wrapped instance's source
+    // operation once before the loop, writing its (possibly renamed)
+    // destination. Any *program-earlier* reader left in the body expects
+    // the pre-update value of an architectural destination, so such a
+    // destination must be renamed away (or the wrap refused for
+    // un-renamable definitions).
     let has_earlier_reader = sched.instances().any(|y| {
         y.id != id
             && y.prog_order() < x.prog_order()
@@ -646,7 +643,7 @@ pub fn wrap_up(sched: &mut Schedule, id: InstId, machine: &MachineConfig) -> Res
             [psp_ir::RegRef::Gpr(r)] => *r,
             _ => return Err(MoveError::BadTarget),
         };
-        let fresh = sched.spec.fresh_reg();
+        let fresh = sched.fresh_reg();
         moved.op = renamed_dst(&moved.op, fresh);
         leftover = Some(Instance {
             id: sched.fresh_id(),
@@ -656,21 +653,12 @@ pub fn wrap_up(sched: &mut Schedule, id: InstId, machine: &MachineConfig) -> Res
             computes_if: None,
             origin: x.origin,
             late: x.late + 1,
-            snapshots: Vec::new(),
         });
     }
 
-    // Record the pre-wrap operation (with the renamed destination, which is
-    // the steady-state contract) for preloop generation. Positional
-    // rewrites from crossing the partners (combining/substitution) are
-    // excluded: at startup the instance reads architectural state directly.
-    let mut snapshot = x.op;
-    if leftover.is_some() {
-        if let [psp_ir::RegRef::Gpr(new_dst)] = moved.op.defs().as_slice() {
-            snapshot = renamed_dst(&snapshot, *new_dst);
-        }
-    }
-    moved.snapshots.push(snapshot);
+    // The preloop computes the startup values the new index calls for
+    // from the source loop (see `preloop`): the wrap only shifts the
+    // instance's index and matrix.
     moved.index += 1;
     moved.formal = moved.formal.shifted(1);
 
@@ -713,7 +701,7 @@ pub fn movedown(
         return Err(MoveError::BadTarget);
     }
     let x = sched.rows[cur][pos].clone();
-    let live_out = sched.spec.live_out.clone();
+    let live_out = &sched.source.live_out;
 
     for y in sched.rows[cur..target].iter().flatten() {
         if y.id == id {
@@ -721,7 +709,7 @@ pub fn movedown(
         }
         // y ends up above x: ask whether y-above-x is legal with no fixes
         // (fixes would have to rewrite the stationary instance).
-        let c = check_pair(y, &x, &live_out, machine);
+        let c = check_pair(y, &x, live_out, machine);
         if c.above != Permission::Yes {
             return Err(MoveError::Blocked {
                 by: y.id,
@@ -737,7 +725,7 @@ pub fn movedown(
         }
     }
     for y in sched.rows[target].iter() {
-        let c = check_pair(&x, y, &live_out, machine);
+        let c = check_pair(&x, y, live_out, machine);
         if c.same != Permission::Yes {
             return Err(MoveError::Blocked {
                 by: y.id,
@@ -801,7 +789,6 @@ pub fn split(sched: &mut Schedule, id: InstId, row: u32, col: i32) -> Result<(),
         computes_if: x.computes_if,
         origin: x.origin,
         late: x.late,
-        snapshots: x.snapshots.clone(),
     };
     sched.rows[cur][pos] = mk(id_f, f);
     sched.rows[cur].insert(pos + 1, mk(id_t, t));
@@ -831,7 +818,6 @@ pub fn unify(sched: &mut Schedule, a: InstId, b: InstId) -> Result<(), MoveError
         computes_if: ia.computes_if,
         origin: ia.origin,
         late: ia.late,
-        snapshots: ia.snapshots.clone(),
     };
     sched.rows[ra].remove(pa.max(pb));
     Ok(())
@@ -1071,15 +1057,14 @@ mod tests {
     }
 
     #[test]
-    fn wrap_increments_index_and_records_snapshot() {
+    fn wrap_increments_index_and_keeps_the_operation() {
         let mut s = vecmin_sched();
         let id = id_at(&s, 0);
         let original_op = s.instance(id).unwrap().op;
         wrap_up(&mut s, id, &m()).unwrap();
         let inst = s.instance(id).unwrap();
         assert_eq!(inst.index, 1);
-        assert_eq!(inst.snapshots.len(), 1);
-        assert_eq!(inst.snapshots[0], original_op);
+        assert_eq!(inst.op, original_op);
     }
 
     #[test]

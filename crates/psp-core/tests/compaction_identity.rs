@@ -21,8 +21,8 @@
 use psp_core::driver::{pipeline_loop, PspConfig};
 use psp_core::heuristics::score_schedule;
 use psp_core::schedule::Schedule;
-use psp_ir::op::build;
-use psp_ir::{CmpOp, LoopBuilder, LoopSpec};
+use psp_ir::LoopSpec;
+use psp_kernels::synthetic;
 use psp_machine::MachineConfig;
 
 /// `(loop, machine, counters, disjoint_tests, subsume_tests, n_regs,
@@ -87,38 +87,6 @@ const EXPECTED: &[Row] = &[
     ("synthetic6", "narrow211", [122, 12, 0, 308, 5], 103186, 860, 12, 7, 22),
 ];
 
-/// The synthetic scaling loop: `blocks` independent conditional
-/// accumulations over one loaded element (the same shape the benchmark
-/// crate's `synthetic` builds).
-fn synthetic(blocks: usize) -> LoopSpec {
-    let mut b = LoopBuilder::new(format!("synthetic{blocks}"));
-    let x = b.array("x");
-    let n = b.named_reg("n");
-    let k = b.named_reg("k");
-    let xk = b.reg();
-    let mut live = vec![n, k];
-    b.op(build::load(xk, x, k));
-    for i in 0..blocks {
-        let acc = b.named_reg(format!("acc{i}"));
-        live.push(acc);
-        let cc = b.cc();
-        b.op(build::cmp(CmpOp::Gt, cc, xk, (i as i64) * 10 - 40));
-        b.if_else(
-            cc,
-            |b| {
-                b.op(build::add(acc, acc, xk));
-            },
-            |_| {},
-        );
-    }
-    b.op(build::add(k, k, 1i64));
-    let ccb = b.cc();
-    b.op(build::cmp(CmpOp::Ge, ccb, k, n));
-    b.break_(ccb);
-    let outs: Vec<_> = live[2..].to_vec();
-    b.finish(live.clone(), outs)
-}
-
 fn loops() -> Vec<(&'static str, LoopSpec)> {
     let mut out: Vec<(&'static str, LoopSpec)> = psp_kernels::all_kernels()
         .into_iter()
@@ -145,7 +113,7 @@ fn observe() -> Vec<Row> {
                 res.stats.counters(),
                 res.stats.pred.disjoint_tests,
                 res.stats.pred.subsume_tests,
-                res.schedule.spec.n_regs,
+                res.schedule.n_regs(),
                 res.schedule.n_rows(),
                 res.schedule.n_instances(),
             ));

@@ -76,7 +76,7 @@ fn resolve(sched: &Schedule, action: &Action) -> Option<Result<Transformation, (
         }
         Action::Split { pick, row, col } => {
             let id = by_pick(*pick);
-            let n_ifs = sched.spec.n_ifs.max(1);
+            let n_ifs = sched.source.n_ifs.max(1);
             Some(Ok(Transformation::Split {
                 id,
                 row: *row as u32 % n_ifs,

@@ -93,7 +93,7 @@ impl Address {
     /// The address with its displacement shifted by `delta`.
     pub fn displaced(self, delta: i64) -> Self {
         Self {
-            disp: self.disp + delta,
+            disp: self.disp.wrapping_add(delta),
             ..self
         }
     }
@@ -135,6 +135,17 @@ mod tests {
             "a0[R2-2]"
         );
         assert_eq!(Address::constant(a, 7).to_string(), "a0[7]");
+    }
+
+    #[test]
+    fn displacements_wrap_like_the_alu() {
+        let a = Address::indexed(ArrayId(0), Reg(2));
+        assert_eq!(a.displaced(i64::MAX).displaced(1).disp, i64::MIN);
+        assert_eq!(a.displaced(i64::MIN).displaced(i64::MIN).disp, 0);
+        assert_eq!(
+            a.displaced(i64::MIN).to_string(),
+            "a0[R2-9223372036854775808]"
+        );
     }
 
     #[test]

@@ -907,6 +907,40 @@ pub fn by_name(name: &str) -> Option<Kernel> {
     all_kernels().into_iter().find(|k| k.name == name)
 }
 
+/// The synthetic scaling loop: `blocks` independent conditional
+/// accumulations over one loaded element (R0 = n, R1 = k, one array).
+/// Codegen block count is exponential in live IFs, so this family
+/// stresses every predicate-algebra hot path. It is a bare loop, not a
+/// [`Kernel`]: there is no golden function, only the reference semantics.
+pub fn synthetic(blocks: usize) -> LoopSpec {
+    let mut b = LoopBuilder::new(format!("synthetic{blocks}"));
+    let x = b.array("x");
+    let n = b.named_reg("n");
+    let k = b.named_reg("k");
+    let xk = b.reg();
+    let mut live = vec![n, k];
+    b.op(load(xk, x, k));
+    for i in 0..blocks {
+        let acc = b.named_reg(format!("acc{i}"));
+        live.push(acc);
+        let cc = b.cc();
+        b.op(cmp(CmpOp::Gt, cc, xk, (i as i64) * 10 - 40));
+        b.if_else(
+            cc,
+            |b| {
+                b.op(add(acc, acc, xk));
+            },
+            |_| {},
+        );
+    }
+    b.op(add(k, k, 1i64));
+    let ccb = b.cc();
+    b.op(cmp(CmpOp::Ge, ccb, k, n));
+    b.break_(ccb);
+    let outs = live[2..].to_vec();
+    b.finish(live, outs)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

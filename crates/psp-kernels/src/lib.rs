@@ -12,4 +12,4 @@ pub mod data;
 pub mod kernels;
 
 pub use data::KernelData;
-pub use kernels::{all_kernels, by_name, Kernel};
+pub use kernels::{all_kernels, by_name, synthetic, Kernel};

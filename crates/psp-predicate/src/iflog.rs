@@ -6,16 +6,17 @@
 //! instance `IF (CC0) (+1) [0]` computes `p(+1)`). Because the schedule
 //! repeats every transformed iteration, the *same* instance also computed
 //! `p(r, i - k)` during the transformed iteration `k` steps earlier. The
-//! IFLog records where every IF instance sits in the schedule — including
-//! its own (possibly constrained) predicate matrix, since IFs may execute
-//! conditionally — so that the scheduler and code generator can decide, for
-//! any predicate an operation is control-dependent on, whether its outcome
-//! is already available (and hence whether the operation is speculative).
+//! IFLog records where every IF instance sits in the schedule — its row,
+//! index and cycle — so that the scheduler and code generator can decide,
+//! for any predicate an operation is control-dependent on, whether its
+//! outcome is already available (and hence whether the operation is
+//! speculative). A schedule builds a fresh log whenever one is asked for,
+//! so a log is only ever recorded into, never edited.
 
-use crate::matrix::PredicateMatrix;
+use std::cmp::Ordering;
 
 /// One scheduled IF instance.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct IfLogEntry {
     /// Row of the IF operation in the original loop body (predicate row).
     pub if_row: u32,
@@ -24,24 +25,21 @@ pub struct IfLogEntry {
     pub index: i32,
     /// Schedule cycle (row) the instance occupies.
     pub cycle: usize,
-    /// Formal predicate matrix of the IF instance itself — the paths on
-    /// which it executes (IFs are never speculative per paper §2, so its
-    /// formal and actual paths coincide).
-    pub matrix: PredicateMatrix,
 }
 
 /// Where (relative to a consumer in the current transformed iteration) a
-/// predicate's outcome is produced.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// predicate's outcome is produced: `cycle` is the schedule cycle of the
+/// IF instance that computes it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PredAvailability {
     /// Computed `delta ≥ 1` transformed iterations ago: the outcome is
     /// available on loop-body entry.
-    PreviousIteration { delta: u32, entry: IfLogEntry },
+    PreviousIteration { delta: u32, cycle: usize },
     /// Computed in the current transformed iteration at `cycle`.
-    SameIteration { cycle: usize, entry: IfLogEntry },
+    SameIteration { cycle: usize },
     /// Will only be computed `delta ≥ 1` transformed iterations later: any
     /// consumer in the current iteration is necessarily speculative.
-    FutureIteration { delta: u32, entry: IfLogEntry },
+    FutureIteration { delta: u32, cycle: usize },
     /// No IF instance in the schedule computes this predicate row.
     NotComputed,
 }
@@ -63,18 +61,6 @@ impl IfLog {
         self.entries.push(entry);
     }
 
-    /// Remove the record of an instance (e.g. after a transformation moved
-    /// it); identified by `(if_row, index)`.
-    pub fn remove(&mut self, if_row: u32, index: i32) {
-        self.entries
-            .retain(|e| !(e.if_row == if_row && e.index == index));
-    }
-
-    /// Clear the log (before re-tracing a schedule).
-    pub fn clear(&mut self) {
-        self.entries.clear();
-    }
-
     /// All recorded instances.
     pub fn entries(&self) -> &[IfLogEntry] {
         &self.entries
@@ -92,34 +78,29 @@ impl IfLog {
     /// an instance with index `i` computes column `col` during the
     /// transformed iteration `col - i` (0 = current, negative = earlier).
     /// When several instances of the row exist (after splits), the one
-    /// computing the predicate *earliest* is reported; conditional execution
-    /// of the IF itself is visible through `entry.matrix`.
+    /// computing the predicate *earliest* — fewest iterations ahead, then
+    /// earliest cycle — is reported.
     pub fn availability(&self, row: u32, col: i32) -> PredAvailability {
-        let mut best: Option<PredAvailability> = None;
-        for e in self.instances_of(row) {
-            let delta = col - e.index; // transformed iteration producing col
-            let cand = if delta < 0 {
-                PredAvailability::PreviousIteration {
-                    delta: (-delta) as u32,
-                    entry: e.clone(),
-                }
-            } else if delta == 0 {
-                PredAvailability::SameIteration {
-                    cycle: e.cycle,
-                    entry: e.clone(),
-                }
-            } else {
-                PredAvailability::FutureIteration {
-                    delta: delta as u32,
-                    entry: e.clone(),
-                }
-            };
-            best = Some(match best.take() {
-                None => cand,
-                Some(b) => earlier(b, cand),
-            });
+        // The transformed iteration producing `col`: 0 = current, negative
+        // = earlier.
+        let Some((delta, cycle)) = self
+            .instances_of(row)
+            .map(|e| (col - e.index, e.cycle))
+            .min()
+        else {
+            return PredAvailability::NotComputed;
+        };
+        match delta.cmp(&0) {
+            Ordering::Less => PredAvailability::PreviousIteration {
+                delta: delta.unsigned_abs(),
+                cycle,
+            },
+            Ordering::Equal => PredAvailability::SameIteration { cycle },
+            Ordering::Greater => PredAvailability::FutureIteration {
+                delta: delta as u32,
+                cycle,
+            },
         }
-        best.unwrap_or(PredAvailability::NotComputed)
     }
 
     /// Whether predicate `(row, col)`'s outcome is known before `cycle` of
@@ -133,24 +114,6 @@ impl IfLog {
     }
 }
 
-/// Pick the availability that resolves earlier in time.
-fn earlier(a: PredAvailability, b: PredAvailability) -> PredAvailability {
-    use PredAvailability as P;
-    let rank = |x: &P| -> (i64, i64) {
-        match x {
-            P::PreviousIteration { delta, entry } => (-(*delta as i64), entry.cycle as i64),
-            P::SameIteration { cycle, .. } => (0, *cycle as i64),
-            P::FutureIteration { delta, entry } => (*delta as i64, entry.cycle as i64),
-            P::NotComputed => (i64::MAX, i64::MAX),
-        }
-    };
-    if rank(&a) <= rank(&b) {
-        a
-    } else {
-        b
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -160,7 +123,6 @@ mod tests {
             if_row,
             index,
             cycle,
-            matrix: PredicateMatrix::universe(),
         }
     }
 
@@ -206,18 +168,6 @@ mod tests {
             PredAvailability::PreviousIteration { delta, .. } => assert_eq!(delta, 1),
             other => panic!("expected PreviousIteration, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn remove_and_clear() {
-        let mut log = IfLog::new();
-        log.record(entry(0, 0, 3));
-        log.record(entry(1, 0, 4));
-        log.remove(0, 0);
-        assert_eq!(log.entries().len(), 1);
-        assert_eq!(log.availability(0, 0), PredAvailability::NotComputed);
-        log.clear();
-        assert!(log.entries().is_empty());
     }
 
     #[test]

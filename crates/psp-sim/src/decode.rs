@@ -356,7 +356,7 @@ unsafe fn exec_pop_g<const GD: bool>(
                 debug_assert!((p.a as usize) < regs.len());
                 unsafe { *regs.get_unchecked(p.a as usize) }
             };
-            let elem = idx + p.b;
+            let elem = idx.wrapping_add(p.b);
             debug_assert!((p.aux as usize) < arrays.len());
             let data = unsafe { arrays.get_unchecked(p.aux as usize) };
             // `elem < 0` folds into the unsigned compare; OOB loads read 0
@@ -380,7 +380,7 @@ unsafe fn exec_pop_g<const GD: bool>(
                 debug_assert!(dst < regs.len());
                 unsafe { *regs.get_unchecked(dst) }
             };
-            let elem = idx + p.b;
+            let elem = idx.wrapping_add(p.b);
             debug_assert!((p.aux as usize) < arrays.len());
             let data = unsafe { arrays.get_unchecked_mut(p.aux as usize) };
             let inb = (elem as usize) < data.len();
@@ -793,7 +793,7 @@ impl UOps {
                 } else {
                     read_reg(st, a as u32)?
                 };
-                let elem = idx + b;
+                let elem = idx.wrapping_add(b);
                 let data = st
                     .arrays
                     .get(aux as usize)
@@ -811,7 +811,7 @@ impl UOps {
                 } else {
                     read_reg(st, dst)?
                 };
-                let elem = idx + b;
+                let elem = idx.wrapping_add(b);
                 let len = st
                     .arrays
                     .get(aux as usize)

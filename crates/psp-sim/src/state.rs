@@ -134,7 +134,7 @@ impl MachineState {
             Some(r) => self.reg(r)?,
             None => 0,
         };
-        Ok((a.array.0, idx + a.disp))
+        Ok((a.array.0, idx.wrapping_add(a.disp)))
     }
 
     /// Load from memory. Out-of-bounds reads return 0: speculative loads

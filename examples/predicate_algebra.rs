@@ -61,7 +61,6 @@ fn main() {
         if_row: 0,
         index: 1,
         cycle: 7,
-        matrix: PredicateMatrix::universe(),
     });
     println!("IFLog with IF(+1) at cycle 7 (paper Fig. 2):");
     for col in [0, 1, 2] {

@@ -191,3 +191,57 @@ fn trace_matches_untraced_run_on_all_kernels() {
         }
     }
 }
+
+/// `s += x[k]; k = k - i64::MIN; break if k >= n`: the induction stride is
+/// `i64::MIN`, whose negation overflows. Folding it into a displacement
+/// must wrap (as the ALU does), not panic, and the pipelined code must
+/// still match the reference: k runs 0, i64::MIN, 0, so with `n = 0` the
+/// loop exits in its second iteration after one out-of-range load.
+#[test]
+fn stride_of_i64_min_folds_without_overflow() {
+    use psp::ir::op::build;
+    let mut b = LoopBuilder::new("stride_min");
+    let x = b.array("x");
+    let n = b.named_reg("n");
+    let k = b.named_reg("k");
+    let s = b.named_reg("s");
+    let xk = b.reg();
+    b.op(build::load(xk, x, k));
+    b.op(build::add(s, s, xk));
+    b.op(build::sub(k, k, i64::MIN));
+    let cc = b.cc();
+    b.op(build::cmp(psp::ir::CmpOp::Ge, cc, k, n));
+    b.break_(cc);
+    let spec = b.finish([n, k, s], [s]);
+    for n in [0i64, -1] {
+        let mut st = MachineState::new(spec.n_regs.max(8), spec.n_ccs.max(4));
+        st.regs[0] = n;
+        st.push_array(vec![5, 7]);
+        check_all(&spec, &st, &format!("stride_min n={n}"));
+    }
+}
+
+/// Loading `x[k+1]` with `k = i64::MAX`: the element index overflows.
+/// Both reference engines wrap it (as the ALU does) and read the
+/// out-of-range element as 0, identically, and so does compiled code.
+#[test]
+fn displaced_index_past_i64_max_wraps() {
+    let spec = psp::lang::compile(
+        "kernel edge(n, k, s, v; x[]) -> s {
+            v = x[k + 1];
+            s = s + v;
+            break if (k >= n);
+        }",
+    )
+    .unwrap();
+    let mut st = MachineState::new(spec.n_regs.max(8), spec.n_ccs.max(4));
+    st.regs[0] = 0; // n
+    st.regs[1] = i64::MAX; // k
+    st.regs[2] = 3; // s
+    st.push_array(vec![5, 7]);
+    let slow = run_reference(&spec, st.clone(), 1_000).unwrap();
+    let fast = psp::sim::run_reference_decoded(&spec, st.clone(), 1_000).unwrap();
+    assert_eq!(slow.state, fast.state);
+    assert_eq!(slow.state.regs[2], 3, "an out-of-range load reads 0");
+    check_all(&spec, &st, "x[k+1] at k = i64::MAX");
+}
