@@ -1,7 +1,7 @@
 //! Experiment E5 — scheduling cost (the paper's "efficient code at
 //! acceptable cost"). Per kernel: wall-clock to pipeline, candidate
 //! evaluations, applied transformations, and code growth — plus a
-//! sequential-vs-parallel comparison on synthetic scaling loops, where
+//! one-thread-vs-parallel comparison on synthetic scaling loops, where
 //! candidate evaluation dominates.
 
 use psp_bench::synthetic;
@@ -61,8 +61,7 @@ fn main() {
         "aggregate phase work (summed across worker threads): candidate-gen \
          {:.1} ms, apply {:.1} ms, compact {:.1} ms, codegen {:.1} ms, score \
          {:.1} ms — with exact scores deferring codegen to step winners, compaction \
-         is the remaining cost; without pruning (sequential driver), codegen \
-         dominates and grows exponentially with live IFs.",
+         is the main cost.",
         phase.candidate_gen.as_secs_f64() * 1e3,
         phase.apply.as_secs_f64() * 1e3,
         phase.compact.as_secs_f64() * 1e3,
@@ -72,14 +71,17 @@ fn main() {
 
     // Scaling sweep: synthetic loops with a growing chain of conditional
     // blocks (codegen block count is exponential in live IFs), comparing
-    // the original sequential driver against the parallel + pruned one.
-    // Results are bit-identical by construction; only wall-clock differs.
+    // a one-thread run against the default thread count. Results are
+    // bit-identical by construction; only wall-clock differs.
     println!("\nscaling (synthetic loops, b conditional blocks each with 3 ops):");
     println!(
         "{:>4} {:>8} {:>9} {:>11} {:>11} {:>8} {:>10}",
         "b", "src ops", "cands", "seq(ms)", "par(ms)", "speedup", "final II"
     );
-    let seq_cfg = PspConfig::default().sequential();
+    let seq_cfg = PspConfig {
+        threads: 1,
+        ..PspConfig::default()
+    };
     for blocks in [1usize, 2, 4, 6, 8] {
         let spec = synthetic(blocks);
         let src_ops = Schedule::initial(&spec).n_instances();

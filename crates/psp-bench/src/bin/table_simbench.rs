@@ -8,7 +8,7 @@
 //! 2. **decoded** — the pre-decoded engine, single thread (the headline:
 //!    the acceptance bar is a ≥5× geomean speedup over the interpreter);
 //! 3. **decoded-mt** — the same batch sharded across all available
-//!    threads via the vendored rayon.
+//!    threads, one scoped thread per contiguous shard.
 //!
 //! Each pair is also a differential check: the per-trial cycle/iteration
 //! observables of all three runs must match exactly. `--json` writes

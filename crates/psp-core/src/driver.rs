@@ -26,7 +26,7 @@ use crate::transform::{self, split_candidates, Transformation};
 use psp_ir::LoopSpec;
 use psp_machine::{MachineConfig, VliwLoop};
 use psp_predicate::PredOpStats;
-use rayon::prelude::*;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 /// Maximum number of strictly improving refinement steps per pipelining
@@ -53,17 +53,10 @@ pub struct PspConfig {
     /// path, `0` uses all available parallelism, any other value caps the
     /// pool. The reduction is deterministic (best score, ties broken by
     /// candidate index), so results are bit-identical for every setting.
+    /// Every trial is scored exactly from its schedule ([`score_schedule`])
+    /// on its worker; only the step winner's code is generated, on the
+    /// caller.
     pub threads: usize,
-    /// Generate code only for the trial that wins a step. Every trial is
-    /// scored exactly from its schedule, without generating code
-    /// ([`score_schedule`]), under either objective. With pruning on, a
-    /// trial that cannot strictly beat the current score is discarded, and
-    /// the rest defer code generation until the reduction picks one as
-    /// the step winner; off, every scored trial generates its code. The
-    /// chosen candidate is identical either way ([`PspStats::counters`]
-    /// stays bit-identical; only wall-clock, the predicate counts and the
-    /// `pruned` counter change).
-    pub enable_prune: bool,
     /// Stop refining as soon as the primary score (maximal or expected II)
     /// reaches this floor — typically a certified fixed-II optimum from
     /// `psp_opt::certify`. Opt-in speed/quality trade, **not** a sound
@@ -85,7 +78,6 @@ impl Default for PspConfig {
             enable_rename: true,
             probs: None,
             threads: 0,
-            enable_prune: true,
             exact_floor: None,
         }
     }
@@ -98,15 +90,6 @@ impl PspConfig {
             machine,
             ..Self::default()
         }
-    }
-
-    /// The reference configuration for cross-checking: single-threaded,
-    /// no pruning — the exact shape of the original sequential driver,
-    /// which code-generates every candidate trial.
-    pub fn sequential(mut self) -> Self {
-        self.threads = 1;
-        self.enable_prune = false;
-        self
     }
 }
 
@@ -154,15 +137,13 @@ pub struct PspStats {
     /// Splits applied.
     pub splits: usize,
     /// Candidates evaluated (each evaluation = clone + compact + score,
-    /// plus code generation for the step winner or, without pruning, for
-    /// every trial).
+    /// plus code generation for the step winner).
     pub candidates: usize,
     /// Improvement rounds taken.
     pub rounds: usize,
     /// Scored candidate trials that never ran code generation: unable to
-    /// beat the current score, or out-ranked by the step winner (see
-    /// [`PspConfig::enable_prune`]). Deterministic, but
-    /// configuration-dependent: the exhaustive reference prunes nothing.
+    /// beat the current score, or out-ranked by the step winner.
+    /// Deterministic: the same for every thread count.
     pub pruned: usize,
     /// Whether refinement stopped early because the score reached
     /// [`PspConfig::exact_floor`].
@@ -228,8 +209,8 @@ pub struct PspResult {
 
 /// Outcome of one candidate trial.
 struct Trial {
-    /// The scored trial; `None` when `apply`, the walk or code generation
-    /// rejected it, or pruning discarded it.
+    /// The scored trial; `None` when `apply` or the walk rejected it, or
+    /// it cannot beat the current score.
     scored: Option<Scored>,
     times: PhaseTimes,
     /// Discarded without running codegen: it cannot beat the current score.
@@ -249,8 +230,6 @@ struct Scored {
     sched: Schedule,
     /// Its exact score.
     score: Score,
-    /// Its generated program; `None` until it is generated.
-    prog: Option<VliwLoop>,
 }
 
 /// Score `sched` exactly from its steady-state walk.
@@ -285,12 +264,12 @@ fn score_and_generate(
 }
 
 /// Evaluate one candidate transformation on a clone of `sched`. `cur` is
-/// the score a chosen candidate must strictly beat; when pruning is on, a
-/// trial that cannot beat it is discarded, and the others defer code
-/// generation to the reduction.
+/// the score a chosen candidate must strictly beat; a trial that cannot
+/// beat it is pruned, and the others leave code generation to the
+/// reduction.
 fn eval_candidate(
     sched: &Schedule,
-    t: Transformation,
+    t: &Transformation,
     cfg: &PspConfig,
     cur: Option<&Score>,
 ) -> Trial {
@@ -298,7 +277,7 @@ fn eval_candidate(
     let mut pruned = false;
     let t0 = Instant::now();
     let mut next = sched.clone();
-    let applied = transform::apply(&mut next, &t, &cfg.machine).is_ok();
+    let applied = transform::apply(&mut next, t, &cfg.machine).is_ok();
     times.apply += t0.elapsed();
     let mut scored = None;
     if applied {
@@ -306,18 +285,13 @@ fn eval_candidate(
         let moves = compact_ext(&mut next, &cfg.machine, cfg.enable_rename);
         times.compact += t1.elapsed();
         if let Ok(s) = score(&next, cfg, &mut times) {
-            let mut trial = Scored {
-                t,
-                moves,
-                sched: next,
-                score: s,
-                prog: None,
-            };
-            if !cfg.enable_prune {
-                trial.prog = codegen(&trial.sched, cfg, &mut times).ok();
-                scored = trial.prog.is_some().then_some(trial);
-            } else if cur.is_none_or(|c| trial.score.better_than(c)) {
-                scored = Some(trial);
+            if cur.is_none_or(|c| s.better_than(c)) {
+                scored = Some(Scored {
+                    t: t.clone(),
+                    moves,
+                    sched: next,
+                    score: s,
+                });
             } else {
                 // Pruning only depends on the step-entry score, never on
                 // the other trials, so pruning is order-independent
@@ -343,26 +317,59 @@ fn eval_candidate(
 /// the caller's own cells count the trials it runs.
 fn evaluate_candidates(
     sched: &Schedule,
-    candidates: Vec<Transformation>,
+    candidates: &[Transformation],
     cfg: &PspConfig,
     cur: Option<&Score>,
 ) -> Vec<Trial> {
     let caller = std::thread::current().id();
     let packed = psp_predicate::backend::is_packed();
-    candidates
-        .into_par_iter()
-        .with_threads(cfg.threads)
-        .map(|t| {
-            if std::thread::current().id() == caller {
-                return eval_candidate(sched, t, cfg, cur);
-            }
-            let before = psp_predicate::stats::snapshot();
-            let mut trial =
-                psp_predicate::backend::with_backend(packed, || eval_candidate(sched, t, cfg, cur));
-            trial.pred = psp_predicate::stats::snapshot().delta(&before);
-            trial
-        })
-        .collect()
+    ordered_map(candidates, cfg.threads, |t| {
+        if std::thread::current().id() == caller {
+            return eval_candidate(sched, t, cfg, cur);
+        }
+        let before = psp_predicate::stats::snapshot();
+        let mut trial =
+            psp_predicate::backend::with_backend(packed, || eval_candidate(sched, t, cfg, cur));
+        trial.pred = psp_predicate::stats::snapshot().delta(&before);
+        trial
+    })
+}
+
+/// Map `f` over `items`, returning the results in input order. Runs inline
+/// on the caller when the thread count (`0` = available parallelism) or the
+/// item count is at most one; otherwise `min(threads, items)` scoped
+/// workers pull indices from one shared cursor. A panic in `f` propagates
+/// to the caller.
+fn ordered_map<T: Sync, R: Send>(
+    items: &[T],
+    threads: usize,
+    f: impl Fn(&T) -> R + Sync,
+) -> Vec<R> {
+    let threads = match threads {
+        0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
+        n => n,
+    }
+    .min(items.len());
+    if threads <= 1 {
+        return items.iter().map(f).collect();
+    }
+    let cursor = AtomicUsize::new(0);
+    let worker = || {
+        let next = || {
+            let i = cursor.fetch_add(1, Ordering::Relaxed);
+            items.get(i).map(|item| (i, f(item)))
+        };
+        std::iter::from_fn(next).collect::<Vec<_>>()
+    };
+    let mut done: Vec<(usize, R)> = std::thread::scope(|s| {
+        let workers: Vec<_> = (0..threads).map(|_| s.spawn(worker)).collect();
+        workers
+            .into_iter()
+            .flat_map(|w| w.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+            .collect()
+    });
+    done.sort_unstable_by_key(|&(i, _)| i);
+    done.into_iter().map(|(_, r)| r).collect()
 }
 
 /// Pipeline a loop with the PSP technique.
@@ -416,7 +423,7 @@ pub fn pipeline_loop(spec: &LoopSpec, cfg: &PspConfig) -> Result<PspResult, Code
             stats.times.candidate_gen += t1.elapsed();
             stats.candidates += candidates.len();
 
-            let trials = evaluate_candidates(&sched, candidates, cfg, cur_score.as_ref());
+            let trials = evaluate_candidates(&sched, &candidates, cfg, cur_score.as_ref());
             let mut scored = Vec::with_capacity(trials.len());
             for trial in trials {
                 stats.times.absorb(&trial.times);
@@ -425,39 +432,27 @@ pub fn pipeline_loop(spec: &LoopSpec, cfg: &PspConfig) -> Result<PspResult, Code
                 scored.extend(trial.scored);
             }
 
-            // Deterministic reduction: first strict improvement in
-            // candidate order wins ties, exactly like the sequential scan.
-            // Every trial competes with its exact score, so the scan picks
-            // the same winner whether or not its code was generated yet.
-            // The winner's code is generated now if it was deferred; if
-            // that fails (a placement-level failure the walk cannot see),
-            // the trial is discarded exactly as the sequential scan would
-            // have discarded it, and the scan repeats without it.
+            // Deterministic reduction: every scored trial beats the current
+            // score, and the first best in candidate order wins ties, exactly
+            // like a sequential scan. Only the winner's code is generated.
+            // If that fails (a placement-level failure the walk cannot see),
+            // the trial is discarded and the scan repeats without it.
             let round_best = loop {
                 let mut best: Option<usize> = None;
                 for (i, c) in scored.iter().enumerate() {
-                    let improves_current = cur_score
-                        .as_ref()
-                        .is_none_or(|cur| c.score.better_than(cur));
-                    if improves_current
-                        && best.is_none_or(|b| c.score.better_than(&scored[b].score))
-                    {
+                    if best.is_none_or(|b| c.score.better_than(&scored[b].score)) {
                         best = Some(i);
                     }
                 }
                 let Some(i) = best else { break None };
                 // `remove`, not `swap_remove`: a rescan must see the other
                 // trials in candidate order.
-                let mut win = scored.remove(i);
-                let prog = match win.prog.take() {
-                    Some(prog) => prog,
-                    None => match codegen(&win.sched, cfg, &mut stats.times) {
-                        Ok(prog) => prog,
-                        Err(_) => continue,
-                    },
+                let win = scored.remove(i);
+                let Ok(prog) = codegen(&win.sched, cfg, &mut stats.times) else {
+                    continue;
                 };
-                // Deferred losers never ran the exponential codegen either.
-                stats.pruned += scored.iter().filter(|c| c.prog.is_none()).count();
+                // The losers never ran the exponential codegen either.
+                stats.pruned += scored.len();
                 break Some((win, prog));
             };
             match round_best {
@@ -590,6 +585,44 @@ mod tests {
     use super::*;
     use psp_kernels::{all_kernels, by_name, KernelData};
     use psp_sim::{check_equivalence, EquivConfig};
+
+    #[test]
+    fn ordered_map_keeps_input_order_over_uneven_work() {
+        let items: Vec<u64> = (0..257).collect();
+        let uneven = |&x: &u64| {
+            let mut acc = x;
+            for _ in 0..(x % 7) * 2_000 {
+                acc = acc.wrapping_mul(6364136223846793005).wrapping_add(1);
+            }
+            std::hint::black_box(acc);
+            x * x
+        };
+        for threads in [1, 2, 3, 8] {
+            let got = ordered_map(&items, threads, uneven);
+            assert_eq!(got, items.iter().map(|x| x * x).collect::<Vec<_>>());
+        }
+    }
+
+    #[test]
+    fn ordered_map_runs_empty_and_single_inputs_on_the_caller() {
+        let caller = std::thread::current().id();
+        let on_caller = |&x: &u8| (x + 1, std::thread::current().id() == caller);
+        assert!(ordered_map(&[], 8, on_caller).is_empty());
+        assert_eq!(ordered_map(&[7], 8, on_caller), [(8, true)]);
+        // Two items on two threads run on workers only.
+        let both = ordered_map(&[1, 2], 2, on_caller);
+        assert_eq!(both, [(2, false), (3, false)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "item 5 failed")]
+    fn ordered_map_propagates_a_panicking_item() {
+        let items: Vec<u32> = (0..16).collect();
+        ordered_map(&items, 3, |&x| {
+            assert_ne!(x, 5, "item 5 failed");
+            x
+        });
+    }
 
     #[test]
     fn vecmin_pipelines_to_ii_2() {

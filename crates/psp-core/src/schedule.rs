@@ -406,6 +406,58 @@ mod tests {
     }
 
     #[test]
+    fn row_fits_past_the_bitset_width() {
+        // Same-class rows of 128 members take the bitset clique search;
+        // 130 take the general fallback. Both must give the same answers.
+        let row = |formals: Vec<PredicateMatrix>| -> Vec<Instance> {
+            (0..)
+                .zip(formals)
+                .map(|(i, formal)| Instance {
+                    id: InstId(i),
+                    op: psp_ir::op::build::copy(psp_ir::Reg(9), 1i64),
+                    index: 0,
+                    formal,
+                    computes_if: None,
+                    origin: 0,
+                    late: 0,
+                })
+                .collect()
+        };
+        for n in [128, 130] {
+            let shapes = [
+                // Distinct outcomes of 8 IFs: pairwise disjoint, clique 1.
+                (
+                    "disjoint clones",
+                    (0..n)
+                        .map(|i| {
+                            PredicateMatrix::from_entries((0..8).map(|b| (b, 0, i >> b & 1 == 1)))
+                        })
+                        .collect(),
+                    true,
+                ),
+                ("all-universe", vec![PredicateMatrix::universe(); n], false),
+                // Two complementary halves: the clique is half the row.
+                (
+                    "complementary halves",
+                    (0..n)
+                        .map(|i| PredicateMatrix::single(0, 0, i < n / 2))
+                        .collect(),
+                    false,
+                ),
+            ];
+            for (label, formals, fits) in shapes {
+                let r = row(formals);
+                for m in [
+                    MachineConfig::paper_default(),
+                    MachineConfig::narrow(1, 1, 1),
+                ] {
+                    assert_eq!(row_fits(&r, None, &m), fits, "{label}, {n} members, {m:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
     fn render_matches_fig2_style() {
         let s = vecmin();
         let r = s.render();

@@ -37,7 +37,13 @@ fn packed_matches_sparse_on_all_kernels() {
     for kernel in all_kernels() {
         for (label, cfg) in [
             ("default", PspConfig::default()),
-            ("sequential", PspConfig::default().sequential()),
+            (
+                "one thread",
+                PspConfig {
+                    threads: 1,
+                    ..PspConfig::default()
+                },
+            ),
         ] {
             let packed = with_backend(true, || pipeline_loop(&kernel.spec, &cfg))
                 .unwrap_or_else(|e| panic!("{} (packed, {label}): {e}", kernel.name));
@@ -55,24 +61,21 @@ fn packed_matches_sparse_on_all_kernels() {
 
 #[test]
 fn sparse_run_stays_sparse_on_worker_threads() {
-    // Without pruning every trial generates its code on a worker, so the
-    // winning program's block matrices are built off the caller thread.
-    for enable_prune in [true, false] {
-        let cfg = PspConfig {
-            threads: 2,
-            enable_prune,
-            ..PspConfig::default()
-        };
-        for kernel in all_kernels() {
-            let res = with_backend(false, || pipeline_loop(&kernel.spec, &cfg))
-                .unwrap_or_else(|e| panic!("{}: {e}", kernel.name));
-            let formals = res.schedule.instances().map(|i| &i.formal);
-            let blocks = res.program.blocks.iter().map(|b| &b.matrix);
-            assert!(
-                !formals.chain(blocks).any(|m| m.is_word_packed()),
-                "{} (prune {enable_prune}): a worker built a packed matrix",
-                kernel.name
-            );
-        }
+    // Trial schedules, step winners included, are built on worker threads
+    // and must follow the caller's backend.
+    let cfg = PspConfig {
+        threads: 2,
+        ..PspConfig::default()
+    };
+    for kernel in all_kernels() {
+        let res = with_backend(false, || pipeline_loop(&kernel.spec, &cfg))
+            .unwrap_or_else(|e| panic!("{}: {e}", kernel.name));
+        let formals = res.schedule.instances().map(|i| &i.formal);
+        let blocks = res.program.blocks.iter().map(|b| &b.matrix);
+        assert!(
+            !formals.chain(blocks).any(|m| m.is_word_packed()),
+            "{}: a worker built a packed matrix",
+            kernel.name
+        );
     }
 }

@@ -1,8 +1,8 @@
-//! Determinism cross-checks for the parallel, pruned driver.
+//! Determinism cross-checks for the parallel driver.
 //!
-//! The candidate search evaluates trials concurrently and defers code
-//! generation, but its *results* must be bit-identical to the plain
-//! sequential scan: same transformation counts, same final II, same
+//! The candidate search evaluates trials concurrently, but its *results*
+//! must be bit-identical to a one-thread run: same transformation counts,
+//! same final II, same
 //! generated program text, for every kernel and every thread count. The
 //! run's predicate-op counts (`PspStats::pred`) must not depend on the
 //! thread count either, nor on other runs in the same process.
@@ -12,7 +12,7 @@ use psp_kernels::{all_kernels, by_name};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 /// The observable outcome of a run: everything that must not depend on
-/// thread count or pruning. (Timers are excluded by construction — see
+/// thread count. (Timers are excluded by construction — see
 /// `PspStats::counters`.)
 fn observe(res: &PspResult) -> (Vec<usize>, Option<(usize, usize)>, String, String) {
     (
@@ -25,33 +25,27 @@ fn observe(res: &PspResult) -> (Vec<usize>, Option<(usize, usize)>, String, Stri
 
 #[test]
 fn parallel_matches_sequential_on_all_kernels() {
+    let mk = |threads: usize| PspConfig {
+        threads,
+        ..PspConfig::default()
+    };
     for kernel in all_kernels() {
-        let seq = pipeline_loop(&kernel.spec, &PspConfig::default().sequential())
-            .unwrap_or_else(|e| panic!("{} (sequential): {e}", kernel.name));
-        // Pruning changes how much predicate work a run does, so the
-        // predicate counts are compared within each pruning setting.
-        for enable_prune in [true, false] {
-            let mk = |threads: usize| PspConfig {
-                threads,
-                enable_prune,
-                ..PspConfig::default()
-            };
-            let one = pipeline_loop(&kernel.spec, &mk(1)).unwrap();
-            for threads in [0, 2, 3] {
-                let par = pipeline_loop(&kernel.spec, &mk(threads))
-                    .unwrap_or_else(|e| panic!("{} (threads={threads}): {e}", kernel.name));
-                assert_eq!(
-                    observe(&seq),
-                    observe(&par),
-                    "{}: threads={threads} diverged from the sequential driver",
-                    kernel.name
-                );
-                assert_eq!(
-                    one.stats.pred, par.stats.pred,
-                    "{}: threads={threads} prune={enable_prune} counted other predicate work",
-                    kernel.name
-                );
-            }
+        let seq = pipeline_loop(&kernel.spec, &mk(1))
+            .unwrap_or_else(|e| panic!("{} (threads=1): {e}", kernel.name));
+        for threads in [0, 2, 3] {
+            let par = pipeline_loop(&kernel.spec, &mk(threads))
+                .unwrap_or_else(|e| panic!("{} (threads={threads}): {e}", kernel.name));
+            assert_eq!(
+                observe(&seq),
+                observe(&par),
+                "{}: threads={threads} diverged from the one-thread driver",
+                kernel.name
+            );
+            assert_eq!(
+                seq.stats.pred, par.stats.pred,
+                "{}: threads={threads} counted other predicate work",
+                kernel.name
+            );
         }
     }
 }

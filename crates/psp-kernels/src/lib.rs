@@ -11,5 +11,5 @@
 pub mod data;
 pub mod kernels;
 
-pub use data::KernelData;
+pub use data::{KernelData, SplitMix64};
 pub use kernels::{all_kernels, by_name, synthetic, Kernel};

@@ -24,7 +24,6 @@ use crate::state::{MachineState, SimError};
 use crate::vliw_run::{run_vliw, VliwRun};
 use psp_ir::{LoopSpec, RegRef};
 use psp_machine::VliwLoop;
-use rayon::prelude::*;
 use std::fmt;
 
 /// Mismatch found by [`check_equivalence`].
@@ -452,21 +451,30 @@ where
         }
         EngineKind::Decoded => {
             let threads = match cfg.threads {
-                0 => rayon::current_num_threads(),
+                0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
                 n => n,
             };
             let eng = EquivEngine::new(spec, prog);
             if threads <= 1 || inputs.len() <= 1 {
                 run_shard(eng, &inputs)?
             } else {
+                // One scoped thread per contiguous shard, joined in shard
+                // order, so the first failure reported is the first in
+                // trial order.
                 let chunk = inputs.len().div_ceil(threads);
-                let shards: Vec<Vec<(u64, usize)>> =
-                    inputs.chunks(chunk).map(|c| c.to_vec()).collect();
-                let results: Vec<Result<Vec<EquivRun>, BatchError>> = shards
-                    .into_par_iter()
-                    .with_threads(threads)
-                    .map(|shard| run_shard(eng.clone(), &shard))
-                    .collect();
+                let results: Vec<Result<Vec<EquivRun>, BatchError>> = std::thread::scope(|s| {
+                    let workers: Vec<_> = inputs
+                        .chunks(chunk)
+                        .map(|shard| {
+                            let eng = eng.clone();
+                            s.spawn(move || run_shard(eng, shard))
+                        })
+                        .collect();
+                    workers
+                        .into_iter()
+                        .map(|w| w.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+                        .collect()
+                });
                 let mut trials = Vec::with_capacity(inputs.len());
                 for r in results {
                     trials.extend(r?);

@@ -12,6 +12,7 @@
 use psp_ir::op::build;
 use psp_ir::{AluOp, ArrayId, CmpOp, LoopBuilder, LoopSpec, Operand, Reg};
 use psp_kernels::KernelData;
+pub use psp_kernels::SplitMix64;
 use psp_sim::MachineState;
 
 /// Register universe of a generated loop: R0=n, R1=k, R2=acc, R3..=scratch.
@@ -149,29 +150,6 @@ pub fn initial(spec: &LoopSpec, len: usize, seed: u64) -> MachineState {
 }
 
 // --- deterministic randomness ------------------------------------------
-
-/// SplitMix64: tiny, fast, and good enough for fuzz scheduling decisions.
-#[derive(Debug, Clone)]
-pub struct SplitMix64(pub u64);
-
-impl SplitMix64 {
-    /// Next raw 64-bit value.
-    pub fn next_u64(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-    /// Uniform value in `0..n` (n > 0).
-    pub fn below(&mut self, n: usize) -> usize {
-        (self.next_u64() % n as u64) as usize
-    }
-    /// A free byte.
-    pub fn byte(&mut self) -> u8 {
-        self.next_u64() as u8
-    }
-}
 
 fn random_leaf(rng: &mut SplitMix64) -> S {
     match rng.below(5) {

@@ -25,6 +25,7 @@ use std::time::Instant;
 use psp::baselines::{compile_local, compile_sequential, compile_unrolled, modulo_schedule};
 use psp::core::{pipeline_loop, PspConfig, PspResult};
 use psp::ir::{LoopSpec, RegRef};
+use psp::kernels::SplitMix64;
 use psp::machine::{to_dot, MachineConfig, VliwLoop};
 use psp::sim::{
     check_equivalence, run_reference, trace_vliw, BranchProfile, EngineKind, MachineState,
@@ -255,18 +256,8 @@ impl Args {
 /// Deterministic synthetic array contents (range chosen so comparisons
 /// against small `--set` thresholds are meaningful).
 fn synth_array(seed: u64, which: u64, len: usize) -> Vec<i64> {
-    // SplitMix64 — self-contained, stable across platforms.
-    let mut s = seed.wrapping_add(which.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-    (0..len)
-        .map(|_| {
-            s = s.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = s;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^= z >> 31;
-            (z % 201) as i64 - 100
-        })
-        .collect()
+    let mut rng = SplitMix64(seed.wrapping_add(which.wrapping_mul(0x9E37_79B9_7F4A_7C15)));
+    (0..len).map(|_| rng.below(201) as i64 - 100).collect()
 }
 
 /// Build the initial machine state for a compiled DSL kernel: arrays filled

@@ -360,3 +360,22 @@ fn set_controls_initial_registers() {
         assert!(text.contains(&format!("cnt = {expect}")), "t={t}:\n{text}");
     }
 }
+
+#[test]
+fn run_data_stream_is_pinned() {
+    // The synthetic array data behind `run` comes from one seeded
+    // SplitMix64 stream; reproducers replay against it, so it must never
+    // drift.
+    let f = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/repros/sample-conditional-store.psp"
+    );
+    let out = pspc(&["run", f, "--n", "5"]);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let text = String::from_utf8(out.stdout).unwrap();
+    assert!(text.lines().any(|l| l == "  acc = -93"), "{text}");
+}
