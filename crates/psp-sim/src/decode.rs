@@ -1,106 +1,58 @@
-//! Pre-decoded execution engine.
+//! Pre-decoded steady-state loops.
 //!
 //! The `step_cycle` interpreters re-match `Operation` enums and re-resolve
 //! registers, guards, and branch successors on every simulated cycle. This
-//! module lowers a program *once* into a flat, dense form — struct-of-arrays
-//! micro-ops with every register/cc/array index, guard, and branch target
-//! resolved to plain integers — and executes it with a tight dispatch loop
-//! over reusable scratch state, so a batch of equivalence trials pays for
-//! decoding once and allocates nothing per trial.
+//! module lowers a program *once* into packed micro-op streams, with every
+//! register/cc/array index, guard, and branch target resolved to plain
+//! integers, and runs the steady state of a run in one of three `unsafe`
+//! loops, each kept because it measurably pays on the benchmark workloads:
+//! `superloop` (single-block self-loops), `vliw_dispatchloop`
+//! (multi-block CFGs), and `ref_fusedloop` (a source iteration as one
+//! predicated stream). Their unchecked indexing pays too: a build with
+//! plain checked indexing in `exec_pop_g` and `ref_fusedloop` lost all 8
+//! alternating E12 `kernels` pairs on a 2-vCPU VM (median `jobs_per_s`
+//! 61.6 → 49.4, −20%; median `job_p50_ms` 15.7 → 20.0 ms, +27%). No other
+//! file may hold `unsafe` code (`tests/repo_hygiene.rs`).
 //!
-//! The engine has exactly two kinds of code. The *generic evaluator* is
-//! safe and handles every program, state, and budget: the two-phase
-//! [`step_decoded_cycle`] for VLIW code and the [`RefInstr`] loop over
-//! [`DecodedRef::exec_seq`] for the reference. On top of it sit three
-//! `unsafe` steady-state loops, each kept because it measurably pays on
-//! the benchmark workloads: [`superloop`] (single-block self-loops),
-//! [`vliw_dispatchloop`] (multi-block CFGs), and [`ref_fusedloop`] (a
-//! source iteration as one predicated stream). Their unchecked indexing
-//! pays too: a build with plain checked indexing in `exec_pop_g` and
-//! `ref_fusedloop` lost all 8 alternating E12 `kernels` pairs on a 2-vCPU
-//! VM (median `jobs_per_s` 61.6 → 49.4, −20%; median `job_p50_ms` 15.7 →
-//! 20.0 ms, +27%). No other file may hold `unsafe` code
-//! (`tests/repo_hygiene.rs`). Each fast loop runs only while the
-//! state meets the program's static demand and the remaining budget
-//! covers a whole step, and hands the rest of the run to the generic
-//! evaluator, which raises any error at the interpreter's exact cycle.
+//! Every other cycle runs on the interpreters, which continue the run on
+//! the same state with the carried counters (`reference::run_iterations`;
+//! `vliw_run::run_prologue`, `run_body` and `run_epilogue`): prologue and
+//! epilogue cycles, traced reference runs, states below the program's
+//! static demand, programs that fit no fast loop, and the budget tail
+//! after a fast loop stops. A fast loop runs only while the
+//! state meets the demand and the remaining budget covers a whole step (a
+//! source iteration or a VLIW block), so it stops at an iteration boundary
+//! or at the head of a non-empty block, where no condition-register
+//! snapshot is pending, and the handoff is exact. A VLIW loop that stops
+//! short always leaves the interpreter a block longer than the remaining
+//! budget, whose only `BREAK` sits in its last cycle, so that run ends in
+//! an error at the interpreter's exact cycle.
 //!
-//! The engine is **bit-identical** to the interpreters by construction:
-//! evaluation order, effect commit order, write-conflict detection, cycle
-//! budget placement, the pre-cycle condition-register snapshot for branch
-//! dispatch, and every `SimError` message are replicated exactly. That
-//! contract is enforced by the differential suites
+//! The three loops are **bit-identical** to the interpreters by
+//! construction: evaluation order, the order in which faulting stores
+//! report, cycle and iteration counting, and the pre-cycle
+//! condition-register snapshot for branch dispatch are replicated exactly.
+//! That contract is enforced by the differential suites
 //! (`tests/engine_differential.rs`, `tests/sim_edge_cases.rs`); the
-//! interpreter remains the trusted reference and the only engine the
+//! interpreters remain the only generic evaluator and the only engine the
 //! psp-verify validators use, mirroring the packed-vs-sparse predicate
 //! split.
 
-use crate::reference::RefRun;
-use crate::state::{MachineState, SimError};
-use crate::vliw_run::VliwRun;
-use psp_ir::{AluOp, CmpOp, Item, LoopSpec, OpKind, Operand, Operation};
+use crate::reference::{run_iterations, RefRun};
+use crate::state::{Effect, MachineState, SimError};
+use crate::vliw_run::{run_body, run_epilogue, run_prologue, VliwCounts, VliwRun};
+use psp_ir::{Item, LoopSpec, OpKind, Operand, Operation};
 use psp_machine::{VliwLoop, VliwTerm};
 use std::collections::BTreeMap;
 
-/// Micro-opcode: one fieldless-ish discriminant per operation shape.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum UOpc {
-    Alu(AluOp),
-    Copy,
-    Select,
-    Cmp(CmpOp),
-    CcAnd,
-    Load,
-    Store,
-    If,
-    Break,
-}
-
-/// `guard[i]` sentinel for unguarded micro-ops.
+/// `guard` sentinel for unguarded micro-ops.
 const NO_GUARD: u32 = u32::MAX;
-/// `flags[i]`: operand `a` is an immediate (else a register index).
+/// `flags`: operand `a` is an immediate (else a register index).
 const A_IMM: u8 = 1;
-/// `flags[i]`: operand `b` is an immediate.
+/// `flags`: operand `b` is an immediate.
 const B_IMM: u8 = 2;
-/// `flags[i]`: memory access has no index register.
+/// `flags`: memory access has no index register.
 const NO_INDEX: u8 = 4;
-
-/// Struct-of-arrays micro-op storage shared by both decoded forms.
-///
-/// Field use per opcode (unused fields are zero):
-///
-/// | opcode  | `dst`        | `a`            | `b`        | `aux`            |
-/// |---------|--------------|----------------|------------|------------------|
-/// | Alu/Cmp | dest reg/cc  | operand        | operand    | —                |
-/// | Copy    | dest reg     | operand        | —          | —                |
-/// | Select  | dest reg     | true operand   | false op.  | selecting cc     |
-/// | CcAnd   | dest cc      | cc `a`         | cc `b`     | required values  |
-/// | Load    | dest reg     | index reg      | disp       | array            |
-/// | Store   | index reg    | source operand | disp       | array            |
-/// | If      | tested cc    | —              | —          | `if_id`          |
-/// | Break   | tested cc    | —              | —          | —                |
-#[derive(Debug, Clone, Default)]
-struct UOps {
-    opc: Vec<UOpc>,
-    guard: Vec<u32>,
-    dst: Vec<u32>,
-    a: Vec<i64>,
-    b: Vec<i64>,
-    aux: Vec<u32>,
-    flags: Vec<u8>,
-}
-
-/// Pending effect of one evaluated micro-op (the decoded analogue of
-/// [`crate::state::Effect`]).
-#[derive(Debug, Clone, Copy)]
-enum PEff {
-    Gpr(u32, i64),
-    Cc(u32, bool),
-    Mem(u32, usize, i64),
-    Break,
-    If,
-    Squash,
-}
 
 /// A statically-known storage slot a micro-op reads or writes, for the
 /// decode-time hazard analysis behind cycle fusion. Memory is tracked at
@@ -113,9 +65,9 @@ enum Slot {
     Arr(u32),
 }
 
-/// Flat single-level opcodes of the packed fast path: ALU and compare
-/// sub-opcodes are pre-expanded so dispatch is one jump, not two. Values
-/// mirror the declaration order of [`AluOp`] and [`CmpOp`].
+/// Flat single-level opcodes: ALU and compare sub-opcodes are
+/// pre-expanded so dispatch is one jump, not two. Values mirror the
+/// declaration order of [`psp_ir::AluOp`] and [`psp_ir::CmpOp`].
 mod fop {
     pub const ADD: u8 = 0;
     pub const SUB: u8 = 1;
@@ -141,17 +93,28 @@ mod fop {
     pub const BREAK: u8 = 21;
     pub const IF: u8 = 22;
     /// Guarded variants live at `opc | GBASE`: guardedness is folded into
-    /// the opcode at pack time so the unguarded specialisation of
+    /// the opcode at decode time so the unguarded specialisation of
     /// [`super::exec_pop`] carries no guard load, no `take` computation
     /// and no write selects at all.
     pub const GBASE: u8 = 32;
 }
 
-/// One packed fast-path micro-op: a single 32-byte record per op (one
-/// cache line holds two), consumed by [`exec_pop`]. The struct-of-arrays
-/// [`UOps`] form remains the canonical decoded program (and drives the
-/// generic evaluator); `POp` streams are execution schedules derived from
-/// it at decode time for the three steady-state loops.
+/// One decoded micro-op: a single 32-byte record (one cache line holds
+/// two), read by the decode-time hazard and demand analyses and run by
+/// [`exec_pop`]. The three steady-state loops run streams of them.
+///
+/// Field use per opcode (unused fields are zero):
+///
+/// | opcode  | `dst`        | `a`            | `b`        | `aux`            |
+/// |---------|--------------|----------------|------------|------------------|
+/// | ALU/CMP | dest reg/cc  | operand        | operand    | —                |
+/// | COPY    | dest reg     | operand        | —          | —                |
+/// | SELECT  | dest reg     | true operand   | false op.  | selecting cc     |
+/// | CCAND   | dest cc      | cc `a`         | cc `b`     | required values  |
+/// | LOAD    | dest reg     | index reg      | disp       | array            |
+/// | STORE   | index reg    | source operand | disp       | array            |
+/// | IF      | tested cc    | —              | —          | —                |
+/// | BREAK   | tested cc    | —              | —          | —                |
 #[derive(Debug, Clone, Copy)]
 struct POp {
     opc: u8,
@@ -203,28 +166,28 @@ fn sel_bool(take: bool, v: bool, old: bool) -> bool {
 
 /// Evaluate one packed micro-op and apply its effect in place, returning
 /// whether a `BREAK` fired. The fused fast path: no pending-effect buffer,
-/// no conflict stamps, no bounds checks on register/cc/array access, and
-/// **branch-free predication** — pure ops compute unconditionally and the
-/// guard selects between the new value and the old slot contents (a
-/// squashed op rewrites the value already there, which is unobservable),
-/// stores select between the real element and a dummy stack slot. The
+/// no write-conflict checks, no bounds checks on register/cc/array
+/// access, and **branch-free predication** — pure ops compute
+/// unconditionally and the guard selects between the new value and the
+/// old slot contents (a squashed op rewrites the value already there,
+/// which is unobservable), stores select between the real element and a
+/// dummy stack slot. The
 /// state is passed as pre-split slices so the loops driving a packed
 /// stream keep the data pointers in registers instead of reloading them
 /// from `MachineState` on every op.
 ///
 /// # Safety
 /// The caller must have established that (a) the state meets the
-/// program's static demand ([`UOps::demand`]) — every register/cc/array
-/// index the op can touch is covered by [`UOps::read_slots`]/
-/// [`UOps::write_slot`], so all of them are in bounds and unconditional
-/// evaluation of a squashed op cannot fault — and (b) the op runs
-/// sequentially ([`ref_fusedloop`]) or inside a block stream built from
-/// [`UOps::fuse_order`]-scheduled cycles ([`superloop`],
+/// program's static [`Demand`] — every register/cc/array index the op can
+/// touch is covered by [`POp::read_slots`]/[`POp::write_slot`], so all of
+/// them are in bounds and unconditional evaluation of a squashed op
+/// cannot fault — and (b) the op runs sequentially ([`ref_fusedloop`]) or
+/// inside a block stream built from [`fuse_order`]-scheduled cycles ([`superloop`],
 /// [`vliw_dispatchloop`]), so immediate commits are unobservable within
 /// the cycle (a squashed op's old-value rewrite is a no-op on the slot's
 /// current contents either way). Out-of-bounds stores are the only
 /// reachable error, raised in the same order with the same message as
-/// [`UOps::eval`].
+/// [`MachineState::effect_of`].
 ///
 /// `inline(always)`: the only callers are those three steady-state loops;
 /// an outlined call returns `Result<bool, SimError>` through memory (the
@@ -426,11 +389,11 @@ unsafe fn exec_pop_g<const GD: bool>(
 /// The self-loop fast path of [`DecodedVliw::run`]: iterate a uniformly
 /// self-succeeding merged block as one fused stream until a BREAK fires
 /// or the next iteration could overrun the budget, returning whether it
-/// broke. The head/tail split and inter-stream cc snapshot of
-/// [`vliw_dispatchloop`] vanish here: `merged` eligibility keeps BREAKs
-/// out of the head (every other opcode returns `false`), and the snapshot
-/// only feeds terminator dispatch, which a uniform self-successor never
-/// reads.
+/// broke and adding the cycles and back edges it ran to `c`. The
+/// head/tail split and inter-stream cc snapshot of [`vliw_dispatchloop`]
+/// vanish here: `merged` eligibility keeps BREAKs out of the head (every
+/// other opcode returns `false`), and the snapshot only feeds terminator
+/// dispatch, which a uniform self-successor never reads.
 /// Outlined deliberately: the enclosing run loop keeps a dozen values
 /// live, and inlining this loop there makes the register allocator spill
 /// the stream cursors and state pointers on every micro-op — measured at
@@ -449,12 +412,11 @@ unsafe fn superloop(
     n: u64,
     back: u64,
     max_cycles: u64,
-    body_cycles: &mut u64,
-    iterations: &mut u64,
+    c: &mut VliwCounts,
 ) -> Result<bool, SimError> {
     let mut broke = false;
-    let mut cycles = *body_cycles;
-    let mut iters = *iterations;
+    let mut cycles = c.body_cycles;
+    let mut iters = c.iterations;
     while !broke && cycles.saturating_add(n) <= max_cycles {
         for p in body {
             // SAFETY: forwarded from the caller.
@@ -467,19 +429,19 @@ unsafe fn superloop(
     }
     // An error return skips the write-back: errors discard all state, so
     // only error identity matters.
-    *body_cycles = cycles;
-    *iterations = iters;
+    c.total_cycles += cycles - c.body_cycles;
+    c.body_cycles = cycles;
+    c.iterations = iters;
     Ok(broke)
 }
 
 /// Exit reason of [`vliw_dispatchloop`].
 enum DispatchExit {
-    /// A BREAK fired; the body is complete.
-    Broke,
-    /// An `Exit` terminator was dispatched; the body is complete.
-    Exited,
-    /// The next block could overrun the budget: resume the generic loop
-    /// at this block index for exact per-cycle accounting.
+    /// A BREAK fired or an `Exit` terminator was dispatched; the body is
+    /// complete.
+    Done,
+    /// The next block could overrun the budget: the interpreter continues
+    /// at the head of this block for exact per-cycle accounting.
     Bail(usize),
 }
 
@@ -488,9 +450,11 @@ enum DispatchExit {
 /// `dispatch_ok`), each block one straight-line stream, with the budget
 /// check hoisted to one comparison per block and no malformedness tests.
 /// This is where condition-carrying loops live — PSP lowers their
-/// conditions to data-dependent block succession, so the generic loop's
+/// conditions to data-dependent block succession, so the interpreter's
 /// per-cycle bookkeeping is pure overhead paid on every source iteration.
-/// Same outlining rationale as [`superloop`].
+/// Starts at the head of block `bi` with no snapshot pending and adds the
+/// cycles and back edges it runs to `c`. Same outlining rationale as
+/// [`superloop`].
 ///
 /// # Safety
 /// Same preconditions as [`exec_pop`]: the state meets the program's
@@ -507,19 +471,17 @@ unsafe fn vliw_dispatchloop(
     arrays: &mut [Vec<i64>],
     mut bi: usize,
     max_cycles: u64,
-    have_snap: &mut bool,
-    body_cycles: &mut u64,
-    iterations: &mut u64,
+    c: &mut VliwCounts,
 ) -> Result<DispatchExit, SimError> {
-    let mut cycles = *body_cycles;
-    let mut iters = *iterations;
-    let mut snapped = *have_snap;
+    let mut cycles = c.body_cycles;
+    let mut iters = c.iterations;
+    let mut snapped = false;
     let exit = loop {
         let block = &blocks[bi];
-        let n = block.cycles.len() as u64;
+        let n = block.n_cycles;
         if cycles.saturating_add(n) > max_cycles {
             // Only a non-empty block can land here (an empty one adds no
-            // cost), so the generic loop re-snapshots before reading.
+            // cost), so no snapshot is pending for the interpreter.
             break DispatchExit::Bail(bi);
         }
         if let Some((head_lo, tail_lo, tail_hi)) = block.merged {
@@ -538,7 +500,7 @@ unsafe fn vliw_dispatchloop(
             }
             cycles += n;
             if broke {
-                break DispatchExit::Broke;
+                break DispatchExit::Done;
             }
         }
         let succ = match block.term {
@@ -553,15 +515,15 @@ unsafe fn vliw_dispatchloop(
                 };
                 DSucc::sel(v, t, f)
             }
-            DTerm::Exit => break DispatchExit::Exited,
+            DTerm::Exit => break DispatchExit::Done,
         };
         iters += succ.back();
         bi = succ.tgt();
     };
     // An error return skips the write-back: errors discard all state.
-    *body_cycles = cycles;
-    *iterations = iters;
-    *have_snap = snapped;
+    c.total_cycles += cycles - c.body_cycles;
+    c.body_cycles = cycles;
+    c.iterations = iters;
     Ok(exit)
 }
 
@@ -571,9 +533,9 @@ unsafe fn vliw_dispatchloop(
 /// of path predicates. Every budget check is hoisted behind the program's
 /// [`DecodedRef::iter_cost_bound`]. Returns `true` when a `BREAK` fired
 /// (the run is complete) and `false` when the remaining budget no longer
-/// guarantees a checkless iteration — the caller's generic loop then
-/// finishes with exact per-instruction checks and raises any exhaustion
-/// error at the interpreter's exact cycle. Outlined for the same
+/// guarantees a checkless iteration — the interpreter then finishes from
+/// the carried counters with exact per-item checks and raises any
+/// exhaustion error at its exact cycle. Outlined for the same
 /// register-pressure reason as [`superloop`]. `ccs` is the scratch buffer
 /// described on [`FusedRef`], not the machine state's cc file.
 ///
@@ -628,33 +590,6 @@ unsafe fn ref_fusedloop(
     Ok(broke)
 }
 
-fn bad_reg(r: u32) -> SimError {
-    SimError::BadRegister(format!("R{r}"))
-}
-
-fn bad_cc(c: u32) -> SimError {
-    SimError::BadRegister(format!("CC{c}"))
-}
-
-#[inline]
-fn read_reg(st: &MachineState, r: u32) -> Result<i64, SimError> {
-    st.regs.get(r as usize).copied().ok_or_else(|| bad_reg(r))
-}
-
-#[inline]
-fn read_cc(st: &MachineState, c: u32) -> Result<bool, SimError> {
-    st.ccs.get(c as usize).copied().ok_or_else(|| bad_cc(c))
-}
-
-#[inline]
-fn read_operand(st: &MachineState, v: i64, imm: bool) -> Result<i64, SimError> {
-    if imm {
-        Ok(v)
-    } else {
-        read_reg(st, v as u32)
-    }
-}
-
 fn operand_parts(o: Operand) -> (i64, bool) {
     match o {
         Operand::Reg(r) => (r.0 as i64, false),
@@ -662,14 +597,9 @@ fn operand_parts(o: Operand) -> (i64, bool) {
     }
 }
 
-impl UOps {
-    fn len(&self) -> usize {
-        self.opc.len()
-    }
-
-    /// Lower one source operation; `if_id` is only meaningful for `If`
-    /// micro-ops in the reference form (VLIW code passes 0).
-    fn push_op(&mut self, op: &Operation, if_id: u32) -> u32 {
+impl POp {
+    /// Lower one source operation.
+    fn new(op: &Operation) -> POp {
         let guard = match op.guard {
             None => NO_GUARD,
             Some(g) => (g.cc.0 << 1) | g.on_true as u32,
@@ -679,11 +609,11 @@ impl UOps {
                 let (av, ai) = operand_parts(a);
                 let (bv, bi) = operand_parts(b);
                 let f = if ai { A_IMM } else { 0 } | if bi { B_IMM } else { 0 };
-                (UOpc::Alu(o), dst.0, av, bv, 0, f)
+                (fop::ADD + o as u8, dst.0, av, bv, 0, f)
             }
             OpKind::Copy { dst, src } => {
                 let (av, ai) = operand_parts(src);
-                (UOpc::Copy, dst.0, av, 0, 0, if ai { A_IMM } else { 0 })
+                (fop::COPY, dst.0, av, 0, 0, if ai { A_IMM } else { 0 })
             }
             OpKind::Select {
                 dst,
@@ -694,13 +624,13 @@ impl UOps {
                 let (av, ai) = operand_parts(on_true);
                 let (bv, bi) = operand_parts(on_false);
                 let f = if ai { A_IMM } else { 0 } | if bi { B_IMM } else { 0 };
-                (UOpc::Select, dst.0, av, bv, cc.0, f)
+                (fop::SELECT, dst.0, av, bv, cc.0, f)
             }
             OpKind::Cmp { op: o, dst, a, b } => {
                 let (av, ai) = operand_parts(a);
                 let (bv, bi) = operand_parts(b);
                 let f = if ai { A_IMM } else { 0 } | if bi { B_IMM } else { 0 };
-                (UOpc::Cmp(o), dst.0, av, bv, 0, f)
+                (fop::CMP_LT + o as u8, dst.0, av, bv, 0, f)
             }
             OpKind::CcAnd {
                 dst,
@@ -710,14 +640,14 @@ impl UOps {
                 b_val,
             } => {
                 let aux = a_val as u32 | (b_val as u32) << 1;
-                (UOpc::CcAnd, dst.0, a.0 as i64, b.0 as i64, aux, 0)
+                (fop::CCAND, dst.0, a.0 as i64, b.0 as i64, aux, 0)
             }
             OpKind::Load { dst, addr } => {
                 let (idx, f) = match addr.index {
                     Some(r) => (r.0 as i64, 0),
                     None => (0, NO_INDEX),
                 };
-                (UOpc::Load, dst.0, idx, addr.disp, addr.array.0, f)
+                (fop::LOAD, dst.0, idx, addr.disp, addr.array.0, f)
             }
             OpKind::Store { src, addr } => {
                 let (av, ai) = operand_parts(src);
@@ -726,473 +656,241 @@ impl UOps {
                     None => (0, NO_INDEX),
                 };
                 let f = f | if ai { A_IMM } else { 0 };
-                (UOpc::Store, idx, av, addr.disp, addr.array.0, f)
+                (fop::STORE, idx, av, addr.disp, addr.array.0, f)
             }
-            OpKind::If { cc } => (UOpc::If, cc.0, 0, 0, if_id, 0),
-            OpKind::Break { cc } => (UOpc::Break, cc.0, 0, 0, 0, 0),
+            OpKind::If { cc } => (fop::IF, cc.0, 0, 0, 0, 0),
+            OpKind::Break { cc } => (fop::BREAK, cc.0, 0, 0, 0, 0),
         };
-        self.opc.push(opc);
-        self.guard.push(guard);
-        self.dst.push(dst);
-        self.a.push(a);
-        self.b.push(b);
-        self.aux.push(aux);
-        self.flags.push(flags);
-        (self.len() - 1) as u32
-    }
-
-    /// Evaluate micro-op `i` against pre-cycle state. Mirrors
-    /// [`MachineState::effect_of`] exactly, including evaluation order and
-    /// error messages.
-    #[inline]
-    fn eval(&self, i: usize, st: &MachineState) -> Result<PEff, SimError> {
-        let g = self.guard[i];
-        if g != NO_GUARD && read_cc(st, g >> 1)? != (g & 1 != 0) {
-            return Ok(PEff::Squash);
+        let mut p = POp {
+            opc,
+            flags,
+            guard: NO_GUARD,
+            dst,
+            aux,
+            a,
+            b,
+        };
+        if guard != NO_GUARD {
+            p.set_guard(guard);
         }
-        let (a, b, dst, aux, flags) = (
-            self.a[i],
-            self.b[i],
-            self.dst[i],
-            self.aux[i],
-            self.flags[i],
-        );
-        Ok(match self.opc[i] {
-            UOpc::Alu(o) => {
-                let x = read_operand(st, a, flags & A_IMM != 0)?;
-                let y = read_operand(st, b, flags & B_IMM != 0)?;
-                PEff::Gpr(dst, o.eval(x, y))
-            }
-            UOpc::Copy => PEff::Gpr(dst, read_operand(st, a, flags & A_IMM != 0)?),
-            UOpc::Select => {
-                let v = if read_cc(st, aux)? {
-                    read_operand(st, a, flags & A_IMM != 0)?
-                } else {
-                    read_operand(st, b, flags & B_IMM != 0)?
-                };
-                PEff::Gpr(dst, v)
-            }
-            UOpc::Cmp(o) => {
-                let x = read_operand(st, a, flags & A_IMM != 0)?;
-                let y = read_operand(st, b, flags & B_IMM != 0)?;
-                PEff::Cc(dst, o.eval(x, y))
-            }
-            UOpc::CcAnd => {
-                // Mirror the interpreter's `&&`: the second condition
-                // register is only read when the first conjunct holds.
-                let v = if read_cc(st, a as u32)? == (aux & 1 != 0) {
-                    read_cc(st, b as u32)? == (aux & 2 != 0)
-                } else {
-                    false
-                };
-                PEff::Cc(dst, v)
-            }
-            UOpc::Load => {
-                let idx = if flags & NO_INDEX != 0 {
-                    0
-                } else {
-                    read_reg(st, a as u32)?
-                };
-                let elem = idx.wrapping_add(b);
-                let data = st
-                    .arrays
-                    .get(aux as usize)
-                    .ok_or_else(|| SimError::BadRegister(format!("array a{aux} not present")))?;
-                let v = if elem < 0 || elem as usize >= data.len() {
-                    0 // speculative loads never fault
-                } else {
-                    data[elem as usize]
-                };
-                PEff::Gpr(dst, v)
-            }
-            UOpc::Store => {
-                let idx = if flags & NO_INDEX != 0 {
-                    0
-                } else {
-                    read_reg(st, dst)?
-                };
-                let elem = idx.wrapping_add(b);
-                let len = st
-                    .arrays
-                    .get(aux as usize)
-                    .ok_or_else(|| SimError::BadStore(format!("array a{aux} not present")))?
-                    .len();
-                if elem < 0 || elem as usize >= len {
-                    return Err(SimError::BadStore(format!(
-                        "a{aux}[{elem}] out of bounds (len {len})"
-                    )));
-                }
-                PEff::Mem(aux, elem as usize, read_operand(st, a, flags & A_IMM != 0)?)
-            }
-            UOpc::If => {
-                read_cc(st, dst)?; // an unreadable cc must still fault
-                PEff::If
-            }
-            UOpc::Break => {
-                if read_cc(st, dst)? {
-                    PEff::Break
-                } else {
-                    PEff::Squash
-                }
-            }
-        })
+        p
     }
 
-    /// The slot micro-op `i` writes when it commits (`None` for pure
-    /// control ops). Guards are ignored: a squashed write is a subset of
-    /// the conservative answer.
-    fn write_slot(&self, i: usize) -> Option<Slot> {
-        match self.opc[i] {
-            UOpc::Alu(_) | UOpc::Copy | UOpc::Select | UOpc::Load => Some(Slot::Gpr(self.dst[i])),
-            UOpc::Cmp(_) | UOpc::CcAnd => Some(Slot::Cc(self.dst[i])),
-            UOpc::Store => Some(Slot::Arr(self.aux[i])),
-            UOpc::If | UOpc::Break => None,
+    /// Guard the op on packed `(cc << 1) | on_true`.
+    fn set_guard(&mut self, guard: u32) {
+        self.guard = guard;
+        self.opc |= fop::GBASE;
+    }
+
+    /// The opcode with guardedness stripped.
+    fn base(&self) -> u8 {
+        self.opc & !fop::GBASE
+    }
+
+    /// The slot the op writes when it commits (`None` for pure control
+    /// ops). Guards are ignored: a squashed write is a subset of the
+    /// conservative answer.
+    fn write_slot(&self) -> Option<Slot> {
+        match self.base() {
+            fop::ADD..=fop::SHR | fop::COPY | fop::SELECT | fop::LOAD => Some(Slot::Gpr(self.dst)),
+            fop::CMP_LT..=fop::CMP_NE | fop::CCAND => Some(Slot::Cc(self.dst)),
+            fop::STORE => Some(Slot::Arr(self.aux)),
+            _ => None,
         }
     }
 
-    /// Every slot micro-op `i` may read: guard cc, register/cc operands,
-    /// index registers, loaded arrays. Conservative — `Select` counts both
+    /// Every slot the op may read: guard cc, register/cc operands, index
+    /// registers, loaded arrays. Conservative — `SELECT` counts both
     /// operands even though only the taken one is read at runtime.
-    fn read_slots(&self, i: usize) -> Vec<Slot> {
+    fn read_slots(&self) -> Vec<Slot> {
         let mut r = Vec::new();
-        let g = self.guard[i];
-        if g != NO_GUARD {
-            r.push(Slot::Cc(g >> 1));
+        if self.guard != NO_GUARD {
+            r.push(Slot::Cc(self.guard >> 1));
         }
-        let flags = self.flags[i];
-        let reg_ops = |r: &mut Vec<Slot>| {
-            if flags & A_IMM == 0 {
-                r.push(Slot::Gpr(self.a[i] as u32));
+        let a_reg = (self.flags & A_IMM == 0).then_some(Slot::Gpr(self.a as u32));
+        let b_reg = (self.flags & B_IMM == 0).then_some(Slot::Gpr(self.b as u32));
+        let indexed = self.flags & NO_INDEX == 0;
+        match self.base() {
+            fop::ADD..=fop::CMP_NE => r.extend(a_reg.into_iter().chain(b_reg)),
+            fop::COPY => r.extend(a_reg),
+            fop::SELECT => {
+                r.push(Slot::Cc(self.aux));
+                r.extend(a_reg.into_iter().chain(b_reg));
             }
-            if flags & B_IMM == 0 {
-                r.push(Slot::Gpr(self.b[i] as u32));
+            fop::CCAND => r.extend([Slot::Cc(self.a as u32), Slot::Cc(self.b as u32)]),
+            fop::LOAD => {
+                r.extend(indexed.then_some(Slot::Gpr(self.a as u32)));
+                r.push(Slot::Arr(self.aux));
             }
-        };
-        match self.opc[i] {
-            UOpc::Alu(_) | UOpc::Cmp(_) => reg_ops(&mut r),
-            UOpc::Copy => {
-                if flags & A_IMM == 0 {
-                    r.push(Slot::Gpr(self.a[i] as u32));
-                }
+            fop::STORE => {
+                r.extend(indexed.then_some(Slot::Gpr(self.dst)));
+                r.extend(a_reg);
             }
-            UOpc::Select => {
-                r.push(Slot::Cc(self.aux[i]));
-                reg_ops(&mut r);
-            }
-            UOpc::CcAnd => {
-                r.push(Slot::Cc(self.a[i] as u32));
-                r.push(Slot::Cc(self.b[i] as u32));
-            }
-            UOpc::Load => {
-                if flags & NO_INDEX == 0 {
-                    r.push(Slot::Gpr(self.a[i] as u32));
-                }
-                r.push(Slot::Arr(self.aux[i]));
-            }
-            UOpc::Store => {
-                if flags & NO_INDEX == 0 {
-                    r.push(Slot::Gpr(self.dst[i]));
-                }
-                if flags & A_IMM == 0 {
-                    r.push(Slot::Gpr(self.a[i] as u32));
-                }
-            }
-            UOpc::If | UOpc::Break => r.push(Slot::Cc(self.dst[i])),
+            _ => r.push(Slot::Cc(self.dst)),
         }
         r
     }
 
-    /// Whether micro-ops `i` and `j` are guarded on opposite senses of the
+    /// Whether this op and `other` are guarded on opposite senses of the
     /// same condition register, so at most one of them ever executes in a
     /// given cycle — unless the write under consideration targets that
     /// very cc, in which case a fused commit could flip the other op's
     /// guard mid-cycle and the exclusion no longer holds.
-    fn guards_disjoint_for(&self, i: usize, j: usize, w: Slot) -> bool {
-        let (gi, gj) = (self.guard[i], self.guard[j]);
+    fn guards_disjoint_for(&self, other: &POp, w: Slot) -> bool {
+        let (gi, gj) = (self.guard, other.guard);
         gi != NO_GUARD
             && gj != NO_GUARD
             && gi >> 1 == gj >> 1
             && gi & 1 != gj & 1
             && w != Slot::Cc(gi >> 1)
     }
+}
 
-    /// Try to order the parallel cycle `ops[lo..hi]` so it can run as one
-    /// fused eval-and-commit pass with pre-cycle read semantics intact.
-    ///
-    /// Every pair where one op writes a slot another reads gets a
-    /// *reader-runs-first* constraint (a fused commit must not leak into a
-    /// same-cycle read), pairs writing the same slot cannot fuse at all
-    /// (the fused pass performs no write-conflict detection), and pairs
-    /// with statically disjoint guards are exempt from both — at runtime
-    /// one of them is always squashed. Stores additionally keep their
-    /// original relative order so a batch of faulting stores reports the
-    /// same first error as the two-phase engine (under the run-time
-    /// `fast` precondition, stores are the only ops that can fault).
-    ///
-    /// Returns the op execution order, or `None` when the constraints are
-    /// cyclic (software-pipelined kernels in this repo never are, but the
-    /// fuzzer's adversarial programs can be).
-    fn fuse_order(&self, lo: u32, hi: u32) -> Option<Vec<u32>> {
-        let n = (hi - lo) as usize;
-        if n > 64 {
-            return None;
-        }
-        // pred[j]: bitmask of cycle-local ops that must run before op j.
-        let mut pred = vec![0u64; n];
-        for (i, pi) in pred.iter_mut().enumerate() {
-            let oi = lo as usize + i;
-            let Some(w) = self.write_slot(oi) else {
+/// Try to order the parallel cycle `ops` so it can run as one fused
+/// eval-and-commit pass with pre-cycle read semantics intact.
+///
+/// Every pair where one op writes a slot another reads gets a
+/// *reader-runs-first* constraint (a fused commit must not leak into a
+/// same-cycle read), pairs writing the same slot cannot fuse at all (the
+/// fused pass performs no write-conflict detection), and pairs with
+/// statically disjoint guards are exempt from both — at runtime one of
+/// them is always squashed. Stores additionally keep their original
+/// relative order so a batch of faulting stores reports the same first
+/// error as the interpreter's evaluate-then-commit cycle (on a state that
+/// meets the demand, stores are the only ops that can fault).
+///
+/// Returns the op execution order, or `None` when the constraints are
+/// cyclic (software-pipelined kernels in this repo never are, but the
+/// fuzzer's adversarial programs can be).
+fn fuse_order(ops: &[POp]) -> Option<Vec<usize>> {
+    let n = ops.len();
+    if n > 64 {
+        return None;
+    }
+    // pred[j]: bitmask of cycle-local ops that must run before op j.
+    let mut pred = vec![0u64; n];
+    for (i, pi) in pred.iter_mut().enumerate() {
+        let Some(w) = ops[i].write_slot() else {
+            continue;
+        };
+        for (j, oj) in ops.iter().enumerate() {
+            if j == i || ops[i].guards_disjoint_for(oj, w) {
                 continue;
+            }
+            if oj.write_slot() == Some(w) {
+                return None;
+            }
+            if oj.read_slots().contains(&w) {
+                *pi |= 1 << j;
+            }
+        }
+    }
+    let mut last_store: Option<usize> = None;
+    for (i, pi) in pred.iter_mut().enumerate() {
+        if ops[i].base() == fop::STORE {
+            if let Some(p) = last_store {
+                *pi |= 1 << p;
+            }
+            last_store = Some(i);
+        }
+    }
+    // Kahn's algorithm by repeated in-order sweeps: hazard-free cycles
+    // come out in identity order.
+    let mut order = Vec::with_capacity(n);
+    let mut placed = 0u64;
+    while order.len() < n {
+        let before = order.len();
+        for (i, &p) in pred.iter().enumerate() {
+            if placed & (1 << i) == 0 && p & !placed == 0 {
+                placed |= 1 << i;
+                order.push(i);
+            }
+        }
+        if order.len() == before {
+            return None; // cyclic constraints
+        }
+    }
+    Some(order)
+}
+
+/// Append one VLIW block's cycles to `pexec` as a single straight-line
+/// stream, each cycle in its [`fuse_order`] with `IF` no-ops dropped, and
+/// return `(head_lo, tail_lo, tail_hi)`: the last cycle starts at
+/// `tail_lo`, so the caller can snapshot terminator ccs between head and
+/// tail. `None` — nothing appended — when the block is empty, a cycle has
+/// no hazard-free order, or a BREAK precedes the last cycle (a BREAK exits
+/// after its own cycle).
+fn merge_block(cycles: &[Vec<POp>], pexec: &mut Vec<POp>) -> Option<(u32, u32, u32)> {
+    let (_, head) = cycles.split_last()?;
+    if head.iter().flatten().any(|p| p.base() == fop::BREAK) {
+        return None;
+    }
+    let orders: Vec<Vec<usize>> = cycles
+        .iter()
+        .map(|c| fuse_order(c))
+        .collect::<Option<_>>()?;
+    let head_lo = pexec.len() as u32;
+    let mut tail_lo = head_lo;
+    for (i, (cycle, order)) in cycles.iter().zip(&orders).enumerate() {
+        if i == head.len() {
+            tail_lo = pexec.len() as u32;
+        }
+        pexec.extend(
+            order
+                .iter()
+                .map(|&k| cycle[k])
+                .filter(|p| p.base() != fop::IF),
+        );
+    }
+    Some((head_lo, tail_lo, pexec.len() as u32))
+}
+
+/// Smallest register/cc/array file sizes under which every static index
+/// of a program's micro-ops is in bounds. A run whose state meets this
+/// demand can never raise a `BadRegister` error (and loads can never
+/// fault), which licenses the unchecked indexing in [`exec_pop`] and the
+/// store-only fault ordering of [`fuse_order`]; a fast loop runs only
+/// then.
+#[derive(Debug, Clone, Copy, Default)]
+struct Demand {
+    regs: u32,
+    ccs: u32,
+    arrays: u32,
+}
+
+impl Demand {
+    /// Raise the demand to cover every slot `p` touches. Saturating: an
+    /// index of `u32::MAX` demands a file no state has, where a wrapped
+    /// `+ 1` would demand nothing and let the fast loops index past it.
+    fn add(&mut self, p: &POp) {
+        for s in p.write_slot().into_iter().chain(p.read_slots()) {
+            let (need, i) = match s {
+                Slot::Gpr(r) => (&mut self.regs, r),
+                Slot::Cc(c) => (&mut self.ccs, c),
+                Slot::Arr(a) => (&mut self.arrays, a),
             };
-            for j in 0..n {
-                if j == i {
-                    continue;
-                }
-                let oj = lo as usize + j;
-                if self.guards_disjoint_for(oi, oj, w) {
-                    continue;
-                }
-                if self.write_slot(oj) == Some(w) {
-                    return None;
-                }
-                if self.read_slots(oj).contains(&w) {
-                    *pi |= 1 << j;
-                }
-            }
-        }
-        let mut last_store: Option<usize> = None;
-        for (i, pi) in pred.iter_mut().enumerate() {
-            if self.opc[lo as usize + i] == UOpc::Store {
-                if let Some(p) = last_store {
-                    *pi |= 1 << p;
-                }
-                last_store = Some(i);
-            }
-        }
-        // Kahn's algorithm by repeated in-order sweeps: hazard-free cycles
-        // come out in identity order.
-        let mut order = Vec::with_capacity(n);
-        let mut placed = 0u64;
-        while order.len() < n {
-            let before = order.len();
-            for (i, &p) in pred.iter().enumerate() {
-                if placed & (1 << i) == 0 && p & !placed == 0 {
-                    placed |= 1 << i;
-                    order.push(lo + i as u32);
-                }
-            }
-            if order.len() == before {
-                return None; // cyclic constraints
-            }
-        }
-        Some(order)
-    }
-
-    /// Smallest register/cc/array file sizes under which every static
-    /// index in the program is in bounds. A run whose state meets this
-    /// demand can never raise a `BadRegister` error (and loads can never
-    /// fault), which licenses the unchecked indexing in [`exec_pop`] and
-    /// the store-only fault ordering of [`Self::fuse_order`].
-    fn demand(&self) -> (u32, u32, u32) {
-        let (mut regs, mut ccs, mut arrs) = (0u32, 0u32, 0u32);
-        let mut need = |s: Slot| match s {
-            Slot::Gpr(r) => regs = regs.max(r + 1),
-            Slot::Cc(c) => ccs = ccs.max(c + 1),
-            Slot::Arr(a) => arrs = arrs.max(a + 1),
-        };
-        for i in 0..self.len() {
-            if let Some(w) = self.write_slot(i) {
-                need(w);
-            }
-            for s in self.read_slots(i) {
-                need(s);
-            }
-        }
-        (regs, ccs, arrs)
-    }
-
-    /// Pack micro-op `i` into its flat fast-path record.
-    fn pack(&self, i: usize) -> POp {
-        let opc = match self.opc[i] {
-            UOpc::Alu(o) => fop::ADD + o as u8,
-            UOpc::Cmp(o) => fop::CMP_LT + o as u8,
-            UOpc::Copy => fop::COPY,
-            UOpc::Select => fop::SELECT,
-            UOpc::CcAnd => fop::CCAND,
-            UOpc::Load => fop::LOAD,
-            UOpc::Store => fop::STORE,
-            UOpc::Break => fop::BREAK,
-            UOpc::If => fop::IF,
-        };
-        let opc = opc
-            | if self.guard[i] != NO_GUARD {
-                fop::GBASE
-            } else {
-                0
-            };
-        POp {
-            opc,
-            flags: self.flags[i],
-            guard: self.guard[i],
-            dst: self.dst[i],
-            aux: self.aux[i],
-            a: self.a[i],
-            b: self.b[i],
+            *need = (*need).max(i.saturating_add(1));
         }
     }
 
-    /// Append one VLIW block's cycles to `pexec` as a single straight-line
-    /// stream, each cycle in its [`Self::fuse_order`] with `IF` no-ops
-    /// dropped, and return `(head_lo, tail_lo, tail_hi)`: the last cycle
-    /// starts at `tail_lo`, so the caller can snapshot terminator ccs
-    /// between head and tail. `None` — nothing appended — when the block
-    /// is empty, a cycle has no hazard-free order, or a BREAK precedes the
-    /// last cycle (a BREAK exits after its own cycle).
-    fn merge_block(&self, cycles: &[Cyc], pexec: &mut Vec<POp>) -> Option<(u32, u32, u32)> {
-        let (_, head) = cycles.split_last()?;
-        if head
-            .iter()
-            .any(|c| (c.lo..c.hi).any(|k| self.opc[k as usize] == UOpc::Break))
-        {
-            return None;
-        }
-        let orders: Vec<Vec<u32>> = cycles
-            .iter()
-            .map(|c| self.fuse_order(c.lo, c.hi))
-            .collect::<Option<_>>()?;
-        let head_lo = pexec.len() as u32;
-        let mut tail_lo = head_lo;
-        for (i, order) in orders.iter().enumerate() {
-            if i == head.len() {
-                tail_lo = pexec.len() as u32;
-            }
-            pexec.extend(
-                order
-                    .iter()
-                    .filter(|&&k| self.opc[k as usize] != UOpc::If)
-                    .map(|&k| self.pack(k as usize)),
-            );
-        }
-        Some((head_lo, tail_lo, pexec.len() as u32))
+    fn met_by(&self, st: &MachineState) -> bool {
+        self.regs as usize <= st.regs.len()
+            && self.ccs as usize <= st.ccs.len()
+            && self.arrays as usize <= st.arrays.len()
     }
 }
 
-/// Reusable per-thread execution scratch: the pending-effect buffer,
-/// generation-stamped write-conflict maps (replacing the interpreter's
-/// per-cycle `Vec::contains` scans), the branch-dispatch cc snapshot, and
-/// the per-iteration IF-outcome buffer. One `Scratch` serves any number of
-/// runs of any number of programs.
+/// Reusable per-thread execution scratch: the interpreters' effect buffer,
+/// the dispatch loop's condition-register snapshot, and the fused
+/// reference loop's cc buffer. One `Scratch` serves any number of runs of
+/// any number of programs.
 #[derive(Debug, Clone, Default)]
 pub struct Scratch {
-    eff: Vec<PEff>,
-    gen: u64,
-    gpr_gen: Vec<u64>,
-    cc_gen: Vec<u64>,
-    mem_gen: Vec<Vec<u64>>,
+    effects: Vec<Effect>,
     snap: Vec<bool>,
-    outcomes: Vec<(u32, bool)>,
     /// Scratch cc buffer for [`FusedRef`] runs (real ccs plus synthetic
     /// path predicates).
     fccs: Vec<bool>,
-}
-
-impl Scratch {
-    /// Size the conflict maps for a run over `st`. Stamps are compared
-    /// against a monotonically increasing generation, so stale entries from
-    /// earlier runs never alias (the counter starts at 1).
-    fn prepare(&mut self, st: &MachineState) {
-        if self.gpr_gen.len() < st.regs.len() {
-            self.gpr_gen.resize(st.regs.len(), 0);
-        }
-        if self.cc_gen.len() < st.ccs.len() {
-            self.cc_gen.resize(st.ccs.len(), 0);
-        }
-        if self.mem_gen.len() < st.arrays.len() {
-            self.mem_gen.resize_with(st.arrays.len(), Vec::new);
-        }
-        for (g, a) in self.mem_gen.iter_mut().zip(st.arrays.iter()) {
-            if g.len() < a.len() {
-                g.resize(a.len(), 0);
-            }
-        }
-        // The fast path writes targeted snapshot entries by index.
-        if self.snap.len() < st.ccs.len() {
-            self.snap.resize(st.ccs.len(), false);
-        }
-    }
-}
-
-/// One decoded VLIW cycle: the micro-op range `lo..hi` of [`UOps`].
-#[derive(Debug, Clone, Copy)]
-struct Cyc {
-    lo: u32,
-    hi: u32,
-}
-
-/// Execute one parallel cycle (`ops[c.lo..c.hi]`): evaluate everything
-/// against pre-cycle state, then commit in op order with same-cycle
-/// conflict detection. Returns whether a `BREAK` fired. Mirrors
-/// [`MachineState::step_cycle`] + [`MachineState::commit`]; the generic
-/// VLIW evaluator, safe for any program and state.
-fn step_decoded_cycle(
-    ops: &UOps,
-    c: Cyc,
-    st: &mut MachineState,
-    scr: &mut Scratch,
-) -> Result<bool, SimError> {
-    scr.eff.clear();
-    for i in c.lo..c.hi {
-        match ops.eval(i as usize, st)? {
-            PEff::Squash => {}
-            e => scr.eff.push(e),
-        }
-    }
-    scr.gen += 1;
-    let gen = scr.gen;
-    let Scratch {
-        eff,
-        gpr_gen,
-        cc_gen,
-        mem_gen,
-        ..
-    } = scr;
-    let mut broke = false;
-    for e in eff.iter() {
-        match *e {
-            PEff::Gpr(r, v) => {
-                if let Some(g) = gpr_gen.get_mut(r as usize) {
-                    if *g == gen {
-                        return Err(SimError::WriteConflict(format!("R{r}")));
-                    }
-                    *g = gen;
-                }
-                let slot = st.regs.get_mut(r as usize).ok_or_else(|| bad_reg(r))?;
-                *slot = v;
-            }
-            PEff::Cc(c, v) => {
-                if let Some(g) = cc_gen.get_mut(c as usize) {
-                    if *g == gen {
-                        return Err(SimError::WriteConflict(format!("CC{c}")));
-                    }
-                    *g = gen;
-                }
-                let slot = st.ccs.get_mut(c as usize).ok_or_else(|| bad_cc(c))?;
-                *slot = v;
-            }
-            PEff::Mem(arr, elem, v) => {
-                // Bounds were established at evaluation time.
-                let g = &mut mem_gen[arr as usize][elem];
-                if *g == gen {
-                    return Err(SimError::WriteConflict(format!("a{arr}[{elem}]")));
-                }
-                *g = gen;
-                st.arrays[arr as usize][elem] = v;
-            }
-            PEff::Break => broke = true,
-            PEff::If | PEff::Squash => {}
-        }
-    }
-    Ok(broke)
 }
 
 /// Cycle/iteration counters of a decoded reference run.
@@ -1202,25 +900,6 @@ pub struct RefCounts {
     pub iterations: u64,
     /// Total sequential cycles.
     pub cycles: u64,
-}
-
-/// One flat instruction of the decoded reference program. Structured
-/// control flow is compiled to `else_pc`/`Goto` offsets; `Goto` is a free
-/// control transfer (structure navigation never cost cycles in the
-/// interpreter either).
-#[derive(Debug, Clone, Copy)]
-enum RefInstr {
-    /// Execute micro-ops `lo..hi` back to back; costs `hi - lo` cycles.
-    /// Consecutive straight-line ops merge into one run so the hot loop
-    /// pays one dispatch and one budget comparison per basic block.
-    Run { lo: u32, hi: u32 },
-    /// Test `cc`; fall through when true, jump to `else_pc` when false.
-    /// Costs one cycle and records the outcome under `if_id`.
-    If { cc: u32, if_id: u32, else_pc: u32 },
-    /// Exit the iteration when `cc` is true; costs one cycle.
-    Break { cc: u32 },
-    /// Unconditional transfer; free.
-    Goto(u32),
 }
 
 /// One conditional cycle-count correction for [`FusedRef`]: after the pop
@@ -1293,7 +972,7 @@ fn cc_writes_mask(items: &[Item]) -> Option<u64> {
 /// Builder for [`FusedRef`]: one recursive walk over the item tree,
 /// emitting guarded pops and accumulating the cost/exit algebra.
 struct FusedBuilder {
-    ops: UOps,
+    ops: Vec<POp>,
     base_cost: u64,
     terms: Vec<CostTerm>,
     breaks: Vec<u32>,
@@ -1307,14 +986,15 @@ impl FusedBuilder {
     fn synth(&mut self, a: (u32, bool), b: (u32, bool)) -> (u32, bool) {
         let dst = self.next_cc;
         self.next_cc += 1;
-        let o = &mut self.ops;
-        o.opc.push(UOpc::CcAnd);
-        o.guard.push(NO_GUARD);
-        o.dst.push(dst);
-        o.a.push(a.0 as i64);
-        o.b.push(b.0 as i64);
-        o.aux.push(a.1 as u32 | (b.1 as u32) << 1);
-        o.flags.push(0);
+        self.ops.push(POp {
+            opc: fop::CCAND,
+            flags: 0,
+            guard: NO_GUARD,
+            dst,
+            aux: a.1 as u32 | (b.1 as u32) << 1,
+            a: a.0 as i64,
+            b: b.0 as i64,
+        });
         (dst, true)
     }
 
@@ -1383,10 +1063,11 @@ impl FusedBuilder {
                     if cur.is_some() && op.guard.is_some() {
                         return None;
                     }
-                    let i = self.ops.push_op(op, 0);
+                    let mut p = POp::new(op);
                     if let Some((cc, pol)) = cur {
-                        self.ops.guard[i as usize] = (cc << 1) | pol as u32;
+                        p.set_guard((cc << 1) | pol as u32);
                     }
+                    self.ops.push(p);
                     self.cost(cur, 1);
                 }
                 Item::If(f) => {
@@ -1444,43 +1125,37 @@ impl FusedRef {
     /// program's cc demand — synthetic predicates are allocated above it.
     fn build(spec: &LoopSpec, real_cc_demand: u32) -> Option<FusedRef> {
         let mut b = FusedBuilder {
-            ops: UOps::default(),
+            ops: Vec::new(),
             base_cost: 0,
             terms: Vec::new(),
             breaks: Vec::new(),
             next_cc: real_cc_demand,
         };
         b.emit(&spec.items, None, 0, true)?;
-        let pops = (0..b.ops.len()).map(|i| b.ops.pack(i)).collect();
-        let (_, cc_demand, _) = b.ops.demand();
+        let mut demand = Demand::default();
+        b.ops.iter().for_each(|p| demand.add(p));
         Some(FusedRef {
-            pops,
+            pops: b.ops,
             base_cost: b.base_cost,
             terms: b.terms.into_boxed_slice(),
             breaks: b.breaks.into_boxed_slice(),
-            // Break/term ccs are either real (≤ real demand: the decoded
-            // code's cc fold covers every tested cc) or synthetic (< next_cc).
-            cc_len: cc_demand.max(b.next_cc).max(real_cc_demand),
+            // Break/term ccs are either real (< real demand, which covers
+            // every tested cc) or synthetic (< next_cc).
+            cc_len: demand.ccs.max(b.next_cc).max(real_cc_demand),
         })
     }
 }
 
-/// A [`LoopSpec`] lowered to a flat sequential program.
+/// A [`LoopSpec`] decoded for the fused reference loop.
 #[derive(Debug, Clone)]
 pub struct DecodedRef {
-    code: Vec<RefInstr>,
-    ops: UOps,
-    n_regs: u32,
-    n_ccs: u32,
-    /// Static register/cc/array demand ([`UOps::demand`] plus tested
-    /// ccs); [`ref_fusedloop`] runs only when the grown state meets it
-    /// (arrays included: the branch-free [`exec_pop`] evaluates squashed
-    /// loads/stores unconditionally, which must not fault on a missing
-    /// array).
-    reg_demand: u32,
-    cc_demand: u32,
-    arr_demand: u32,
-    /// Worst-case costed cycles of one source iteration (every instruction
+    spec: LoopSpec,
+    /// Static demand of the body, tested ccs included; [`ref_fusedloop`]
+    /// runs only when the grown state meets it (arrays included: the
+    /// branch-free [`exec_pop`] evaluates squashed loads/stores
+    /// unconditionally, which must not fault on a missing array).
+    demand: Demand,
+    /// Worst-case costed cycles of one source iteration (every item
     /// executed). While at least this much budget remains, an iteration
     /// cannot trip any budget check, so the fused loop hoists them all.
     iter_cost_bound: u64,
@@ -1489,118 +1164,44 @@ pub struct DecodedRef {
 }
 
 impl DecodedRef {
-    /// Lower a spec. Decoding never fails; anything the interpreter would
+    /// Decode a spec. Decoding never fails; anything the interpreter would
     /// reject at runtime is rejected identically at decoded runtime.
     pub fn decode(spec: &LoopSpec) -> Self {
-        let mut d = DecodedRef {
-            code: Vec::new(),
-            ops: UOps::default(),
-            n_regs: spec.n_regs,
-            n_ccs: spec.n_ccs,
-            reg_demand: 0,
-            cc_demand: 0,
-            arr_demand: 0,
-            iter_cost_bound: 0,
-            fused: None,
-        };
-        d.lower_items(&spec.items);
-        let (reg_demand, cc_demand, arr_demand) = d.ops.demand();
-        // `If`/`Break` items read ccs outside the micro-op stream.
-        d.reg_demand = reg_demand;
-        d.arr_demand = arr_demand;
-        d.cc_demand = cc_demand.max(d.code.iter().fold(0, |m, instr| match *instr {
-            RefInstr::If { cc, .. } | RefInstr::Break { cc } => m.max(cc + 1),
-            _ => m,
-        }));
-        d.iter_cost_bound = d
-            .code
-            .iter()
-            .map(|instr| match *instr {
-                RefInstr::Run { lo, hi } => (hi - lo) as u64,
-                RefInstr::If { .. } | RefInstr::Break { .. } => 1,
-                RefInstr::Goto(_) => 0,
-            })
-            .sum();
-        d.fused = FusedRef::build(spec, d.cc_demand);
-        d
-    }
-
-    fn lower_items(&mut self, items: &[Item]) {
-        // Only adjacent ops at the SAME nesting level merge into a run: an
-        // op following an `If` must start fresh, or it would be absorbed
-        // into the then/else branch and skipped on the other path.
-        let mut prev_op = false;
-        for item in items {
-            match item {
-                Item::Op(op) => {
-                    let i = self.ops.push_op(op, 0);
-                    match self.code.last_mut() {
-                        Some(RefInstr::Run { hi, .. }) if prev_op => *hi = i + 1,
-                        _ => self.code.push(RefInstr::Run { lo: i, hi: i + 1 }),
-                    }
-                    prev_op = true;
-                }
-                Item::If(f) => {
-                    let if_pc = self.code.len();
-                    self.code.push(RefInstr::If {
-                        cc: f.cc.0,
-                        if_id: f.if_id,
-                        else_pc: 0, // patched below
-                    });
-                    self.lower_items(&f.then_items);
-                    let else_pc = if f.else_items.is_empty() {
-                        self.code.len() as u32
-                    } else {
-                        let goto_pc = self.code.len();
-                        self.code.push(RefInstr::Goto(0)); // patched below
-                        let else_start = self.code.len() as u32;
-                        self.lower_items(&f.else_items);
-                        self.code[goto_pc] = RefInstr::Goto(self.code.len() as u32);
-                        else_start
-                    };
-                    if let RefInstr::If { else_pc: e, .. } = &mut self.code[if_pc] {
-                        *e = else_pc;
-                    }
-                    prev_op = false;
-                }
-                Item::Break(b) => {
-                    self.code.push(RefInstr::Break { cc: b.cc.0 });
-                    prev_op = false;
-                }
-            }
+        // Every item costs one cycle, and `If`/`Break` items appear as
+        // IF/BREAK operations, so their tested ccs join the demand.
+        let ops = spec.all_ops();
+        let mut demand = Demand::default();
+        ops.iter().for_each(|(op, _)| demand.add(&POp::new(op)));
+        DecodedRef {
+            spec: spec.clone(),
+            demand,
+            iter_cost_bound: ops.len() as u64,
+            fused: FusedRef::build(spec, demand.ccs),
         }
     }
 
-    /// Execute until `BREAK`, at most `max_cycles` costed instructions,
-    /// mirroring [`crate::reference::run_reference`] (state growth, budget
-    /// placement, trace contents) exactly. Pass `trace` to collect
-    /// per-iteration IF outcomes; batch callers skip it.
+    /// Execute until `BREAK`, at most `max_cycles` costed items, with
+    /// [`crate::reference::run_reference`]'s state growth, budget placement,
+    /// and trace contents. Pass `trace` to collect per-iteration IF
+    /// outcomes; batch callers skip it. Whole iterations run in the fused
+    /// loop when the body fused, the state meets the demand, and no trace
+    /// is asked for; the interpreter runs the rest.
     pub fn run(
         &self,
         st: &mut MachineState,
         scr: &mut Scratch,
         max_cycles: u64,
-        mut trace: Option<&mut Vec<BTreeMap<u32, bool>>>,
+        trace: Option<&mut Vec<BTreeMap<u32, bool>>>,
     ) -> Result<RefCounts, SimError> {
-        st.grow(self.n_regs, self.n_ccs);
-        let fast = self.reg_demand as usize <= st.regs.len()
-            && self.cc_demand as usize <= st.ccs.len()
-            && self.arr_demand as usize <= st.arrays.len();
+        st.grow(self.spec.n_regs, self.spec.n_ccs);
         let mut cycles: u64 = 0;
         let mut iterations: u64 = 0;
-        // IF outcomes exist only to feed the trace; batch callers pass
-        // `None` and skip the bookkeeping entirely.
-        let record = trace.is_some();
-        // Trace-free fast path: run whole fused iterations with the budget
-        // checks hoisted behind `iter_cost_bound`. On a budget bail the
-        // generic loop below finishes from the carried counters and raises
-        // any exhaustion error at the interpreter's exact cycle. (A zero
-        // bound means a costless body; the generic loop handles it
-        // identically.)
+        // A zero bound means a costless body, which the interpreter runs
+        // (and diverges on) identically.
         if let Some(f) = self
             .fused
             .as_ref()
-            .filter(|_| fast && !record && self.iter_cost_bound > 0)
+            .filter(|_| self.demand.met_by(st) && trace.is_none() && self.iter_cost_bound > 0)
         {
             // The fused stream's synthetic predicates live above the real
             // cc file, so it runs against a scratch cc buffer: real ccs in,
@@ -1612,9 +1213,9 @@ impl DecodedRef {
                 scr.fccs.resize(f.cc_len as usize, false);
             }
             let MachineState { regs, arrays, .. } = &mut *st;
-            // SAFETY: `fast` asserts the state meets the static demand
-            // (cc_demand covers every tested condition register), the
-            // buffer meets `cc_len`, and execution is sequential.
+            // SAFETY: the state meets the static demand (which covers
+            // every tested condition register), the buffer meets
+            // `cc_len`, and execution is sequential.
             let broke = unsafe {
                 ref_fusedloop(
                     &f.pops,
@@ -1636,94 +1237,16 @@ impl DecodedRef {
                 return Ok(RefCounts { iterations, cycles });
             }
         }
-        loop {
-            iterations += 1;
-            if record {
-                scr.outcomes.clear();
-            }
-            let mut pc = 0usize;
-            let mut broke = false;
-            while pc < self.code.len() {
-                match self.code[pc] {
-                    RefInstr::Run { lo, hi } => {
-                        for i in lo..hi {
-                            if cycles > max_cycles {
-                                return Err(SimError::CycleBudgetExceeded(max_cycles));
-                            }
-                            cycles += 1;
-                            self.exec_seq(i as usize, st)?;
-                        }
-                        pc += 1;
-                    }
-                    RefInstr::If { cc, if_id, else_pc } => {
-                        if cycles > max_cycles {
-                            return Err(SimError::CycleBudgetExceeded(max_cycles));
-                        }
-                        cycles += 1;
-                        let taken = read_cc(st, cc)?;
-                        if record {
-                            scr.outcomes.push((if_id, taken));
-                        }
-                        pc = if taken { pc + 1 } else { else_pc as usize };
-                    }
-                    RefInstr::Break { cc } => {
-                        if cycles > max_cycles {
-                            return Err(SimError::CycleBudgetExceeded(max_cycles));
-                        }
-                        cycles += 1;
-                        if read_cc(st, cc)? {
-                            broke = true;
-                            break;
-                        }
-                        pc += 1;
-                    }
-                    RefInstr::Goto(t) => pc = t as usize,
-                }
-            }
-            if let Some(tr) = trace.as_mut() {
-                tr.push(scr.outcomes.iter().copied().collect());
-            }
-            if broke {
-                break;
-            }
-            if cycles > max_cycles {
-                return Err(SimError::CycleBudgetExceeded(max_cycles));
-            }
-        }
+        run_iterations(
+            &self.spec.items,
+            st,
+            max_cycles,
+            &mut cycles,
+            &mut iterations,
+            trace,
+        )?;
         Ok(RefCounts { iterations, cycles })
     }
-
-    /// Sequential execution applies each effect immediately (one op per
-    /// cycle can never conflict). `Break`/`If` effects arising from bare
-    /// `Item::Op` wrappers are discarded, exactly as the interpreter's
-    /// `run_items` discards `commit`'s outcome for plain ops.
-    #[inline]
-    fn exec_seq(&self, i: usize, st: &mut MachineState) -> Result<(), SimError> {
-        match self.ops.eval(i, st)? {
-            PEff::Gpr(r, v) => {
-                let slot = st.regs.get_mut(r as usize).ok_or_else(|| bad_reg(r))?;
-                *slot = v;
-            }
-            PEff::Cc(c, v) => {
-                let slot = st.ccs.get_mut(c as usize).ok_or_else(|| bad_cc(c))?;
-                *slot = v;
-            }
-            PEff::Mem(arr, elem, v) => st.arrays[arr as usize][elem] = v,
-            PEff::Break | PEff::If | PEff::Squash => {}
-        }
-        Ok(())
-    }
-}
-
-/// Cycle/iteration counters of a decoded VLIW run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct VliwCounts {
-    /// Cycles spent in the body, excluding prologue/epilogue.
-    pub body_cycles: u64,
-    /// Prologue + body + epilogue cycles.
-    pub total_cycles: u64,
-    /// Transformed-loop iterations entered (back edges + 1).
-    pub iterations: u64,
 }
 
 /// A packed block successor: `(target << 1) | back_edge`. Packing lets a
@@ -1765,8 +1288,8 @@ enum DTerm {
 
 #[derive(Debug, Clone)]
 struct DBlock {
-    /// Micro-op ranges, one per cycle.
-    cycles: Vec<Cyc>,
+    /// Cycles in the block.
+    n_cycles: u64,
     term: DTerm,
     /// Condition registers read by any terminator reachable from this
     /// block through zero-cycle dispatch chains: [`vliw_dispatchloop`]
@@ -1774,7 +1297,7 @@ struct DBlock {
     /// copying the whole cc file.
     snap_ccs: Vec<u32>,
     /// `(head_lo, tail_lo, tail_hi)` into the packed pool when the whole
-    /// block can run as two straight-line streams ([`UOps::merge_block`]):
+    /// block can run as two straight-line streams ([`merge_block`]):
     /// the fast loops execute `head_lo..tail_lo`, snapshot, then
     /// `tail_lo..tail_hi`, paying block-loop overhead once per block
     /// instead of once per cycle.
@@ -1782,32 +1305,27 @@ struct DBlock {
     /// `Some(back_edge_weight)` when every terminator successor is this
     /// block itself (a `Jump` to self, or a `Branch` whose arms agree —
     /// pipelined single-block kernels end in exactly that shape). Combined
-    /// with `merged`, the run loop collapses into a superloop: stream
-    /// slices, budget bound, and state pointers hoisted once, no snapshot
-    /// (no reachable terminator reads one), no per-iteration block
-    /// dispatch. The uniform-`Branch` cc read is skipped — under the
-    /// `fast` demand precondition it cannot fault and its value picks
-    /// between identical successors.
+    /// with `merged`, the body runs in [`superloop`]: stream slices, budget
+    /// bound, and state pointers hoisted once, no snapshot (no reachable
+    /// terminator reads one), no per-iteration block dispatch. The
+    /// uniform-`Branch` cc read is skipped — on a state that meets the
+    /// demand it cannot fault, and its value picks between identical
+    /// successors.
     self_loop: Option<u64>,
 }
 
-/// A [`VliwLoop`] lowered to flat micro-op ranges and integer successors.
+/// A [`VliwLoop`] decoded for the superloop and the dispatch loop.
 #[derive(Debug, Clone)]
 pub struct DecodedVliw {
-    ops: UOps,
+    prog: VliwLoop,
     /// Packed streams of the merged blocks, concatenated
     /// ([`DBlock::merged`] indexes into this pool).
     pexec: Vec<POp>,
-    prologue: Vec<Cyc>,
-    epilogue: Vec<Cyc>,
     blocks: Vec<DBlock>,
-    entry: usize,
-    /// Static register/cc/array demand ([`UOps::demand`] plus terminator
-    /// ccs); only runs whose state meets it enter [`superloop`] or
+    /// Static demand of the body blocks, terminator ccs included; only
+    /// runs whose state meets it enter [`superloop`] or
     /// [`vliw_dispatchloop`].
-    reg_demand: u32,
-    cc_demand: u32,
-    arr_demand: u32,
+    demand: Demand,
     /// Whether the whole CFG qualifies for [`vliw_dispatchloop`]: every
     /// non-empty block is `merged` and every successor index is in range,
     /// so the fast path can iterate blocks with budget checks hoisted and
@@ -1818,27 +1336,23 @@ pub struct DecodedVliw {
 }
 
 impl DecodedVliw {
-    /// Lower a compiled loop. Like the interpreter, malformed successor
+    /// Decode a compiled loop. Like the interpreter, malformed successor
     /// indices only fault when actually taken.
     pub fn decode(prog: &VliwLoop) -> Self {
-        let mut ops = UOps::default();
-        let mut lower_cycle = |cycle: &[Operation]| {
-            let lo = ops.len() as u32;
-            for op in cycle {
-                ops.push_op(op, 0);
-            }
-            Cyc {
-                lo,
-                hi: ops.len() as u32,
-            }
-        };
-        let prologue: Vec<_> = prog.prologue.iter().map(|c| lower_cycle(c)).collect();
+        let mut demand = Demand::default();
+        let mut pexec = Vec::new();
         let mut blocks: Vec<_> = prog
             .blocks
             .iter()
-            .map(|b| DBlock {
-                cycles: b.cycles.iter().map(|c| lower_cycle(c)).collect(),
-                term: match b.term {
+            .enumerate()
+            .map(|(bi, b)| {
+                let cycles: Vec<Vec<POp>> = b
+                    .cycles
+                    .iter()
+                    .map(|cycle| cycle.iter().map(POp::new).collect())
+                    .collect();
+                cycles.iter().flatten().for_each(|p| demand.add(p));
+                let term = match b.term {
                     VliwTerm::Jump(s) => DTerm::Jump(DSucc::new(s.block, s.back_edge)),
                     VliwTerm::Branch {
                         cc,
@@ -1850,10 +1364,23 @@ impl DecodedVliw {
                         f: DSucc::new(on_false.block, on_false.back_edge),
                     },
                     VliwTerm::Exit => DTerm::Exit,
-                },
-                snap_ccs: Vec::new(),
-                merged: None,
-                self_loop: None,
+                };
+                // Terminator ccs join the demand so the fast path may
+                // index the snapshot directly.
+                if let DTerm::Branch { cc, .. } = term {
+                    demand.ccs = demand.ccs.max(cc + 1);
+                }
+                DBlock {
+                    n_cycles: cycles.len() as u64,
+                    term,
+                    snap_ccs: Vec::new(),
+                    merged: merge_block(&cycles, &mut pexec),
+                    self_loop: match term {
+                        DTerm::Jump(s) if s.tgt() == bi => Some(s.back()),
+                        DTerm::Branch { t, f, .. } if t == f && t.tgt() == bi => Some(t.back()),
+                        _ => None,
+                    },
+                }
             })
             .collect();
         // A snapshot taken before block B's last cycle serves B's own
@@ -1869,7 +1396,7 @@ impl DecodedVliw {
                     continue;
                 }
                 let succ = |t: usize, stack: &mut Vec<usize>| {
-                    if blocks.get(t).is_some_and(|nb| nb.cycles.is_empty()) {
+                    if blocks.get(t).is_some_and(|nb| nb.n_cycles == 0) {
                         stack.push(t);
                     }
                 };
@@ -1887,26 +1414,6 @@ impl DecodedVliw {
             }
             blocks[bi].snap_ccs = ccs;
         }
-        let epilogue: Vec<_> = prog.epilogue.iter().map(|c| lower_cycle(c)).collect();
-        let mut pexec = Vec::new();
-        for b in &mut blocks {
-            b.merged = ops.merge_block(&b.cycles, &mut pexec);
-        }
-        for (bi, b) in blocks.iter_mut().enumerate() {
-            b.self_loop = match b.term {
-                DTerm::Jump(s) if s.tgt() == bi => Some(s.back()),
-                DTerm::Branch { t, f, .. } if t == f && t.tgt() == bi => Some(t.back()),
-                _ => None,
-            };
-        }
-        let (reg_demand, mut cc_demand, arr_demand) = ops.demand();
-        // Terminator ccs join the demand so the fast path may index the
-        // snapshot directly.
-        for b in &blocks {
-            if let DTerm::Branch { cc, .. } = b.term {
-                cc_demand = cc_demand.max(cc + 1);
-            }
-        }
         let dispatch_ok = !blocks.is_empty()
             && blocks.iter().all(|b| {
                 let succs_ok = match b.term {
@@ -1914,216 +1421,120 @@ impl DecodedVliw {
                     DTerm::Branch { t, f, .. } => t.tgt() < blocks.len() && f.tgt() < blocks.len(),
                     DTerm::Exit => true,
                 };
-                succs_ok && (b.cycles.is_empty() || b.merged.is_some())
+                succs_ok && (b.n_cycles == 0 || b.merged.is_some())
             });
         DecodedVliw {
-            ops,
+            prog: prog.clone(),
             pexec,
-            prologue,
-            epilogue,
             blocks,
-            entry: prog.entry,
-            reg_demand,
-            cc_demand,
-            arr_demand,
+            demand,
             dispatch_ok,
         }
     }
 
-    /// Execute to completion (at most `max_cycles` body cycles), mirroring
-    /// [`crate::vliw_run::run_vliw`] exactly: prologue break short-circuit,
-    /// pre-cycle cc snapshot for branch dispatch chains, budget placement,
-    /// iteration counting, and epilogue-on-exit.
+    /// Execute to completion (at most `max_cycles` body cycles), with
+    /// [`crate::vliw_run::run_vliw`]'s counters, budget placement, and
+    /// errors. The prologue, the epilogue, and every body cycle outside
+    /// the superloop and the dispatch loop run on the interpreter.
     pub fn run(
         &self,
         st: &mut MachineState,
         scr: &mut Scratch,
         max_cycles: u64,
     ) -> Result<VliwCounts, SimError> {
-        scr.prepare(st);
-        let fast = self.reg_demand as usize <= st.regs.len()
-            && self.cc_demand as usize <= st.ccs.len()
-            && self.arr_demand as usize <= st.arrays.len();
-        let mut body_cycles: u64 = 0;
-        let mut total_cycles: u64 = 0;
-        let mut iterations: u64 = 1;
-
-        for &c in &self.prologue {
-            total_cycles += 1;
-            if step_decoded_cycle(&self.ops, c, st, scr)? {
-                return self.finish(st, scr, 0, total_cycles, 0);
+        let mut c = VliwCounts::START;
+        if !run_prologue(&self.prog, st, &mut c, &mut scr.effects, &mut ())? {
+            if let Some(from) = self.run_fast(st, scr, max_cycles, &mut c)? {
+                run_body(
+                    &self.prog,
+                    st,
+                    from,
+                    max_cycles,
+                    &mut c,
+                    &mut scr.effects,
+                    &mut (),
+                )?;
             }
         }
-
-        let mut bi = self.entry;
-        let mut block = self
-            .blocks
-            .get(self.entry)
-            .ok_or_else(|| SimError::Malformed(format!("entry block {} missing", self.entry)))?;
-        let mut have_snap = false;
-
-        // Hop through empty Jump-only blocks once up front (e.g. an empty
-        // entry dispatch block in front of a self-loop kernel): the steady
-        // state then reaches the superloop instead of paying per-iteration
-        // dispatch. A Jump reads no cc, costs no cycle, and counts its
-        // back-edge exactly like both loops below; the hop bound only
-        // matters for an all-empty cycle, which diverges identically in
-        // the generic loop.
-        let mut hops = 0;
-        while block.cycles.is_empty() && hops <= self.blocks.len() {
-            let DTerm::Jump(s) = block.term else { break };
-            let Some(next) = self.blocks.get(s.tgt()) else {
-                break;
-            };
-            iterations += s.back();
-            bi = s.tgt();
-            block = next;
-            hops += 1;
-        }
-
-        loop {
-            if fast {
-                if let (Some(back), Some((head_lo, _, tail_hi))) = (block.self_loop, block.merged) {
-                    // Superloop: the block's only successor is itself, so
-                    // iterate the two streams with everything else hoisted
-                    // out — ends on BREAK or hands the last few cycles to
-                    // the generic path when the budget gets close (which
-                    // then raises the exact exhaustion error).
-                    let n = block.cycles.len() as u64;
-                    let body = &self.pexec[head_lo as usize..tail_hi as usize];
-                    let body_before = body_cycles;
-                    let broke = {
-                        let MachineState {
-                            regs, ccs, arrays, ..
-                        } = &mut *st;
-                        // SAFETY: `fast` asserts the state meets the
-                        // static demand; the stream is a `fuse_order`
-                        // schedule.
-                        unsafe {
-                            superloop(
-                                body,
-                                regs,
-                                ccs,
-                                arrays,
-                                n,
-                                back,
-                                max_cycles,
-                                &mut body_cycles,
-                                &mut iterations,
-                            )?
-                        }
-                    };
-                    total_cycles += body_cycles - body_before;
-                    if broke {
-                        return self.finish(st, scr, body_cycles, total_cycles, iterations);
-                    }
-                } else if self.dispatch_ok {
-                    // Multi-block fast path: condition-dependent block
-                    // succession with the bookkeeping hoisted. Bails to the
-                    // generic loop when the next block nears the budget.
-                    let body_before = body_cycles;
-                    let exit = {
-                        let MachineState {
-                            regs, ccs, arrays, ..
-                        } = &mut *st;
-                        // SAFETY: `fast` asserts the state meets the static
-                        // demand (terminator ccs included, and `prepare`
-                        // sized the snapshot to match); the streams are
-                        // `fuse_order` schedules.
-                        unsafe {
-                            vliw_dispatchloop(
-                                &self.blocks,
-                                &self.pexec,
-                                &mut scr.snap,
-                                regs,
-                                ccs,
-                                arrays,
-                                bi,
-                                max_cycles,
-                                &mut have_snap,
-                                &mut body_cycles,
-                                &mut iterations,
-                            )?
-                        }
-                    };
-                    total_cycles += body_cycles - body_before;
-                    match exit {
-                        DispatchExit::Broke | DispatchExit::Exited => {
-                            return self.finish(st, scr, body_cycles, total_cycles, iterations);
-                        }
-                        DispatchExit::Bail(nbi) => {
-                            bi = nbi;
-                            block = &self.blocks[bi];
-                        }
-                    }
-                }
-            }
-            // The generic evaluator: one checked cycle at a time.
-            let n = block.cycles.len();
-            for (i, &c) in block.cycles.iter().enumerate() {
-                if body_cycles >= max_cycles {
-                    return Err(SimError::CycleBudgetExceeded(max_cycles));
-                }
-                if i + 1 == n {
-                    scr.snap.clear();
-                    scr.snap.extend_from_slice(&st.ccs);
-                    have_snap = true;
-                }
-                body_cycles += 1;
-                total_cycles += 1;
-                if step_decoded_cycle(&self.ops, c, st, scr)? {
-                    return self.finish(st, scr, body_cycles, total_cycles, iterations);
-                }
-            }
-            let succ = match block.term {
-                DTerm::Jump(s) => s,
-                DTerm::Branch { cc, t, f } => {
-                    let v = if have_snap {
-                        *scr.snap.get(cc as usize).ok_or_else(|| bad_cc(cc))?
-                    } else {
-                        // Entry dispatch before any body cycle: committed
-                        // state is the right one.
-                        read_cc(st, cc)?
-                    };
-                    // Branch-free: the successor is a function of random
-                    // trial data, so a branch here mispredicts on nearly
-                    // every dispatch.
-                    DSucc::sel(v, t, f)
-                }
-                DTerm::Exit => {
-                    return self.finish(st, scr, body_cycles, total_cycles, iterations);
-                }
-            };
-            iterations += succ.back();
-            let tgt = succ.tgt();
-            bi = tgt;
-            block = self
-                .blocks
-                .get(tgt)
-                .ok_or_else(|| SimError::Malformed(format!("block {tgt} missing")))?;
-            if !block.cycles.is_empty() {
-                have_snap = false;
-            }
-        }
+        run_epilogue(&self.prog, st, &mut c, &mut scr.effects)?;
+        Ok(c)
     }
 
-    fn finish(
+    /// Run as much of the body as a fast loop covers. Returns `None` when
+    /// the body is complete (a `BREAK` fired or an `Exit` was dispatched),
+    /// else the block at whose head the interpreter continues.
+    fn run_fast(
         &self,
         st: &mut MachineState,
         scr: &mut Scratch,
-        body_cycles: u64,
-        mut total_cycles: u64,
-        iterations: u64,
-    ) -> Result<VliwCounts, SimError> {
-        for &c in &self.epilogue {
-            total_cycles += 1;
-            step_decoded_cycle(&self.ops, c, st, scr)?;
+        max_cycles: u64,
+        c: &mut VliwCounts,
+    ) -> Result<Option<usize>, SimError> {
+        // Hop through empty Jump-only blocks once up front (e.g. an empty
+        // entry dispatch block in front of a self-loop kernel), so the
+        // steady state reaches the superloop. A Jump reads no cc, costs no
+        // cycle, and counts its back edge exactly like the interpreter;
+        // the hop bound only matters for an all-empty cycle, which the
+        // interpreter then runs (and diverges on) identically.
+        let mut bi = self.prog.entry;
+        let mut hops = 0;
+        while let Some(b) = self.blocks.get(bi) {
+            let DTerm::Jump(s) = b.term else { break };
+            if b.n_cycles > 0 || hops > self.blocks.len() || s.tgt() >= self.blocks.len() {
+                break;
+            }
+            c.iterations += s.back();
+            bi = s.tgt();
+            hops += 1;
         }
-        Ok(VliwCounts {
-            body_cycles,
-            total_cycles,
-            iterations,
-        })
+        let Some(block) = self.blocks.get(bi).filter(|_| self.demand.met_by(st)) else {
+            return Ok(Some(bi));
+        };
+        if let (Some(back), Some((head_lo, _, tail_hi))) = (block.self_loop, block.merged) {
+            let MachineState { regs, ccs, arrays } = st;
+            // SAFETY: the state meets the static demand; the stream is a
+            // `fuse_order` schedule.
+            let broke = unsafe {
+                superloop(
+                    &self.pexec[head_lo as usize..tail_hi as usize],
+                    regs,
+                    ccs,
+                    arrays,
+                    block.n_cycles,
+                    back,
+                    max_cycles,
+                    c,
+                )?
+            };
+            Ok((!broke).then_some(bi))
+        } else if self.dispatch_ok {
+            if scr.snap.len() < st.ccs.len() {
+                scr.snap.resize(st.ccs.len(), false);
+            }
+            let MachineState { regs, ccs, arrays } = st;
+            // SAFETY: the state meets the static demand (terminator ccs
+            // included) and the snapshot covers the cc file; the streams
+            // are `fuse_order` schedules.
+            let exit = unsafe {
+                vliw_dispatchloop(
+                    &self.blocks,
+                    &self.pexec,
+                    &mut scr.snap,
+                    regs,
+                    ccs,
+                    arrays,
+                    bi,
+                    max_cycles,
+                    c,
+                )?
+            };
+            Ok(match exit {
+                DispatchExit::Done => None,
+                DispatchExit::Bail(bi) => Some(bi),
+            })
+        } else {
+            Ok(Some(bi))
+        }
     }
 }
 
@@ -2350,8 +1761,8 @@ mod tests {
 
     #[test]
     fn scratch_reuse_is_clean_across_runs() {
-        // The same Scratch serves many runs; conflict stamps must never
-        // leak between them.
+        // The same Scratch serves many runs of different programs; none of
+        // its buffers may leak state between them.
         let spec = vecmin();
         let d = DecodedRef::decode(&spec);
         let dv = DecodedVliw::decode(&fig1b());
@@ -2371,5 +1782,202 @@ mod tests {
             assert_eq!(st, gold.state);
             assert_eq!(c.body_cycles, gold.body_cycles);
         }
+    }
+
+    /// A two-block loop: count `R0` up to `R1` in block 0, then copy the
+    /// count out in block 1.
+    fn count_then_copy() -> VliwLoop {
+        let b0 = VliwBlock {
+            id: 0,
+            matrix: PredicateMatrix::universe(),
+            cycles: vec![
+                vec![add(Reg(0), Reg(0), 1i64)],
+                vec![cmp(CmpOp::Ge, CcReg(0), Reg(0), Reg(1))],
+            ],
+            term: VliwTerm::Branch {
+                cc: CcReg(0),
+                on_true: Succ::fall(1),
+                on_false: Succ::back(0),
+            },
+        };
+        let b1 = VliwBlock {
+            id: 1,
+            matrix: PredicateMatrix::universe(),
+            cycles: vec![vec![copy(Reg(2), Reg(0))]],
+            term: VliwTerm::Exit,
+        };
+        VliwLoop {
+            name: "count_then_copy".into(),
+            prologue: vec![],
+            blocks: vec![b0, b1],
+            entry: 0,
+            epilogue: vec![],
+        }
+    }
+
+    // A lost fast path keeps every run bit-identical, so no differential
+    // suite notices it; these pin which shapes reach which loop.
+
+    #[test]
+    fn vecmin_reference_fuses() {
+        assert!(DecodedRef::decode(&vecmin()).fused.is_some());
+    }
+
+    #[test]
+    fn fig1b_runs_in_the_superloop() {
+        let d = DecodedVliw::decode(&fig1b());
+        assert!(d.blocks[0].merged.is_some());
+        assert_eq!(d.blocks[0].self_loop, Some(1));
+    }
+
+    #[test]
+    fn two_block_loop_runs_in_the_dispatch_loop() {
+        let prog = count_then_copy();
+        let d = DecodedVliw::decode(&prog);
+        assert!(d.dispatch_ok);
+        assert!(d.blocks.iter().all(|b| b.self_loop.is_none()));
+        let mut st = MachineState::new(3, 1);
+        st.regs[1] = 5;
+        let gold = run_vliw(&prog, st.clone(), 1_000).unwrap();
+        let c = d.run(&mut st, &mut Scratch::default(), 1_000).unwrap();
+        assert_eq!(st, gold.state);
+        assert_eq!(
+            (c.body_cycles, c.total_cycles, c.iterations),
+            (gold.body_cycles, gold.total_cycles, gold.iterations)
+        );
+    }
+
+    /// Run `spec` from `st`, a state below its static demand, on both
+    /// engines and demand the same result.
+    fn assert_ref_below_demand_matches(spec: &LoopSpec, st: &MachineState) {
+        let d = DecodedRef::decode(spec);
+        let mut grown = st.clone();
+        grown.grow(spec.n_regs, spec.n_ccs);
+        assert!(!d.demand.met_by(&grown));
+        let gold = run_reference(spec, st.clone(), 1_000);
+        let mut s = st.clone();
+        match (gold, d.run(&mut s, &mut Scratch::default(), 1_000, None)) {
+            (Ok(g), Ok(c)) => {
+                assert_eq!(s, g.state);
+                assert_eq!((c.iterations, c.cycles), (g.iterations, g.cycles));
+            }
+            (g, c) => assert_eq!(g.err(), c.err()),
+        }
+    }
+
+    /// [`assert_ref_below_demand_matches`] for compiled code.
+    fn assert_vliw_below_demand_matches(prog: &VliwLoop, st: &MachineState) {
+        let d = DecodedVliw::decode(prog);
+        assert!(!d.demand.met_by(st));
+        let gold = run_vliw(prog, st.clone(), 1_000);
+        let mut s = st.clone();
+        match (gold, d.run(&mut s, &mut Scratch::default(), 1_000)) {
+            (Ok(g), Ok(c)) => {
+                assert_eq!(s, g.state);
+                assert_eq!(
+                    (c.body_cycles, c.total_cycles, c.iterations),
+                    (g.body_cycles, g.total_cycles, g.iterations)
+                );
+            }
+            (g, c) => assert_eq!(g.err(), c.err()),
+        }
+    }
+
+    #[test]
+    fn below_demand_reference_runs_match_interpreter() {
+        // The only access to `R2` and array `y` sits in an arm that never
+        // runs, so the interpreter finishes without touching either.
+        let mut b = LoopBuilder::new("cold_arm");
+        let _x = b.array("x");
+        let y = b.array("y");
+        let k = b.named_reg("k");
+        let n = b.named_reg("n");
+        let v = b.reg();
+        let (cold, done) = (b.cc(), b.cc());
+        b.op(cmp(CmpOp::Lt, cold, k, 0i64));
+        b.if_else(
+            cold,
+            |b| {
+                b.op(load(v, y, k));
+            },
+            |_| {},
+        );
+        b.op(add(k, k, 1i64));
+        b.op(cmp(CmpOp::Ge, done, k, n));
+        b.break_(done);
+        let spec = b.finish([k, n], [k]);
+        assert!(DecodedRef::decode(&spec).fused.is_some());
+        let mut st = MachineState::new(3, 2);
+        st.regs[1] = 40;
+        st.push_array(vec![1, 2, 3]);
+        assert_ref_below_demand_matches(&spec, &st); // array `y` missing
+        let mut short = spec.clone();
+        short.n_regs = 2;
+        st.regs.truncate(2);
+        st.push_array(vec![4, 5, 6]);
+        assert_ref_below_demand_matches(&short, &st); // `R2` missing
+
+        // vecmin touches everything it names: the interpreter's error.
+        let mut st = initial(vec![]);
+        st.arrays.clear();
+        assert_ref_below_demand_matches(&vecmin(), &st);
+        let mut short = vecmin();
+        short.n_regs = 3;
+        let mut st = MachineState::new(3, 2);
+        st.push_array(vec![5, 3]);
+        assert_ref_below_demand_matches(&short, &st);
+    }
+
+    #[test]
+    fn below_demand_vliw_runs_match_interpreter() {
+        // `count_then_copy` plus a load into `R9` from array 0 under a
+        // guard that never holds: the interpreter squashes it unread.
+        let mut prog = count_then_copy();
+        prog.blocks[0].cycles[0].push(Operation {
+            guard: Some(Guard::when(CcReg(1))),
+            ..load(Reg(9), ArrayId(0), Reg(0))
+        });
+        let mut st = MachineState::new(3, 2);
+        st.regs[1] = 40;
+        assert_vliw_below_demand_matches(&prog, &st); // array 0 missing
+        st.push_array(vec![1, 2, 3]);
+        assert_vliw_below_demand_matches(&prog, &st); // `R9` missing
+        st.regs.truncate(2);
+        assert_vliw_below_demand_matches(&prog, &st); // fails at `R2`
+
+        // fig1b loads from array 0 in its first cycle.
+        let mut st = initial(vec![]);
+        st.arrays.clear();
+        assert_vliw_below_demand_matches(&fig1b(), &st);
+    }
+
+    #[test]
+    fn far_registers_never_reach_a_fast_loop() {
+        // `R(u32::MAX)` is one past any register file: the interpreter
+        // rejects it, and the decoded engine must not index it unchecked.
+        let far = Reg(u32::MAX);
+        let prog = VliwLoop {
+            name: "far".into(),
+            prologue: vec![],
+            blocks: vec![VliwBlock {
+                id: 0,
+                matrix: PredicateMatrix::universe(),
+                cycles: vec![vec![copy(far, 7i64), break_(CcReg(0))]],
+                term: VliwTerm::Jump(Succ::back(0)),
+            }],
+            entry: 0,
+            epilogue: vec![],
+        };
+        let mut st = MachineState::new(1, 1);
+        st.ccs[0] = true;
+        assert_vliw_below_demand_matches(&prog, &st);
+
+        let mut b = LoopBuilder::new("far");
+        let done = b.cc();
+        b.op(copy(far, 7i64));
+        b.op(cmp(CmpOp::Ge, done, far, 0i64));
+        b.break_(done);
+        let spec = b.finish([done], [done]);
+        assert_ref_below_demand_matches(&spec, &MachineState::new(1, 1));
     }
 }

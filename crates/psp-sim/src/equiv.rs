@@ -6,13 +6,15 @@
 //!
 //! Two engines can drive the check:
 //!
-//! * **decoded** (default) — the pre-decoded engine of [`crate::decode`]:
-//!   programs are lowered once, trials run over reusable scratch state, and
-//!   [`check_equivalence_batch`] shards a whole trial set across threads;
-//! * **interpreter** — the original `step_cycle`/`run_items` interpreters,
-//!   the trusted reference. A caller pins it with
-//!   [`check_equivalence_with`] or [`EquivConfig::with_engine`]; the
-//!   engine differential suites and repro replay do.
+//! * **decoded** (default) — [`crate::decode`]: programs are decoded once,
+//!   each run's steady state goes through one of three measured fast loops
+//!   and every other cycle through the interpreters, trials reuse scratch
+//!   state, and [`check_equivalence_batch`] shards a whole trial set across
+//!   threads;
+//! * **interpreter** — the `step_cycle`/`run_items` interpreters alone,
+//!   the trusted reference and the only generic evaluator. A caller pins
+//!   it with [`check_equivalence_with`] or [`EquivConfig::with_engine`];
+//!   the engine differential suites and repro replay do.
 //!
 //! Both produce bit-identical observables (enforced by the differential
 //! suites), so which engine ran is a performance detail, not a semantic
@@ -122,7 +124,8 @@ pub struct EquivConfig {
     /// 0 = available parallelism).
     pub threads: usize,
     /// Trial-length ladder; trial `i` uses `lens[i % lens.len()]`.
-    /// Defaults to [`TRIAL_LENS`].
+    /// Defaults to [`TRIAL_LENS`]; an empty ladder also means
+    /// [`TRIAL_LENS`], so the trial count never depends on it.
     pub lens: Vec<usize>,
 }
 
@@ -160,17 +163,21 @@ impl EquivConfig {
 
     /// Replace the trial-length ladder (benchmarks use longer,
     /// simulation-bound lengths; correctness suites keep the default
-    /// ladder's tiny trip counts).
+    /// ladder's tiny trip counts). An empty ladder means [`TRIAL_LENS`].
     pub fn with_lens(mut self, lens: &[usize]) -> Self {
-        assert!(!lens.is_empty(), "trial-length ladder must be non-empty");
         self.lens = lens.to_vec();
         self
     }
 
     /// The `(seed, len)` pairs of the configured trials.
     pub fn trial_inputs(&self) -> Vec<(u64, usize)> {
+        let lens: &[usize] = if self.lens.is_empty() {
+            &TRIAL_LENS
+        } else {
+            &self.lens
+        };
         (0..self.trials)
-            .map(|i| (self.seed + i as u64, self.lens[i % self.lens.len()]))
+            .map(|i| (self.seed + i as u64, lens[i % lens.len()]))
             .collect()
     }
 }
@@ -727,5 +734,22 @@ mod tests {
         assert_eq!(inputs[1], (11, 2));
         assert_eq!(inputs[5], (15, 257));
         assert_eq!(inputs[6], (16, 1)); // ladder wraps
+    }
+
+    #[test]
+    fn empty_trial_ladder_means_the_default() {
+        let default = EquivConfig::fixed(8, 10);
+        let built = EquivConfig::fixed(8, 10).with_lens(&[]);
+        assert_eq!(built.trial_inputs(), default.trial_inputs());
+        let mut set = EquivConfig::fixed(8, 10);
+        set.lens = vec![];
+        assert_eq!(set.trial_inputs(), default.trial_inputs());
+        let mk = |seed: u64, len: usize| initial(random_data(seed, len.max(1)));
+        let gold = check_equivalence_batch(&vecmin_spec(), &fig1b_prog(), &default, mk).unwrap();
+        for cfg in [built, set] {
+            let batch = check_equivalence_batch(&vecmin_spec(), &fig1b_prog(), &cfg, mk).unwrap();
+            assert_eq!(batch.trials.len(), 8);
+            assert_eq!(batch.trials, gold.trials);
+        }
     }
 }

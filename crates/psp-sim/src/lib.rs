@@ -18,9 +18,11 @@
 //!   guards resolve against pre-cycle condition registers, `BREAK` exits at
 //!   end of cycle), counting body cycles and iterations;
 //! * [`decode`] — the pre-decoded engine: both programs lowered once into
-//!   flat struct-of-arrays micro-ops and run by a tight dispatch loop over
-//!   reusable scratch, bit-identical to the interpreters but much faster;
-//!   the default behind [`equiv::check_equivalence`] (pass
+//!   packed micro-op streams, whose steady state runs in one of three
+//!   measured fast loops over reusable scratch while the two interpreters
+//!   above, the only generic evaluator, run every other cycle of the same
+//!   run; bit-identical to the interpreters but much faster, and the
+//!   default behind [`equiv::check_equivalence`] (pass
 //!   [`equiv::EngineKind::Interpreter`] to pin the reference engine);
 //! * [`equiv::check_equivalence`] — runs both sides on the same initial
 //!   state and compares live-out registers and all array contents;

@@ -45,32 +45,49 @@ pub fn run_reference(
     let mut cycles: u64 = 0;
     let mut iterations: u64 = 0;
     let mut trace = Vec::new();
-
-    'outer: loop {
-        iterations += 1;
-        let mut outcomes = BTreeMap::new();
-        let broke = run_items(
-            &spec.items,
-            &mut state,
-            &mut cycles,
-            max_cycles,
-            &mut outcomes,
-        )?;
-        trace.push(outcomes);
-        if broke {
-            break 'outer;
-        }
-        if cycles > max_cycles {
-            return Err(SimError::CycleBudgetExceeded(max_cycles));
-        }
-    }
-
+    run_iterations(
+        &spec.items,
+        &mut state,
+        max_cycles,
+        &mut cycles,
+        &mut iterations,
+        Some(&mut trace),
+    )?;
     Ok(RefRun {
         state,
         iterations,
         cycles,
         trace,
     })
+}
+
+/// Run source iterations of `items` until a `BREAK` fires, continuing a
+/// run in progress: `cycles` and `iterations` carry the counts of the
+/// iterations already completed on `state` (the decoded engine's fused
+/// loop hands over at an iteration boundary). Each iteration's IF outcomes
+/// are appended to `trace` when given.
+pub(crate) fn run_iterations(
+    items: &[Item],
+    state: &mut MachineState,
+    max_cycles: u64,
+    cycles: &mut u64,
+    iterations: &mut u64,
+    mut trace: Option<&mut Vec<BTreeMap<u32, bool>>>,
+) -> Result<(), SimError> {
+    loop {
+        *iterations += 1;
+        let mut outcomes = BTreeMap::new();
+        let broke = run_items(items, state, cycles, max_cycles, &mut outcomes)?;
+        if let Some(trace) = trace.as_mut() {
+            trace.push(outcomes);
+        }
+        if broke {
+            return Ok(());
+        }
+        if *cycles > max_cycles {
+            return Err(SimError::CycleBudgetExceeded(max_cycles));
+        }
+    }
 }
 
 /// Execute a list of items; returns whether a `BREAK` fired.

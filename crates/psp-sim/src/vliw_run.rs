@@ -61,6 +61,28 @@ pub(crate) trait CycleObserver {
 /// The observer of a plain run.
 impl CycleObserver for () {}
 
+/// Cycle and iteration counters of a run, carried across its prologue,
+/// body and epilogue, whichever engine runs each part.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct VliwCounts {
+    /// Cycles spent in the body, excluding prologue/epilogue.
+    pub body_cycles: u64,
+    /// Prologue + body + epilogue cycles.
+    pub total_cycles: u64,
+    /// Transformed-loop iterations entered (back edges + 1).
+    pub iterations: u64,
+}
+
+impl VliwCounts {
+    /// The counters of a run that has not started: the body's first
+    /// iteration counts as entered.
+    pub(crate) const START: VliwCounts = VliwCounts {
+        body_cycles: 0,
+        total_cycles: 0,
+        iterations: 1,
+    };
+}
+
 /// Execute the loop to completion (at most `max_cycles` body cycles).
 pub fn run_vliw(
     prog: &VliwLoop,
@@ -77,42 +99,84 @@ pub(crate) fn run_observed(
     max_cycles: u64,
     obs: &mut impl CycleObserver,
 ) -> Result<VliwRun, SimError> {
-    let mut body_cycles: u64 = 0;
-    let mut total_cycles: u64 = 0;
-    let mut iterations: u64 = 1;
+    let mut c = VliwCounts::START;
     // One effect buffer for the whole run; every cycle reuses it.
     let mut effects: Vec<Effect> = Vec::new();
+    if !run_prologue(prog, &mut state, &mut c, &mut effects, obs)? {
+        run_body(
+            prog,
+            &mut state,
+            prog.entry,
+            max_cycles,
+            &mut c,
+            &mut effects,
+            obs,
+        )?;
+    }
+    run_epilogue(prog, &mut state, &mut c, &mut effects)?;
+    Ok(VliwRun {
+        state,
+        body_cycles: c.body_cycles,
+        total_cycles: c.total_cycles,
+        iterations: c.iterations,
+    })
+}
 
+/// Execute the prologue. Returns whether a `BREAK` fired in it, in which
+/// case the body is skipped and the run counts no iteration.
+pub(crate) fn run_prologue(
+    prog: &VliwLoop,
+    state: &mut MachineState,
+    c: &mut VliwCounts,
+    effects: &mut Vec<Effect>,
+    obs: &mut impl CycleObserver,
+) -> Result<bool, SimError> {
     for (i, cycle) in prog.prologue.iter().enumerate() {
-        obs.before(Phase::Prologue, i, cycle, &state)?;
-        total_cycles += 1;
-        let (broke, _) = state.step_cycle_into(cycle, &mut effects)?;
+        obs.before(Phase::Prologue, i, cycle, state)?;
+        c.total_cycles += 1;
+        let (broke, _) = state.step_cycle_into(cycle, effects)?;
         if broke {
             obs.broke();
             // A BREAK may legitimately fire during startup for very short
             // trip counts.
-            return finish(prog, state, 0, total_cycles, 0, &mut effects);
+            c.iterations = 0;
+            return Ok(true);
         }
     }
+    Ok(false)
+}
 
+/// Execute body blocks from block `from` until a `BREAK` fires or an
+/// `Exit` terminator is dispatched. `from` is the program's entry or, when
+/// a run in progress is continued, the head of a block where no
+/// condition-register snapshot is pending; `c` carries the counters so
+/// far.
+pub(crate) fn run_body(
+    prog: &VliwLoop,
+    state: &mut MachineState,
+    from: usize,
+    max_cycles: u64,
+    c: &mut VliwCounts,
+    effects: &mut Vec<Effect>,
+    obs: &mut impl CycleObserver,
+) -> Result<(), SimError> {
     let mut block = prog
         .blocks
-        .get(prog.entry)
-        .ok_or_else(|| SimError::Malformed(format!("entry block {} missing", prog.entry)))?;
+        .get(from)
+        .ok_or_else(|| SimError::Malformed(format!("entry block {from} missing")))?;
     // Condition-register snapshot taken just before a block's branching
     // cycle executes. A row with several IFs fans out through zero-cycle
     // dispatch blocks, and the whole multiway decision belongs to that one
     // tree instruction: every dispatch level must test the *pre-cycle*
     // values, even if the cycle itself overwrote a condition register
     // (e.g. recomputing a predicate for the next iteration). The snapshot
-    // buffer is reused across blocks; `have_snap` plays the old `Option`.
+    // buffer is reused across blocks.
     let mut snap: Vec<bool> = Vec::new();
     let mut have_snap = false;
 
     loop {
-        let mut broke = false;
         for (i, cycle) in block.cycles.iter().enumerate() {
-            if body_cycles >= max_cycles {
+            if c.body_cycles >= max_cycles {
                 return Err(SimError::CycleBudgetExceeded(max_cycles));
             }
             if i + 1 == block.cycles.len() {
@@ -120,25 +184,14 @@ pub(crate) fn run_observed(
                 snap.extend_from_slice(&state.ccs);
                 have_snap = true;
             }
-            obs.before(Phase::Body(block.id), i, cycle, &state)?;
-            body_cycles += 1;
-            total_cycles += 1;
-            let (b, _) = state.step_cycle_into(cycle, &mut effects)?;
-            if b {
+            obs.before(Phase::Body(block.id), i, cycle, state)?;
+            c.body_cycles += 1;
+            c.total_cycles += 1;
+            let (broke, _) = state.step_cycle_into(cycle, effects)?;
+            if broke {
                 obs.broke();
-                broke = true;
-                break;
+                return Ok(());
             }
-        }
-        if broke {
-            return finish(
-                prog,
-                state,
-                body_cycles,
-                total_cycles,
-                iterations,
-                &mut effects,
-            );
         }
         let succ = match block.term {
             VliwTerm::Jump(s) => s,
@@ -162,19 +215,10 @@ pub(crate) fn run_observed(
                     on_false
                 }
             }
-            VliwTerm::Exit => {
-                return finish(
-                    prog,
-                    state,
-                    body_cycles,
-                    total_cycles,
-                    iterations,
-                    &mut effects,
-                );
-            }
+            VliwTerm::Exit => return Ok(()),
         };
         if succ.back_edge {
-            iterations += 1;
+            c.iterations += 1;
         }
         block = prog
             .blocks
@@ -188,24 +232,18 @@ pub(crate) fn run_observed(
     }
 }
 
-fn finish(
+/// Execute the epilogue; epilogue cycles are not observed.
+pub(crate) fn run_epilogue(
     prog: &VliwLoop,
-    mut state: MachineState,
-    body_cycles: u64,
-    mut total_cycles: u64,
-    iterations: u64,
+    state: &mut MachineState,
+    c: &mut VliwCounts,
     effects: &mut Vec<Effect>,
-) -> Result<VliwRun, SimError> {
+) -> Result<(), SimError> {
     for cycle in &prog.epilogue {
-        total_cycles += 1;
+        c.total_cycles += 1;
         state.step_cycle_into(cycle, effects)?;
     }
-    Ok(VliwRun {
-        state,
-        body_cycles,
-        total_cycles,
-        iterations,
-    })
+    Ok(())
 }
 
 #[cfg(test)]

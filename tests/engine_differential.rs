@@ -4,15 +4,17 @@
 //! trace — must be bit-identical between the `step_cycle`/`run_items`
 //! interpreters (the trusted base) and the decoded engine.
 //!
-//! The decoded engine is one safe generic evaluator plus three unsafe
-//! steady-state loops (VLIW superloop, VLIW dispatch loop, fused
-//! reference loop) that hand the tail of a run back to the generic
-//! evaluator when the budget runs low. Coverage is four-layered:
+//! The decoded engine is three unsafe steady-state loops (VLIW
+//! superloop, VLIW dispatch loop, fused reference loop); every other
+//! cycle — prologue, epilogue, traced runs, programs that fit no fast
+//! loop, and the budget tail after a fast loop stops — runs on the
+//! interpreters themselves, which continue the run in progress. Coverage
+//! is four-layered:
 //!
 //! 1. all 16 paper kernels × both predicate backends × several compiled
 //!    forms (PSP pipeline, local compaction, unrolled) through the full
 //!    trace-materializing path (`check_equivalence_with`), where the
-//!    reference runs on the generic evaluator;
+//!    reference runs on the interpreter;
 //! 2. the same kernels through the no-trace batch path
 //!    (`EquivEngine::check`), the only path that engages the fused
 //!    reference loop — the counters it returns must equal the
@@ -21,8 +23,8 @@
 //!    bodies with breaks), so the decoded engine is exercised on loop
 //!    shapes no hand-written kernel covers;
 //! 4. a cycle-budget sweep around the end of real runs, so every fast
-//!    loop's handoff to the generic evaluator is checked at every budget
-//!    where it can happen.
+//!    loop's handoff to the interpreter is checked at every budget where
+//!    it can happen.
 
 mod common;
 
@@ -120,8 +122,8 @@ fn assert_batch_path_identical(
 /// Trial inputs for the kernel sweeps: the small-trip-count ladder the
 /// correctness suites use, plus one long input so the decoded engine's
 /// steady-state loops (superloop / dispatch loop / fused reference) run
-/// for thousands of iterations rather than bailing into the generic
-/// paths after the pipeline drains.
+/// for thousands of iterations rather than handing over to the
+/// interpreter after the pipeline drains.
 fn kernel_trials() -> Vec<(u64, usize)> {
     let mut trials = EquivConfig::fixed(4, 11).trial_inputs();
     trials.push((17, 257));
@@ -196,13 +198,13 @@ fn kernels_identical_across_compiled_forms() {
 }
 
 /// Budgets from a few dozen cycles before `c` to just past it: the last
-/// steady-state iterations, where a fast loop stops and the generic
-/// evaluator takes over, and the exact cycle where exhaustion fires.
+/// steady-state iterations, where a fast loop stops and the interpreter
+/// takes over, and the exact cycle where exhaustion fires.
 fn budget_window(c: u64) -> std::ops::RangeInclusive<u64> {
     c.saturating_sub(48)..=c + 2
 }
 
-/// The handoff from each fast loop to the generic evaluator: at every
+/// The handoff from each fast loop to the interpreter: at every
 /// `max_cycles` around the end of a run, the decoded engine must give the
 /// interpreter's counters or its exact error. The batched check runs the
 /// reference first, so its sweep (around the reference cycle count)
