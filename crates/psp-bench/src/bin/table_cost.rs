@@ -58,7 +58,7 @@ fn main() {
         all_kernels().len()
     );
     println!(
-        "aggregate phase work (summed across worker threads): candidate-gen \
+        "aggregate phase work (summed across the caller and its helpers): candidate-gen \
          {:.1} ms, apply {:.1} ms, compact {:.1} ms, codegen {:.1} ms, score \
          {:.1} ms — with exact scores deferring codegen to step winners, compaction \
          is the main cost.",

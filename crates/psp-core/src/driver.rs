@@ -26,7 +26,11 @@ use crate::transform::{self, split_candidates, Transformation};
 use psp_ir::LoopSpec;
 use psp_machine::{MachineConfig, VliwLoop};
 use psp_predicate::PredOpStats;
+use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::mpsc::{self, Sender};
+use std::sync::Arc;
+use std::thread::Scope;
 use std::time::{Duration, Instant};
 
 /// Maximum number of strictly improving refinement steps per pipelining
@@ -49,13 +53,13 @@ pub struct PspConfig {
     /// Optional branch profile for the §4 probability-driven heuristics;
     /// `None` selects the static (worst-path) objective.
     pub probs: Option<BranchProbs>,
-    /// Worker threads for candidate evaluation: `1` forces the sequential
-    /// path, `0` uses all available parallelism, any other value caps the
-    /// pool. The reduction is deterministic (best score, ties broken by
-    /// candidate index), so results are bit-identical for every setting.
-    /// Every trial is scored exactly from its schedule ([`score_schedule`])
-    /// on its worker; only the step winner's code is generated, on the
-    /// caller.
+    /// Threads that evaluate candidates, the caller included: `1` forces
+    /// the sequential path, `0` uses all available parallelism, any other
+    /// value caps the run's pool at `threads - 1` helpers. The reduction is
+    /// deterministic (best score, ties broken by candidate index), so
+    /// results are bit-identical for every setting. Every trial is scored
+    /// exactly from its schedule ([`score_schedule`]) on the thread that
+    /// claimed it; only the step winner's code is generated, on the caller.
     pub threads: usize,
     /// Stop refining as soon as the primary score (maximal or expected II)
     /// reaches this floor — typically a certified fixed-II optimum from
@@ -95,8 +99,9 @@ impl PspConfig {
 
 /// Cumulative wall-clock spent in each phase of the pipeliner. In parallel
 /// runs the per-trial phases (apply, compact, codegen, score) are summed
-/// across worker threads, so they measure aggregate work and can exceed
-/// `total` (which is elapsed wall-clock of the whole run).
+/// across the caller and its helper threads, so they measure aggregate
+/// work and can exceed `total` (which is elapsed wall-clock of the whole
+/// run).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PhaseTimes {
     /// Candidate generation (wraps, unifies, split discovery).
@@ -150,7 +155,7 @@ pub struct PspStats {
     pub floor_hit: bool,
     /// Predicate-algebra work done by this run (conjoins, disjoint/subsume
     /// tests): the calling thread's counters sampled around the run plus
-    /// each worker trial's own delta. Deterministic: the same for every
+    /// each helper trial's own delta. Deterministic: the same for every
     /// thread count and predicate backend, whatever else the process runs.
     /// Reported apart from [`counters`](Self::counters).
     pub pred: PredOpStats,
@@ -215,7 +220,7 @@ struct Trial {
     times: PhaseTimes,
     /// Discarded without running codegen: it cannot beat the current score.
     pruned: bool,
-    /// Predicate work of this trial when it ran on a worker thread (the
+    /// Predicate work of this trial when it ran on a helper thread (the
     /// caller thread's own counters already hold the trials it ran).
     pred: PredOpStats,
 }
@@ -308,68 +313,132 @@ fn eval_candidate(
     }
 }
 
-/// Evaluate all candidates of one step — concurrently unless
-/// [`PspConfig::threads`] is `1` or there is one candidate, in which case
-/// the map runs inline on the caller. Trials return in candidate order
-/// either way, so the reduction below is deterministic. Worker threads
-/// build their matrices in the caller's predicate backend, which is a
-/// per-thread choice, and report their predicate-op counts in the trial;
-/// the caller's own cells count the trials it runs.
-fn evaluate_candidates(
+/// Evaluate all candidates of one step on the run's pool. Trials return in
+/// candidate order, so the reduction below is deterministic. Helpers build
+/// their matrices in the caller's predicate backend, which is a per-thread
+/// choice, and report their predicate-op counts in the trial; the caller's
+/// own cells count the trials it runs.
+fn evaluate_candidates<'scope>(
+    pool: &mut Pool<'scope, '_, Trial>,
     sched: &Schedule,
-    candidates: &[Transformation],
-    cfg: &PspConfig,
+    candidates: Vec<Transformation>,
+    cfg: &'scope PspConfig,
     cur: Option<&Score>,
 ) -> Vec<Trial> {
     let caller = std::thread::current().id();
     let packed = psp_predicate::backend::is_packed();
-    ordered_map(candidates, cfg.threads, |t| {
+    let (sched, cur) = (sched.clone(), cur.cloned());
+    pool.run(candidates.len(), move |i| {
+        let eval = || eval_candidate(&sched, &candidates[i], cfg, cur.as_ref());
         if std::thread::current().id() == caller {
-            return eval_candidate(sched, t, cfg, cur);
+            return eval();
         }
         let before = psp_predicate::stats::snapshot();
-        let mut trial =
-            psp_predicate::backend::with_backend(packed, || eval_candidate(sched, t, cfg, cur));
+        let mut trial = psp_predicate::backend::with_backend(packed, eval);
         trial.pred = psp_predicate::stats::snapshot().delta(&before);
         trial
     })
 }
 
-/// Map `f` over `items`, returning the results in input order. Runs inline
-/// on the caller when the thread count (`0` = available parallelism) or the
-/// item count is at most one; otherwise `min(threads, items)` scoped
-/// workers pull indices from one shared cursor. A panic in `f` propagates
-/// to the caller.
-fn ordered_map<T: Sync, R: Send>(
-    items: &[T],
+/// One step of a [`Pool`]: `len` items of `work`, claimed through `cursor`
+/// by the caller and the helpers it was sent to. Helpers report each item
+/// on `done`.
+struct Job<'scope, R> {
+    work: Box<dyn Fn(usize) -> R + Send + Sync + 'scope>,
+    len: usize,
+    cursor: AtomicUsize,
+    done: Sender<(usize, std::thread::Result<R>)>,
+}
+
+impl<R> Job<'_, R> {
+    /// The next unclaimed item, if any. `Relaxed`: the cursor publishes
+    /// nothing; the job and the results travel through channels.
+    fn claim(&self) -> Option<usize> {
+        let i = self.cursor.fetch_add(1, Ordering::Relaxed);
+        (i < self.len).then_some(i)
+    }
+}
+
+/// The worker pool of one pipelining run: up to `threads - 1` helper
+/// threads (`0` = available parallelism), spawned in the run's scope the
+/// first time a step needs them and kept until the pool is dropped, which
+/// closes their job channels and lets the scope join them.
+struct Pool<'scope, 'env, R> {
+    scope: &'scope Scope<'scope, 'env>,
     threads: usize,
-    f: impl Fn(&T) -> R + Sync,
-) -> Vec<R> {
-    let threads = match threads {
-        0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
-        n => n,
-    }
-    .min(items.len());
-    if threads <= 1 {
-        return items.iter().map(f).collect();
-    }
-    let cursor = AtomicUsize::new(0);
-    let worker = || {
-        let next = || {
-            let i = cursor.fetch_add(1, Ordering::Relaxed);
-            items.get(i).map(|item| (i, f(item)))
+    helpers: Vec<Sender<Arc<Job<'scope, R>>>>,
+}
+
+impl<'scope, 'env, R: Send + 'scope> Pool<'scope, 'env, R> {
+    fn new(scope: &'scope Scope<'scope, 'env>, threads: usize) -> Self {
+        let threads = match threads {
+            0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
+            n => n,
         };
-        std::iter::from_fn(next).collect::<Vec<_>>()
-    };
-    let mut done: Vec<(usize, R)> = std::thread::scope(|s| {
-        let workers: Vec<_> = (0..threads).map(|_| s.spawn(worker)).collect();
-        workers
+        Self {
+            scope,
+            threads,
+            helpers: Vec::new(),
+        }
+    }
+
+    /// Map `work` over `0..len`, returning the results in index order. The
+    /// caller claims items from the same cursor as `min(threads, len) - 1`
+    /// helpers, so a step of at most one item runs on the caller alone. A
+    /// panic in `work` reaches the caller with its own payload; a helper's
+    /// is caught there and re-raised here.
+    fn run(&mut self, len: usize, work: impl Fn(usize) -> R + Send + Sync + 'scope) -> Vec<R> {
+        let want = self.threads.min(len).saturating_sub(1);
+        if want == 0 {
+            return (0..len).map(work).collect();
+        }
+        while self.helpers.len() < want {
+            let (jobs, inbox) = mpsc::channel::<Arc<Job<'scope, R>>>();
+            self.scope.spawn(move || {
+                for job in inbox {
+                    while let Some(i) = job.claim() {
+                        let r = std::panic::catch_unwind(AssertUnwindSafe(|| (job.work)(i)));
+                        if job.done.send((i, r)).is_err() {
+                            return; // the caller is unwinding
+                        }
+                    }
+                }
+            });
+            self.helpers.push(jobs);
+        }
+        let (done, results) = mpsc::channel();
+        let job = Arc::new(Job {
+            work: Box::new(work),
+            len,
+            cursor: AtomicUsize::new(0),
+            done,
+        });
+        for helper in &self.helpers[..want] {
+            // A helper only exits once its channel closes.
+            let _ = helper.send(Arc::clone(&job));
+        }
+        let mut slots: Vec<Option<std::thread::Result<R>>> = (0..len).map(|_| None).collect();
+        let mut outstanding = len;
+        while let Some(i) = job.claim() {
+            slots[i] = Some(Ok((job.work)(i)));
+            outstanding -= 1;
+        }
+        // Without the caller's handle, `results` disconnects if every
+        // helper holding the step is gone, instead of waiting forever.
+        drop(job);
+        for (i, r) in results.iter().take(outstanding) {
+            slots[i] = Some(r);
+        }
+        slots
             .into_iter()
-            .flat_map(|w| w.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+            .map(
+                |slot| match slot.expect("a pool helper died without reporting") {
+                    Ok(r) => r,
+                    Err(payload) => std::panic::resume_unwind(payload),
+                },
+            )
             .collect()
-    });
-    done.sort_unstable_by_key(|&(i, _)| i);
-    done.into_iter().map(|(_, r)| r).collect()
+    }
 }
 
 /// Pipeline a loop with the PSP technique.
@@ -381,7 +450,19 @@ fn ordered_map<T: Sync, R: Send>(
 /// rarely an immediate win, so rounds are speculative up to
 /// [`PspConfig::max_depth`]. Phase C greedily applies strictly improving
 /// split / wrap candidates until fixpoint.
+///
+/// Candidate trials run on one [`Pool`] for the whole run, in a scope the
+/// run opens and joins before it returns.
 pub fn pipeline_loop(spec: &LoopSpec, cfg: &PspConfig) -> Result<PspResult, CodegenError> {
+    std::thread::scope(|s| pipeline_on(spec, cfg, &mut Pool::new(s, cfg.threads)))
+}
+
+/// [`pipeline_loop`] with its trials on `pool`.
+fn pipeline_on<'scope>(
+    spec: &LoopSpec,
+    cfg: &'scope PspConfig,
+    pool: &mut Pool<'scope, '_, Trial>,
+) -> Result<PspResult, CodegenError> {
     let t_total = Instant::now();
     let pred_before = psp_predicate::stats::snapshot();
     let mut stats = PspStats::default();
@@ -423,7 +504,7 @@ pub fn pipeline_loop(spec: &LoopSpec, cfg: &PspConfig) -> Result<PspResult, Code
             stats.times.candidate_gen += t1.elapsed();
             stats.candidates += candidates.len();
 
-            let trials = evaluate_candidates(&sched, &candidates, cfg, cur_score.as_ref());
+            let trials = evaluate_candidates(pool, &sched, candidates, cfg, cur_score.as_ref());
             let mut scored = Vec::with_capacity(trials.len());
             for trial in trials {
                 stats.times.absorb(&trial.times);
@@ -585,11 +666,14 @@ mod tests {
     use super::*;
     use psp_kernels::{all_kernels, by_name, KernelData};
     use psp_sim::{check_equivalence, EquivConfig};
+    use std::sync::atomic::AtomicBool;
 
     #[test]
-    fn ordered_map_keeps_input_order_over_uneven_work() {
+    fn pool_keeps_input_order_over_uneven_work() {
         let items: Vec<u64> = (0..257).collect();
-        let uneven = |&x: &u64| {
+        let want: Vec<u64> = items.iter().map(|x| x * x).collect();
+        let uneven = |i: usize| {
+            let x = items[i];
             let mut acc = x;
             for _ in 0..(x % 7) * 2_000 {
                 acc = acc.wrapping_mul(6364136223846793005).wrapping_add(1);
@@ -598,30 +682,87 @@ mod tests {
             x * x
         };
         for threads in [1, 2, 3, 8] {
-            let got = ordered_map(&items, threads, uneven);
-            assert_eq!(got, items.iter().map(|x| x * x).collect::<Vec<_>>());
+            let got = std::thread::scope(|s| {
+                let mut pool = Pool::new(s, threads);
+                // Several steps on one pool, each in input order.
+                (0..3)
+                    .map(|_| pool.run(items.len(), uneven))
+                    .collect::<Vec<_>>()
+            });
+            for step in got {
+                assert_eq!(step, want, "threads = {threads}");
+            }
         }
     }
 
     #[test]
-    fn ordered_map_runs_empty_and_single_inputs_on_the_caller() {
+    fn pool_runs_empty_and_one_item_steps_on_the_caller() {
         let caller = std::thread::current().id();
-        let on_caller = |&x: &u8| (x + 1, std::thread::current().id() == caller);
-        assert!(ordered_map(&[], 8, on_caller).is_empty());
-        assert_eq!(ordered_map(&[7], 8, on_caller), [(8, true)]);
-        // Two items on two threads run on workers only.
-        let both = ordered_map(&[1, 2], 2, on_caller);
-        assert_eq!(both, [(2, false), (3, false)]);
+        let on_caller = move |i: usize| (i + 1, std::thread::current().id() == caller);
+        std::thread::scope(|s| {
+            let mut pool = Pool::new(s, 8);
+            assert!(pool.run(0, on_caller).is_empty());
+            assert_eq!(pool.run(1, on_caller), [(1, true)]);
+            // Still on the caller once a larger step has spawned helpers.
+            assert_eq!(pool.run(16, on_caller).len(), 16);
+            assert_eq!(pool.run(1, on_caller), [(1, true)]);
+            assert!(pool.run(0, on_caller).is_empty());
+        });
+    }
+
+    /// On a helper, raise `flag`; on the caller, wait (at most 10 s) until
+    /// a helper has raised it. Returns whether this is the caller.
+    fn meet_a_helper(caller: std::thread::ThreadId, flag: &AtomicBool) -> bool {
+        if std::thread::current().id() != caller {
+            flag.store(true, Ordering::Relaxed);
+            return false;
+        }
+        let t0 = Instant::now();
+        while !flag.load(Ordering::Relaxed) && t0.elapsed() < Duration::from_secs(10) {
+            std::thread::yield_now();
+        }
+        true
     }
 
     #[test]
-    #[should_panic(expected = "item 5 failed")]
-    fn ordered_map_propagates_a_panicking_item() {
-        let items: Vec<u32> = (0..16).collect();
-        ordered_map(&items, 3, |&x| {
-            assert_ne!(x, 5, "item 5 failed");
-            x
+    #[should_panic(expected = "failed on a helper")]
+    fn pool_reraises_a_helper_panic_with_its_own_payload() {
+        let caller = std::thread::current().id();
+        let helper_ran = AtomicBool::new(false);
+        std::thread::scope(|s| {
+            Pool::new(s, 3).run(16, |i| {
+                if !meet_a_helper(caller, &helper_ran) {
+                    panic!("item {i} failed on a helper");
+                }
+                i
+            })
         });
+    }
+
+    #[test]
+    fn pool_spawns_its_helpers_once_per_run() {
+        let threads = 3;
+        let caller = std::thread::current().id();
+        let helper_ran = AtomicBool::new(false);
+        let seen: std::collections::HashSet<_> = std::thread::scope(|s| {
+            let mut pool = Pool::new(s, threads);
+            (0..6)
+                .flat_map(|step| {
+                    // Every step waits for one of its helpers to run an
+                    // item, so a helper spawned per step would show.
+                    helper_ran.store(false, Ordering::Relaxed);
+                    pool.run(24 + step, |_| {
+                        meet_a_helper(caller, &helper_ran);
+                        std::thread::current().id()
+                    })
+                })
+                .collect()
+        });
+        assert!(
+            seen.len() <= threads,
+            "{} distinct threads ran items on a pool of {threads}",
+            seen.len()
+        );
     }
 
     #[test]

@@ -94,3 +94,41 @@ fn pred_counts_ignore_a_concurrent_caller() {
         assert_eq!(pred, alone, "another thread's work leaked into this run");
     }
 }
+
+#[test]
+fn concurrent_runs_at_two_threads_match_one_thread() {
+    let kernels: Vec<_> = ["vecmin", "bubble_pass", "skewed", "abs_sum"]
+        .iter()
+        .map(|name| by_name(name).unwrap())
+        .collect();
+    let mk = |threads: usize| PspConfig {
+        threads,
+        ..PspConfig::default()
+    };
+    let seq: Vec<_> = kernels
+        .iter()
+        .map(|k| pipeline_loop(&k.spec, &mk(1)).unwrap())
+        .collect();
+    // Four callers, each with its own pool, start together and run every
+    // kernel in a different order.
+    let start = std::sync::Barrier::new(4);
+    std::thread::scope(|s| {
+        for caller in 0..4 {
+            let (kernels, seq, start) = (&kernels, &seq, &start);
+            s.spawn(move || {
+                start.wait();
+                for j in 0..kernels.len() {
+                    let k = (caller + j) % kernels.len();
+                    let par = pipeline_loop(&kernels[k].spec, &mk(2)).unwrap();
+                    let name = kernels[k].name;
+                    assert_eq!(observe(&seq[k]), observe(&par), "{name}: caller {caller}");
+                    assert_eq!(seq[k].stats.pred, par.stats.pred, "{name}: caller {caller}");
+                    assert_eq!(
+                        seq[k].stats.pruned, par.stats.pruned,
+                        "{name}: caller {caller}"
+                    );
+                }
+            });
+        }
+    });
+}

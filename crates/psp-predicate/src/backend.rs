@@ -6,7 +6,7 @@
 //! the `table_predbench` experiment. The choice belongs to the calling
 //! thread, so one caller's [`with_backend`] never changes the
 //! representation another thread builds in; a caller that hands work to
-//! other threads passes its choice along (the PSP driver runs each worker
+//! other threads passes its choice along (the PSP driver runs each helper
 //! trial under the caller's backend). The flag is consulted at
 //! *construction* time only: matrices built in either mode interoperate
 //! (every operation falls back to a generic element-wise path on mixed

@@ -7,7 +7,7 @@
 //! [`PredOpStats::delta`] and sees exactly the work done on its thread,
 //! whatever other threads in the process are doing. Work handed to other
 //! threads is the caller's to collect: the driver samples a delta inside
-//! each worker trial and sums them into its run's total.
+//! each helper trial and sums them into its run's total.
 
 use std::cell::Cell;
 

@@ -45,14 +45,14 @@ use psp_ir::{Item, LoopSpec, OpKind, Operand, Operation};
 use psp_machine::{VliwLoop, VliwTerm};
 use std::collections::BTreeMap;
 
-/// `guard` sentinel for unguarded micro-ops.
-const NO_GUARD: u32 = u32::MAX;
 /// `flags`: operand `a` is an immediate (else a register index).
 const A_IMM: u8 = 1;
 /// `flags`: operand `b` is an immediate.
 const B_IMM: u8 = 2;
 /// `flags`: memory access has no index register.
 const NO_INDEX: u8 = 4;
+/// `flags`: a guarded op runs when its guard cc is true (else when false).
+const G_TRUE: u8 = 8;
 
 /// A statically-known storage slot a micro-op reads or writes, for the
 /// decode-time hazard analysis behind cycle fusion. Memory is tracked at
@@ -95,7 +95,8 @@ mod fop {
     /// Guarded variants live at `opc | GBASE`: guardedness is folded into
     /// the opcode at decode time so the unguarded specialisation of
     /// [`super::exec_pop`] carries no guard load, no `take` computation
-    /// and no write selects at all.
+    /// and no write selects at all. The guard cc is `POp::guard` and its
+    /// polarity the `G_TRUE` flag, so every cc index can be a guard.
     pub const GBASE: u8 = 32;
 }
 
@@ -227,9 +228,9 @@ unsafe fn exec_pop_g<const GD: bool>(
     // The cc *value* only ever feeds `take` as data: squashing is mask
     // selection, never a branch (guards carry random trial data).
     let take = if GD {
-        let g = p.guard;
-        debug_assert!(((g >> 1) as usize) < ccs.len());
-        unsafe { *ccs.get_unchecked((g >> 1) as usize) == (g & 1 != 0) }
+        let g = p.guard as usize;
+        debug_assert!(g < ccs.len());
+        unsafe { *ccs.get_unchecked(g) == (p.flags & G_TRUE != 0) }
     } else {
         true
     };
@@ -600,10 +601,6 @@ fn operand_parts(o: Operand) -> (i64, bool) {
 impl POp {
     /// Lower one source operation.
     fn new(op: &Operation) -> POp {
-        let guard = match op.guard {
-            None => NO_GUARD,
-            Some(g) => (g.cc.0 << 1) | g.on_true as u32,
-        };
         let (opc, dst, a, b, aux, flags) = match op.kind {
             OpKind::Alu { op: o, dst, a, b } => {
                 let (av, ai) = operand_parts(a);
@@ -664,22 +661,28 @@ impl POp {
         let mut p = POp {
             opc,
             flags,
-            guard: NO_GUARD,
+            guard: 0,
             dst,
             aux,
             a,
             b,
         };
-        if guard != NO_GUARD {
-            p.set_guard(guard);
+        if let Some(g) = op.guard {
+            p.set_guard(g.cc.0, g.on_true);
         }
         p
     }
 
-    /// Guard the op on packed `(cc << 1) | on_true`.
-    fn set_guard(&mut self, guard: u32) {
-        self.guard = guard;
+    /// Guard the op on `cc` holding `on_true`.
+    fn set_guard(&mut self, cc: u32, on_true: bool) {
+        self.guard = cc;
+        self.flags |= if on_true { G_TRUE } else { 0 };
         self.opc |= fop::GBASE;
+    }
+
+    /// The guard cc and the value it must hold, if the op is guarded.
+    fn guard(&self) -> Option<(u32, bool)> {
+        (self.opc & fop::GBASE != 0).then_some((self.guard, self.flags & G_TRUE != 0))
     }
 
     /// The opcode with guardedness stripped.
@@ -704,8 +707,8 @@ impl POp {
     /// operands even though only the taken one is read at runtime.
     fn read_slots(&self) -> Vec<Slot> {
         let mut r = Vec::new();
-        if self.guard != NO_GUARD {
-            r.push(Slot::Cc(self.guard >> 1));
+        if let Some((cc, _)) = self.guard() {
+            r.push(Slot::Cc(cc));
         }
         let a_reg = (self.flags & A_IMM == 0).then_some(Slot::Gpr(self.a as u32));
         let b_reg = (self.flags & B_IMM == 0).then_some(Slot::Gpr(self.b as u32));
@@ -737,12 +740,10 @@ impl POp {
     /// very cc, in which case a fused commit could flip the other op's
     /// guard mid-cycle and the exclusion no longer holds.
     fn guards_disjoint_for(&self, other: &POp, w: Slot) -> bool {
-        let (gi, gj) = (self.guard, other.guard);
-        gi != NO_GUARD
-            && gj != NO_GUARD
-            && gi >> 1 == gj >> 1
-            && gi & 1 != gj & 1
-            && w != Slot::Cc(gi >> 1)
+        match (self.guard(), other.guard()) {
+            (Some((ci, pi)), Some((cj, pj))) => ci == cj && pi != pj && w != Slot::Cc(ci),
+            _ => false,
+        }
     }
 }
 
@@ -989,7 +990,7 @@ impl FusedBuilder {
         self.ops.push(POp {
             opc: fop::CCAND,
             flags: 0,
-            guard: NO_GUARD,
+            guard: 0,
             dst,
             aux: a.1 as u32 | (b.1 as u32) << 1,
             a: a.0 as i64,
@@ -1065,7 +1066,7 @@ impl FusedBuilder {
                     }
                     let mut p = POp::new(op);
                     if let Some((cc, pol)) = cur {
-                        p.set_guard((cc << 1) | pol as u32);
+                        p.set_guard(cc, pol);
                     }
                     self.ops.push(p);
                     self.cost(cur, 1);
@@ -1327,9 +1328,10 @@ pub struct DecodedVliw {
     /// [`vliw_dispatchloop`].
     demand: Demand,
     /// Whether the whole CFG qualifies for [`vliw_dispatchloop`]: every
-    /// non-empty block is `merged` and every successor index is in range,
-    /// so the fast path can iterate blocks with budget checks hoisted and
-    /// no per-block malformedness tests. (Multi-block programs — the
+    /// non-empty block is `merged`, every successor index is in range and
+    /// no empty block reaches itself through empty blocks, so the fast
+    /// path can iterate blocks with budget checks hoisted and no per-block
+    /// malformedness tests. (Multi-block programs — the
     /// condition-dependent block successions PSP emits for loops with
     /// conditions — spend their whole life in this dispatch.)
     dispatch_ok: bool,
@@ -1386,7 +1388,10 @@ impl DecodedVliw {
         // A snapshot taken before block B's last cycle serves B's own
         // terminator and, because zero-cycle blocks dispatch without
         // refreshing it, every terminator reachable from B through chains
-        // of empty blocks. Collect those ccs per block.
+        // of empty blocks. Collect those ccs per block. An empty block that
+        // reaches itself through such a chain spins without spending a
+        // cycle; the interpreter alone runs (and refuses) that program.
+        let mut spins = false;
         for bi in 0..blocks.len() {
             let mut ccs: Vec<u32> = Vec::new();
             let mut stack = vec![bi];
@@ -1395,8 +1400,9 @@ impl DecodedVliw {
                 if std::mem::replace(&mut seen[b], true) {
                     continue;
                 }
-                let succ = |t: usize, stack: &mut Vec<usize>| {
+                let mut succ = |t: usize, stack: &mut Vec<usize>| {
                     if blocks.get(t).is_some_and(|nb| nb.n_cycles == 0) {
+                        spins |= t == bi;
                         stack.push(t);
                     }
                 };
@@ -1414,7 +1420,8 @@ impl DecodedVliw {
             }
             blocks[bi].snap_ccs = ccs;
         }
-        let dispatch_ok = !blocks.is_empty()
+        let dispatch_ok = !spins
+            && !blocks.is_empty()
             && blocks.iter().all(|b| {
                 let succs_ok = match b.term {
                     DTerm::Jump(s) => s.tgt() < blocks.len(),
@@ -1979,5 +1986,40 @@ mod tests {
         b.break_(done);
         let spec = b.finish([done], [done]);
         assert_ref_below_demand_matches(&spec, &MachineState::new(1, 1));
+    }
+
+    #[test]
+    fn guards_on_far_condition_registers_match_the_interpreter() {
+        // A guard keeps its whole cc index apart from its polarity: packed
+        // into one word, `CC2147483647` on true would read as unguarded
+        // and a cc at or past 2^31 would lose its top bit, so the decoded
+        // engine would run a program the interpreter rejects.
+        for cc in [(1 << 31) - 1, 1 << 31, u32::MAX - 1] {
+            for guard in [Guard::when(CcReg(cc)), Guard::unless(CcReg(cc))] {
+                let prog = VliwLoop {
+                    name: "far_guard".into(),
+                    prologue: vec![],
+                    blocks: vec![VliwBlock {
+                        id: 0,
+                        matrix: PredicateMatrix::universe(),
+                        cycles: vec![vec![
+                            Operation {
+                                guard: Some(guard),
+                                ..copy(Reg(0), 7i64)
+                            },
+                            break_(CcReg(0)),
+                        ]],
+                        term: VliwTerm::Jump(Succ::back(0)),
+                    }],
+                    entry: 0,
+                    epilogue: vec![],
+                };
+                let mut st = MachineState::new(1, 1);
+                st.ccs[0] = true;
+                let want = SimError::BadRegister(CcReg(cc).to_string());
+                assert_eq!(run_vliw(&prog, st.clone(), 100).unwrap_err(), want);
+                assert_eq!(run_vliw_decoded(&prog, st, 100).unwrap_err(), want);
+            }
+        }
     }
 }

@@ -65,7 +65,8 @@ pub fn run_reference(
 /// run in progress: `cycles` and `iterations` carry the counts of the
 /// iterations already completed on `state` (the decoded engine's fused
 /// loop hands over at an iteration boundary). Each iteration's IF outcomes
-/// are appended to `trace` when given.
+/// are appended to `trace` when given. Every item costs a cycle, so only an
+/// empty body iterates for free; it is refused before it starts.
 pub(crate) fn run_iterations(
     items: &[Item],
     state: &mut MachineState,
@@ -74,6 +75,9 @@ pub(crate) fn run_iterations(
     iterations: &mut u64,
     mut trace: Option<&mut Vec<BTreeMap<u32, bool>>>,
 ) -> Result<(), SimError> {
+    if items.is_empty() {
+        return Err(SimError::ZeroCycleLoop("the empty loop body"));
+    }
     loop {
         *iterations += 1;
         let mut outcomes = BTreeMap::new();
@@ -216,6 +220,18 @@ mod tests {
         let st = MachineState::new(1, 1);
         let res = run_reference(&spec, st, 100);
         assert!(matches!(res, Err(SimError::CycleBudgetExceeded(_))));
+    }
+
+    #[test]
+    fn empty_body_is_refused() {
+        let mut b = LoopBuilder::new("empty");
+        let n = b.named_reg("n");
+        let spec = b.finish([n], [n]);
+        let res = run_reference(&spec, MachineState::new(0, 0), 100);
+        assert_eq!(
+            res.unwrap_err(),
+            SimError::ZeroCycleLoop("the empty loop body")
+        );
     }
 
     #[test]

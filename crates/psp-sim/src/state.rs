@@ -16,6 +16,10 @@ pub enum SimError {
     CycleBudgetExceeded(u64),
     /// Malformed code reached the interpreter.
     Malformed(String),
+    /// The loop repeats without spending a cycle (an empty body, or a
+    /// cycle of empty blocks), so neither an exit nor the cycle budget can
+    /// ever end it. Names what repeats.
+    ZeroCycleLoop(&'static str),
 }
 
 impl fmt::Display for SimError {
@@ -26,6 +30,9 @@ impl fmt::Display for SimError {
             SimError::WriteConflict(s) => write!(f, "same-cycle write conflict: {s}"),
             SimError::CycleBudgetExceeded(n) => write!(f, "cycle budget {n} exceeded"),
             SimError::Malformed(s) => write!(f, "malformed code: {s}"),
+            SimError::ZeroCycleLoop(s) => {
+                write!(f, "{s} repeats without spending a cycle, so it never exits")
+            }
         }
     }
 }

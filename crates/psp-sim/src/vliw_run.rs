@@ -150,7 +150,9 @@ pub(crate) fn run_prologue(
 /// `Exit` terminator is dispatched. `from` is the program's entry or, when
 /// a run in progress is continued, the head of a block where no
 /// condition-register snapshot is pending; `c` carries the counters so
-/// far.
+/// far. Empty blocks change no state, so dispatching more of them in a row
+/// than the program has blocks means control cycles through them for
+/// ever; that is an error.
 pub(crate) fn run_body(
     prog: &VliwLoop,
     state: &mut MachineState,
@@ -173,6 +175,8 @@ pub(crate) fn run_body(
     // buffer is reused across blocks.
     let mut snap: Vec<bool> = Vec::new();
     let mut have_snap = false;
+    // Empty blocks dispatched since the last cycle.
+    let mut idle = 0;
 
     loop {
         for (i, cycle) in block.cycles.iter().enumerate() {
@@ -228,6 +232,11 @@ pub(crate) fn run_body(
             // Leaving the dispatch fan-out: the next decision belongs to
             // the next branching cycle.
             have_snap = false;
+            idle = 0;
+        } else if idle == prog.blocks.len() {
+            return Err(SimError::ZeroCycleLoop("a cycle of empty blocks"));
+        } else {
+            idle += 1;
         }
     }
 }

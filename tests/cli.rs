@@ -7,6 +7,7 @@ use std::io::{BufRead, BufReader};
 use std::path::PathBuf;
 use std::process::{Command, Output, Stdio};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::time::{Duration, Instant};
 
 fn pspc(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_pspc"))
@@ -306,6 +307,32 @@ fn closed_stdout_pipe_exits_quietly() {
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(!err.contains("panicked"), "{err}");
     assert!(out.status.success(), "{:?}: {err}", out.status);
+}
+
+#[test]
+fn run_refuses_an_empty_loop_body() {
+    // The DSL accepts and compiles an empty body, which spends no cycle
+    // per iteration: unrefused, its verification run would allocate trace
+    // entries until memory runs out.
+    let f = write_kernel("empty", "kernel k(n) -> n { }");
+    let t0 = Instant::now();
+    let mut child = Command::new(env!("CARGO_BIN_EXE_pspc"))
+        .args(["run", f.to_str().unwrap()])
+        .stdout(Stdio::null())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("pspc runs");
+    while child.try_wait().unwrap().is_none() && t0.elapsed() < Duration::from_secs(1) {
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let _ = child.kill();
+    let out = child.wait_with_output().unwrap();
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{:?}: {err}", t0.elapsed());
+    assert!(
+        err.contains("the empty loop body repeats without spending a cycle, so it never exits"),
+        "{err}"
+    );
 }
 
 #[test]

@@ -9,8 +9,14 @@
 //! execution engines — the `step_cycle` interpreter and the pre-decoded
 //! engine — so the decoded fast paths see the same boundary shapes.
 
+use psp::ir::op::build::copy;
+use psp::ir::{CcReg, Reg};
+use psp::machine::{Succ, VliwBlock, VliwTerm};
 use psp::prelude::*;
-use psp::sim::{check_equivalence_with, trace_vliw, MachineState, Phase};
+use psp::sim::{
+    check_equivalence_with, run_reference_decoded, run_vliw_decoded, trace_vliw, MachineState,
+    Phase, SimError,
+};
 
 const ENGINES: [EngineKind; 2] = [EngineKind::Interpreter, EngineKind::Decoded];
 
@@ -244,4 +250,66 @@ fn displaced_index_past_i64_max_wraps() {
     assert_eq!(slow.state, fast.state);
     assert_eq!(slow.state.regs[2], 3, "an out-of-range load reads 0");
     check_all(&spec, &st, "x[k+1] at k = i64::MAX");
+}
+
+/// A body with no items spends no cycle, so neither a BREAK nor the cycle
+/// budget can end it, and a traced run would grow its trace until memory
+/// runs out. Both reference engines refuse it by name.
+#[test]
+fn empty_body_is_a_zero_cycle_loop() {
+    let mut b = LoopBuilder::new("empty");
+    let n = b.named_reg("n");
+    let spec = b.finish([n], [n]);
+    let want = SimError::ZeroCycleLoop("the empty loop body");
+    let st = MachineState::new(1, 1);
+    assert_eq!(run_reference(&spec, st.clone(), 1_000).unwrap_err(), want);
+    assert_eq!(run_reference_decoded(&spec, st, 1_000).unwrap_err(), want);
+}
+
+/// A cycle of empty blocks never spends a body cycle; one empty block
+/// whose `Jump` targets itself is enough. Both VLIW engines refuse it by
+/// name, whether the cycle is the entry or is reached after body cycles.
+#[test]
+fn cycle_of_empty_blocks_is_a_zero_cycle_loop() {
+    let block = |id, cycles, term| VliwBlock {
+        id,
+        matrix: PredicateMatrix::universe(),
+        cycles,
+        term,
+    };
+    let prog = |blocks| VliwLoop {
+        name: "spin".into(),
+        prologue: vec![],
+        blocks,
+        entry: 0,
+        epilogue: vec![],
+    };
+    let cc = CcReg(0);
+    let self_loop = prog(vec![block(0, vec![], VliwTerm::Jump(Succ::back(0)))]);
+    // One cycle of work, then a branch into two empty blocks that jump to
+    // each other.
+    let after_work = prog(vec![
+        block(
+            0,
+            vec![vec![copy(Reg(0), 7i64)]],
+            VliwTerm::Branch {
+                cc,
+                on_true: Succ::fall(1),
+                on_false: Succ::back(0),
+            },
+        ),
+        block(1, vec![], VliwTerm::Jump(Succ::fall(2))),
+        block(2, vec![], VliwTerm::Jump(Succ::back(1))),
+    ]);
+    let want = SimError::ZeroCycleLoop("a cycle of empty blocks");
+    let mut st = MachineState::new(1, 1);
+    st.ccs[0] = true;
+    for p in [&self_loop, &after_work] {
+        assert_eq!(run_vliw(p, st.clone(), 1_000).unwrap_err(), want, "{p}");
+        assert_eq!(
+            run_vliw_decoded(p, st.clone(), 1_000).unwrap_err(),
+            want,
+            "{p}"
+        );
+    }
 }
