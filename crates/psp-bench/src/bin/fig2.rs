@@ -71,7 +71,7 @@ fn main() {
     assert!(sched.rows[0][0].formal == psp_predicate::PredicateMatrix::single(0, 0, true));
     let if_inst = sched
         .instances()
-        .find(|i| i.op.is_if())
+        .find(|i| i.op().is_if())
         .expect("IF present");
     assert_eq!(if_inst.index, 1, "IF instance is (+1)");
     let log = sched.iflog();

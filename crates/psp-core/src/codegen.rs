@@ -314,7 +314,7 @@ pub fn generate(sched: &Schedule, machine: &MachineConfig) -> Result<VliwLoop, C
         for mut block in open {
             let row_ifs: Vec<&Instance> = row
                 .iter()
-                .filter(|i| i.op.is_if() && !i.formal.is_disjoint(&block.matrix))
+                .filter(|i| i.op().is_if() && !i.formal.is_disjoint(&block.matrix))
                 .collect();
             let mut cycle: Vec<Operation> = Vec::new();
             let mut conflict = false;
@@ -323,7 +323,7 @@ pub fn generate(sched: &Schedule, machine: &MachineConfig) -> Result<VliwLoop, C
                     continue;
                 }
                 let (guard, guard_pred) = guard_for(inst, &block.matrix, &row_ifs)?;
-                let mut op = inst.op;
+                let mut op = *inst.op();
                 op.guard = guard;
                 cycle.push(op);
                 let exec = match guard_pred {
@@ -336,7 +336,7 @@ pub fn generate(sched: &Schedule, machine: &MachineConfig) -> Result<VliwLoop, C
                 };
                 let placed = Placed {
                     formal: inst.formal.clone(),
-                    defs: inst.op.defs(),
+                    defs: inst.op().defs(),
                     exec,
                     prev: block.placed,
                 };
@@ -359,7 +359,7 @@ pub fn generate(sched: &Schedule, machine: &MachineConfig) -> Result<VliwLoop, C
             // Block ends: fan out over the IFs placed in this row.
             let mut splits: Vec<(psp_ir::CcReg, u32, i32)> = Vec::with_capacity(row_ifs.len());
             for i in &row_ifs {
-                let psp_ir::OpKind::If { cc } = i.op.kind else {
+                let psp_ir::OpKind::If { cc } = i.op().kind else {
                     return Err(CodegenError::Internal("row_ifs holds a non-IF instance"));
                 };
                 let r = i.computes_if.ok_or(NO_IF_ROW)?;
@@ -572,7 +572,7 @@ fn guard_for(
             .iter()
             .find(|i| i.computes_if == Some(r) && i.index == c);
         if let Some(ifinst) = same_row_if {
-            let psp_ir::OpKind::If { cc } = ifinst.op.kind else {
+            let psp_ir::OpKind::If { cc } = ifinst.op().kind else {
                 return Err(CodegenError::Internal(
                     "computes_if set on a non-IF instance",
                 ));
@@ -588,7 +588,7 @@ fn guard_for(
         // speculable operations. (Also covers predicates computed earlier
         // whose blocks did not split because the computing IF was itself
         // conditional.)
-        if !inst.op.is_speculable() {
+        if !inst.op().is_speculable() {
             return Err(CodegenError::Unplaceable(
                 "non-speculable instance on an unresolved predicate",
             ));

@@ -112,7 +112,7 @@ impl PairCheck {
 /// Whether `y` is an induction update `r = r ± imm` whose stride can be
 /// folded into `x`'s address displacement when `x` moves above it.
 fn combine_stride(y: &Instance, x: &Instance) -> Option<i64> {
-    let (r, stride) = match y.op.kind {
+    let (r, stride) = match y.op().kind {
         OpKind::Alu {
             op: AluOp::Add,
             dst,
@@ -134,7 +134,7 @@ fn combine_stride(y: &Instance, x: &Instance) -> Option<i64> {
         _ => return None,
     };
     // x must use r exclusively as a memory index.
-    match x.op.kind {
+    match x.op().kind {
         OpKind::Load { addr, dst } if addr.index == Some(r) && dst != r => Some(stride),
         OpKind::Store { addr, src } if addr.index == Some(r) && src != Operand::Reg(r) => {
             Some(stride)
@@ -156,9 +156,9 @@ fn copy_subst(y: &Instance, x: &Instance) -> Option<(Reg, Reg)> {
     if let OpKind::Copy {
         dst,
         src: Operand::Reg(s),
-    } = y.op.kind
+    } = y.op().kind
     {
-        if x.op.uses().contains(&RegRef::Gpr(dst)) && y.formal.subsumes(&x.formal) {
+        if x.uses().contains(&RegRef::Gpr(dst)) && y.formal.subsumes(&x.formal) {
             return Some((dst, s));
         }
     }
@@ -177,11 +177,11 @@ pub fn check_pair(
         return PairCheck::free();
     }
 
+    debug_assert!(
+        footprint_is_current(x) && footprint_is_current(y),
+        "stale footprint: {x} / {y}"
+    );
     let mut check = PairCheck::free();
-    let x_defs = x.op.defs();
-    let x_uses = x.op.uses();
-    let y_defs = y.op.defs();
-    let y_uses = y.op.uses();
     // Original program order decides the *kind* of each register relation:
     // the same def/use overlap is a true dependence one way and an
     // anti-dependence the other. Leftover copies from renaming inherit
@@ -190,7 +190,7 @@ pub fn check_pair(
     let x_first = x.prog_order() < y.prog_order();
 
     // y defines a register x reads.
-    if y_defs.iter().any(|d| x_uses.contains(d)) {
+    if writes_read_by(y, x) {
         if x_first {
             // Program anti x → y: x reads before y overwrites. Moving x
             // above (or beside — reads see pre-cycle state) restores
@@ -221,7 +221,7 @@ pub fn check_pair(
     }
 
     // y reads a register x defines.
-    if y_uses.iter().any(|u| x_defs.contains(u)) {
+    if writes_read_by(x, y) {
         // Program anti y → x (x later): renaming the moved definition
         // legalizes going above; sharing a cycle is free (pre-cycle reads).
         // Program flow x → y (x earlier): y is consuming x's
@@ -237,7 +237,7 @@ pub fn check_pair(
     }
 
     // Both define the same register.
-    if y_defs.iter().any(|d| x_defs.contains(d)) {
+    if x.def().is_some() && x.def() == y.def() {
         let fix = rename_permission(x, live_out);
         let above = if x_first {
             // Moving x above restores program write order.
@@ -255,9 +255,9 @@ pub fn check_pair(
     // Control: y computes a predicate x's formal matrix constrains.
     if let Some(if_row) = y.computes_if {
         if x.formal.get(if_row, y.index).is_constrained() {
-            let above = if !x.op.is_speculable() {
+            let above = if !x.op().is_speculable() {
                 Permission::No("operation may not execute speculatively")
-            } else if matches!(x.op.kind, OpKind::Load { .. }) && !machine.speculative_loads {
+            } else if matches!(x.op().kind, OpKind::Load { .. }) && !machine.speculative_loads {
                 Permission::No("speculative loads disabled")
             } else {
                 // Speculative execution writes x's destination on paths
@@ -281,7 +281,7 @@ pub fn check_pair(
     // speculable. Nothing extra here.
 
     // Memory.
-    if let (Some(ax), Some(ay)) = (mem_access(&x.op), mem_access(&y.op)) {
+    if let (Some(ax), Some(ay)) = (mem_access(x.op()), mem_access(y.op())) {
         if ax.interferes(&ay) {
             let delta = (x.index - y.index) as i64;
             // Strides: the only registers appearing as indices in scheduled
@@ -322,8 +322,8 @@ pub fn check_pair(
     }
 
     // BREAK protocol, in original program order.
-    let x_first = x.prog_order() < y.prog_order();
-    if y.op.is_break() && !x_first {
+    let (x_break, y_break) = (x.op().is_break(), y.op().is_break());
+    if y_break && !x_first {
         if x.is_observable(live_out) {
             // Program: BREAK, then x. x must stay strictly below.
             check = check.and(PairCheck {
@@ -331,21 +331,21 @@ pub fn check_pair(
                 same: Permission::No("observable op may not share the exit's cycle"),
             });
         }
-        if x.op.is_break() {
+        if x_break {
             check = check.and(PairCheck {
                 above: Permission::No("loop exits keep their order"),
                 same: Permission::Yes,
             });
         }
     }
-    if x.op.is_break() && x_first {
+    if x_break && x_first {
         // Program: x (BREAK), then y. Moving the BREAK above y is a
         // reordering *towards* program order — but y observable must not
         // end up in or after the exit's cycle… y is stationary below, so
         // the exit would fire before y executes, which is exactly the
         // original semantics. Fine.
     }
-    if x.op.is_break() && !x_first && y.is_observable(live_out) {
+    if x_break && !x_first && y.is_observable(live_out) {
         // Program: y (observable), then x (BREAK). y must have executed by
         // the time the exit fires: same cycle is fine (exit at end of
         // cycle), above is not.
@@ -354,7 +354,7 @@ pub fn check_pair(
             same: Permission::Yes,
         });
     }
-    if !x.op.is_break() && x_first && y.op.is_break() && x.is_observable(live_out) {
+    if !x_break && x_first && y_break && x.is_observable(live_out) {
         // Program: x (observable), then y (BREAK); x currently below is
         // already wrong-side — moving it above or into y's cycle restores
         // order.
@@ -373,21 +373,25 @@ pub fn check_pair(
 /// destinations are safe to rename.
 fn rename_permission(x: &Instance, live_out: &[RegRef]) -> Permission {
     let _ = live_out;
-    if matches!(x.op.kind, OpKind::Copy { .. }) {
+    if matches!(x.op().kind, OpKind::Copy { .. }) {
         return Permission::No("copies are never renamed");
     }
-    match x.op.defs().as_slice() {
-        [RegRef::Gpr(_)] => Permission::WithFixes(vec![Fix::Rename]),
-        [RegRef::Cc(_)] => Permission::No("condition-register definitions cannot be renamed"),
-        [] => Permission::Yes,
-        _ => Permission::No("multi-definition operations cannot be renamed"),
+    match x.def() {
+        Some(RegRef::Gpr(_)) => Permission::WithFixes(vec![Fix::Rename]),
+        Some(RegRef::Cc(_)) => Permission::No("condition-register definitions cannot be renamed"),
+        None => Permission::Yes,
     }
+}
+
+/// Whether `x`'s cached footprint is its operation's `defs()`/`uses()`.
+fn footprint_is_current(x: &Instance) -> bool {
+    x.def().as_slice() == x.op().defs().as_slice() && x.uses() == x.op().uses().as_slice()
 }
 
 /// Producer latency check helper: the earliest row `x` may occupy given a
 /// flow producer `y` at `row_y` (same iteration frame).
 pub fn flow_latency(y: &Instance, machine: &MachineConfig) -> usize {
-    machine.latency(&y.op) as usize
+    machine.latency(y.op()) as usize
 }
 
 /// Whether `y` produces a register value that `x` consumes *in program
@@ -399,8 +403,7 @@ pub fn is_flow(y: &Instance, x: &Instance) -> bool {
     if y.prog_order() >= x.prog_order() {
         return false;
     }
-    let x_uses = x.op.uses();
-    y.op.defs().iter().any(|d| x_uses.contains(d))
+    writes_read_by(y, x)
 }
 
 /// Whether `y` defines a register that `x` reads, regardless of program
@@ -408,8 +411,7 @@ pub fn is_flow(y: &Instance, x: &Instance) -> bool {
 /// consumer must issue at least the producer's latency after *any* write
 /// that may reach it, including cross-iteration supplies).
 pub fn writes_read_by(y: &Instance, x: &Instance) -> bool {
-    let x_uses = x.op.uses();
-    y.op.defs().iter().any(|d| x_uses.contains(d))
+    y.def().is_some_and(|d| x.uses().contains(&d))
 }
 
 #[cfg(test)]
@@ -421,15 +423,12 @@ mod tests {
     use psp_predicate::PredicateMatrix;
 
     fn inst(op: psp_ir::Operation, origin: usize) -> Instance {
-        Instance {
-            id: InstId(origin as u64),
+        Instance::new(
+            InstId(origin as u64),
             op,
-            index: 0,
-            formal: PredicateMatrix::universe(),
-            computes_if: None,
+            PredicateMatrix::universe(),
             origin,
-            late: 0,
-        }
+        )
     }
 
     fn m() -> MachineConfig {

@@ -623,7 +623,7 @@ fn generate_candidates(sched: &Schedule, cfg: &PspConfig) -> Vec<Transformation>
         for i in 0..row.len() {
             for j in (i + 1)..row.len() {
                 let (a, b) = (&row[i], &row[j]);
-                if a.op == b.op
+                if a.op() == b.op()
                     && a.index == b.index
                     && a.origin == b.origin
                     && a.formal.unify(&b.formal).is_some()

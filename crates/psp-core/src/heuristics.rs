@@ -213,7 +213,7 @@ fn live_keys(sched: &Schedule, incoming: &[(u32, i32)], i: usize) -> PredicateMa
                 keys.set(r, c, PredElem::True);
             }
         }
-        if let Some(r) = inst.computes_if.filter(|_| inst.op.is_if()) {
+        if let Some(r) = inst.computes_if.filter(|_| inst.op().is_if()) {
             keys.set(r, inst.index, PredElem::True);
         }
     }
@@ -249,7 +249,7 @@ fn steady_states(sched: &Schedule, probs: Option<&[f64]>) -> Result<Vec<State>, 
         // some entry.
         let first = sched.rows.first().into_iter().flatten();
         if first
-            .filter(|i| i.op.is_if())
+            .filter(|i| i.op().is_if())
             .any(|i| i.computes_if.is_none())
         {
             return Err(NO_IF_ROW);
@@ -282,9 +282,9 @@ fn steady_states(sched: &Schedule, probs: Option<&[f64]>) -> Result<Vec<State>, 
             let mut issues = false;
             splits.clear();
             for inst in row {
-                if (!issues || inst.op.is_if()) && !inst.formal.is_disjoint(&matrix) {
+                if (!issues || inst.op().is_if()) && !inst.formal.is_disjoint(&matrix) {
                     issues = true;
-                    if inst.op.is_if() {
+                    if inst.op().is_if() {
                         splits.push((inst.computes_if.ok_or(NO_IF_ROW)?, inst.index));
                     }
                 }

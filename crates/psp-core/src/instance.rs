@@ -1,6 +1,6 @@
 //! Operation instances: the unit the PSP scheduler moves around.
 
-use psp_ir::Operation;
+use psp_ir::{Operation, RegList, RegRef};
 use psp_predicate::PredicateMatrix;
 use std::fmt;
 
@@ -19,13 +19,22 @@ pub struct InstId(pub u64);
 /// instance computes, and the source order that dependence checks rank by.
 /// The preloop derives its startup code from the schedule and the source
 /// loop, so an instance needs no record of its moves.
+///
+/// The operation is private: an instance caches the registers it defines
+/// and reads (its *footprint*), which every dependence check reads, and
+/// [`Instance::new`] and [`Instance::set_op`] are the only writers of the
+/// operation, so the footprint always matches it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Instance {
     /// Stable id.
     pub id: InstId,
     /// The operation (guards are a code-generation artifact and never
     /// appear here).
-    pub op: Operation,
+    op: Operation,
+    /// `op.defs()`: no operation defines more than one register.
+    def: Option<RegRef>,
+    /// `op.uses()`.
+    uses: RegList,
     /// Operation index: original iteration relative to the current
     /// transformed iteration. Incremented when the instance moves across
     /// the loop boundary into the previous iteration.
@@ -45,6 +54,43 @@ pub struct Instance {
 }
 
 impl Instance {
+    /// An instance of `op` with index 0, no IF row and no late offset.
+    pub fn new(id: InstId, op: Operation, formal: PredicateMatrix, origin: usize) -> Self {
+        let (def, uses) = footprint(&op);
+        Self {
+            id,
+            op,
+            def,
+            uses,
+            index: 0,
+            formal,
+            computes_if: None,
+            origin,
+            late: 0,
+        }
+    }
+
+    /// The operation.
+    pub fn op(&self) -> &Operation {
+        &self.op
+    }
+
+    /// Replace the operation, refreshing the cached footprint.
+    pub fn set_op(&mut self, op: Operation) {
+        (self.def, self.uses) = footprint(&op);
+        self.op = op;
+    }
+
+    /// The register the operation defines, if any (`op().defs()`).
+    pub fn def(&self) -> Option<RegRef> {
+        self.def
+    }
+
+    /// The registers the operation reads, sorted (`op().uses()`).
+    pub fn uses(&self) -> &[RegRef] {
+        &self.uses
+    }
+
     /// Original-program order key: `(original iteration, source position)`.
     ///
     /// Instance A precedes instance B in the source program iff
@@ -56,9 +102,16 @@ impl Instance {
     /// Whether this instance has observable effects past a loop exit:
     /// memory stores and definitions of live-out registers must never
     /// execute speculatively with respect to a `BREAK`.
-    pub fn is_observable(&self, live_out: &[psp_ir::RegRef]) -> bool {
-        self.op.is_store() || self.op.defs().iter().any(|d| live_out.contains(d))
+    pub fn is_observable(&self, live_out: &[RegRef]) -> bool {
+        self.op.is_store() || self.def.is_some_and(|d| live_out.contains(&d))
     }
+}
+
+/// The cached footprint of `op`: its one definition and its reads.
+fn footprint(op: &Operation) -> (Option<RegRef>, RegList) {
+    let defs = op.defs();
+    debug_assert!(defs.len() <= 1, "{op} defines more than one register");
+    (defs.first().copied(), op.uses())
 }
 
 impl fmt::Display for Instance {
@@ -71,18 +124,12 @@ impl fmt::Display for Instance {
 mod tests {
     use super::*;
     use psp_ir::op::build::*;
-    use psp_ir::{ArrayId, CcReg, Reg, RegRef};
+    use psp_ir::{ArrayId, CcReg, Reg};
 
     fn inst(op: Operation, index: i32) -> Instance {
-        Instance {
-            id: InstId(0),
-            op,
-            index,
-            formal: PredicateMatrix::universe(),
-            computes_if: None,
-            origin: 3,
-            late: 0,
-        }
+        let mut i = Instance::new(InstId(0), op, PredicateMatrix::universe(), 3);
+        i.index = index;
+        i
     }
 
     #[test]
@@ -100,6 +147,13 @@ mod tests {
         assert!(inst(copy(Reg(5), Reg(1)), 0).is_observable(&live_out));
         assert!(!inst(copy(Reg(4), Reg(1)), 0).is_observable(&live_out));
         assert!(!inst(break_(CcReg(0)), 0).is_observable(&live_out));
+    }
+
+    #[test]
+    fn the_cached_footprint_stays_small() {
+        // An instance was 136 bytes before it cached its footprint; every
+        // schedule clone copies each of them.
+        assert!(std::mem::size_of::<Instance>() <= 136 + 48);
     }
 
     #[test]

@@ -67,7 +67,7 @@ pub fn build_preloop(
     let mut entry_live: BTreeSet<RegRef> = BTreeSet::new();
     for row in &sched.rows {
         for inst in row {
-            for u in inst.op.uses() {
+            for u in inst.op().uses() {
                 if !written.contains(&u) {
                     entry_live.insert(u);
                 }
@@ -75,7 +75,7 @@ pub fn build_preloop(
         }
         for inst in row {
             if inst.formal.is_universe() {
-                for d in inst.op.defs() {
+                for d in inst.op().defs() {
                     written.insert(d);
                 }
             }
@@ -92,7 +92,7 @@ pub fn build_preloop(
     // initial value (no emission).
     let mut needed: BTreeMap<(i32, usize), Vec<RegRef>> = BTreeMap::new();
     for &r in &entry_live {
-        let writers: Vec<_> = body.iter().filter(|i| i.op.defs().contains(&r)).collect();
+        let writers: Vec<_> = body.iter().filter(|i| i.op().defs().contains(&r)).collect();
         if writers.is_empty() {
             continue; // pure live-in: architectural initial value
         }

@@ -32,15 +32,9 @@ impl Schedule {
             .iter()
             .enumerate()
             .map(|(i, f)| {
-                vec![Instance {
-                    id: InstId(i as u64),
-                    op: f.op,
-                    index: 0,
-                    formal: f.ctrl.clone(),
-                    computes_if: f.computes_if,
-                    origin: f.pos,
-                    late: 0,
-                }]
+                let mut inst = Instance::new(InstId(i as u64), f.op, f.ctrl.clone(), f.pos);
+                inst.computes_if = f.computes_if;
+                vec![inst]
             })
             .collect::<Vec<_>>();
         let fresh = Fresh {
@@ -232,7 +226,7 @@ pub(crate) fn row_fits(row: &[Instance], extra: Option<&Instance>, m: &MachineCo
         let members = row
             .iter()
             .chain(extra)
-            .filter(|i| i.op.res_class() == class);
+            .filter(|i| i.op().res_class() == class);
         let n = members.clone().count();
         let limit = m.limit(class) as usize;
         if n > limit && compatible_clique_exceeds(members, n, limit) {
@@ -377,29 +371,22 @@ mod tests {
         let mut s = vecmin();
         let m = MachineConfig::narrow(1, 1, 1);
         // Two disjoint copies in one row: fits a 1-ALU machine.
-        let a = Instance {
-            id: s.fresh_id(),
-            op: psp_ir::op::build::copy(psp_ir::Reg(9), 1i64),
-            index: 0,
-            formal: PredicateMatrix::single(0, 0, true),
-            computes_if: None,
-            origin: 0,
-            late: 0,
-        };
-        let b = Instance {
-            formal: PredicateMatrix::single(0, 0, false),
-            id: s.fresh_id(),
-            ..a.clone()
-        };
+        let a = Instance::new(
+            s.fresh_id(),
+            psp_ir::op::build::copy(psp_ir::Reg(9), 1i64),
+            PredicateMatrix::single(0, 0, true),
+            0,
+        );
+        let mut b = a.clone();
+        b.formal = PredicateMatrix::single(0, 0, false);
+        b.id = s.fresh_id();
         s.insert(20, a.clone());
         s.rows[20].push(b.clone());
         assert!(s.row_resource_ok(20, &m));
         // A third, compatible with both, overflows.
-        let c = Instance {
-            formal: PredicateMatrix::universe(),
-            id: InstId(999),
-            ..a
-        };
+        let mut c = a;
+        c.formal = PredicateMatrix::universe();
+        c.id = InstId(999);
         s.rows[20].push(c);
         assert!(!s.row_resource_ok(20, &m));
         assert!(s.validate_resources(&m).is_err());
@@ -412,14 +399,13 @@ mod tests {
         let row = |formals: Vec<PredicateMatrix>| -> Vec<Instance> {
             (0..)
                 .zip(formals)
-                .map(|(i, formal)| Instance {
-                    id: InstId(i),
-                    op: psp_ir::op::build::copy(psp_ir::Reg(9), 1i64),
-                    index: 0,
-                    formal,
-                    computes_if: None,
-                    origin: 0,
-                    late: 0,
+                .map(|(i, formal)| {
+                    Instance::new(
+                        InstId(i),
+                        psp_ir::op::build::copy(psp_ir::Reg(9), 1i64),
+                        formal,
+                        0,
+                    )
                 })
                 .collect()
         };

@@ -13,7 +13,7 @@
 //! the unrolled timeline. Pipelining arises from alternating wraps and
 //! compaction.
 
-use crate::deps::{check_pair, flow_latency, is_flow, Fix, PairCheck, Permission};
+use crate::deps::{check_pair, flow_latency, is_flow, writes_read_by, Fix, PairCheck, Permission};
 use crate::instance::{InstId, Instance};
 use crate::schedule::{row_fits, Fresh, Schedule};
 use psp_ir::op::build;
@@ -169,10 +169,13 @@ struct PlanState {
 /// accumulating and applying fixes compositionally. Within a row, all pair
 /// checks are evaluated against the mover's state *at row entry* (the row's
 /// operations read pre-cycle state simultaneously) and the row's fixes are
-/// applied together afterwards. A rename draws its fresh register and id
-/// when its row's fixes are applied, even if a later row then refuses the
-/// plan: failed plans consume fresh names, and the generated code's
-/// register names depend on that order.
+/// applied together afterwards: [`Planner::row_fixes`] collects them
+/// without touching the state, and [`Planner::apply_fixes`] applies them,
+/// so a caller can skip copying a state that a row leaves unchanged. A
+/// rename draws its fresh register and id when its row's fixes are
+/// applied, even if a later row then refuses the plan: failed plans
+/// consume fresh names, and the generated code's register names depend on
+/// that order.
 struct Planner<'a> {
     rows: &'a [Vec<Instance>],
     live_out: &'a [RegRef],
@@ -196,11 +199,7 @@ impl<'a> Planner<'a> {
         }
     }
 
-    fn apply_fixes(
-        &mut self,
-        state: &mut PlanState,
-        fixes: Vec<(InstId, (usize, i32), Fix)>,
-    ) -> Result<(), MoveError> {
+    fn apply_fixes(&mut self, state: &mut PlanState, fixes: Vec<RowFix>) -> Result<(), MoveError> {
         // Substitutions in one row must not disagree on a source register.
         let mut substs: Vec<(psp_ir::Reg, psp_ir::Reg)> = Vec::new();
         let mut disp: i64 = 0;
@@ -246,16 +245,18 @@ impl<'a> Planner<'a> {
             }
         }
         for (from, to) in substs {
-            state.work.op = state.work.op.map_regs(
+            let op = state.work.op().map_regs(
                 |r, role| match role {
                     Role::Use if r == from => to,
                     _ => r,
                 },
                 |c, _| c,
             );
+            state.work.set_op(op);
         }
         if disp != 0 {
-            state.work.op.kind = match state.work.op.kind {
+            let mut op = *state.work.op();
+            op.kind = match op.kind {
                 OpKind::Load { dst, addr } => OpKind::Load {
                     dst,
                     addr: addr.displaced(disp),
@@ -266,26 +267,17 @@ impl<'a> Planner<'a> {
                 },
                 _ => return Err(MoveError::BadTarget),
             };
+            state.work.set_op(op);
         }
         if rename && state.leftover.is_none() {
-            let old = match state.work.op.defs().as_slice() {
-                [RegRef::Gpr(r)] => *r,
-                _ => return Err(MoveError::BadTarget),
+            let Some(RegRef::Gpr(old)) = state.work.def() else {
+                return Err(MoveError::BadTarget);
             };
             let fresh = self.fresh.reg();
-            state.work.op = renamed_dst(&state.work.op, fresh);
+            state.work.set_op(renamed_dst(state.work.op(), fresh));
             // Planning rewrites only the mover's operation, so its other
             // fields are still the original instance's.
-            let x = &state.work;
-            state.leftover = Some(Instance {
-                id: self.fresh.id(),
-                op: build::copy(old, fresh),
-                index: x.index,
-                formal: x.formal.clone(),
-                computes_if: None,
-                origin: x.origin,
-                late: x.late + 1,
-            });
+            state.leftover = Some(leftover_copy(&state.work, self.fresh.id(), old, fresh));
         }
         Ok(())
     }
@@ -303,7 +295,7 @@ impl<'a> Planner<'a> {
             leftover: None,
             combined_from: Vec::new(),
         };
-        let mut fixes: Vec<(InstId, (usize, i32), Fix)> = Vec::new();
+        let mut fixes: Vec<RowFix> = Vec::new();
         for y in &self.rows[r] {
             if y.id == x.id {
                 continue;
@@ -336,21 +328,26 @@ impl<'a> Planner<'a> {
 
     /// Cross the jumped row `r` (full `above` permissions).
     fn cross_row(&mut self, state: &mut PlanState, r: usize) -> Result<(), MoveError> {
-        self.row(state, r, |c| c.above)
+        let fixes = self.row_fixes(state, r, |c| c.above)?;
+        self.apply_fixes(state, fixes)
     }
 
     /// Land in the target row `r` (cycle-sharing `same` permissions).
     fn land_row(&mut self, state: &mut PlanState, r: usize) -> Result<(), MoveError> {
-        self.row(state, r, |c| c.same)
+        let fixes = self.row_fixes(state, r, |c| c.same)?;
+        self.apply_fixes(state, fixes)
     }
 
-    fn row(
-        &mut self,
-        state: &mut PlanState,
+    /// The fixes row `r` demands of the mover in `state`, each with the
+    /// instance demanding it and that instance's combining key; none
+    /// means the row leaves the state as it is. Reads only.
+    fn row_fixes(
+        &self,
+        state: &PlanState,
         r: usize,
         permission: fn(PairCheck) -> Permission,
-    ) -> Result<(), MoveError> {
-        let mut fixes: Vec<(InstId, (usize, i32), Fix)> = Vec::new();
+    ) -> Result<Vec<RowFix>, MoveError> {
+        let mut fixes = Vec::new();
         for y in &self.rows[r] {
             if y.id == state.work.id {
                 continue;
@@ -363,8 +360,21 @@ impl<'a> Planner<'a> {
                 Permission::No(reason) => return Err(MoveError::Blocked { by: y.id, reason }),
             }
         }
-        self.apply_fixes(state, fixes)
+        Ok(fixes)
     }
+}
+
+/// A fix one row demands: the instance demanding it, that instance's
+/// combining key `(origin, index)`, and the fix.
+type RowFix = (InstId, (usize, i32), Fix);
+
+/// The `COPY old, fresh` a rename of `x`'s destination leaves at its
+/// original slot: on `x`'s paths, just after `x` in program order.
+fn leftover_copy(x: &Instance, id: InstId, old: Reg, fresh: Reg) -> Instance {
+    let mut copy = Instance::new(id, build::copy(old, fresh), x.formal.clone(), x.origin);
+    copy.index = x.index;
+    copy.late = x.late + 1;
+    copy
 }
 
 /// `op` with its GPR destination renamed to `to` (renaming at definition).
@@ -384,7 +394,7 @@ fn latency_ok(rows: &[Vec<Instance>], x: &Instance, row: usize, machine: &Machin
             // A one-cycle latency holds between any two rows (same-row
             // reads need none), so only slower producers can violate it.
             let lat = flow_latency(y, machine);
-            if lat <= 1 || y.id == x.id || !crate::deps::writes_read_by(y, x) {
+            if lat <= 1 || y.id == x.id || !writes_read_by(y, x) {
                 continue;
             }
             if ry < row {
@@ -499,10 +509,13 @@ pub fn moveup_ext(
 /// rows `cur-1, cur-2, …, t+1`: a shared suffix across targets. One
 /// descending sweep builds every per-target state incrementally (a crossing
 /// failure at row `k` blocks all targets below `k`, exactly as each
-/// individual plan would fail at that same row); an ascending scan then
+/// individual plan would fail at that same row). Most crossed rows demand
+/// no fix, so the sweep stores a new state only at a row whose fixes apply;
+/// the targets between two such rows share one. An ascending scan then
 /// branches each state through the target row's cycle-sharing checks and
-/// the placement checks, returning on the first success. The landing plans
-/// must stay inside that scan: a failed landing may still draw fresh names.
+/// the placement checks, returning on the first success; a landing copies
+/// its state only when that row's own fixes apply. The landing plans must
+/// stay inside that scan: a failed landing may still draw fresh names.
 ///
 /// Returns the rows `(cur, target)` the instance moved between, or what the
 /// refused attempt read.
@@ -532,18 +545,27 @@ pub(crate) fn moveup_earliest(
     }
     let mut plan = Planner::new(sched, policy, machine);
     let rows = plan.rows;
-    let Ok(mut state) = plan.own_row(&rows[cur][pos], cur) else {
+    let Ok(own) = plan.own_row(&rows[cur][pos], cur) else {
         refusal.rename_refused = plan.rename_refused;
         return Err(refusal);
     };
-    // states[t] = plan state after crossing rows (t, cur), i.e. ready to
-    // land in row t. Built top state first (t = cur-1 crosses nothing).
-    let mut states: Vec<Option<PlanState>> = vec![None; cur];
-    states[cur - 1] = Some(state.clone());
+    // `(t, state)`: the state after crossing rows (t, cur), ready to land
+    // in row t and in every row below it down to the next entry's `t`
+    // (exclusive). Entries descend in `t`; the first crosses nothing.
+    let mut plans = vec![(cur - 1, own)];
     refusal.lo = 0;
     for k in (1..cur).rev() {
-        match plan.cross_row(&mut state, k) {
-            Ok(()) => states[k - 1] = Some(state.clone()),
+        let last = &plans[plans.len() - 1].1;
+        let crossed = match plan.row_fixes(last, k, |c| c.above) {
+            Ok(fixes) if fixes.is_empty() => continue,
+            Ok(fixes) => {
+                let mut next = last.clone();
+                plan.apply_fixes(&mut next, fixes).map(|()| next)
+            }
+            Err(e) => Err(e),
+        };
+        match crossed {
+            Ok(next) => plans.push((k - 1, next)),
             Err(_) => {
                 // Every target below row k is blocked by row k.
                 refusal.lo = k;
@@ -552,15 +574,29 @@ pub(crate) fn moveup_earliest(
         }
     }
 
-    for (target, slot) in states.into_iter().enumerate() {
-        let Some(mut st) = slot else { continue };
-        if plan.land_row(&mut st, target).is_err() {
-            continue;
+    let mut i = plans.len() - 1;
+    for target in refusal.lo..cur {
+        if target > plans[i].0 {
+            i -= 1;
         }
+        let base = &plans[i].1;
+        let landed = match plan.row_fixes(base, target, |c| c.same) {
+            Ok(fixes) if fixes.is_empty() => None,
+            Ok(fixes) => {
+                let mut st = base.clone();
+                if plan.apply_fixes(&mut st, fixes).is_err() {
+                    continue;
+                }
+                Some(st)
+            }
+            Err(_) => continue,
+        };
         refusal.placed = true;
-        if placement_ok(rows, &st, target, cur, machine).is_err() {
+        let st = landed.as_ref().unwrap_or(base);
+        if placement_ok(rows, st, target, cur, machine).is_err() {
             continue;
         }
+        let st = landed.unwrap_or_else(|| plans.swap_remove(i).1);
         commit(sched, cur, pos, target, st);
         return Ok((cur, target));
     }
@@ -601,7 +637,7 @@ pub fn wrap_up(sched: &mut Schedule, id: InstId, machine: &MachineConfig) -> Res
     // Memory and exit effects cannot be replayed by the preloop, so a
     // wrapped store/BREAK would silently lose original iteration 0's
     // effect.
-    if x.op.is_store() || x.op.is_break() {
+    if x.op().is_store() || x.op().is_break() {
         return Err(MoveError::Blocked {
             by: id,
             reason: "stores and exits do not wrap",
@@ -614,14 +650,12 @@ pub fn wrap_up(sched: &mut Schedule, id: InstId, machine: &MachineConfig) -> Res
     // the pre-update value of an architectural destination, so such a
     // destination must be renamed away (or the wrap refused for
     // un-renamable definitions).
-    let has_earlier_reader = sched.instances().any(|y| {
-        y.id != id
-            && y.prog_order() < x.prog_order()
-            && x.op.defs().iter().any(|d| y.op.uses().contains(d))
-    });
+    let has_earlier_reader = sched
+        .instances()
+        .any(|y| y.id != id && y.prog_order() < x.prog_order() && writes_read_by(&x, y));
     if has_earlier_reader {
-        let renameable = matches!(x.op.defs().as_slice(), [psp_ir::RegRef::Gpr(_)])
-            && !matches!(x.op.kind, OpKind::Copy { .. });
+        let renameable =
+            matches!(x.def(), Some(RegRef::Gpr(_))) && !matches!(x.op().kind, OpKind::Copy { .. });
         if !renameable {
             return Err(MoveError::Blocked {
                 by: id,
@@ -639,21 +673,12 @@ pub fn wrap_up(sched: &mut Schedule, id: InstId, machine: &MachineConfig) -> Res
     } = Planner::new(sched, MovePolicy::FULL, machine).own_row(&x, 0)?;
     if has_earlier_reader && leftover.is_none() {
         // Force the rename the partners did not demand.
-        let old = match moved.op.defs().as_slice() {
-            [psp_ir::RegRef::Gpr(r)] => *r,
-            _ => return Err(MoveError::BadTarget),
+        let Some(RegRef::Gpr(old)) = moved.def() else {
+            return Err(MoveError::BadTarget);
         };
         let fresh = sched.fresh_reg();
-        moved.op = renamed_dst(&moved.op, fresh);
-        leftover = Some(Instance {
-            id: sched.fresh_id(),
-            op: build::copy(old, fresh),
-            index: x.index,
-            formal: x.formal.clone(),
-            computes_if: None,
-            origin: x.origin,
-            late: x.late + 1,
-        });
+        moved.set_op(renamed_dst(moved.op(), fresh));
+        leftover = Some(leftover_copy(&x, sched.fresh_id(), old, fresh));
     }
 
     // The preloop computes the startup values the new index calls for
@@ -781,14 +806,11 @@ pub fn split(sched: &mut Schedule, id: InstId, row: u32, col: i32) -> Result<(),
     let (f, t) = x.formal.split(row, col).ok_or(MoveError::BadSplit)?;
     let id_f = sched.fresh_id();
     let id_t = sched.fresh_id();
-    let mk = |id: InstId, formal| Instance {
-        id,
-        op: x.op,
-        index: x.index,
-        formal,
-        computes_if: x.computes_if,
-        origin: x.origin,
-        late: x.late,
+    let mk = |id: InstId, formal| {
+        let mut clone = x.clone();
+        clone.id = id;
+        clone.formal = formal;
+        clone
     };
     sched.rows[cur][pos] = mk(id_f, f);
     sched.rows[cur].insert(pos + 1, mk(id_t, t));
@@ -805,20 +827,14 @@ pub fn unify(sched: &mut Schedule, a: InstId, b: InstId) -> Result<(), MoveError
         return Err(MoveError::BadUnify);
     }
     let (ia, ib) = (&sched.rows[ra][pa], &sched.rows[rb][pb]);
-    if ia.op != ib.op || ia.index != ib.index || ia.origin != ib.origin {
+    if ia.op() != ib.op() || ia.index != ib.index || ia.origin != ib.origin {
         return Err(MoveError::BadUnify);
     }
     let merged = ia.formal.unify(&ib.formal).ok_or(MoveError::BadUnify)?;
-    let keep = a.min(b);
-    sched.rows[ra][pa.min(pb)] = Instance {
-        id: keep,
-        op: ia.op,
-        index: ia.index,
-        formal: merged,
-        computes_if: ia.computes_if,
-        origin: ia.origin,
-        late: ia.late,
-    };
+    let mut kept = ia.clone();
+    kept.id = a.min(b);
+    kept.formal = merged;
+    sched.rows[ra][pa.min(pb)] = kept;
     sched.rows[ra].remove(pa.max(pb));
     Ok(())
 }
@@ -884,10 +900,7 @@ fn latency_edges(rows: &[Vec<Instance>], machine: &MachineConfig) -> Vec<Latency
                 }
                 for y in row_y {
                     let latency = flow_latency(y, machine);
-                    if latency > 1
-                        && crate::deps::writes_read_by(y, x)
-                        && (ry > rx || is_flow(y, x))
-                    {
+                    if latency > 1 && writes_read_by(y, x) && (ry > rx || is_flow(y, x)) {
                         edges.push(LatencyEdge {
                             producer: ry,
                             consumer: rx,
@@ -999,9 +1012,9 @@ mod tests {
         // The moved ADD writes a fresh register now.
         let moved = s.rows[0]
             .iter()
-            .find(|i| matches!(i.op.kind, OpKind::Alu { .. }))
+            .find(|i| matches!(i.op().kind, OpKind::Alu { .. }))
             .unwrap();
-        let fresh = match moved.op.kind {
+        let fresh = match moved.op().kind {
             OpKind::Alu { dst, .. } => dst,
             _ => unreachable!(),
         };
@@ -1009,9 +1022,9 @@ mod tests {
         // And a COPY k, fresh sits at the original row.
         let leftover = s.rows[5]
             .iter()
-            .find(|i| matches!(i.op.kind, OpKind::Copy { .. }))
+            .find(|i| matches!(i.op().kind, OpKind::Copy { .. }))
             .unwrap();
-        assert_eq!(leftover.op.uses(), vec![psp_ir::RegRef::Gpr(fresh)]);
+        assert_eq!(leftover.op().uses(), vec![psp_ir::RegRef::Gpr(fresh)]);
     }
 
     #[test]
@@ -1043,14 +1056,14 @@ mod tests {
         // displacement (pre-cycle reads see the not-yet-updated index).
         moveup(&mut s, load_id, 4, &m()).unwrap();
         let inst = s.instance(load_id).unwrap();
-        match inst.op.kind {
+        match inst.op().kind {
             OpKind::Load { addr, .. } => assert_eq!(addr.disp, 1, "combined +1"),
             _ => panic!("not a load"),
         }
         // Leaving the shared cycle upward must NOT re-apply the combine.
         moveup(&mut s, load_id, 3, &m()).unwrap();
         let inst = s.instance(load_id).unwrap();
-        match inst.op.kind {
+        match inst.op().kind {
             OpKind::Load { addr, .. } => assert_eq!(addr.disp, 1, "no double combine"),
             _ => panic!("not a load"),
         }
@@ -1060,11 +1073,11 @@ mod tests {
     fn wrap_increments_index_and_keeps_the_operation() {
         let mut s = vecmin_sched();
         let id = id_at(&s, 0);
-        let original_op = s.instance(id).unwrap().op;
+        let original_op = *s.instance(id).unwrap().op();
         wrap_up(&mut s, id, &m()).unwrap();
         let inst = s.instance(id).unwrap();
         assert_eq!(inst.index, 1);
-        assert_eq!(inst.op, original_op);
+        assert_eq!(*inst.op(), original_op);
     }
 
     #[test]
@@ -1147,7 +1160,7 @@ mod tests {
         unify(&mut s, a, b).unwrap();
         assert_eq!(s.rows[6].len(), 1);
         assert_eq!(s.rows[6][0].formal, before.formal);
-        assert_eq!(s.rows[6][0].op, before.op);
+        assert_eq!(s.rows[6][0].op(), before.op());
     }
 
     #[test]
@@ -1301,7 +1314,7 @@ mod tests {
         let store_row = s
             .rows
             .iter()
-            .position(|r| r.iter().any(|i| i.op.is_store()))
+            .position(|r| r.iter().any(|i| i.op().is_store()))
             .unwrap();
         // Moving BREAK above the store row must fail; to the store row
         // itself would be fine pairwise but is blocked by the flow from GE

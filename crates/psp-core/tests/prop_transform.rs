@@ -91,7 +91,7 @@ fn resolve(sched: &Schedule, action: &Action) -> Option<Result<Transformation, (
             let row = &sched.rows[r];
             for i in 0..row.len() {
                 for j in (i + 1)..row.len() {
-                    if row[i].op == row[j].op
+                    if row[i].op() == row[j].op()
                         && row[i].index == row[j].index
                         && row[i].origin == row[j].origin
                         && row[i].formal.unify(&row[j].formal).is_some()

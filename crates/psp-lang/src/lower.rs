@@ -21,6 +21,8 @@ pub enum LowerError {
     NotAnArray(String),
     /// Live-out name never defined.
     UnknownOut(String),
+    /// The body has no `break if`, so the loop could never exit.
+    NoExit,
 }
 
 impl fmt::Display for LowerError {
@@ -29,6 +31,10 @@ impl fmt::Display for LowerError {
             LowerError::Undefined(n) => write!(f, "`{n}` used before definition"),
             LowerError::NotAnArray(n) => write!(f, "`{n}` is not an array"),
             LowerError::UnknownOut(n) => write!(f, "live-out `{n}` is never defined"),
+            LowerError::NoExit => write!(
+                f,
+                "the loop body has no `break if`: every loop needs an exit"
+            ),
         }
     }
 }
@@ -216,6 +222,9 @@ pub fn lower(k: &Kernel) -> Result<psp_ir::LoopSpec, LowerError> {
         ctx.regs.insert(s.clone(), r);
     }
     ctx.lower_stmts(&k.body)?;
+    if !has_exit(&k.body) {
+        return Err(LowerError::NoExit);
+    }
     let live_in: Vec<Reg> = ctx.params.iter().map(|p| ctx.regs[p]).collect();
     let mut live_out = Vec::new();
     for o in &k.outs {
@@ -225,6 +234,19 @@ pub fn lower(k: &Kernel) -> Result<psp_ir::LoopSpec, LowerError> {
         }
     }
     Ok(ctx.b.finish(live_in, live_out))
+}
+
+/// Whether `stmts` hold a `break if`, at any depth.
+fn has_exit(stmts: &[Stmt]) -> bool {
+    stmts.iter().any(|s| match s {
+        Stmt::BreakIf { .. } => true,
+        Stmt::If {
+            then_body,
+            else_body,
+            ..
+        } => has_exit(then_body) || has_exit(else_body),
+        Stmt::Assign(..) | Stmt::Store(..) => false,
+    })
 }
 
 #[cfg(test)]
@@ -324,6 +346,17 @@ mod tests {
             compile("kernel e(n) { a = n[0]; break if (n >= 0); }"),
             Err(CompileError::Lower(LowerError::NotAnArray(_)))
         ));
+    }
+
+    #[test]
+    fn a_body_without_an_exit_is_refused() {
+        for src in ["kernel k(n) -> n { }", "kernel k(n, k) -> k { k = k + 1; }"] {
+            assert_eq!(compile(src), Err(CompileError::Lower(LowerError::NoExit)));
+        }
+        // An exit under a condition is still an exit.
+        assert!(
+            compile("kernel k(n, k) -> k { k = k + 1; if (k > 0) { break if (k >= n); } }").is_ok()
+        );
     }
 
     #[test]

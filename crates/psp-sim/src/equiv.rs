@@ -199,6 +199,18 @@ pub struct EquivRun {
     pub vliw_iterations: u64,
 }
 
+impl EquivRun {
+    /// Average VLIW body cycles per iteration (0 for no iterations), as
+    /// [`VliwRun::cycles_per_iteration`].
+    pub fn cycles_per_iteration(&self) -> f64 {
+        if self.vliw_iterations == 0 {
+            0.0
+        } else {
+            self.body_cycles as f64 / self.vliw_iterations as f64
+        }
+    }
+}
+
 /// Result of [`check_equivalence_batch`].
 #[derive(Debug, Clone)]
 pub struct BatchRun {
@@ -330,6 +342,12 @@ impl EquivEngine {
             total_cycles: vc.total_cycles,
             vliw_iterations: vc.iterations,
         })
+    }
+
+    /// The compiled program's final state after the last [`Self::check`]
+    /// or [`Self::check_full`] call.
+    pub fn vliw_state(&self) -> &MachineState {
+        &self.vliw_state
     }
 
     /// Check one trial input and materialize the full runs (including the

@@ -103,14 +103,14 @@ fn origins(spec: &LoopSpec, insts: &[Inst], out: &mut Vec<Violation>) {
         let real: Vec<&&Inst> = mine
             .iter()
             .filter(|i| {
-                std::mem::discriminant(&i.inner.op.kind) == std::mem::discriminant(&f.op.kind)
+                std::mem::discriminant(&i.inner.op().kind) == std::mem::discriminant(&f.op.kind)
             })
             .collect();
         for i in &mine {
-            let is_fix_copy = matches!(i.inner.op.kind, OpKind::Copy { .. })
+            let is_fix_copy = matches!(i.inner.op().kind, OpKind::Copy { .. })
                 && !matches!(f.op.kind, OpKind::Copy { .. });
             let is_real =
-                std::mem::discriminant(&i.inner.op.kind) == std::mem::discriminant(&f.op.kind);
+                std::mem::discriminant(&i.inner.op().kind) == std::mem::discriminant(&f.op.kind);
             if !is_fix_copy && !is_real {
                 out.push(Violation::Contract {
                     detail: format!(
@@ -150,7 +150,7 @@ fn origins(spec: &LoopSpec, insts: &[Inst], out: &mut Vec<Violation>) {
                         ),
                     });
                 }
-                if i.inner.op.kind != f.op.kind {
+                if i.inner.op().kind != f.op.kind {
                     out.push(Violation::IfLogMismatch {
                         detail: format!(
                             "IF of origin {o} changed condition: source {} vs {}",
@@ -248,14 +248,14 @@ fn register_order(machine: &MachineConfig, insts: &[Inst], out: &mut Vec<Violati
             if a.iter.is_disjoint(&b.iter) {
                 continue;
             }
-            let (a_defs, a_uses) = (a.inner.op.defs(), a.inner.op.uses());
-            let (b_defs, b_uses) = (b.inner.op.defs(), b.inner.op.uses());
+            let (a_defs, a_uses) = (a.inner.op().defs(), a.inner.op().uses());
+            let (b_defs, b_uses) = (b.inner.op().defs(), b.inner.op().uses());
             for d in &a_defs {
                 if b_uses.contains(d) {
                     let exempt = matches!(d, RegRef::Gpr(r)
-                        if is_induction_update(&a.inner.op, *r)
-                            && uses_only_as_index(&b.inner.op, *r));
-                    let lat = machine.latency(&a.inner.op) as usize;
+                        if is_induction_update(a.inner.op(), *r)
+                            && uses_only_as_index(b.inner.op(), *r));
+                    let lat = machine.latency(a.inner.op()) as usize;
                     if !exempt && !shadowed(insts, a, b, d) && b.row < a.row + lat {
                         out.push(Violation::RegisterOrder {
                             kind: "flow",
@@ -281,8 +281,8 @@ fn register_order(machine: &MachineConfig, insts: &[Inst], out: &mut Vec<Violati
             for u in &a_uses {
                 if b_defs.contains(u) {
                     let exempt = matches!(u, RegRef::Gpr(r)
-                        if is_induction_update(&b.inner.op, *r)
-                            && uses_only_as_index(&a.inner.op, *r));
+                        if is_induction_update(b.inner.op(), *r)
+                            && uses_only_as_index(a.inner.op(), *r));
                     if !exempt && b.row < a.row {
                         out.push(Violation::RegisterOrder {
                             kind: "anti",
@@ -310,7 +310,7 @@ fn shadowed(insts: &[Inst], a: &Inst, b: &Inst, d: &RegRef) -> bool {
         w.inner.index == a.inner.index
             && w.prog() > a.prog()
             && w.prog() < b.prog()
-            && w.inner.op.defs().contains(d)
+            && w.inner.op().defs().contains(d)
             && w.iter.subsumes(&cond)
     })
 }
@@ -326,7 +326,12 @@ fn aliases(a: &Inst, ma: &MemAccess, b: &Inst, mb: &MemAccess) -> bool {
 
 fn memory_and_breaks(spec: &LoopSpec, insts: &[Inst], out: &mut Vec<Violation>) {
     let observable = |i: &Inst| {
-        i.inner.op.is_store() || i.inner.op.defs().iter().any(|d| spec.live_out.contains(d))
+        i.inner.op().is_store()
+            || i.inner
+                .op()
+                .defs()
+                .iter()
+                .any(|d| spec.live_out.contains(d))
     };
     for (ai, a) in insts.iter().enumerate() {
         for (bi, b) in insts.iter().enumerate() {
@@ -338,7 +343,7 @@ fn memory_and_breaks(spec: &LoopSpec, insts: &[Inst], out: &mut Vec<Violation>) 
             if a.iter.is_disjoint(&b.iter) {
                 continue;
             }
-            if let (Some(ma), Some(mb)) = (mem_access(&a.inner.op), mem_access(&b.inner.op)) {
+            if let (Some(ma), Some(mb)) = (mem_access(a.inner.op()), mem_access(b.inner.op())) {
                 if ma.interferes(&mb) && aliases(a, &ma, b, &mb) {
                     match (ma.kind, mb.kind) {
                         (AccessKind::Write, AccessKind::Read) => {
@@ -369,7 +374,7 @@ fn memory_and_breaks(spec: &LoopSpec, insts: &[Inst], out: &mut Vec<Violation>) 
                     }
                 }
             }
-            let (a_brk, b_brk) = (a.inner.op.is_break(), b.inner.op.is_break());
+            let (a_brk, b_brk) = (a.inner.op().is_break(), b.inner.op().is_break());
             if a_brk && observable(b) {
                 // An observable program-after a BREAK must execute strictly
                 // after the BREAK resolves (paper: no exit compensation).
@@ -456,13 +461,14 @@ fn speculation(machine: &MachineConfig, insts: &[Inst], out: &mut Vec<Violation>
             }
             // The predicate resolves below this row (or only in a future
             // pass): the instance executes speculatively.
-            if !x.inner.op.is_speculable() {
+            if !x.inner.op().is_speculable() {
                 out.push(Violation::Speculation {
                     pred: (pr, pc),
                     row: x.row,
                     detail: x.describe(),
                 });
-            } else if matches!(x.inner.op.kind, OpKind::Load { .. }) && !machine.speculative_loads {
+            } else if matches!(x.inner.op().kind, OpKind::Load { .. }) && !machine.speculative_loads
+            {
                 out.push(Violation::Speculation {
                     pred: (pr, pc),
                     row: x.row,
@@ -485,7 +491,7 @@ fn row_resources(
         for class in [ResClass::Alu, ResClass::Mem, ResClass::Branch] {
             let members: Vec<&Inst> = insts
                 .iter()
-                .filter(|i| i.row == row && i.inner.op.res_class() == class)
+                .filter(|i| i.row == row && i.inner.op().res_class() == class)
                 .collect();
             let limit = machine.limit(class) as usize;
             if members.len() <= limit {

@@ -28,7 +28,8 @@ use psp::ir::{LoopSpec, RegRef};
 use psp::kernels::SplitMix64;
 use psp::machine::{to_dot, MachineConfig, VliwLoop};
 use psp::sim::{
-    check_equivalence, run_reference, trace_vliw, BranchProfile, EngineKind, MachineState,
+    check_equivalence, run_reference, trace_vliw, BranchProfile, EngineKind, EquivEngine,
+    MachineState,
 };
 
 /// Largest `--unroll` factor: the unrolled body is list-scheduled as one
@@ -400,34 +401,39 @@ fn cmd_run(args: &Args, out: &mut impl Write) -> Result<(), Failure> {
         }
     }
 
+    // The trace-free check: only cycle and iteration counts are printed, so
+    // a loop that never exits costs no memory before the cycle budget.
     let t_check = Instant::now();
-    let (golden, run) = check_equivalence(&spec, &res.program, &init, 1_000_000_000)
+    let mut engine = EquivEngine::new(&spec, &res.program);
+    let run = engine
+        .check(&init, 1_000_000_000)
         .map_err(|e| format!("EQUIVALENCE FAILURE: {e}"))?;
     let check_secs = t_check.elapsed().as_secs_f64();
     writeln!(
         out,
         "\nexecuted {} iterations: {} body cycles ({:.2} cycles/iter), reference {} cycles — speedup {:.2}x",
-        run.iterations,
+        run.vliw_iterations,
         run.body_cycles,
         run.cycles_per_iteration(),
-        golden.cycles,
-        golden.cycles as f64 / run.body_cycles.max(1) as f64,
+        run.ref_cycles,
+        run.ref_cycles as f64 / run.body_cycles.max(1) as f64,
     )?;
     writeln!(
         out,
         "verified: live-outs and array memory match the reference interpreter ✓"
     )?;
-    let simulated = golden.cycles + run.total_cycles;
+    let simulated = run.ref_cycles + run.total_cycles;
     writeln!(
         out,
         "simulator: {} engine, 1 trial, {simulated} cycles simulated ({:.1}M cycles/sec)",
         EngineKind::Decoded.label(),
         simulated as f64 / check_secs.max(1e-9) / 1e6,
     )?;
+    let state = engine.vliw_state();
     for r in &spec.live_out {
         let v = match r {
-            RegRef::Gpr(g) => run.state.regs[g.0 as usize],
-            RegRef::Cc(c) => i64::from(run.state.ccs[c.0 as usize]),
+            RegRef::Gpr(g) => state.regs[g.0 as usize],
+            RegRef::Cc(c) => i64::from(state.ccs[c.0 as usize]),
         };
         writeln!(out, "  {} = {}", reg_name(&spec, *r), v)?;
     }

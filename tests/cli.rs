@@ -310,29 +310,34 @@ fn closed_stdout_pipe_exits_quietly() {
 }
 
 #[test]
-fn run_refuses_an_empty_loop_body() {
-    // The DSL accepts and compiles an empty body, which spends no cycle
-    // per iteration: unrefused, its verification run would allocate trace
-    // entries until memory runs out.
-    let f = write_kernel("empty", "kernel k(n) -> n { }");
-    let t0 = Instant::now();
-    let mut child = Command::new(env!("CARGO_BIN_EXE_pspc"))
-        .args(["run", f.to_str().unwrap()])
-        .stdout(Stdio::null())
-        .stderr(Stdio::piped())
-        .spawn()
-        .expect("pspc runs");
-    while child.try_wait().unwrap().is_none() && t0.elapsed() < Duration::from_secs(1) {
-        std::thread::sleep(Duration::from_millis(5));
+fn a_loop_without_an_exit_is_refused_at_once() {
+    // Both loops once compiled: the empty body to a one-block program that
+    // jumps back to itself, and `pspc run` on the counter spun until it was
+    // killed. Each `pspc` is killed after one second if it has not exited.
+    let repros = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/repros");
+    for file in ["no-exit-empty-body.psp", "no-exit-counter.psp"] {
+        let f = repros.join(file);
+        for cmd in ["compile", "run"] {
+            let t0 = Instant::now();
+            let mut child = Command::new(env!("CARGO_BIN_EXE_pspc"))
+                .args([cmd, f.to_str().unwrap()])
+                .stdout(Stdio::null())
+                .stderr(Stdio::piped())
+                .spawn()
+                .expect("pspc runs");
+            while child.try_wait().unwrap().is_none() && t0.elapsed() < Duration::from_secs(1) {
+                std::thread::sleep(Duration::from_millis(5));
+            }
+            let _ = child.kill();
+            let out = child.wait_with_output().unwrap();
+            let err = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(1), "{cmd} {file}: {err}");
+            assert!(
+                err.contains("the loop body has no `break if`: every loop needs an exit"),
+                "{cmd} {file}: {err}"
+            );
+        }
     }
-    let _ = child.kill();
-    let out = child.wait_with_output().unwrap();
-    let err = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(out.status.code(), Some(1), "{:?}: {err}", t0.elapsed());
-    assert!(
-        err.contains("the empty loop body repeats without spending a cycle, so it never exits"),
-        "{err}"
-    );
 }
 
 #[test]

@@ -149,7 +149,7 @@ fn section2_initial_assignment() {
         .collect();
     assert_eq!(constrained.len(), 1);
     assert!(matches!(
-        constrained[0].op.kind,
+        constrained[0].op().kind,
         psp::ir::OpKind::Copy { .. }
     ));
     assert_eq!(constrained[0].formal, PredicateMatrix::single(0, 0, true));

@@ -152,7 +152,7 @@ fn reference_paths(sched: &Schedule) -> Result<Vec<(PredicateMatrix, usize)>, Co
             }
             let mut splits = Vec::new();
             for i in row {
-                if i.op.is_if() && !i.formal.is_disjoint(&m) {
+                if i.op().is_if() && !i.formal.is_disjoint(&m) {
                     let r = i.computes_if.ok_or(CodegenError::Internal(
                         "IF instance computes no predicate row",
                     ))?;
@@ -442,7 +442,7 @@ fn past_the_path_cap_generate_fails_with_the_named_error() {
     let widest = sched
         .rows
         .iter()
-        .map(|row| row.iter().filter(|i| i.op.is_if()).count());
+        .map(|row| row.iter().filter(|i| i.op().is_if()).count());
     assert_eq!(widest.max(), Some(19));
     let too_many = CodegenError::TooManyPaths(MAX_WALK_PATHS);
     assert_eq!(score_schedule(&sched, None).unwrap_err(), too_many);
@@ -487,7 +487,7 @@ fn past_the_entry_cap_every_walk_and_generate_refuse_alike() {
     // Not compacted after the IFs wrap: they stay at the bottom, so the
     // first row opens no more paths than the 2^19 entries (compacted, the
     // per-path reference would split every entry 2^19 ways there).
-    let first_row_ifs = sched.rows[0].iter().filter(|i| i.op.is_if()).count();
+    let first_row_ifs = sched.rows[0].iter().filter(|i| i.op().is_if()).count();
     assert_eq!(first_row_ifs, 0);
     assert_eq!(reference_incoming(&sched).map(|i| i.len()), Ok(19));
     let too_many = CodegenError::TooManyPaths(MAX_WALK_PATHS);
@@ -500,7 +500,7 @@ fn past_the_entry_cap_every_walk_and_generate_refuse_alike() {
     // count past the cap.
     let mut stray = sched
         .instances()
-        .find(|i| i.op.is_if() && i.computes_if.is_some())
+        .find(|i| i.op().is_if() && i.computes_if.is_some())
         .expect("an IF")
         .clone();
     stray.computes_if = None;
