@@ -13,7 +13,7 @@ use psp_bench::measure;
 use psp_core::{pipeline_loop, PspConfig};
 use psp_kernels::{by_name, KernelData};
 use psp_machine::MachineConfig;
-use psp_sim::{run_reference, BranchProfile};
+use psp_sim::BranchProfile;
 
 fn main() {
     let machine = MachineConfig::narrow(2, 1, 1);
@@ -31,8 +31,7 @@ fn main() {
         for q in [0.05, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95] {
             let data = KernelData::random(31, len).with_taken_fraction(q);
             let init = kernel.initial_state(&data);
-            let golden = run_reference(&kernel.spec, init, 1_000_000_000).unwrap();
-            let profile = BranchProfile::from_run(&golden, kernel.spec.n_ifs);
+            let profile = BranchProfile::measure(&kernel.spec, init, 1_000_000_000).unwrap();
 
             let s = pipeline_loop(&kernel.spec, &PspConfig::with_machine(machine.clone())).unwrap();
             let sm = measure(&kernel, &s.program, &data);
@@ -46,7 +45,7 @@ fn main() {
 
             let ems = modulo_schedule(&kernel.spec, &machine);
             ems.verify(&machine).unwrap();
-            let ems_ci = ems.estimated_cycles(golden.iterations) as f64 / golden.iterations as f64;
+            let ems_ci = ems.estimated_cycles(profile.samples) as f64 / profile.samples as f64;
 
             println!(
                 "{:>6.2} {:>12.3} {:>12.3} {:>12.3} {:>12.3} {:>11.1}%",

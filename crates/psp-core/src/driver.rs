@@ -26,6 +26,7 @@ use crate::transform::{self, split_candidates, Transformation};
 use psp_ir::LoopSpec;
 use psp_machine::{MachineConfig, VliwLoop};
 use psp_predicate::PredOpStats;
+use std::cell::Cell;
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{self, Sender};
@@ -359,6 +360,22 @@ impl<R> Job<'_, R> {
     }
 }
 
+/// `std::thread::available_parallelism`, resolved once per calling thread:
+/// the call reads cgroup files every time (15–22 µs per pipelining run).
+/// Library code keeps no process-global state, so the cache is a
+/// per-thread cell.
+fn available_threads() -> usize {
+    thread_local! {
+        static THREADS: Cell<usize> = const { Cell::new(0) };
+    }
+    THREADS.with(|t| {
+        if t.get() == 0 {
+            t.set(std::thread::available_parallelism().map_or(1, |n| n.get()));
+        }
+        t.get()
+    })
+}
+
 /// The worker pool of one pipelining run: up to `threads - 1` helper
 /// threads (`0` = available parallelism), spawned in the run's scope the
 /// first time a step needs them and kept until the pool is dropped, which
@@ -372,7 +389,7 @@ struct Pool<'scope, 'env, R> {
 impl<'scope, 'env, R: Send + 'scope> Pool<'scope, 'env, R> {
     fn new(scope: &'scope Scope<'scope, 'env>, threads: usize) -> Self {
         let threads = match threads {
-            0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
+            0 => available_threads(),
             n => n,
         };
         Self {

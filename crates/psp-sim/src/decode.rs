@@ -17,16 +17,16 @@
 //! Every other cycle runs on the interpreters, which continue the run on
 //! the same state with the carried counters (`reference::run_iterations`;
 //! `vliw_run::run_prologue`, `run_body` and `run_epilogue`): prologue and
-//! epilogue cycles, traced reference runs, states below the program's
-//! static demand, programs that fit no fast loop, and the budget tail
-//! after a fast loop stops. A fast loop runs only while the
-//! state meets the demand and the remaining budget covers a whole step (a
-//! source iteration or a VLIW block), so it stops at an iteration boundary
-//! or at the head of a non-empty block, where no condition-register
-//! snapshot is pending, and the handoff is exact. A VLIW loop that stops
-//! short always leaves the interpreter a block longer than the remaining
-//! budget, whose only `BREAK` sits in its last cycle, so that run ends in
-//! an error at the interpreter's exact cycle.
+//! epilogue cycles, states below the program's static demand, programs
+//! that fit no fast loop, and the budget tail after a fast loop stops. A
+//! fast loop runs only while the state meets the demand and the remaining
+//! budget covers a whole step (a source iteration or a VLIW block), so it
+//! stops at an iteration boundary or at the head of a non-empty block,
+//! where no condition-register snapshot is pending, and the handoff is
+//! exact. A VLIW loop that stops short always leaves the interpreter a
+//! block longer than the remaining budget, whose only `BREAK` sits in its
+//! last cycle, so that run ends in an error at the interpreter's exact
+//! cycle.
 //!
 //! The three loops are **bit-identical** to the interpreters by
 //! construction: evaluation order, the order in which faulting stores
@@ -43,7 +43,6 @@ use crate::state::{Effect, MachineState, SimError};
 use crate::vliw_run::{run_body, run_epilogue, run_prologue, VliwCounts, VliwRun};
 use psp_ir::{Item, LoopSpec, OpKind, Operand, Operation};
 use psp_machine::{VliwLoop, VliwTerm};
-use std::collections::BTreeMap;
 
 /// `flags`: operand `a` is an immediate (else a register index).
 const A_IMM: u8 = 1;
@@ -528,8 +527,8 @@ unsafe fn vliw_dispatchloop(
     Ok(exit)
 }
 
-/// The trace-free fast path of [`DecodedRef::run`] for a body that
-/// collapsed to a [`FusedRef`]: one pop stream per iteration, zero
+/// The fast path of [`DecodedRef::run`] for a body that collapsed to a
+/// [`FusedRef`]: one pop stream per iteration, zero
 /// instruction dispatch, costs and loop exits settled by a post-walk read
 /// of path predicates. Every budget check is hoisted behind the program's
 /// [`DecodedRef::iter_cost_bound`]. Returns `true` when a `BREAK` fired
@@ -1182,17 +1181,14 @@ impl DecodedRef {
     }
 
     /// Execute until `BREAK`, at most `max_cycles` costed items, with
-    /// [`crate::reference::run_reference`]'s state growth, budget placement,
-    /// and trace contents. Pass `trace` to collect per-iteration IF
-    /// outcomes; batch callers skip it. Whole iterations run in the fused
-    /// loop when the body fused, the state meets the demand, and no trace
-    /// is asked for; the interpreter runs the rest.
+    /// [`crate::reference::run_reference`]'s state growth and budget
+    /// placement. Whole iterations run in the fused loop when the body
+    /// fused and the state meets the demand; the interpreter runs the rest.
     pub fn run(
         &self,
         st: &mut MachineState,
         scr: &mut Scratch,
         max_cycles: u64,
-        trace: Option<&mut Vec<BTreeMap<u32, bool>>>,
     ) -> Result<RefCounts, SimError> {
         st.grow(self.spec.n_regs, self.spec.n_ccs);
         let mut cycles: u64 = 0;
@@ -1202,17 +1198,18 @@ impl DecodedRef {
         if let Some(f) = self
             .fused
             .as_ref()
-            .filter(|_| self.demand.met_by(st) && trace.is_none() && self.iter_cost_bound > 0)
+            .filter(|_| self.demand.met_by(st) && self.iter_cost_bound > 0)
         {
-            // The fused stream's synthetic predicates live above the real
-            // cc file, so it runs against a scratch cc buffer: real ccs in,
-            // walk, real ccs back out. Errors skip the write-back — they
-            // discard all state anyway.
+            // The fused stream's synthetic predicates live above the
+            // body's cc demand, so it runs against a scratch cc buffer:
+            // the demanded ccs in, walk, the same ccs back out. A state's
+            // ccs past the demand are never the body's, and keep their
+            // values. Errors skip the write-back — they discard all state
+            // anyway.
+            let real = self.demand.ccs as usize;
             scr.fccs.clear();
-            scr.fccs.extend_from_slice(&st.ccs);
-            if scr.fccs.len() < f.cc_len as usize {
-                scr.fccs.resize(f.cc_len as usize, false);
-            }
+            scr.fccs.extend_from_slice(&st.ccs[..real]);
+            scr.fccs.resize(f.cc_len as usize, false);
             let MachineState { regs, arrays, .. } = &mut *st;
             // SAFETY: the state meets the static demand (which covers
             // every tested condition register), the buffer meets
@@ -1232,8 +1229,7 @@ impl DecodedRef {
                     &mut iterations,
                 )?
             };
-            let n = st.ccs.len();
-            st.ccs.copy_from_slice(&scr.fccs[..n]);
+            st.ccs[..real].copy_from_slice(&scr.fccs[..real]);
             if broke {
                 return Ok(RefCounts { iterations, cycles });
             }
@@ -1244,7 +1240,6 @@ impl DecodedRef {
             max_cycles,
             &mut cycles,
             &mut iterations,
-            trace,
         )?;
         Ok(RefCounts { iterations, cycles })
     }
@@ -1546,8 +1541,8 @@ impl DecodedVliw {
 }
 
 /// Decoded-engine counterpart of [`crate::reference::run_reference`]:
-/// decodes, runs once, and materializes a full [`RefRun`] (including the
-/// IF-outcome trace). Bit-identical by the differential suites.
+/// decodes, runs once, and materializes a full [`RefRun`]. Bit-identical
+/// by the differential suites.
 pub fn run_reference_decoded(
     spec: &LoopSpec,
     state: MachineState,
@@ -1556,13 +1551,11 @@ pub fn run_reference_decoded(
     let d = DecodedRef::decode(spec);
     let mut st = state;
     let mut scr = Scratch::default();
-    let mut trace = Vec::new();
-    let c = d.run(&mut st, &mut scr, max_cycles, Some(&mut trace))?;
+    let c = d.run(&mut st, &mut scr, max_cycles)?;
     Ok(RefRun {
         state: st,
         iterations: c.iterations,
         cycles: c.cycles,
-        trace,
     })
 }
 
@@ -1678,7 +1671,6 @@ mod tests {
             assert_eq!(a.state, b.state);
             assert_eq!(a.iterations, b.iterations);
             assert_eq!(a.cycles, b.cycles);
-            assert_eq!(a.trace, b.trace);
         }
     }
 
@@ -1776,7 +1768,7 @@ mod tests {
         let mut scr = Scratch::default();
         for data in [vec![5, 3, 8], vec![1], vec![4, 4, 4, 4]] {
             let mut st = initial(data.clone());
-            d.run(&mut st, &mut scr, 10_000, None).unwrap();
+            d.run(&mut st, &mut scr, 10_000).unwrap();
             let gold = run_reference(&spec, initial(data.clone()), 10_000).unwrap();
             assert_eq!(st, gold.state);
 
@@ -1830,6 +1822,55 @@ mod tests {
         assert!(DecodedRef::decode(&vecmin()).fused.is_some());
     }
 
+    /// The fused loop's synthetic ccs sit just above the body's cc demand.
+    /// A state's ccs past that demand (here `spare`, declared but never
+    /// touched by the body) must keep their values, as on the interpreter.
+    #[test]
+    fn fused_reference_keeps_ccs_past_the_body_demand() {
+        let mut b = LoopBuilder::new("clamp");
+        let x = b.array("x");
+        let k = b.named_reg("k");
+        let n = b.named_reg("n");
+        let v = b.reg();
+        let cc0 = b.cc();
+        let cc1 = b.cc();
+        let cc2 = b.cc();
+        let spare = b.cc();
+        b.op(load(v, x, k));
+        b.op(cmp(CmpOp::Lt, cc0, v, 0i64));
+        b.if_else(
+            cc0,
+            |b| {
+                b.op(copy(v, 0i64));
+            },
+            |b| {
+                b.op(cmp(CmpOp::Gt, cc1, v, 9i64));
+                b.if_else(
+                    cc1,
+                    |b| {
+                        b.op(copy(v, 9i64));
+                    },
+                    |_| {},
+                );
+            },
+        );
+        b.op(store(x, k, v));
+        b.op(add(k, k, 1i64));
+        b.op(cmp(CmpOp::Ge, cc2, k, n));
+        b.break_(cc2);
+        let spec = b.finish([k, n], [spare]);
+        assert!(DecodedRef::decode(&spec).fused.is_some());
+        let mut st = MachineState::new(spec.n_regs, spec.n_ccs);
+        st.regs[n.0 as usize] = 4;
+        st.ccs[spare.0 as usize] = true;
+        st.push_array(vec![-3, 4, 12, 9]);
+        let slow = run_reference(&spec, st.clone(), 10_000).unwrap();
+        let fast = run_reference_decoded(&spec, st, 10_000).unwrap();
+        assert_eq!(fast.state, slow.state);
+        assert!(fast.state.ccs[spare.0 as usize]);
+        assert_eq!(fast.state.arrays[0], vec![0, 4, 9, 9]);
+    }
+
     #[test]
     fn fig1b_runs_in_the_superloop() {
         let d = DecodedVliw::decode(&fig1b());
@@ -1863,7 +1904,7 @@ mod tests {
         assert!(!d.demand.met_by(&grown));
         let gold = run_reference(spec, st.clone(), 1_000);
         let mut s = st.clone();
-        match (gold, d.run(&mut s, &mut Scratch::default(), 1_000, None)) {
+        match (gold, d.run(&mut s, &mut Scratch::default(), 1_000)) {
             (Ok(g), Ok(c)) => {
                 assert_eq!(s, g.state);
                 assert_eq!((c.iterations, c.cycles), (g.iterations, g.cycles));

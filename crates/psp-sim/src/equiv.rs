@@ -319,7 +319,7 @@ impl EquivEngine {
     }
 
     /// Check one trial input, returning compact counters (no
-    /// `RefRun`/`VliwRun` materialization, no trace).
+    /// `RefRun`/`VliwRun` materialization).
     pub fn check(
         &mut self,
         initial: &MachineState,
@@ -328,7 +328,7 @@ impl EquivEngine {
         self.ref_state.copy_from(initial);
         let rc = self
             .dref
-            .run(&mut self.ref_state, &mut self.scratch, max_cycles, None)?;
+            .run(&mut self.ref_state, &mut self.scratch, max_cycles)?;
         self.vliw_state.copy_from(initial);
         self.vliw_state.grow(self.max_reg, self.max_cc);
         let vc = self
@@ -350,40 +350,25 @@ impl EquivEngine {
         &self.vliw_state
     }
 
-    /// Check one trial input and materialize the full runs (including the
-    /// reference IF-outcome trace), for API parity with
-    /// [`check_equivalence`].
+    /// [`Self::check`], then materialize the full runs, for API parity
+    /// with [`check_equivalence`].
     pub fn check_full(
         &mut self,
         initial: &MachineState,
         max_cycles: u64,
     ) -> Result<(RefRun, VliwRun), EquivalenceError> {
-        self.ref_state.copy_from(initial);
-        let mut trace = Vec::new();
-        let rc = self.dref.run(
-            &mut self.ref_state,
-            &mut self.scratch,
-            max_cycles,
-            Some(&mut trace),
-        )?;
-        self.vliw_state.copy_from(initial);
-        self.vliw_state.grow(self.max_reg, self.max_cc);
-        let vc = self
-            .dvliw
-            .run(&mut self.vliw_state, &mut self.scratch, max_cycles)?;
-        compare_observables(&self.live_out, &self.ref_state, &self.vliw_state)?;
+        let run = self.check(initial, max_cycles)?;
         Ok((
             RefRun {
                 state: self.ref_state.clone(),
-                iterations: rc.iterations,
-                cycles: rc.cycles,
-                trace,
+                iterations: run.ref_iterations,
+                cycles: run.ref_cycles,
             },
             VliwRun {
                 state: self.vliw_state.clone(),
-                body_cycles: vc.body_cycles,
-                total_cycles: vc.total_cycles,
-                iterations: vc.iterations,
+                body_cycles: run.body_cycles,
+                total_cycles: run.total_cycles,
+                iterations: run.vliw_iterations,
             },
         ))
     }
@@ -662,7 +647,6 @@ mod tests {
         let (gi, ri) =
             check_equivalence_with(&spec, &good, &init, 100_000, EngineKind::Interpreter).unwrap();
         assert_eq!(gd.state, gi.state);
-        assert_eq!(gd.trace, gi.trace);
         assert_eq!(rd.state, ri.state);
         assert_eq!(
             (rd.body_cycles, rd.total_cycles, rd.iterations),

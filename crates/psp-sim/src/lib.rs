@@ -11,8 +11,7 @@
 //!
 //! * [`reference::run_reference`] — executes a structured [`psp_ir::LoopSpec`]
 //!   with strict sequential semantics (one operation per cycle), producing
-//!   the golden final state, the per-path sequential cycle counts, and the
-//!   IF-outcome trace used for profiling;
+//!   the golden final state and the sequential cycle and iteration counts;
 //! * [`vliw_run::run_vliw`] — executes a compiled [`psp_machine::VliwLoop`]
 //!   with parallel per-cycle semantics (all reads see pre-cycle state,
 //!   guards resolve against pre-cycle condition registers, `BREAK` exits at
@@ -28,9 +27,9 @@
 //!   state and compares live-out registers and all array contents;
 //!   [`equiv::check_equivalence_batch`] amortizes decoding over a whole
 //!   [`equiv::EquivConfig`] trial set, sharded across threads;
-//! * [`profile::BranchProfile`] — per-IF truth probabilities estimated from
-//!   a reference trace, feeding the paper's §4 probability-driven
-//!   heuristics.
+//! * [`profile::BranchProfile::measure`] — per-IF truth probabilities
+//!   counted over one reference run, feeding the paper's §4
+//!   probability-driven heuristics.
 //!
 //! The crate keeps no process-global state: every run reports its own
 //! cycle and iteration counts in its result, and callers time what they

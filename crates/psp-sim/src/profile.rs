@@ -3,13 +3,15 @@
 //! "The probabilities could be obtained by profiling, and a mapping from
 //! path sets … to their probabilities would enable exact calculation of
 //! estimated mean (dynamic) II of each intermediate schedule." A
-//! [`BranchProfile`] holds per-IF truth probabilities estimated from a
-//! reference-run trace. The profile-driven scorer in `psp-core` measures a
-//! path's matrix as the product of its constrained outcomes'
-//! probabilities, assuming outcomes independent across iterations (a
-//! stationary model).
+//! [`BranchProfile`] holds per-IF truth probabilities counted over one
+//! reference run, in memory bounded by the IF count. The profile-driven
+//! scorer in `psp-core` measures a path's matrix as the product of its
+//! constrained outcomes' probabilities, assuming outcomes independent
+//! across iterations (a stationary model).
 
-use crate::reference::RefRun;
+use crate::reference::run_observed;
+use crate::state::{MachineState, SimError};
+use psp_ir::LoopSpec;
 
 /// Per-IF probability of the True outcome.
 #[derive(Debug, Clone, PartialEq)]
@@ -22,30 +24,38 @@ pub struct BranchProfile {
 }
 
 impl BranchProfile {
-    /// Estimate from a reference-run trace. IFs that never executed get
+    /// Run the reference interpreter on `initial`, as
+    /// [`crate::reference::run_reference`] does, counting how often each
+    /// IF executed and took its True branch. IFs that never executed get
     /// probability 0.5.
-    pub fn from_run(run: &RefRun, n_ifs: u32) -> Self {
-        let mut taken = vec![0u64; n_ifs as usize];
-        let mut seen = vec![0u64; n_ifs as usize];
-        for iter in &run.trace {
-            for (&if_id, &outcome) in iter {
-                if (if_id as usize) < seen.len() {
-                    seen[if_id as usize] += 1;
-                    if outcome {
-                        taken[if_id as usize] += 1;
-                    }
-                }
+    pub fn measure(
+        spec: &LoopSpec,
+        mut initial: MachineState,
+        max_cycles: u64,
+    ) -> Result<Self, SimError> {
+        initial.grow(spec.n_regs, spec.n_ccs);
+        let (mut cycles, mut samples) = (0, 0);
+        // `(seen, taken)` per IF.
+        let mut counts = vec![(0u64, 0u64); spec.n_ifs as usize];
+        let mut count = |if_id: u32, outcome: bool| {
+            if let Some((seen, taken)) = counts.get_mut(if_id as usize) {
+                *seen += 1;
+                *taken += u64::from(outcome);
             }
-        }
-        let p_true = taken
+        };
+        run_observed(
+            &spec.items,
+            &mut initial,
+            max_cycles,
+            &mut cycles,
+            &mut samples,
+            &mut count,
+        )?;
+        let p_true = counts
             .iter()
-            .zip(&seen)
-            .map(|(&t, &s)| if s == 0 { 0.5 } else { t as f64 / s as f64 })
+            .map(|&(s, t)| if s == 0 { 0.5 } else { t as f64 / s as f64 })
             .collect();
-        Self {
-            p_true,
-            samples: run.trace.len() as u64,
-        }
+        Ok(Self { p_true, samples })
     }
 
     /// Probability that IF `row` is True (any iteration column — the model
@@ -58,8 +68,6 @@ impl BranchProfile {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::reference::run_reference;
-    use crate::state::MachineState;
     use psp_ir::op::build::*;
     use psp_ir::{CmpOp, LoopBuilder};
 
@@ -73,9 +81,8 @@ mod tests {
         assert_eq!(p.prob(9), 0.5);
     }
 
-    #[test]
-    fn from_run_counts_outcomes() {
-        // Loop over x: if (x[k] > 0) taken; 3 of 4 elements positive.
+    /// `if (x[k] > 0) acc += x[k]; k += 1; break if (k <op> n)`.
+    fn positive_sum(exit: CmpOp) -> LoopSpec {
         let mut b = LoopBuilder::new("p");
         let x = b.array("x");
         let one = b.reg();
@@ -95,17 +102,33 @@ mod tests {
             |_| {},
         );
         b.op(add(k, k, one));
-        b.op(cmp(CmpOp::Ge, cc1, k, n));
+        b.op(cmp(exit, cc1, k, n));
         b.break_(cc1);
-        let spec = b.finish([one, n, k, acc], [acc]);
+        b.finish([one, n, k, acc], [acc])
+    }
 
+    fn initial(n: i64, data: Vec<i64>) -> MachineState {
         let mut s = MachineState::new(8, 2);
         s.regs[0] = 1;
-        s.regs[1] = 4;
-        s.push_array(vec![5, -2, 3, 7]);
-        let run = run_reference(&spec, s, 10_000).unwrap();
-        let prof = BranchProfile::from_run(&run, 1);
+        s.regs[1] = n;
+        s.push_array(data);
+        s
+    }
+
+    #[test]
+    fn measure_counts_outcomes() {
+        // 3 of 4 elements positive.
+        let spec = positive_sum(CmpOp::Ge);
+        let prof = BranchProfile::measure(&spec, initial(4, vec![5, -2, 3, 7]), 10_000).unwrap();
         assert_eq!(prof.samples, 4);
         assert!((prof.prob(0) - 0.75).abs() < 1e-9);
+    }
+
+    #[test]
+    fn measure_of_a_loop_that_never_exits_hits_the_budget() {
+        // `break if (k == -1)` with k counting up from 0 never fires.
+        let spec = positive_sum(CmpOp::Eq);
+        let res = BranchProfile::measure(&spec, initial(-1, vec![5, -2, 3, 7]), 1_000_000);
+        assert_eq!(res, Err(SimError::CycleBudgetExceeded(1_000_000)));
     }
 }

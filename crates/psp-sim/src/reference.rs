@@ -3,12 +3,12 @@
 //! One operation costs one cycle, mirroring the paper's §1.1 sequential
 //! baseline ("if executed on a sequential machine, the latency of one loop
 //! iteration … is 7 and 8 clock cycles for the two paths"). The interpreter
-//! produces the golden final state for equivalence checking, cycle counts,
-//! and a per-iteration trace of IF outcomes for profiling.
+//! produces the golden final state for equivalence checking and cycle
+//! counts; profiling counts its IF outcomes as it runs
+//! ([`crate::profile::BranchProfile::measure`]).
 
 use crate::state::{MachineState, SimError};
 use psp_ir::{Item, LoopSpec};
-use std::collections::BTreeMap;
 
 /// Result of a reference run.
 #[derive(Debug, Clone)]
@@ -19,9 +19,6 @@ pub struct RefRun {
     pub iterations: u64,
     /// Total sequential cycles (= executed operations).
     pub cycles: u64,
-    /// Per-iteration IF outcomes: `trace[i][if_id]` is the outcome of IF
-    /// `if_id` in iteration `i`, absent when the IF did not execute.
-    pub trace: Vec<BTreeMap<u32, bool>>,
 }
 
 impl RefRun {
@@ -44,48 +41,51 @@ pub fn run_reference(
     state.grow(spec.n_regs, spec.n_ccs);
     let mut cycles: u64 = 0;
     let mut iterations: u64 = 0;
-    let mut trace = Vec::new();
     run_iterations(
         &spec.items,
         &mut state,
         max_cycles,
         &mut cycles,
         &mut iterations,
-        Some(&mut trace),
     )?;
     Ok(RefRun {
         state,
         iterations,
         cycles,
-        trace,
     })
 }
 
 /// Run source iterations of `items` until a `BREAK` fires, continuing a
 /// run in progress: `cycles` and `iterations` carry the counts of the
 /// iterations already completed on `state` (the decoded engine's fused
-/// loop hands over at an iteration boundary). Each iteration's IF outcomes
-/// are appended to `trace` when given. Every item costs a cycle, so only an
-/// empty body iterates for free; it is refused before it starts.
+/// loop hands over at an iteration boundary).
 pub(crate) fn run_iterations(
     items: &[Item],
     state: &mut MachineState,
     max_cycles: u64,
     cycles: &mut u64,
     iterations: &mut u64,
-    mut trace: Option<&mut Vec<BTreeMap<u32, bool>>>,
+) -> Result<(), SimError> {
+    run_observed(items, state, max_cycles, cycles, iterations, &mut |_, _| {})
+}
+
+/// [`run_iterations`], passing `(if_id, outcome)` of every executed IF to
+/// `on_if`. Every item costs a cycle, so only an empty body iterates for
+/// free; it is refused before it starts.
+pub(crate) fn run_observed(
+    items: &[Item],
+    state: &mut MachineState,
+    max_cycles: u64,
+    cycles: &mut u64,
+    iterations: &mut u64,
+    on_if: &mut impl FnMut(u32, bool),
 ) -> Result<(), SimError> {
     if items.is_empty() {
         return Err(SimError::ZeroCycleLoop("the empty loop body"));
     }
     loop {
         *iterations += 1;
-        let mut outcomes = BTreeMap::new();
-        let broke = run_items(items, state, cycles, max_cycles, &mut outcomes)?;
-        if let Some(trace) = trace.as_mut() {
-            trace.push(outcomes);
-        }
-        if broke {
+        if run_items(items, state, cycles, max_cycles, on_if)? {
             return Ok(());
         }
         if *cycles > max_cycles {
@@ -100,7 +100,7 @@ fn run_items(
     state: &mut MachineState,
     cycles: &mut u64,
     max_cycles: u64,
-    outcomes: &mut BTreeMap<u32, bool>,
+    on_if: &mut impl FnMut(u32, bool),
 ) -> Result<bool, SimError> {
     for item in items {
         if *cycles > max_cycles {
@@ -116,9 +116,9 @@ fn run_items(
             Item::If(i) => {
                 *cycles += 1; // the IF itself costs a cycle
                 let taken = state.cc(i.cc)?;
-                outcomes.insert(i.if_id, taken);
+                on_if(i.if_id, taken);
                 let branch = if taken { &i.then_items } else { &i.else_items };
-                if run_items(branch, state, cycles, max_cycles, outcomes)? {
+                if run_items(branch, state, cycles, max_cycles, on_if)? {
                     return Ok(true);
                 }
             }
@@ -136,6 +136,7 @@ fn run_items(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::profile::BranchProfile;
     use psp_ir::op::build::*;
     use psp_ir::{CmpOp, LoopBuilder};
 
@@ -201,12 +202,11 @@ mod tests {
     }
 
     #[test]
-    fn trace_records_if_outcomes() {
-        let run = run_reference(&vecmin(), initial(vec![5, 2, 7]), 10_000).unwrap();
-        assert_eq!(run.trace.len(), 3);
-        assert_eq!(run.trace[0].get(&0), Some(&false)); // 5<5 false
-        assert_eq!(run.trace[1].get(&0), Some(&true)); // 2<5 true
-        assert_eq!(run.trace[2].get(&0), Some(&false)); // 7<2 false
+    fn measure_counts_if_outcomes() {
+        let prof = BranchProfile::measure(&vecmin(), initial(vec![5, 2, 7]), 10_000).unwrap();
+        assert_eq!(prof.samples, 3);
+        // 5<5 false, 2<5 true, 7<2 false.
+        assert!((prof.prob(0) - 1.0 / 3.0).abs() < 1e-9);
     }
 
     #[test]

@@ -33,8 +33,7 @@ fn main() {
         let init = kernel.initial_state(&data);
 
         // Profile with the reference interpreter.
-        let golden = run_reference(&kernel.spec, init.clone(), 100_000_000).unwrap();
-        let profile = BranchProfile::from_run(&golden, kernel.spec.n_ifs);
+        let profile = BranchProfile::measure(&kernel.spec, init.clone(), 100_000_000).unwrap();
 
         // Static PSP (worst-path objective).
         let s = pipeline_loop(&kernel.spec, &PspConfig::with_machine(machine.clone())).unwrap();

@@ -27,10 +27,7 @@ use psp::core::{pipeline_loop, PspConfig, PspResult};
 use psp::ir::{LoopSpec, RegRef};
 use psp::kernels::SplitMix64;
 use psp::machine::{to_dot, MachineConfig, VliwLoop};
-use psp::sim::{
-    check_equivalence, run_reference, trace_vliw, BranchProfile, EngineKind, EquivEngine,
-    MachineState,
-};
+use psp::sim::{trace_vliw, BranchProfile, EngineKind, EquivEngine, EquivRun, MachineState};
 
 /// Largest `--unroll` factor: the unrolled body is list-scheduled as one
 /// block, and that cost grows much faster than the factor.
@@ -370,9 +367,8 @@ fn cmd_run(args: &Args, out: &mut impl Write) -> Result<(), Failure> {
 
     let mut cfg = args.psp_config();
     if args.profile {
-        let golden = run_reference(&spec, init.clone(), 1_000_000_000)
+        let profile = BranchProfile::measure(&spec, init.clone(), 1_000_000_000)
             .map_err(|e| format!("reference run: {e}"))?;
-        let profile = BranchProfile::from_run(&golden, spec.n_ifs);
         let probs: Vec<f64> = (0..spec.n_ifs).map(|i| profile.prob(i)).collect();
         writeln!(
             out,
@@ -401,8 +397,8 @@ fn cmd_run(args: &Args, out: &mut impl Write) -> Result<(), Failure> {
         }
     }
 
-    // The trace-free check: only cycle and iteration counts are printed, so
-    // a loop that never exits costs no memory before the cycle budget.
+    // Only counts and the compiled program's live-outs are printed, so
+    // `check` serves without materializing either run.
     let t_check = Instant::now();
     let mut engine = EquivEngine::new(&spec, &res.program);
     let run = engine
@@ -443,16 +439,18 @@ fn cmd_run(args: &Args, out: &mut impl Write) -> Result<(), Failure> {
 fn cmd_compare(args: &Args, out: &mut impl Write) -> Result<(), Failure> {
     let spec = args.load_spec()?;
     let init = initial_state(&spec, args)?;
-    let golden = run_reference(&spec, init.clone(), 1_000_000_000)
-        .map_err(|e| format!("reference run: {e}"))?;
 
     writeln!(
         out,
         "{:<22} {:>8} {:>12} {:>9}",
         "technique", "II", "cycles/iter", "speedup"
     )?;
-    let show = |out: &mut dyn Write, label: &str, prog: &VliwLoop| -> Result<(), Failure> {
-        let (_, run) = check_equivalence(&spec, prog, &init, 1_000_000_000)
+    // Every proof runs the reference too, so no separate reference run is
+    // needed: each row's speedup uses its own proof's reference cycles, and
+    // the EMS row the first proof's counts.
+    let show = |out: &mut dyn Write, label: &str, prog: &VliwLoop| -> Result<EquivRun, Failure> {
+        let run = EquivEngine::new(&spec, prog)
+            .check(&init, 1_000_000_000)
             .map_err(|e| format!("{label}: EQUIVALENCE FAILURE: {e}"))?;
         writeln!(
             out,
@@ -460,11 +458,11 @@ fn cmd_compare(args: &Args, out: &mut impl Write) -> Result<(), Failure> {
             label,
             ii_str(prog),
             run.cycles_per_iteration(),
-            golden.cycles as f64 / run.body_cycles.max(1) as f64,
+            run.ref_cycles as f64 / run.body_cycles.max(1) as f64,
         )?;
-        Ok(())
+        Ok(run)
     };
-    show(out, "sequential", &compile_sequential(&spec))?;
+    let golden = show(out, "sequential", &compile_sequential(&spec))?;
     show(
         out,
         "local scheduling",
@@ -477,14 +475,14 @@ fn cmd_compare(args: &Args, out: &mut impl Write) -> Result<(), Failure> {
     )?;
     let ems = modulo_schedule(&spec, &args.machine);
     ems.verify(&args.machine).map_err(|e| format!("EMS: {e}"))?;
-    let ems_cycles = ems.estimated_cycles(golden.iterations);
+    let ems_cycles = ems.estimated_cycles(golden.ref_iterations);
     writeln!(
         out,
         "{:<22} {:>8} {:>12.2} {:>8.2}x   (idealized cycle model)",
         "EMS modulo",
         ems.ii,
-        ems_cycles as f64 / golden.iterations.max(1) as f64,
-        golden.cycles as f64 / ems_cycles.max(1) as f64,
+        ems_cycles as f64 / golden.ref_iterations.max(1) as f64,
+        golden.ref_cycles as f64 / ems_cycles.max(1) as f64,
     )?;
     let res = pipeline_loop(&spec, &args.psp_config()).map_err(|e| e.to_string())?;
     show(out, "PSP (this paper)", &res.program)?;

@@ -1,24 +1,23 @@
 //! Differential suite for the pre-decoded execution engine: every
 //! observable the oracle compares — final registers, condition codes,
-//! arrays, cycle counts, iteration counts, and the reference IF-outcome
-//! trace — must be bit-identical between the `step_cycle`/`run_items`
-//! interpreters (the trusted base) and the decoded engine.
+//! arrays, cycle counts and iteration counts — must be bit-identical
+//! between the `step_cycle`/`run_items` interpreters (the trusted base)
+//! and the decoded engine.
 //!
 //! The decoded engine is three unsafe steady-state loops (VLIW
 //! superloop, VLIW dispatch loop, fused reference loop); every other
-//! cycle — prologue, epilogue, traced runs, programs that fit no fast
-//! loop, and the budget tail after a fast loop stops — runs on the
-//! interpreters themselves, which continue the run in progress. Coverage
-//! is four-layered:
+//! cycle — prologue, epilogue, programs that fit no fast loop, and the
+//! budget tail after a fast loop stops — runs on the interpreters
+//! themselves, which continue the run in progress. Coverage is
+//! four-layered:
 //!
 //! 1. all 16 paper kernels × both predicate backends × several compiled
 //!    forms (PSP pipeline, local compaction, unrolled) through the full
-//!    trace-materializing path (`check_equivalence_with`), where the
-//!    reference runs on the interpreter;
-//! 2. the same kernels through the no-trace batch path
-//!    (`EquivEngine::check`), the only path that engages the fused
-//!    reference loop — the counters it returns must equal the
-//!    interpreter's run observables;
+//!    state-materializing path (`check_equivalence_with`), where both
+//!    final states are compared whole;
+//! 2. the same kernels through the batch path (`EquivEngine::check`, one
+//!    engine reused across trials) — the counters it returns must equal
+//!    the interpreter's run observables;
 //! 3. a proptest over the psp-verify fuzz grammar (random nested-If
 //!    bodies with breaks), so the decoded engine is exercised on loop
 //!    shapes no hand-written kernel covers;
@@ -37,7 +36,7 @@ use psp::verify::grammar::{build_spec, initial};
 
 const MAX_CYCLES: u64 = 10_000_000;
 
-/// Run one trial through both engines' full (trace-materializing) paths
+/// Run one trial through both engines' full (state-materializing) paths
 /// and demand field-for-field identical `RefRun`/`VliwRun` observables —
 /// or the exact same error.
 fn assert_full_identical(spec: &LoopSpec, prog: &VliwLoop, init: &MachineState, label: &str) {
@@ -51,7 +50,6 @@ fn assert_full_identical(spec: &LoopSpec, prog: &VliwLoop, init: &MachineState, 
                 ri.iterations, rd.iterations,
                 "[{label}] ref iterations diverged"
             );
-            assert_eq!(ri.trace, rd.trace, "[{label}] ref trace diverged");
             assert_eq!(vi.state, vd.state, "[{label}] vliw state diverged");
             assert_eq!(
                 vi.body_cycles, vd.body_cycles,
@@ -74,9 +72,8 @@ fn assert_full_identical(spec: &LoopSpec, prog: &VliwLoop, init: &MachineState, 
     }
 }
 
-/// Run one trial through the decoded engine's no-trace batch path (the
-/// one the benchmark and the batched oracle use — it is the only path
-/// that engages the fused reference loop) and demand its compact counters
+/// Run one trial through the decoded engine's batch path (the one the
+/// benchmark and the batched oracle use) and demand its compact counters
 /// match the interpreter's runs.
 fn assert_batch_path_identical(
     spec: &LoopSpec,
@@ -131,7 +128,7 @@ fn kernel_trials() -> Vec<(u64, usize)> {
 }
 
 /// All 16 kernels × both predicate backends, through the full
-/// trace-materializing path, on the PSP-pipelined program.
+/// state-materializing path, on the PSP-pipelined program.
 #[test]
 fn kernels_identical_across_engines_and_backends() {
     for kernel in all_kernels() {
@@ -154,7 +151,7 @@ fn kernels_identical_across_engines_and_backends() {
     }
 }
 
-/// The no-trace batch path (fused reference loop + VLIW fast loops) over
+/// The batch path (fused reference loop + VLIW fast loops) over
 /// all kernels: compact counters must equal the interpreter's.
 #[test]
 fn kernels_identical_on_batch_fast_path() {

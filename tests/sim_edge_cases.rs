@@ -253,8 +253,8 @@ fn displaced_index_past_i64_max_wraps() {
 }
 
 /// A body with no items spends no cycle, so neither a BREAK nor the cycle
-/// budget can end it, and a traced run would grow its trace until memory
-/// runs out. Both reference engines refuse it by name.
+/// budget can end it, and a run would never stop. Both reference engines
+/// refuse it by name.
 #[test]
 fn empty_body_is_a_zero_cycle_loop() {
     let mut b = LoopBuilder::new("empty");
