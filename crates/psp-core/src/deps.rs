@@ -229,7 +229,7 @@ pub fn check_pair(
         // would change that to the same-iteration value — renaming with a
         // leftover copy preserves the old reaching definition. Same fix,
         // same cycle-sharing freedom, in both directions.
-        let fix = rename_permission(x, live_out);
+        let fix = rename_permission(x);
         check = check.and(PairCheck {
             above: fix,
             same: Permission::Yes,
@@ -238,7 +238,7 @@ pub fn check_pair(
 
     // Both define the same register.
     if x.def().is_some() && x.def() == y.def() {
-        let fix = rename_permission(x, live_out);
+        let fix = rename_permission(x);
         let above = if x_first {
             // Moving x above restores program write order.
             Permission::Yes
@@ -262,7 +262,7 @@ pub fn check_pair(
             } else {
                 // Speculative execution writes x's destination on paths
                 // outside its formal set; renaming confines the effect.
-                match rename_permission(x, live_out) {
+                match rename_permission(x) {
                     Permission::WithFixes(_) => Permission::WithFixes(vec![Fix::SpeculateRename]),
                     Permission::Yes => Permission::WithFixes(vec![Fix::SpeculateRename]),
                     no => no,
@@ -284,13 +284,9 @@ pub fn check_pair(
     if let (Some(ax), Some(ay)) = (mem_access(x.op()), mem_access(y.op())) {
         if ax.interferes(&ay) {
             let delta = (x.index - y.index) as i64;
-            // Strides: the only registers appearing as indices in scheduled
-            // code are unit inductions (the scheduler folds everything else
-            // conservatively); derive from y/x themselves is impossible
-            // here, so use the conservative "unknown" unless the addresses
-            // match syntactically.
-            let alias = ax.may_alias(&ay, delta, |_| None) || ax.may_alias(&ay, delta, |_| Some(0));
-            if alias {
+            // Strides cannot be derived from x and y alone, so they are
+            // unknown: a shared index register may alias at any distance.
+            if ax.may_alias(&ay, delta, |_| None) {
                 let perm = match (ay.kind, ax.kind) {
                     (AccessKind::Write, AccessKind::Read) if !x_first => PairCheck {
                         above: Permission::No("load may not pass aliasing store"),
@@ -338,13 +334,6 @@ pub fn check_pair(
             });
         }
     }
-    if x_break && x_first {
-        // Program: x (BREAK), then y. Moving the BREAK above y is a
-        // reordering *towards* program order — but y observable must not
-        // end up in or after the exit's cycle… y is stationary below, so
-        // the exit would fire before y executes, which is exactly the
-        // original semantics. Fine.
-    }
     if x_break && !x_first && y.is_observable(live_out) {
         // Program: y (observable), then x (BREAK). y must have executed by
         // the time the exit fires: same cycle is fine (exit at end of
@@ -354,12 +343,8 @@ pub fn check_pair(
             same: Permission::Yes,
         });
     }
-    if !x_break && x_first && y_break && x.is_observable(live_out) {
-        // Program: x (observable), then y (BREAK); x currently below is
-        // already wrong-side — moving it above or into y's cycle restores
-        // order.
-        // (No constraint: both placements are legal.)
-    }
+    // The other orders (a BREAK above a program-later op, an observable op
+    // above a program-later BREAK) restore program order: no constraint.
 
     check
 }
@@ -371,8 +356,7 @@ pub fn check_pair(
 /// copies via substitution instead. The leftover copy preserves the
 /// architectural value at the original program point, so live-out
 /// destinations are safe to rename.
-fn rename_permission(x: &Instance, live_out: &[RegRef]) -> Permission {
-    let _ = live_out;
+fn rename_permission(x: &Instance) -> Permission {
     if matches!(x.op().kind, OpKind::Copy { .. }) {
         return Permission::No("copies are never renamed");
     }

@@ -8,7 +8,8 @@
 //! The contract is computed from the schedule and its source loop:
 //!
 //! 1. **Entry-live registers** — those the body reads (pre-cycle, in row
-//!    order) before writing;
+//!    order) before writing, and the live-out registers, which every loop
+//!    exit reads at the end of its cycle;
 //! 2. for each, its **writers** in the body: an instance with operation
 //!    index `i` supplies, across the back edge, the value of its *original
 //!    source operation* for original iteration `i - 1` (index-0 writers
@@ -77,6 +78,16 @@ pub fn build_preloop(
             if inst.formal.is_universe() {
                 for d in inst.op().defs() {
                     written.insert(d);
+                }
+            }
+        }
+        // A loop exit reads every live-out register at the end of its
+        // cycle. A write the body wraps past the exit leaves the first
+        // pass's exit observing the startup value.
+        if row.iter().any(|inst| inst.op().is_break()) {
+            for &r in &sched.source.live_out {
+                if !written.contains(&r) {
+                    entry_live.insert(r);
                 }
             }
         }

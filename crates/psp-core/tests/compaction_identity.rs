@@ -46,7 +46,10 @@ type Row = (
 /// paths with equal futures and code generation to check each placement
 /// once against the placements before it, and again when compaction came
 /// to skip moveups whose refusal still held and to check latencies only
-/// for producers slower than one cycle.
+/// for producers slower than one cycle. find_first's rows were re-recorded
+/// when the preloop came to count live-out registers as read at each loop
+/// exit, which refuses some of its intermediate schedules; its II range
+/// did not move.
 #[rustfmt::skip]
 const EXPECTED: &[Row] = &[
     ("vecmin", "paper", [53, 19, 1, 33, 5], 1963, 144, 7, 2, 11),
@@ -67,8 +70,8 @@ const EXPECTED: &[Row] = &[
     ("sign_store", "narrow211", [37, 7, 0, 34, 5], 2343, 208, 4, 3, 9),
     ("two_cond", "paper", [56, 27, 0, 48, 5], 3571, 238, 9, 2, 12),
     ("two_cond", "narrow211", [52, 12, 0, 45, 6], 4055, 213, 7, 3, 10),
-    ("find_first", "paper", [35, 14, 0, 28, 4], 1048, 68, 7, 1, 10),
-    ("find_first", "narrow211", [29, 8, 0, 28, 4], 1056, 54, 7, 3, 8),
+    ("find_first", "paper", [35, 14, 0, 26, 4], 1020, 64, 7, 1, 10),
+    ("find_first", "narrow211", [29, 8, 0, 26, 4], 1036, 50, 7, 3, 8),
     ("skewed", "paper", [37, 17, 0, 24, 4], 1123, 72, 7, 1, 9),
     ("skewed", "narrow211", [39, 12, 0, 29, 5], 2343, 122, 7, 3, 8),
     ("dot_cond", "paper", [62, 33, 0, 46, 5], 2364, 132, 9, 1, 12),
@@ -162,7 +165,8 @@ type ProfileRow = (&'static str, u64, [usize; 5], Option<(usize, usize)>, u64);
 /// the exact 1.8 (the program-side scorer weighted a path that returns to
 /// the loop head straight from a branching block by the whole block), and
 /// five unscheduled expected IIs moved by one ulp (the walk sums
-/// `II_min + Σw·(II − II_min) / Σw`).
+/// `II_min + Σw·(II − II_min) / Σw`). find_first's candidates went 28 → 26
+/// when the preloop came to count live-out registers as read at the exit.
 #[rustfmt::skip]
 const EXPECTED_PROFILE: &[ProfileRow] = &[
     ("vecmin", 4611686018427387904, [53, 19, 1, 33, 5], Some((2, 2)), 4619679907765970534),
@@ -174,7 +178,7 @@ const EXPECTED_PROFILE: &[ProfileRow] = &[
     ("runmax", 4611686018427387904, [44, 17, 0, 25, 4], Some((2, 2)), 4619342137793917747),
     ("sign_store", 4607182418800017408, [36, 14, 0, 30, 4], Some((1, 1)), 4619567317775286272),
     ("two_cond", 4611686018427387904, [56, 27, 0, 48, 5], Some((2, 2)), 4620017677738023322),
-    ("find_first", 4607182418800017408, [35, 14, 0, 28, 4], Some((1, 1)), 4619679907765970534),
+    ("find_first", 4607182418800017408, [35, 14, 0, 26, 4], Some((1, 1)), 4619679907765970534),
     ("skewed", 4607182418800017408, [37, 17, 0, 24, 4], Some((1, 1)), 4619792497756654797),
     ("dot_cond", 4607182418800017408, [62, 33, 0, 46, 5], Some((1, 1)), 4620017677738023322),
     ("threshold_store", 4607182418800017408, [37, 13, 0, 33, 4], Some((1, 1)), 4619567317775286272),

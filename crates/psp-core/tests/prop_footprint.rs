@@ -2,14 +2,16 @@
 //! its operation's `defs()`/`uses()` after construction and after every
 //! rewrite, including the rewrites move planning applies.
 
+#[path = "../../psp-kernels/tests/cases/mod.rs"]
+mod cases;
 #[path = "../../psp-ir/tests/strategies/mod.rs"]
 mod strategies;
 
-use proptest::prelude::*;
+use cases::check_cases;
 use psp_core::{InstId, Instance};
 use psp_ir::{Operation, Reg, Role};
 use psp_predicate::PredicateMatrix;
-use strategies::{arb_any_op, arb_reg};
+use strategies::{any_op, int, reg};
 
 fn assert_footprint(inst: &Instance) {
     let op = inst.op();
@@ -35,19 +37,17 @@ fn rewrites(op: &Operation, from: Reg, to: Reg) -> [Operation; 2] {
     ]
 }
 
-proptest! {
-    #[test]
-    fn footprint_tracks_every_rewrite(
-        op in arb_any_op(),
-        next in proptest::collection::vec(arb_any_op(), 0..4),
-        from in arb_reg(),
-        to in 10u32..14,
-    ) {
+#[test]
+fn footprint_tracks_every_rewrite() {
+    check_cases("footprint_tracks_every_rewrite", None, |rng| {
+        let op = any_op(rng);
+        let next: Vec<_> = (0..rng.below(4)).map(|_| any_op(rng)).collect();
+        let (from, to) = (reg(rng), Reg(int(rng, 10, 14) as u32));
         let mut inst = Instance::new(InstId(0), op, PredicateMatrix::universe(), 0);
         assert_footprint(&inst);
-        for op in rewrites(&op, from, Reg(to)).into_iter().chain(next) {
+        for op in rewrites(&op, from, to).into_iter().chain(next) {
             inst.set_op(op);
             assert_footprint(&inst);
         }
-    }
+    });
 }

@@ -124,12 +124,6 @@ impl LoopSpec {
             ));
         }
         for (op, _) in self.all_ops() {
-            for u in op.uses() {
-                // A register may legitimately be defined later in the body
-                // textually yet carried around the back edge — accept any
-                // register defined *somewhere* or live-in.
-                let _ = u;
-            }
             for d in op.defs() {
                 defined.push(d);
             }
@@ -139,6 +133,8 @@ impl LoopSpec {
                 }
             }
         }
+        // A use may read a register defined later in the body, carried
+        // around the back edge: any register defined somewhere or live-in.
         for (op, _) in self.all_ops() {
             for u in op.uses() {
                 if !defined.contains(&u) {

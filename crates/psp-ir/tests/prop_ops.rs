@@ -2,52 +2,37 @@
 //! def/use reporting must agree, and opcode evaluation must match a direct
 //! i64 model.
 
+#[path = "../../psp-kernels/tests/cases/mod.rs"]
+mod cases;
 mod strategies;
 
-use proptest::prelude::*;
-use psp_ir::op::build;
+use cases::check_cases;
 use psp_ir::{AluOp, CcReg, CmpOp, Guard, OpKind, Operand, Operation, Reg, RegList, RegRef, Role};
 use strategies::*;
 
 /// The executable spec of `Operation::uses`: the `Vec`-based computation
 /// it replaced.
 fn uses_spec(op: &Operation) -> Vec<RegRef> {
-    let mut out = Vec::new();
-    let push_operand = |o: Operand, out: &mut Vec<RegRef>| {
-        if let Some(r) = o.reg() {
-            out.push(RegRef::Gpr(r));
-        }
-    };
-    match op.kind {
-        OpKind::Alu { a, b, .. } | OpKind::Cmp { a, b, .. } => {
-            push_operand(a, &mut out);
-            push_operand(b, &mut out);
-        }
-        OpKind::Copy { src, .. } => push_operand(src, &mut out),
+    let gpr = |o: Operand| o.reg().map(RegRef::Gpr);
+    let cc = |c| Some(RegRef::Cc(c));
+    let mut out: Vec<RegRef> = match op.kind {
+        OpKind::Alu { a, b, .. } | OpKind::Cmp { a, b, .. } => vec![gpr(a), gpr(b)],
+        OpKind::Copy { src, .. } => vec![gpr(src)],
         OpKind::Select {
-            cc,
-            on_true,
-            on_false,
+            cc: c,
+            on_true: t,
+            on_false: f,
             ..
-        } => {
-            out.push(RegRef::Cc(cc));
-            push_operand(on_true, &mut out);
-            push_operand(on_false, &mut out);
-        }
-        OpKind::Load { addr, .. } => out.extend(addr.index.map(RegRef::Gpr)),
-        OpKind::Store { src, addr } => {
-            push_operand(src, &mut out);
-            out.extend(addr.index.map(RegRef::Gpr));
-        }
-        OpKind::CcAnd { a, b, .. } => {
-            out.push(RegRef::Cc(a));
-            out.push(RegRef::Cc(b));
-        }
-        OpKind::If { cc } | OpKind::Break { cc } => out.push(RegRef::Cc(cc)),
+        } => vec![cc(c), gpr(t), gpr(f)],
+        OpKind::Load { addr, .. } => vec![addr.index.map(RegRef::Gpr)],
+        OpKind::Store { src, addr } => vec![gpr(src), addr.index.map(RegRef::Gpr)],
+        OpKind::CcAnd { a, b, .. } => vec![cc(a), cc(b)],
+        OpKind::If { cc: c } | OpKind::Break { cc: c } => vec![cc(c)],
     }
-    if let Some(g) = op.guard {
-        out.push(RegRef::Cc(g.cc));
-    }
+    .into_iter()
+    .chain([op.guard.map(|g| RegRef::Cc(g.cc))])
+    .flatten()
+    .collect();
     out.sort_unstable();
     out.dedup();
     out
@@ -86,79 +71,96 @@ fn visited(op: &Operation, role: Role) -> Vec<RegRef> {
     out
 }
 
-proptest! {
-    #[test]
-    fn map_regs_roles_match_defs_and_uses(op in arb_any_op()) {
-        prop_assert_eq!(visited(&op, Role::Def), op.defs().to_vec());
-        prop_assert_eq!(visited(&op, Role::Use), op.uses().to_vec());
-    }
+#[test]
+fn map_regs_roles_match_defs_and_uses() {
+    check_cases("map_regs_roles_match_defs_and_uses", None, |rng| {
+        let op = any_op(rng);
+        assert_eq!(visited(&op, Role::Def), op.defs().to_vec());
+        assert_eq!(visited(&op, Role::Use), op.uses().to_vec());
+    });
+}
 
-    #[test]
-    fn identity_map_returns_the_operation_unchanged(op in arb_any_op()) {
-        prop_assert_eq!(op.map_regs(|r, _| r, |c, _| c), op);
-        prop_assert_eq!(op.try_map_regs::<()>(|r, _| Ok(r), |c, _| Ok(c)), Ok(op));
-    }
+#[test]
+fn identity_map_returns_the_operation_unchanged() {
+    let name = "identity_map_returns_the_operation_unchanged";
+    check_cases(name, None, |rng| {
+        let op = any_op(rng);
+        assert_eq!(op.map_regs(|r, _| r, |c, _| c), op);
+        assert_eq!(op.try_map_regs::<()>(|r, _| Ok(r), |c, _| Ok(c)), Ok(op));
+    });
+}
 
-    #[test]
-    fn reg_lists_are_sorted_deduplicated_and_match_the_vec_spec(op in arb_any_op()) {
+#[test]
+fn reg_lists_are_sorted_deduplicated_and_match_the_vec_spec() {
+    let name = "reg_lists_are_sorted_deduplicated_and_match_the_vec_spec";
+    check_cases(name, None, |rng| {
+        let op = any_op(rng);
         let uses = op.uses();
-        prop_assert!(uses.len() <= RegList::CAPACITY);
-        prop_assert!(uses.windows(2).all(|w| w[0] < w[1]), "sorted, no duplicates");
-        prop_assert_eq!(uses, uses_spec(&op));
-        prop_assert!(op.defs().len() <= 1);
-    }
+        assert!(uses.len() <= RegList::CAPACITY);
+        assert!(
+            uses.windows(2).all(|w| w[0] < w[1]),
+            "sorted, no duplicates"
+        );
+        assert_eq!(uses, uses_spec(&op));
+        assert!(op.defs().len() <= 1);
+    });
+}
 
-    #[test]
-    fn rename_gpr_is_consistent_with_defs_uses(op in arb_any_op(), from in arb_reg(), to in 10u32..14) {
-        let to = Reg(to);
+#[test]
+fn rename_gpr_is_consistent_with_defs_uses() {
+    check_cases("rename_gpr_is_consistent_with_defs_uses", None, |rng| {
+        let (op, from, to) = (any_op(rng), reg(rng), Reg(int(rng, 10, 14) as u32));
         let renamed = renamed_gpr(&op, from, to);
         // After renaming, `from` appears nowhere.
-        prop_assert!(!renamed.defs().contains(&RegRef::Gpr(from)) || from == to);
-        prop_assert!(!renamed.uses().contains(&RegRef::Gpr(from)) || from == to);
+        assert!(!renamed.defs().contains(&RegRef::Gpr(from)));
+        assert!(!renamed.uses().contains(&RegRef::Gpr(from)));
         // Registers unrelated to the rename are untouched.
-        for r in op.defs() {
-            if r != RegRef::Gpr(from) {
-                prop_assert!(renamed.defs().contains(&r));
-            }
-        }
-        for r in op.uses() {
-            if r != RegRef::Gpr(from) {
-                prop_assert!(renamed.uses().contains(&r));
-            }
-        }
+        let kept = |regs: RegList, now: RegList| {
+            regs.iter()
+                .all(|r| *r == RegRef::Gpr(from) || now.contains(r))
+        };
+        assert!(kept(op.defs(), renamed.defs()) && kept(op.uses(), renamed.uses()));
         // Renaming to a fresh register is reversible.
-        prop_assert_eq!(renamed_gpr(&renamed, to, from), renamed_gpr(&op, from, from));
-    }
+        assert_eq!(renamed_gpr(&renamed, to, from), op);
+    });
+}
 
-    #[test]
-    fn uses_only_rename_preserves_destination(op in arb_any_op(), from in arb_reg()) {
-        let to = Reg(20);
-        let renamed = op.map_regs(
-            |r, role| if role == Role::Use && r == from { to } else { r },
-            |c, _| c,
-        );
-        prop_assert_eq!(renamed.defs(), op.defs(), "destination untouched");
-        prop_assert!(
+#[test]
+fn uses_only_rename_preserves_destination() {
+    check_cases("uses_only_rename_preserves_destination", None, |rng| {
+        let (op, from, to) = (any_op(rng), reg(rng), Reg(20));
+        let rename = |r: Reg, role: Role| {
+            if (r, role) == (from, Role::Use) {
+                to
+            } else {
+                r
+            }
+        };
+        let renamed = op.map_regs(rename, |c, _| c);
+        assert_eq!(renamed.defs(), op.defs(), "destination untouched");
+        assert!(
             !renamed.uses().contains(&RegRef::Gpr(from)),
-            "no remaining use of the source"
+            "source still used"
         );
-    }
+    });
+}
 
-    #[test]
-    fn rename_cc_is_consistent(op in arb_any_op(), from in 0u32..3) {
-        let from = CcReg(from);
-        let to = CcReg(9);
+#[test]
+fn rename_cc_is_consistent() {
+    check_cases("rename_cc_is_consistent", None, |rng| {
+        let (op, from, to) = (any_op(rng), CcReg(rng.below(3) as u32), CcReg(9));
         let renamed = renamed_cc(&op, from, to);
-        prop_assert!(!renamed.defs().contains(&RegRef::Cc(from)));
-        prop_assert!(!renamed.uses().contains(&RegRef::Cc(from)));
-        prop_assert_eq!(
-            renamed.defs().len(), op.defs().len()
-        );
-        prop_assert_eq!(renamed.uses().len(), op.uses().len());
-    }
+        assert!(!renamed.defs().contains(&RegRef::Cc(from)));
+        assert!(!renamed.uses().contains(&RegRef::Cc(from)));
+        assert_eq!(renamed.defs().len(), op.defs().len());
+        assert_eq!(renamed.uses().len(), op.uses().len());
+    });
+}
 
-    #[test]
-    fn alu_eval_matches_model(op in arb_alu(), a in -1000i64..1000, b in -1000i64..1000) {
+#[test]
+fn alu_eval_matches_model() {
+    check_cases("alu_eval_matches_model", None, |rng| {
+        let (op, a, b) = (alu(rng), int(rng, -1000, 1000), int(rng, -1000, 1000));
         let model = match op {
             AluOp::Add => a.wrapping_add(b),
             AluOp::Sub => a.wrapping_sub(b),
@@ -171,11 +173,14 @@ proptest! {
             AluOp::Shl => a.wrapping_shl((b & 63) as u32),
             AluOp::Shr => a.wrapping_shr((b & 63) as u32),
         };
-        prop_assert_eq!(op.eval(a, b), model);
-    }
+        assert_eq!(op.eval(a, b), model);
+    });
+}
 
-    #[test]
-    fn cmp_eval_matches_model(op in arb_cmp(), a in -50i64..50, b in -50i64..50) {
+#[test]
+fn cmp_eval_matches_model() {
+    check_cases("cmp_eval_matches_model", None, |rng| {
+        let (op, a, b) = (cmp(rng), int(rng, -50, 50), int(rng, -50, 50));
         let model = match op {
             CmpOp::Lt => a < b,
             CmpOp::Le => a <= b,
@@ -184,46 +189,48 @@ proptest! {
             CmpOp::Eq => a == b,
             CmpOp::Ne => a != b,
         };
-        prop_assert_eq!(op.eval(a, b), model);
-    }
+        assert_eq!(op.eval(a, b), model);
+    });
+}
 
-    #[test]
-    fn with_dst_gpr_changes_exactly_the_destination(op in arb_any_op()) {
-        let to = Reg(21);
+#[test]
+fn with_dst_gpr_changes_exactly_the_destination() {
+    let name = "with_dst_gpr_changes_exactly_the_destination";
+    check_cases(name, None, |rng| {
+        let (op, to) = (any_op(rng), Reg(21));
         let changed = op.map_regs(|r, role| if role == Role::Def { to } else { r }, |c, _| c);
         match op.defs().as_slice() {
             [RegRef::Gpr(_)] => {
-                prop_assert_eq!(changed.defs(), vec![RegRef::Gpr(to)]);
+                assert_eq!(changed.defs(), vec![RegRef::Gpr(to)]);
                 // Uses that are not the destination register survive.
-                for u in op.uses() {
-                    if u != RegRef::Gpr(to) {
-                        prop_assert!(changed.uses().contains(&u));
-                    }
-                }
+                assert!(op.uses().iter().all(|u| changed.uses().contains(u)));
             }
-            _ => prop_assert_eq!(changed, op),
+            _ => assert_eq!(changed, op),
         }
-    }
+    });
+}
 
-    #[test]
-    fn guards_add_their_cc_to_uses(op in arb_op()) {
+#[test]
+fn guards_add_their_cc_to_uses() {
+    check_cases("guards_add_their_cc_to_uses", None, |rng| {
+        let op = strategies::op(rng);
         if let Some(g) = op.guard {
-            prop_assert!(op.uses().contains(&RegRef::Cc(g.cc)));
+            assert!(op.uses().contains(&RegRef::Cc(g.cc)));
         }
         let bare = Operation { guard: None, ..op };
         let guarded = Operation {
             guard: Some(Guard::when(CcReg(2))),
             ..bare
         };
-        prop_assert!(guarded.uses().contains(&RegRef::Cc(CcReg(2))));
-        prop_assert_eq!(guarded.defs(), bare.defs());
-    }
+        assert!(guarded.uses().contains(&RegRef::Cc(CcReg(2))));
+        assert_eq!(guarded.defs(), bare.defs());
+    });
+}
 
-    #[test]
-    fn builders_roundtrip_display(op in arb_op()) {
+#[test]
+fn builders_roundtrip_display() {
+    check_cases("builders_roundtrip_display", None, |rng| {
         // Display never panics and always names the mnemonic.
-        let s = op.to_string();
-        prop_assert!(!s.is_empty());
-        let _ = build::if_(CcReg(0)); // keep the import exercised
-    }
+        assert!(!strategies::op(rng).to_string().is_empty());
+    });
 }

@@ -1,111 +1,85 @@
-//! Proptest strategies for operations, shared by the operation property
-//! tests here and psp-core's instance footprint test (which includes this
-//! file by path).
+//! Random operations for the operation property tests here and psp-core's
+//! instance footprint test (which includes this file by path).
 
-use proptest::prelude::*;
-use psp_ir::{Address, AluOp, ArrayId, CcReg, CmpOp, Guard, OpKind, Operand, Operation, Reg};
+use psp_ir::op::build;
+use psp_ir::{Address, AluOp, ArrayId, CcReg, CmpOp, Guard, Operand, Operation, Reg};
+use psp_kernels::SplitMix64;
 
-pub fn arb_reg() -> impl Strategy<Value = Reg> {
-    (0u32..6).prop_map(Reg)
+/// A value in `lo..hi`.
+pub fn int(rng: &mut SplitMix64, lo: i64, hi: i64) -> i64 {
+    lo + rng.below((hi - lo) as usize) as i64
 }
 
-pub fn arb_operand() -> impl Strategy<Value = Operand> {
-    prop_oneof![
-        arb_reg().prop_map(Operand::Reg),
-        (-100i64..100).prop_map(Operand::Imm),
-    ]
+pub fn coin(rng: &mut SplitMix64) -> bool {
+    rng.below(2) == 1
 }
 
-pub fn arb_alu() -> impl Strategy<Value = AluOp> {
-    prop_oneof![
-        Just(AluOp::Add),
-        Just(AluOp::Sub),
-        Just(AluOp::Mul),
-        Just(AluOp::Min),
-        Just(AluOp::Max),
-        Just(AluOp::And),
-        Just(AluOp::Or),
-        Just(AluOp::Xor),
-        Just(AluOp::Shl),
-        Just(AluOp::Shr),
-    ]
+pub fn reg(rng: &mut SplitMix64) -> Reg {
+    Reg(rng.below(6) as u32)
 }
 
-pub fn arb_cmp() -> impl Strategy<Value = CmpOp> {
-    prop_oneof![
-        Just(CmpOp::Lt),
-        Just(CmpOp::Le),
-        Just(CmpOp::Gt),
-        Just(CmpOp::Ge),
-        Just(CmpOp::Eq),
-        Just(CmpOp::Ne),
-    ]
+fn cc(rng: &mut SplitMix64) -> CcReg {
+    CcReg(rng.below(3) as u32)
 }
 
-pub fn arb_guard() -> impl Strategy<Value = Option<Guard>> {
-    prop_oneof![
-        Just(None),
-        (0u32..3, any::<bool>()).prop_map(|(c, v)| Some(Guard {
-            cc: CcReg(c),
-            on_true: v
-        })),
-    ]
+pub fn operand(rng: &mut SplitMix64) -> Operand {
+    if coin(rng) {
+        Operand::Reg(reg(rng))
+    } else {
+        Operand::Imm(int(rng, -100, 100))
+    }
 }
 
-pub fn arb_op() -> impl Strategy<Value = Operation> {
-    let kind = prop_oneof![
-        (arb_alu(), arb_reg(), arb_operand(), arb_operand())
-            .prop_map(|(op, dst, a, b)| OpKind::Alu { op, dst, a, b }),
-        (arb_reg(), arb_operand()).prop_map(|(dst, src)| OpKind::Copy { dst, src }),
-        (
-            arb_cmp(),
-            (0u32..3).prop_map(CcReg),
-            arb_operand(),
-            arb_operand()
-        )
-            .prop_map(|(op, dst, a, b)| OpKind::Cmp { op, dst, a, b }),
-        (arb_reg(), arb_reg(), -2i64..3).prop_map(|(dst, idx, d)| OpKind::Load {
-            dst,
-            addr: Address::indexed(ArrayId(0), idx).displaced(d),
-        }),
-        (arb_operand(), arb_reg(), -2i64..3).prop_map(|(src, idx, d)| OpKind::Store {
-            src,
-            addr: Address::indexed(ArrayId(0), idx).displaced(d),
-        }),
-        (0u32..3).prop_map(|c| OpKind::If { cc: CcReg(c) }),
-        (0u32..3).prop_map(|c| OpKind::Break { cc: CcReg(c) }),
-    ];
-    (kind, arb_guard()).prop_map(|(kind, guard)| Operation { kind, guard })
+pub fn alu(rng: &mut SplitMix64) -> AluOp {
+    use AluOp::*;
+    [Add, Sub, Mul, Min, Max, And, Or, Xor, Shl, Shr][rng.below(10)]
+}
+
+pub fn cmp(rng: &mut SplitMix64) -> CmpOp {
+    use CmpOp::*;
+    [Lt, Le, Gt, Ge, Eq, Ne][rng.below(6)]
+}
+
+fn guard(rng: &mut SplitMix64) -> Option<Guard> {
+    coin(rng).then(|| Guard {
+        cc: cc(rng),
+        on_true: coin(rng),
+    })
+}
+
+/// An indexed address into array 0, displaced by `-2..3`.
+fn indexed(rng: &mut SplitMix64) -> Address {
+    Address::indexed(ArrayId(0), reg(rng)).displaced(int(rng, -2, 3))
+}
+
+/// Every `OpKind` but the if-conversion forms, with or without a guard.
+pub fn op(rng: &mut SplitMix64) -> Operation {
+    let op = match rng.below(7) {
+        0 => build::alu(alu(rng), reg(rng), operand(rng), operand(rng)),
+        1 => build::copy(reg(rng), operand(rng)),
+        2 => build::cmp(cmp(rng), cc(rng), operand(rng), operand(rng)),
+        3 => build::load_addr(reg(rng), indexed(rng)),
+        4 => build::store_addr(indexed(rng), operand(rng)),
+        5 => build::if_(cc(rng)),
+        _ => build::break_(cc(rng)),
+    };
+    Operation {
+        guard: guard(rng),
+        ..op
+    }
 }
 
 /// Every `OpKind`, including the if-conversion forms (`SELECT`, `CCAND`)
 /// and an unindexed load, with or without a guard.
-pub fn arb_any_op() -> impl Strategy<Value = Operation> {
-    let extra = prop_oneof![
-        (arb_reg(), 0u32..3, arb_operand(), arb_operand()).prop_map(
-            |(dst, cc, on_true, on_false)| OpKind::Select {
-                dst,
-                cc: CcReg(cc),
-                on_true,
-                on_false,
-            }
-        ),
-        (0u32..3, 0u32..3, any::<bool>(), 0u32..3, any::<bool>()).prop_map(
-            |(dst, a, a_val, b, b_val)| OpKind::CcAnd {
-                dst: CcReg(dst),
-                a: CcReg(a),
-                a_val,
-                b: CcReg(b),
-                b_val,
-            }
-        ),
-        (arb_reg(), -2i64..3).prop_map(|(dst, d)| OpKind::Load {
-            dst,
-            addr: Address::constant(ArrayId(0), d),
-        }),
-    ];
-    prop_oneof![
-        arb_op(),
-        (extra, arb_guard()).prop_map(|(kind, guard)| Operation { kind, guard }),
-    ]
+pub fn any_op(rng: &mut SplitMix64) -> Operation {
+    let op = match rng.below(6) {
+        0..=2 => return op(rng),
+        3 => build::select(reg(rng), cc(rng), operand(rng), operand(rng)),
+        4 => build::cc_and(cc(rng), cc(rng), coin(rng), cc(rng), coin(rng)),
+        _ => build::load_addr(reg(rng), Address::constant(ArrayId(0), int(rng, -2, 3))),
+    };
+    Operation {
+        guard: guard(rng),
+        ..op
+    }
 }

@@ -9,8 +9,10 @@
 //!   `Bin` right operand must be parenthesized;
 //! - parentheses produce no AST node, so the extra grouping is invisible;
 //! - the lexer only reads `-N` as a negative literal after `(`, `[`, `,`,
-//!   `=`, or an operator — every position where this printer emits an
-//!   expression head — so `{}` formatting of negative [`Expr::Int`] is safe.
+//!   `=`, or an operator token. The keyword operators `min` and `max` are
+//!   identifiers to the lexer, so a negative literal after one prints in
+//!   parentheses; everywhere else `{}` formatting of a negative
+//!   [`Expr::Int`] is safe.
 
 use crate::ast::{BinOp, Expr, Kernel, Stmt};
 use psp_ir::{AluOp, CmpOp};
@@ -45,9 +47,12 @@ pub fn cmp_spelling(op: CmpOp) -> &'static str {
 }
 
 /// Print an expression. `parenthesize` wraps a `Bin` (used for right
-/// operands, where flat re-parsing would steal the subtree).
+/// operands, where flat re-parsing would steal the subtree) or a literal.
 fn write_expr(out: &mut String, e: &Expr, parenthesize: bool) {
     match e {
+        Expr::Int(v) if parenthesize => {
+            let _ = write!(out, "({v})");
+        }
         Expr::Int(v) => {
             let _ = write!(out, "{v}");
         }
@@ -64,7 +69,10 @@ fn write_expr(out: &mut String, e: &Expr, parenthesize: bool) {
             }
             write_expr(out, lhs, false);
             let _ = write!(out, " {} ", alu_spelling(*op));
-            write_expr(out, rhs, matches!(**rhs, Expr::Bin(..)));
+            let group = matches!(**rhs, Expr::Bin(..))
+                || (matches!(op, AluOp::Min | AluOp::Max)
+                    && matches!(**rhs, Expr::Int(v) if v < 0));
+            write_expr(out, rhs, group);
             if parenthesize {
                 out.push(')');
             }
@@ -232,6 +240,21 @@ mod tests {
             }",
         );
         assert_eq!(k1, k2);
+    }
+
+    #[test]
+    fn negative_literal_after_min_or_max_reparses() {
+        // The fuzz suites' parse-print-reparse property found `acc min -3`,
+        // which re-lexes as `acc min - 3`.
+        let (k1, k2) = roundtrip(
+            "kernel m(a, b) -> a {
+                a = a min (-3);
+                b = b max (-1) min 2;
+                break if (a >= 0);
+            }",
+        );
+        assert_eq!(k1, k2);
+        assert!(print_kernel(&k1).contains("a min (-3);"));
     }
 
     #[test]

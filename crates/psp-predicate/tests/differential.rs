@@ -7,46 +7,54 @@
 //! Key ranges deliberately straddle the packed window so the spill
 //! fallback is exercised alongside the word-op fast paths.
 
-use proptest::prelude::*;
+#[path = "../../psp-kernels/tests/cases/mod.rs"]
+mod cases;
+
+use cases::check_cases;
+use psp_kernels::SplitMix64;
 use psp_predicate::backend::with_backend;
 use psp_predicate::matrix::{PACKED_COL_HI, PACKED_COL_LO, PACKED_ROWS};
 use psp_predicate::{PredElem, PredicateMatrix};
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 
+/// A value in `lo..hi`.
+fn int(rng: &mut SplitMix64, lo: i32, hi: i32) -> i32 {
+    lo + rng.below((hi - lo) as usize) as i32
+}
+
+/// Up to 7 entries with rows below `rows` and columns in `lo..hi`.
+fn entries(rng: &mut SplitMix64, rows: u32, (lo, hi): (i32, i32)) -> Vec<(u32, i32, bool)> {
+    let row = |rng: &mut SplitMix64| rng.below(rows as usize) as u32;
+    (0..rng.below(8))
+        .map(|_| (row(rng), int(rng, lo, hi), rng.below(2) == 1))
+        .collect()
+}
+
 /// Entry keys straddling the packed window: rows up to `PACKED_ROWS + 2`,
 /// columns past both window edges.
-fn arb_entries() -> impl Strategy<Value = Vec<(u32, i32, bool)>> {
-    proptest::collection::vec(
-        (
-            0..PACKED_ROWS + 3,
-            PACKED_COL_LO - 4..PACKED_COL_HI + 5,
-            any::<bool>(),
-        ),
-        0..8,
-    )
+fn straddling(rng: &mut SplitMix64) -> Vec<(u32, i32, bool)> {
+    entries(rng, PACKED_ROWS + 3, (PACKED_COL_LO - 4, PACKED_COL_HI + 5))
 }
 
 /// In-window-only entries (the pure word-op path).
-fn arb_entries_inwindow() -> impl Strategy<Value = Vec<(u32, i32, bool)>> {
-    proptest::collection::vec(
-        (
-            0..PACKED_ROWS,
-            PACKED_COL_LO..PACKED_COL_HI + 1,
-            any::<bool>(),
-        ),
-        0..8,
-    )
+fn in_window(rng: &mut SplitMix64) -> Vec<(u32, i32, bool)> {
+    entries(rng, PACKED_ROWS, (PACKED_COL_LO, PACKED_COL_HI + 1))
+}
+
+/// A row past the packed window and a column in `-10..=10`.
+fn key(rng: &mut SplitMix64) -> (u32, i32) {
+    let row = rng.below(PACKED_ROWS as usize + 3) as u32;
+    (row, int(rng, -10, 11))
 }
 
 fn both_modes(entries: &[(u32, i32, bool)]) -> (PredicateMatrix, PredicateMatrix) {
-    let packed = with_backend(true, || {
-        PredicateMatrix::from_entries(entries.iter().copied())
-    });
-    let sparse = with_backend(false, || {
-        PredicateMatrix::from_entries(entries.iter().copied())
-    });
-    (packed, sparse)
+    let build = |packed| {
+        with_backend(packed, || {
+            PredicateMatrix::from_entries(entries.iter().copied())
+        })
+    };
+    (build(true), build(false))
 }
 
 fn hash_of(m: &PredicateMatrix) -> u64 {
@@ -75,73 +83,84 @@ fn assert_same(p: &PredicateMatrix, s: &PredicateMatrix) {
     assert_eq!(observe(p), observe(s));
 }
 
-proptest! {
-    #[test]
-    fn construction_is_mode_independent(e in arb_entries()) {
+#[test]
+fn construction_is_mode_independent() {
+    check_cases("construction_is_mode_independent", None, |rng| {
+        let e = straddling(rng);
         let (p, s) = both_modes(&e);
         assert_same(&p, &s);
         for &(r, c, _) in &e {
-            prop_assert_eq!(p.get(r, c), s.get(r, c));
+            assert_eq!(p.get(r, c), s.get(r, c));
         }
-    }
+    });
+}
 
-    #[test]
-    fn binary_ops_are_mode_independent(ea in arb_entries(), eb in arb_entries()) {
-        let (pa, sa) = both_modes(&ea);
-        let (pb, sb) = both_modes(&eb);
-        prop_assert_eq!(pa.is_disjoint(&pb), sa.is_disjoint(&sb));
-        prop_assert_eq!(pa.subsumes(&pb), sa.subsumes(&sb));
-        prop_assert_eq!(pb.subsumes(&pa), sb.subsumes(&sa));
-        prop_assert_eq!(pa.unify(&pb), sa.unify(&sb));
+#[test]
+fn binary_ops_are_mode_independent() {
+    check_cases("binary_ops_are_mode_independent", None, |rng| {
+        let (pa, sa) = both_modes(&straddling(rng));
+        let (pb, sb) = both_modes(&straddling(rng));
+        assert_eq!(pa.is_disjoint(&pb), sa.is_disjoint(&sb));
+        assert_eq!(pa.subsumes(&pb), sa.subsumes(&sb));
+        assert_eq!(pb.subsumes(&pa), sb.subsumes(&sa));
+        assert_eq!(pa.unify(&pb), sa.unify(&sb));
         match (pa.conjoin(&pb), sa.conjoin(&sb)) {
             (Some(pc), Some(sc)) => assert_same(&pc, &sc),
             (None, None) => {}
-            (pc, sc) => prop_assert!(false, "conjoin diverged: {:?} vs {:?}", pc, sc),
+            (pc, sc) => panic!("conjoin diverged: {pc:?} vs {sc:?}"),
         }
         // Interchangeability: mixed-representation operands agree too.
-        prop_assert_eq!(pa.is_disjoint(&sb), sa.is_disjoint(&pb));
-        prop_assert_eq!(pa.subsumes(&sb), sa.subsumes(&pb));
-        prop_assert_eq!(pa.conjoin(&sb), sa.conjoin(&pb));
+        assert_eq!(pa.is_disjoint(&sb), sa.is_disjoint(&pb));
+        assert_eq!(pa.subsumes(&sb), sa.subsumes(&pb));
+        assert_eq!(pa.conjoin(&sb), sa.conjoin(&pb));
         // Ordering is content-based.
-        prop_assert_eq!(pa.cmp(&pb), sa.cmp(&sb));
-        prop_assert_eq!(pa.cmp(&sb), std::cmp::Ordering::Equal.then(pa.cmp(&pb)));
-    }
+        assert_eq!(pa.cmp(&pb), sa.cmp(&sb));
+        assert_eq!(pa.cmp(&sb), std::cmp::Ordering::Equal.then(pa.cmp(&pb)));
+    });
+}
 
-    #[test]
-    fn shift_is_mode_independent(e in arb_entries(), d in -20i32..=20) {
-        let (p, s) = both_modes(&e);
+#[test]
+fn shift_is_mode_independent() {
+    check_cases("shift_is_mode_independent", None, |rng| {
+        let (p, s) = both_modes(&straddling(rng));
+        let d = int(rng, -20, 21);
         assert_same(&p.shifted(d), &s.shifted(d));
         assert_same(&p.shifted(d).shifted(-d), &s);
-    }
+    });
+}
 
-    #[test]
-    fn shift_within_window_uses_same_results(e in arb_entries_inwindow(), d in -3i32..=3) {
+#[test]
+fn shift_within_window_uses_same_results() {
+    check_cases("shift_within_window_uses_same_results", None, |rng| {
         // The lane-shift fast path vs the sparse rebuild.
-        let (p, s) = both_modes(&e);
+        let (p, s) = both_modes(&in_window(rng));
+        let d = int(rng, -3, 4);
         assert_same(&p.shifted(d), &s.shifted(d));
-    }
+    });
+}
 
-    #[test]
-    fn split_is_mode_independent(e in arb_entries(), r in 0..PACKED_ROWS + 3, c in -10i32..=10) {
-        let (p, s) = both_modes(&e);
+#[test]
+fn split_is_mode_independent() {
+    check_cases("split_is_mode_independent", None, |rng| {
+        let (p, s) = both_modes(&straddling(rng));
+        let (r, c) = key(rng);
         match (p.split(r, c), s.split(r, c)) {
             (Some((pf, pt)), Some((sf, st))) => {
                 assert_same(&pf, &sf);
                 assert_same(&pt, &st);
-                prop_assert_eq!(pf.unify(&pt), sf.unify(&st));
+                assert_eq!(pf.unify(&pt), sf.unify(&st));
             }
             (None, None) => {}
-            _ => prop_assert!(false, "split diverged"),
+            _ => panic!("split diverged"),
         }
-    }
+    });
+}
 
-    #[test]
-    fn restriction_is_mode_independent(
-        ea in arb_entries(),
-        ek in arb_entries(),
-        wa in arb_entries_inwindow(),
-        wk in arb_entries_inwindow(),
-    ) {
+#[test]
+fn restriction_is_mode_independent() {
+    check_cases("restriction_is_mode_independent", None, |rng| {
+        let (ea, ek) = (straddling(rng), straddling(rng));
+        let (wa, wk) = (in_window(rng), in_window(rng));
         // Straddling operands cover the spilled and sparse element-wise
         // path, in-window ones the word path, and mixed pairs both.
         for (ea, ek) in [(&ea, &ek), (&wa, &wk), (&wa, &ek), (&ea, &wk)] {
@@ -158,17 +177,20 @@ proptest! {
             let in_window = |&(r, c, _): &(u32, i32, bool)| {
                 r < PACKED_ROWS && (PACKED_COL_LO..=PACKED_COL_HI).contains(&c)
             };
-            prop_assert_eq!(restricted.is_word_packed(), model.iter().all(in_window));
-            prop_assert_eq!(restricted.constrained().collect::<Vec<_>>(), model);
+            assert_eq!(restricted.is_word_packed(), model.iter().all(in_window));
+            assert_eq!(restricted.constrained().collect::<Vec<_>>(), model);
         }
-    }
+    });
+}
 
-    #[test]
-    fn with_and_set_are_mode_independent(e in arb_entries(), r in 0..PACKED_ROWS + 3, c in -10i32..=10, v in any::<bool>()) {
-        let (p, s) = both_modes(&e);
-        assert_same(&p.with(r, c, PredElem::from_bool(v)), &s.with(r, c, PredElem::from_bool(v)));
+#[test]
+fn with_and_set_are_mode_independent() {
+    check_cases("with_and_set_are_mode_independent", None, |rng| {
+        let (p, s) = both_modes(&straddling(rng));
+        let ((r, c), v) = (key(rng), PredElem::from_bool(rng.below(2) == 1));
+        assert_same(&p.with(r, c, v), &s.with(r, c, v));
         assert_same(&p.with(r, c, PredElem::Both), &s.with(r, c, PredElem::Both));
-    }
+    });
 }
 
 #[test]

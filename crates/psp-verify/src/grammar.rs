@@ -2,12 +2,12 @@
 //! (`n`, `k`, `acc`, three scratch registers, arrays `x` and `y`) that every
 //! generated loop is built from.
 //!
-//! The repo's differential suites draw statement lists of this grammar from
-//! proptest strategies (`tests/common/mod.rs`) and lower them with
-//! [`build_spec`]. The fuzzer's own generation and mutation run off a
-//! deterministic [`SplitMix64`] stream so a corpus entry is reproducible
-//! from its seed alone, and [`to_source`] renders any statement list as
-//! `psp-lang` text, which is how minimized reproducers are stored on disk.
+//! Generation ([`random_body`]) and mutation run off a deterministic
+//! [`SplitMix64`] stream, so a loop is reproducible from its seed alone.
+//! The same generator feeds the fuzzer, the benchmark's `fuzz` corpus and
+//! the repo's differential property suites, which lower its bodies with
+//! [`build_spec`]. [`to_source`] renders any statement list as `psp-lang`
+//! text, which is how minimized reproducers are stored on disk.
 
 use psp_ir::op::build;
 use psp_ir::{AluOp, ArrayId, CmpOp, LoopBuilder, LoopSpec, Operand, Reg};

@@ -18,7 +18,7 @@
 //! 2. the same kernels through the batch path (`EquivEngine::check`, one
 //!    engine reused across trials) — the counters it returns must equal
 //!    the interpreter's run observables;
-//! 3. a proptest over the psp-verify fuzz grammar (random nested-If
+//! 3. a property test over the psp-verify fuzz grammar (random nested-If
 //!    bodies with breaks), so the decoded engine is exercised on loop
 //!    shapes no hand-written kernel covers;
 //! 4. a cycle-budget sweep around the end of real runs, so every fast
@@ -27,54 +27,52 @@
 
 mod common;
 
-use common::{arb_body, CASES};
-use proptest::prelude::*;
+use common::{check_cases, random_body, CASES};
 use psp::predicate::backend::with_backend;
 use psp::prelude::*;
-use psp::sim::{check_equivalence_with, run_vliw_decoded, EquivEngine, MachineState};
+use psp::sim::{check_equivalence_with, run_vliw_decoded, EquivEngine, EquivRun, MachineState};
 use psp::verify::grammar::{build_spec, initial};
 
 const MAX_CYCLES: u64 = 10_000_000;
 
-/// Run one trial through both engines' full (state-materializing) paths
-/// and demand field-for-field identical `RefRun`/`VliwRun` observables —
-/// or the exact same error.
+/// One trial through `engine`'s full (state-materializing) path: every
+/// `RefRun`/`VliwRun` observable, or the error's text.
+type Observed = (MachineState, u64, u64, MachineState, u64, u64, u64);
+
+fn run_full(
+    spec: &LoopSpec,
+    prog: &VliwLoop,
+    init: &MachineState,
+    engine: EngineKind,
+) -> Result<Observed, String> {
+    check_equivalence_with(spec, prog, init, MAX_CYCLES, engine)
+        .map(|(r, v)| {
+            (
+                r.state,
+                r.cycles,
+                r.iterations,
+                v.state,
+                v.body_cycles,
+                v.total_cycles,
+                v.iterations,
+            )
+        })
+        .map_err(|e| e.to_string())
+}
+
+/// Run one trial through both engines' full paths and demand identical
+/// observables, or the exact same error.
 fn assert_full_identical(spec: &LoopSpec, prog: &VliwLoop, init: &MachineState, label: &str) {
-    let interp = check_equivalence_with(spec, prog, init, MAX_CYCLES, EngineKind::Interpreter);
-    let decoded = check_equivalence_with(spec, prog, init, MAX_CYCLES, EngineKind::Decoded);
-    match (interp, decoded) {
-        (Ok((ri, vi)), Ok((rd, vd))) => {
-            assert_eq!(ri.state, rd.state, "[{label}] ref state diverged");
-            assert_eq!(ri.cycles, rd.cycles, "[{label}] ref cycles diverged");
-            assert_eq!(
-                ri.iterations, rd.iterations,
-                "[{label}] ref iterations diverged"
-            );
-            assert_eq!(vi.state, vd.state, "[{label}] vliw state diverged");
-            assert_eq!(
-                vi.body_cycles, vd.body_cycles,
-                "[{label}] vliw body cycles diverged"
-            );
-            assert_eq!(
-                vi.total_cycles, vd.total_cycles,
-                "[{label}] vliw total cycles diverged"
-            );
-            assert_eq!(
-                vi.iterations, vd.iterations,
-                "[{label}] vliw iterations diverged"
-            );
-        }
-        (Err(a), Err(b)) => {
-            assert_eq!(a.to_string(), b.to_string(), "[{label}] errors diverged");
-        }
-        (Ok(_), Err(e)) => panic!("[{label}] interpreter passed, decoded failed: {e}"),
-        (Err(e), Ok(_)) => panic!("[{label}] decoded passed, interpreter failed: {e}"),
-    }
+    assert_eq!(
+        run_full(spec, prog, init, EngineKind::Interpreter),
+        run_full(spec, prog, init, EngineKind::Decoded),
+        "[{label}] engines diverged"
+    );
 }
 
 /// Run one trial through the decoded engine's batch path (the one the
 /// benchmark and the batched oracle use) and demand its compact counters
-/// match the interpreter's runs.
+/// match the interpreter's runs, or its exact error.
 fn assert_batch_path_identical(
     spec: &LoopSpec,
     prog: &VliwLoop,
@@ -82,38 +80,15 @@ fn assert_batch_path_identical(
     init: &MachineState,
     label: &str,
 ) {
-    let interp = check_equivalence_with(spec, prog, init, MAX_CYCLES, EngineKind::Interpreter);
-    let fast = eng.check(init, MAX_CYCLES);
-    match (interp, fast) {
-        (Ok((ri, vi)), Ok(er)) => {
-            assert_eq!(ri.cycles, er.ref_cycles, "[{label}] batch ref cycles");
-            assert_eq!(
-                ri.iterations, er.ref_iterations,
-                "[{label}] batch ref iterations"
-            );
-            assert_eq!(
-                vi.body_cycles, er.body_cycles,
-                "[{label}] batch body cycles"
-            );
-            assert_eq!(
-                vi.total_cycles, er.total_cycles,
-                "[{label}] batch total cycles"
-            );
-            assert_eq!(
-                vi.iterations, er.vliw_iterations,
-                "[{label}] batch vliw iterations"
-            );
-        }
-        (Err(a), Err(b)) => {
-            assert_eq!(
-                a.to_string(),
-                b.to_string(),
-                "[{label}] batch errors diverged"
-            );
-        }
-        (Ok(_), Err(e)) => panic!("[{label}] interpreter passed, batch path failed: {e}"),
-        (Err(e), Ok(_)) => panic!("[{label}] batch path passed, interpreter failed: {e}"),
-    }
+    let interp = run_full(spec, prog, init, EngineKind::Interpreter).map(|o| EquivRun {
+        ref_cycles: o.1,
+        ref_iterations: o.2,
+        body_cycles: o.4,
+        total_cycles: o.5,
+        vliw_iterations: o.6,
+    });
+    let fast = eng.check(init, MAX_CYCLES).map_err(|e| e.to_string());
+    assert_eq!(interp, fast, "[{label}] batch path diverged");
 }
 
 /// Trial inputs for the kernel sweeps: the small-trip-count ladder the
@@ -258,21 +233,16 @@ fn budget_sweep_identical_across_engines() {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig {
-        cases: CASES,
-        max_shrink_iters: 200,
-        ..ProptestConfig::default()
-    })]
-
-    /// Random loops from the psp-verify fuzz grammar: nested conditions,
-    /// clobbered condition codes, store/load aliasing — shapes the fused
-    /// reference builder must either handle bit-identically or decline.
-    #[test]
-    fn fuzz_grammar_identical_across_engines(body in arb_body(), packed in any::<bool>()) {
-        let spec = build_spec(&body);
+/// Random loops from the psp-verify fuzz grammar: nested conditions,
+/// clobbered condition codes, store/load aliasing — shapes the fused
+/// reference builder must either handle bit-identically or decline.
+#[test]
+fn fuzz_grammar_identical_across_engines() {
+    check_cases("fuzz_grammar_identical_across_engines", CASES, |rng| {
+        let spec = build_spec(&random_body(rng));
+        let packed = rng.below(2) == 1;
         let Ok(res) = with_backend(packed, || pipeline_loop(&spec, &PspConfig::default())) else {
-            return Ok(());
+            return;
         };
         let mut eng = EquivEngine::new(&spec, &res.program);
         for (seed, len) in EquivConfig::fixed(3, 29).trial_inputs() {
@@ -280,5 +250,5 @@ proptest! {
             assert_full_identical(&spec, &res.program, &init, "fuzz");
             assert_batch_path_identical(&spec, &res.program, &mut eng, &init, "fuzz");
         }
-    }
+    });
 }

@@ -10,40 +10,33 @@
 mod common;
 
 use common::*;
-use proptest::prelude::*;
 use psp::predicate::backend::with_backend;
 use psp::prelude::*;
 use psp::verify::grammar::build_spec;
 
-proptest! {
-    #![proptest_config(ProptestConfig {
-        cases: CASES,
-        max_shrink_iters: 200,
-        ..ProptestConfig::default()
-    })]
-
-    #[test]
-    fn packed_and_sparse_backends_pipeline_identically(body in arb_body()) {
-        let spec = build_spec(&body);
+#[test]
+fn packed_and_sparse_backends_pipeline_identically() {
+    let name = "packed_and_sparse_backends_pipeline_identically";
+    check_cases(name, CASES, |rng| {
+        let spec = build_spec(&random_body(rng));
         let cfg = PspConfig::default();
         let packed = with_backend(true, || pipeline_loop(&spec, &cfg));
         let sparse = with_backend(false, || pipeline_loop(&spec, &cfg));
         match (packed, sparse) {
             (Ok(p), Ok(s)) => {
-                prop_assert_eq!(p.stats.counters(), s.stats.counters());
-                prop_assert_eq!(p.stats.pred, s.stats.pred);
-                prop_assert_eq!(p.program.ii_range(), s.program.ii_range());
-                prop_assert_eq!(p.program.to_string(), s.program.to_string());
-                prop_assert_eq!(p.schedule.render(), s.schedule.render());
+                assert_eq!(p.stats.counters(), s.stats.counters());
+                assert_eq!(p.stats.pred, s.stats.pred);
+                assert_eq!(p.program.ii_range(), s.program.ii_range());
+                assert_eq!(p.program.to_string(), s.program.to_string());
+                assert_eq!(p.schedule.render(), s.schedule.render());
                 check_prog(&spec, &p.program, "psp-packed");
             }
-            (Err(p), Err(s)) => prop_assert_eq!(p.to_string(), s.to_string()),
-            (p, s) => prop_assert!(
-                false,
+            (Err(p), Err(s)) => assert_eq!(p.to_string(), s.to_string()),
+            (p, s) => panic!(
                 "backends diverged: packed ok={} sparse ok={}",
                 p.is_ok(),
                 s.is_ok()
             ),
         }
-    }
+    });
 }

@@ -17,40 +17,44 @@
 mod common;
 
 use common::*;
-use proptest::prelude::*;
-use psp::opt::{certify, Certification, ExactConfig};
+use psp::opt::{certify, Certification, ExactConfig, ExactResult};
 use psp::prelude::*;
 use psp::verify::grammar::build_spec;
 
-proptest! {
-    #![proptest_config(ProptestConfig {
-        cases: CASES,
-        max_shrink_iters: 200,
-        ..ProptestConfig::default()
-    })]
+/// The exact certifier on a 50K-node budget, hinted with the greedy II.
+fn certify_hinted(spec: &LoopSpec, m: &MachineConfig, ems_ii: u32) -> ExactResult {
+    let cfg = ExactConfig {
+        max_nodes: 50_000,
+        max_ii: None,
+    };
+    certify(spec, m, &cfg, Some(ems_ii))
+}
 
-    #[test]
-    fn exact_ii_is_bracketed_and_executable(body in arb_body()) {
-        let spec = build_spec(&body);
-        prop_assert!(spec.validate().is_ok(), "generator produced invalid spec");
+#[test]
+fn exact_ii_is_bracketed_and_executable() {
+    check_cases("exact_ii_is_bracketed_and_executable", CASES, |rng| {
+        let spec = build_spec(&random_body(rng));
+        assert!(spec.validate().is_ok(), "generator produced invalid spec");
         let m = MachineConfig::paper_default();
 
         let ems = modulo_schedule(&spec, &m);
         ems.verify(&m).expect("greedy schedule verifies");
         let lb = mii_lower_bound(&spec, &m);
-        prop_assert!(lb <= ems.ii, "floor {lb} above greedy II {}", ems.ii);
+        assert!(lb <= ems.ii, "floor {lb} above greedy II {}", ems.ii);
 
-        let cfg = ExactConfig { max_nodes: 50_000, max_ii: None };
-        let res = certify(&spec, &m, &cfg, Some(ems.ii));
+        let res = certify_hinted(&spec, &m, ems.ii);
         match res.outcome {
             Certification::Certified(ii) => {
-                prop_assert!(lb <= ii && ii <= ems.ii,
-                    "certified {ii} outside [{lb}, {}]", ems.ii);
+                assert!(
+                    lb <= ii && ii <= ems.ii,
+                    "certified {ii} outside [{lb}, {}]",
+                    ems.ii
+                );
             }
             Certification::Bounded { lb: l, ub } => {
-                prop_assert!(lb <= l, "interval floor regressed below the analytic one");
-                prop_assert!(ub == Some(ems.ii), "hint must survive as the upper bound");
-                prop_assert!(l <= ems.ii, "unsound interval [{l}, {:?}]", ub);
+                assert!(lb <= l, "interval floor regressed below the analytic one");
+                assert!(ub == Some(ems.ii), "hint must survive as the upper bound");
+                assert!(l <= ems.ii, "unsound interval [{l}, {:?}]", ub);
             }
         }
         if let Some(sched) = &res.schedule {
@@ -59,20 +63,22 @@ proptest! {
             prog.validate(&m).expect("witness codegen validates");
             check_prog(&spec, &prog, "exact");
         }
-    }
+    });
+}
 
-    #[test]
-    fn exact_ii_brackets_on_a_narrow_machine(body in arb_body()) {
-        let spec = build_spec(&body);
+#[test]
+fn exact_ii_brackets_on_a_narrow_machine() {
+    check_cases("exact_ii_brackets_on_a_narrow_machine", CASES, |rng| {
+        let spec = build_spec(&random_body(rng));
         let m = MachineConfig::narrow(2, 1, 1);
         let ems = modulo_schedule(&spec, &m);
         let lb = mii_lower_bound(&spec, &m);
-        let cfg = ExactConfig { max_nodes: 50_000, max_ii: None };
-        let res = certify(&spec, &m, &cfg, Some(ems.ii));
-        prop_assert!(res.outcome.lb() >= lb && res.outcome.lb() <= ems.ii);
+        let res = certify_hinted(&spec, &m, ems.ii);
+        assert!(res.outcome.lb() >= lb && res.outcome.lb() <= ems.ii);
         if let Some(sched) = &res.schedule {
             sched.verify(&m).expect("witness verifies");
-            check_prog(&spec, &modulo_to_vliw(sched, "fuzz_exact_narrow"), "exact-narrow");
+            let prog = modulo_to_vliw(sched, "fuzz_exact_narrow");
+            check_prog(&spec, &prog, "exact-narrow");
         }
-    }
+    });
 }

@@ -11,34 +11,30 @@
 mod common;
 
 use common::*;
-use proptest::prelude::*;
 use psp::lang;
 use psp::verify::grammar::{build_spec, to_source, S};
 
-proptest! {
-    #![proptest_config(ProptestConfig {
-        cases: CASES,
-        ..ProptestConfig::default()
-    })]
-
-    #[test]
-    fn rendered_source_lowers_to_the_built_spec(body in arb_body()) {
-        let direct = build_spec(&body);
+#[test]
+fn rendered_source_lowers_to_the_built_spec() {
+    check_cases("rendered_source_lowers_to_the_built_spec", CASES, |rng| {
+        let body = random_body(rng);
         let src = to_source(&body);
-        let compiled = lang::compile(&src)
-            .unwrap_or_else(|e| panic!("render does not compile: {e}\n{src}"));
-        prop_assert_eq!(direct, compiled);
-    }
+        let compiled =
+            lang::compile(&src).unwrap_or_else(|e| panic!("render does not compile: {e}\n{src}"));
+        assert_eq!(build_spec(&body), compiled);
+    });
+}
 
-    #[test]
-    fn parse_print_reparse_is_identity(body in arb_body()) {
-        let src = to_source(&body);
+#[test]
+fn parse_print_reparse_is_identity() {
+    check_cases("parse_print_reparse_is_identity", CASES, |rng| {
+        let src = to_source(&random_body(rng));
         let k1 = lang::parse(&lang::lex(&src).unwrap()).unwrap();
         let printed = lang::print_kernel(&k1);
         let k2 = lang::parse(&lang::lex(&printed).unwrap())
             .unwrap_or_else(|e| panic!("printed source does not re-parse: {e}\n{printed}"));
-        prop_assert_eq!(k1, k2);
-    }
+        assert_eq!(k1, k2);
+    });
 }
 
 /// Negative immediates sit after `min`/`max` keywords only in parenthesized

@@ -52,7 +52,6 @@ fn no_nested_src_crates_directories() {
     let mut hits = Vec::new();
     walk(&root.join("src"), &mut hits);
     walk(&root.join("crates"), &mut hits);
-    walk(&root.join("vendor"), &mut hits);
     assert!(
         hits.is_empty(),
         "stray src/crates/ trees (debug artifacts?): {hits:?}"
