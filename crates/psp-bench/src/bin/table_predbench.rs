@@ -24,10 +24,11 @@ use psp_predicate::PredicateMatrix;
 use std::time::Instant;
 
 /// Deterministic corpus: entry lists shaped like scheduler formals (few
-/// constrained elements, small rows, columns clustered near 0). A plain
-/// LCG keeps the binary dependency-free and the corpus identical across
-/// backends and runs.
-fn corpus_entries(n: usize, spill: bool) -> Vec<Vec<(u32, i32, bool)>> {
+/// constrained elements, small rows, columns clustered near 0). With
+/// `outside`, keys also fall past the packed window. A plain LCG keeps the
+/// binary dependency-free and the corpus identical across backends and
+/// runs.
+fn corpus_entries(n: usize, outside: bool) -> Vec<Vec<(u32, i32, bool)>> {
     let mut state = 0x243F6A8885A308D3u64;
     let mut next = move |m: u64| {
         state = state
@@ -40,8 +41,9 @@ fn corpus_entries(n: usize, spill: bool) -> Vec<Vec<(u32, i32, bool)>> {
             let len = next(6) as usize + 1;
             (0..len)
                 .map(|_| {
-                    let row = next(if spill { 10 } else { 5 }) as u32;
-                    let col = next(if spill { 24 } else { 8 }) as i32 - if spill { 12 } else { 4 };
+                    let row = next(if outside { 10 } else { 5 }) as u32;
+                    let col =
+                        next(if outside { 24 } else { 8 }) as i32 - if outside { 12 } else { 4 };
                     (row, col, next(2) == 1)
                 })
                 .collect()
@@ -116,15 +118,21 @@ fn main() {
     let s = time_pairs(&sparse_ms, reps, |a, b| sink += a.subsumes(b) as usize);
     let p = time_pairs(&packed_ms, reps, |a, b| sink += a.subsumes(b) as usize);
     row("subsumes", s, p);
-    let s = time_pairs(&sparse_ms, reps, |a, b| {
-        sink += a.conjoin(b).is_some() as usize
+    // `conjoin` and `shifted` build matrices, and a result is built in its
+    // thread's backend: the sparse column runs them on the sparse one.
+    let s = with_backend(false, || {
+        time_pairs(&sparse_ms, reps, |a, b| {
+            sink += a.conjoin(b).is_some() as usize
+        })
     });
     let p = time_pairs(&packed_ms, reps, |a, b| {
         sink += a.conjoin(b).is_some() as usize
     });
     row("conjoin", s, p);
-    let s = time_each(&sparse_ms, reps * 8, |a| {
-        sink += a.shifted(1).constrained_len()
+    let s = with_backend(false, || {
+        time_each(&sparse_ms, reps * 8, |a| {
+            sink += a.shifted(1).constrained_len()
+        })
     });
     let p = time_each(&packed_ms, reps * 8, |a| {
         sink += a.shifted(1).constrained_len()

@@ -492,8 +492,14 @@ fn pipeline_on<'scope>(
     let (s0, p0) = match score_and_generate(&sched, cfg, &mut stats.times) {
         Ok(x) => x,
         Err(_) => {
-            // The compacted schedule should always be generatable; fall
-            // back to the raw initial schedule if a corner case breaks it.
+            // Code generation refuses the compacted seed on 42 of the 192
+            // E12 `fuzz` runs, for two causes: `CodegenError::Resource`
+            // (21 runs, all on 2/1/1: compaction's `row_fits` shares a
+            // slot between disjoint instances that the tree instruction
+            // still counts) and `PreloopUnsupported("temporary register
+            // is entry-live with only index-0 writers")` (21 runs). Those
+            // runs fall back to the raw initial schedule; ROADMAP item 12
+            // mends the fallback.
             sched = Schedule::initial(spec);
             score_and_generate(&sched, cfg, &mut stats.times)?
         }

@@ -8,9 +8,16 @@
 //! representation another thread builds in; a caller that hands work to
 //! other threads passes its choice along (the PSP driver runs each helper
 //! trial under the caller's backend). The flag is consulted at
-//! *construction* time only: matrices built in either mode interoperate
-//! (every operation falls back to a generic element-wise path on mixed
-//! inputs), so switching backends changes performance, never results.
+//! *construction* time only, by [`PredicateMatrix::universe`] — and so by
+//! every constructor and every result an operation computes element-wise.
+//! A packed matrix still turns sparse once a key leaves the packed window.
+//! Matrices built in either mode interoperate (every operation falls back
+//! to a generic element-wise path on mixed inputs), so switching backends
+//! changes performance, never results. Because the flag is per thread, a
+//! caller that must not run the packed algebra (the `psp-verify`
+//! validators) simply computes inside `with_backend(false, ..)`.
+//!
+//! [`PredicateMatrix::universe`]: crate::PredicateMatrix::universe
 
 use std::cell::Cell;
 

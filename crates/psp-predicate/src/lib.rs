@@ -36,9 +36,11 @@
 //!   scheduled, which links predicates to the operations that compute them.
 //!
 //! Two interchangeable matrix layouts back this API: packed bitplanes (the
-//! default — set algebra as word ops over a fixed row/column window, with a
-//! sparse spill outside it) and the original sparse `BTreeMap`, kept as a
-//! reference for differential testing. See [`matrix`] for the layout,
+//! default — set algebra as word ops over a fixed row/column window) and
+//! the original sparse `BTreeMap`, kept as the reference for the
+//! validators and for differential testing. A matrix is built in its
+//! thread's backend and is packed only while every key fits the window;
+//! past it, it is sparse. See [`matrix`] for the layouts and that rule,
 //! [`backend`] for the per-thread construction-time switch, and [`stats`]
 //! for the per-thread predicate-op counters behind the driver's
 //! `PspStats.pred`.

@@ -1,4 +1,4 @@
-//! Predicate matrices: packed bitplanes with a sparse reference fallback.
+//! Predicate matrices: packed bitplanes with a sparse reference layout.
 //!
 //! A [`PredicateMatrix`] stores only its constrained elements; every other
 //! element is implicitly `b`. Rows identify IF operations of the original
@@ -9,8 +9,7 @@
 //!
 //! # Representations
 //!
-//! Two interchangeable layouts sit behind the same API, selected at
-//! construction time by [`crate::backend`]:
+//! Two interchangeable layouts sit behind the same API:
 //!
 //! - **Packed** (default): two bitplanes over a fixed window of
 //!   [`PACKED_ROWS`] rows × columns [`PACKED_COL_LO`]`..=`[`PACKED_COL_HI`]
@@ -18,18 +17,24 @@
 //!   (and is zero elsewhere, keeping the form canonical). One 16-bit lane
 //!   per row, row-major, so the whole window is two `u64` words per plane
 //!   and `conjoin`/`is_disjoint`/`subsumes`/`unify` are a handful of
-//!   AND/XOR/OR instructions. Keys outside the window spill into a sorted
-//!   side map; the window covers every matrix the kernel suite and the
-//!   scaling loops produce, so the spill is effectively a fuzz-only path.
+//!   AND/XOR/OR instructions.
 //! - **Sparse**: the original `BTreeMap<PredKey, bool>`, kept as the
-//!   reference implementation for differential tests and benchmarks.
+//!   reference implementation for the validators, differential tests and
+//!   benchmarks.
+//!
+//! One rule picks the layout: a matrix is built in the backend of the
+//! thread that builds it ([`crate::backend`]), and it is packed only while
+//! every key fits the window. Setting a key outside the window turns a
+//! packed matrix sparse. Every result computed element-wise starts from
+//! [`PredicateMatrix::universe`], so on a packed thread a result that fits
+//! the window is packed again. The window covers every matrix the kernel
+//! suite and the scaling loops produce; only fuzz loops leave it.
 //!
 //! Each pairwise operation has exactly two implementations: the word path,
-//! taken only when both operands are spill-free packed
+//! taken only when both operands are packed
 //! ([`PredicateMatrix::is_word_packed`]), and the element-wise reference
 //! path over [`PredicateMatrix::constrained`] and
-//! [`PredicateMatrix::get`], which serves sparse, mixed and spilled
-//! operands alike.
+//! [`PredicateMatrix::get`], which serves sparse and mixed operands alike.
 //!
 //! Equality, ordering, hashing and `Debug` are defined over the logical
 //! element sequence, so a packed matrix and a sparse matrix with the same
@@ -77,23 +82,16 @@ fn key_of(bit: usize) -> PredKey {
     ((bit / LANE) as u32, (bit % LANE) as i32 + PACKED_COL_LO)
 }
 
-/// Bitplane pair plus out-of-window spill.
+/// The two bitplanes of a packed matrix.
 ///
-/// Invariants: `vals ⊆ mask` word-wise; spill keys are strictly outside the
-/// window; the spill is `None` rather than an empty map. Together these
-/// make the representation canonical, so packed equality is plain word
-/// comparison.
-#[derive(Clone, Default)]
+/// Invariant: `vals ⊆ mask` word-wise. It makes the representation
+/// canonical, so packed equality is plain word comparison.
+#[derive(Clone, Copy, Default, PartialEq, Eq)]
 struct Packed {
     /// Constrained positions.
     mask: [u64; W],
     /// Outcome at constrained positions (`1` = True); zero elsewhere.
     vals: [u64; W],
-    /// Constrained keys outside the window. Boxed deliberately: spill is
-    /// almost always `None`, and the indirection keeps `Packed` (and so
-    /// every matrix clone) at 40 bytes instead of 56.
-    #[allow(clippy::box_collection)]
-    spill: Option<Box<BTreeMap<PredKey, bool>>>,
 }
 
 #[derive(Clone)]
@@ -126,19 +124,6 @@ impl PredicateMatrix {
         }
     }
 
-    /// Empty matrix in the same representation mode as `self`, so derived
-    /// results stay mode-stable whichever backend the thread selects.
-    fn empty_like(&self) -> Self {
-        match &self.repr {
-            Repr::Packed(_) => Self {
-                repr: Repr::Packed(Packed::default()),
-            },
-            Repr::Sparse(_) => Self {
-                repr: Repr::Sparse(BTreeMap::new()),
-            },
-        }
-    }
-
     /// Matrix with a single constrained element.
     pub fn single(row: u32, col: i32, outcome: bool) -> Self {
         let mut m = Self::universe();
@@ -150,25 +135,11 @@ impl PredicateMatrix {
     ///
     /// Later duplicates of the same key overwrite earlier ones.
     pub fn from_entries<I: IntoIterator<Item = (u32, i32, bool)>>(it: I) -> Self {
-        Self::universe().with_entries(it)
-    }
-
-    /// [`from_entries`](Self::from_entries) on the sparse reference
-    /// representation, whatever [`backend`] the calling thread selects.
-    /// Results derived from it stay sparse, so a caller can keep the packed
-    /// algebra out of its computation without switching backends.
-    pub fn sparse_from_entries<I: IntoIterator<Item = (u32, i32, bool)>>(it: I) -> Self {
-        Self {
-            repr: Repr::Sparse(BTreeMap::new()),
-        }
-        .with_entries(it)
-    }
-
-    fn with_entries<I: IntoIterator<Item = (u32, i32, bool)>>(mut self, it: I) -> Self {
+        let mut m = Self::universe();
         for (row, col, v) in it {
-            self.set(row, col, PredElem::from_bool(v));
+            m.set(row, col, PredElem::from_bool(v));
         }
-        self
+        m
     }
 
     /// The element at `(row, col)` (default `b`).
@@ -184,10 +155,7 @@ impl PredicateMatrix {
                         PredElem::Both
                     }
                 }
-                None => match p.spill.as_ref().and_then(|s| s.get(&(row, col))) {
-                    Some(&v) => PredElem::from_bool(v),
-                    None => PredElem::Both,
-                },
+                None => PredElem::Both,
             },
             Repr::Sparse(m) => match m.get(&(row, col)) {
                 Some(&v) => PredElem::from_bool(v),
@@ -197,50 +165,31 @@ impl PredicateMatrix {
     }
 
     /// Set the element at `(row, col)`; setting `b` removes the entry.
+    ///
+    /// A constrained key outside the packed window turns a packed matrix
+    /// sparse; a sparse matrix stays sparse.
     pub fn set(&mut self, row: u32, col: i32, e: PredElem) {
-        match &mut self.repr {
-            Repr::Packed(p) => match bit_of(row, col) {
-                Some(b) => {
-                    let (w, i) = (b >> 6, b & 63);
-                    match e.as_bool() {
-                        Some(v) => {
-                            p.mask[w] |= 1 << i;
-                            if v {
-                                p.vals[w] |= 1 << i;
-                            } else {
-                                p.vals[w] &= !(1 << i);
-                            }
-                        }
-                        None => {
-                            p.mask[w] &= !(1 << i);
-                            p.vals[w] &= !(1 << i);
-                        }
-                    }
+        if let Repr::Packed(p) = &mut self.repr {
+            if let Some(b) = bit_of(row, col) {
+                let (w, i) = (b >> 6, b & 63);
+                p.mask[w] &= !(1 << i);
+                p.vals[w] &= !(1 << i);
+                if let Some(v) = e.as_bool() {
+                    p.mask[w] |= 1 << i;
+                    p.vals[w] |= (v as u64) << i;
                 }
-                None => match e.as_bool() {
-                    Some(v) => {
-                        p.spill
-                            .get_or_insert_with(Default::default)
-                            .insert((row, col), v);
-                    }
-                    None => {
-                        if let Some(s) = &mut p.spill {
-                            s.remove(&(row, col));
-                            if s.is_empty() {
-                                p.spill = None;
-                            }
-                        }
-                    }
-                },
-            },
-            Repr::Sparse(m) => match e.as_bool() {
-                Some(v) => {
-                    m.insert((row, col), v);
-                }
-                None => {
-                    m.remove(&(row, col));
-                }
-            },
+                return;
+            }
+            if !e.is_constrained() {
+                return; // outside the window every element is already `b`
+            }
+            self.repr = Repr::Sparse(self.constrained().map(|(r, c, v)| ((r, c), v)).collect());
+        }
+        if let Repr::Sparse(m) = &mut self.repr {
+            match e.as_bool() {
+                Some(v) => m.insert((row, col), v),
+                None => m.remove(&(row, col)),
+            };
         }
     }
 
@@ -255,13 +204,7 @@ impl PredicateMatrix {
     #[inline]
     pub fn constrained_len(&self) -> usize {
         match &self.repr {
-            Repr::Packed(p) => {
-                p.mask
-                    .iter()
-                    .map(|w| w.count_ones() as usize)
-                    .sum::<usize>()
-                    + p.spill.as_ref().map_or(0, |s| s.len())
-            }
+            Repr::Packed(p) => p.mask.iter().map(|w| w.count_ones() as usize).sum(),
             Repr::Sparse(m) => m.len(),
         }
     }
@@ -270,24 +213,24 @@ impl PredicateMatrix {
     #[inline]
     pub fn is_universe(&self) -> bool {
         match &self.repr {
-            Repr::Packed(p) => p.mask == [0; W] && p.spill.is_none(),
+            Repr::Packed(p) => p.mask == [0; W],
             Repr::Sparse(m) => m.is_empty(),
         }
     }
 
-    /// Whether this matrix is fully in-window packed: pairwise operations
-    /// on two such matrices are a handful of word instructions.
+    /// Whether this matrix is packed: pairwise operations on two such
+    /// matrices are a handful of word instructions.
     #[inline]
     pub fn is_word_packed(&self) -> bool {
         self.words().is_some()
     }
 
-    /// The bitplanes of a spill-free packed matrix.
+    /// The bitplanes of a packed matrix.
     #[inline]
     fn words(&self) -> Option<&Packed> {
         match &self.repr {
-            Repr::Packed(p) if p.spill.is_none() => Some(p),
-            _ => None,
+            Repr::Packed(p) => Some(p),
+            Repr::Sparse(_) => None,
         }
     }
 
@@ -295,26 +238,7 @@ impl PredicateMatrix {
     pub fn constrained(&self) -> ConstrainedIter<'_> {
         let inner = match &self.repr {
             Repr::Sparse(m) => Inner::Sparse(m.iter()),
-            Repr::Packed(p) => {
-                let bits = PackedBits {
-                    mask: p.mask,
-                    vals: p.vals,
-                    w: 0,
-                };
-                match &p.spill {
-                    None => Inner::Bits(bits),
-                    Some(s) => {
-                        let mut bits = bits;
-                        let mut spill = s.iter();
-                        Inner::Merged {
-                            bits_next: bits.next(),
-                            bits,
-                            spill_next: spill.next().map(|(&k, &v)| (k, v)),
-                            spill,
-                        }
-                    }
-                }
-            }
+            Repr::Packed(p) => Inner::Bits(PackedBits { bits: *p, w: 0 }),
         };
         ConstrainedIter { inner }
     }
@@ -356,11 +280,9 @@ impl PredicateMatrix {
                 return None;
             }
         }
-        let mut out = large.clone();
-        for (r, c, v) in small.constrained() {
-            out.set(r, c, PredElem::from_bool(v));
-        }
-        Some(out)
+        Some(Self::from_entries(
+            large.constrained().chain(small.constrained()),
+        ))
     }
 
     /// Whether the path sets are disjoint (complementary at some position).
@@ -411,13 +333,10 @@ impl PredicateMatrix {
                 repr: Repr::Packed(out),
             };
         }
-        let mut out = self.empty_like();
-        for (r, c, v) in self.constrained() {
-            if keys.get(r, c).is_constrained() {
-                out.set(r, c, PredElem::from_bool(v));
-            }
-        }
-        out
+        Self::from_entries(
+            self.constrained()
+                .filter(|&(r, c, _)| keys.get(r, c).is_constrained()),
+        )
     }
 
     /// Shift all columns by `delta` (positive = later iterations).
@@ -435,11 +354,7 @@ impl PredicateMatrix {
                 repr: Repr::Packed(s),
             };
         }
-        let mut out = self.empty_like();
-        for (r, c, v) in self.constrained() {
-            out.set(r, c + delta, PredElem::from_bool(v));
-        }
-        out
+        Self::from_entries(self.constrained().map(|(r, c, v)| (r, c + delta, v)))
     }
 
     /// The *split* of this matrix at a `b` element: two clones with the
@@ -497,8 +412,10 @@ impl PredicateMatrix {
                 None => return None, // keys differ
             }
         }
-        let (r, c) = diff?;
-        Some(self.with(r, c, PredElem::Both))
+        let at = diff?;
+        Some(Self::from_entries(
+            self.constrained().filter(|&(r, c, _)| (r, c) != at),
+        ))
     }
 
     /// Whether the concrete outcome assignment lies in this path set.
@@ -557,16 +474,15 @@ impl PredicateMatrix {
     }
 }
 
-/// Whether two spill-free packed matrices carry complementary elements at
-/// some position.
+/// Whether two packed matrices carry complementary elements at some
+/// position.
 #[inline]
 fn words_conflict(a: &Packed, b: &Packed) -> bool {
     (0..W).any(|i| (a.vals[i] ^ b.vals[i]) & a.mask[i] & b.mask[i] != 0)
 }
 
-/// Shift a spill-free packed matrix within its lanes, `None` when any
-/// constrained bit would leave its row window (the caller then rebuilds
-/// element-wise, spilling as needed).
+/// Shift a packed matrix within its lanes, `None` when any constrained bit
+/// would leave its row window (the caller then rebuilds element-wise).
 fn shift_lanes(p: &Packed, delta: i32) -> Option<Packed> {
     let d = delta.unsigned_abs() as usize;
     if d >= LANE {
@@ -600,14 +516,15 @@ fn shift_lanes(p: &Packed, delta: i32) -> Option<Packed> {
 }
 
 /// Iterator over constrained elements in `(row, col)` order, across both
-/// representations (bitplane bits merged with the sorted spill).
+/// representations.
 pub struct ConstrainedIter<'a> {
     inner: Inner<'a>,
 }
 
+/// The set bits of a packed matrix, lowest first; `bits.mask` loses each
+/// bit as it is yielded.
 struct PackedBits {
-    mask: [u64; W],
-    vals: [u64; W],
+    bits: Packed,
     w: usize,
 }
 
@@ -616,12 +533,12 @@ impl Iterator for PackedBits {
 
     fn next(&mut self) -> Option<Self::Item> {
         while self.w < W {
-            let m = self.mask[self.w];
+            let m = self.bits.mask[self.w];
             if m != 0 {
                 let b = m.trailing_zeros() as usize;
-                self.mask[self.w] = m & (m - 1);
+                self.bits.mask[self.w] = m & (m - 1);
                 let key = key_of(self.w * 64 + b);
-                let v = self.vals[self.w] >> b & 1 == 1;
+                let v = self.bits.vals[self.w] >> b & 1 == 1;
                 return Some((key, v));
             }
             self.w += 1;
@@ -633,12 +550,6 @@ impl Iterator for PackedBits {
 enum Inner<'a> {
     Sparse(std::collections::btree_map::Iter<'a, PredKey, bool>),
     Bits(PackedBits),
-    Merged {
-        bits: PackedBits,
-        bits_next: Option<(PredKey, bool)>,
-        spill: std::collections::btree_map::Iter<'a, PredKey, bool>,
-        spill_next: Option<(PredKey, bool)>,
-    },
 }
 
 impl Iterator for ConstrainedIter<'_> {
@@ -648,30 +559,6 @@ impl Iterator for ConstrainedIter<'_> {
         let ((r, c), v) = match &mut self.inner {
             Inner::Sparse(it) => it.next().map(|(&k, &v)| (k, v))?,
             Inner::Bits(bits) => bits.next()?,
-            Inner::Merged {
-                bits,
-                bits_next,
-                spill,
-                spill_next,
-            } => {
-                // Window and spill keys never collide, so plain ordering
-                // decides which side emits next.
-                let take_bits = match (&*bits_next, &*spill_next) {
-                    (Some((bk, _)), Some((sk, _))) => bk < sk,
-                    (Some(_), None) => true,
-                    (None, Some(_)) => false,
-                    (None, None) => return None,
-                };
-                if take_bits {
-                    let out = bits_next.take()?;
-                    *bits_next = bits.next();
-                    out
-                } else {
-                    let out = spill_next.take()?;
-                    *spill_next = spill.next().map(|(&k, &v)| (k, v));
-                    out
-                }
-            }
         };
         Some((r, c, v))
     }
@@ -681,9 +568,7 @@ impl PartialEq for PredicateMatrix {
     fn eq(&self, other: &Self) -> bool {
         match (&self.repr, &other.repr) {
             // Both packed forms are canonical, so word compare suffices.
-            (Repr::Packed(a), Repr::Packed(b)) => {
-                a.mask == b.mask && a.vals == b.vals && a.spill == b.spill
-            }
+            (Repr::Packed(a), Repr::Packed(b)) => a == b,
             (Repr::Sparse(a), Repr::Sparse(b)) => a == b,
             _ => self.constrained().eq(other.constrained()),
         }
@@ -940,75 +825,104 @@ mod tests {
 
     // ---- packed-representation specifics ----
 
-    #[test]
-    fn out_of_window_keys_spill_and_roundtrip() {
-        // Row beyond PACKED_ROWS and columns beyond the window must still
-        // behave like any other entry.
-        let a = m(&[
-            (0, 0, true),
-            (PACKED_ROWS + 3, 0, false),
-            (1, PACKED_COL_HI + 5, true),
-            (2, PACKED_COL_LO - 2, false),
-        ]);
-        assert_eq!(a.constrained_len(), 4);
-        assert_eq!(a.get(PACKED_ROWS + 3, 0), PredElem::False);
-        assert_eq!(a.get(1, PACKED_COL_HI + 5), PredElem::True);
-        assert_eq!(a.get(2, PACKED_COL_LO - 2), PredElem::False);
-        let keys: Vec<_> = a.keys().collect();
-        let mut sorted = keys.clone();
-        sorted.sort();
-        assert_eq!(keys, sorted, "constrained() must stay in key order");
-        let mut b = a.clone();
-        b.set(PACKED_ROWS + 3, 0, PredElem::Both);
-        b.set(1, PACKED_COL_HI + 5, PredElem::Both);
-        b.set(2, PACKED_COL_LO - 2, PredElem::Both);
-        assert_eq!(b, m(&[(0, 0, true)]));
+    fn hash_of(x: &PredicateMatrix) -> u64 {
+        let mut s = std::collections::hash_map::DefaultHasher::new();
+        x.hash(&mut s);
+        s.finish()
     }
 
     #[test]
-    fn shift_across_window_edge_spills_and_roundtrips() {
+    fn a_key_outside_the_window_makes_the_matrix_sparse() {
+        // Row PACKED_ROWS and the columns just past either window edge.
+        let outside = [
+            (PACKED_ROWS, 0),
+            (1, PACKED_COL_LO - 1),
+            (2, PACKED_COL_HI + 1),
+        ];
+        let base = [(0, 0, true), (3, -1, false)];
+        for (r, c) in outside {
+            let inwin = crate::backend::with_backend(true, || m(&base));
+            assert!(inwin.is_word_packed());
+            let a = crate::backend::with_backend(true, || inwin.with(r, c, PredElem::True));
+            assert!(!a.is_word_packed(), "({r},{c}) lies outside the window");
+            assert_eq!(a.get(r, c), PredElem::True);
+            assert_eq!(a.constrained_len(), 3);
+            let keys: Vec<_> = a.keys().collect();
+            let mut sorted = keys.clone();
+            sorted.sort();
+            assert_eq!(keys, sorted, "constrained() must stay in key order");
+            // Its sparse twin: equal, and hashed, ordered and printed alike.
+            let twin = crate::backend::with_backend(false, || m(&base).with(r, c, PredElem::True));
+            assert_eq!(a, twin);
+            assert_eq!(hash_of(&a), hash_of(&twin));
+            assert_eq!(a.cmp(&twin), Ordering::Equal);
+            assert_eq!(format!("{a:?}"), format!("{twin:?}"));
+            assert_eq!(format!("{a}"), format!("{twin}"));
+            // Clearing the key restores the value; `b` outside the window
+            // leaves a packed matrix packed.
+            assert_eq!(a.with(r, c, PredElem::Both), inwin);
+            assert!(inwin.with(r, c, PredElem::Both).is_word_packed());
+        }
+    }
+
+    #[test]
+    fn results_that_fit_the_window_are_packed_again() {
         let a = m(&[(0, PACKED_COL_HI, true), (1, 0, false)]);
+        assert!(a.is_word_packed());
         let s = a.shifted(3); // (0, HI+3) leaves the window
+        assert!(!s.is_word_packed());
         assert_eq!(s.get(0, PACKED_COL_HI + 3), PredElem::True);
         assert_eq!(s.get(1, 3), PredElem::False);
-        assert_eq!(s.shifted(-3), a);
+        let back = s.shifted(-3);
+        assert_eq!(back, a);
+        assert!(back.is_word_packed());
         let far = a.shifted(100).shifted(-100);
         assert_eq!(far, a);
+        assert!(far.is_word_packed());
+
+        let wide = m(&[(0, 0, true), (PACKED_ROWS, 0, false)]);
+        assert!(!wide.is_word_packed());
+        let kept = wide.restricted_to(&m(&[(0, 0, false)]));
+        assert_eq!(kept, m(&[(0, 0, true)]));
+        assert!(kept.is_word_packed());
     }
 
     #[test]
-    fn ops_agree_across_spilled_operands() {
-        let spilled = m(&[(0, 0, true), (0, PACKED_COL_HI + 2, true)]);
+    fn ops_agree_across_sparse_and_packed_operands() {
+        let outside = m(&[(0, 0, true), (0, PACKED_COL_HI + 2, true)]);
         let inwin = m(&[(0, 0, false)]);
-        assert!(spilled.is_disjoint(&inwin));
-        assert_eq!(spilled.conjoin(&inwin), None);
+        assert!(!outside.is_word_packed() && inwin.is_word_packed());
+        assert!(outside.is_disjoint(&inwin));
+        assert_eq!(outside.conjoin(&inwin), None);
         let compat = m(&[(0, 0, true), (1, -1, false)]);
-        let joined = spilled.conjoin(&compat).unwrap();
+        let joined = outside.conjoin(&compat).unwrap();
         assert_eq!(joined.constrained_len(), 3);
-        assert!(spilled.subsumes(&joined));
+        assert!(outside.subsumes(&joined));
         let other = m(&[(0, 0, true), (0, PACKED_COL_HI + 2, false)]);
-        assert!(spilled.is_disjoint(&other));
-        assert_eq!(spilled.unify(&other), Some(m(&[(0, 0, true)])));
+        assert!(outside.is_disjoint(&other));
+        let merged = outside.unify(&other).unwrap();
+        assert_eq!(merged, m(&[(0, 0, true)]));
+        assert!(merged.is_word_packed());
+    }
+
+    #[test]
+    fn a_matrix_is_forty_bytes() {
+        // Two bitplanes of two words each (32 bytes) plus the layout tag.
+        assert_eq!(std::mem::size_of::<PredicateMatrix>(), 40);
     }
 
     #[test]
     fn packed_and_sparse_forms_are_interchangeable() {
-        use std::collections::hash_map::DefaultHasher;
         let entries = [(0u32, 0i32, true), (2, -3, false), (9, 20, true)];
         let packed = crate::backend::with_backend(true, || m(&entries));
         let sparse = crate::backend::with_backend(false, || m(&entries));
-        assert!(!packed.is_word_packed(), "(9,20) must spill");
+        assert!(!packed.is_word_packed(), "(9,20) lies outside the window");
         assert!(!sparse.is_word_packed());
         assert_eq!(packed, sparse);
         assert_eq!(packed.cmp(&sparse), Ordering::Equal);
         assert_eq!(format!("{packed:?}"), format!("{sparse:?}"));
         assert_eq!(format!("{packed}"), format!("{sparse}"));
-        let h = |x: &PredicateMatrix| {
-            let mut s = DefaultHasher::new();
-            x.hash(&mut s);
-            s.finish()
-        };
-        assert_eq!(h(&packed), h(&sparse));
+        assert_eq!(hash_of(&packed), hash_of(&sparse));
         // Mixed-representation operations take the generic path.
         assert_eq!(packed.conjoin(&sparse), Some(packed.clone()));
         assert!(packed.subsumes(&sparse) && sparse.subsumes(&packed));

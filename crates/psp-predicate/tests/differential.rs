@@ -4,8 +4,9 @@
 //! results under the packed bitplane backend and the sparse `BTreeMap`
 //! reference — including observable representation details (equality,
 //! ordering, hashing, `Debug`) that the scheduler's determinism rests on.
-//! Key ranges deliberately straddle the packed window so the spill
-//! fallback is exercised alongside the word-op fast paths.
+//! Key ranges deliberately straddle the packed window, so matrices that
+//! leave it (and turn sparse on a packed thread) and mixed operand pairs
+//! are exercised alongside the word-op fast paths.
 
 #[path = "../../psp-kernels/tests/cases/mod.rs"]
 mod cases;

@@ -169,7 +169,8 @@ impl EquivConfig {
         self
     }
 
-    /// The `(seed, len)` pairs of the configured trials.
+    /// The `(seed, len)` pairs of the configured trials. Trial `i` draws
+    /// from seed `seed + i`, wrapping past `u64::MAX` to 0.
     pub fn trial_inputs(&self) -> Vec<(u64, usize)> {
         let lens: &[usize] = if self.lens.is_empty() {
             &TRIAL_LENS
@@ -177,7 +178,7 @@ impl EquivConfig {
             &self.lens
         };
         (0..self.trials)
-            .map(|i| (self.seed + i as u64, lens[i % lens.len()]))
+            .map(|i| (self.seed.wrapping_add(i as u64), lens[i % lens.len()]))
             .collect()
     }
 }
@@ -736,6 +737,16 @@ mod tests {
         assert_eq!(inputs[1], (11, 2));
         assert_eq!(inputs[5], (15, 257));
         assert_eq!(inputs[6], (16, 1)); // ladder wraps
+    }
+
+    #[test]
+    fn trial_seeds_wrap_past_the_largest_seed() {
+        let seeds: Vec<u64> = EquivConfig::fixed(3, u64::MAX)
+            .trial_inputs()
+            .into_iter()
+            .map(|(seed, _)| seed)
+            .collect();
+        assert_eq!(seeds, [u64::MAX, 0, 1]);
     }
 
     #[test]

@@ -13,6 +13,7 @@
 //! validates here is executable and a rejection is a real defect, not a
 //! modeling mismatch.
 
+use crate::schedule::reference_copy;
 use crate::violation::{CycleSite, Violation};
 use psp_ir::{
     analysis::{mem_access, AccessKind},
@@ -20,6 +21,7 @@ use psp_ir::{
 };
 use psp_machine::MachineConfig;
 use psp_opt::ModuloSchedule;
+use psp_predicate::backend::with_backend;
 use psp_predicate::PredicateMatrix;
 use std::collections::BTreeMap;
 
@@ -182,10 +184,11 @@ fn derive_edges(
     live_out: &[RegRef],
     machine: &MachineConfig,
 ) -> Vec<Edge> {
-    let sparse: Vec<PredicateMatrix> = ops
-        .iter()
-        .map(|(_, m)| PredicateMatrix::sparse_from_entries(m.constrained()))
-        .collect();
+    // The path tests run on sparse copies, keeping the packed algebra out
+    // of the trusted base.
+    let sparse: Vec<PredicateMatrix> = with_backend(false, || {
+        ops.iter().map(|(_, m)| reference_copy(m, 0)).collect()
+    });
     let st = strides(ops);
     let stride_of = |r: Reg| st.get(&r).copied();
     let mut edges = Vec::new();

@@ -21,9 +21,12 @@
 //! * each row's same-class instances that can co-execute (pairwise
 //!   non-disjoint paths) must fit the machine's issue width.
 //!
-//! Everything is computed with freshly built **sparse** predicate matrices
-//! ([`PredicateMatrix::sparse_from_entries`]), so the bit-packed algebra
-//! the scheduler uses is out of the trusted base.
+//! Everything is computed on the **sparse** reference backend: the
+//! validator runs inside [`with_backend`]`(false, ..)` and rebuilds each
+//! instance's matrix there with [`PredicateMatrix::from_entries`], so the
+//! bit-packed algebra the scheduler uses is out of the trusted base. The
+//! backend flag belongs to the calling thread, so the caller's own
+//! matrices and its backend are untouched.
 
 use crate::violation::{CycleSite, Violation};
 use psp_core::Schedule;
@@ -32,6 +35,7 @@ use psp_ir::{
     flatten, AluOp, LoopSpec, OpKind, Operand, Operation, Reg, RegRef, ResClass,
 };
 use psp_machine::MachineConfig;
+use psp_predicate::backend::with_backend;
 use psp_predicate::{OutcomeMap, PredicateMatrix};
 
 /// One schedule instance with its freshly rebuilt sparse matrices.
@@ -65,31 +69,40 @@ pub fn validate_schedule(
     machine: &MachineConfig,
     sched: &Schedule,
 ) -> Vec<Violation> {
-    let mut out = Vec::new();
-    let insts: Vec<Inst> = sched
-        .rows
-        .iter()
-        .enumerate()
-        .flat_map(|(row, r)| r.iter().map(move |inner| (row, inner)))
-        .map(|(row, inner)| Inst {
-            row,
-            inner,
-            formal: sparse_shift(&inner.formal, 0),
-            iter: sparse_shift(&inner.formal, -inner.index),
-        })
-        .collect();
+    with_backend(false, || {
+        let mut out = Vec::new();
+        let insts: Vec<Inst> = sched
+            .rows
+            .iter()
+            .enumerate()
+            .flat_map(|(row, r)| r.iter().map(move |inner| (row, inner)))
+            .map(|(row, inner)| Inst {
+                row,
+                inner,
+                formal: reference_copy(&inner.formal, 0),
+                iter: reference_copy(&inner.formal, -inner.index),
+            })
+            .collect();
 
-    origins(spec, &insts, &mut out);
-    register_order(machine, &insts, &mut out);
-    memory_and_breaks(spec, &insts, &mut out);
-    speculation(machine, &insts, &mut out);
-    row_resources(machine, sched, &insts, &mut out);
-    out
+        origins(spec, &insts, &mut out);
+        register_order(machine, &insts, &mut out);
+        memory_and_breaks(spec, &insts, &mut out);
+        speculation(machine, &insts, &mut out);
+        row_resources(machine, sched, &insts, &mut out);
+        out
+    })
 }
 
-/// Rebuild a matrix on the sparse backend, shifting columns by `delta`.
-fn sparse_shift(m: &PredicateMatrix, delta: i32) -> PredicateMatrix {
-    PredicateMatrix::sparse_from_entries(m.constrained().map(|(r, c, v)| (r, c + delta, v)))
+/// `m` with its columns shifted by `delta`, rebuilt on the calling
+/// thread's backend. The validators call it inside
+/// [`with_backend`]`(false, ..)`, which the debug assertion checks.
+pub(crate) fn reference_copy(m: &PredicateMatrix, delta: i32) -> PredicateMatrix {
+    let copy = PredicateMatrix::from_entries(m.constrained().map(|(r, c, v)| (r, c + delta, v)));
+    debug_assert!(
+        !copy.is_word_packed(),
+        "validators compute on the sparse reference backend"
+    );
+    copy
 }
 
 // --- source coverage ---------------------------------------------------

@@ -1,12 +1,17 @@
-//! The validators rebuild their matrices on the sparse reference backend
-//! without switching the calling thread's backend, so a caller's matrices
-//! come out in the representation it chose, before and after validation.
+//! The validators compute on the sparse reference backend whatever the
+//! calling thread selects. Each one runs its matrix work inside
+//! `with_backend(false, ..)` and rebuilds its input matrices there with
+//! `from_entries`, and a debug assertion on every rebuilt copy fails if a
+//! copy comes out packed. So in this (debug) test, validating on a packed
+//! thread shows that the validators see only sparse matrices. The backend
+//! flag belongs to the thread, so the caller's backend and its own
+//! matrices come out as the caller chose, before and after validation.
 
 use psp_core::{pipeline_loop, PspConfig};
 use psp_machine::MachineConfig;
 use psp_predicate::backend::{is_packed, with_backend};
 use psp_predicate::PredicateMatrix;
-use psp_verify::validate_schedule;
+use psp_verify::{validate_modulo, validate_schedule};
 
 #[test]
 fn validation_leaves_the_callers_backend_alone() {
@@ -20,11 +25,23 @@ fn validation_leaves_the_callers_backend_alone() {
         })
         .collect();
     assert!(is_packed(), "packed is the default backend");
+    assert!(
+        results
+            .iter()
+            .flat_map(|(_, s)| s.rows.iter().flatten())
+            .all(|i| i.formal.is_word_packed()),
+        "the kernel schedules carry packed matrices"
+    );
 
     for packed in [true, false] {
         with_backend(packed, || {
             for (k, sched) in &results {
                 let v = validate_schedule(&k.spec, &wide, sched);
+                assert!(v.is_empty(), "{}: {v:?}", k.name);
+                let mut ic = psp_opt::if_convert(&k.spec);
+                psp_opt::rename_inductions(&mut ic.ops, &mut ic.spec);
+                let ems = psp_baselines::modulo_schedule(&k.spec, &wide);
+                let v = validate_modulo(&ic.spec.live_out, &wide, &ems);
                 assert!(v.is_empty(), "{}: {v:?}", k.name);
                 assert_eq!(
                     is_packed(),

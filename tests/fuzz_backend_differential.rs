@@ -5,7 +5,8 @@
 //! packed-compiled program must stay observationally equivalent to the
 //! source loop. The loop generator is shared with the other fuzz suites
 //! (`tests/common/mod.rs`); its nesting depth also drives matrices past
-//! the packed column window, exercising the spill path end to end.
+//! the packed column window, so matrices that turn sparse mid-run are
+//! exercised end to end.
 
 mod common;
 
