@@ -1,12 +1,12 @@
 //! The iterative PSP technique (paper §3).
 //!
 //! Each step generates a set of candidate transformations directed at
-//! shortening the II (wraps of row-0 instances, splits that disjoin blocked
-//! movers), evaluates each candidate on a clone of the schedule (apply +
-//! compact + exact score from the steady-state walk), applies the best
-//! strictly-improving one, and repeats. There is no backtracking: a
-//! candidate that fails to improve — or whose code generation fails — is
-//! simply discarded.
+//! shortening the II (wraps of row-0 instances, and splits that disjoin a
+//! mover from an instance above it that blocks it), evaluates each
+//! candidate on a clone of the schedule (apply + compact + exact score from
+//! the steady-state walk), applies the best strictly-improving one, and
+//! repeats. There is no backtracking: a candidate that fails to improve —
+//! or whose code generation fails — is simply discarded.
 //!
 //! Candidate trials within a step are independent, so they are evaluated
 //! **in parallel** (see [`PspConfig::threads`]) with a deterministic
@@ -17,6 +17,7 @@
 
 use crate::codegen::{generate, CodegenError};
 use crate::compact::compact_ext;
+use crate::deps::{check_pair, Permission};
 use crate::heuristics::{score_schedule, BranchProbs, Score};
 use crate::instance::InstId;
 use crate::json::Json;
@@ -154,6 +155,9 @@ pub struct PspStats {
     /// Whether refinement stopped early because the score reached
     /// [`PspConfig::exact_floor`].
     pub floor_hit: bool,
+    /// Which schedule seeded the run: the first of the fallback chain
+    /// that code generation accepted.
+    pub seed: Seed,
     /// Predicate-algebra work done by this run (conjoins, disjoint/subsume
     /// tests): the calling thread's counters sampled around the run plus
     /// each helper trial's own delta. Deterministic: the same for every
@@ -162,6 +166,18 @@ pub struct PspStats {
     pub pred: PredOpStats,
     /// Per-phase wall-clock.
     pub times: PhaseTimes,
+}
+
+/// The seed fallback chain of [`pipeline_loop`], in the order it is tried.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
+pub enum Seed {
+    /// The initial schedule compacted as configured.
+    #[default]
+    Compacted,
+    /// The initial schedule compacted without renaming.
+    RenameFree,
+    /// The initial schedule, one operation per row.
+    Raw,
 }
 
 impl PspStats {
@@ -484,26 +500,38 @@ fn pipeline_on<'scope>(
     let pred_before = psp_predicate::stats::snapshot();
     let mut stats = PspStats::default();
 
+    // The seed is the first of three schedules that code generation
+    // accepts: the initial schedule compacted (with renaming, if enabled),
+    // compacted without renaming, and raw. Two causes make it refuse the
+    // first (ROADMAP item 12). `CodegenError::Resource` on narrow machines:
+    // compaction's `row_fits` shares a slot between instances disjoint on
+    // an IF of the same row, which the tree instruction still counts.
+    // `PreloopUnsupported("temporary register is entry-live with only
+    // index-0 writers")`: the preloop's liveness ignores guarded kills, so
+    // a renamed temporary written and read under one matrix looks
+    // entry-live. Without renaming there is no such temporary, which
+    // rescues 20 of the 42 E12 `fuzz` runs refused at the first stage; the
+    // other 22, all on 2/1/1, fail the second with `Resource` and start
+    // from the raw schedule.
     let mut sched = Schedule::initial(spec);
     let t0 = Instant::now();
     stats.moves += compact_ext(&mut sched, &cfg.machine, cfg.enable_rename);
     stats.times.compact += t0.elapsed();
-
-    let (s0, p0) = match score_and_generate(&sched, cfg, &mut stats.times) {
-        Ok(x) => x,
-        Err(_) => {
-            // Code generation refuses the compacted seed on 42 of the 192
-            // E12 `fuzz` runs, for two causes: `CodegenError::Resource`
-            // (21 runs, all on 2/1/1: compaction's `row_fits` shares a
-            // slot between disjoint instances that the tree instruction
-            // still counts) and `PreloopUnsupported("temporary register
-            // is entry-live with only index-0 writers")` (21 runs). Those
-            // runs fall back to the raw initial schedule; ROADMAP item 12
-            // mends the fallback.
-            sched = Schedule::initial(spec);
-            score_and_generate(&sched, cfg, &mut stats.times)?
-        }
-    };
+    let mut seed = score_and_generate(&sched, cfg, &mut stats.times);
+    if seed.is_err() && cfg.enable_rename {
+        stats.seed = Seed::RenameFree;
+        sched = Schedule::initial(spec);
+        let t0 = Instant::now();
+        stats.moves += compact_ext(&mut sched, &cfg.machine, false);
+        stats.times.compact += t0.elapsed();
+        seed = score_and_generate(&sched, cfg, &mut stats.times);
+    }
+    if seed.is_err() {
+        stats.seed = Seed::Raw;
+        sched = Schedule::initial(spec);
+        seed = score_and_generate(&sched, cfg, &mut stats.times);
+    }
+    let (s0, p0) = seed?;
     let mut best: (Score, Schedule, VliwLoop) = (s0.clone(), sched.clone(), p0);
     // Score of the schedule currently being extended (may transiently be
     // worse than the best seen — a wrap round alone rarely pays off until
@@ -668,10 +696,20 @@ fn generate_candidates(sched: &Schedule, cfg: &PspConfig) -> Vec<Transformation>
                 continue;
             }
             let x = &sched.rows[cur][pos];
-            // Blockers anywhere above with constrained matrices.
+            // Blockers: instances anywhere above with a constrained element
+            // where `x` has `b`, that `x` may not simply cross. The cheap
+            // key scan runs first, so the dependence check only runs on
+            // pairs a split could disjoin.
             for row in &sched.rows[..cur] {
                 for y in row {
-                    for (r, c) in split_candidates(x, y) {
+                    let keys = split_candidates(x, y);
+                    if keys.is_empty()
+                        || check_pair(x, y, &sched.source.live_out, &cfg.machine).above
+                            == Permission::Yes
+                    {
+                        continue;
+                    }
+                    for (r, c) in keys {
                         let t = Transformation::Split { id, row: r, col: c };
                         if !out.contains(&t) {
                             out.push(t);

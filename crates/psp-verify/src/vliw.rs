@@ -5,11 +5,16 @@
 //! an explicit DFS for forward-acyclicity and reachability — and shares
 //! nothing with the scheduler or `VliwLoop::validate` (which the code
 //! generator itself calls and therefore cannot be trusted to catch the
-//! generator's own bugs).
+//! generator's own bugs). The one matrix test, steady-entry disjointness,
+//! runs on sparse reference copies inside `with_backend(false, ..)`, so
+//! the bit-packed algebra stays out of the trusted base.
 
+use crate::schedule::reference_copy;
 use crate::violation::{CycleSite, Violation};
 use psp_ir::{LoopSpec, OpKind, Operation, ResClass};
 use psp_machine::{MachineConfig, VliwLoop, VliwTerm};
+use psp_predicate::backend::with_backend;
+use psp_predicate::PredicateMatrix;
 
 /// Validate a compiled loop against the machine and its source spec.
 ///
@@ -188,16 +193,65 @@ fn branches(prog: &VliwLoop, out: &mut Vec<Violation>) {
 fn entry_contract(prog: &VliwLoop, out: &mut Vec<Violation>) {
     // Back edges land on steady-state entry blocks; their path matrices
     // must be pairwise disjoint, otherwise two entries claim the same
-    // incoming-predicate outcome and the dispatch is ambiguous.
+    // incoming-predicate outcome and the dispatch is ambiguous. The test
+    // runs on sparse copies, as in `validate_schedule`.
     let entries = prog.steady_entries();
-    for (i, &a) in entries.iter().enumerate() {
-        for &b in entries.iter().skip(i + 1) {
-            let (ma, mb) = (&prog.blocks[a].matrix, &prog.blocks[b].matrix);
-            if !ma.is_disjoint(mb) {
-                out.push(Violation::Contract {
-                    detail: format!("steady entries B{a} [{ma}] and B{b} [{mb}] overlap"),
-                });
+    with_backend(false, || {
+        let mats: Vec<PredicateMatrix> = entries
+            .iter()
+            .map(|&e| reference_copy(&prog.blocks[e].matrix, 0))
+            .collect();
+        for (i, (&a, ma)) in entries.iter().zip(&mats).enumerate() {
+            for (&b, mb) in entries.iter().zip(&mats).skip(i + 1) {
+                if !ma.is_disjoint(mb) {
+                    out.push(Violation::Contract {
+                        detail: format!("steady entries B{a} [{ma}] and B{b} [{mb}] overlap"),
+                    });
+                }
             }
+        }
+    })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use psp_core::{pipeline_loop, PspConfig};
+
+    #[test]
+    fn entry_verdicts_match_on_packed_and_sparse_threads() {
+        // Every kernel program with two or more steady entries, as
+        // generated and with its first entry widened to the universe, so
+        // that it overlaps the others.
+        let wide = MachineConfig::paper_default();
+        let mut programs = Vec::new();
+        for k in psp_kernels::all_kernels() {
+            let prog = pipeline_loop(&k.spec, &PspConfig::with_machine(wide.clone()))
+                .unwrap()
+                .program;
+            let entries = prog.steady_entries();
+            if entries.len() < 2 {
+                continue;
+            }
+            assert!(prog.blocks[entries[0]].matrix.is_word_packed());
+            let mut widened = prog.clone();
+            widened.blocks[entries[0]].matrix = PredicateMatrix::universe();
+            programs.push((k.spec.clone(), prog, false));
+            programs.push((k.spec, widened, true));
+        }
+        assert!(programs.len() >= 2, "a kernel with two steady entries");
+        for (spec, prog, overlaps) in &programs {
+            let verdict = |packed| with_backend(packed, || validate_vliw(spec, &wide, prog));
+            let (packed, sparse) = (verdict(true), verdict(false));
+            assert_eq!(packed, sparse, "{}", spec.name);
+            assert_eq!(
+                packed
+                    .iter()
+                    .any(|v| matches!(v, Violation::Contract { .. })),
+                *overlaps,
+                "{}: {packed:?}",
+                spec.name
+            );
         }
     }
 }

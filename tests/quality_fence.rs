@@ -1,0 +1,162 @@
+//! Quality fence: PSP's maximal II against local scheduling's.
+//!
+//! Local scheduling (`compile_local`: if-convert, then list-schedule one
+//! block) is the floor any pipeliner should clear, and PSP's first phase
+//! reproduces it (compaction with renaming). This suite runs PSP and local
+//! scheduling on every kernel, `synthetic(4..=8)` and the 96-loop E12
+//! `fuzz` corpus, on the paper machine and on `narrow(2,1,1)`, and pins:
+//!
+//! - no kernel or synthetic loop has a PSP max II above local's;
+//! - the corpus's max-II sums, PSP's and local's;
+//! - every corpus run where PSP loses to local, with both IIs;
+//! - how many runs start from each stage of the seed fallback chain
+//!   ([`Seed`]), and which kernel and synthetic runs reach the raw
+//!   schedule.
+//!
+//! A change that wins or loses quality re-pins the tables; the failure
+//! message prints what it observed in source form.
+
+mod common;
+
+use common::fuzz_corpus;
+use psp::core::Seed;
+use psp::prelude::*;
+
+/// One pipelined loop on one machine.
+struct Run {
+    name: String,
+    machine: &'static str,
+    psp: usize,
+    local: usize,
+    seed: Seed,
+}
+
+fn max_ii(prog: &VliwLoop) -> usize {
+    prog.ii_range().map_or(0, |(_, hi)| hi)
+}
+
+fn runs(loops: &[LoopSpec]) -> Vec<Run> {
+    let machines = [
+        ("paper", MachineConfig::paper_default()),
+        ("narrow211", MachineConfig::narrow(2, 1, 1)),
+    ];
+    let mut out = Vec::new();
+    for spec in loops {
+        for (label, machine) in &machines {
+            let res = pipeline_loop(spec, &PspConfig::with_machine(machine.clone()))
+                .unwrap_or_else(|e| panic!("{} on {label}: {e}", spec.name));
+            out.push(Run {
+                name: spec.name.clone(),
+                machine: label,
+                psp: max_ii(&res.program),
+                local: max_ii(&compile_local(spec, machine)),
+                seed: res.stats.seed,
+            });
+        }
+    }
+    out
+}
+
+/// `(loop, machine, PSP max II, local max II)` for every corpus run where
+/// PSP's max II is above local scheduling's.
+#[rustfmt::skip]
+const CORPUS_LOSSES: &[(&str, &str, usize, usize)] = &[
+    ("fuzz0", "narrow211", 23, 14),
+    ("fuzz7", "paper", 5, 3),
+    ("fuzz9", "paper", 5, 4),
+    ("fuzz16", "narrow211", 7, 6),
+    ("fuzz18", "narrow211", 4, 3),
+    ("fuzz22", "narrow211", 9, 4),
+    ("fuzz23", "narrow211", 4, 3),
+    ("fuzz24", "paper", 7, 5),
+    ("fuzz25", "narrow211", 14, 8),
+    ("fuzz28", "narrow211", 13, 8),
+    ("fuzz29", "paper", 7, 6),
+    ("fuzz30", "narrow211", 5, 3),
+    ("fuzz36", "paper", 6, 5),
+    ("fuzz36", "narrow211", 16, 7),
+    ("fuzz38", "narrow211", 13, 6),
+    ("fuzz41", "paper", 8, 7),
+    ("fuzz41", "narrow211", 9, 8),
+    ("fuzz54", "narrow211", 4, 3),
+    ("fuzz55", "narrow211", 16, 8),
+    ("fuzz61", "narrow211", 9, 8),
+    ("fuzz62", "narrow211", 21, 9),
+    ("fuzz64", "paper", 10, 9),
+    ("fuzz64", "narrow211", 12, 11),
+    ("fuzz66", "narrow211", 7, 5),
+    ("fuzz72", "narrow211", 19, 11),
+    ("fuzz73", "paper", 7, 6),
+    ("fuzz73", "narrow211", 7, 6),
+    ("fuzz74", "narrow211", 5, 4),
+    ("fuzz75", "narrow211", 16, 8),
+    ("fuzz76", "paper", 7, 6),
+    ("fuzz76", "narrow211", 15, 8),
+    ("fuzz87", "paper", 4, 3),
+    ("fuzz93", "narrow211", 11, 4),
+    ("fuzz94", "narrow211", 16, 8),
+];
+
+/// Kernel and synthetic runs whose seed is the raw schedule: both
+/// compacted seeds fail code generation with `Resource` (ROADMAP item 12,
+/// cause A).
+const RAW_SEEDS: &[(&str, &str)] = &[
+    ("sign_store", "narrow211"),
+    ("threshold_store", "narrow211"),
+    ("bubble_pass", "narrow211"),
+];
+
+#[test]
+fn psp_max_ii_is_fenced_by_local_scheduling() {
+    let mut named: Vec<LoopSpec> = all_kernels().into_iter().map(|k| k.spec).collect();
+    named.extend((4..=8).map(psp_bench::synthetic));
+    let named = runs(&named);
+    let corpus = runs(&fuzz_corpus());
+
+    for r in &named {
+        assert!(
+            r.psp <= r.local,
+            "{} on {}: PSP max II {} above local's {}",
+            r.name,
+            r.machine,
+            r.psp,
+            r.local
+        );
+    }
+
+    let sum = |f: fn(&Run) -> usize| corpus.iter().map(f).sum::<usize>();
+    assert_eq!(
+        (sum(|r| r.psp), sum(|r| r.local)),
+        (913, 943),
+        "corpus max-II sums (PSP, local)"
+    );
+
+    let losses: Vec<_> = corpus
+        .iter()
+        .filter(|r| r.psp > r.local)
+        .map(|r| (r.name.as_str(), r.machine, r.psp, r.local))
+        .collect();
+    let listed: String = losses.iter().map(|l| format!("    {l:?},\n")).collect();
+    assert_eq!(losses, CORPUS_LOSSES, "observed losses:\n{listed}");
+    let lost: usize = losses.iter().map(|l| l.2 - l.3).sum();
+    assert_eq!(
+        (losses.len(), lost),
+        (34, 124),
+        "(losing runs, cycles lost)"
+    );
+
+    let all = || named.iter().chain(&corpus);
+    let stages = [Seed::Compacted, Seed::RenameFree, Seed::Raw]
+        .map(|s| all().filter(|r| r.seed == s).count());
+    assert_eq!(
+        stages,
+        [189, 20, 25],
+        "runs seeded [compacted, rename-free, raw]"
+    );
+    let raw: Vec<_> = named
+        .iter()
+        .filter(|r| r.seed == Seed::Raw)
+        .map(|r| (r.name.as_str(), r.machine))
+        .collect();
+    assert_eq!(raw, RAW_SEEDS, "raw-seeded runs outside the corpus");
+}

@@ -10,8 +10,11 @@
 //!
 //! A reproducer whose header has a `// refused: <message>` line is a loop
 //! the front end must reject: it must fail to compile with an error that
-//! contains the message.
+//! contains the message. `fuzz0-seed-fallback.psp` also pins the stage of
+//! the seed fallback chain each machine's run starts from.
 
+use psp::core::Seed;
+use psp::prelude::*;
 use psp::sim::EngineKind;
 use psp::verify::run_oracle_with;
 use std::path::PathBuf;
@@ -73,4 +76,20 @@ fn refused_reproducers_do_not_compile() {
         }
     }
     assert!(seen >= 2, "expected the two loops without an exit");
+}
+
+#[test]
+fn fuzz0_starts_from_the_seed_its_header_names() {
+    // On the paper machine the rename-free seed rescues the run; on 2/1/1
+    // both compacted seeds exceed the machine and the raw schedule seeds it.
+    let path =
+        PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/repros/fuzz0-seed-fallback.psp");
+    let spec = psp::lang::compile(&std::fs::read_to_string(path).unwrap()).unwrap();
+    for (machine, want) in [
+        (MachineConfig::paper_default(), Seed::RenameFree),
+        (MachineConfig::narrow(2, 1, 1), Seed::Raw),
+    ] {
+        let res = pipeline_loop(&spec, &PspConfig::with_machine(machine)).unwrap();
+        assert_eq!(res.stats.seed, want);
+    }
 }

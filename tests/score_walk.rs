@@ -17,14 +17,16 @@
 //!   limit the walk and the generator share, crossed by a row's fan-out and
 //!   by the entry split.
 
+mod common;
+
+use common::fuzz_corpus;
 use psp::core::codegen::MAX_WALK_PATHS;
 use psp::core::compact::compact_ext;
 use psp::core::heuristics::score_schedule;
 use psp::core::{transform, CodegenError, Transformation};
 use psp::predicate::{OutcomeMap, PredAvailability, PredicateMatrix};
 use psp::prelude::*;
-use psp::verify::grammar::{self, SplitMix64};
-use std::collections::HashSet;
+use psp::verify::grammar::SplitMix64;
 
 /// A skewed, row-distinct profile, so the expected II is not a plain mean.
 fn profile() -> Vec<f64> {
@@ -310,23 +312,6 @@ fn check_loop(spec: &LoopSpec, machine: &MachineConfig, seen: &mut Seen) {
     }
 }
 
-/// The E12 `fuzz` corpus: the first 96 distinct grammar loops of the
-/// fixed seed.
-fn fuzz_corpus() -> Vec<LoopSpec> {
-    let mut rng = SplitMix64(0xE12);
-    let mut seen = HashSet::new();
-    let mut out = Vec::new();
-    while out.len() < 96 {
-        let body = grammar::random_body(&mut rng);
-        if seen.insert(grammar::to_source(&body)) {
-            let mut spec = grammar::build_spec(&body);
-            spec.name = format!("fuzz{}", out.len());
-            out.push(spec);
-        }
-    }
-    out
-}
-
 #[test]
 fn walk_scores_match_the_generated_program() {
     let machines = [
@@ -343,13 +328,16 @@ fn walk_scores_match_the_generated_program() {
         }
     }
     // Pinned, so a change to what codegen or the walk refuses fails here.
+    // Re-pinned from (1208, 2, 168) when splits came to target only
+    // blockers and the seed came to try a rename-free compaction before the
+    // raw schedule: the search visits different schedules.
     assert_eq!(
         (
             seen.generated,
             seen.refused_by_both,
             seen.refused_by_codegen
         ),
-        (1208, 2, 168),
+        (1199, 2, 194),
         "(generated, refused by both, refused by codegen only)"
     );
     // Past the cap, the two walks refuse alike.
