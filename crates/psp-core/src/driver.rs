@@ -155,9 +155,6 @@ pub struct PspStats {
     /// Whether refinement stopped early because the score reached
     /// [`PspConfig::exact_floor`].
     pub floor_hit: bool,
-    /// Which schedule seeded the run: the first of the fallback chain
-    /// that code generation accepted.
-    pub seed: Seed,
     /// Predicate-algebra work done by this run (conjoins, disjoint/subsume
     /// tests): the calling thread's counters sampled around the run plus
     /// each helper trial's own delta. Deterministic: the same for every
@@ -166,18 +163,6 @@ pub struct PspStats {
     pub pred: PredOpStats,
     /// Per-phase wall-clock.
     pub times: PhaseTimes,
-}
-
-/// The seed fallback chain of [`pipeline_loop`], in the order it is tried.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
-pub enum Seed {
-    /// The initial schedule compacted as configured.
-    #[default]
-    Compacted,
-    /// The initial schedule compacted without renaming.
-    RenameFree,
-    /// The initial schedule, one operation per row.
-    Raw,
 }
 
 impl PspStats {
@@ -500,38 +485,13 @@ fn pipeline_on<'scope>(
     let pred_before = psp_predicate::stats::snapshot();
     let mut stats = PspStats::default();
 
-    // The seed is the first of three schedules that code generation
-    // accepts: the initial schedule compacted (with renaming, if enabled),
-    // compacted without renaming, and raw. Two causes make it refuse the
-    // first (ROADMAP item 12). `CodegenError::Resource` on narrow machines:
-    // compaction's `row_fits` shares a slot between instances disjoint on
-    // an IF of the same row, which the tree instruction still counts.
-    // `PreloopUnsupported("temporary register is entry-live with only
-    // index-0 writers")`: the preloop's liveness ignores guarded kills, so
-    // a renamed temporary written and read under one matrix looks
-    // entry-live. Without renaming there is no such temporary, which
-    // rescues 20 of the 42 E12 `fuzz` runs refused at the first stage; the
-    // other 22, all on 2/1/1, fail the second with `Resource` and start
-    // from the raw schedule.
+    // The seed is the compacted schedule; a seed that code generation
+    // refuses ends the run with that refusal (DESIGN §6.10).
     let mut sched = Schedule::initial(spec);
     let t0 = Instant::now();
     stats.moves += compact_ext(&mut sched, &cfg.machine, cfg.enable_rename);
     stats.times.compact += t0.elapsed();
-    let mut seed = score_and_generate(&sched, cfg, &mut stats.times);
-    if seed.is_err() && cfg.enable_rename {
-        stats.seed = Seed::RenameFree;
-        sched = Schedule::initial(spec);
-        let t0 = Instant::now();
-        stats.moves += compact_ext(&mut sched, &cfg.machine, false);
-        stats.times.compact += t0.elapsed();
-        seed = score_and_generate(&sched, cfg, &mut stats.times);
-    }
-    if seed.is_err() {
-        stats.seed = Seed::Raw;
-        sched = Schedule::initial(spec);
-        seed = score_and_generate(&sched, cfg, &mut stats.times);
-    }
-    let (s0, p0) = seed?;
+    let (s0, p0) = score_and_generate(&sched, cfg, &mut stats.times)?;
     let mut best: (Score, Schedule, VliwLoop) = (s0.clone(), sched.clone(), p0);
     // Score of the schedule currently being extended (may transiently be
     // worse than the best seen — a wrap round alone rarely pays off until

@@ -31,7 +31,7 @@ pub mod schedule;
 pub mod transform;
 
 pub use codegen::{generate, CodegenError};
-pub use driver::{pipeline_loop, PhaseTimes, PspConfig, PspResult, PspStats, Seed};
+pub use driver::{pipeline_loop, PhaseTimes, PspConfig, PspResult, PspStats};
 pub use instance::{InstId, Instance};
 pub use schedule::Schedule;
 pub use transform::{MoveError, Transformation};

@@ -8,8 +8,10 @@
 //! The contract is computed from the schedule and its source loop:
 //!
 //! 1. **Entry-live registers** — those the body reads (pre-cycle, in row
-//!    order) before writing, and the live-out registers, which every loop
-//!    exit reads at the end of its cycle;
+//!    order) before an earlier row writes them on every path the read runs
+//!    on (a writer whose formal subsumes the reader's), and the live-out
+//!    registers, which every loop exit reads at the end of its cycle on the
+//!    paths it exits on;
 //! 2. for each, its **writers** in the body: an instance with operation
 //!    index `i` supplies, across the back edge, the value of its *original
 //!    source operation* for original iteration `i - 1` (index-0 writers
@@ -37,6 +39,7 @@ use crate::schedule::Schedule;
 /// Preloop cycles plus the dispatch map (see [`build_preloop`]).
 pub type PreloopResult = (Vec<Vec<Operation>>, BTreeMap<(u32, i32), psp_ir::CcReg>);
 use psp_ir::{flatten, op::build, FlatOp, Guard, OpKind, Operand, Operation, Reg, RegRef, Role};
+use psp_predicate::PredicateMatrix;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Value location of an original register during emulation.
@@ -62,33 +65,38 @@ pub fn build_preloop(
     let body: Vec<&crate::instance::Instance> = sched.instances().collect();
 
     // --- entry-live registers (pre-cycle read semantics per row) --------
-    // Only *unconditional* definitions kill: a conditional writer leaves
-    // the entry value observable on its untaken paths.
-    let mut written: BTreeSet<RegRef> = BTreeSet::new();
+    // A write kills a later read on the paths its formal admits: a read is
+    // covered when an earlier row writes the register under a formal that
+    // subsumes the reader's (an unconditional write covers every read). A
+    // writer on fewer paths leaves the entry value observable on the rest.
+    type Writers<'a> = BTreeMap<RegRef, Vec<&'a PredicateMatrix>>;
+    let mut written: Writers = BTreeMap::new();
     let mut entry_live: BTreeSet<RegRef> = BTreeSet::new();
+    let mut read = |written: &Writers, r: RegRef, on: &PredicateMatrix| {
+        if !written
+            .get(&r)
+            .is_some_and(|ws| ws.iter().any(|w| w.subsumes(on)))
+        {
+            entry_live.insert(r);
+        }
+    };
     for row in &sched.rows {
         for inst in row {
             for u in inst.op().uses() {
-                if !written.contains(&u) {
-                    entry_live.insert(u);
-                }
+                read(&written, u, &inst.formal);
             }
         }
         for inst in row {
-            if inst.formal.is_universe() {
-                for d in inst.op().defs() {
-                    written.insert(d);
-                }
+            for d in inst.op().defs() {
+                written.entry(d).or_default().push(&inst.formal);
             }
         }
         // A loop exit reads every live-out register at the end of its
-        // cycle. A write the body wraps past the exit leaves the first
-        // pass's exit observing the startup value.
-        if row.iter().any(|inst| inst.op().is_break()) {
+        // cycle, on the paths it exits on. A write the body wraps past the
+        // exit leaves the first pass's exit observing the startup value.
+        for exit in row.iter().filter(|inst| inst.op().is_break()) {
             for &r in &sched.source.live_out {
-                if !written.contains(&r) {
-                    entry_live.insert(r);
-                }
+                read(&written, r, &exit.formal);
             }
         }
     }

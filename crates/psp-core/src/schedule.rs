@@ -4,7 +4,7 @@
 use crate::instance::{InstId, Instance};
 use psp_ir::{flatten, LoopSpec, Reg, RegRef, ResClass};
 use psp_machine::MachineConfig;
-use psp_predicate::{IfLog, IfLogEntry};
+use psp_predicate::{IfLog, IfLogEntry, PredicateMatrix};
 use std::fmt;
 use std::sync::Arc;
 
@@ -162,7 +162,7 @@ impl Schedule {
     /// slot, so the binding quantity per resource class is the largest set
     /// of pairwise-*compatible* instances (a clique in the compatibility
     /// graph — a safe upper bound on the largest set that is jointly on one
-    /// path).
+    /// path). Keys an IF of the row computes do not count (see `row_fits`).
     pub fn row_resource_ok(&self, r: usize, m: &MachineConfig) -> bool {
         match self.rows.get(r) {
             Some(row) => row_fits(row, None, m),
@@ -221,15 +221,21 @@ impl Fresh {
 /// Resource feasibility of `row` with `extra` added to it (see
 /// [`Schedule::row_resource_ok`]). A class's members are counted first; the
 /// clique search runs only when they outnumber the class's slots.
+///
+/// A predicate an IF of this row computes (`extra` included) is dispatched
+/// only after the row has issued, so the clique search ignores its key:
+/// instances disjoint only there sit on two subtrees of one tree
+/// instruction, and both take a slot.
 pub(crate) fn row_fits(row: &[Instance], extra: Option<&Instance>, m: &MachineConfig) -> bool {
+    let all = || row.iter().chain(extra);
+    let row_keys = || {
+        PredicateMatrix::from_entries(all().filter_map(|i| Some((i.computes_if?, i.index, true))))
+    };
     for class in [ResClass::Alu, ResClass::Mem, ResClass::Branch] {
-        let members = row
-            .iter()
-            .chain(extra)
-            .filter(|i| i.op().res_class() == class);
+        let members = all().filter(|i| i.op().res_class() == class);
         let n = members.clone().count();
         let limit = m.limit(class) as usize;
-        if n > limit && compatible_clique_exceeds(members, n, limit) {
+        if n > limit && compatible_clique_exceeds(members, n, limit, &row_keys()) {
             return false;
         }
     }
@@ -237,10 +243,11 @@ pub(crate) fn row_fits(row: &[Instance], extra: Option<&Instance>, m: &MachineCo
 }
 
 /// Whether a clique of pairwise non-disjoint instances larger than `limit`
-/// exists. Branch-and-bound DFS: returns as soon as a clique of size
-/// `limit + 1` is found, and prunes branches that cannot reach it — this is
-/// the decision form of the max-clique question (the only form resource
-/// validation needs), far cheaper than computing the maximum exactly.
+/// exists, ignoring the positions `row_keys` constrains. Branch-and-bound
+/// DFS: returns as soon as a clique of size `limit + 1` is found, and
+/// prunes branches that cannot reach it — this is the decision form of the
+/// max-clique question (the only form resource validation needs), far
+/// cheaper than computing the maximum exactly.
 ///
 /// The pairwise disjointness tests are hoisted into one adjacency bitset
 /// per member, computed once up front: the DFS re-reads each pair many
@@ -252,15 +259,16 @@ fn compatible_clique_exceeds<'a>(
     members: impl Iterator<Item = &'a Instance> + Clone,
     n: usize,
     limit: usize,
+    row_keys: &PredicateMatrix,
 ) -> bool {
     const BITS: usize = u128::BITS as usize;
     if n > BITS {
-        return clique_exceeds_general(&members.collect::<Vec<_>>(), limit);
+        return clique_exceeds_general(&members.collect::<Vec<_>>(), limit, row_keys);
     }
     let mut adj = [0u128; BITS];
     for (i, a) in members.clone().enumerate() {
         for (j, b) in members.clone().enumerate().skip(i + 1) {
-            if !a.formal.is_disjoint(&b.formal) {
+            if !a.formal.is_disjoint_outside(&b.formal, row_keys) {
                 adj[i] |= 1 << j;
                 adj[j] |= 1 << i;
             }
@@ -287,8 +295,14 @@ fn compatible_clique_exceeds<'a>(
 
 /// Fallback for rows wider than the bitset (never hit by the kernel suite;
 /// kept so pathological inputs stay correct rather than fast).
-fn clique_exceeds_general(members: &[&Instance], limit: usize) -> bool {
-    fn go(members: &[&Instance], chosen: &mut Vec<usize>, from: usize, limit: usize) -> bool {
+fn clique_exceeds_general(members: &[&Instance], limit: usize, row_keys: &PredicateMatrix) -> bool {
+    fn go(
+        members: &[&Instance],
+        row_keys: &PredicateMatrix,
+        chosen: &mut Vec<usize>,
+        from: usize,
+        limit: usize,
+    ) -> bool {
         if chosen.len() > limit {
             return true;
         }
@@ -296,12 +310,13 @@ fn clique_exceeds_general(members: &[&Instance], limit: usize) -> bool {
             return false;
         }
         for i in from..members.len() {
-            if chosen
-                .iter()
-                .all(|&j| !members[i].formal.is_disjoint(&members[j].formal))
-            {
+            if chosen.iter().all(|&j| {
+                !members[i]
+                    .formal
+                    .is_disjoint_outside(&members[j].formal, row_keys)
+            }) {
                 chosen.push(i);
-                if go(members, chosen, i + 1, limit) {
+                if go(members, row_keys, chosen, i + 1, limit) {
                     return true;
                 }
                 chosen.pop();
@@ -309,7 +324,7 @@ fn clique_exceeds_general(members: &[&Instance], limit: usize) -> bool {
         }
         false
     }
-    go(members, &mut Vec::new(), 0, limit)
+    go(members, row_keys, &mut Vec::new(), 0, limit)
 }
 
 impl fmt::Display for Schedule {
@@ -321,7 +336,6 @@ impl fmt::Display for Schedule {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use psp_predicate::PredicateMatrix;
 
     fn vecmin() -> Schedule {
         Schedule::initial(&psp_kernels::by_name("vecmin").unwrap().spec)
@@ -390,6 +404,41 @@ mod tests {
         s.rows[20].push(c);
         assert!(!s.row_resource_ok(20, &m));
         assert!(s.validate_resources(&m).is_err());
+    }
+
+    #[test]
+    fn instances_disjoint_on_a_same_row_if_take_a_slot_each() {
+        let m = MachineConfig::narrow(1, 1, 1);
+        let copy = |id, v| {
+            Instance::new(
+                InstId(id),
+                psp_ir::op::build::copy(psp_ir::Reg(9), 1i64),
+                PredicateMatrix::single(0, 0, v),
+                0,
+            )
+        };
+        let mut iff = Instance::new(
+            InstId(2),
+            psp_ir::op::build::if_(psp_ir::CcReg(0)),
+            PredicateMatrix::universe(),
+            0,
+        );
+        iff.computes_if = Some(0);
+        let pair = [copy(0, true), copy(1, false)];
+        // The IF sits in an earlier row: the pair lies in two blocks.
+        assert!(row_fits(&pair, None, &m));
+        // The IF computes the key in this row, in the row or as `extra`:
+        // both subtrees of one tree instruction issue, two ALU slots.
+        let with_if = [pair[0].clone(), pair[1].clone(), iff.clone()];
+        assert!(!row_fits(&with_if, None, &m));
+        assert!(!row_fits(&pair, Some(&iff), &m));
+        // An IF of this row computing another key changes nothing.
+        iff.computes_if = Some(1);
+        assert!(row_fits(&pair, Some(&iff), &m));
+        // Nor does one computing the same row of another iteration.
+        iff.computes_if = Some(0);
+        iff.index = 1;
+        assert!(row_fits(&pair, Some(&iff), &m));
     }
 
     #[test]

@@ -61,6 +61,45 @@ fn dispatch_map_resolves_incoming_predicates() {
 }
 
 #[test]
+fn a_write_kills_only_the_reads_its_formal_subsumes() {
+    // vecmin plus a temporary T: `COPY T, 1` under `write`, then a later
+    // row's `COPY D, T` under `read`. T has only an index-0 writer, so the
+    // preloop cannot supply it: it must be covered, or the run is refused.
+    use psp_core::{codegen::CodegenError, InstId, Instance};
+    use psp_ir::{op::build, Reg};
+    use psp_predicate::PredicateMatrix as M;
+    let kernel = by_name("vecmin").unwrap();
+    let (t, d) = (Reg(kernel.spec.n_regs), Reg(kernel.spec.n_regs + 1));
+    let build = |write: M, read: M, read_row: usize| {
+        let mut sched = Schedule::initial(&kernel.spec);
+        let rows = sched.n_rows();
+        sched.insert(
+            rows,
+            Instance::new(InstId(100), build::copy(t, 1i64), write, 0),
+        );
+        sched.insert(
+            rows + read_row,
+            Instance::new(InstId(101), build::copy(d, t), read, 0),
+        );
+        build_preloop(&sched, &[]).map(|_| ())
+    };
+    let on_true = M::single(0, 0, true);
+    let narrower = M::from_entries([(0, 0, true), (0, -1, false)]);
+    // Written under M, read under M or under a narrower matrix: covered.
+    assert_eq!(build(on_true.clone(), on_true.clone(), 1), Ok(()));
+    assert_eq!(build(on_true.clone(), narrower.clone(), 1), Ok(()));
+    assert_eq!(build(M::universe(), narrower.clone(), 1), Ok(()));
+    // Written on fewer paths than the read runs on, on the other paths,
+    // or in the reader's own row: the entry value is observed.
+    let refused = Err(CodegenError::PreloopUnsupported(
+        "temporary register is entry-live with only index-0 writers",
+    ));
+    assert_eq!(build(narrower, on_true.clone(), 1), refused);
+    assert_eq!(build(M::single(0, 0, false), on_true.clone(), 1), refused);
+    assert_eq!(build(on_true.clone(), on_true, 0), refused);
+}
+
+#[test]
 fn guarded_contract_seeds_the_prior_value() {
     // sat_add's conditional clamp (acc = hi when acc > hi): pipelining the
     // compare makes CC0 a contract; if the conditional COPY's value were

@@ -304,6 +304,21 @@ impl PredicateMatrix {
             .any(|(r, c, v)| matches!(large.get(r, c).as_bool(), Some(w) if w != v))
     }
 
+    /// Whether the path sets are complementary at some position that `keys`
+    /// leaves unconstrained (the values `keys` holds are ignored):
+    /// [`is_disjoint`](Self::is_disjoint) with the positions `keys`
+    /// constrains left out. Counted as a disjointness test.
+    pub fn is_disjoint_outside(&self, other: &Self, keys: &Self) -> bool {
+        stats::count_disjoint_test();
+        if let (Some(a), Some(b), Some(k)) = (self.words(), other.words(), keys.words()) {
+            return (0..W)
+                .any(|i| (a.vals[i] ^ b.vals[i]) & a.mask[i] & b.mask[i] & !k.mask[i] != 0);
+        }
+        self.constrained().any(|(r, c, v)| {
+            other.get(r, c).as_bool() == Some(!v) && !keys.get(r, c).is_constrained()
+        })
+    }
+
     /// Superset relation: every path admitted by `other` is admitted by
     /// `self` (i.e. `self`'s constraints are a subset of `other`'s).
     pub fn subsumes(&self, other: &Self) -> bool {

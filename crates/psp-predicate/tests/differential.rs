@@ -102,6 +102,20 @@ fn binary_ops_are_mode_independent() {
         let (pa, sa) = both_modes(&straddling(rng));
         let (pb, sb) = both_modes(&straddling(rng));
         assert_eq!(pa.is_disjoint(&pb), sa.is_disjoint(&sb));
+        // Straddling operands take the element-wise path, in-window ones
+        // the word path.
+        let (wa, wb) = (both_modes(&in_window(rng)), both_modes(&in_window(rng)));
+        for ((pa, sa), (pb, sb)) in [((&pa, &sa), (&pb, &sb)), ((&wa.0, &wa.1), (&wb.0, &wb.1))] {
+            let (pk, sk) = both_modes(&in_window(rng));
+            let outside = pa.is_disjoint_outside(pb, &pk);
+            assert_eq!(outside, sa.is_disjoint_outside(sb, &sk));
+            assert_eq!(outside, pa.is_disjoint_outside(sb, &pk));
+            let universe = PredicateMatrix::universe();
+            assert_eq!(pa.is_disjoint_outside(pb, &universe), pa.is_disjoint(pb));
+            assert!(!outside || pa.is_disjoint(pb));
+            // Every conflict lies at a key of either operand.
+            assert!(!pa.is_disjoint_outside(pb, pa) && !sa.is_disjoint_outside(sb, sb));
+        }
         assert_eq!(pa.subsumes(&pb), sa.subsumes(&sb));
         assert_eq!(pb.subsumes(&pa), sb.subsumes(&sa));
         assert_eq!(pa.unify(&pb), sa.unify(&sb));

@@ -19,7 +19,9 @@
 //! * an instance constrained on a predicate its row cannot yet know is
 //!   speculative and must be a speculable operation;
 //! * each row's same-class instances that can co-execute (pairwise
-//!   non-disjoint paths) must fit the machine's issue width.
+//!   non-disjoint paths, ignoring the predicates IFs of that row compute:
+//!   the row's tree instruction issues both of their subtrees) must fit
+//!   the machine's issue width.
 //!
 //! Everything is computed on the **sparse** reference backend: the
 //! validator runs inside [`with_backend`]`(false, ..)` and rebuilds each
@@ -501,16 +503,32 @@ fn row_resources(
     out: &mut Vec<Violation>,
 ) {
     for row in 0..sched.rows.len() {
+        let here = || insts.iter().filter(|i| i.row == row);
+        // A predicate an IF of this row computes picks a subtree of the
+        // row's own tree instruction, which issues both subtrees: it
+        // separates no two of the row's instances.
+        let row_keys: Vec<(u32, i32)> = here()
+            .filter_map(|i| Some((i.inner.computes_if?, i.inner.index)))
+            .collect();
         for class in [ResClass::Alu, ResClass::Mem, ResClass::Branch] {
-            let members: Vec<&Inst> = insts
-                .iter()
-                .filter(|i| i.row == row && i.inner.op().res_class() == class)
+            let members: Vec<&Inst> = here()
+                .filter(|i| i.inner.op().res_class() == class)
                 .collect();
             let limit = machine.limit(class) as usize;
             if members.len() <= limit {
                 continue;
             }
-            let used = max_coexecuting(&members);
+            let paths: Vec<PredicateMatrix> = members
+                .iter()
+                .map(|i| {
+                    PredicateMatrix::from_entries(
+                        i.formal
+                            .constrained()
+                            .filter(|&(r, c, _)| !row_keys.contains(&(r, c))),
+                    )
+                })
+                .collect();
+            let used = max_coexecuting(&paths);
             if used > limit {
                 out.push(Violation::Resource {
                     site: CycleSite::Row(row),
@@ -530,15 +548,13 @@ fn row_resources(
 /// Size of the largest pairwise-compatible (non-disjoint) subset: matrices
 /// conflict only elementwise, so pairwise consistency implies a common
 /// path, and this is exactly the worst-case co-issue width.
-fn max_coexecuting(members: &[&Inst]) -> usize {
-    fn go(members: &[&Inst], i: usize, chosen: &mut Vec<usize>, best: &mut usize) {
+fn max_coexecuting(members: &[PredicateMatrix]) -> usize {
+    fn go(members: &[PredicateMatrix], i: usize, chosen: &mut Vec<usize>, best: &mut usize) {
         *best = (*best).max(chosen.len());
         if i == members.len() || chosen.len() + (members.len() - i) <= *best {
             return;
         }
-        let compatible = chosen
-            .iter()
-            .all(|&c| !members[c].formal.is_disjoint(&members[i].formal));
+        let compatible = chosen.iter().all(|&c| !members[c].is_disjoint(&members[i]));
         if compatible {
             chosen.push(i);
             go(members, i + 1, chosen, best);

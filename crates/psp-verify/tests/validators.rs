@@ -5,7 +5,7 @@
 use psp_core::{pipeline_loop, PspConfig};
 use psp_machine::MachineConfig;
 use psp_opt::{certify, Certification, ExactConfig};
-use psp_verify::{validate_modulo, validate_schedule, validate_vliw, Violation};
+use psp_verify::{validate_modulo, validate_schedule, validate_vliw, CycleSite, Violation};
 
 fn renamed_live_out(spec: &psp_ir::LoopSpec) -> Vec<psp_ir::RegRef> {
     let mut ic = psp_opt::if_convert(spec);
@@ -139,6 +139,38 @@ fn corrupted_resources_are_rejected() {
         ),
         "expected a Resource violation, got {v:?}"
     );
+}
+
+/// Two ALU instances disjoint only on the predicate an IF of their own row
+/// computes sit on both subtrees of one tree instruction: on a 1-ALU
+/// machine that row overflows. One row later the IF has dispatched, the
+/// two lie in different blocks, and they share the slot.
+#[test]
+fn instances_disjoint_on_a_same_row_if_take_a_slot_each() {
+    let one = MachineConfig::narrow(1, 1, 1);
+    let k = psp_kernels::by_name("vecmin").unwrap();
+    let resource_rows = |row: usize| {
+        let mut sched = psp_core::Schedule::initial(&k.spec);
+        // vecmin: IF in row 3 computes (0, 0); row 4 is `COPY m, k` on
+        // its true side. Add the same COPY on the false side.
+        let (if_row, copy_row) = (3, 4);
+        assert_eq!(sched.rows[if_row][0].computes_if, Some(0));
+        let on_true = sched.rows[copy_row].remove(0);
+        let mut on_false = on_true.clone();
+        on_false.id = sched.fresh_id();
+        on_false.formal = psp_predicate::PredicateMatrix::single(0, 0, false);
+        sched.insert(row, on_true);
+        sched.insert(row, on_false);
+        validate_schedule(&k.spec, &one, &sched)
+            .into_iter()
+            .filter_map(|v| match v {
+                Violation::Resource { site, used, .. } => Some((site, used)),
+                _ => None,
+            })
+            .collect::<Vec<_>>()
+    };
+    assert_eq!(resource_rows(3), [(CycleSite::Row(3), 2)]);
+    assert_eq!(resource_rows(4), []);
 }
 
 /// Injected defect #3: a dropped dependence in a modulo schedule — pull an

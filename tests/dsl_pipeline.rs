@@ -132,15 +132,17 @@ fn dsl_vecmin_equals_handbuilt_vecmin() {
     assert_eq!(a.program.ii_range(), b.program.ii_range());
 }
 
-/// A loop whose compacted initial schedule fails code generation, so the
-/// driver starts from the raw initial schedule instead. That start must be
-/// scored under the run's objective: the expected II when a profile is
-/// given, not the maximal II the static objective uses.
+/// A loop whose compacted seed has a renamed temporary written and read
+/// under one matrix, which the preloop once called entry-live and refused
+/// (a write kills a read on every path its formal admits). The seed must
+/// generate, and with no refinement it must be scored under the run's
+/// objective: the expected II when a profile is given, not the maximal II
+/// the static objective uses.
 #[test]
-fn uncompactable_start_is_scored_under_the_profile() {
+fn compacted_start_is_scored_under_the_profile() {
     let spec = psp::lang::compile(
-        "kernel fallback(n, k, acc, s0, s1, s2; x[], y[]) -> acc {
-            if (s2 < acc) { s0 = x[k]; s0 = x[k]; }
+        "kernel seed(n, k, acc, s0, s1, s2; x[], y[]) -> acc {
+            if (s2 < acc) { s0 = x[k]; s0 = x[k]; acc = acc + s0; acc = acc * s0; }
             s0 = x[k];
             k = k + 1;
             break if (k >= n);
@@ -150,10 +152,7 @@ fn uncompactable_start_is_scored_under_the_profile() {
     let machine = MachineConfig::paper_default();
     let mut compacted = Schedule::initial(&spec);
     psp::core::compact::compact_ext(&mut compacted, &machine, true);
-    assert!(
-        generate(&compacted, &machine).is_err(),
-        "the loop no longer exercises the fallback"
-    );
+    let seed = generate(&compacted, &machine).expect("the compacted seed generates");
     let probs = vec![0.9];
     let start = |probs: Option<Vec<f64>>| {
         let cfg = PspConfig {
@@ -161,9 +160,10 @@ fn uncompactable_start_is_scored_under_the_profile() {
             probs,
             ..PspConfig::with_machine(machine.clone())
         };
-        pipeline_loop(&spec, &cfg).expect("the raw initial schedule generates")
+        pipeline_loop(&spec, &cfg).expect("the compacted seed generates")
     };
     let profiled = start(Some(probs.clone()));
+    assert_eq!(profiled.program, seed, "max_depth 0 keeps the seed");
     let (min, max) = profiled.program.ii_range().unwrap();
     assert!(min < max, "the start needs paths of unequal II");
     let expected = psp::core::heuristics::score_schedule(&profiled.schedule, Some(&probs))

@@ -10,10 +10,9 @@
 //!
 //! A reproducer whose header has a `// refused: <message>` line is a loop
 //! the front end must reject: it must fail to compile with an error that
-//! contains the message. `fuzz0-seed-fallback.psp` also pins the stage of
-//! the seed fallback chain each machine's run starts from.
+//! contains the message. `fuzz0-compacted-seed.psp` is also pinned to
+//! seed from its compacted schedule on both machines.
 
-use psp::core::Seed;
 use psp::prelude::*;
 use psp::sim::EngineKind;
 use psp::verify::run_oracle_with;
@@ -79,17 +78,28 @@ fn refused_reproducers_do_not_compile() {
 }
 
 #[test]
-fn fuzz0_starts_from_the_seed_its_header_names() {
-    // On the paper machine the rename-free seed rescues the run; on 2/1/1
-    // both compacted seeds exceed the machine and the raw schedule seeds it.
+fn fuzz0_compacted_seed_generates_on_both_machines() {
     let path =
-        PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/repros/fuzz0-seed-fallback.psp");
+        PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/repros/fuzz0-compacted-seed.psp");
     let spec = psp::lang::compile(&std::fs::read_to_string(path).unwrap()).unwrap();
-    for (machine, want) in [
-        (MachineConfig::paper_default(), Seed::RenameFree),
-        (MachineConfig::narrow(2, 1, 1), Seed::Raw),
+    for (machine, psp, local) in [
+        (MachineConfig::paper_default(), 7, 11),
+        (MachineConfig::narrow(2, 1, 1), 8, 14),
     ] {
-        let res = pipeline_loop(&spec, &PspConfig::with_machine(machine)).unwrap();
-        assert_eq!(res.stats.seed, want);
+        let mut seed = Schedule::initial(&spec);
+        psp::core::compact::compact_ext(&mut seed, &machine, true);
+        if let Err(e) = generate(&seed, &machine) {
+            panic!("compacted seed refused on {machine:?}: {e}");
+        }
+        let max_ii = |p: &VliwLoop| p.ii_range().map_or(0, |(_, hi)| hi);
+        let res = pipeline_loop(&spec, &PspConfig::with_machine(machine.clone())).unwrap();
+        assert_eq!(
+            (
+                max_ii(&res.program),
+                max_ii(&compile_local(&spec, &machine))
+            ),
+            (psp, local),
+            "(PSP, local) max II on {machine:?}"
+        );
     }
 }
