@@ -14,10 +14,9 @@
 //! Most moveup attempts are refused and most sweeps move nothing, so one
 //! compaction remembers each refusal ([`Refusal`]): the rows the attempt
 //! read, from the row that blocked it down to the mover's own; whether a
-//! landing reached the latency check, which reads every producer; whether
-//! the policy refused a rename; and the fresh registers and ids it drew.
-//! The instance is not planned again, and its draws are skipped so later
-//! register names stay put, until a move changes a row the refusal read.
+//! landing reached the latency check, which reads every producer; and
+//! whether the policy refused a rename. The instance is not planned again
+//! until a move changes a row the refusal read.
 //! A refusal that reached the latency check is forgotten at any move
 //! (moving a producer up lengthens its back-edge distance), and a pruned
 //! stall forgets them all (row numbers shift).
@@ -27,13 +26,12 @@ use crate::schedule::Schedule;
 use crate::transform::{moveup_earliest, prune_stalls, MovePolicy, Refusal};
 use psp_machine::MachineConfig;
 
-/// A refused moveup remembered within one [`compact_ext`] call: the policy
-/// it ran under, what it read, and the fresh registers and ids it drew.
+/// A refused moveup remembered within one [`compact`] call: the policy it
+/// ran under and what it read.
 #[derive(Clone, Copy)]
 struct Refused {
     policy: MovePolicy,
     read: Refusal,
-    draws: (u32, u64),
 }
 
 /// The refusals of one compaction, by instance id.
@@ -41,21 +39,17 @@ struct Refused {
 struct Refusals(Vec<Option<Refused>>);
 
 impl Refusals {
-    /// The fresh names to skip if `id`'s attempt under `policy` is known to
-    /// be refused again, or `None` if it must be planned.
-    fn replay(&self, id: InstId, policy: MovePolicy) -> Option<(u32, u64)> {
-        let r = self.0.get(id.0 as usize).copied().flatten()?;
+    /// Whether `id`'s attempt under `policy` is known to be refused again.
+    fn replay(&self, id: InstId, policy: MovePolicy) -> bool {
         // Compaction's two policies differ only in renaming. Without renames
         // the plan is a prefix of the renaming plan, cut at its first rename;
         // with renames it equals the rename-free plan when that plan met no
-        // rename. Neither draws a fresh name then.
-        if r.policy == policy {
-            Some(r.draws)
-        } else if r.policy.rename || !r.read.rename_refused {
-            Some((0, 0))
-        } else {
-            None
-        }
+        // rename.
+        self.0
+            .get(id.0 as usize)
+            .copied()
+            .flatten()
+            .is_some_and(|r| r.policy == policy || r.policy.rename || !r.read.rename_refused)
     }
 
     fn record(&mut self, id: InstId, r: Refused) {
@@ -80,8 +74,7 @@ impl Refusals {
 /// One sweep over all instances, moving each to the earliest feasible row
 /// (one incremental plan per instance rather than a re-plan per candidate
 /// target). An instance whose remembered refusal still holds is not
-/// re-planned; the fresh names its plan would draw are skipped instead.
-/// Returns the number of moves.
+/// re-planned. Returns the number of moves.
 fn sweep(
     sched: &mut Schedule,
     machine: &MachineConfig,
@@ -91,28 +84,15 @@ fn sweep(
     let mut moves = 0;
     let ids: Vec<InstId> = sched.instances().map(|i| i.id).collect();
     for id in ids {
-        if let Some(draws) = refusals.replay(id, policy) {
-            sched.skip_fresh(draws);
+        if refusals.replay(id, policy) {
             continue;
         }
-        let before = sched.fresh_counters();
         match moveup_earliest(sched, id, machine, policy) {
             Ok((cur, target)) => {
                 moves += 1;
                 refusals.moved(cur, target);
             }
-            Err(read) => {
-                let after = sched.fresh_counters();
-                let draws = (after.0 - before.0, after.1 - before.1);
-                refusals.record(
-                    id,
-                    Refused {
-                        policy,
-                        read,
-                        draws,
-                    },
-                );
-            }
+            Err(read) => refusals.record(id, Refused { policy, read }),
         }
     }
     moves
@@ -130,13 +110,9 @@ fn prune(sched: &mut Schedule, machine: &MachineConfig, refusals: &mut Refusals)
 
 /// Move every instance as early as dependences, speculation rules, and
 /// resources allow; prune stall rows. Returns the number of moves applied.
-pub fn compact(sched: &mut Schedule, machine: &MachineConfig) -> usize {
-    compact_ext(sched, machine, true)
-}
-
-/// [`compact`] with renaming optionally disabled (the ablation of the
-/// paper's "local scheduling *with renaming*").
-pub fn compact_ext(sched: &mut Schedule, machine: &MachineConfig, allow_rename: bool) -> usize {
+/// `allow_rename: false` is the ablation of the paper's "local scheduling
+/// *with renaming*".
+pub fn compact(sched: &mut Schedule, machine: &MachineConfig, allow_rename: bool) -> usize {
     let cap = 16 * sched.n_instances().max(8) * sched.n_rows().max(1);
     let mut total = 0usize;
     let mut refusals = Refusals::default();
@@ -169,7 +145,7 @@ mod tests {
     use crate::schedule::Schedule;
     use crate::transform::{apply, prune_stalls_reference, split_candidates, Transformation};
     use psp_ir::op::build;
-    use psp_ir::{LoopBuilder, LoopSpec};
+    use psp_ir::{LoopBuilder, LoopSpec, Reg, RegRef};
     use psp_kernels::synthetic;
 
     fn m() -> MachineConfig {
@@ -178,8 +154,8 @@ mod tests {
 
     /// Compaction without the refusal memo or the latency edge list: every
     /// instance is re-planned on every sweep, and every stall removal
-    /// re-checks each latency in the schedule. The reference [`compact_ext`]
-    /// must reproduce move for move.
+    /// re-checks each latency in the schedule. [`compact`] must reproduce
+    /// the reference move for move.
     fn reference_compact(
         sched: &mut Schedule,
         machine: &MachineConfig,
@@ -215,7 +191,8 @@ mod tests {
     }
 
     /// Compact `s` both ways and demand the same schedule, fresh counters
-    /// and move count; returns the compacted schedule.
+    /// and move count, and a definition of every fresh register; returns
+    /// the compacted schedule.
     fn compact_both(
         s: &Schedule,
         machine: &MachineConfig,
@@ -224,11 +201,18 @@ mod tests {
     ) -> Schedule {
         let mut fast = s.clone();
         let mut slow = s.clone();
-        let moves = compact_ext(&mut fast, machine, allow_rename);
+        let moves = compact(&mut fast, machine, allow_rename);
         let want = reference_compact(&mut slow, machine, allow_rename);
         assert_eq!(fast.render(), slow.render(), "{what}");
-        assert_eq!(fast.fresh_counters(), slow.fresh_counters(), "{what}");
+        assert_eq!(fast.next_fresh(), slow.next_fresh(), "{what}");
         assert_eq!(moves, want, "{what}");
+        for r in fast.source.n_regs..fast.n_regs() {
+            let def = Some(RegRef::Gpr(Reg(r)));
+            assert!(
+                fast.instances().any(|i| i.def() == def),
+                "{what}: R{r} undefined"
+            );
+        }
         fast
     }
 
@@ -351,7 +335,7 @@ mod tests {
         // Fig. 1b: local scheduling with renaming reaches II = 3.
         let kernel = psp_kernels::by_name("vecmin").unwrap();
         let mut s = Schedule::initial(&kernel.spec);
-        let moves = compact(&mut s, &m());
+        let moves = compact(&mut s, &m(), true);
         assert!(moves > 0);
         assert_eq!(s.n_rows(), 3, "\n{s}");
     }
@@ -360,9 +344,9 @@ mod tests {
     fn compaction_is_idempotent() {
         let kernel = psp_kernels::by_name("vecmin").unwrap();
         let mut s = Schedule::initial(&kernel.spec);
-        compact(&mut s, &m());
+        compact(&mut s, &m(), true);
         let snapshot = s.render();
-        let more = compact(&mut s, &m());
+        let more = compact(&mut s, &m(), true);
         assert_eq!(more, 0);
         assert_eq!(s.render(), snapshot);
     }
@@ -371,9 +355,9 @@ mod tests {
     fn narrow_machine_limits_compaction() {
         let kernel = psp_kernels::by_name("vecmin").unwrap();
         let mut wide = Schedule::initial(&kernel.spec);
-        compact(&mut wide, &m());
+        compact(&mut wide, &m(), true);
         let mut narrow = Schedule::initial(&kernel.spec);
-        compact(&mut narrow, &MachineConfig::narrow(1, 1, 1));
+        compact(&mut narrow, &MachineConfig::narrow(1, 1, 1), true);
         assert!(narrow.n_rows() > wide.n_rows());
         narrow
             .validate_resources(&MachineConfig::narrow(1, 1, 1))
@@ -385,7 +369,7 @@ mod tests {
         for kernel in psp_kernels::all_kernels() {
             let mut s = Schedule::initial(&kernel.spec);
             let initial_rows = s.n_rows();
-            compact(&mut s, &m());
+            compact(&mut s, &m(), true);
             assert!(s.n_rows() <= initial_rows, "{}", kernel.name);
             s.validate_resources(&m())
                 .unwrap_or_else(|e| panic!("{}: {e}", kernel.name));

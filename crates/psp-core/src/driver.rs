@@ -16,7 +16,7 @@
 //! wall-clock, transformation counters, JSON dump).
 
 use crate::codegen::{generate, CodegenError};
-use crate::compact::compact_ext;
+use crate::compact::compact;
 use crate::deps::{check_pair, Permission};
 use crate::heuristics::{score_schedule, BranchProbs, Score};
 use crate::instance::InstId;
@@ -289,7 +289,7 @@ fn eval_candidate(
     let mut scored = None;
     if applied {
         let t1 = Instant::now();
-        let moves = compact_ext(&mut next, &cfg.machine, cfg.enable_rename);
+        let moves = compact(&mut next, &cfg.machine, cfg.enable_rename);
         times.compact += t1.elapsed();
         if let Ok(s) = score(&next, cfg, &mut times) {
             if cur.is_none_or(|c| s.better_than(c)) {
@@ -489,7 +489,7 @@ fn pipeline_on<'scope>(
     // refuses ends the run with that refusal (DESIGN §6.10).
     let mut sched = Schedule::initial(spec);
     let t0 = Instant::now();
-    stats.moves += compact_ext(&mut sched, &cfg.machine, cfg.enable_rename);
+    stats.moves += compact(&mut sched, &cfg.machine, cfg.enable_rename);
     stats.times.compact += t0.elapsed();
     let (s0, p0) = score_and_generate(&sched, cfg, &mut stats.times)?;
     let mut best: (Score, Schedule, VliwLoop) = (s0.clone(), sched.clone(), p0);
@@ -592,7 +592,7 @@ fn pipeline_on<'scope>(
         stats.wraps += wrapped;
         stats.rounds += 1;
         let t3 = Instant::now();
-        stats.moves += compact_ext(&mut sched, &cfg.machine, cfg.enable_rename);
+        stats.moves += compact(&mut sched, &cfg.machine, cfg.enable_rename);
         stats.times.compact += t3.elapsed();
         match score_and_generate(&sched, cfg, &mut stats.times) {
             Ok((s, prog)) => {

@@ -2,7 +2,7 @@
 //! flow of control implicitly encoded in their predicate matrices.
 
 use crate::instance::{InstId, Instance};
-use psp_ir::{flatten, LoopSpec, Reg, RegRef, ResClass};
+use psp_ir::{flatten, LoopSpec, Reg, ResClass};
 use psp_machine::MachineConfig;
 use psp_predicate::{IfLog, IfLogEntry, PredicateMatrix};
 use std::fmt;
@@ -19,7 +19,10 @@ pub struct Schedule {
     /// initial values are meaningful at loop entry — end and
     /// scheduler-introduced temporaries begin.
     pub source: Arc<LoopSpec>,
-    fresh: Fresh,
+    /// The next fresh register number.
+    next_reg: u32,
+    /// The next fresh instance id.
+    next_id: u64,
 }
 
 impl Schedule {
@@ -37,52 +40,40 @@ impl Schedule {
                 vec![inst]
             })
             .collect::<Vec<_>>();
-        let fresh = Fresh {
-            next_reg: spec.n_regs,
-            next_id: flat.len() as u64,
-        };
         Self {
             rows,
             source: Arc::new(spec.clone()),
-            fresh,
+            next_reg: spec.n_regs,
+            next_id: flat.len() as u64,
         }
     }
 
     /// Allocate a fresh instance id.
     pub fn fresh_id(&mut self) -> InstId {
-        self.fresh.id()
+        self.next_id += 1;
+        InstId(self.next_id - 1)
     }
 
-    /// Allocate a fresh general-purpose register.
-    pub(crate) fn fresh_reg(&mut self) -> Reg {
-        self.fresh.reg()
-    }
-
-    /// General-purpose registers in use: the source's, then every fresh
-    /// one drawn so far.
+    /// General-purpose registers in use: the source's, then one per
+    /// committed rename.
     pub fn n_regs(&self) -> u32 {
-        self.fresh.next_reg
+        self.next_reg
     }
 
-    /// Split borrow for planning a move: the rows and the live-out set to
-    /// read, and the counters a rename draws fresh registers and ids from.
-    /// A plan holding this view can read every row without copying it, and
-    /// cannot move an instance until the view is dropped.
-    pub(crate) fn plan_view(&mut self) -> (&[Vec<Instance>], &[RegRef], &mut Fresh) {
-        (&self.rows, &self.source.live_out, &mut self.fresh)
+    /// The register and instance id the next rename takes. A move plans
+    /// against them without taking them; only
+    /// [`Schedule::insert_leftover`] does, so a refused plan draws nothing.
+    pub(crate) fn next_fresh(&self) -> (Reg, InstId) {
+        (Reg(self.next_reg), InstId(self.next_id))
     }
 
-    /// The fresh-name counters: the next register number and the next
-    /// instance id.
-    pub(crate) fn fresh_counters(&self) -> (u32, u64) {
-        (self.fresh.next_reg, self.fresh.next_id)
-    }
-
-    /// Advance the fresh-name counters by `regs` registers and `ids` ids,
-    /// as if that many had been drawn.
-    pub(crate) fn skip_fresh(&mut self, (regs, ids): (u32, u64)) {
-        self.fresh.next_reg += regs;
-        self.fresh.next_id += ids;
+    /// Insert a committed rename's leftover `COPY` into row `r`, taking
+    /// the fresh register and id it was planned against.
+    pub(crate) fn insert_leftover(&mut self, r: usize, copy: Instance) {
+        debug_assert_eq!(copy.id, InstId(self.next_id));
+        self.next_reg += 1;
+        self.next_id += 1;
+        self.insert(r, copy);
     }
 
     /// Number of rows (the static II upper bound).
@@ -191,30 +182,6 @@ impl Schedule {
             s.push('\n');
         }
         s
-    }
-}
-
-/// The fresh-register and fresh-id counters of a [`Schedule`], borrowed
-/// apart from its rows by [`Schedule::plan_view`].
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) struct Fresh {
-    next_reg: u32,
-    next_id: u64,
-}
-
-impl Fresh {
-    /// Allocate a fresh general-purpose register.
-    pub(crate) fn reg(&mut self) -> Reg {
-        let r = Reg(self.next_reg);
-        self.next_reg += 1;
-        r
-    }
-
-    /// Allocate a fresh instance id.
-    pub(crate) fn id(&mut self) -> InstId {
-        let id = InstId(self.next_id);
-        self.next_id += 1;
-        id
     }
 }
 

@@ -15,7 +15,7 @@
 
 use crate::deps::{check_pair, flow_latency, is_flow, writes_read_by, Fix, PairCheck, Permission};
 use crate::instance::{InstId, Instance};
-use crate::schedule::{row_fits, Fresh, Schedule};
+use crate::schedule::{row_fits, Schedule};
 use psp_ir::op::build;
 use psp_ir::{OpKind, Operation, Reg, RegRef, Role};
 use psp_machine::MachineConfig;
@@ -161,9 +161,9 @@ struct PlanState {
 }
 
 /// An upward plan's view of the schedule: the rows it reads in place and
-/// the counters a rename draws fresh registers and ids from (see
-/// [`Schedule::plan_view`]). The borrow keeps a plan from moving anything;
-/// the caller commits the move once the view is dropped.
+/// the register and id a rename would take ([`Schedule::next_fresh`]).
+/// The borrow keeps a plan from moving anything; the caller commits the
+/// move once the view is dropped, and only then takes the rename's names.
 ///
 /// A plan processes the jumped rows bottom-up, one row at a time,
 /// accumulating and applying fixes compositionally. Within a row, all pair
@@ -171,15 +171,11 @@ struct PlanState {
 /// operations read pre-cycle state simultaneously) and the row's fixes are
 /// applied together afterwards: [`Planner::row_fixes`] collects them
 /// without touching the state, and [`Planner::apply_fixes`] applies them,
-/// so a caller can skip copying a state that a row leaves unchanged. A
-/// rename draws its fresh register and id when its row's fixes are
-/// applied, even if a later row then refuses the plan: failed plans
-/// consume fresh names, and the generated code's register names depend on
-/// that order.
+/// so a caller can skip copying a state that a row leaves unchanged.
 struct Planner<'a> {
     rows: &'a [Vec<Instance>],
     live_out: &'a [RegRef],
-    fresh: &'a mut Fresh,
+    fresh: (Reg, InstId),
     policy: MovePolicy,
     machine: &'a MachineConfig,
     /// Whether the policy refused a rename fix at some point of the plan.
@@ -187,12 +183,11 @@ struct Planner<'a> {
 }
 
 impl<'a> Planner<'a> {
-    fn new(sched: &'a mut Schedule, policy: MovePolicy, machine: &'a MachineConfig) -> Self {
-        let (rows, live_out, fresh) = sched.plan_view();
+    fn new(sched: &'a Schedule, policy: MovePolicy, machine: &'a MachineConfig) -> Self {
         Self {
-            rows,
-            live_out,
-            fresh,
+            rows: &sched.rows,
+            live_out: &sched.source.live_out,
+            fresh: sched.next_fresh(),
             policy,
             machine,
             rename_refused: false,
@@ -273,11 +268,11 @@ impl<'a> Planner<'a> {
             let Some(RegRef::Gpr(old)) = state.work.def() else {
                 return Err(MoveError::BadTarget);
             };
-            let fresh = self.fresh.reg();
+            let (fresh, id) = self.fresh;
             state.work.set_op(renamed_dst(state.work.op(), fresh));
             // Planning rewrites only the mover's operation, so its other
             // fields are still the original instance's.
-            state.leftover = Some(leftover_copy(&state.work, self.fresh.id(), old, fresh));
+            state.leftover = Some(leftover_copy(&state.work, id, old, fresh));
         }
         Ok(())
     }
@@ -459,7 +454,7 @@ fn commit(sched: &mut Schedule, cur: usize, pos: usize, target: usize, state: Pl
     sched.rows[cur].remove(pos);
     sched.insert(target, state.work);
     if let Some(copy) = state.leftover {
-        sched.insert(cur, copy);
+        sched.insert_leftover(cur, copy);
     }
 }
 
@@ -470,23 +465,11 @@ pub fn moveup(
     target: usize,
     machine: &MachineConfig,
 ) -> Result<(), MoveError> {
-    moveup_ext(sched, id, target, machine, MovePolicy::FULL)
-}
-
-/// Move an instance to an earlier row under a fix policy (compaction runs
-/// a fix-free pass before allowing renames, and never speculates).
-pub fn moveup_ext(
-    sched: &mut Schedule,
-    id: InstId,
-    target: usize,
-    machine: &MachineConfig,
-    policy: MovePolicy,
-) -> Result<(), MoveError> {
     let (cur, pos) = sched.find(id).ok_or(MoveError::NotFound)?;
     if target >= cur {
         return Err(MoveError::BadTarget);
     }
-    let mut plan = Planner::new(sched, policy, machine);
+    let mut plan = Planner::new(sched, MovePolicy::FULL, machine);
     let rows = plan.rows;
     // The mover's own row first (fixes for those pairs are already
     // incorporated), then the jumped rows (target, cur) nearest first, then
@@ -502,7 +485,7 @@ pub fn moveup_ext(
 }
 
 /// Move an instance to the *earliest* feasible row, equivalent to trying
-/// `moveup_ext` at targets `0..cur` in order and taking the first success —
+/// a moveup at targets `0..cur` in order and taking the first success —
 /// but in one pass instead of a quadratic re-plan per target.
 ///
 /// The plan state for target `t` is the own-row state extended by crossing
@@ -514,8 +497,7 @@ pub fn moveup_ext(
 /// the targets between two such rows share one. An ascending scan then
 /// branches each state through the target row's cycle-sharing checks and
 /// the placement checks, returning on the first success; a landing copies
-/// its state only when that row's own fixes apply. The landing plans must
-/// stay inside that scan: a failed landing may still draw fresh names.
+/// its state only when that row's own fixes apply.
 ///
 /// Returns the rows `(cur, target)` the instance moved between, or what the
 /// refused attempt read.
@@ -605,7 +587,7 @@ pub(crate) fn moveup_earliest(
 }
 
 /// What a refused [`moveup_earliest`] read: the same attempt on an
-/// unchanged view is refused again and draws the same fresh names.
+/// unchanged view is refused again.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct Refusal {
     /// The attempt read rows `lo..=hi` (`hi` is the mover's row).
@@ -676,9 +658,9 @@ pub fn wrap_up(sched: &mut Schedule, id: InstId, machine: &MachineConfig) -> Res
         let Some(RegRef::Gpr(old)) = moved.def() else {
             return Err(MoveError::BadTarget);
         };
-        let fresh = sched.fresh_reg();
+        let (fresh, copy_id) = sched.next_fresh();
         moved.set_op(renamed_dst(moved.op(), fresh));
-        leftover = Some(leftover_copy(&x, sched.fresh_id(), old, fresh));
+        leftover = Some(leftover_copy(&x, copy_id, old, fresh));
     }
 
     // The preloop computes the startup values the new index calls for
@@ -708,7 +690,7 @@ pub fn wrap_up(sched: &mut Schedule, id: InstId, machine: &MachineConfig) -> Res
     let bottom = sched.n_rows(); // recompute: row 0 may still hold others
     sched.insert(bottom, moved);
     if let Some(copy) = leftover {
-        sched.insert(0, copy);
+        sched.insert_leftover(0, copy);
     }
     Ok(())
 }

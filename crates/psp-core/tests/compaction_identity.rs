@@ -2,7 +2,8 @@
 //!
 //! Compaction and the transformations it drives are deterministic: a
 //! change that only makes them faster must leave every decision, every
-//! fresh register and id, and every predicate test exactly where it was.
+//! committed rename's fresh register, and every predicate test exactly
+//! where it was.
 //! The other suites compare runs *within* one build (thread counts,
 //! backends, engines); this one pins literal values recorded from a
 //! known-good build, so a drift between commits fails here.
@@ -60,44 +61,47 @@ type Row = (
 /// clamp_store, sign_store, threshold_store and bubble_pass on narrow211
 /// moved whole: the seed fallback chain went and each now seeds from its
 /// compacted schedule (threshold_store's final schedule has 3 rows, not 4).
+/// The n_regs column went down on 13 narrow211 rows and on synthetic6 on
+/// paper when a refused move stopped taking a fresh register: only a
+/// committed rename draws one now.
 #[rustfmt::skip]
 const EXPECTED: &[Row] = &[
     ("vecmin", "paper", [53, 19, 1, 32, 5], 1959, 177, 7, 2, 11),
-    ("vecmin", "narrow211", [46, 12, 0, 23, 7], 1469, 173, 9, 3, 8),
+    ("vecmin", "narrow211", [46, 12, 0, 23, 7], 1469, 173, 5, 3, 8),
     ("cond_sum", "paper", [33, 16, 0, 23, 4], 820, 86, 6, 1, 8),
-    ("cond_sum", "narrow211", [26, 9, 0, 17, 4], 720, 65, 6, 2, 7),
+    ("cond_sum", "narrow211", [26, 9, 0, 17, 4], 720, 65, 5, 2, 7),
     ("count_above", "paper", [27, 15, 0, 22, 4], 529, 74, 5, 1, 7),
-    ("count_above", "narrow211", [29, 11, 0, 23, 6], 966, 79, 9, 2, 7),
+    ("count_above", "narrow211", [29, 11, 0, 23, 6], 966, 79, 5, 2, 7),
     ("clamp_store", "paper", [73, 18, 0, 52, 6], 3778, 441, 7, 3, 13),
-    ("clamp_store", "narrow211", [63, 11, 0, 31, 4], 4089, 367, 11, 4, 13),
+    ("clamp_store", "narrow211", [63, 11, 0, 31, 4], 4089, 367, 7, 4, 13),
     ("sat_add", "paper", [42, 19, 0, 28, 5], 1523, 247, 5, 3, 8),
     ("sat_add", "narrow211", [38, 9, 0, 19, 5], 1152, 154, 5, 4, 8),
     ("abs_sum", "paper", [52, 27, 0, 42, 5], 2322, 211, 7, 2, 11),
     ("abs_sum", "narrow211", [41, 11, 0, 22, 5], 1612, 103, 5, 3, 9),
     ("runmax", "paper", [44, 17, 0, 25, 4], 1521, 125, 8, 2, 11),
-    ("runmax", "narrow211", [44, 11, 0, 20, 5], 1586, 140, 7, 3, 9),
+    ("runmax", "narrow211", [44, 11, 0, 20, 5], 1586, 140, 6, 3, 9),
     ("sign_store", "paper", [36, 14, 0, 30, 4], 1001, 92, 5, 1, 10),
-    ("sign_store", "narrow211", [34, 7, 0, 22, 3], 1151, 72, 5, 3, 9),
+    ("sign_store", "narrow211", [34, 7, 0, 22, 3], 1151, 72, 4, 3, 9),
     ("two_cond", "paper", [56, 27, 0, 39, 5], 2949, 229, 9, 2, 12),
     ("two_cond", "narrow211", [52, 12, 0, 33, 6], 3191, 267, 7, 3, 10),
     ("find_first", "paper", [35, 14, 0, 26, 4], 1020, 88, 7, 1, 10),
-    ("find_first", "narrow211", [29, 8, 0, 21, 4], 853, 64, 7, 3, 8),
+    ("find_first", "narrow211", [29, 8, 0, 21, 4], 853, 64, 5, 3, 8),
     ("skewed", "paper", [37, 17, 0, 24, 4], 1123, 92, 7, 1, 9),
-    ("skewed", "narrow211", [39, 12, 0, 20, 5], 1660, 119, 7, 3, 8),
+    ("skewed", "narrow211", [39, 12, 0, 20, 5], 1660, 119, 6, 3, 8),
     ("dot_cond", "paper", [62, 33, 0, 42, 5], 2254, 144, 9, 1, 12),
     ("dot_cond", "narrow211", [51, 12, 0, 16, 4], 1637, 111, 8, 4, 11),
     ("threshold_store", "paper", [37, 13, 0, 33, 4], 1305, 86, 7, 1, 11),
-    ("threshold_store", "narrow211", [35, 7, 0, 23, 3], 1493, 86, 8, 3, 10),
+    ("threshold_store", "narrow211", [35, 7, 0, 23, 3], 1493, 86, 6, 3, 10),
     ("bubble_pass", "paper", [53, 14, 0, 45, 5], 7015, 222, 8, 2, 15),
     ("bubble_pass", "narrow211", [59, 8, 0, 30, 5], 5088, 318, 6, 5, 13),
     ("minmax", "paper", [46, 18, 0, 27, 4], 1786, 204, 6, 2, 11),
-    ("minmax", "narrow211", [48, 12, 0, 27, 5], 2663, 227, 8, 3, 10),
+    ("minmax", "narrow211", [48, 12, 0, 27, 5], 2663, 227, 5, 3, 10),
     ("mac_cond", "paper", [62, 33, 0, 42, 5], 2250, 144, 10, 1, 12),
-    ("mac_cond", "narrow211", [37, 11, 0, 18, 4], 1503, 96, 9, 3, 9),
+    ("mac_cond", "narrow211", [37, 11, 0, 18, 4], 1503, 96, 7, 3, 9),
     ("synthetic4", "paper", [88, 38, 0, 57, 5], 12859, 1088, 9, 2, 18),
-    ("synthetic4", "narrow211", [88, 12, 0, 40, 5], 9098, 412, 10, 5, 16),
-    ("synthetic6", "paper", [123, 43, 0, 68, 5], 27054, 2834, 12, 2, 24),
-    ("synthetic6", "narrow211", [122, 12, 0, 58, 5], 22050, 813, 12, 7, 22),
+    ("synthetic4", "narrow211", [88, 12, 0, 40, 5], 9098, 412, 7, 5, 16),
+    ("synthetic6", "paper", [123, 43, 0, 68, 5], 27054, 2834, 11, 2, 24),
+    ("synthetic6", "narrow211", [122, 12, 0, 58, 5], 22050, 813, 9, 7, 22),
 ];
 
 fn loops() -> Vec<(&'static str, LoopSpec)> {

@@ -176,7 +176,7 @@ fn refusals_surface_as_codegen_errors_not_miscompiles() {
             let _ = wrap_up(&mut sched, id, &m());
         }
         sched.prune_empty_rows();
-        psp_core::compact::compact(&mut sched, &m());
+        psp_core::compact::compact(&mut sched, &m(), true);
         match psp_core::generate(&sched, &m()) {
             Err(_) => {} // refusal is acceptable
             Ok(prog) => {

@@ -110,7 +110,7 @@ fn transformed(kernel: &Kernel, actions: &[Action], machine: &MachineConfig) -> 
     for action in actions {
         match action {
             Action::Compact => {
-                psp_core::compact::compact(&mut sched, machine);
+                psp_core::compact::compact(&mut sched, machine, true);
             }
             Action::Prune => transform::prune_stalls(&mut sched, machine),
             // A refusal is the legality system working.

@@ -20,7 +20,8 @@ pub struct MachineConfig {
     pub load_latency: u32,
     /// Whether LOADs may execute speculatively (above a controlling IF).
     /// The simulated memory never faults, so this is safe; turning it off
-    /// models a machine without speculative loads (used in ablations).
+    /// models a machine without speculative loads (`pspc --no-spec-loads`,
+    /// `tests/cross_technique.rs`).
     pub speculative_loads: bool,
 }
 

@@ -151,7 +151,7 @@ fn compacted_start_is_scored_under_the_profile() {
     .expect("DSL compiles");
     let machine = MachineConfig::paper_default();
     let mut compacted = Schedule::initial(&spec);
-    psp::core::compact::compact_ext(&mut compacted, &machine, true);
+    psp::core::compact::compact(&mut compacted, &machine, true);
     let seed = generate(&compacted, &machine).expect("the compacted seed generates");
     let probs = vec![0.9];
     let start = |probs: Option<Vec<f64>>| {

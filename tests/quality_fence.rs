@@ -8,7 +8,10 @@
 //!
 //! - no kernel or synthetic loop has a PSP max II above local's;
 //! - the corpus's max-II sums, PSP's and local's;
-//! - every corpus run where PSP loses to local, with both IIs.
+//! - every corpus run where PSP loses to local, with both IIs;
+//! - every register the scheduler introduced (`source.n_regs..n_regs()`)
+//!   is defined by some instance of the final schedule: a refused move
+//!   takes no fresh name.
 //!
 //! Every run starts from the compacted seed: `pipeline_loop` has no
 //! fallback, so a seed that code generation refuses fails the run, and the
@@ -20,6 +23,7 @@
 mod common;
 
 use common::fuzz_corpus;
+use psp::ir::{Reg, RegRef};
 use psp::prelude::*;
 
 /// One pipelined loop on one machine.
@@ -44,6 +48,19 @@ fn runs(loops: &[LoopSpec]) -> Vec<Run> {
         for (label, machine) in &machines {
             let res = pipeline_loop(spec, &PspConfig::with_machine(machine.clone()))
                 .unwrap_or_else(|e| panic!("{} on {label}: {e}", spec.name));
+            let sched = &res.schedule;
+            let undefined: Vec<u32> = (sched.source.n_regs..sched.n_regs())
+                .filter(|&r| {
+                    !sched
+                        .instances()
+                        .any(|i| i.def() == Some(RegRef::Gpr(Reg(r))))
+                })
+                .collect();
+            assert!(
+                undefined.is_empty(),
+                "{} on {label}: no instance defines fresh registers {undefined:?}",
+                spec.name
+            );
             out.push(Run {
                 name: spec.name.clone(),
                 machine: label,

@@ -87,7 +87,7 @@ fn fuzz0_compacted_seed_generates_on_both_machines() {
         (MachineConfig::narrow(2, 1, 1), 8, 14),
     ] {
         let mut seed = Schedule::initial(&spec);
-        psp::core::compact::compact_ext(&mut seed, &machine, true);
+        psp::core::compact::compact(&mut seed, &machine, true);
         if let Err(e) = generate(&seed, &machine) {
             panic!("compacted seed refused on {machine:?}: {e}");
         }

@@ -21,7 +21,7 @@ mod common;
 
 use common::fuzz_corpus;
 use psp::core::codegen::MAX_WALK_PATHS;
-use psp::core::compact::compact_ext;
+use psp::core::compact::compact;
 use psp::core::heuristics::score_schedule;
 use psp::core::{transform, CodegenError, Transformation};
 use psp::predicate::{OutcomeMap, PredAvailability, PredicateMatrix};
@@ -291,7 +291,7 @@ fn check_loop(spec: &LoopSpec, machine: &MachineConfig, seen: &mut Seen) {
     let initial = Schedule::initial(spec);
     check(&initial, machine, &format!("{name} initial"), seen);
     let mut compacted = initial;
-    compact_ext(&mut compacted, machine, true);
+    compact(&mut compacted, machine, true);
     check(&compacted, machine, &format!("{name} compacted"), seen);
     let Ok(res) = pipeline_loop(spec, &PspConfig::with_machine(machine.clone())) else {
         return;
@@ -301,7 +301,7 @@ fn check_loop(spec: &LoopSpec, machine: &MachineConfig, seen: &mut Seen) {
     for id in row0 {
         let mut wrapped = res.schedule.clone();
         if transform::apply(&mut wrapped, &Transformation::WrapUp { id }, machine).is_ok() {
-            compact_ext(&mut wrapped, machine, true);
+            compact(&mut wrapped, machine, true);
             check(
                 &wrapped,
                 machine,
@@ -426,7 +426,7 @@ fn past_the_path_cap_generate_fails_with_the_named_error() {
     // them (an unchecked `generate` ran for over a minute on such loops).
     let machine = issue_all_together();
     let mut sched = Schedule::initial(&psp_bench::synthetic(19));
-    compact_ext(&mut sched, &machine, true);
+    compact(&mut sched, &machine, true);
     // The generator checks the cap as it opens each block, so a row whose
     // last blocks do not split takes the same check. A schedule that crosses
     // the cap there needs more than 2^17 blocks open before the row, which
@@ -460,10 +460,10 @@ fn past_the_entry_cap_every_walk_and_generate_refuse_alike() {
     // reference splits them and refuses after the first row.
     let machine = issue_all_together();
     let mut sched = Schedule::initial(&psp_bench::synthetic(19));
-    compact_ext(&mut sched, &machine, true);
+    compact(&mut sched, &machine, true);
     for round in 0..3 {
         if round > 0 {
-            compact_ext(&mut sched, &machine, true);
+            compact(&mut sched, &machine, true);
         }
         // Only the unconditional instances wrap, so the guarded adds stay
         // behind their IFs; the exit, once in the first row, does not wrap.
