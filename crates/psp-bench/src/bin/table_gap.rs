@@ -22,7 +22,6 @@ use psp_core::{json_object, pipeline_loop, PspConfig};
 use psp_kernels::{all_kernels, KernelData};
 use psp_machine::MachineConfig;
 use psp_opt::{certify, mii_lower_bound, modulo_to_vliw, Certification, ExactConfig};
-use std::time::Instant;
 
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
@@ -30,7 +29,6 @@ fn main() {
     let machine = MachineConfig::paper_default();
     let cfg = ExactConfig {
         max_nodes: if smoke { 20_000 } else { 200_000 },
-        max_ii: None,
     };
 
     println!(
@@ -47,9 +45,6 @@ fn main() {
 
     let mut certified = 0usize;
     let mut records = Vec::new();
-    let mut t_free = 0.0f64;
-    let mut t_floored = 0.0f64;
-    let mut floor_hits = 0usize;
     let kernels = all_kernels();
     let total = kernels.len();
 
@@ -88,21 +83,8 @@ fn main() {
             let _ = measure(kernel, &prog, &data);
         }
 
-        let t0 = Instant::now();
         let psp = pipeline_loop(&kernel.spec, &PspConfig::with_machine(machine.clone()))
             .expect("psp pipelines");
-        t_free += t0.elapsed().as_secs_f64();
-        let t1 = Instant::now();
-        let floored = pipeline_loop(
-            &kernel.spec,
-            &PspConfig {
-                exact_floor: Some(lb as f64),
-                ..PspConfig::with_machine(machine.clone())
-            },
-        )
-        .expect("psp pipelines under a floor");
-        t_floored += t1.elapsed().as_secs_f64();
-        floor_hits += floored.stats.floor_hit as usize;
 
         let psp_max = psp.program.ii_range().map(|(_, b)| b).unwrap_or(0);
         let psp_gap = psp_max as i64 - lb as i64;
@@ -121,12 +103,6 @@ fn main() {
     println!(
         "\ncertified optimal: {certified}/{total} kernels \
          (the rest carry sound intervals)"
-    );
-    println!(
-        "exact_floor early-stop: {floor_hits}/{total} kernels stopped at the certified \
-         floor; PSP wall time {:.1} ms unrestricted vs {:.1} ms floored",
-        t_free * 1e3,
-        t_floored * 1e3
     );
     if !smoke {
         assert!(

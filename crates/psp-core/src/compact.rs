@@ -12,7 +12,7 @@
 //! effectively consumer-rewriting without a second traversal.
 //!
 //! Most moveup attempts are refused and most sweeps move nothing, so one
-//! compaction remembers each refusal ([`Refusal`]): the rows the attempt
+//! compaction remembers each refusal (`Refusal`): the rows the attempt
 //! read, from the row that blocked it down to the mover's own; whether a
 //! landing reached the latency check, which reads every producer; and
 //! whether the policy refused a rename. The instance is not planned again

@@ -63,16 +63,6 @@ pub struct PspConfig {
     /// exactly from its schedule ([`score_schedule`]) on the thread that
     /// claimed it; only the step winner's code is generated, on the caller.
     pub threads: usize,
-    /// Stop refining as soon as the primary score (maximal or expected II)
-    /// reaches this floor — typically a certified fixed-II optimum from
-    /// `psp_opt::certify`. Opt-in speed/quality trade, **not** a sound
-    /// bound on PSP itself: variable per-path II can legitimately beat the
-    /// best *fixed* II on loops with conditions (vecmin: certified fixed
-    /// floor 3, PSP reaches max II 2), so a floor equal to the fixed-II
-    /// optimum may stop the search early with a worse result than the
-    /// unrestricted run. [`PspStats::floor_hit`] records whether the stop
-    /// triggered.
-    pub exact_floor: Option<f64>,
 }
 
 impl Default for PspConfig {
@@ -84,7 +74,6 @@ impl Default for PspConfig {
             enable_rename: true,
             probs: None,
             threads: 0,
-            exact_floor: None,
         }
     }
 }
@@ -106,7 +95,7 @@ impl PspConfig {
 /// run).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PhaseTimes {
-    /// Candidate generation (wraps, unifies, split discovery).
+    /// Candidate generation (wraps and split discovery).
     pub candidate_gen: Duration,
     /// Schedule cloning + transformation application.
     pub apply: Duration,
@@ -152,9 +141,6 @@ pub struct PspStats {
     /// beat the current score, or out-ranked by the step winner.
     /// Deterministic: the same for every thread count.
     pub pruned: usize,
-    /// Whether refinement stopped early because the score reached
-    /// [`PspConfig::exact_floor`].
-    pub floor_hit: bool,
     /// Predicate-algebra work done by this run (conjoins, disjoint/subsume
     /// tests): the calling thread's counters sampled around the run plus
     /// each helper trial's own delta. Deterministic: the same for every
@@ -191,7 +177,7 @@ impl From<&PspStats> for Json {
         json_object! {
             "moves": s.moves, "wraps": s.wraps, "splits": s.splits,
             "candidates": s.candidates, "rounds": s.rounds, "pruned": s.pruned,
-            "floor_hit": s.floor_hit, "pred": &s.pred,
+            "pred": &s.pred,
             "times_us": json_object! {
                 "candidate_gen": t.candidate_gen.as_micros(), "apply": t.apply.as_micros(),
                 "compact": t.compact.as_micros(), "codegen": t.codegen.as_micros(),
@@ -469,7 +455,7 @@ impl<'scope, 'env, R: Send + 'scope> Pool<'scope, 'env, R> {
 /// [`PspConfig::max_depth`]. Phase C greedily applies strictly improving
 /// split / wrap candidates until fixpoint.
 ///
-/// Candidate trials run on one [`Pool`] for the whole run, in a scope the
+/// Candidate trials run on one `Pool` for the whole run, in a scope the
 /// run opens and joins before it returns.
 pub fn pipeline_loop(spec: &LoopSpec, cfg: &PspConfig) -> Result<PspResult, CodegenError> {
     std::thread::scope(|s| pipeline_on(spec, cfg, &mut Pool::new(s, cfg.threads)))
@@ -498,15 +484,7 @@ fn pipeline_on<'scope>(
     // the following refinement).
     let mut cur_score = Some(s0);
 
-    'depth: for _depth in 0..cfg.max_depth {
-        // Covers the initial score and the post-deepening score of the
-        // previous round.
-        if let (Some(f), Some(c)) = (cfg.exact_floor, cur_score.as_ref()) {
-            if c.primary <= f {
-                stats.floor_hit = true;
-                break 'depth;
-            }
-        }
+    for _depth in 0..cfg.max_depth {
         // Refinement: strictly improving split/wrap steps on the current
         // schedule, each step's trials evaluated in parallel.
         for _step in 0..MAX_STEPS {
@@ -561,12 +539,7 @@ fn pipeline_on<'scope>(
                     if s.better_than(&best.0) {
                         best = (s.clone(), win.sched, prog);
                     }
-                    let hit = cfg.exact_floor.is_some_and(|f| s.primary <= f);
                     cur_score = Some(s);
-                    if hit {
-                        stats.floor_hit = true;
-                        break 'depth;
-                    }
                 }
                 None => break, // local fixpoint
             }
@@ -618,30 +591,17 @@ fn pipeline_on<'scope>(
     })
 }
 
-/// Candidate transformations directed at shortening the II.
+/// Candidate transformations directed at shortening the II: a wrap of
+/// every row-0 instance, and the splits that disjoin a mover from an
+/// instance above it that blocks it. Unify is not proposed: a scan for
+/// mergeable clone pairs found none on the E12 corpus, the synthetic loops
+/// or the kernels (ROADMAP item 13).
 fn generate_candidates(sched: &Schedule, cfg: &PspConfig) -> Vec<Transformation> {
     let mut out = Vec::new();
     // Wraps: every row-0 instance is a pipelining candidate.
     if let Some(row0) = sched.rows.first() {
         for inst in row0 {
             out.push(Transformation::WrapUp { id: inst.id });
-        }
-    }
-    // Unifies: clone pairs that ended up side by side merge back,
-    // shrinking code (strictly better via the tertiary score component
-    // when the II and row count hold).
-    for row in &sched.rows {
-        for i in 0..row.len() {
-            for j in (i + 1)..row.len() {
-                let (a, b) = (&row[i], &row[j]);
-                if a.op() == b.op()
-                    && a.index == b.index
-                    && a.origin == b.origin
-                    && a.formal.unify(&b.formal).is_some()
-                {
-                    out.push(Transformation::Unify { a: a.id, b: b.id });
-                }
-            }
         }
     }
     // Splits: instances blocked from moving up by a constrained instance
@@ -880,7 +840,6 @@ mod tests {
                 "candidates",
                 "rounds",
                 "pruned",
-                "floor_hit",
                 "pred",
                 "times_us"
             ]
@@ -907,33 +866,6 @@ mod tests {
         // The run must have done (and counted) real predicate work.
         assert!(res.stats.pred.disjoint_tests > 0);
         assert!(res.stats.pred.subsume_tests > 0);
-    }
-
-    #[test]
-    fn exact_floor_stops_refinement_early() {
-        let kernel = by_name("vecmin").unwrap();
-        // The certified optimal *fixed* II of vecmin on the paper machine
-        // is 3; PSP's variable II reaches max 2 when unrestricted. With the
-        // certified floor installed the driver must stop at 3 and say so.
-        let floor = psp_opt::mii_lower_bound(&kernel.spec, &MachineConfig::paper_default());
-        assert_eq!(floor, 3);
-        let cfg = PspConfig {
-            exact_floor: Some(floor as f64),
-            ..PspConfig::default()
-        };
-        let res = pipeline_loop(&kernel.spec, &cfg).unwrap();
-        assert!(res.stats.floor_hit, "floor 3 is reachable, must trigger");
-        let (_, max) = res.program.ii_range().unwrap();
-        assert!(max <= 3);
-        // The early stop trades quality for time but never correctness.
-        let data = KernelData::random(9, 41);
-        let init = kernel.initial_state(&data);
-        let (_, run) = check_equivalence(&kernel.spec, &res.program, &init, 10_000_000).unwrap();
-        kernel.check(&run.state, &data).unwrap();
-
-        let unrestricted = pipeline_loop(&kernel.spec, &PspConfig::default()).unwrap();
-        assert!(!unrestricted.stats.floor_hit);
-        assert!(unrestricted.score.primary <= 2.0, "paper Fig. 1c: II = 2");
     }
 
     #[test]

@@ -14,7 +14,8 @@
 //!   application of the four elementary transformations — *split*, *unify*,
 //!   *moveup* (including wrapping across the loop boundary, which is what
 //!   produces software pipelining and the preloop), and *movedown* — with
-//!   candidate generation directed at shortening the II and no backtracking;
+//!   candidate generation directed at shortening the II (the driver
+//!   proposes wraps and splits) and no backtracking;
 //! * **the heuristics** ([`heuristics`]): candidate scoring driven by data
 //!   dependencies, plus the paper's §4 extension — scoring by the expected
 //!   mean dynamic II under profiled path probabilities.

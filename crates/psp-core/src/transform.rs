@@ -824,7 +824,7 @@ pub fn unify(sched: &mut Schedule, a: InstId, b: InstId) -> Result<(), MoveError
 /// Remove empty rows, first to last, stopping at the first one whose stall
 /// a flow latency needs (a schedule that already violates a latency keeps
 /// every stall). Each removal is tested against the latency edges
-/// [`latency_ok`] checks, collected once per call with their rows shifted
+/// `latency_ok` checks, collected once per call with their rows shifted
 /// as stalls go, instead of re-checking every pair of the schedule.
 pub fn prune_stalls(sched: &mut Schedule, machine: &MachineConfig) {
     let Some(mut empty) = sched.rows.iter().position(Vec::is_empty) else {

@@ -53,18 +53,18 @@ pub struct ExactConfig {
     /// attempted placement). Exhaustion yields a sound interval instead of
     /// a certificate.
     pub max_nodes: u64,
-    /// Hard cap on the candidate II (safety net for hint-less runs; the
-    /// default `None` caps at `4·n + 16`, where a schedule always exists).
-    pub max_ii: Option<u32>,
 }
 
 impl Default for ExactConfig {
     fn default() -> Self {
-        Self {
-            max_nodes: 200_000,
-            max_ii: None,
-        }
+        Self { max_nodes: 200_000 }
     }
+}
+
+/// The largest candidate II the search tries for `n` ops, a safety net for
+/// hint-less runs: at `4·n + 16` a schedule always exists.
+const fn ii_cap(n: usize) -> u32 {
+    4 * n as u32 + 16
 }
 
 /// Outcome of a certification run.
@@ -145,7 +145,7 @@ pub fn certify(
     let n = ops.len();
 
     let mii = res_mii(&ops, m).max(crate::bounds::rec_mii(n, &edges));
-    let cap = cfg.max_ii.unwrap_or(4 * n as u32 + 16);
+    let cap = ii_cap(n);
     let mut nodes_left = cfg.max_nodes;
     let mut nodes_used = 0u64;
     let mut lb = mii;
@@ -446,10 +446,7 @@ mod tests {
     fn budget_exhaustion_is_a_sound_interval() {
         let kernel = by_name("vecmin").unwrap();
         let m = MachineConfig::paper_default();
-        let cfg = ExactConfig {
-            max_nodes: 0,
-            ..ExactConfig::default()
-        };
+        let cfg = ExactConfig { max_nodes: 0 };
         let res = certify(&kernel.spec, &m, &cfg, Some(9));
         match res.outcome {
             Certification::Bounded { lb, ub } => {

@@ -24,7 +24,7 @@
 //!   issued (see the observable↔BREAK distance-1 edges in `all_edges`).
 //!
 //! Short trip counts exit from inside the prologue; the simulator
-//! ([`psp-sim`]'s `run_vliw`) handles that uniformly.
+//! (`psp-sim`'s `run_vliw`) handles that uniformly.
 
 use crate::sched::ModuloSchedule;
 use psp_machine::{Succ, VliwBlock, VliwLoop, VliwTerm};

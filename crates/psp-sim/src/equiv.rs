@@ -252,7 +252,8 @@ impl fmt::Display for BatchError {
 impl std::error::Error for BatchError {}
 
 /// Compare live-out registers and full array memory; shared by both
-/// engines so the first-mismatch report is identical.
+/// engines so the first-mismatch report is identical. A live-out past
+/// either state's registers is a [`SimError::BadRegister`].
 fn compare_observables(
     live_out: &[RegRef],
     golden: &MachineState,
@@ -260,11 +261,8 @@ fn compare_observables(
 ) -> Result<(), EquivalenceError> {
     for &lo in live_out {
         let (expected, actual) = match lo {
-            RegRef::Gpr(r) => (golden.regs[r.0 as usize], run.regs[r.0 as usize]),
-            RegRef::Cc(c) => (
-                golden.ccs[c.0 as usize] as i64,
-                run.ccs[c.0 as usize] as i64,
-            ),
+            RegRef::Gpr(r) => (golden.reg(r)?, run.reg(r)?),
+            RegRef::Cc(c) => (golden.cc(c)? as i64, run.cc(c)? as i64),
         };
         if expected != actual {
             return Err(EquivalenceError::Register {

@@ -77,10 +77,7 @@ fn validate_kernel(spec: &psp_ir::LoopSpec, verbose: bool) -> usize {
         validate_modulo(&ic.spec.live_out, &wide, &ems),
     );
 
-    let cfg = ExactConfig {
-        max_nodes: 50_000,
-        ..ExactConfig::default()
-    };
+    let cfg = ExactConfig { max_nodes: 50_000 };
     let exact = certify(spec, &wide, &cfg, Some(ems.ii));
     if let Some(w) = &exact.schedule {
         report(

@@ -37,8 +37,9 @@ pub struct Failure {
     pub detail: String,
 }
 
-/// Differential trials: three rungs of the [`psp_sim::TRIAL_LENS`] ladder
-/// (trip counts 1, 2 and 7) from base seed 10.
+/// Differential trials: three rungs of the
+/// [`psp_sim::equiv::TRIAL_LENS`] ladder (trip counts 1, 2 and 7) from
+/// base seed 10.
 const EQUIV_TRIALS: usize = 3;
 const EQUIV_SEED: u64 = 10;
 const MAX_CYCLES: u64 = 1_000_000;
@@ -133,10 +134,7 @@ pub fn run_oracle_with(spec: &LoopSpec, engine: EngineKind) -> Result<Features, 
     check_violations("ems", validate_modulo(&ic.spec.live_out, &wide, &ems))?;
     feats.ems_ii = ems.ii.min(255) as u8;
 
-    let cfg = ExactConfig {
-        max_nodes: 20_000,
-        ..ExactConfig::default()
-    };
+    let cfg = ExactConfig { max_nodes: 20_000 };
     let exact = certify(spec, &wide, &cfg, Some(ems.ii));
     match exact.outcome {
         Certification::Certified(ii) => {

@@ -12,8 +12,9 @@
 //!   speculation legality, and issue width on a [`psp_core::Schedule`];
 //! * [`validate_modulo`] — the full re-derived constraint system of a
 //!   [`psp_opt::ModuloSchedule`];
-//! * [`fuzz`] — a corpus-driven mutation fuzzer whose oracle runs every
-//!   technique through every validator and the differential simulator;
+//! * [`fuzz`](mod@fuzz) — a corpus-driven mutation fuzzer whose oracle
+//!   runs every technique through every validator and the differential
+//!   simulator;
 //! * [`reduce`] — delta-debugging any failing loop down to a locally
 //!   minimal, replayable `.psp` reproducer.
 //!

@@ -54,10 +54,7 @@ fn certifier_witnesses_validate() {
     let wide = MachineConfig::paper_default();
     for k in psp_kernels::all_kernels() {
         let ems = psp_baselines::modulo_schedule(&k.spec, &wide);
-        let cfg = ExactConfig {
-            max_nodes: 50_000,
-            ..ExactConfig::default()
-        };
+        let cfg = ExactConfig { max_nodes: 50_000 };
         let exact = certify(&k.spec, &wide, &cfg, Some(ems.ii));
         if let Certification::Certified(ii) = exact.outcome {
             assert!(ii <= ems.ii, "{}: certified {ii} > ems {}", k.name, ems.ii);

@@ -23,10 +23,7 @@ use psp::verify::grammar::build_spec;
 
 /// The exact certifier on a 50K-node budget, hinted with the greedy II.
 fn certify_hinted(spec: &LoopSpec, m: &MachineConfig, ems_ii: u32) -> ExactResult {
-    let cfg = ExactConfig {
-        max_nodes: 50_000,
-        max_ii: None,
-    };
+    let cfg = ExactConfig { max_nodes: 50_000 };
     certify(spec, m, &cfg, Some(ems_ii))
 }
 

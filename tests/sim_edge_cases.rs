@@ -10,12 +10,12 @@
 //! engine — so the decoded fast paths see the same boundary shapes.
 
 use psp::ir::op::build::copy;
-use psp::ir::{CcReg, Reg};
+use psp::ir::{CcReg, CmpOp, Reg, RegRef};
 use psp::machine::{Succ, VliwBlock, VliwTerm};
 use psp::prelude::*;
 use psp::sim::{
-    check_equivalence_with, run_reference_decoded, run_vliw_decoded, trace_vliw, MachineState,
-    Phase, SimError,
+    check_equivalence_with, run_reference_decoded, run_vliw_decoded, trace_vliw, EquivalenceError,
+    MachineState, Phase, SimError,
 };
 
 const ENGINES: [EngineKind; 2] = [EngineKind::Interpreter, EngineKind::Decoded];
@@ -311,5 +311,33 @@ fn cycle_of_empty_blocks_is_a_zero_cycle_loop() {
             want,
             "{p}"
         );
+    }
+}
+
+/// A live-out past the spec's register file, a GPR or a CC, passes
+/// `LoopSpec::validate` and pipelines, but neither run defines it. Both
+/// engines report it as a bad register instead of indexing past the state.
+#[test]
+fn live_out_past_the_register_file_is_a_bad_register() {
+    use psp::ir::op::build;
+    for live_out in [RegRef::Gpr(Reg(1000)), RegRef::Cc(CcReg(1000))] {
+        let mut b = LoopBuilder::new("far_live_out");
+        let n = b.named_reg("n");
+        let k = b.named_reg("k");
+        b.op(build::add(k, k, 1i64));
+        let cc = b.cc();
+        b.op(build::cmp(CmpOp::Ge, cc, k, n));
+        b.break_(cc);
+        let spec = b.finish([n, k], [live_out]);
+        spec.validate().expect("the spec validates");
+        let prog = pipeline_loop(&spec, &PspConfig::default())
+            .expect("psp pipelines")
+            .program;
+        let st = MachineState::new(spec.n_regs, spec.n_ccs);
+        let want = EquivalenceError::Sim(SimError::BadRegister(live_out.to_string()));
+        for engine in ENGINES {
+            let got = check_equivalence_with(&spec, &prog, &st, 1_000, engine);
+            assert_eq!(got.unwrap_err(), want, "{}", engine.label());
+        }
     }
 }
