@@ -1,9 +1,17 @@
 //! Compaction: repeated moveup to the earliest feasible row.
 //!
 //! This is the intra-body percolation pass. Run on the initial schedule it
-//! reproduces the effect of local scheduling with renaming (paper Fig. 1b);
+//! is PSP's counterpart of local scheduling with renaming (paper Fig. 1b);
 //! run after each wrap it re-packs the freed rows, which is where the
 //! pipelining payoff appears.
+//!
+//! It takes the instances in program order, with no priority, and moves
+//! each as early as it can. On the paper machine its rows never exceed
+//! local scheduling's cycles on the kernels and the E12 corpus. On a
+//! narrow machine they can: an instance early in program order may take
+//! the last slot of a row that an instance on the critical path needed.
+//! On `narrow(2,1,1)` the compacted seed has more rows than local
+//! scheduling's maximal II in 29 of the 112 kernel and corpus loops.
 //!
 //! Renaming is powerful but produces a leftover `COPY` each time, so it is
 //! applied judiciously: every round first exhausts rename-free moves

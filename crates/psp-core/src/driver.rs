@@ -447,9 +447,11 @@ impl<'scope, 'env, R: Send + 'scope> Pool<'scope, 'env, R> {
 
 /// Pipeline a loop with the PSP technique.
 ///
-/// Phase A compacts the initial schedule (reproducing local scheduling
-/// with renaming). Phase B performs pipelining rounds: each round wraps
-/// every wrappable row-0 instance across the loop boundary and recompacts;
+/// Phase A compacts the initial schedule, PSP's counterpart of local
+/// scheduling with renaming; on a narrow machine it can take more rows
+/// than local scheduling takes cycles (see the [`compact`](mod@crate::compact)
+/// module). Phase B performs pipelining rounds: each round wraps every
+/// wrappable row-0 instance across the loop boundary and recompacts;
 /// the best schedule seen (by [`Score`]) is retained — a single wrap is
 /// rarely an immediate win, so rounds are speculative up to
 /// [`PspConfig::max_depth`]. Phase C greedily applies strictly improving

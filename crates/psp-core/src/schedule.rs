@@ -156,7 +156,7 @@ impl Schedule {
     /// path). Keys an IF of the row computes do not count (see `row_fits`).
     pub fn row_resource_ok(&self, r: usize, m: &MachineConfig) -> bool {
         match self.rows.get(r) {
-            Some(row) => row_fits(row, None, m),
+            Some(row) => row_fits(row, None, None, m),
             None => true,
         }
     }
@@ -185,16 +185,26 @@ impl Schedule {
     }
 }
 
-/// Resource feasibility of `row` with `extra` added to it (see
-/// [`Schedule::row_resource_ok`]). A class's members are counted first; the
-/// clique search runs only when they outnumber the class's slots.
+/// Resource feasibility of `row` without the instance `without` and with
+/// `extra` added to it (see [`Schedule::row_resource_ok`]). A class's
+/// members are counted first; the clique search runs only when they
+/// outnumber the class's slots.
 ///
 /// A predicate an IF of this row computes (`extra` included) is dispatched
 /// only after the row has issued, so the clique search ignores its key:
 /// instances disjoint only there sit on two subtrees of one tree
 /// instruction, and both take a slot.
-pub(crate) fn row_fits(row: &[Instance], extra: Option<&Instance>, m: &MachineConfig) -> bool {
-    let all = || row.iter().chain(extra);
+pub(crate) fn row_fits(
+    row: &[Instance],
+    without: Option<InstId>,
+    extra: Option<&Instance>,
+    m: &MachineConfig,
+) -> bool {
+    let all = || {
+        row.iter()
+            .filter(move |i| Some(i.id) != without)
+            .chain(extra)
+    };
     let row_keys = || {
         PredicateMatrix::from_entries(all().filter_map(|i| Some((i.computes_if?, i.index, true))))
     };
@@ -393,19 +403,19 @@ mod tests {
         iff.computes_if = Some(0);
         let pair = [copy(0, true), copy(1, false)];
         // The IF sits in an earlier row: the pair lies in two blocks.
-        assert!(row_fits(&pair, None, &m));
+        assert!(row_fits(&pair, None, None, &m));
         // The IF computes the key in this row, in the row or as `extra`:
         // both subtrees of one tree instruction issue, two ALU slots.
         let with_if = [pair[0].clone(), pair[1].clone(), iff.clone()];
-        assert!(!row_fits(&with_if, None, &m));
-        assert!(!row_fits(&pair, Some(&iff), &m));
+        assert!(!row_fits(&with_if, None, None, &m));
+        assert!(!row_fits(&pair, None, Some(&iff), &m));
         // An IF of this row computing another key changes nothing.
         iff.computes_if = Some(1);
-        assert!(row_fits(&pair, Some(&iff), &m));
+        assert!(row_fits(&pair, None, Some(&iff), &m));
         // Nor does one computing the same row of another iteration.
         iff.computes_if = Some(0);
         iff.index = 1;
-        assert!(row_fits(&pair, Some(&iff), &m));
+        assert!(row_fits(&pair, None, Some(&iff), &m));
     }
 
     #[test]
@@ -453,7 +463,11 @@ mod tests {
                     MachineConfig::paper_default(),
                     MachineConfig::narrow(1, 1, 1),
                 ] {
-                    assert_eq!(row_fits(&r, None, &m), fits, "{label}, {n} members, {m:?}");
+                    assert_eq!(
+                        row_fits(&r, None, None, &m),
+                        fits,
+                        "{label}, {n} members, {m:?}"
+                    );
                 }
             }
         }

@@ -414,7 +414,7 @@ fn latency_ok(rows: &[Vec<Instance>], x: &Instance, row: usize, machine: &Machin
 /// Resource feasibility of adding `x` to `row`.
 fn resource_ok(rows: &[Vec<Instance>], x: &Instance, row: usize, machine: &MachineConfig) -> bool {
     match rows.get(row) {
-        Some(r) => row_fits(r, Some(x), machine),
+        Some(r) => row_fits(r, None, Some(x), machine),
         None => true,
     }
 }
@@ -440,8 +440,8 @@ fn placement_ok(
         if cur - target < flow_latency(moved, machine) {
             return Err(MoveError::Latency);
         }
-        // It also needs a slot there.
-        if !resource_ok(rows, copy, cur, machine) {
+        // It also needs a slot there: the mover's own, which it frees.
+        if !row_fits(&rows[cur], Some(moved.id), Some(copy), machine) {
             return Err(MoveError::Resource);
         }
     }
@@ -680,7 +680,11 @@ pub fn wrap_up(sched: &mut Schedule, id: InstId, machine: &MachineConfig) -> Res
         if sched.n_rows() < flow_latency(&moved, machine) {
             return Err(MoveError::Latency);
         }
-        // And it needs a free slot there.
+        // And it needs a free slot there, beside the wrapped instance. The
+        // copy could take the wrapped instance's own slot, as a moveup's
+        // does; but the wraps that this admits out of a full row 0 won no
+        // cycle on the kernels or the E12 corpus, cost `count_above` a
+        // cycle on narrow machines and slowed E12 `wide` (EXPERIMENTS E12).
         if !resource_ok(&sched.rows, copy, 0, machine) {
             return Err(MoveError::Resource);
         }
@@ -1007,6 +1011,101 @@ mod tests {
             .find(|i| matches!(i.op().kind, OpKind::Copy { .. }))
             .unwrap();
         assert_eq!(leftover.op().uses(), vec![psp_ir::RegRef::Gpr(fresh)]);
+    }
+
+    /// vecmin with `COPY R2, R1` and `ADD R1, R1, #1` in the IF row: on
+    /// `narrow(2,1,1)` they take both ALUs of the row.
+    fn vecmin_full_if_row() -> Schedule {
+        let mut s = vecmin_sched();
+        let add = s.rows.remove(5).remove(0);
+        let copy = s.rows.remove(4).remove(0);
+        s.rows[3].extend([copy, add]);
+        s
+    }
+
+    #[test]
+    fn a_renamed_move_frees_its_own_slot() {
+        let narrow = MachineConfig::narrow(2, 1, 1);
+        let mut s = vecmin_full_if_row();
+        let add = s.rows[3][2].id;
+        s.validate_resources(&narrow).unwrap();
+        // Crossing `COPY R2, R1` renames the ADD; the leftover `COPY R1,
+        // R5` takes the ADD's slot in the IF row, so the row stays full
+        // but within the machine.
+        moveup(&mut s, add, 0, &narrow).unwrap();
+        let moved = s.instance(add).unwrap();
+        assert_eq!(s.find(add).unwrap().0, 0, "\n{s}");
+        assert_ne!(moved.def(), Some(RegRef::Gpr(Reg(1))), "\n{s}");
+        assert_eq!(s.rows[3].len(), 3, "\n{s}");
+        assert!(
+            matches!(s.rows[3][2].op().kind, OpKind::Copy { .. }),
+            "\n{s}"
+        );
+        s.validate_resources(&narrow).unwrap();
+    }
+
+    #[test]
+    fn a_move_that_does_not_rename_into_a_full_row_is_refused() {
+        // LOAD R4 needs no fix to join LOAD R3, but 2/1/1 has one memory
+        // unit.
+        let narrow = MachineConfig::narrow(2, 1, 1);
+        let mut s = vecmin_sched();
+        let load = id_at(&s, 1);
+        assert_eq!(moveup(&mut s, load, 0, &narrow), Err(MoveError::Resource));
+        assert_eq!(s.render(), vecmin_sched().render());
+        // The renamed ADD still needs a free slot where it lands: with both
+        // ALUs of row 0 taken, it is refused there.
+        let mut s = vecmin_full_if_row();
+        let add = s.rows[3][2].id;
+        for (i, value) in [7i64, 8].into_iter().enumerate() {
+            let filler = Instance::new(
+                InstId(100 + i as u64),
+                build::copy(Reg(9 + i as u32), value),
+                PredicateMatrix::universe(),
+                0,
+            );
+            s.rows[0].push(filler);
+        }
+        assert_eq!(moveup(&mut s, add, 0, &narrow), Err(MoveError::Resource));
+    }
+
+    #[test]
+    fn a_renamed_wrap_out_of_a_full_row_zero_is_refused() {
+        // `ADD s, s, k` and `ADD k, k, #1` fill row 0's two ALUs. Wrapping
+        // the second renames it (the first reads k earlier in program
+        // order), and its leftover `COPY k, k'` would need a third ALU in
+        // row 0: `wrap_up` counts the wrapped instance too. With a third
+        // ALU the wrap goes through.
+        let mut b = psp_ir::LoopBuilder::new("full_row0");
+        let k = b.named_reg("k");
+        let n = b.named_reg("n");
+        let s_reg = b.named_reg("s");
+        let cc = b.cc();
+        b.op(build::add(s_reg, s_reg, k));
+        b.op(build::add(k, k, 1i64));
+        b.op(build::ge(cc, k, n));
+        b.break_(cc);
+        let spec = b.finish([k, n, s_reg], [s_reg]);
+        let narrow = MachineConfig::narrow(2, 1, 1);
+        let mut s = Schedule::initial(&spec);
+        let inc = id_at(&s, 1);
+        moveup(&mut s, inc, 0, &narrow).unwrap();
+        prune_stalls(&mut s, &narrow);
+        assert_eq!(s.rows[0].len(), 2, "\n{s}");
+        let full = s.render();
+        assert_eq!(wrap_up(&mut s, inc, &narrow), Err(MoveError::Resource));
+        assert_eq!(s.render(), full);
+        let wider = MachineConfig::narrow(3, 1, 1);
+        wrap_up(&mut s, inc, &wider).unwrap();
+        assert_eq!(s.find(inc).unwrap().0, s.n_rows() - 1, "\n{s}");
+        assert_eq!(s.instance(inc).unwrap().index, 1);
+        assert!(
+            s.rows[0]
+                .iter()
+                .any(|i| matches!(i.op().kind, OpKind::Copy { .. })),
+            "\n{s}"
+        );
+        s.validate_resources(&wider).unwrap();
     }
 
     #[test]

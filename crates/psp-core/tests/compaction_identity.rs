@@ -64,40 +64,46 @@ type Row = (
 /// The n_regs column went down on 13 narrow211 rows and on synthetic6 on
 /// paper when a refused move stopped taking a fresh register: only a
 /// committed rename draws one now.
+/// When a renamed moveup's leftover `COPY` came to take the mover's own
+/// slot, 13 narrow211 rows and bubble_pass on paper moved: more renamed
+/// moves succeed, in the seeds and in the trials. vecmin, find_first,
+/// clamp_store, sign_store, threshold_store and mac_cond on narrow211 end
+/// with one more register (a rename that was refused now commits); no
+/// row count moved.
 #[rustfmt::skip]
 const EXPECTED: &[Row] = &[
     ("vecmin", "paper", [53, 19, 1, 32, 5], 1959, 177, 7, 2, 11),
-    ("vecmin", "narrow211", [46, 12, 0, 23, 7], 1469, 173, 5, 3, 8),
+    ("vecmin", "narrow211", [48, 13, 0, 28, 6], 1959, 186, 6, 3, 9),
     ("cond_sum", "paper", [33, 16, 0, 23, 4], 820, 86, 6, 1, 8),
-    ("cond_sum", "narrow211", [26, 9, 0, 17, 4], 720, 65, 5, 2, 7),
+    ("cond_sum", "narrow211", [29, 10, 0, 18, 5], 988, 84, 5, 2, 7),
     ("count_above", "paper", [27, 15, 0, 22, 4], 529, 74, 5, 1, 7),
-    ("count_above", "narrow211", [29, 11, 0, 23, 6], 966, 79, 5, 2, 7),
+    ("count_above", "narrow211", [30, 11, 0, 23, 6], 1010, 81, 5, 2, 7),
     ("clamp_store", "paper", [73, 18, 0, 52, 6], 3778, 441, 7, 3, 13),
-    ("clamp_store", "narrow211", [63, 11, 0, 31, 4], 4089, 367, 7, 4, 13),
+    ("clamp_store", "narrow211", [71, 12, 0, 38, 5], 6179, 608, 8, 4, 14),
     ("sat_add", "paper", [42, 19, 0, 28, 5], 1523, 247, 5, 3, 8),
-    ("sat_add", "narrow211", [38, 9, 0, 19, 5], 1152, 154, 5, 4, 8),
+    ("sat_add", "narrow211", [41, 10, 0, 20, 5], 1407, 178, 5, 4, 8),
     ("abs_sum", "paper", [52, 27, 0, 42, 5], 2322, 211, 7, 2, 11),
     ("abs_sum", "narrow211", [41, 11, 0, 22, 5], 1612, 103, 5, 3, 9),
     ("runmax", "paper", [44, 17, 0, 25, 4], 1521, 125, 8, 2, 11),
-    ("runmax", "narrow211", [44, 11, 0, 20, 5], 1586, 140, 6, 3, 9),
+    ("runmax", "narrow211", [45, 11, 0, 20, 5], 1626, 142, 6, 3, 9),
     ("sign_store", "paper", [36, 14, 0, 30, 4], 1001, 92, 5, 1, 10),
-    ("sign_store", "narrow211", [34, 7, 0, 22, 3], 1151, 72, 4, 3, 9),
+    ("sign_store", "narrow211", [37, 8, 0, 23, 3], 1358, 116, 5, 3, 10),
     ("two_cond", "paper", [56, 27, 0, 39, 5], 2949, 229, 9, 2, 12),
     ("two_cond", "narrow211", [52, 12, 0, 33, 6], 3191, 267, 7, 3, 10),
     ("find_first", "paper", [35, 14, 0, 26, 4], 1020, 88, 7, 1, 10),
-    ("find_first", "narrow211", [29, 8, 0, 21, 4], 853, 64, 5, 3, 8),
+    ("find_first", "narrow211", [37, 10, 0, 26, 6], 1698, 145, 6, 3, 9),
     ("skewed", "paper", [37, 17, 0, 24, 4], 1123, 92, 7, 1, 9),
     ("skewed", "narrow211", [39, 12, 0, 20, 5], 1660, 119, 6, 3, 8),
     ("dot_cond", "paper", [62, 33, 0, 42, 5], 2254, 144, 9, 1, 12),
-    ("dot_cond", "narrow211", [51, 12, 0, 16, 4], 1637, 111, 8, 4, 11),
+    ("dot_cond", "narrow211", [51, 12, 0, 16, 4], 1666, 110, 8, 4, 11),
     ("threshold_store", "paper", [37, 13, 0, 33, 4], 1305, 86, 7, 1, 11),
-    ("threshold_store", "narrow211", [35, 7, 0, 23, 3], 1493, 86, 6, 3, 10),
-    ("bubble_pass", "paper", [53, 14, 0, 45, 5], 7015, 222, 8, 2, 15),
-    ("bubble_pass", "narrow211", [59, 8, 0, 30, 5], 5088, 318, 6, 5, 13),
+    ("threshold_store", "narrow211", [38, 7, 0, 23, 3], 1653, 146, 7, 3, 11),
+    ("bubble_pass", "paper", [58, 16, 0, 47, 5], 8166, 256, 8, 2, 15),
+    ("bubble_pass", "narrow211", [63, 9, 0, 31, 5], 5686, 405, 6, 5, 13),
     ("minmax", "paper", [46, 18, 0, 27, 4], 1786, 204, 6, 2, 11),
-    ("minmax", "narrow211", [48, 12, 0, 27, 5], 2663, 227, 5, 3, 10),
+    ("minmax", "narrow211", [49, 12, 0, 27, 5], 2718, 228, 5, 3, 10),
     ("mac_cond", "paper", [62, 33, 0, 42, 5], 2250, 144, 10, 1, 12),
-    ("mac_cond", "narrow211", [37, 11, 0, 18, 4], 1503, 96, 7, 3, 9),
+    ("mac_cond", "narrow211", [47, 12, 0, 18, 4], 1853, 173, 8, 3, 10),
     ("synthetic4", "paper", [88, 38, 0, 57, 5], 12859, 1088, 9, 2, 18),
     ("synthetic4", "narrow211", [88, 12, 0, 40, 5], 9098, 412, 7, 5, 16),
     ("synthetic6", "paper", [123, 43, 0, 68, 5], 27054, 2834, 11, 2, 24),
@@ -185,7 +191,9 @@ type ProfileRow = (&'static str, u64, [usize; 5], Option<(usize, usize)>, u64);
 /// that block the mover; no score or II range moved. runmax improved when
 /// compaction came to count a slot per subtree of a row's own IF (the
 /// search visits different schedules): score 2.0 → 1.4,
-/// II range (2, 2) → (1, 2).
+/// II range (2, 2) → (1, 2). bubble_pass's counters moved when a renamed
+/// moveup's leftover `COPY` came to take the mover's own slot; its score
+/// and II range did not.
 #[rustfmt::skip]
 const EXPECTED_PROFILE: &[ProfileRow] = &[
     ("vecmin", 4611686018427387904, [53, 19, 1, 32, 5], Some((2, 2)), 4619679907765970534),
@@ -201,7 +209,7 @@ const EXPECTED_PROFILE: &[ProfileRow] = &[
     ("skewed", 4607182418800017408, [37, 17, 0, 24, 4], Some((1, 1)), 4619792497756654797),
     ("dot_cond", 4607182418800017408, [62, 33, 0, 42, 5], Some((1, 1)), 4620017677738023322),
     ("threshold_store", 4607182418800017408, [37, 13, 0, 33, 4], Some((1, 1)), 4619567317775286272),
-    ("bubble_pass", 4611686018427387904, [53, 14, 0, 45, 5], Some((2, 2)), 4621256167635550208),
+    ("bubble_pass", 4611686018427387904, [58, 16, 0, 47, 5], Some((2, 2)), 4621256167635550208),
     ("minmax", 4611686018427387904, [46, 18, 0, 27, 4], Some((2, 2)), 4621256167635550208),
     ("mac_cond", 4607182418800017408, [62, 33, 0, 42, 5], Some((1, 1)), 4620468037700760371),
 ];
