@@ -158,11 +158,7 @@ mod tests {
         for kernel in all_kernels() {
             let s = modulo_schedule(&kernel.spec, &m);
             let ic = if_convert(&kernel.spec);
-            assert!(
-                s.ii >= ModuloSchedule::res_mii(&ic.ops, &m),
-                "{}",
-                kernel.name
-            );
+            assert!(s.ii >= psp_opt::res_mii(&ic.ops, &m), "{}", kernel.name);
         }
     }
 

@@ -55,8 +55,10 @@ fn main() {
         println!();
     }
 
-    // Latency hiding: longer load latencies stall the local schedule but
-    // software pipelining overlaps them with the previous iteration.
+    // Load latency: a path waits for its loads to land before its back
+    // edge (the machine's latency rule), so neither technique hides the
+    // latency across iterations; PSP overlaps the loads with the rest of
+    // the body and stays at or under local scheduling.
     println!("load-latency sensitivity (wide issue, vecmin):");
     println!("  {:<10} {:>12} {:>12}", "load lat", "local", "psp");
     let kernel = by_name("vecmin").unwrap();

@@ -23,6 +23,12 @@
 //!    loop-back linkage rule;
 //! 5. empty jump-only blocks are deleted.
 //!
+//! Each block tracks the writes in flight on its path and applies the
+//! machine's latency rule ([`InFlight`]): empty cycles before a row that
+//! touches a register in flight, and at the end of a back-edge block until
+//! nothing is in flight. A row the block skips takes no cycle, so latency
+//! is counted in cycles on each path, not in rows.
+//!
 //! A placement is checked for speculative conflicts once, against the
 //! placements before it on its block's path; children share their parent's
 //! placement history instead of copying it. The generator refuses a
@@ -32,7 +38,8 @@
 //!
 //! The *preloop* (startup code) re-executes, once per level of pipelining,
 //! the wrapped instances (operation index ≥ 1) that the steady state
-//! assumes were issued by earlier iterations; a dispatch chain then enters
+//! assumes were issued by earlier iterations, with the waits of the latency
+//! rule between its cycles and after them; a dispatch chain then enters
 //! the steady state through the entry block selected by the predicates the
 //! preloop computed. No postloop is needed: the transformation rules forbid
 //! any motion that would require exit compensation.
@@ -40,7 +47,7 @@
 use crate::instance::Instance;
 use crate::schedule::Schedule;
 use psp_ir::{Guard, Operation, RegList};
-use psp_machine::{BlockId, MachineConfig, Succ, VliwBlock, VliwLoop, VliwTerm};
+use psp_machine::{BlockId, InFlight, MachineConfig, Succ, VliwBlock, VliwLoop, VliwTerm};
 use psp_predicate::{PredAvailability, PredicateMatrix};
 use std::fmt;
 
@@ -125,6 +132,8 @@ struct OpenBlock {
     /// The last placement on this block's path, in [`generate`]'s
     /// placement history.
     placed: Option<usize>,
+    /// The writes in flight at the end of the block's cycles.
+    flight: InFlight,
 }
 
 /// One placed instance, as the conflict check reads it: an entry of the
@@ -282,6 +291,7 @@ pub fn generate(sched: &Schedule, machine: &MachineConfig) -> Result<VliwLoop, C
     // *before* the exponential block walk: a schedule whose contract cannot
     // be established is rejected at linear cost.
     let (prologue, dispatch_map) = crate::preloop::build_preloop(sched, &incoming)?;
+    let prologue = machine.with_waits(prologue);
 
     // --- entry blocks ------------------------------------------------------
     if incoming.len() > MAX_ENTRY_SPLITS {
@@ -301,6 +311,7 @@ pub fn generate(sched: &Schedule, machine: &MachineConfig) -> Result<VliwLoop, C
             matrix: m.clone(),
             cycles: Vec::new(),
             placed: None,
+            flight: InFlight::default(),
         })
         .collect();
     let entry_tokens: Vec<Token> = open.iter().map(|b| b.token).collect();
@@ -350,6 +361,8 @@ pub fn generate(sched: &Schedule, machine: &MachineConfig) -> Result<VliwLoop, C
                 return Err(CodegenError::SpeculativeConflict);
             }
             if !cycle.is_empty() {
+                let wait = block.flight.issue(&cycle, machine);
+                push_empty(&mut block.cycles, wait);
                 block.cycles.push(cycle);
             }
             if row_ifs.is_empty() {
@@ -380,6 +393,7 @@ pub fn generate(sched: &Schedule, machine: &MachineConfig) -> Result<VliwLoop, C
                         matrix: m,
                         cycles: Vec::new(),
                         placed: block.placed,
+                        flight: block.flight.clone(),
                     },
                 )?;
             }
@@ -392,7 +406,8 @@ pub fn generate(sched: &Schedule, machine: &MachineConfig) -> Result<VliwLoop, C
         }
         open = next_open;
     }
-    for block in open {
+    for mut block in open {
+        push_empty(&mut block.cycles, block.flight.drain());
         done.push(Done {
             token: block.token,
             matrix: block.matrix,
@@ -494,6 +509,11 @@ pub fn generate(sched: &Schedule, machine: &MachineConfig) -> Result<VliwLoop, C
     cleanup_empty_jump_blocks(&mut result);
     result.validate(machine).map_err(CodegenError::Resource)?;
     Ok(result)
+}
+
+/// Append `n` empty cycles: waits of the latency rule.
+fn push_empty(cycles: &mut Vec<Vec<Operation>>, n: u32) {
+    cycles.extend(std::iter::repeat_with(Vec::new).take(n as usize));
 }
 
 /// The most open paths the steady-state walk that scores a schedule
@@ -717,7 +737,7 @@ mod tests {
         // one cycle shorter, in the walk and in the generated loop alike.
         let kernel = by_name("vecmin").unwrap();
         let sched = Schedule::initial(&kernel.spec);
-        let walked = |p: f64| score_schedule(&sched, Some(&[p])).unwrap().primary;
+        let walked = |p: f64| score_schedule(&sched, &m(), Some(&[p])).unwrap().primary;
         assert_eq!((walked(0.0), walked(1.0)), (7.0, 8.0));
         assert_eq!(generate(&sched, &m()).unwrap().ii_range(), Some((7, 8)));
     }

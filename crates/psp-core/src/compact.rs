@@ -21,17 +21,19 @@
 //!
 //! Most moveup attempts are refused and most sweeps move nothing, so one
 //! compaction remembers each refusal (`Refusal`): the rows the attempt
-//! read, from the row that blocked it down to the mover's own; whether a
-//! landing reached the latency check, which reads every producer; and
-//! whether the policy refused a rename. The instance is not planned again
-//! until a move changes a row the refusal read.
-//! A refusal that reached the latency check is forgotten at any move
-//! (moving a producer up lengthens its back-edge distance), and a pruned
-//! stall forgets them all (row numbers shift).
+//! read, from the row that blocked it down to the mover's own, and whether
+//! the policy refused a rename. The instance is not planned again until a
+//! move changes a row the refusal read; a pruned empty row forgets them
+//! all (row numbers shift).
+//!
+//! Compaction knows no latency: rows are packed as if every result were
+//! ready in the next cycle. The latency rule ([`psp_machine::InFlight`])
+//! is applied per path, where code generation emits its waits and the
+//! schedule walk counts them.
 
 use crate::instance::InstId;
 use crate::schedule::Schedule;
-use crate::transform::{moveup_earliest, prune_stalls, MovePolicy, Refusal};
+use crate::transform::{moveup_earliest, MovePolicy, Refusal};
 use psp_machine::MachineConfig;
 
 /// A refused moveup remembered within one [`compact`] call: the policy it
@@ -69,10 +71,10 @@ impl Refusals {
     }
 
     /// Forget every refusal that read a row a move from `cur` to `target`
-    /// changed, and every refusal that reached the latency check.
+    /// changed.
     fn moved(&mut self, cur: usize, target: usize) {
         for slot in &mut self.0 {
-            if slot.is_some_and(|r| r.read.placed || r.read.reads(cur) || r.read.reads(target)) {
+            if slot.is_some_and(|r| r.read.reads(cur) || r.read.reads(target)) {
                 *slot = None;
             }
         }
@@ -106,18 +108,18 @@ fn sweep(
     moves
 }
 
-/// Prune stall rows; row numbers shift when one goes, so every remembered
+/// Drop empty rows; row numbers shift when one goes, so every remembered
 /// refusal is forgotten.
-fn prune(sched: &mut Schedule, machine: &MachineConfig, refusals: &mut Refusals) {
+fn prune(sched: &mut Schedule, refusals: &mut Refusals) {
     let n_rows = sched.n_rows();
-    prune_stalls(sched, machine);
+    sched.prune_empty_rows();
     if sched.n_rows() != n_rows {
         refusals.0.clear();
     }
 }
 
 /// Move every instance as early as dependences, speculation rules, and
-/// resources allow; prune stall rows. Returns the number of moves applied.
+/// resources allow; drop empty rows. Returns the number of moves applied.
 /// `allow_rename: false` is the ablation of the paper's "local scheduling
 /// *with renaming*".
 pub fn compact(sched: &mut Schedule, machine: &MachineConfig, allow_rename: bool) -> usize {
@@ -129,7 +131,7 @@ pub fn compact(sched: &mut Schedule, machine: &MachineConfig, allow_rename: bool
         loop {
             let n = sweep(sched, machine, MovePolicy::FREE, &mut refusals);
             total += n;
-            prune(sched, machine, &mut refusals);
+            prune(sched, &mut refusals);
             if n == 0 || total >= cap {
                 break;
             }
@@ -140,7 +142,7 @@ pub fn compact(sched: &mut Schedule, machine: &MachineConfig, allow_rename: bool
         // One rename-allowed sweep; if it finds nothing, we are done.
         let n = sweep(sched, machine, MovePolicy::RENAME, &mut refusals);
         total += n;
-        prune(sched, machine, &mut refusals);
+        prune(sched, &mut refusals);
         if n == 0 || total >= cap {
             return total;
         }
@@ -151,7 +153,7 @@ pub fn compact(sched: &mut Schedule, machine: &MachineConfig, allow_rename: bool
 mod tests {
     use super::*;
     use crate::schedule::Schedule;
-    use crate::transform::{apply, prune_stalls_reference, split_candidates, Transformation};
+    use crate::transform::{apply, split_candidates, Transformation};
     use psp_ir::op::build;
     use psp_ir::{LoopBuilder, LoopSpec, Reg, RegRef};
     use psp_kernels::synthetic;
@@ -160,10 +162,8 @@ mod tests {
         MachineConfig::paper_default()
     }
 
-    /// Compaction without the refusal memo or the latency edge list: every
-    /// instance is re-planned on every sweep, and every stall removal
-    /// re-checks each latency in the schedule. [`compact`] must reproduce
-    /// the reference move for move.
+    /// Compaction without the refusal memo: every instance is re-planned on
+    /// every sweep. [`compact`] must reproduce the reference move for move.
     fn reference_compact(
         sched: &mut Schedule,
         machine: &MachineConfig,
@@ -181,7 +181,7 @@ mod tests {
             loop {
                 let n = sweep(sched, MovePolicy::FREE);
                 total += n;
-                prune_stalls_reference(sched, machine);
+                sched.prune_empty_rows();
                 if n == 0 || total >= cap {
                     break;
                 }
@@ -191,7 +191,7 @@ mod tests {
             }
             let n = sweep(sched, MovePolicy::RENAME);
             total += n;
-            prune_stalls_reference(sched, machine);
+            sched.prune_empty_rows();
             if n == 0 || total >= cap {
                 return total;
             }
@@ -380,8 +380,6 @@ mod tests {
             compact(&mut s, &m(), true);
             assert!(s.n_rows() <= initial_rows, "{}", kernel.name);
             s.validate_resources(&m())
-                .unwrap_or_else(|e| panic!("{}: {e}", kernel.name));
-            crate::transform::validate_latencies(&s, &m())
                 .unwrap_or_else(|e| panic!("{}: {e}", kernel.name));
         }
     }

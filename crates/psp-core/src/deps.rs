@@ -213,7 +213,7 @@ pub fn check_pair(
             } else {
                 (
                     Permission::No("true dependence"),
-                    Permission::No("producer latency"),
+                    Permission::No("consumer in its producer's cycle"),
                 )
             };
             check = check.and(PairCheck { above, same });
@@ -372,12 +372,6 @@ fn footprint_is_current(x: &Instance) -> bool {
     x.def().as_slice() == x.op().defs().as_slice() && x.uses() == x.op().uses().as_slice()
 }
 
-/// Producer latency check helper: the earliest row `x` may occupy given a
-/// flow producer `y` at `row_y` (same iteration frame).
-pub fn flow_latency(y: &Instance, machine: &MachineConfig) -> usize {
-    machine.latency(y.op()) as usize
-}
-
 /// Whether `y` produces a register value that `x` consumes *in program
 /// order* (y precedes x and their path sets overlap).
 pub fn is_flow(y: &Instance, x: &Instance) -> bool {
@@ -391,9 +385,8 @@ pub fn is_flow(y: &Instance, x: &Instance) -> bool {
 }
 
 /// Whether `y` defines a register that `x` reads, regardless of program
-/// order — the conservative relation used for latency accounting (a
-/// consumer must issue at least the producer's latency after *any* write
-/// that may reach it, including cross-iteration supplies).
+/// order (a write may reach the read within the iteration or across the
+/// back edge).
 pub fn writes_read_by(y: &Instance, x: &Instance) -> bool {
     y.def().is_some_and(|d| x.uses().contains(&d))
 }

@@ -228,7 +228,7 @@ struct Scored {
 /// Score `sched` exactly from its steady-state walk.
 fn score(sched: &Schedule, cfg: &PspConfig, times: &mut PhaseTimes) -> Result<Score, CodegenError> {
     let t0 = Instant::now();
-    let s = score_schedule(sched, cfg.probs.as_deref());
+    let s = score_schedule(sched, &cfg.machine, cfg.probs.as_deref());
     times.score += t0.elapsed();
     s
 }

@@ -10,14 +10,16 @@
 //! from one walk of the schedule's steady state, so scoring never needs the
 //! generated program.
 //!
-//! The walk replays the generator's block matrices row by row, but it
-//! merges paths. After a row that leaves more than a few open states (and,
-//! after a merge, more than twice as many as the merge left), it projects
-//! every state's matrix onto the keys the rest of the walk reads:
-//! the formal keys of later instances, the split keys of later IFs, and the
-//! back-edge keys. States with the same entry and the same projection have
-//! the same future, so they merge into one state that carries the tallies
-//! the objectives need. The work is bounded by the states, which stay few
+//! The walk replays the generator's block matrices row by row, with the
+//! writes in flight on each path and the empty cycles the machine's latency
+//! rule makes it wait ([`InFlight`]), but it merges paths. After a row that
+//! leaves more than a few open states (and, after a merge, more than twice
+//! as many as the merge left), it projects every state's matrix onto the
+//! keys the rest of the walk reads: the formal keys of later instances, the
+//! split keys of later IFs, and the back-edge keys. States with the same
+//! entry, the same projection and the same writes in flight have the same
+//! future, so they merge into one state that carries the tallies the
+//! objectives need. The work is bounded by the states, which stay few
 //! when IF outcomes are read soon after they are computed; the path cap
 //! ([`MAX_WALK_PATHS`]) still counts paths, because code generation emits
 //! one block per path.
@@ -26,8 +28,11 @@ use crate::codegen::{
     entry_matrices, fan_out, incoming_predicates, CodegenError, ENTRY_SPLIT, MAX_ENTRY_SPLITS,
     MAX_WALK_PATHS, NO_IF_ROW,
 };
+use crate::instance::Instance;
 use crate::schedule::Schedule;
+use psp_machine::{InFlight, MachineConfig};
 use psp_predicate::{PredElem, PredicateMatrix};
+use std::collections::HashMap;
 
 /// A schedule's figure of merit. Lower is better, compared
 /// lexicographically.
@@ -131,7 +136,8 @@ impl Tally {
     }
 }
 
-/// Open paths of the walk with one entry and one matrix.
+/// Open paths of the walk with one entry, one matrix and one set of writes
+/// in flight.
 #[derive(Debug, Clone)]
 struct State {
     /// Index of the entry matrix the paths started from.
@@ -139,7 +145,40 @@ struct State {
     /// The paths' matrix; once projected, restricted to the keys later rows
     /// and the back edge read.
     matrix: PredicateMatrix,
+    /// The writes in flight after the paths' last cycle ([`Flights`]).
+    flight: usize,
     tally: Tally,
+}
+
+/// The sets of writes in flight one walk meets, each stored once: a state
+/// holds its set's index, so states copy and compare it as a number. Index
+/// 0 is nothing in flight, the only set at unit latency. (States that held
+/// the sets themselves made the walk about 10% slower at unit latency.)
+struct Flights {
+    sets: Vec<InFlight>,
+    ids: HashMap<InFlight, usize>,
+}
+
+impl Flights {
+    fn new() -> Self {
+        Self {
+            sets: vec![InFlight::default()],
+            ids: HashMap::new(),
+        }
+    }
+
+    /// The index of `set`, stored on first sight.
+    fn id(&mut self, set: InFlight) -> usize {
+        if set.is_empty() {
+            return 0;
+        }
+        if let Some(&id) = self.ids.get(&set) {
+            return id;
+        }
+        self.sets.push(set.clone());
+        self.ids.insert(set, self.sets.len() - 1);
+        self.sets.len() - 1
+    }
 }
 
 impl State {
@@ -171,9 +210,10 @@ impl State {
 /// loops 2-2.5× slower, and ran the E12 workloads no faster.
 const MERGE_AT: usize = 4;
 
-/// Merge the states that share an entry and a matrix. Sorting by a
-/// fingerprint makes equal states adjacent; a fingerprint collision can
-/// only leave two equal states unmerged, which costs work, not exactness.
+/// Merge the states that share an entry, a matrix and the writes in
+/// flight. Sorting by a fingerprint makes equal states adjacent; a
+/// fingerprint collision can only leave two equal states unmerged, which
+/// costs work, not exactness.
 /// (Sorting by the matrices' own `Ord`, or by their `Hash` through std's
 /// `DefaultHasher`, made the walk about 40% or 15% slower on the
 /// synthetic loops.)
@@ -187,10 +227,11 @@ fn merge(states: &mut Vec<State>) {
                 let e = u64::from(r) << 33 | u64::from(c as u32) << 1 | u64::from(v);
                 (h ^ e).wrapping_mul(0x0100_0000_01b3)
             });
-        (s.entry, h)
+        (s.entry, s.flight, h)
     });
     states.dedup_by(|later, kept| {
-        let same = later.entry == kept.entry && later.matrix == kept.matrix;
+        let same =
+            later.entry == kept.entry && later.flight == kept.flight && later.matrix == kept.matrix;
         if same {
             kept.tally.absorb(&later.tally);
         }
@@ -225,23 +266,28 @@ fn live_keys(sched: &Schedule, incoming: &[(u32, i32)], i: usize) -> PredicateMa
 ///
 /// Replays exactly the generator's block-matrix evolution — the universe
 /// split on every incoming predicate at entry, one cycle per row holding a
-/// compatible instance, a fan-out on every compatible IF of a row, a back
-/// edge resolved by matching the `shifted(-1)` final matrix against the
-/// entry matrices — with no instance placement, guard assignment or
-/// conflict check. Every walked path exists verbatim in the generated
-/// program; a path is a steady-state path iff its entry receives some back
-/// edge. After a row that leaves more than [`MERGE_AT`] states, and more
-/// than twice as many as the last merge left, every state is projected and
-/// equal states merge; under a profile, each state's weights carry the
-/// factors of the elements projected away, and the factors of its final
-/// matrix are left to the objective.
+/// compatible instance after the latency rule's waits for it, a fan-out on
+/// every compatible IF of a row, the waits until nothing is in flight
+/// before a back edge, which is resolved by matching the `shifted(-1)`
+/// final matrix against the entry matrices — with no instance placement,
+/// guard assignment or conflict check. Every walked path exists verbatim in
+/// the generated program; a path is a steady-state path iff its entry
+/// receives some back edge. After a row that leaves more than [`MERGE_AT`]
+/// states, and more than twice as many as the last merge left, every state
+/// is projected and equal states merge; under a profile, each state's
+/// weights carry the factors of the elements projected away, and the
+/// factors of its final matrix are left to the objective.
 ///
 /// The errors are those `generate` raises for the same reason, plus
 /// [`CodegenError::TooManyPaths`] when more than [`MAX_WALK_PATHS`] paths
 /// are open after a row; whenever the walk fails, so does `generate`.
 /// Projection keeps every key a later test reads, so each error fires on
 /// exactly the schedules a per-path walk would refuse.
-fn steady_states(sched: &Schedule, probs: Option<&[f64]>) -> Result<Vec<State>, CodegenError> {
+fn steady_states(
+    sched: &Schedule,
+    machine: &MachineConfig,
+    probs: Option<&[f64]>,
+) -> Result<Vec<State>, CodegenError> {
     let incoming = incoming_predicates(sched)?;
     if incoming.len() > MAX_ENTRY_SPLITS {
         // Each entry is a path of its own, so the count after the first
@@ -265,17 +311,23 @@ fn steady_states(sched: &Schedule, probs: Option<&[f64]>) -> Result<Vec<State>, 
         .map(|(entry, m)| State {
             entry,
             matrix: m.clone(),
+            flight: 0,
             tally: Tally::START,
         })
         .collect();
+    let mut flights = Flights::new();
     let mut next: Vec<State> = Vec::with_capacity(states.len());
     let mut splits: Vec<(u32, i32)> = Vec::new();
     let mut fan: Vec<PredicateMatrix> = Vec::new();
     for (i, row) in sched.rows.iter().enumerate() {
+        // A path with nothing in flight waits for a row only when the row
+        // puts a write in flight.
+        let slow = !machine.unit_latency() && row.iter().any(|x| machine.latency(x.op()) > 1);
         let mut paths = 0usize;
         for State {
             entry,
             matrix,
+            mut flight,
             mut tally,
         } in states.drain(..)
         {
@@ -294,8 +346,17 @@ fn steady_states(sched: &Schedule, probs: Option<&[f64]>) -> Result<Vec<State>, 
             // without fanning out.
             if paths <= MAX_WALK_PATHS {
                 if issues {
-                    tally.max += 1;
-                    tally.min += 1;
+                    let wait = if slow || flight != 0 {
+                        let cycle = row.iter().filter(|x| !x.formal.is_disjoint(&matrix));
+                        let mut set = flights.sets[flight].clone();
+                        let wait = set.issue(cycle.map(Instance::op), machine);
+                        flight = flights.id(set);
+                        wait as usize
+                    } else {
+                        0
+                    };
+                    tally.max += wait + 1;
+                    tally.min += wait + 1;
                 }
                 let room = (MAX_WALK_PATHS - paths) / tally.paths;
                 let n = fan_out(matrix, &splits, room, &mut fan);
@@ -303,6 +364,7 @@ fn steady_states(sched: &Schedule, probs: Option<&[f64]>) -> Result<Vec<State>, 
                 next.extend(fan.drain(..).map(|matrix| State {
                     entry,
                     matrix,
+                    flight,
                     tally,
                 }));
             }
@@ -322,9 +384,13 @@ fn steady_states(sched: &Schedule, probs: Option<&[f64]>) -> Result<Vec<State>, 
     }
 
     // A path is a steady-state path iff its entry is some path's
-    // back-edge target.
+    // back-edge target. Before the back edge it waits until nothing is in
+    // flight.
     let mut is_steady = vec![false; entries.len()];
-    for s in &states {
+    for s in &mut states {
+        let drain = flights.sets[s.flight].drain() as usize;
+        s.tally.max += drain;
+        s.tally.min += drain;
         let shifted = s.matrix.shifted(-1);
         let target = entries
             .iter()
@@ -369,12 +435,16 @@ fn objective(states: &[State], probs: Option<&[f64]>) -> f64 {
 }
 
 /// Score a schedule exactly without generating its code: walk the steady
-/// state of the loop [`generate`](crate::codegen::generate) would build and
-/// reduce its paths to the objective (`probs: None` is the static mode).
-/// Fails when code generation would fail for a reason the walk can see, or
-/// past the walk's path cap.
-pub fn score_schedule(sched: &Schedule, probs: Option<&[f64]>) -> Result<Score, CodegenError> {
-    let states = steady_states(sched, probs)?;
+/// state of the loop [`generate`](crate::codegen::generate) would build for
+/// `machine`, latency waits included, and reduce its paths to the
+/// objective (`probs: None` is the static mode). Fails when code generation
+/// would fail for a reason the walk can see, or past the walk's path cap.
+pub fn score_schedule(
+    sched: &Schedule,
+    machine: &MachineConfig,
+    probs: Option<&[f64]>,
+) -> Result<Score, CodegenError> {
+    let states = steady_states(sched, machine, probs)?;
     Ok(Score {
         primary: objective(&states, probs),
         rows: sched.n_rows(),
@@ -386,7 +456,6 @@ pub fn score_schedule(sched: &Schedule, probs: Option<&[f64]>) -> Result<Score, 
 mod tests {
     use super::*;
     use crate::codegen::generate;
-    use psp_machine::MachineConfig;
 
     #[test]
     fn score_ordering_is_lexicographic() {
@@ -415,13 +484,13 @@ mod tests {
     fn initial_vecmin_scores_with_paper_iis() {
         let kernel = psp_kernels::by_name("vecmin").unwrap();
         let sched = Schedule::initial(&kernel.spec);
-        let s = score_schedule(&sched, None).unwrap();
+        let s = score_schedule(&sched, &MachineConfig::paper_default(), None).unwrap();
         assert_eq!(s.primary, 8.0); // max II of the unscheduled loop
         let prog = generate(&sched, &MachineConfig::paper_default()).unwrap();
         assert_eq!(prog.ii_range(), Some((7, 8)));
         // Profiled: True branch taken with probability 0.25 → E[II] =
         // 0.25·8 + 0.75·7 = 7.25.
-        let s = score_schedule(&sched, Some(&[0.25])).unwrap();
+        let s = score_schedule(&sched, &MachineConfig::paper_default(), Some(&[0.25])).unwrap();
         assert!((s.primary - 7.25).abs() < 1e-9, "{}", s.primary);
     }
 
@@ -429,7 +498,9 @@ mod tests {
     fn expected_ii_uniform_matches_mean_for_symmetric_loop() {
         let kernel = psp_kernels::by_name("vecmin").unwrap();
         let sched = Schedule::initial(&kernel.spec);
-        let e = score_schedule(&sched, Some(&[0.5])).unwrap().primary;
+        let e = score_schedule(&sched, &MachineConfig::paper_default(), Some(&[0.5]))
+            .unwrap()
+            .primary;
         assert!((e - 7.5).abs() < 1e-9);
     }
 
@@ -438,11 +509,22 @@ mod tests {
         let kernel = psp_kernels::by_name("vecmin").unwrap();
         let sched = Schedule::initial(&kernel.spec);
         // A certain branch weights one path only.
-        assert_eq!(score_schedule(&sched, Some(&[1.0])).unwrap().primary, 8.0);
-        assert_eq!(score_schedule(&sched, Some(&[0.0])).unwrap().primary, 7.0);
+        assert_eq!(
+            score_schedule(&sched, &MachineConfig::paper_default(), Some(&[1.0]))
+                .unwrap()
+                .primary,
+            8.0
+        );
+        assert_eq!(
+            score_schedule(&sched, &MachineConfig::paper_default(), Some(&[0.0]))
+                .unwrap()
+                .primary,
+            7.0
+        );
         let state = |outcome, cycles| State {
             entry: 0,
             matrix: PredicateMatrix::single(0, 0, outcome),
+            flight: 0,
             tally: Tally {
                 max: cycles,
                 min: cycles,

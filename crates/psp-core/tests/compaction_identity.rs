@@ -70,6 +70,12 @@ type Row = (
 /// clamp_store, sign_store, threshold_store and mac_cond on narrow211 end
 /// with one more register (a rename that was refused now commits); no
 /// row count moved.
+/// When latency came to be a rule on each path of the generated code and
+/// the refusal memo stopped forgetting, at every move, the refusals that
+/// reached the latency check, compaction re-planned fewer instances: the
+/// disjoint_tests of clamp_store, sat_add, two_cond, dot_cond, bubble_pass,
+/// synthetic4 and synthetic6 on narrow211 went down (clamp_store's
+/// subsume_tests too); every schedule and counter stayed the same.
 #[rustfmt::skip]
 const EXPECTED: &[Row] = &[
     ("vecmin", "paper", [53, 19, 1, 32, 5], 1959, 177, 7, 2, 11),
@@ -79,9 +85,9 @@ const EXPECTED: &[Row] = &[
     ("count_above", "paper", [27, 15, 0, 22, 4], 529, 74, 5, 1, 7),
     ("count_above", "narrow211", [30, 11, 0, 23, 6], 1010, 81, 5, 2, 7),
     ("clamp_store", "paper", [73, 18, 0, 52, 6], 3778, 441, 7, 3, 13),
-    ("clamp_store", "narrow211", [71, 12, 0, 38, 5], 6179, 608, 8, 4, 14),
+    ("clamp_store", "narrow211", [71, 12, 0, 38, 5], 6131, 606, 8, 4, 14),
     ("sat_add", "paper", [42, 19, 0, 28, 5], 1523, 247, 5, 3, 8),
-    ("sat_add", "narrow211", [41, 10, 0, 20, 5], 1407, 178, 5, 4, 8),
+    ("sat_add", "narrow211", [41, 10, 0, 20, 5], 1387, 178, 5, 4, 8),
     ("abs_sum", "paper", [52, 27, 0, 42, 5], 2322, 211, 7, 2, 11),
     ("abs_sum", "narrow211", [41, 11, 0, 22, 5], 1612, 103, 5, 3, 9),
     ("runmax", "paper", [44, 17, 0, 25, 4], 1521, 125, 8, 2, 11),
@@ -89,25 +95,25 @@ const EXPECTED: &[Row] = &[
     ("sign_store", "paper", [36, 14, 0, 30, 4], 1001, 92, 5, 1, 10),
     ("sign_store", "narrow211", [37, 8, 0, 23, 3], 1358, 116, 5, 3, 10),
     ("two_cond", "paper", [56, 27, 0, 39, 5], 2949, 229, 9, 2, 12),
-    ("two_cond", "narrow211", [52, 12, 0, 33, 6], 3191, 267, 7, 3, 10),
+    ("two_cond", "narrow211", [52, 12, 0, 33, 6], 3184, 267, 7, 3, 10),
     ("find_first", "paper", [35, 14, 0, 26, 4], 1020, 88, 7, 1, 10),
     ("find_first", "narrow211", [37, 10, 0, 26, 6], 1698, 145, 6, 3, 9),
     ("skewed", "paper", [37, 17, 0, 24, 4], 1123, 92, 7, 1, 9),
     ("skewed", "narrow211", [39, 12, 0, 20, 5], 1660, 119, 6, 3, 8),
     ("dot_cond", "paper", [62, 33, 0, 42, 5], 2254, 144, 9, 1, 12),
-    ("dot_cond", "narrow211", [51, 12, 0, 16, 4], 1666, 110, 8, 4, 11),
+    ("dot_cond", "narrow211", [51, 12, 0, 16, 4], 1653, 110, 8, 4, 11),
     ("threshold_store", "paper", [37, 13, 0, 33, 4], 1305, 86, 7, 1, 11),
     ("threshold_store", "narrow211", [38, 7, 0, 23, 3], 1653, 146, 7, 3, 11),
     ("bubble_pass", "paper", [58, 16, 0, 47, 5], 8166, 256, 8, 2, 15),
-    ("bubble_pass", "narrow211", [63, 9, 0, 31, 5], 5686, 405, 6, 5, 13),
+    ("bubble_pass", "narrow211", [63, 9, 0, 31, 5], 5520, 405, 6, 5, 13),
     ("minmax", "paper", [46, 18, 0, 27, 4], 1786, 204, 6, 2, 11),
     ("minmax", "narrow211", [49, 12, 0, 27, 5], 2718, 228, 5, 3, 10),
     ("mac_cond", "paper", [62, 33, 0, 42, 5], 2250, 144, 10, 1, 12),
     ("mac_cond", "narrow211", [47, 12, 0, 18, 4], 1853, 173, 8, 3, 10),
     ("synthetic4", "paper", [88, 38, 0, 57, 5], 12859, 1088, 9, 2, 18),
-    ("synthetic4", "narrow211", [88, 12, 0, 40, 5], 9098, 412, 7, 5, 16),
+    ("synthetic4", "narrow211", [88, 12, 0, 40, 5], 9076, 412, 7, 5, 16),
     ("synthetic6", "paper", [123, 43, 0, 68, 5], 27054, 2834, 11, 2, 24),
-    ("synthetic6", "narrow211", [122, 12, 0, 58, 5], 22050, 813, 9, 7, 22),
+    ("synthetic6", "narrow211", [122, 12, 0, 58, 5], 22006, 813, 9, 7, 22),
 ];
 
 fn loops() -> Vec<(&'static str, LoopSpec)> {
@@ -230,9 +236,10 @@ fn observe_profile() -> Vec<ProfileRow> {
         .map(|(k, kernel)| {
             let machine = MachineConfig::paper_default();
             let probs = profile(k);
-            let initial_ii = score_schedule(&Schedule::initial(&kernel.spec), Some(&probs))
-                .unwrap_or_else(|e| panic!("{}: {e}", kernel.name))
-                .primary;
+            let initial_ii =
+                score_schedule(&Schedule::initial(&kernel.spec), &machine, Some(&probs))
+                    .unwrap_or_else(|e| panic!("{}: {e}", kernel.name))
+                    .primary;
             let cfg = PspConfig {
                 probs: Some(probs),
                 ..PspConfig::with_machine(machine)

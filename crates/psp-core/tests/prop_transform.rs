@@ -5,9 +5,8 @@
 //! elementary transformations — moveup, wrap-up, movedown, split, unify —
 //! at random positions, keep whatever the legality checks accept, and
 //! require that every intermediate schedule still (a) respects machine
-//! resources, (b) respects producer latencies, and (c) generates code
-//! observationally equivalent to the source loop whenever code generation
-//! succeeds.
+//! resources and (b) generates code observationally equivalent to the
+//! source loop whenever code generation succeeds.
 
 #[path = "../../psp-kernels/tests/cases/mod.rs"]
 mod cases;
@@ -101,8 +100,8 @@ fn resolve(sched: &Schedule, action: &Action) -> Option<Transformation> {
 }
 
 /// Apply `actions` to `kernel`'s initial schedule, keeping what the
-/// legality checks accept and checking resources and latencies after every
-/// accepted mutation. Returns the schedule and the number of applied
+/// legality checks accept and checking resources after every accepted
+/// mutation. Returns the schedule and the number of applied
 /// transformations.
 fn transformed(kernel: &Kernel, actions: &[Action], machine: &MachineConfig) -> (Schedule, usize) {
     let mut sched = Schedule::initial(&kernel.spec);
@@ -112,7 +111,7 @@ fn transformed(kernel: &Kernel, actions: &[Action], machine: &MachineConfig) -> 
             Action::Compact => {
                 psp_core::compact::compact(&mut sched, machine, true);
             }
-            Action::Prune => transform::prune_stalls(&mut sched, machine),
+            Action::Prune => sched.prune_empty_rows(),
             // A refusal is the legality system working.
             _ => match resolve(&sched, action) {
                 Some(t) if transform::apply(&mut sched, &t, machine).is_ok() => applied += 1,
@@ -121,8 +120,6 @@ fn transformed(kernel: &Kernel, actions: &[Action], machine: &MachineConfig) -> 
         }
         sched
             .validate_resources(machine)
-            .unwrap_or_else(|e| panic!("{}: {e}\n{sched}", kernel.name));
-        transform::validate_latencies(&sched, machine)
             .unwrap_or_else(|e| panic!("{}: {e}\n{sched}", kernel.name));
     }
     (sched, applied)

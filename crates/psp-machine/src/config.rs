@@ -1,6 +1,7 @@
-//! Machine configuration: issue widths and latencies.
+//! Machine configuration: issue widths, latencies and the one rule that
+//! enforces a latency ([`InFlight`]).
 
-use psp_ir::{OpKind, Operation};
+use psp_ir::{OpKind, Operation, RegRef};
 
 /// Resource and latency parameters of the tree-VLIW target.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -65,7 +66,7 @@ impl MachineConfig {
     }
 
     /// Producer latency of `op`: the number of cycles before a consumer of
-    /// its result may issue.
+    /// its result may issue. [`InFlight`] is the rule that enforces it.
     pub fn latency(&self, op: &Operation) -> u32 {
         match op.kind {
             OpKind::Load { .. } => self.load_latency,
@@ -76,6 +77,27 @@ impl MachineConfig {
         }
     }
 
+    /// Whether every result is ready in the next cycle, so that nothing is
+    /// ever in flight ([`InFlight`]).
+    pub fn unit_latency(&self) -> bool {
+        self.alu_latency <= 1 && self.cmp_latency <= 1 && self.load_latency <= 1
+    }
+
+    /// A straight line of `cycles` (the preloop) with the empty cycles the
+    /// latency rule asks for: before each cycle that touches a register in
+    /// flight, and at the end until nothing is in flight.
+    pub fn with_waits(&self, cycles: Vec<Vec<Operation>>) -> Vec<Vec<Operation>> {
+        let mut flight = InFlight::default();
+        let mut out = Vec::with_capacity(cycles.len());
+        for cycle in cycles {
+            let wait = flight.issue(&cycle, self);
+            out.extend(std::iter::repeat_with(Vec::new).take(wait as usize));
+            out.push(cycle);
+        }
+        out.extend(std::iter::repeat_with(Vec::new).take(flight.drain() as usize));
+        out
+    }
+
     /// Limit for a resource class.
     pub fn limit(&self, class: psp_ir::ResClass) -> u32 {
         match class {
@@ -83,6 +105,89 @@ impl MachineConfig {
             psp_ir::ResClass::Mem => self.n_mem,
             psp_ir::ResClass::Branch => self.n_branch,
         }
+    }
+}
+
+/// The register writes still in flight on one program path: the machine's
+/// one latency rule.
+///
+/// A write of latency `L > 1` issued in cycle `t` lands at the start of
+/// cycle `t + L`; until then its register is *in flight*. An operation
+/// issues only when no register it reads or writes is in flight, so a cycle
+/// that touches one first waits in empty cycles, and a path waits until
+/// nothing is in flight before it takes a back edge. A cycle counts as
+/// issued on a path even if a guard cancels some of its operations. At unit
+/// latency nothing is ever in flight.
+///
+/// Code generation emits the waits ([`InFlight::issue`], [`InFlight::drain`])
+/// and the schedule walk that scores a schedule counts them, so the two
+/// agree on every path's cycles.
+#[derive(Debug, Clone, Default, PartialEq, Eq, Hash)]
+pub struct InFlight(
+    /// `(register, cycles until its write lands)`, at least one cycle, in
+    /// register order.
+    Vec<(RegRef, u32)>,
+);
+
+impl InFlight {
+    /// Whether no write is in flight.
+    pub fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+
+    /// Issue one cycle of `ops` on this path: wait until no register they
+    /// read or write is in flight, let the cycle pass, and put their writes
+    /// slower than one cycle in flight. Returns the empty cycles waited.
+    pub fn issue<'a, I>(&mut self, ops: I, m: &MachineConfig) -> u32
+    where
+        I: IntoIterator<Item = &'a Operation>,
+        I::IntoIter: Clone,
+    {
+        let ops = ops.into_iter();
+        let wait = if self.0.is_empty() {
+            0
+        } else {
+            ops.clone()
+                .flat_map(|op| op.defs().into_iter().chain(op.uses()))
+                .filter_map(|r| self.lands_in(r))
+                .max()
+                .unwrap_or(0)
+        };
+        self.elapse(wait + 1);
+        for op in ops {
+            let latency = m.latency(op);
+            if latency > 1 {
+                for d in op.defs() {
+                    // Two writes of one register in a cycle sit on two
+                    // subtrees of its tree instruction.
+                    match self.0.binary_search_by(|&(r, _)| r.cmp(&d)) {
+                        Ok(at) => self.0[at].1 = self.0[at].1.max(latency - 1),
+                        Err(at) => self.0.insert(at, (d, latency - 1)),
+                    }
+                }
+            }
+        }
+        wait
+    }
+
+    /// The empty cycles a path waits before its back edge: until its last
+    /// write lands.
+    pub fn drain(&self) -> u32 {
+        self.0.iter().map(|&(_, n)| n).max().unwrap_or(0)
+    }
+
+    /// Cycles until `r` lands, if it is in flight.
+    fn lands_in(&self, r: RegRef) -> Option<u32> {
+        let at = self.0.binary_search_by(|&(q, _)| q.cmp(&r)).ok()?;
+        Some(self.0[at].1)
+    }
+
+    /// Let `cycles` cycles pass.
+    fn elapse(&mut self, cycles: u32) {
+        self.0.retain_mut(|(_, n)| {
+            *n = n.saturating_sub(cycles);
+            *n > 0
+        });
     }
 }
 
@@ -123,6 +228,67 @@ mod tests {
         assert_eq!(m.limit(ResClass::Alu), 2);
         assert_eq!(m.limit(ResClass::Mem), 1);
         assert_eq!(m.limit(ResClass::Branch), 1);
+    }
+
+    /// The paper machine with three-cycle loads.
+    fn slow_loads() -> MachineConfig {
+        MachineConfig {
+            load_latency: 3,
+            ..MachineConfig::paper_default()
+        }
+    }
+
+    #[test]
+    fn a_read_waits_until_its_load_lands() {
+        let m = slow_loads();
+        let mut flight = InFlight::default();
+        assert_eq!(flight.issue(&[load(Reg(1), ArrayId(0), Reg(0))], &m), 0);
+        assert_eq!(flight.drain(), 2);
+        // An unrelated cycle issues at once and brings the load nearer.
+        assert_eq!(flight.issue(&[add(Reg(2), Reg(3), 1i64)], &m), 0);
+        assert_eq!(flight.issue(&[add(Reg(2), Reg(1), 1i64)], &m), 1);
+        assert!(flight.is_empty());
+    }
+
+    #[test]
+    fn a_write_waits_for_an_in_flight_write_and_a_path_drains() {
+        let m = slow_loads();
+        let mut flight = InFlight::default();
+        flight.issue(&[load(Reg(1), ArrayId(0), Reg(0))], &m);
+        assert_eq!(flight.drain(), 2);
+        assert_eq!(flight.issue(&[copy(Reg(1), 0i64)], &m), 2);
+        assert_eq!(flight.drain(), 0);
+    }
+
+    #[test]
+    fn unit_latencies_never_wait() {
+        let m = MachineConfig::paper_default();
+        let mut flight = InFlight::default();
+        flight.issue(&[load(Reg(1), ArrayId(0), Reg(0))], &m);
+        assert!(flight.is_empty());
+        assert_eq!(flight.issue(&[add(Reg(2), Reg(1), 1i64)], &m), 0);
+    }
+
+    #[test]
+    fn a_straight_line_gets_its_waits_and_a_drain() {
+        let ld = vec![load(Reg(1), ArrayId(0), Reg(0))];
+        let use_it = vec![add(Reg(2), Reg(1), 1i64)];
+        let padded = slow_loads().with_waits(vec![ld.clone(), use_it.clone(), ld.clone()]);
+        let empty = Vec::new();
+        assert_eq!(
+            padded,
+            vec![
+                ld.clone(),
+                empty.clone(),
+                empty.clone(),
+                use_it,
+                ld,
+                empty.clone(),
+                empty
+            ]
+        );
+        let unit = MachineConfig::paper_default().with_waits(vec![vec![], vec![]]);
+        assert_eq!(unit.len(), 2);
     }
 
     #[test]

@@ -8,7 +8,8 @@
 //! list of [`psp_ir::Operation`]s where operations carrying a [`psp_ir::Guard`]
 //! sit on a subtree of the IF testing the same condition register. The
 //! machine model bounds how many operations of each [`psp_ir::ResClass`]
-//! fit in a cycle and assigns producer→consumer latencies.
+//! fit in a cycle and assigns producer→consumer latencies, which one rule
+//! enforces on each program path ([`InFlight`]).
 //!
 //! A compiled loop is a [`VliwLoop`]: prologue cycles, a body control-flow
 //! graph of [`VliwBlock`]s with explicit back edges, and an epilogue, ready
@@ -19,7 +20,7 @@ pub mod dot;
 pub mod resources;
 pub mod vliw;
 
-pub use config::MachineConfig;
+pub use config::{InFlight, MachineConfig};
 pub use dot::to_dot;
 pub use resources::{cycle_fits, cycle_use, ResourceUse};
 pub use vliw::{BlockId, Succ, Utilization, VliwBlock, VliwLoop, VliwTerm};

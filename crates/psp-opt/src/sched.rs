@@ -80,13 +80,6 @@ impl ModuloSchedule {
     pub fn estimated_cycles(&self, iterations: u64) -> u64 {
         (self.stages.saturating_sub(1) as u64) * self.ii as u64 + iterations * self.ii as u64
     }
-
-    /// Resource-constrained lower bound on II for these ops (kept as a
-    /// method for API compatibility; the bound itself lives in
-    /// [`crate::bounds::res_mii`]).
-    pub fn res_mii(ops: &[(Operation, PredicateMatrix)], m: &MachineConfig) -> u32 {
-        crate::bounds::res_mii(ops, m)
-    }
 }
 
 /// All edges: intra-iteration (from [`build_deps`]) plus distance-1

@@ -8,8 +8,9 @@
 //!   its clones sit on pairwise-disjoint paths, and together they still
 //!   cover every path the original executed on;
 //! * within one iteration frame, naive sequential register semantics hold
-//!   (reads after their reaching definition plus latency, writes after
-//!   reads, writes in order) — the transformations that legitimately break
+//!   (reads in a later row than their reaching definition, writes after
+//!   reads, writes in order; latencies are counted in cycles on each path
+//!   of the generated code, which `validate_vliw` checks) — the transformations that legitimately break
 //!   the naive rules (induction combining) are recognized syntactically,
 //!   exactly the way the scheduler recognizes them, and skipped;
 //! * memory accesses and the BREAK protocol are checked across frames with
@@ -87,7 +88,7 @@ pub fn validate_schedule(
             .collect();
 
         origins(spec, &insts, &mut out);
-        register_order(machine, &insts, &mut out);
+        register_order(&insts, &mut out);
         memory_and_breaks(spec, &insts, &mut out);
         speculation(machine, &insts, &mut out);
         row_resources(machine, sched, &insts, &mut out);
@@ -253,7 +254,7 @@ fn uses_only_as_index(op: &Operation, r: Reg) -> bool {
     }
 }
 
-fn register_order(machine: &MachineConfig, insts: &[Inst], out: &mut Vec<Violation>) {
+fn register_order(insts: &[Inst], out: &mut Vec<Violation>) {
     for (ai, a) in insts.iter().enumerate() {
         for (bi, b) in insts.iter().enumerate() {
             if ai == bi || a.inner.index != b.inner.index || a.prog() >= b.prog() {
@@ -270,8 +271,7 @@ fn register_order(machine: &MachineConfig, insts: &[Inst], out: &mut Vec<Violati
                     let exempt = matches!(d, RegRef::Gpr(r)
                         if is_induction_update(a.inner.op(), *r)
                             && uses_only_as_index(b.inner.op(), *r));
-                    let lat = machine.latency(a.inner.op()) as usize;
-                    if !exempt && !shadowed(insts, a, b, d) && b.row < a.row + lat {
+                    if !exempt && !shadowed(insts, a, b, d) && b.row <= a.row {
                         out.push(Violation::RegisterOrder {
                             kind: "flow",
                             reg: *d,

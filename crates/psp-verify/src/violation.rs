@@ -144,6 +144,19 @@ pub enum Violation {
         /// Explanation.
         detail: String,
     },
+    /// An operation of generated code issues, on some path of its control
+    /// flow graph (back edges and the prologue included), while a write to
+    /// a register it reads or writes is still in flight.
+    Latency {
+        /// Where the early operation issues.
+        site: CycleSite,
+        /// The register in flight.
+        reg: RegRef,
+        /// Cycles, at most, until the write lands.
+        early_by: u32,
+        /// Rendering of the operation.
+        detail: String,
+    },
     /// A modulo-schedule constraint `t[to] + II*dist >= t[from] + lat`
     /// does not hold for a re-derived dependence edge.
     ModuloEdge {
@@ -211,6 +224,15 @@ impl fmt::Display for Violation {
             Violation::IfLogMismatch { detail } => write!(f, "IF log mismatch: {detail}"),
             Violation::Structure { detail } => write!(f, "structure: {detail}"),
             Violation::Contract { detail } => write!(f, "contract: {detail}"),
+            Violation::Latency {
+                site,
+                reg,
+                early_by,
+                detail,
+            } => write!(
+                f,
+                "latency: {site} touches {reg:?} up to {early_by} cycle(s) before its write lands: {detail}"
+            ),
             Violation::ModuloEdge { kind, dist, detail } => {
                 write!(f, "modulo {kind} edge (dist {dist}) violated: {detail}")
             }

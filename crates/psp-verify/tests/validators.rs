@@ -120,6 +120,96 @@ fn corrupted_schedule_broken_flow_is_rejected() {
     );
 }
 
+/// vecmin as psp-core compiled it at load latency 4 while it enforced
+/// latencies as row distances: II 2, with every LOAD read two cycles after
+/// it issues (its schedule kept three empty rows, which code generation
+/// emits as no cycle). The latency pass must flag it; today's program
+/// for the same machine must pass.
+#[test]
+fn row_distance_vecmin_at_load_latency_four_is_flagged() {
+    use psp_ir::op::build::{add, copy, ge, if_, load, lt};
+    use psp_ir::{ArrayId, CcReg, Guard, Operation, Reg};
+    use psp_machine::{Succ, VliwBlock, VliwLoop, VliwTerm};
+    let slow = MachineConfig {
+        load_latency: 4,
+        ..MachineConfig::paper_default()
+    };
+    let k = psp_kernels::by_name("vecmin").unwrap();
+    let (x, r) = (ArrayId(0), Reg);
+    let guarded = |op: Operation, on_true: bool| Operation {
+        guard: Some(if on_true {
+            Guard::when(CcReg(0))
+        } else {
+            Guard::unless(CcReg(0))
+        }),
+        ..op
+    };
+    let prog = VliwLoop {
+        name: "vecmin-psp".into(),
+        prologue: vec![
+            vec![load(r(3), x, r(1))],
+            vec![load(r(4), x, r(2))],
+            vec![add(r(5), r(1), 1i64)],
+            vec![ge(CcReg(1), r(5), r(0))],
+            vec![add(r(6), r(5), 1i64)],
+        ],
+        blocks: vec![VliwBlock {
+            id: 0,
+            matrix: psp_predicate::PredicateMatrix::universe(),
+            cycles: vec![
+                vec![
+                    lt(CcReg(0), r(3), r(4)),
+                    load(r(3), x, r(5)),
+                    add(r(7), r(6), 1i64),
+                ],
+                vec![
+                    if_(CcReg(0)),
+                    guarded(copy(r(2), r(1)), true),
+                    copy(r(1), r(5)),
+                    psp_ir::op::build::break_(CcReg(1)),
+                    copy(r(5), r(6)),
+                    ge(CcReg(1), r(6), r(0)),
+                    copy(r(6), r(7)),
+                    guarded(load(r(4), x, r(2)), false),
+                    guarded(load(r(4), x, r(1)), true),
+                ],
+            ],
+            term: VliwTerm::Branch {
+                cc: CcReg(0),
+                on_true: Succ::back(0),
+                on_false: Succ::back(0),
+            },
+        }],
+        entry: 0,
+        epilogue: vec![],
+    };
+    assert_eq!(prog.ii_range(), Some((2, 2)));
+    let v = validate_vliw(&k.spec, &slow, &prog);
+    assert!(
+        v.iter().any(|v| matches!(
+            v,
+            Violation::Latency {
+                site: CycleSite::Block(0, 0),
+                ..
+            }
+        )),
+        "{v:?}"
+    );
+    // At unit latency the same program is sound.
+    assert_eq!(
+        validate_vliw(&k.spec, &MachineConfig::paper_default(), &prog),
+        vec![]
+    );
+    let res = pipeline_loop(&k.spec, &PspConfig::with_machine(slow.clone())).unwrap();
+    assert_eq!(validate_vliw(&k.spec, &slow, &res.program), vec![]);
+    let (_, max) = res.program.ii_range().unwrap();
+    assert!(
+        max >= 4,
+        "a LOAD lands before the back edge\n{}",
+        res.program
+    );
+}
+
 /// Injected defect #2: resource oversubscription — a program compiled for
 /// the wide machine cannot fit the 1-wide machine, and the validator must
 /// say exactly which cycle overflows.

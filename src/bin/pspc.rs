@@ -36,6 +36,10 @@ const MAX_UNROLL: u32 = 64;
 /// Largest `--n`: each array gets `--n` elements, copied per run.
 const MAX_N: usize = 1 << 22;
 
+/// Largest `--*-latency`: a path waits for a write in flight in empty
+/// cycles, which the compiled program holds one by one.
+const MAX_LATENCY: u32 = 64;
+
 /// A command's failure: a message, or the `io::Error` of a failed write.
 type Failure = Box<dyn std::error::Error>;
 
@@ -73,7 +77,8 @@ MACHINE OPTIONS (all commands):
   --machine A,M,B     issue slots per tree instruction (default 8,4,4)
   --load-latency N    cycles from LOAD to consumer      (default 1)
   --cmp-latency N     cycles from compare to consumer   (default 1)
-  --alu-latency N     cycles from ALU op to consumer    (default 1)
+  --alu-latency N     cycles from ALU op to consumer    (default 1);
+                      each latency is at most {MAX_LATENCY}
   --no-spec-loads     forbid moving LOADs above their controlling IF
 
 TECHNIQUE OPTIONS:
@@ -188,20 +193,20 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
                 a.machine.n_mem = mem;
                 a.machine.n_branch = br;
             }
-            "--load-latency" => {
-                a.machine.load_latency = value(&mut it, arg)?
+            "--load-latency" | "--cmp-latency" | "--alu-latency" => {
+                let latency: u32 = value(&mut it, arg)?
                     .parse()
-                    .map_err(|e| format!("{arg}: {e}"))?
-            }
-            "--cmp-latency" => {
-                a.machine.cmp_latency = value(&mut it, arg)?
-                    .parse()
-                    .map_err(|e| format!("{arg}: {e}"))?
-            }
-            "--alu-latency" => {
-                a.machine.alu_latency = value(&mut it, arg)?
-                    .parse()
-                    .map_err(|e| format!("{arg}: {e}"))?
+                    .map_err(|e| format!("{arg}: {e}"))?;
+                if latency > MAX_LATENCY {
+                    return Err(format!(
+                        "{arg}: {latency} is above the limit of {MAX_LATENCY}"
+                    ));
+                }
+                *match arg.as_str() {
+                    "--load-latency" => &mut a.machine.load_latency,
+                    "--cmp-latency" => &mut a.machine.cmp_latency,
+                    _ => &mut a.machine.alu_latency,
+                } = latency;
             }
             "--no-spec-loads" => a.machine.speculative_loads = false,
             "--depth" => {

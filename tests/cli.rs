@@ -242,6 +242,14 @@ fn errors_exit_nonzero_with_messages() {
             "--n: 100000000000 is above the limit of 4194304",
         ),
         (
+            &["compile", "--load-latency", "65"],
+            "--load-latency: 65 is above the limit of 64",
+        ),
+        (
+            &["compile", "--alu-latency", "4294967295"],
+            "--alu-latency: 4294967295 is above the limit of 64",
+        ),
+        (
             &["compile", "--probs", "nan"],
             "--probs: NaN is not a probability in [0, 1]",
         ),

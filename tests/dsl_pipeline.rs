@@ -166,8 +166,9 @@ fn compacted_start_is_scored_under_the_profile() {
     assert_eq!(profiled.program, seed, "max_depth 0 keeps the seed");
     let (min, max) = profiled.program.ii_range().unwrap();
     assert!(min < max, "the start needs paths of unequal II");
-    let expected = psp::core::heuristics::score_schedule(&profiled.schedule, Some(&probs))
-        .expect("the start walks");
+    let expected =
+        psp::core::heuristics::score_schedule(&profiled.schedule, &machine, Some(&probs))
+            .expect("the start walks");
     assert_eq!(profiled.score.primary, expected.primary);
     assert_eq!(start(None).score.primary, max as f64);
 }

@@ -8,6 +8,9 @@
 //!   generated loop's `ii_range` maximum, its expected II equals an
 //!   outcome enumeration over the generated loop's block matrices, and
 //!   both agree with a per-path reference walk that merges nothing;
+//!   `walk_scores_match_the_generated_program_at_latency` holds it to the
+//!   same on a machine with multi-cycle latencies, where the walk and the
+//!   generated loop count the latency rule's empty cycles alike;
 //! - `expected_ii_matches_the_simulator_on_abs_sum` pins the §4 score of a
 //!   loop whose short path returns to the loop head straight from a
 //!   branching block;
@@ -24,6 +27,7 @@ use psp::core::codegen::MAX_WALK_PATHS;
 use psp::core::compact::compact;
 use psp::core::heuristics::score_schedule;
 use psp::core::{transform, CodegenError, Transformation};
+use psp::machine::InFlight;
 use psp::predicate::{OutcomeMap, PredAvailability, PredicateMatrix};
 use psp::prelude::*;
 use psp::verify::grammar::SplitMix64;
@@ -124,10 +128,14 @@ fn reference_incoming(sched: &Schedule) -> Result<Vec<(u32, i32)>, CodegenError>
 }
 
 /// The per-path reference walk: every steady-state path of the loop
-/// `generate` would build, as its final matrix and cycle count, with one
-/// chain per actual path and no merging. It fails with the errors the
-/// merged walk must raise on the same schedules.
-fn reference_paths(sched: &Schedule) -> Result<Vec<(PredicateMatrix, usize)>, CodegenError> {
+/// `generate` would build for `machine`, as its final matrix and cycle
+/// count (the latency rule's waits included), with one chain per actual
+/// path and no merging. It fails with the errors the merged walk must raise
+/// on the same schedules.
+fn reference_paths(
+    sched: &Schedule,
+    machine: &MachineConfig,
+) -> Result<Vec<(PredicateMatrix, usize)>, CodegenError> {
     let incoming = reference_incoming(sched)?;
     let mut entries = vec![PredicateMatrix::universe()];
     for &(r, c) in &incoming {
@@ -139,18 +147,23 @@ fn reference_paths(sched: &Schedule) -> Result<Vec<(PredicateMatrix, usize)>, Co
             })
             .collect();
     }
-    // (entry, matrix, cycles) per open path.
-    let mut open: Vec<(usize, PredicateMatrix, usize)> = entries
+    // (entry, matrix, writes in flight, cycles) per open path.
+    let mut open: Vec<(usize, PredicateMatrix, InFlight, usize)> = entries
         .iter()
         .cloned()
         .enumerate()
-        .map(|(e, m)| (e, m, 0))
+        .map(|(e, m)| (e, m, InFlight::default(), 0))
         .collect();
     for row in &sched.rows {
         let mut next = Vec::new();
-        for (e, m, mut cycles) in open {
-            if row.iter().any(|i| !i.formal.is_disjoint(&m)) {
-                cycles += 1;
+        for (e, m, mut flight, mut cycles) in open {
+            let cycle: Vec<_> = row
+                .iter()
+                .filter(|i| !i.formal.is_disjoint(&m))
+                .map(|i| *i.op())
+                .collect();
+            if !cycle.is_empty() {
+                cycles += flight.issue(&cycle, machine) as usize + 1;
             }
             let mut splits = Vec::new();
             for i in row {
@@ -171,7 +184,7 @@ fn reference_paths(sched: &Schedule) -> Result<Vec<(PredicateMatrix, usize)>, Co
                     })
                     .collect();
             }
-            next.extend(mats.into_iter().map(|m| (e, m, cycles)));
+            next.extend(mats.into_iter().map(|m| (e, m, flight.clone(), cycles)));
         }
         if next.len() > MAX_WALK_PATHS {
             return Err(CodegenError::TooManyPaths(MAX_WALK_PATHS));
@@ -179,7 +192,7 @@ fn reference_paths(sched: &Schedule) -> Result<Vec<(PredicateMatrix, usize)>, Co
         open = next;
     }
     let mut steady = vec![false; entries.len()];
-    for (_, m, _) in &open {
+    for (_, m, _, _) in &open {
         let shifted = m.shifted(-1);
         let target = entries
             .iter()
@@ -189,16 +202,20 @@ fn reference_paths(sched: &Schedule) -> Result<Vec<(PredicateMatrix, usize)>, Co
     }
     Ok(open
         .into_iter()
-        .filter(|&(e, _, _)| steady[e])
-        .map(|(_, m, cycles)| (m, cycles))
+        .filter(|(e, ..)| steady[*e])
+        .map(|(_, m, flight, cycles)| (m, cycles + flight.drain() as usize))
         .collect())
 }
 
 /// The reference objective over [`reference_paths`]: the maximal II, or
 /// `II_min + Σw·(II − II_min) / Σw` with w the profile measure of each
 /// path's final matrix (the unweighted mean when every w is 0).
-fn reference_score(sched: &Schedule, probs: Option<&[f64]>) -> Result<f64, CodegenError> {
-    let paths = reference_paths(sched)?;
+fn reference_score(
+    sched: &Schedule,
+    machine: &MachineConfig,
+    probs: Option<&[f64]>,
+) -> Result<f64, CodegenError> {
+    let paths = reference_paths(sched, machine)?;
     let Some(min) = paths.iter().map(|p| p.1).min() else {
         return Ok(0.0);
     };
@@ -231,11 +248,11 @@ fn reference_score(sched: &Schedule, probs: Option<&[f64]>) -> Result<f64, Codeg
 
 /// Hold the merged walk to the per-path reference on `sched`: the same
 /// static score, a profile score within 1e-12, and the same refusal.
-fn check_reference(sched: &Schedule, what: &str) {
+fn check_reference(sched: &Schedule, machine: &MachineConfig, what: &str) {
     let probs = profile();
     for probs in [None, Some(&probs[..])] {
-        let walked = score_schedule(sched, probs).map(|s| s.primary);
-        match (walked, reference_score(sched, probs)) {
+        let walked = score_schedule(sched, machine, probs).map(|s| s.primary);
+        match (walked, reference_score(sched, machine, probs)) {
             (Ok(a), Ok(b)) if probs.is_none() => assert_eq!(a, b, "{what}: maximal II"),
             (Ok(a), Ok(b)) => assert!(
                 (a - b).abs() <= 1e-12,
@@ -256,10 +273,10 @@ struct Seen {
 
 /// Hold the walk's two objectives to the generated program of `sched`.
 fn check(sched: &Schedule, machine: &MachineConfig, what: &str, seen: &mut Seen) {
-    check_reference(sched, what);
+    check_reference(sched, machine, what);
     let probs = profile();
-    let max = score_schedule(sched, None);
-    let expected = score_schedule(sched, Some(&probs));
+    let max = score_schedule(sched, machine, None);
+    let expected = score_schedule(sched, machine, Some(&probs));
     match generate(sched, machine) {
         Ok(prog) => {
             seen.generated += 1;
@@ -348,10 +365,40 @@ fn walk_scores_match_the_generated_program() {
     );
     // Past the cap, the two walks refuse alike.
     let past_cap = Schedule::initial(&psp_bench::synthetic(19));
-    check_reference(&past_cap, "synthetic19 initial");
+    let paper = MachineConfig::paper_default();
+    check_reference(&past_cap, &paper, "synthetic19 initial");
     assert_eq!(
-        score_schedule(&past_cap, None),
+        score_schedule(&past_cap, &paper, None),
         Err(CodegenError::TooManyPaths(MAX_WALK_PATHS))
+    );
+}
+
+#[test]
+fn walk_scores_match_the_generated_program_at_latency() {
+    // Two-cycle ALU results, three-cycle loads and two-cycle compares: the
+    // waits fall inside blocks, at the ends of back-edge blocks and in
+    // rows that one path issues and another skips.
+    let machine = MachineConfig {
+        alu_latency: 2,
+        load_latency: 3,
+        cmp_latency: 2,
+        ..MachineConfig::narrow(2, 1, 1)
+    };
+    let mut loops: Vec<LoopSpec> = all_kernels().into_iter().map(|k| k.spec).collect();
+    loops.extend((4..=6).map(psp_bench::synthetic));
+    loops.extend(fuzz_corpus());
+    let mut seen = Seen::default();
+    for spec in &loops {
+        check_loop(spec, &machine, &mut seen);
+    }
+    assert_eq!(
+        (
+            seen.generated,
+            seen.refused_by_both,
+            seen.refused_by_codegen
+        ),
+        (567, 0, 33),
+        "(generated, refused by both, refused by codegen only)"
     );
 }
 
@@ -439,7 +486,10 @@ fn past_the_path_cap_generate_fails_with_the_named_error() {
         .map(|row| row.iter().filter(|i| i.op().is_if()).count());
     assert_eq!(widest.max(), Some(19));
     let too_many = CodegenError::TooManyPaths(MAX_WALK_PATHS);
-    assert_eq!(score_schedule(&sched, None).unwrap_err(), too_many);
+    assert_eq!(
+        score_schedule(&sched, &machine, None).unwrap_err(),
+        too_many
+    );
     assert_eq!(generate(&sched, &machine).unwrap_err(), too_many);
 }
 
@@ -485,8 +535,11 @@ fn past_the_entry_cap_every_walk_and_generate_refuse_alike() {
     assert_eq!(first_row_ifs, 0);
     assert_eq!(reference_incoming(&sched).map(|i| i.len()), Ok(19));
     let too_many = CodegenError::TooManyPaths(MAX_WALK_PATHS);
-    assert_eq!(score_schedule(&sched, None).unwrap_err(), too_many);
-    assert_eq!(reference_paths(&sched).unwrap_err(), too_many);
+    assert_eq!(
+        score_schedule(&sched, &machine, None).unwrap_err(),
+        too_many
+    );
+    assert_eq!(reference_paths(&sched, &machine).unwrap_err(), too_many);
     assert_eq!(generate(&sched, &machine).unwrap_err(), too_many);
 
     // An IF of the first row that computes no predicate (a malformed
@@ -501,6 +554,9 @@ fn past_the_entry_cap_every_walk_and_generate_refuse_alike() {
     stray.formal = PredicateMatrix::universe();
     sched.rows[0].push(stray);
     let no_if_row = CodegenError::Internal("IF instance computes no predicate row");
-    assert_eq!(score_schedule(&sched, None).unwrap_err(), no_if_row);
-    assert_eq!(reference_paths(&sched).unwrap_err(), no_if_row);
+    assert_eq!(
+        score_schedule(&sched, &machine, None).unwrap_err(),
+        no_if_row
+    );
+    assert_eq!(reference_paths(&sched, &machine).unwrap_err(), no_if_row);
 }
