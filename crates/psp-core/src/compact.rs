@@ -283,14 +283,6 @@ mod tests {
             ("paper", m()),
             ("narrow211", MachineConfig::narrow(2, 1, 1)),
             ("narrow111", MachineConfig::narrow(1, 1, 1)),
-            (
-                "slow",
-                MachineConfig {
-                    load_latency: 3,
-                    cmp_latency: 2,
-                    ..MachineConfig::narrow(2, 1, 1)
-                },
-            ),
         ];
         let stale = stale_refusal_start();
         for allow_rename in [false, true] {
