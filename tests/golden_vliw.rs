@@ -8,7 +8,17 @@
 //! ```text
 //! PSP_UPDATE_GOLDEN=1 cargo test --test golden_vliw
 //! ```
+//!
+//! The snapshots cover the kernels on the paper machine only.
+//! `psp_program_text_is_pinned_on_three_machines` pins, by one hash per
+//! machine, the text of every PSP program (or refusal) of the kernels,
+//! `synthetic(4..=6)` and the E12 corpus on the paper machine, on the
+//! narrow 2/1/1 machine and on that machine with multi-cycle latencies,
+//! where the blocks and the latency rule's waits differ.
 
+mod common;
+
+use common::fuzz_corpus;
 use psp::prelude::*;
 use std::fmt::Write as _;
 use std::path::PathBuf;
@@ -88,4 +98,54 @@ fn golden_directory_matches_kernel_suite() {
             "stray golden file {f}: no kernel by that name"
         );
     }
+}
+
+/// FNV-1a over `text`: the same hash on every platform.
+fn fnv1a(text: &str) -> u64 {
+    text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+#[test]
+fn psp_program_text_is_pinned_on_three_machines() {
+    let mut loops: Vec<LoopSpec> = all_kernels().into_iter().map(|k| k.spec).collect();
+    loops.extend((4..=6).map(psp_bench::synthetic));
+    loops.extend(fuzz_corpus());
+    let machines = [
+        ("paper", MachineConfig::paper_default()),
+        ("narrow211", MachineConfig::narrow(2, 1, 1)),
+        (
+            "narrow211, alu 2, load 3, cmp 2",
+            MachineConfig {
+                alu_latency: 2,
+                load_latency: 3,
+                cmp_latency: 2,
+                ..MachineConfig::narrow(2, 1, 1)
+            },
+        ),
+    ];
+    let mut got = Vec::new();
+    for (label, machine) in machines {
+        let cfg = PspConfig::with_machine(machine);
+        let mut text = String::new();
+        for spec in &loops {
+            let _ = match pipeline_loop(spec, &cfg) {
+                Ok(res) => write!(text, "{}", res.program),
+                Err(e) => writeln!(text, "{}: refused: {e}", spec.name),
+            };
+        }
+        got.push((label, fnv1a(&text)));
+    }
+    let hex: Vec<String> = got
+        .iter()
+        .map(|(l, h)| format!("({l:?}, {h:#x})"))
+        .collect();
+    // A deliberate change to what code generation emits re-pins these.
+    let want: [(&str, u64); 3] = [
+        ("paper", 0x8651_d99c_7477_4430),
+        ("narrow211", 0xb50a_6378_07bc_4dee),
+        ("narrow211, alu 2, load 3, cmp 2", 0x783d_960e_7d22_9425),
+    ];
+    assert_eq!(got, want, "observed: {}", hex.join(", "));
 }
