@@ -1,40 +1,36 @@
 //! Loop code generation: reconstructing a control-flow graph from the
 //! encoded schedule (paper §2, Figure 3).
 //!
-//! The generator walks the schedule row by row, maintaining a set of open
-//! basic blocks, each labeled with the predicate matrix of its *actual*
-//! paths:
+//! The schedule walk that scores a schedule
+//! ([`score_schedule`](crate::heuristics::score_schedule)) enumerates the
+//! paths; run with its merging off, it opens one block per path, labeled
+//! with the predicate matrix of its *actual* paths, and hands each block to
+//! the generator as it goes:
 //!
-//! 1. the initial block set splits the universe on every *incoming*
-//!    predicate — one whose outcome is computed in a previous transformed
-//!    iteration (per the IFLog);
-//! 2. every instance is placed in all open blocks with compatible
-//!    (non-disjoint) matrices; an instance constrained on a predicate that
-//!    an IF in the *same row* computes receives a guard (it sits on the
-//!    matching subtree of the tree instruction); an instance constrained on
-//!    a not-yet-computed predicate executes speculatively (its actual path
-//!    set widens beyond its formal one);
-//! 3. a block ends with the row in which an IF instance was placed; two
-//!    successors are opened with the IF's matrix element set to `0` and
-//!    `1` (several IFs in one row fan out through zero-cycle dispatch
-//!    blocks);
-//! 4. after the last row, every open block links back to the entry block
-//!    whose matrix *subsumes its own left-shifted matrix* — the paper's
-//!    loop-back linkage rule;
+//! 1. the entry blocks split the universe on every *incoming* predicate —
+//!    one whose outcome is computed in a previous transformed iteration
+//!    (per the IFLog);
+//! 2. in each row, a block issues every instance compatible (non-disjoint)
+//!    with its matrix, after the waits of the machine's latency rule
+//!    ([`InFlight`](psp_machine::InFlight)); the generator places them: an instance constrained
+//!    on a predicate that an IF in the *same row* computes receives a guard
+//!    (it sits on the matching subtree of the tree instruction); an
+//!    instance constrained on a not-yet-computed predicate executes
+//!    speculatively (its actual path set widens beyond its formal one);
+//! 3. a block ends with the row in which it issues an IF; its successors
+//!    have the IF's matrix element set to `0` and `1` (several IFs in one
+//!    row fan out through zero-cycle dispatch blocks);
+//! 4. after the last row, every block waits until nothing is in flight and
+//!    links back to the entry block whose matrix *subsumes its own
+//!    left-shifted matrix* — the paper's loop-back linkage rule;
 //! 5. empty jump-only blocks are deleted.
 //!
-//! Each block tracks the writes in flight on its path and applies the
-//! machine's latency rule ([`InFlight`]): empty cycles before a row that
-//! touches a register in flight, and at the end of a back-edge block until
-//! nothing is in flight. A row the block skips takes no cycle, so latency
-//! is counted in cycles on each path, not in rows.
-//!
-//! A placement is checked for speculative conflicts once, against the
-//! placements before it on its block's path; children share their parent's
-//! placement history instead of copying it. The generator refuses a
-//! schedule that would open more than [`MAX_WALK_PATHS`] blocks in one row,
-//! or more entry blocks than that, with the error the schedule walk that
-//! scores it raises ([`score_schedule`](crate::heuristics::score_schedule)).
+//! A row a block skips takes no cycle, so latency is counted in cycles on
+//! each path, not in rows. A placement is checked for speculative conflicts
+//! once, against the placements before it on its block's path; children
+//! share their parent's placement history instead of copying it. The
+//! walk's refusals, past [`MAX_WALK_PATHS`] paths among them, are the
+//! generator's.
 //!
 //! The *preloop* (startup code) re-executes, once per level of pipelining,
 //! the wrapped instances (operation index ≥ 1) that the steady state
@@ -44,12 +40,14 @@
 //! preloop computed. No postloop is needed: the transformation rules forbid
 //! any motion that would require exit compensation.
 
+use crate::heuristics::{incoming_predicates, steady_states};
 use crate::instance::Instance;
 use crate::schedule::Schedule;
-use psp_ir::{Guard, Operation, RegList};
-use psp_machine::{BlockId, InFlight, MachineConfig, Succ, VliwBlock, VliwLoop, VliwTerm};
-use psp_predicate::{PredAvailability, PredicateMatrix};
+use psp_ir::{CcReg, Guard, OpKind, Operation, RegList};
+use psp_machine::{BlockId, MachineConfig, Succ, VliwBlock, VliwLoop, VliwTerm};
+use psp_predicate::{PredElem, PredicateMatrix};
 use std::fmt;
+use std::ops::Range;
 
 /// Code-generation failure. The scheduling driver treats these as a signal
 /// to discard the candidate transformation that led here.
@@ -114,30 +112,9 @@ impl fmt::Display for CodegenError {
 
 impl std::error::Error for CodegenError {}
 
-/// Shared by [`generate`] and the schedule walk, which fail the same way.
-pub(crate) const ENTRY_SPLIT: CodegenError =
-    CodegenError::Internal("entry split on a constrained element");
-pub(crate) const NO_IF_ROW: CodegenError =
-    CodegenError::Internal("IF instance computes no predicate row");
-
-/// Token identifying one logical block during construction.
-type Token = usize;
-
-/// An open (under-construction) block.
-#[derive(Debug)]
-struct OpenBlock {
-    token: Token,
-    matrix: PredicateMatrix,
-    cycles: Vec<Vec<Operation>>,
-    /// The last placement on this block's path, in [`generate`]'s
-    /// placement history.
-    placed: Option<usize>,
-    /// The writes in flight at the end of the block's cycles.
-    flight: InFlight,
-}
-
 /// One placed instance, as the conflict check reads it: an entry of the
-/// placement history shared by every block of one [`generate`] call.
+/// placement history shared by every block of one [`generate`] call
+/// ([`Blocks`]).
 #[derive(Debug)]
 struct Placed {
     formal: PredicateMatrix,
@@ -168,116 +145,121 @@ impl Placed {
     }
 }
 
-/// A finished logical block.
+/// The blocks of one [`generate`] call: one per path of the schedule walk
+/// ([`steady_states`]), numbered in the order the walk opens them, with
+/// the instances placed in them as the walk issues each row.
+#[derive(Debug, Default)]
+pub(crate) struct Blocks {
+    blocks: Vec<Block>,
+    /// How many entry blocks there are; they come first.
+    entries: usize,
+    /// The blocks that ended, with their ends, in the order they ended: the
+    /// order of the generated program's blocks.
+    done: Vec<(usize, End)>,
+    /// Every placement of the call.
+    history: Vec<Placed>,
+}
+
 #[derive(Debug)]
-struct Done {
-    token: Token,
+struct Block {
     matrix: PredicateMatrix,
     cycles: Vec<Vec<Operation>>,
-    term: DoneTerm,
+    /// The last placement on this block's path, in [`Blocks::history`].
+    placed: Option<usize>,
 }
 
 #[derive(Debug)]
-enum DoneTerm {
-    /// Fan-out over IFs placed in the final row; `children` maps each leaf
-    /// outcome matrix to the child's token.
-    Splits {
-        splits: Vec<(psp_ir::CcReg, u32, i32)>,
-        children: Vec<(PredicateMatrix, Token)>,
+enum End {
+    /// Fan-out over the IFs of the block's last row to the blocks
+    /// `children`.
+    Fork {
+        splits: Vec<(CcReg, u32, i32)>,
+        children: Range<usize>,
     },
-    /// Loop-back edge.
-    Back,
+    /// Loop-back edge to an entry block.
+    Back(usize),
 }
 
-/// The predicates the steady state dispatches on at block entry: those a
-/// constrained instance needs from the *previous* iteration. Shared by
-/// [`generate`] and the schedule walk, so both agree exactly on the entry
-/// fan-out (and on the failure modes that precede it).
-pub(crate) fn incoming_predicates(sched: &Schedule) -> Result<Vec<(u32, i32)>, CodegenError> {
-    let iflog = sched.iflog();
-    let mut incoming: Vec<(u32, i32)> = Vec::new();
-    for inst in sched.instances() {
-        for (r, c, _v) in inst.formal.constrained() {
-            match iflog.availability(r, c) {
-                PredAvailability::PreviousIteration { .. } if !incoming.contains(&(r, c)) => {
-                    incoming.push((r, c));
-                }
-                PredAvailability::NotComputed => {
-                    return Err(CodegenError::UnresolvedPredicate(r, c))
-                }
-                _ => {}
-            }
-        }
+impl Blocks {
+    /// Open the entry blocks, one per matrix of `entries`.
+    pub(crate) fn enter(&mut self, entries: &[PredicateMatrix]) {
+        self.entries = entries.len();
+        self.open(entries, None);
     }
-    incoming.sort_unstable();
-    // One incoming column per IF row (a single condition register cannot
-    // hold two iterations' outcomes).
-    for w in incoming.windows(2) {
-        if w[0].0 == w[1].0 {
-            return Err(CodegenError::DispatchUnsupported);
-        }
-    }
-    Ok(incoming)
-}
 
-/// The steady state's entry matrices: the universe split on every
-/// incoming predicate in turn. `None` when a split meets an element that
-/// is already constrained.
-pub(crate) fn entry_matrices(incoming: &[(u32, i32)]) -> Option<Vec<PredicateMatrix>> {
-    let mut entries = vec![PredicateMatrix::universe()];
-    for &(r, c) in incoming {
-        let mut next = Vec::with_capacity(entries.len() * 2);
-        for m in entries {
-            let (f, t) = m.split(r, c)?;
-            next.push(f);
-            next.push(t);
-        }
-        entries = next;
+    /// Open one block per matrix of `mats`, on a path whose last placement
+    /// is `placed`; returns the first one's number.
+    fn open(&mut self, mats: &[PredicateMatrix], placed: Option<usize>) -> usize {
+        let first = self.blocks.len();
+        self.blocks.extend(mats.iter().map(|m| Block {
+            matrix: m.clone(),
+            cycles: Vec::new(),
+            placed,
+        }));
+        first
     }
-    Some(entries)
-}
 
-/// The successor matrices of a block with matrix `m` that ends in a row
-/// whose IFs compute the predicates `splits`: `m` split on each in turn,
-/// written to `out` in place of its contents. An outcome `m` already fixes
-/// leaves one child. Splitting stops once `out` holds more than `cap`
-/// matrices, which the caller refuses; returns `out.len()`.
-pub(crate) fn fan_out(
-    m: PredicateMatrix,
-    splits: &[(u32, i32)],
-    cap: usize,
-    out: &mut Vec<PredicateMatrix>,
-) -> usize {
-    out.clear();
-    out.push(m);
-    for &(r, c) in splits {
-        if out.len() > cap {
-            break;
+    /// Block `b` issues `cycle`, the instances of a row compatible with its
+    /// matrix in row order, after `wait` empty cycles.
+    pub(crate) fn issue(
+        &mut self,
+        b: usize,
+        cycle: &[&Instance],
+        wait: u32,
+    ) -> Result<(), CodegenError> {
+        let block = &mut self.blocks[b];
+        let mut ops = Vec::with_capacity(cycle.len());
+        let mut conflict = false;
+        for inst in cycle {
+            let (guard, guard_pred) = guard_for(inst, &block.matrix, cycle)?;
+            let mut op = *inst.op();
+            op.guard = guard;
+            ops.push(op);
+            let exec = match guard_pred {
+                Some((r, c, v)) => block.matrix.with(r, c, PredElem::from_bool(v)),
+                None => block.matrix.clone(),
+            };
+            let placed = Placed {
+                formal: inst.formal.clone(),
+                defs: inst.op().defs(),
+                exec,
+                prev: block.placed,
+            };
+            conflict = conflict || placed.conflicts(&self.history);
+            block.placed = Some(self.history.len());
+            self.history.push(placed);
         }
-        let n = out.len();
-        for k in 0..n {
-            let m = std::mem::take(&mut out[k]);
-            match m.split(r, c) {
-                Some((f, t)) => {
-                    out.push(f);
-                    out.push(t);
-                }
-                None => out.push(m),
-            }
+        // Reported after the row's placements, so a guard error later in
+        // the row takes precedence.
+        if conflict {
+            return Err(CodegenError::SpeculativeConflict);
         }
-        out.drain(..n);
+        push_empty(&mut block.cycles, wait);
+        block.cycles.push(ops);
+        Ok(())
     }
-    out.len()
-}
 
-/// Open `block` in `open`, the blocks of the next row, unless that would
-/// hold more than [`MAX_WALK_PATHS`] of them.
-fn push_open(open: &mut Vec<OpenBlock>, block: OpenBlock) -> Result<(), CodegenError> {
-    if open.len() >= MAX_WALK_PATHS {
-        return Err(CodegenError::TooManyPaths(MAX_WALK_PATHS));
+    /// End block `b` at the IFs `splits` of its last row, with one child
+    /// per matrix of `mats`; returns the first child's number.
+    pub(crate) fn fork(
+        &mut self,
+        b: usize,
+        splits: &[(CcReg, u32, i32)],
+        mats: &[PredicateMatrix],
+    ) -> usize {
+        let first = self.open(mats, self.blocks[b].placed);
+        let children = first..self.blocks.len();
+        let splits = splits.to_vec();
+        self.done.push((b, End::Fork { splits, children }));
+        first
     }
-    open.push(block);
-    Ok(())
+
+    /// End block `b` with `drain` empty cycles and a back edge to entry
+    /// block `entry`.
+    pub(crate) fn back(&mut self, b: usize, drain: u32, entry: usize) {
+        push_empty(&mut self.blocks[b].cycles, drain);
+        self.done.push((b, End::Back(entry)));
+    }
 }
 
 /// Generate executable code for a schedule.
@@ -288,192 +270,55 @@ pub fn generate(sched: &Schedule, machine: &MachineConfig) -> Result<VliwLoop, C
     // Establish the steady-state entry contract by reaching-definition
     // analysis and emulation of the startup iterations (see `preloop`).
     // Depends only on the schedule and the incoming predicates, so it runs
-    // *before* the exponential block walk: a schedule whose contract cannot
-    // be established is rejected at linear cost.
+    // *before* the exponential schedule walk: a schedule whose contract
+    // cannot be established is rejected at linear cost.
     let (prologue, dispatch_map) = crate::preloop::build_preloop(sched, &incoming)?;
     let prologue = machine.with_waits(prologue);
 
-    // --- entry blocks ------------------------------------------------------
-    if incoming.len() > MAX_ENTRY_SPLITS {
-        return Err(CodegenError::TooManyPaths(MAX_WALK_PATHS));
+    // --- the walk: one block per path, placed row by row ---------------------
+    let mut walk = Blocks::default();
+    steady_states(sched, machine, &incoming, None, Some(&mut walk))?;
+    let Blocks {
+        mut blocks,
+        entries,
+        done,
+        ..
+    } = walk;
+
+    // --- materialize VliwBlocks, in the order the blocks ended ---------------
+    let mut id: Vec<BlockId> = vec![0; blocks.len()];
+    for (k, &(b, _)) in done.iter().enumerate() {
+        id[b] = k;
     }
-    let mut next_token: Token = 0;
-    let mut fresh = move || {
-        let t = next_token;
-        next_token += 1;
-        t
-    };
-    let entries = entry_matrices(&incoming).ok_or(ENTRY_SPLIT)?;
-    let mut open: Vec<OpenBlock> = entries
+    let mut program: Vec<VliwBlock> = done
         .iter()
-        .map(|m| OpenBlock {
-            token: fresh(),
-            matrix: m.clone(),
-            cycles: Vec::new(),
-            placed: None,
-            flight: InFlight::default(),
+        .enumerate()
+        .map(|(k, &(b, _))| VliwBlock {
+            id: k,
+            matrix: blocks[b].matrix.clone(),
+            cycles: std::mem::take(&mut blocks[b].cycles),
+            term: VliwTerm::Exit, // placeholder
         })
         .collect();
-    let entry_tokens: Vec<Token> = open.iter().map(|b| b.token).collect();
-    let mut done: Vec<Done> = Vec::new();
-    let mut history: Vec<Placed> = Vec::new();
-    let mut mats: Vec<PredicateMatrix> = Vec::new();
-
-    // --- walk the rows ---------------------------------------------------
-    for row in &sched.rows {
-        let mut next_open = Vec::new();
-        for mut block in open {
-            let row_ifs: Vec<&Instance> = row
-                .iter()
-                .filter(|i| i.op().is_if() && !i.formal.is_disjoint(&block.matrix))
-                .collect();
-            let mut cycle: Vec<Operation> = Vec::new();
-            let mut conflict = false;
-            for inst in row {
-                if inst.formal.is_disjoint(&block.matrix) {
-                    continue;
-                }
-                let (guard, guard_pred) = guard_for(inst, &block.matrix, &row_ifs)?;
-                let mut op = *inst.op();
-                op.guard = guard;
-                cycle.push(op);
-                let exec = match guard_pred {
-                    Some((r, c, v)) => {
-                        block
-                            .matrix
-                            .with(r, c, psp_predicate::PredElem::from_bool(v))
-                    }
-                    None => block.matrix.clone(),
-                };
-                let placed = Placed {
-                    formal: inst.formal.clone(),
-                    defs: inst.op().defs(),
-                    exec,
-                    prev: block.placed,
-                };
-                conflict = conflict || placed.conflicts(&history);
-                block.placed = Some(history.len());
-                history.push(placed);
-            }
-            // Reported after the row's placements, so a guard error later
-            // in the row takes precedence.
-            if conflict {
-                return Err(CodegenError::SpeculativeConflict);
-            }
-            if !cycle.is_empty() {
-                let wait = block.flight.issue(&cycle, machine);
-                push_empty(&mut block.cycles, wait);
-                block.cycles.push(cycle);
-            }
-            if row_ifs.is_empty() {
-                push_open(&mut next_open, block)?;
-                continue;
-            }
-            // Block ends: fan out over the IFs placed in this row.
-            let mut splits: Vec<(psp_ir::CcReg, u32, i32)> = Vec::with_capacity(row_ifs.len());
-            for i in &row_ifs {
-                let psp_ir::OpKind::If { cc } = i.op().kind else {
-                    return Err(CodegenError::Internal("row_ifs holds a non-IF instance"));
-                };
-                let r = i.computes_if.ok_or(NO_IF_ROW)?;
-                splits.push((cc, r, i.index));
-            }
-            let keys: Vec<(u32, i32)> = splits.iter().map(|&(_cc, r, c)| (r, c)).collect();
-            // Past the room left under the cap, `push_open` refuses.
-            let room = MAX_WALK_PATHS.saturating_sub(next_open.len());
-            fan_out(block.matrix.clone(), &keys, room, &mut mats);
-            let mut children = Vec::with_capacity(mats.len());
-            for m in mats.drain(..) {
-                let token = fresh();
-                children.push((m.clone(), token));
-                push_open(
-                    &mut next_open,
-                    OpenBlock {
-                        token,
-                        matrix: m,
-                        cycles: Vec::new(),
-                        placed: block.placed,
-                        flight: block.flight.clone(),
-                    },
-                )?;
-            }
-            done.push(Done {
-                token: block.token,
-                matrix: block.matrix,
-                cycles: block.cycles,
-                term: DoneTerm::Splits { splits, children },
-            });
-        }
-        open = next_open;
-    }
-    for mut block in open {
-        push_empty(&mut block.cycles, block.flight.drain());
-        done.push(Done {
-            token: block.token,
-            matrix: block.matrix,
-            cycles: block.cycles,
-            term: DoneTerm::Back,
-        });
-    }
-
-    // --- materialize VliwBlocks --------------------------------------------
-    let mut blocks: Vec<VliwBlock> = Vec::new();
-    let mut id_of_token: Vec<Option<BlockId>> = Vec::new();
-    for d in &done {
-        let id = blocks.len();
-        blocks.push(VliwBlock {
-            id,
-            matrix: d.matrix.clone(),
-            cycles: d.cycles.clone(),
-            term: VliwTerm::Exit, // placeholder
-        });
-        if id_of_token.len() <= d.token {
-            id_of_token.resize(d.token + 1, None);
-        }
-        id_of_token[d.token] = Some(id);
-    }
-    let block_of = |t: Token| -> Result<BlockId, CodegenError> {
-        id_of_token
-            .get(t)
-            .copied()
-            .flatten()
-            .ok_or(CodegenError::Internal("block token was never finished"))
+    // The program block of the block among `range` whose matrix is `m`.
+    let find = |mut range: Range<usize>, m: &PredicateMatrix| {
+        range.find(|&c| blocks[c].matrix == *m).map(|c| id[c])
     };
-
-    let entry_ids: Vec<BlockId> = entry_tokens
-        .iter()
-        .map(|&t| block_of(t))
-        .collect::<Result<_, _>>()?;
-
-    for (di, d) in done.iter().enumerate() {
-        let my_id = block_of(done[di].token)?;
-        match &d.term {
-            DoneTerm::Back => {
-                let shifted = d.matrix.shifted(-1);
-                let target = entries
-                    .iter()
-                    .position(|e| e.subsumes(&shifted))
-                    .ok_or(CodegenError::NoBackEdgeTarget)?;
-                blocks[my_id].term = VliwTerm::Jump(Succ::back(entry_ids[target]));
+    for (k, (b, end)) in done.iter().enumerate() {
+        program[k].term = match end {
+            End::Back(entry) => VliwTerm::Jump(Succ::back(id[*entry])),
+            End::Fork { splits, children } => {
+                let lookup = |m: &PredicateMatrix| find(children.clone(), m);
+                build_dispatch(&mut program, &blocks[*b].matrix, splits, &lookup)?
             }
-            DoneTerm::Splits { splits, children } => {
-                let lookup = |m: &PredicateMatrix| -> Option<BlockId> {
-                    children
-                        .iter()
-                        .find(|(cm, _)| cm == m)
-                        .and_then(|&(_, t)| block_of(t).ok())
-                };
-                let term = build_dispatch(&mut blocks, &d.matrix, splits, &lookup)?;
-                blocks[my_id].term = term;
-            }
-        }
+        };
     }
 
     // --- entry dispatch ------------------------------------------------------
     let entry = if incoming.is_empty() {
-        entry_ids[0]
+        id[0]
     } else {
-        let splits: Vec<(psp_ir::CcReg, u32, i32)> = incoming
+        let splits: Vec<(CcReg, u32, i32)> = incoming
             .iter()
             .map(|&(r, c)| {
                 let cc = dispatch_map
@@ -483,26 +328,24 @@ pub fn generate(sched: &Schedule, machine: &MachineConfig) -> Result<VliwLoop, C
                 Ok((cc, r, c))
             })
             .collect::<Result<_, CodegenError>>()?;
-        let lookup = |m: &PredicateMatrix| -> Option<BlockId> {
-            entries.iter().position(|e| e == m).map(|i| entry_ids[i])
-        };
+        let lookup = |m: &PredicateMatrix| find(0..entries, m);
         let root_matrix = PredicateMatrix::universe();
-        let root_id = blocks.len();
-        blocks.push(VliwBlock {
+        let root_id = program.len();
+        program.push(VliwBlock {
             id: root_id,
             matrix: root_matrix.clone(),
             cycles: Vec::new(),
             term: VliwTerm::Exit,
         });
-        let term = build_dispatch(&mut blocks, &root_matrix, &splits, &lookup)?;
-        blocks[root_id].term = term;
+        let term = build_dispatch(&mut program, &root_matrix, &splits, &lookup)?;
+        program[root_id].term = term;
         root_id
     };
 
     let mut result = VliwLoop {
         name: format!("{}-psp", sched.source.name),
         prologue,
-        blocks,
+        blocks: program,
         entry,
         epilogue: Vec::new(),
     };
@@ -516,24 +359,21 @@ fn push_empty(cycles: &mut Vec<Vec<Operation>>, n: u32) {
     cycles.extend(std::iter::repeat_with(Vec::new).take(n as usize));
 }
 
-/// The most open paths the steady-state walk that scores a schedule
-/// ([`score_schedule`](crate::heuristics::score_schedule)) counts after any
-/// row, and the most open blocks [`generate`] holds. The walk merges paths
-/// whose futures agree, but code generation still builds one block per
-/// path, so a schedule past this cap could not be generated in reasonable
-/// time; both refuse it with [`CodegenError::TooManyPaths`].
+/// The most open paths the schedule walk counts after any row, when it
+/// scores a schedule
+/// ([`score_schedule`](crate::heuristics::score_schedule)) and when it
+/// hands [`generate`] its blocks. Scoring merges paths whose futures
+/// agree, but code generation builds one block per path, so a schedule
+/// past this cap could not be generated in reasonable time; both refuse it
+/// with [`CodegenError::TooManyPaths`].
 pub const MAX_WALK_PATHS: usize = 1 << 18;
-
-/// The most incoming predicates whose 2^n entry paths fit under
-/// [`MAX_WALK_PATHS`].
-pub(crate) const MAX_ENTRY_SPLITS: usize = MAX_WALK_PATHS.trailing_zeros() as usize;
 
 /// Terminator (possibly via zero-cycle dispatch blocks) implementing a
 /// sequence of matrix splits from `base`, resolving leaves with `lookup`.
 fn build_dispatch(
     blocks: &mut Vec<VliwBlock>,
     base: &PredicateMatrix,
-    splits: &[(psp_ir::CcReg, u32, i32)],
+    splits: &[(CcReg, u32, i32)],
     lookup: &dyn Fn(&PredicateMatrix) -> Option<BlockId>,
 ) -> Result<VliwTerm, CodegenError> {
     let (cc, r, c) = splits[0];
@@ -544,7 +384,7 @@ fn build_dispatch(
         let m = if base.get(r, c).is_constrained() {
             base.clone()
         } else {
-            base.with(r, c, psp_predicate::PredElem::from_bool(outcome))
+            base.with(r, c, PredElem::from_bool(outcome))
         };
         if rest.is_empty() {
             let id = lookup(&m).ok_or(CodegenError::NoBackEdgeTarget)?;
@@ -573,11 +413,12 @@ fn build_dispatch(
 
 /// The guard an instance needs inside a block, if any, together with the
 /// predicate position the guard tests (for exec-condition tracking).
+/// `cycle` is the row's instances the block issues.
 #[allow(clippy::type_complexity)]
 fn guard_for(
     inst: &Instance,
     block: &PredicateMatrix,
-    row_ifs: &[&Instance],
+    cycle: &[&Instance],
 ) -> Result<(Option<Guard>, Option<(u32, i32, bool)>), CodegenError> {
     let mut guard: Option<Guard> = None;
     let mut guard_pred: Option<(u32, i32, bool)> = None;
@@ -588,15 +429,11 @@ fn guard_for(
             continue;
         }
         // Does an IF in this very row compute the predicate?
-        let same_row_if = row_ifs
-            .iter()
-            .find(|i| i.computes_if == Some(r) && i.index == c);
-        if let Some(ifinst) = same_row_if {
-            let psp_ir::OpKind::If { cc } = ifinst.op().kind else {
-                return Err(CodegenError::Internal(
-                    "computes_if set on a non-IF instance",
-                ));
-            };
+        let same_row_if = cycle.iter().find_map(|i| match i.op().kind {
+            OpKind::If { cc } if i.computes_if == Some(r) && i.index == c => Some(cc),
+            _ => None,
+        });
+        if let Some(cc) = same_row_if {
             if guard.is_some() {
                 return Err(CodegenError::MultiGuard);
             }

@@ -245,8 +245,9 @@ fn codegen(
     prog
 }
 
-/// Walk, then generate: the walk refuses a loop past its path cap before
-/// the exponential code generation starts.
+/// Score, then generate. The merged schedule walk supplies the score and
+/// refuses a loop past its path cap cheaply; `generate` starts with the
+/// same walk, with merging off, and places instances on its blocks.
 fn score_and_generate(
     sched: &Schedule,
     cfg: &PspConfig,

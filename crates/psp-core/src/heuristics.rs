@@ -1,4 +1,5 @@
-//! Candidate scoring.
+//! Candidate scoring, and the schedule walk that scoring and code
+//! generation share.
 //!
 //! The paper's technique evaluates candidate transformations heuristically
 //! and applies the best (§3). Our evaluation is *semantic*: a candidate is
@@ -10,28 +11,28 @@
 //! from one walk of the schedule's steady state, so scoring never needs the
 //! generated program.
 //!
-//! The walk replays the generator's block matrices row by row, with the
-//! writes in flight on each path and the empty cycles the machine's latency
-//! rule makes it wait ([`InFlight`]), but it merges paths. After a row that
-//! leaves more than a few open states (and, after a merge, more than twice
-//! as many as the merge left), it projects every state's matrix onto the
-//! keys the rest of the walk reads: the formal keys of later instances, the
-//! split keys of later IFs, and the back-edge keys. States with the same
-//! entry, the same projection and the same writes in flight have the same
-//! future, so they merge into one state that carries the tallies the
-//! objectives need. The work is bounded by the states, which stay few
-//! when IF outcomes are read soon after they are computed; the path cap
-//! ([`MAX_WALK_PATHS`]) still counts paths, because code generation emits
-//! one block per path.
+//! The walk (`steady_states`) is the one enumeration of the steady state's
+//! paths (paper §2; the steps are listed in [`codegen`](crate::codegen)),
+//! with the writes in flight on each path and the empty cycles the
+//! machine's latency rule makes it wait ([`InFlight`]). Code generation
+//! runs it with merging off and places each path's instances as the walk
+//! issues them. Scoring merges paths: after a row that leaves more than a
+//! few open states (and, after a merge, more than twice as many as the
+//! merge left), it projects every state's matrix onto the keys the rest of
+//! the walk reads: the formal keys of later instances, the split keys of
+//! later IFs, and the back-edge keys. States with the same entry, the same
+//! projection and the same writes in flight have the same future, so they
+//! merge into one state that carries the tallies the objectives need. The
+//! work is bounded by the states, which stay few when IF outcomes are read
+//! soon after they are computed; the path cap ([`MAX_WALK_PATHS`]) still
+//! counts paths, because code generation emits one block per path.
 
-use crate::codegen::{
-    entry_matrices, fan_out, incoming_predicates, CodegenError, ENTRY_SPLIT, MAX_ENTRY_SPLITS,
-    MAX_WALK_PATHS, NO_IF_ROW,
-};
+use crate::codegen::{Blocks, CodegenError, MAX_WALK_PATHS};
 use crate::instance::Instance;
 use crate::schedule::Schedule;
+use psp_ir::{CcReg, OpKind};
 use psp_machine::{InFlight, MachineConfig};
-use psp_predicate::{PredElem, PredicateMatrix};
+use psp_predicate::{PredAvailability, PredElem, PredicateMatrix};
 use std::collections::HashMap;
 
 /// A schedule's figure of merit. Lower is better, compared
@@ -139,9 +140,11 @@ impl Tally {
 /// Open paths of the walk with one entry, one matrix and one set of writes
 /// in flight.
 #[derive(Debug, Clone)]
-struct State {
+pub(crate) struct State {
     /// Index of the entry matrix the paths started from.
     entry: usize,
+    /// With merging off, the path's block in code generation's [`Blocks`].
+    block: usize,
     /// The paths' matrix; once projected, restricted to the keys later rows
     /// and the back edge read.
     matrix: PredicateMatrix,
@@ -239,6 +242,93 @@ fn merge(states: &mut Vec<State>) {
     });
 }
 
+const ENTRY_SPLIT: CodegenError = CodegenError::Internal("entry split on a constrained element");
+const NO_IF_ROW: CodegenError = CodegenError::Internal("IF instance computes no predicate row");
+
+/// The most incoming predicates whose 2^n entry paths fit under
+/// [`MAX_WALK_PATHS`].
+const MAX_ENTRY_SPLITS: usize = MAX_WALK_PATHS.trailing_zeros() as usize;
+
+/// The predicates the steady state dispatches on at block entry: those a
+/// constrained instance needs from the *previous* iteration. The walk
+/// starts from them, and the preloop computes them.
+pub(crate) fn incoming_predicates(sched: &Schedule) -> Result<Vec<(u32, i32)>, CodegenError> {
+    let iflog = sched.iflog();
+    let mut incoming: Vec<(u32, i32)> = Vec::new();
+    for inst in sched.instances() {
+        for (r, c, _v) in inst.formal.constrained() {
+            match iflog.availability(r, c) {
+                PredAvailability::PreviousIteration { .. } if !incoming.contains(&(r, c)) => {
+                    incoming.push((r, c));
+                }
+                PredAvailability::NotComputed => {
+                    return Err(CodegenError::UnresolvedPredicate(r, c))
+                }
+                _ => {}
+            }
+        }
+    }
+    incoming.sort_unstable();
+    // One incoming column per IF row (a single condition register cannot
+    // hold two iterations' outcomes).
+    for w in incoming.windows(2) {
+        if w[0].0 == w[1].0 {
+            return Err(CodegenError::DispatchUnsupported);
+        }
+    }
+    Ok(incoming)
+}
+
+/// The steady state's entry matrices: the universe split on every
+/// incoming predicate in turn. `None` when a split meets an element that
+/// is already constrained.
+fn entry_matrices(incoming: &[(u32, i32)]) -> Option<Vec<PredicateMatrix>> {
+    let mut entries = vec![PredicateMatrix::universe()];
+    for &(r, c) in incoming {
+        let mut next = Vec::with_capacity(entries.len() * 2);
+        for m in entries {
+            let (f, t) = m.split(r, c)?;
+            next.push(f);
+            next.push(t);
+        }
+        entries = next;
+    }
+    Some(entries)
+}
+
+/// The successor matrices of a path with matrix `m` that ends in a row
+/// whose IFs compute the predicates `splits`: `m` split on each in turn,
+/// written to `out` in place of its contents. An outcome `m` already fixes
+/// leaves one child. Splitting stops once `out` holds more than `cap`
+/// matrices, which the caller refuses; returns `out.len()`.
+fn fan_out(
+    m: PredicateMatrix,
+    splits: &[(CcReg, u32, i32)],
+    cap: usize,
+    out: &mut Vec<PredicateMatrix>,
+) -> usize {
+    out.clear();
+    out.push(m);
+    for &(_, r, c) in splits {
+        if out.len() > cap {
+            break;
+        }
+        let n = out.len();
+        for k in 0..n {
+            let m = std::mem::take(&mut out[k]);
+            match m.split(r, c) {
+                Some((f, t)) => {
+                    out.push(f);
+                    out.push(t);
+                }
+                None => out.push(m),
+            }
+        }
+        out.drain(..n);
+    }
+    out.len()
+}
+
 /// The keys the walk reads after row `i`: the formal keys of the
 /// instances in later rows, the split keys of the IFs in later rows, and
 /// the back-edge key `(r, c + 1)` of every incoming `(r, c)`. The values
@@ -262,33 +352,41 @@ fn live_keys(sched: &Schedule, incoming: &[(u32, i32)], i: usize) -> PredicateMa
 }
 
 /// The steady-state paths of the loop [`generate`](crate::codegen::generate)
-/// would build from `sched`, merged into states (module docs).
+/// builds from `sched`, whose incoming predicates are `incoming`
+/// ([`incoming_predicates`]).
 ///
-/// Replays exactly the generator's block-matrix evolution — the universe
-/// split on every incoming predicate at entry, one cycle per row holding a
-/// compatible instance after the latency rule's waits for it, a fan-out on
-/// every compatible IF of a row, the waits until nothing is in flight
-/// before a back edge, which is resolved by matching the `shifted(-1)`
-/// final matrix against the entry matrices — with no instance placement,
-/// guard assignment or conflict check. Every walked path exists verbatim in
-/// the generated program; a path is a steady-state path iff its entry
-/// receives some back edge. After a row that leaves more than [`MERGE_AT`]
-/// states, and more than twice as many as the last merge left, every state
-/// is projected and equal states merge; under a profile, each state's
-/// weights carry the factors of the elements projected away, and the
-/// factors of its final matrix are left to the objective.
+/// The walk starts from the universe split on every incoming predicate. In
+/// each row, a path issues one cycle when the row holds an instance
+/// compatible with its matrix, after the latency rule's waits for it, and
+/// fans out on every compatible IF of the row. After the last row, it waits
+/// until nothing is in flight and takes the back edge to the first entry
+/// whose matrix subsumes its `shifted(-1)` final matrix. A path is a
+/// steady-state path iff its entry receives some back edge.
 ///
-/// The errors are those `generate` raises for the same reason, plus
-/// [`CodegenError::TooManyPaths`] when more than [`MAX_WALK_PATHS`] paths
-/// are open after a row; whenever the walk fails, so does `generate`.
-/// Projection keeps every key a later test reads, so each error fires on
-/// exactly the schedules a per-path walk would refuse.
-fn steady_states(
+/// With `blocks`, code generation's mode, nothing merges: each state is
+/// one path with a block of its own, and the walk hands `blocks` every
+/// entry, every row a path issues with the instances it issues and the
+/// wait, every fork, and every back edge with its drain and target, in the
+/// order it meets them; a placement that fails ends the walk with its
+/// error. Without `blocks`, the scoring mode, after a row that leaves more
+/// than [`MERGE_AT`] states, and more than twice as many as the last merge
+/// left, every state is projected and equal states merge; under a profile,
+/// each state's weights carry the factors of the elements projected away,
+/// and the factors of its final matrix are left to the objective.
+///
+/// The walk refuses a schedule when more than [`MAX_WALK_PATHS`] paths are
+/// open after a row ([`CodegenError::TooManyPaths`]), when an IF it meets
+/// computes no predicate row, and when no entry subsumes a back edge
+/// ([`CodegenError::NoBackEdgeTarget`]). Projection keeps every key a later
+/// test reads, so each error fires on exactly the schedules the walk
+/// refuses with merging off.
+pub(crate) fn steady_states(
     sched: &Schedule,
     machine: &MachineConfig,
+    incoming: &[(u32, i32)],
     probs: Option<&[f64]>,
+    mut blocks: Option<&mut Blocks>,
 ) -> Result<Vec<State>, CodegenError> {
-    let incoming = incoming_predicates(sched)?;
     if incoming.len() > MAX_ENTRY_SPLITS {
         // Each entry is a path of its own, so the count after the first
         // row is past the cap; every IF of that row is compatible with
@@ -302,7 +400,11 @@ fn steady_states(
         }
         return Err(CodegenError::TooManyPaths(MAX_WALK_PATHS));
     }
-    let entries = entry_matrices(&incoming).ok_or(ENTRY_SPLIT)?;
+    let entries = entry_matrices(incoming).ok_or(ENTRY_SPLIT)?;
+    if let Some(b) = blocks.as_deref_mut() {
+        b.enter(&entries);
+    }
+    let full = blocks.is_some();
     let mut merge_at = MERGE_AT;
 
     let mut states: Vec<State> = entries
@@ -310,6 +412,7 @@ fn steady_states(
         .enumerate()
         .map(|(entry, m)| State {
             entry,
+            block: entry,
             matrix: m.clone(),
             flight: 0,
             tally: Tally::START,
@@ -317,7 +420,8 @@ fn steady_states(
         .collect();
     let mut flights = Flights::new();
     let mut next: Vec<State> = Vec::with_capacity(states.len());
-    let mut splits: Vec<(u32, i32)> = Vec::new();
+    let mut cycle: Vec<&Instance> = Vec::new();
+    let mut splits: Vec<(CcReg, u32, i32)> = Vec::new();
     let mut fan: Vec<PredicateMatrix> = Vec::new();
     for (i, row) in sched.rows.iter().enumerate() {
         // A path with nothing in flight waits for a row only when the row
@@ -326,54 +430,74 @@ fn steady_states(
         let mut paths = 0usize;
         for State {
             entry,
+            mut block,
             matrix,
             mut flight,
             mut tally,
         } in states.drain(..)
         {
-            let mut issues = false;
+            // Scoring reads only whether the paths issue and where they
+            // fork, so it tests the rest of the row only for a wait; code
+            // generation places every instance they issue.
+            cycle.clear();
             splits.clear();
             for inst in row {
-                if (!issues || inst.op().is_if()) && !inst.formal.is_disjoint(&matrix) {
-                    issues = true;
-                    if inst.op().is_if() {
-                        splits.push((inst.computes_if.ok_or(NO_IF_ROW)?, inst.index));
+                if (full || cycle.is_empty() || inst.op().is_if())
+                    && !inst.formal.is_disjoint(&matrix)
+                {
+                    cycle.push(inst);
+                    if let OpKind::If { cc } = inst.op().kind {
+                        splits.push((cc, inst.computes_if.ok_or(NO_IF_ROW)?, inst.index));
                     }
                 }
             }
             // Past the cap the row is refused. Only a later state's
             // NO_IF_ROW takes precedence, so the rest of the row is scanned
-            // without fanning out.
-            if paths <= MAX_WALK_PATHS {
-                if issues {
-                    let wait = if slow || flight != 0 {
-                        let cycle = row.iter().filter(|x| !x.formal.is_disjoint(&matrix));
-                        let mut set = flights.sets[flight].clone();
-                        let wait = set.issue(cycle.map(Instance::op), machine);
-                        flight = flights.id(set);
-                        wait as usize
-                    } else {
-                        0
-                    };
-                    tally.max += wait + 1;
-                    tally.min += wait + 1;
-                }
-                let room = (MAX_WALK_PATHS - paths) / tally.paths;
-                let n = fan_out(matrix, &splits, room, &mut fan);
-                paths = paths.saturating_add(tally.paths.saturating_mul(n));
-                next.extend(fan.drain(..).map(|matrix| State {
-                    entry,
-                    matrix,
-                    flight,
-                    tally,
-                }));
+            // without issuing or fanning out.
+            if paths > MAX_WALK_PATHS {
+                continue;
             }
+            if !cycle.is_empty() {
+                let wait = if slow || flight != 0 {
+                    if !full {
+                        cycle.clear();
+                        cycle.extend(row.iter().filter(|x| !x.formal.is_disjoint(&matrix)));
+                    }
+                    let mut set = flights.sets[flight].clone();
+                    let wait = set.issue(cycle.iter().map(|x| x.op()), machine);
+                    flight = flights.id(set);
+                    wait
+                } else {
+                    0
+                };
+                if let Some(b) = blocks.as_deref_mut() {
+                    b.issue(block, &cycle, wait)?;
+                }
+                tally.max += wait as usize + 1;
+                tally.min += wait as usize + 1;
+            }
+            let room = (MAX_WALK_PATHS - paths) / tally.paths;
+            let n = fan_out(matrix, &splits, room, &mut fan);
+            paths = paths.saturating_add(tally.paths.saturating_mul(n));
+            if paths > MAX_WALK_PATHS {
+                continue;
+            }
+            if let Some(b) = blocks.as_deref_mut().filter(|_| !splits.is_empty()) {
+                block = b.fork(block, &splits, &fan);
+            }
+            next.extend(fan.drain(..).enumerate().map(|(k, matrix)| State {
+                entry,
+                block: block + k,
+                matrix,
+                flight,
+                tally,
+            }));
         }
         if paths > MAX_WALK_PATHS {
             return Err(CodegenError::TooManyPaths(MAX_WALK_PATHS));
         }
-        if next.len() > merge_at {
-            let keys = live_keys(sched, &incoming, i);
+        if !full && next.len() > merge_at {
+            let keys = live_keys(sched, incoming, i);
             for s in &mut next {
                 s.project(&keys, probs);
             }
@@ -388,14 +512,17 @@ fn steady_states(
     // flight.
     let mut is_steady = vec![false; entries.len()];
     for s in &mut states {
-        let drain = flights.sets[s.flight].drain() as usize;
-        s.tally.max += drain;
-        s.tally.min += drain;
+        let drain = flights.sets[s.flight].drain();
+        s.tally.max += drain as usize;
+        s.tally.min += drain as usize;
         let shifted = s.matrix.shifted(-1);
         let target = entries
             .iter()
             .position(|x| x.subsumes(&shifted))
             .ok_or(CodegenError::NoBackEdgeTarget)?;
+        if let Some(b) = blocks.as_deref_mut() {
+            b.back(s.block, drain, target);
+        }
         is_steady[target] = true;
     }
     states.retain(|s| is_steady[s.entry]);
@@ -444,7 +571,7 @@ pub fn score_schedule(
     machine: &MachineConfig,
     probs: Option<&[f64]>,
 ) -> Result<Score, CodegenError> {
-    let states = steady_states(sched, machine, probs)?;
+    let states = steady_states(sched, machine, &incoming_predicates(sched)?, probs, None)?;
     Ok(Score {
         primary: objective(&states, probs),
         rows: sched.n_rows(),
@@ -523,6 +650,7 @@ mod tests {
         );
         let state = |outcome, cycles| State {
             entry: 0,
+            block: 0,
             matrix: PredicateMatrix::single(0, 0, outcome),
             flight: 0,
             tally: Tally {

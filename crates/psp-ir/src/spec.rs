@@ -145,14 +145,6 @@ impl LoopSpec {
         Ok(())
     }
 
-    /// Name of an array.
-    pub fn array_name(&self, id: ArrayId) -> &str {
-        self.arrays
-            .get(id.0 as usize)
-            .map(String::as_str)
-            .unwrap_or("?")
-    }
-
     /// Allocate a fresh general-purpose register (used by schedulers when
     /// renaming).
     pub fn fresh_reg(&mut self) -> Reg {

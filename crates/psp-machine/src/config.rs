@@ -119,9 +119,10 @@ impl MachineConfig {
 /// issued on a path even if a guard cancels some of its operations. At unit
 /// latency nothing is ever in flight.
 ///
-/// Code generation emits the waits ([`InFlight::issue`], [`InFlight::drain`])
-/// and the schedule walk that scores a schedule counts them, so the two
-/// agree on every path's cycles.
+/// The schedule walk applies the rule on each path ([`InFlight::issue`],
+/// [`InFlight::drain`]); code generation, which runs the walk, emits its
+/// waits as empty cycles, and scoring counts them, so the two agree on
+/// every path's cycles.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Hash)]
 pub struct InFlight(
     /// `(register, cycles until its write lands)`, at least one cycle, in

@@ -16,9 +16,9 @@
 //!   branching block;
 //! - `past_the_path_cap_pipelining_fails_with_the_named_error`,
 //!   `past_the_path_cap_generate_fails_with_the_named_error` and
-//!   `past_the_entry_cap_every_walk_and_generate_refuse_alike` pin the one
-//!   limit the walk and the generator share, crossed by a row's fan-out and
-//!   by the entry split.
+//!   `past_the_entry_cap_every_walk_and_generate_refuse_alike` pin the
+//!   walk's path cap, which the generator meets in its own run of the
+//!   walk, crossed by a row's fan-out and by the entry split.
 
 mod common;
 
@@ -471,15 +471,16 @@ fn past_the_path_cap_pipelining_fails_with_the_named_error() {
 fn past_the_path_cap_generate_fails_with_the_named_error() {
     // 19 independent IFs compacted into one row of a machine that issues
     // them together: that row fans out to 2^19 blocks. The generator
-    // refuses the schedule by itself, as the walk does, before it opens
-    // them (an unchecked `generate` ran for over a minute on such loops).
+    // refuses the schedule in its own walk, as the scoring walk does,
+    // before it opens them (an unchecked `generate` ran for over a minute
+    // on such loops).
     let machine = issue_all_together();
     let mut sched = Schedule::initial(&psp_bench::synthetic(19));
     compact(&mut sched, &machine, true);
-    // The generator checks the cap as it opens each block, so a row whose
-    // last blocks do not split takes the same check. A schedule that crosses
-    // the cap there needs more than 2^17 blocks open before the row, which
-    // is too slow to generate in a debug test.
+    // The walk counts every path a row leaves, so a row whose last blocks
+    // do not split takes the same check. A schedule that crosses the cap
+    // there needs more than 2^17 blocks open before the row, which is too
+    // slow to generate in a debug test.
     let widest = sched
         .rows
         .iter()
@@ -543,8 +544,8 @@ fn past_the_entry_cap_every_walk_and_generate_refuse_alike() {
     assert_eq!(generate(&sched, &machine).unwrap_err(), too_many);
 
     // An IF of the first row that computes no predicate (a malformed
-    // schedule) is an internal error that both walks raise before the
-    // count past the cap.
+    // schedule) is an internal error that both walks and the generator
+    // raise before the count past the cap.
     let mut stray = sched
         .instances()
         .find(|i| i.op().is_if() && i.computes_if.is_some())
@@ -559,4 +560,5 @@ fn past_the_entry_cap_every_walk_and_generate_refuse_alike() {
         no_if_row
     );
     assert_eq!(reference_paths(&sched, &machine).unwrap_err(), no_if_row);
+    assert_eq!(generate(&sched, &machine).unwrap_err(), no_if_row);
 }
