@@ -12,11 +12,12 @@
 //!    (per the IFLog);
 //! 2. in each row, a block issues every instance compatible (non-disjoint)
 //!    with its matrix, after the waits of the machine's latency rule
-//!    ([`InFlight`](psp_machine::InFlight)); the generator places them: an instance constrained
-//!    on a predicate that an IF in the *same row* computes receives a guard
-//!    (it sits on the matching subtree of the tree instruction); an
-//!    instance constrained on a not-yet-computed predicate executes
-//!    speculatively (its actual path set widens beyond its formal one);
+//!    ([`InFlight`](psp_machine::InFlight)); the generator places them:
+//!    an instance constrained on a predicate that an IF in the *same row*
+//!    computes receives a guard (it sits on the matching subtree of the
+//!    tree instruction); an instance constrained on a not-yet-computed
+//!    predicate executes speculatively (its actual path set widens beyond
+//!    its formal one);
 //! 3. a block ends with the row in which it issues an IF; its successors
 //!    have the IF's matrix element set to `0` and `1` (several IFs in one
 //!    row fan out through zero-cycle dispatch blocks);
