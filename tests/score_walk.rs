@@ -43,9 +43,13 @@ fn profile() -> Vec<f64> {
 /// assignment of the keys its block matrices constrain, start at the
 /// steady entry that admits it and follow, block by block, the forward
 /// successor whose matrix admits it; a back edge ends the iteration when
-/// none does. Keys no block constrains cannot change a path's II, so
-/// leaving them out only merges paths of equal II.
+/// none does. Blocks are shared, so a successor reached later on the same
+/// path admits the assignment too: of the admitting successors, the one
+/// first in a topological order (the highest over forward edges) is next.
+/// Keys no block constrains cannot change a path's II, so leaving them out
+/// only merges paths of equal II.
 fn enumerated_expected_ii(prog: &VliwLoop, probs: &[f64]) -> f64 {
+    let height = forward_heights(prog);
     let mut keys: Vec<(u32, i32)> = prog
         .blocks
         .iter()
@@ -83,7 +87,8 @@ fn enumerated_expected_ii(prog: &VliwLoop, probs: &[f64]) -> f64 {
             let succs = prog.blocks[block].term.succs();
             let forward = succs
                 .iter()
-                .find(|s| !s.back_edge && prog.blocks[s.block].matrix.admits(&outcomes));
+                .filter(|s| !s.back_edge && prog.blocks[s.block].matrix.admits(&outcomes))
+                .max_by_key(|s| height[s.block]);
             match forward {
                 Some(s) => block = s.block,
                 None => {
@@ -100,6 +105,32 @@ fn enumerated_expected_ii(prog: &VliwLoop, probs: &[f64]) -> f64 {
         den += w;
     }
     num / den
+}
+
+/// Each block's height over forward edges: 0 for a block that has only
+/// back edges, else one more than its highest forward successor's. A
+/// forward successor is always lower, so descending height is a
+/// topological order.
+fn forward_heights(prog: &VliwLoop) -> Vec<usize> {
+    fn visit(prog: &VliwLoop, b: usize, height: &mut [Option<usize>]) -> usize {
+        if let Some(h) = height[b] {
+            return h;
+        }
+        let h = prog.blocks[b]
+            .term
+            .succs()
+            .iter()
+            .filter(|s| !s.back_edge)
+            .map(|s| visit(prog, s.block, height) + 1)
+            .max()
+            .unwrap_or(0);
+        height[b] = Some(h);
+        h
+    }
+    let mut height = vec![None; prog.blocks.len()];
+    (0..prog.blocks.len())
+        .map(|b| visit(prog, b, &mut height))
+        .collect()
 }
 
 /// The incoming predicates of `sched`, sorted: the constrained keys whose
