@@ -24,7 +24,11 @@
 //! 4. after the last row, every block waits until nothing is in flight and
 //!    links back to the entry block whose matrix *subsumes its own
 //!    left-shifted matrix* — the paper's loop-back linkage rule;
-//! 5. empty jump-only blocks are deleted.
+//! 5. the finished blocks are shared bottom-up, so the body is a DAG, not
+//!    a decision tree: blocks with equal cycles and successors merge where
+//!    the merged matrix still admits exactly the paths that reach it, a
+//!    branch whose successors coincide becomes a jump, and empty jump-only
+//!    blocks are deleted.
 //!
 //! A row a block skips takes no cycle, so latency is counted in cycles on
 //! each path, not in rows. A placement is checked for speculative conflicts
@@ -47,7 +51,10 @@ use crate::schedule::Schedule;
 use psp_ir::{CcReg, Guard, OpKind, Operation, RegList};
 use psp_machine::{BlockId, MachineConfig, Succ, VliwBlock, VliwLoop, VliwTerm};
 use psp_predicate::{PredElem, PredicateMatrix};
+use std::collections::HashMap;
+use std::convert::Infallible;
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::ops::Range;
 
 /// Code-generation failure. The scheduling driver treats these as a signal
@@ -148,7 +155,8 @@ impl Placed {
 
 /// The blocks of one [`generate`] call: one per path of the schedule walk
 /// ([`steady_states`]), numbered in the order the walk opens them, with
-/// the instances placed in them as the walk issues each row.
+/// the instances placed in them as the walk issues each row. They form a
+/// decision tree; [`generate`] shares them afterwards.
 #[derive(Debug, Default)]
 pub(crate) struct Blocks {
     blocks: Vec<Block>,
@@ -343,6 +351,7 @@ pub fn generate(sched: &Schedule, machine: &MachineConfig) -> Result<VliwLoop, C
         root_id
     };
 
+    // --- share equal blocks: the decision tree becomes a DAG -----------------
     let mut result = VliwLoop {
         name: format!("{}-psp", sched.source.name),
         prologue,
@@ -350,7 +359,7 @@ pub fn generate(sched: &Schedule, machine: &MachineConfig) -> Result<VliwLoop, C
         entry,
         epilogue: Vec::new(),
     };
-    cleanup_empty_jump_blocks(&mut result);
+    share_blocks(&mut result)?;
     result.validate(machine).map_err(CodegenError::Resource)?;
     Ok(result)
 }
@@ -364,9 +373,9 @@ fn push_empty(cycles: &mut Vec<Vec<Operation>>, n: u32) {
 /// scores a schedule
 /// ([`score_schedule`](crate::heuristics::score_schedule)) and when it
 /// hands [`generate`] its blocks. Scoring merges paths whose futures
-/// agree, but code generation builds one block per path, so a schedule
-/// past this cap could not be generated in reasonable time; both refuse it
-/// with [`CodegenError::TooManyPaths`].
+/// agree, but code generation opens one block per path before it shares
+/// them, so a schedule past this cap could not be generated in reasonable
+/// time; both refuse it with [`CodegenError::TooManyPaths`].
 pub const MAX_WALK_PATHS: usize = 1 << 18;
 
 /// Terminator (possibly via zero-cycle dispatch blocks) implementing a
@@ -455,49 +464,142 @@ fn guard_for(
     Ok((guard, guard_pred))
 }
 
-/// Delete empty jump-only blocks by redirecting their predecessors
-/// (dispatch blocks — empty with a branch — are kept).
-fn cleanup_empty_jump_blocks(prog: &mut VliwLoop) {
-    fn resolve(prog: &VliwLoop, mut s: Succ) -> Succ {
-        let mut hops = 0;
-        while let VliwTerm::Jump(next) = prog.blocks[s.block].term {
-            if !prog.blocks[s.block].cycles.is_empty() {
-                break;
+/// A multiply-rotate hasher (FxHash's step) for [`share_blocks`]' table of
+/// block code: it takes an operation's small integer fields one multiply
+/// each, where the default SipHash cost the pass about a third of its time.
+#[derive(Default)]
+struct Fx(u64);
+
+impl Hasher for Fx {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, x: u64) {
+        self.0 = (self.0.rotate_left(5) ^ x).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+
+    fn write_u8(&mut self, x: u8) {
+        self.write_u64(u64::from(x));
+    }
+
+    fn write_u32(&mut self, x: u32) {
+        self.write_u64(u64::from(x));
+    }
+
+    fn write_i64(&mut self, x: i64) {
+        self.write_u64(x as u64);
+    }
+
+    fn write_usize(&mut self, x: usize) {
+        self.write_u64(x as u64);
+    }
+}
+
+type BuildFx = BuildHasherDefault<Fx>;
+
+/// Share equal blocks: hash-cons the program bottom-up into a DAG whose
+/// block matrices stay exact, delete empty jump-only blocks, and drop
+/// unreachable blocks, renumbering the rest in order.
+///
+/// Blocks are visited by height over forward edges, lowest first, so a
+/// block's forward successors are final when it is visited. Its terminator
+/// is read through the shared successors: a branch whose two successors
+/// coincide becomes a jump (its IF stays: the guards of its row sit on it),
+/// and an empty jump block becomes its target. The blocks of one height
+/// with equal cycles and terminator then merge, but only into a matrix that
+/// admits exactly the outcomes under which control reaches the merged block
+/// ([`exact_merges`]). Back edges are resolved once every height is done.
+fn share_blocks(prog: &mut VliwLoop) -> Result<(), CodegenError> {
+    let n = prog.blocks.len();
+    let height = forward_heights(&prog.blocks);
+    let mut order: Vec<BlockId> = (0..n).collect();
+    order.sort_by_key(|&b| height[b]);
+    // `to[b]`: the edge that replaces an edge into block `b`; `fall(b)`
+    // while `b` is kept.
+    let mut to: Vec<Succ> = (0..n).map(Succ::fall).collect();
+    let mut terms: Vec<VliwTerm> = prog.blocks.iter().map(|b| b.term).collect();
+    let mut merged: Vec<(BlockId, PredicateMatrix)> = Vec::new();
+    let mut index: HashMap<(&[Vec<Operation>], VliwTerm), usize, BuildFx> = HashMap::default();
+    let mut groups: Vec<Vec<BlockId>> = Vec::new();
+    for level in order.chunk_by(|&a, &b| height[a] == height[b]) {
+        index.clear();
+        groups.clear();
+        for &b in level {
+            let mut term = map_succs(terms[b], |s| if s.back_edge { s } else { to[s.block] });
+            if let VliwTerm::Branch {
+                on_true, on_false, ..
+            } = term
+            {
+                if on_true == on_false {
+                    term = VliwTerm::Jump(on_true);
+                }
+            }
+            terms[b] = term;
+            let cycles = &prog.blocks[b].cycles;
+            match term {
+                VliwTerm::Jump(s) if cycles.is_empty() => to[b] = s,
+                _ => {
+                    let g = *index.entry((cycles, term)).or_insert_with(|| {
+                        groups.push(Vec::new());
+                        groups.len() - 1
+                    });
+                    groups[g].push(b);
+                }
+            }
+        }
+        for group in groups.iter().filter(|g| g.len() > 1) {
+            let mats: Vec<&PredicateMatrix> =
+                group.iter().map(|&b| &prog.blocks[b].matrix).collect();
+            for (members, matrix) in exact_merges(&mats) {
+                let leader = group[members[0]];
+                for &m in &members[1..] {
+                    to[group[m]] = Succ::fall(leader);
+                }
+                merged.push((leader, matrix));
+            }
+        }
+    }
+    // An edge into a removed block follows the replacements, each hop
+    // keeping a back edge a back edge; only a cycle of empty blocks, which
+    // no schedule generates, runs out of hops.
+    let resolve = |mut s: Succ| -> Result<Succ, CodegenError> {
+        for _ in 0..=n {
+            let next = to[s.block];
+            if next == Succ::fall(s.block) {
+                return Ok(s);
             }
             s = Succ {
                 block: next.block,
                 back_edge: s.back_edge || next.back_edge,
             };
-            hops += 1;
-            if hops > prog.blocks.len() {
-                break; // cycle of empty blocks: leave as is
-            }
         }
-        s
-    }
-    // Every chain is resolved against the unchanged blocks, then written.
-    let terms: Vec<VliwTerm> = prog
-        .blocks
-        .iter()
-        .map(|b| map_succs(b.term, |s| resolve(prog, s)))
-        .collect();
-    prog.entry = resolve(prog, Succ::fall(prog.entry)).block;
+        Err(CodegenError::Internal("a cycle of empty blocks"))
+    };
+    prog.entry = resolve(Succ::fall(prog.entry))?.block;
     for (b, term) in prog.blocks.iter_mut().zip(terms) {
-        b.term = term;
+        if to[b.id] == Succ::fall(b.id) {
+            b.term = try_map_succs(term, resolve)?;
+        }
+    }
+    for (leader, matrix) in merged {
+        prog.blocks[leader].matrix = matrix;
     }
     // Garbage-collect unreachable blocks, remapping ids.
-    let mut reach = vec![false; prog.blocks.len()];
+    let mut reach = vec![false; n];
     let mut stack = vec![prog.entry];
     while let Some(b) = stack.pop() {
-        if reach[b] {
-            continue;
-        }
-        reach[b] = true;
-        for s in prog.blocks[b].term.succs() {
-            stack.push(s.block);
+        if !std::mem::replace(&mut reach[b], true) {
+            stack.extend(edges(prog.blocks[b].term).map(|s| s.block));
         }
     }
-    let mut remap = vec![usize::MAX; prog.blocks.len()];
+    let mut remap = vec![usize::MAX; n];
     let mut kept = Vec::new();
     for (i, b) in prog.blocks.drain(..).enumerate() {
         if reach[i] {
@@ -515,23 +617,132 @@ fn cleanup_empty_jump_blocks(prog: &mut VliwLoop) {
     }
     prog.blocks = kept;
     prog.entry = remap[prog.entry];
+    Ok(())
+}
+
+/// Each block's height over forward edges: 0 for a block with no forward
+/// successor, else one more than its highest forward successor's.
+fn forward_heights(blocks: &[VliwBlock]) -> Vec<usize> {
+    const UNKNOWN: usize = usize::MAX;
+    let mut height = vec![UNKNOWN; blocks.len()];
+    let mut stack = Vec::new();
+    for root in 0..blocks.len() {
+        stack.push(root);
+        while let Some(&b) = stack.last() {
+            if height[b] != UNKNOWN {
+                stack.pop();
+                continue;
+            }
+            let (mut h, mut pending) = (0, false);
+            for s in edges(blocks[b].term).filter(|s| !s.back_edge) {
+                match height[s.block] {
+                    UNKNOWN => {
+                        stack.push(s.block);
+                        pending = true;
+                    }
+                    below => h = h.max(below + 1),
+                }
+            }
+            if !pending {
+                height[b] = h;
+                stack.pop();
+            }
+        }
+    }
+    height
+}
+
+/// The successor edges of `term`, without allocating.
+fn edges(term: VliwTerm) -> impl Iterator<Item = Succ> {
+    let pair = match term {
+        VliwTerm::Jump(s) => [Some(s), None],
+        VliwTerm::Branch {
+            on_true, on_false, ..
+        } => [Some(on_true), Some(on_false)],
+        VliwTerm::Exit => [None, None],
+    };
+    pair.into_iter().flatten()
+}
+
+/// The merges of a group of blocks with equal code and terminator whose
+/// matrices are `mats`: classes of indices into `mats`, each with the
+/// matrix of the merged block. Only classes of two or more are listed.
+///
+/// Every matrix is exact, and the members reach pairwise disjoint outcome
+/// sets (none lies on another's path: they share their successors), so the
+/// union of their sets is a subset of their *join* `J`, the elements on
+/// which all of them agree. `J` is exact iff the union fills it, that is
+/// iff Σ 2^-(|keysᵢ| − |keys_J|) = 1 ([`fills`]). A group that fails the
+/// test merges pairwise by [`PredicateMatrix::unify`], the paper's unify
+/// rule, until no two classes unify.
+fn exact_merges(mats: &[&PredicateMatrix]) -> Vec<(Vec<usize>, PredicateMatrix)> {
+    let (first, rest) = mats.split_first().expect("a group has members");
+    let join = PredicateMatrix::from_entries(
+        first
+            .constrained()
+            .filter(|&(r, c, v)| rest.iter().all(|m| m.get(r, c).as_bool() == Some(v))),
+    );
+    let base = join.constrained_len();
+    if fills(mats.iter().map(|m| m.constrained_len() - base)) {
+        return vec![((0..mats.len()).collect(), join)];
+    }
+    let mut classes: Vec<(Vec<usize>, PredicateMatrix)> = mats
+        .iter()
+        .enumerate()
+        .map(|(i, &m)| (vec![i], m.clone()))
+        .collect();
+    while let Some((i, j, unified)) = (0..classes.len()).find_map(|i| {
+        (i + 1..classes.len()).find_map(|j| Some((i, j, classes[i].1.unify(&classes[j].1)?)))
+    }) {
+        let (members, _) = classes.remove(j);
+        classes[i].0.extend(members);
+        classes[i].1 = unified;
+    }
+    classes.retain(|(members, _)| members.len() > 1);
+    classes
+}
+
+/// Whether Σ 2^-d over `depths` is exactly 1, counted without rounding:
+/// pairs of equal depth carry one level up, and exactly one term must
+/// reach depth 0.
+fn fills(depths: impl Iterator<Item = usize>) -> bool {
+    let mut count: Vec<usize> = Vec::new();
+    for d in depths {
+        if count.len() <= d {
+            count.resize(d + 1, 0);
+        }
+        count[d] += 1;
+    }
+    for d in (1..count.len()).rev() {
+        if count[d] % 2 == 1 {
+            return false;
+        }
+        count[d - 1] += count[d] / 2;
+    }
+    count.first() == Some(&1)
 }
 
 /// `term` with every successor edge passed through `f`.
 fn map_succs(term: VliwTerm, f: impl Fn(Succ) -> Succ) -> VliwTerm {
-    match term {
-        VliwTerm::Jump(s) => VliwTerm::Jump(f(s)),
+    let Ok(term) = try_map_succs(term, |s| Ok::<_, Infallible>(f(s)));
+    term
+}
+
+/// `term` with every successor edge passed through the fallible `f`.
+fn try_map_succs<E>(term: VliwTerm, f: impl Fn(Succ) -> Result<Succ, E>) -> Result<VliwTerm, E> {
+    Ok(match term {
+        VliwTerm::Jump(s) => VliwTerm::Jump(f(s)?),
         VliwTerm::Branch {
             cc,
             on_true,
             on_false,
         } => VliwTerm::Branch {
             cc,
-            on_true: f(on_true),
-            on_false: f(on_false),
+            on_true: f(on_true)?,
+            on_false: f(on_false)?,
         },
         VliwTerm::Exit => VliwTerm::Exit,
-    }
+    })
 }
 
 #[cfg(test)]
@@ -578,6 +789,140 @@ mod tests {
         let walked = |p: f64| score_schedule(&sched, &m(), Some(&[p])).unwrap().primary;
         assert_eq!((walked(0.0), walked(1.0)), (7.0, 8.0));
         assert_eq!(generate(&sched, &m()).unwrap().ii_range(), Some((7, 8)));
+    }
+
+    /// Blocks and operations of the PSP program of `spec` on the paper
+    /// machine.
+    fn size(spec: &psp_ir::LoopSpec) -> (usize, usize) {
+        let res = crate::pipeline_loop(spec, &crate::PspConfig::default()).unwrap();
+        let ops = res.program.blocks.iter().map(VliwBlock::op_count).sum();
+        (res.program.blocks.len(), ops)
+    }
+
+    #[test]
+    fn synthetic_programs_share_their_blocks() {
+        // One block per path would be 2^b leaves and more.
+        let sizes: Vec<_> = [4, 6, 8]
+            .into_iter()
+            .map(|b| size(&psp_kernels::synthetic(b)))
+            .collect();
+        assert_eq!(sizes, [(2, 18), (2, 24), (4, 39)]);
+    }
+
+    #[test]
+    fn clamp_stores_three_equal_tails_become_one_block() {
+        let kernel = by_name("clamp_store").unwrap();
+        let mut sched = Schedule::initial(&kernel.spec);
+        crate::compact::compact(&mut sched, &m(), true);
+        let prog = generate(&sched, &m()).unwrap();
+        // The paths 1, 00 and 01 end with the same store, increment and
+        // BREAK; their union is every path.
+        assert_eq!(prog.blocks.len(), 3);
+        let tail = &prog.blocks[2];
+        assert!(tail.matrix.is_universe());
+        assert_eq!(tail.term, VliwTerm::Jump(Succ::back(0)));
+        // The inner IF's branch lost its fork but keeps the IF its guard
+        // reads.
+        let inner = &prog.blocks[1];
+        assert_eq!(inner.term, VliwTerm::Jump(Succ::fall(2)));
+        assert!(inner.cycles.concat().iter().any(|op| op.is_if()));
+    }
+
+    /// A block with the key-value entries `m` (IF row, column 0).
+    fn block(id: BlockId, m: &[(u32, bool)], cycle: Vec<Operation>, term: VliwTerm) -> VliwBlock {
+        VliwBlock {
+            id,
+            matrix: PredicateMatrix::from_entries(m.iter().map(|&(r, v)| (r, 0, v))),
+            cycles: if cycle.is_empty() {
+                vec![]
+            } else {
+                vec![cycle]
+            },
+            term,
+        }
+    }
+
+    fn branch(cc: u32, on_true: BlockId, on_false: BlockId) -> VliwTerm {
+        VliwTerm::Branch {
+            cc: CcReg(cc),
+            on_true: Succ::fall(on_true),
+            on_false: Succ::fall(on_false),
+        }
+    }
+
+    fn body(blocks: Vec<VliwBlock>) -> VliwLoop {
+        VliwLoop {
+            name: "shared".into(),
+            prologue: vec![],
+            blocks,
+            entry: 0,
+            epilogue: vec![],
+        }
+    }
+
+    #[test]
+    fn equal_blocks_whose_matrices_join_inexactly_stay_apart() {
+        use psp_ir::op::build::{add, if_};
+        use psp_ir::Reg;
+        let inc = |r: u32| vec![add(Reg(r), Reg(r), 1i64)];
+        let back = VliwTerm::Jump(Succ::back(0));
+        let mut prog = body(vec![
+            block(0, &[], vec![if_(CcReg(0))], branch(0, 1, 2)),
+            block(1, &[(0, true)], vec![if_(CcReg(1))], branch(1, 3, 4)),
+            block(2, &[(0, false)], vec![if_(CcReg(1))], branch(1, 5, 6)),
+            block(3, &[(0, true), (1, true)], inc(1), back),
+            block(4, &[(0, true), (1, false)], inc(2), back),
+            block(5, &[(0, false), (1, true)], inc(3), back),
+            block(6, &[(0, false), (1, false)], inc(1), back),
+        ]);
+        let before = prog.clone();
+        share_blocks(&mut prog).unwrap();
+        // [1 1] and [0 0] have the same code, but `[b b]` would admit the
+        // paths 10 and 01, which never reach it.
+        assert_eq!(prog, before);
+        let (m00, m11) = (&prog.blocks[6].matrix, &prog.blocks[3].matrix);
+        assert!(exact_merges(&[m11, m00]).is_empty());
+    }
+
+    #[test]
+    fn a_group_that_joins_inexactly_merges_by_unify() {
+        let m = |a, b| PredicateMatrix::from_entries([(0, 0, a), (1, 0, b)]);
+        let (m00, m01, m11) = (m(false, false), m(false, true), m(true, true));
+        // [b b] would admit 10; [0 0] and [0 1] unify to [0 b].
+        let merges = exact_merges(&[&m00, &m01, &m11]);
+        assert_eq!(merges, [(vec![0, 1], PredicateMatrix::single(0, 0, false))]);
+        // With 10 present the join is exact.
+        let m10 = m(true, false);
+        let merges = exact_merges(&[&m00, &m01, &m11, &m10]);
+        assert_eq!(merges, [(vec![0, 1, 2, 3], PredicateMatrix::universe())]);
+    }
+
+    #[test]
+    fn a_dispatch_block_whose_successors_coincide_is_removed() {
+        use psp_ir::op::build::{add, if_};
+        use psp_ir::Reg;
+        let inc = |r: u32| vec![add(Reg(r), Reg(r), 1i64)];
+        let back = VliwTerm::Jump(Succ::back(0));
+        let mut prog = body(vec![
+            block(0, &[], vec![if_(CcReg(0)), if_(CcReg(1))], branch(0, 1, 2)),
+            block(1, &[(0, true)], vec![], branch(1, 3, 4)),
+            block(2, &[(0, false)], vec![], branch(1, 5, 6)),
+            block(3, &[(0, true), (1, true)], inc(2), back),
+            block(4, &[(0, true), (1, false)], inc(3), back),
+            block(5, &[(0, false), (1, true)], inc(1), back),
+            block(6, &[(0, false), (1, false)], inc(1), back),
+        ]);
+        share_blocks(&mut prog).unwrap();
+        // 00 and 01 merge into [0 b], so the dispatch on CC1 under [0 b]
+        // has one successor and goes: B0 branches straight to the merged
+        // block.
+        assert_eq!(prog.blocks.len(), 5);
+        let VliwTerm::Branch { on_false, .. } = prog.blocks[0].term else {
+            panic!("B0 still branches on CC0");
+        };
+        let merged = &prog.blocks[on_false.block];
+        assert_eq!(merged.matrix, PredicateMatrix::single(0, 0, false));
+        assert_eq!(merged.cycles, vec![inc(1)]);
     }
 
     #[test]

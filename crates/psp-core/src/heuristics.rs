@@ -25,7 +25,8 @@
 //! merge into one state that carries the tallies the objectives need. The
 //! work is bounded by the states, which stay few when IF outcomes are read
 //! soon after they are computed; the path cap ([`MAX_WALK_PATHS`]) still
-//! counts paths, because code generation emits one block per path.
+//! counts paths, because code generation opens one block per path before
+//! it shares equal blocks.
 
 use crate::codegen::{Blocks, CodegenError, MAX_WALK_PATHS};
 use crate::instance::Instance;

@@ -1,10 +1,13 @@
 //! Compiled pipelined-loop container: prologue, body CFG, epilogue.
 //!
-//! The body is a control-flow graph of [`VliwBlock`]s. Each block carries
-//! the predicate matrix of the *actual* paths it lies on (reconstructed by
-//! the PSP code generator; baselines use the universe matrix), a list of
-//! cycles (each cycle = one tree-VLIW instruction), and a terminator whose
-//! edges are explicitly marked as loop back edges or intra-iteration edges.
+//! The body is a control-flow graph of [`VliwBlock`]s; without its back
+//! edges it is a DAG, in which a block may be shared by several paths. Each
+//! block carries the predicate matrix of the *actual* paths it lies on: it
+//! admits exactly the outcomes under which control reaches the block
+//! (reconstructed by the PSP code generator; baselines use the universe
+//! matrix). A block also has a list of cycles (each cycle = one tree-VLIW
+//! instruction), and a terminator whose edges are explicitly marked as
+//! loop back edges or intra-iteration edges.
 //!
 //! `BREAK` operations appearing inside a cycle exit to the epilogue when
 //! their condition is true (the end-of-cycle semantics are implemented by
@@ -21,7 +24,7 @@ use std::fmt;
 pub type BlockId = usize;
 
 /// A successor edge.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Succ {
     /// Target block.
     pub block: BlockId,
@@ -49,7 +52,7 @@ impl Succ {
 }
 
 /// Block terminator.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum VliwTerm {
     /// Unconditional transfer.
     Jump(Succ),
@@ -84,7 +87,9 @@ impl VliwTerm {
 pub struct VliwBlock {
     /// Block id (index in [`VliwLoop::blocks`]).
     pub id: BlockId,
-    /// Actual-path predicate matrix of the block.
+    /// Actual-path predicate matrix of the block: its reach set, the
+    /// outcome assignments under which control reaches the block, exactly.
+    /// A block shared by several paths has the matrix of their union.
     pub matrix: PredicateMatrix,
     /// Tree-VLIW instructions, one per cycle.
     pub cycles: Vec<Vec<Operation>>,

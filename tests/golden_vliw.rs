@@ -143,9 +143,9 @@ fn psp_program_text_is_pinned_on_three_machines() {
         .collect();
     // A deliberate change to what code generation emits re-pins these.
     let want: [(&str, u64); 3] = [
-        ("paper", 0x8651_d99c_7477_4430),
-        ("narrow211", 0xb50a_6378_07bc_4dee),
-        ("narrow211, alu 2, load 3, cmp 2", 0x783d_960e_7d22_9425),
+        ("paper", 0x05c5_a165_f53a_0fee),
+        ("narrow211", 0xc9bd_d568_0724_d729),
+        ("narrow211, alu 2, load 3, cmp 2", 0x9478_bce6_9361_f0fb),
     ];
     assert_eq!(got, want, "observed: {}", hex.join(", "));
 }

@@ -6,8 +6,10 @@
 //! - `walk_scores_match_the_generated_program` is the walk's executable
 //!   specification: on every schedule it is shown, its maximal II is the
 //!   generated loop's `ii_range` maximum, its expected II equals an
-//!   outcome enumeration over the generated loop's block matrices, and
-//!   both agree with a per-path reference walk that merges nothing;
+//!   outcome enumeration over the generated loop's block matrices (which
+//!   also holds every block matrix, shared blocks' included, to exactly
+//!   the outcomes whose path runs through it), and both agree with a
+//!   per-path reference walk that merges nothing;
 //!   `walk_scores_match_the_generated_program_at_latency` holds it to the
 //!   same on a machine with multi-cycle latencies, where the walk and the
 //!   generated loop count the latency rule's empty cycles alike;
@@ -47,7 +49,8 @@ fn profile() -> Vec<f64> {
 /// path admits the assignment too: of the admitting successors, the one
 /// first in a topological order (the highest over forward edges) is next.
 /// Keys no block constrains cannot change a path's II, so leaving them out
-/// only merges paths of equal II.
+/// only merges paths of equal II. Every block matrix must be exact: no
+/// block of the steady state off an assignment's path admits it.
 fn enumerated_expected_ii(prog: &VliwLoop, probs: &[f64]) -> f64 {
     let height = forward_heights(prog);
     let mut keys: Vec<(u32, i32)> = prog
@@ -63,6 +66,15 @@ fn enumerated_expected_ii(prog: &VliwLoop, probs: &[f64]) -> f64 {
         keys.len()
     );
     let entries = prog.steady_entries();
+    let mut steady: Vec<usize> = Vec::new();
+    let mut stack = entries.clone();
+    while let Some(b) = stack.pop() {
+        if !steady.contains(&b) {
+            steady.push(b);
+            let succs = prog.blocks[b].term.succs();
+            stack.extend(succs.iter().filter(|s| !s.back_edge).map(|s| s.block));
+        }
+    }
     let (mut num, mut den) = (0.0, 0.0);
     for bits in 0u32..1 << keys.len() {
         let mut outcomes = OutcomeMap::new();
@@ -81,9 +93,10 @@ fn enumerated_expected_ii(prog: &VliwLoop, probs: &[f64]) -> f64 {
             continue;
         };
         let mut block = entry;
-        let mut cycles = 0;
+        let (mut cycles, mut on_path) = (0, 0);
         loop {
             cycles += prog.blocks[block].cycles.len();
+            on_path += 1;
             let succs = prog.blocks[block].term.succs();
             let forward = succs
                 .iter()
@@ -101,6 +114,15 @@ fn enumerated_expected_ii(prog: &VliwLoop, probs: &[f64]) -> f64 {
                 }
             }
         }
+        let admitting = steady
+            .iter()
+            .filter(|&&b| prog.blocks[b].matrix.admits(&outcomes))
+            .count();
+        assert_eq!(
+            admitting, on_path,
+            "{}: a block off the path of {outcomes:?} admits it",
+            prog.name
+        );
         num += w * cycles as f64;
         den += w;
     }
