@@ -52,7 +52,6 @@ use psp_ir::{CcReg, Guard, OpKind, Operation, RegList};
 use psp_machine::{BlockId, MachineConfig, Succ, VliwBlock, VliwLoop, VliwTerm};
 use psp_predicate::{PredElem, PredicateMatrix};
 use std::collections::HashMap;
-use std::convert::Infallible;
 use std::fmt;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::ops::Range;
@@ -359,7 +358,7 @@ pub fn generate(sched: &Schedule, machine: &MachineConfig) -> Result<VliwLoop, C
         entry,
         epilogue: Vec::new(),
     };
-    share_blocks(&mut result)?;
+    share_blocks(&mut result);
     result.validate(machine).map_err(CodegenError::Resource)?;
     Ok(result)
 }
@@ -516,7 +515,7 @@ type BuildFx = BuildHasherDefault<Fx>;
 /// with equal cycles and terminator then merge, but only into a matrix that
 /// admits exactly the outcomes under which control reaches the merged block
 /// ([`exact_merges`]). Back edges are resolved once every height is done.
-fn share_blocks(prog: &mut VliwLoop) -> Result<(), CodegenError> {
+fn share_blocks(prog: &mut VliwLoop) {
     let n = prog.blocks.len();
     let height = forward_heights(&prog.blocks);
     let mut order: Vec<BlockId> = (0..n).collect();
@@ -567,25 +566,25 @@ fn share_blocks(prog: &mut VliwLoop) -> Result<(), CodegenError> {
         }
     }
     // An edge into a removed block follows the replacements, each hop
-    // keeping a back edge a back edge; only a cycle of empty blocks, which
-    // no schedule generates, runs out of hops.
-    let resolve = |mut s: Succ| -> Result<Succ, CodegenError> {
+    // keeping a back edge a back edge; a cycle of empty blocks is left as
+    // it is.
+    let resolve = |mut s: Succ| {
         for _ in 0..=n {
             let next = to[s.block];
             if next == Succ::fall(s.block) {
-                return Ok(s);
+                break;
             }
             s = Succ {
                 block: next.block,
                 back_edge: s.back_edge || next.back_edge,
             };
         }
-        Err(CodegenError::Internal("a cycle of empty blocks"))
+        s
     };
-    prog.entry = resolve(Succ::fall(prog.entry))?.block;
+    prog.entry = resolve(Succ::fall(prog.entry)).block;
     for (b, term) in prog.blocks.iter_mut().zip(terms) {
         if to[b.id] == Succ::fall(b.id) {
-            b.term = try_map_succs(term, resolve)?;
+            b.term = map_succs(term, resolve);
         }
     }
     for (leader, matrix) in merged {
@@ -617,7 +616,6 @@ fn share_blocks(prog: &mut VliwLoop) -> Result<(), CodegenError> {
     }
     prog.blocks = kept;
     prog.entry = remap[prog.entry];
-    Ok(())
 }
 
 /// Each block's height over forward edges: 0 for a block with no forward
@@ -676,7 +674,9 @@ fn edges(term: VliwTerm) -> impl Iterator<Item = Succ> {
 /// test merges pairwise by [`PredicateMatrix::unify`], the paper's unify
 /// rule, until no two classes unify.
 fn exact_merges(mats: &[&PredicateMatrix]) -> Vec<(Vec<usize>, PredicateMatrix)> {
-    let (first, rest) = mats.split_first().expect("a group has members");
+    let Some((first, rest)) = mats.split_first() else {
+        return Vec::new();
+    };
     let join = PredicateMatrix::from_entries(
         first
             .constrained()
@@ -724,25 +724,19 @@ fn fills(depths: impl Iterator<Item = usize>) -> bool {
 
 /// `term` with every successor edge passed through `f`.
 fn map_succs(term: VliwTerm, f: impl Fn(Succ) -> Succ) -> VliwTerm {
-    let Ok(term) = try_map_succs(term, |s| Ok::<_, Infallible>(f(s)));
-    term
-}
-
-/// `term` with every successor edge passed through the fallible `f`.
-fn try_map_succs<E>(term: VliwTerm, f: impl Fn(Succ) -> Result<Succ, E>) -> Result<VliwTerm, E> {
-    Ok(match term {
-        VliwTerm::Jump(s) => VliwTerm::Jump(f(s)?),
+    match term {
+        VliwTerm::Jump(s) => VliwTerm::Jump(f(s)),
         VliwTerm::Branch {
             cc,
             on_true,
             on_false,
         } => VliwTerm::Branch {
             cc,
-            on_true: f(on_true)?,
-            on_false: f(on_false)?,
+            on_true: f(on_true),
+            on_false: f(on_false),
         },
         VliwTerm::Exit => VliwTerm::Exit,
-    })
+    }
 }
 
 #[cfg(test)]
@@ -876,7 +870,7 @@ mod tests {
             block(6, &[(0, false), (1, false)], inc(1), back),
         ]);
         let before = prog.clone();
-        share_blocks(&mut prog).unwrap();
+        share_blocks(&mut prog);
         // [1 1] and [0 0] have the same code, but `[b b]` would admit the
         // paths 10 and 01, which never reach it.
         assert_eq!(prog, before);
@@ -912,7 +906,7 @@ mod tests {
             block(5, &[(0, false), (1, true)], inc(1), back),
             block(6, &[(0, false), (1, false)], inc(1), back),
         ]);
-        share_blocks(&mut prog).unwrap();
+        share_blocks(&mut prog);
         // 00 and 01 merge into [0 b], so the dispatch on CC1 under [0 b]
         // has one successor and goes: B0 branches straight to the merged
         // block.
