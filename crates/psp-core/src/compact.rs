@@ -24,7 +24,11 @@
 //! read, from the row that blocked it down to the mover's own, and whether
 //! the policy refused a rename. The instance is not planned again until a
 //! move changes a row the refusal read; a pruned empty row forgets them
-//! all (row numbers shift).
+//! all (row numbers shift). This is exact because a plan's verdict on a
+//! row depends only on the mover and that row: each pair check reads its
+//! two instances alone, combining's coverage rule included (the crossed
+//! update must execute on every formal path of the mover), and no plan
+//! remembers which instances it crossed before.
 //!
 //! Compaction knows no latency: rows are packed as if every result were
 //! ready in the next cycle. The latency rule ([`psp_machine::InFlight`])

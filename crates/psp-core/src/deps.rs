@@ -10,6 +10,15 @@
 //! *disjoined* predicate matrices lie on different formal paths and are
 //! never tested for data or control dependence at all.
 //!
+//! The two positional fixes, combining and copy substitution, rewrite the
+//! mover to read what its producer would have given it. That holds only on
+//! the producer's paths: a guarded definition reaches a use only under its
+//! guard. So either fix is granted only when the producer executes on every
+//! formal path of the mover (`y.formal ⊇ x.formal`), tested only once the
+//! operation pattern matches. Clones of one operation lie on pairwise
+//! disjoint paths, so at most one clone of a split update covers a mover,
+//! and a mover crossing several of them combines at most once.
+//!
 //! Cycle-sharing semantics follow the tree-VLIW model: reads see pre-cycle
 //! state (so anti-dependences allow cycle sharing), an operation may share
 //! a cycle with the IF resolving its control dependence (executing on the
@@ -27,7 +36,8 @@ pub enum Fix {
     /// at its original slot (Moon & Ebcioglu-style renaming).
     Rename,
     /// Add the induction update's stride to the moved memory operation's
-    /// address displacement (the paper's "combining").
+    /// address displacement (the paper's "combining"; legal when the update
+    /// executes on every formal path of the mover).
     CombineDisp(i64),
     /// Copy-propagation combining: the mover crosses `COPY from, to`'s
     /// definition and reads `to` directly instead (legal when the copy
@@ -143,26 +153,30 @@ fn combine_stride(y: &Instance, x: &Instance) -> Option<i64> {
     }
 }
 
-/// Whether `y` is a register-to-register copy whose destination `x` reads,
-/// such that `x` may read the source directly after crossing above `y`.
+/// The positional fix that lets the consumer `x` cross or join its
+/// producer `y`, whose destination it reads: combining an induction
+/// update's stride into `x`'s displacement, or reading a copy's source
+/// directly.
 ///
-/// Legality requires the copy to execute on every formal path of the mover
-/// (`y.formal ⊇ x.formal`): on exactly those paths the copied value *is*
-/// the source's value at the copy's cycle, and crossing rows is handled
+/// Legality requires `y` to execute on every formal path of the mover
+/// (`y.formal ⊇ x.formal`): on exactly those paths the rewritten operand
+/// reads what `y` would have produced, and crossing rows is handled
 /// compositionally by the mover's planning loop (any redefinition of the
-/// source between the new and old position is itself crossed and fixed or
-/// refused).
-fn copy_subst(y: &Instance, x: &Instance) -> Option<(Reg, Reg)> {
-    if let OpKind::Copy {
+/// register read between the new and old position is itself crossed and
+/// fixed or refused).
+fn positional_fix(y: &Instance, x: &Instance) -> Option<Fix> {
+    let fix = if let Some(stride) = combine_stride(y, x) {
+        Fix::CombineDisp(stride)
+    } else if let OpKind::Copy {
         dst,
         src: Operand::Reg(s),
     } = y.op().kind
     {
-        if x.uses().contains(&RegRef::Gpr(dst)) && y.formal.subsumes(&x.formal) {
-            return Some((dst, s));
-        }
-    }
-    None
+        Fix::Subst { from: dst, to: s }
+    } else {
+        return None;
+    };
+    y.formal.subsumes(&x.formal).then_some(fix)
 }
 
 /// Full pair check; `x` is the mover.
@@ -200,21 +214,15 @@ pub fn check_pair(
             // substitution legalize both crossing *and* cycle sharing: the
             // rewritten operand reads pre-cycle state, which holds exactly
             // the value the producer sees/copies in that cycle.
-            let (above, same) = if let Some(c) = combine_stride(y, x) {
-                (
-                    Permission::WithFixes(vec![Fix::CombineDisp(c)]),
-                    Permission::WithFixes(vec![Fix::CombineDisp(c)]),
-                )
-            } else if let Some((from, to)) = copy_subst(y, x) {
-                (
-                    Permission::WithFixes(vec![Fix::Subst { from, to }]),
-                    Permission::WithFixes(vec![Fix::Subst { from, to }]),
-                )
-            } else {
-                (
+            let (above, same) = match positional_fix(y, x) {
+                Some(fix) => (
+                    Permission::WithFixes(vec![fix]),
+                    Permission::WithFixes(vec![fix]),
+                ),
+                None => (
                     Permission::No("true dependence"),
                     Permission::No("consumer in its producer's cycle"),
-                )
+                ),
             };
             check = check.and(PairCheck { above, same });
         }
@@ -441,6 +449,23 @@ mod tests {
         let x2 = inst(cmp(CmpOp::Ge, CcReg(1), Reg(0), Reg(3)), 6);
         let c2 = check_pair(&x2, &y, &[], &m());
         assert!(!c2.above.allowed());
+    }
+
+    #[test]
+    fn combining_needs_the_update_on_every_path_of_the_mover() {
+        // ADD R1, R1, #1 on [p=1] runs on half the load's paths: on the
+        // others R1 keeps its value, so no stride can be folded in.
+        let mut y = inst(add(Reg(1), Reg(1), 1i64), 5);
+        y.formal = PredicateMatrix::single(0, 0, true);
+        let mut x = inst(load(Reg(2), ArrayId(0), Reg(1)), 6);
+        let c = check_pair(&x, &y, &[], &m());
+        assert!(matches!(c.above, Permission::No(_)), "{c:?}");
+        assert!(matches!(c.same, Permission::No(_)), "{c:?}");
+        // On the update's own paths the load combines.
+        x.formal = PredicateMatrix::single(0, 0, true);
+        let c = check_pair(&x, &y, &[], &m());
+        assert_eq!(c.above, Permission::WithFixes(vec![Fix::CombineDisp(1)]));
+        assert_eq!(c.same, Permission::WithFixes(vec![Fix::CombineDisp(1)]));
     }
 
     #[test]

@@ -243,7 +243,6 @@ fn merge(states: &mut Vec<State>) {
     });
 }
 
-const ENTRY_SPLIT: CodegenError = CodegenError::Internal("entry split on a constrained element");
 const NO_IF_ROW: CodegenError = CodegenError::Internal("IF instance computes no predicate row");
 
 /// The most incoming predicates whose 2^n entry paths fit under
@@ -280,37 +279,21 @@ pub(crate) fn incoming_predicates(sched: &Schedule) -> Result<Vec<(u32, i32)>, C
     Ok(incoming)
 }
 
-/// The steady state's entry matrices: the universe split on every
-/// incoming predicate in turn. `None` when a split meets an element that
-/// is already constrained.
-fn entry_matrices(incoming: &[(u32, i32)]) -> Option<Vec<PredicateMatrix>> {
-    let mut entries = vec![PredicateMatrix::universe()];
-    for &(r, c) in incoming {
-        let mut next = Vec::with_capacity(entries.len() * 2);
-        for m in entries {
-            let (f, t) = m.split(r, c)?;
-            next.push(f);
-            next.push(t);
-        }
-        entries = next;
-    }
-    Some(entries)
-}
-
-/// The successor matrices of a path with matrix `m` that ends in a row
-/// whose IFs compute the predicates `splits`: `m` split on each in turn,
-/// written to `out` in place of its contents. An outcome `m` already fixes
-/// leaves one child. Splitting stops once `out` holds more than `cap`
-/// matrices, which the caller refuses; returns `out.len()`.
+/// `m` split on each predicate of `keys` in turn, written to `out` in place
+/// of its contents: the entries are the universe split on the incoming
+/// predicates, and the successors of a path that ends in a row are its
+/// matrix split on the predicates the row's IFs compute. An outcome `m`
+/// already fixes leaves one child. Splitting stops once `out` holds more
+/// than `cap` matrices, which the caller refuses; returns `out.len()`.
 fn fan_out(
     m: PredicateMatrix,
-    splits: &[(CcReg, u32, i32)],
+    keys: impl IntoIterator<Item = (u32, i32)>,
     cap: usize,
     out: &mut Vec<PredicateMatrix>,
 ) -> usize {
     out.clear();
     out.push(m);
-    for &(_, r, c) in splits {
+    for (r, c) in keys {
         if out.len() > cap {
             break;
         }
@@ -401,7 +384,13 @@ pub(crate) fn steady_states(
         }
         return Err(CodegenError::TooManyPaths(MAX_WALK_PATHS));
     }
-    let entries = entry_matrices(incoming).ok_or(ENTRY_SPLIT)?;
+    let mut entries = Vec::new();
+    fan_out(
+        PredicateMatrix::universe(),
+        incoming.iter().copied(),
+        usize::MAX,
+        &mut entries,
+    );
     if let Some(b) = blocks.as_deref_mut() {
         b.enter(&entries);
     }
@@ -478,7 +467,8 @@ pub(crate) fn steady_states(
                 tally.min += wait as usize + 1;
             }
             let room = (MAX_WALK_PATHS - paths) / tally.paths;
-            let n = fan_out(matrix, &splits, room, &mut fan);
+            let keys = splits.iter().map(|&(_, r, c)| (r, c));
+            let n = fan_out(matrix, keys, room, &mut fan);
             paths = paths.saturating_add(tally.paths.saturating_mul(n));
             if paths > MAX_WALK_PATHS {
                 continue;

@@ -3,8 +3,13 @@
 //!
 //! All transformations are checked: they refuse to produce an incorrect
 //! schedule. `moveup` applies the fixes demanded by the pair checks —
-//! renaming (fresh destination plus a `COPY` left at the original slot) and
-//! combining (folding crossed induction updates into memory displacements).
+//! renaming (fresh destination plus a `COPY` left at the original slot),
+//! combining (folding crossed induction updates into memory displacements)
+//! and copy substitution. [`check_pair`] grants a positional fix only when
+//! the instance demanding it executes on every formal path of the mover,
+//! so a plan applies every stride a crossed row demands and keeps no
+//! record of what it crossed: clones of one split update lie on disjoint
+//! paths, and at most one of them covers the mover.
 //! None of them reads a latency: a row is not a cycle on every path, so the
 //! machine's latency rule is applied per path by code generation
 //! ([`psp_machine::InFlight`]).
@@ -147,17 +152,12 @@ impl MovePolicy {
     };
 }
 
-/// The evolving state of an upward plan: the rewritten mover, the `COPY`
-/// demanded by a rename (if any), and the combining keys already folded in.
-/// Complementary clones of one original operation (same origin and index)
-/// execute on disjoint paths: crossing several of them must apply their
-/// positional compensation exactly once, which is what `combined_from`
-/// tracks.
+/// The evolving state of an upward plan: the rewritten mover and the
+/// `COPY` demanded by a rename (if any).
 #[derive(Clone)]
 struct PlanState {
     work: Instance,
     leftover: Option<Instance>,
-    combined_from: Vec<(usize, i32)>,
 }
 
 /// An upward plan's view of the schedule: the rows it reads in place and
@@ -199,14 +199,9 @@ impl<'a> Planner<'a> {
         let mut substs: Vec<(psp_ir::Reg, psp_ir::Reg)> = Vec::new();
         let mut disp: i64 = 0;
         let mut rename = false;
-        for (by, blocker, f) in fixes {
+        for (by, f) in fixes {
             match f {
-                Fix::CombineDisp(d) => {
-                    if !state.combined_from.contains(&blocker) {
-                        state.combined_from.push(blocker);
-                        disp = disp.wrapping_add(d);
-                    }
-                }
+                Fix::CombineDisp(d) => disp = disp.wrapping_add(d),
                 Fix::Subst { from, to } => {
                     if substs.iter().any(|&(f2, t2)| f2 == from && t2 != to) {
                         return Err(MoveError::Blocked {
@@ -282,41 +277,14 @@ impl<'a> Planner<'a> {
     /// substitution) demanded by the pair check are *already incorporated*
     /// in the mover's operation and must not be re-applied; only renames (a
     /// same-row reader that would start seeing the write) are genuinely
-    /// new. The already-incorporated combines are recorded so jumped clones
-    /// of the same update are not double-counted.
+    /// new.
     fn own_row(&mut self, x: &Instance, r: usize) -> Result<PlanState, MoveError> {
         let mut state = PlanState {
             work: x.clone(),
             leftover: None,
-            combined_from: Vec::new(),
         };
-        let mut fixes: Vec<RowFix> = Vec::new();
-        for y in &self.rows[r] {
-            if y.id == x.id {
-                continue;
-            }
-            let c = check_pair(&state.work, y, self.live_out, self.machine);
-            match c.above {
-                Permission::Yes => {}
-                Permission::WithFixes(fs) => {
-                    for f in fs {
-                        match f {
-                            Fix::Rename | Fix::SpeculateRename => {
-                                fixes.push((y.id, (y.origin, y.index), f))
-                            }
-                            Fix::CombineDisp(_) => {
-                                let key = (y.origin, y.index);
-                                if !state.combined_from.contains(&key) {
-                                    state.combined_from.push(key);
-                                }
-                            }
-                            Fix::Subst { .. } => {}
-                        }
-                    }
-                }
-                Permission::No(reason) => return Err(MoveError::Blocked { by: y.id, reason }),
-            }
-        }
+        let mut fixes = self.row_fixes(&state, r, |c| c.above)?;
+        fixes.retain(|&(_, f)| matches!(f, Fix::Rename | Fix::SpeculateRename));
         self.apply_fixes(&mut state, fixes)?;
         Ok(state)
     }
@@ -334,8 +302,8 @@ impl<'a> Planner<'a> {
     }
 
     /// The fixes row `r` demands of the mover in `state`, each with the
-    /// instance demanding it and that instance's combining key; none
-    /// means the row leaves the state as it is. Reads only.
+    /// instance demanding it; none means the row leaves the state as it
+    /// is. Reads only.
     fn row_fixes(
         &self,
         state: &PlanState,
@@ -349,9 +317,7 @@ impl<'a> Planner<'a> {
             }
             match permission(check_pair(&state.work, y, self.live_out, self.machine)) {
                 Permission::Yes => {}
-                Permission::WithFixes(fs) => {
-                    fixes.extend(fs.into_iter().map(|f| (y.id, (y.origin, y.index), f)))
-                }
+                Permission::WithFixes(fs) => fixes.extend(fs.into_iter().map(|f| (y.id, f))),
                 Permission::No(reason) => return Err(MoveError::Blocked { by: y.id, reason }),
             }
         }
@@ -359,9 +325,8 @@ impl<'a> Planner<'a> {
     }
 }
 
-/// A fix one row demands: the instance demanding it, that instance's
-/// combining key `(origin, index)`, and the fix.
-type RowFix = (InstId, (usize, i32), Fix);
+/// A fix one row demands: the instance demanding it, and the fix.
+type RowFix = (InstId, Fix);
 
 /// The `COPY old, fresh` a rename of `x`'s destination leaves at its
 /// original slot: on `x`'s paths, just after `x` in program order.
@@ -605,7 +570,6 @@ pub fn wrap_up(sched: &mut Schedule, id: InstId, machine: &MachineConfig) -> Res
     let PlanState {
         work: mut moved,
         mut leftover,
-        ..
     } = Planner::new(sched, MovePolicy::FULL, machine).own_row(&x, 0)?;
     if has_earlier_reader && leftover.is_none() {
         // Force the rename the partners did not demand.
@@ -971,6 +935,40 @@ mod tests {
         let inst = s.instance(load_id).unwrap();
         match inst.op().kind {
             OpKind::Load { addr, .. } => assert_eq!(addr.disp, 1, "no double combine"),
+            _ => panic!("not a load"),
+        }
+    }
+
+    #[test]
+    fn combining_past_one_clone_of_a_split_update_is_refused() {
+        // vecmin with `ADD R1, R1, #1` split on the IF's outcome and its
+        // [1] clone moved up beside `COPY R2, R1`, and `LOAD x[k]` wrapped
+        // to the bottom, where it reads the next iteration's k.
+        let mut s = vecmin_sched();
+        let add = id_at(&s, 5);
+        split(&mut s, add, 0, 0).unwrap();
+        let on_true = s.rows[5][1].id;
+        moveup(&mut s, on_true, 4, &m()).unwrap();
+        let load = id_at(&s, 0);
+        wrap_up(&mut s, load, &m()).unwrap();
+        s.prune_empty_rows();
+        // Rows: LOAD xm, LT, IF, COPY + ADD [1], ADD [0], GE, BREAK, LOAD.
+        assert_eq!(s.find(load).unwrap().0, 7, "\n{s}");
+        // In the [0] clone's row, a combined load would read k + 2 on the
+        // [1] paths, whose update has already run a row earlier.
+        let before = s.render();
+        assert!(
+            matches!(
+                moveup(&mut s, load, 4, &m()),
+                Err(MoveError::Blocked { .. })
+            ),
+            "\n{s}"
+        );
+        assert_eq!(s.render(), before);
+        // Below both clones it needs no fix.
+        moveup(&mut s, load, 5, &m()).unwrap();
+        match s.instance(load).unwrap().op().kind {
+            OpKind::Load { addr, .. } => assert_eq!(addr.disp, 0, "\n{s}"),
             _ => panic!("not a load"),
         }
     }

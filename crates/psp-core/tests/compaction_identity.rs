@@ -80,44 +80,48 @@ type Row = (
 /// schedule walk, which tests each instance of a row against a block once,
 /// it stopped testing a row's IFs a second time: the disjoint_tests of
 /// every row went down; nothing else moved.
+/// When combining came to require the crossed induction update to execute
+/// on every formal path of the mover, each update that meets a memory
+/// operation it indexes costs a subsumption test: the subsume_tests of 28
+/// rows went up; nothing else moved.
 #[rustfmt::skip]
 const EXPECTED: &[Row] = &[
-    ("vecmin", "paper", [53, 19, 1, 32, 5], 1955, 177, 7, 2, 11),
-    ("vecmin", "narrow211", [48, 13, 0, 28, 6], 1955, 186, 6, 3, 9),
-    ("cond_sum", "paper", [33, 16, 0, 23, 4], 817, 86, 6, 1, 8),
-    ("cond_sum", "narrow211", [29, 10, 0, 18, 5], 985, 84, 5, 2, 7),
-    ("count_above", "paper", [27, 15, 0, 22, 4], 526, 74, 5, 1, 7),
-    ("count_above", "narrow211", [30, 11, 0, 23, 6], 1006, 81, 5, 2, 7),
-    ("clamp_store", "paper", [73, 18, 0, 52, 6], 3769, 441, 7, 3, 13),
+    ("vecmin", "paper", [53, 19, 1, 32, 5], 1955, 179, 7, 2, 11),
+    ("vecmin", "narrow211", [48, 13, 0, 28, 6], 1955, 190, 6, 3, 9),
+    ("cond_sum", "paper", [33, 16, 0, 23, 4], 817, 90, 6, 1, 8),
+    ("cond_sum", "narrow211", [29, 10, 0, 18, 5], 985, 89, 5, 2, 7),
+    ("count_above", "paper", [27, 15, 0, 22, 4], 526, 78, 5, 1, 7),
+    ("count_above", "narrow211", [30, 11, 0, 23, 6], 1006, 97, 5, 2, 7),
+    ("clamp_store", "paper", [73, 18, 0, 52, 6], 3769, 443, 7, 3, 13),
     ("clamp_store", "narrow211", [71, 12, 0, 38, 5], 6117, 606, 8, 4, 14),
-    ("sat_add", "paper", [42, 19, 0, 28, 5], 1521, 247, 5, 3, 8),
-    ("sat_add", "narrow211", [41, 10, 0, 20, 5], 1385, 178, 5, 4, 8),
-    ("abs_sum", "paper", [52, 27, 0, 42, 5], 2318, 211, 7, 2, 11),
-    ("abs_sum", "narrow211", [41, 11, 0, 22, 5], 1608, 103, 5, 3, 9),
-    ("runmax", "paper", [44, 17, 0, 25, 4], 1518, 125, 8, 2, 11),
-    ("runmax", "narrow211", [45, 11, 0, 20, 5], 1623, 142, 6, 3, 9),
-    ("sign_store", "paper", [36, 14, 0, 30, 4], 996, 92, 5, 1, 10),
+    ("sat_add", "paper", [42, 19, 0, 28, 5], 1521, 256, 5, 3, 8),
+    ("sat_add", "narrow211", [41, 10, 0, 20, 5], 1385, 190, 5, 4, 8),
+    ("abs_sum", "paper", [52, 27, 0, 42, 5], 2318, 219, 7, 2, 11),
+    ("abs_sum", "narrow211", [41, 11, 0, 22, 5], 1608, 118, 5, 3, 9),
+    ("runmax", "paper", [44, 17, 0, 25, 4], 1518, 127, 8, 2, 11),
+    ("runmax", "narrow211", [45, 11, 0, 20, 5], 1623, 143, 6, 3, 9),
+    ("sign_store", "paper", [36, 14, 0, 30, 4], 996, 94, 5, 1, 10),
     ("sign_store", "narrow211", [37, 8, 0, 23, 3], 1353, 116, 5, 3, 10),
-    ("two_cond", "paper", [56, 27, 0, 39, 5], 2940, 229, 9, 2, 12),
-    ("two_cond", "narrow211", [52, 12, 0, 33, 6], 3175, 267, 7, 3, 10),
-    ("find_first", "paper", [35, 14, 0, 26, 4], 1017, 88, 7, 1, 10),
+    ("two_cond", "paper", [56, 27, 0, 39, 5], 2940, 236, 9, 2, 12),
+    ("two_cond", "narrow211", [52, 12, 0, 33, 6], 3175, 284, 7, 3, 10),
+    ("find_first", "paper", [35, 14, 0, 26, 4], 1017, 90, 7, 1, 10),
     ("find_first", "narrow211", [37, 10, 0, 26, 6], 1695, 145, 6, 3, 9),
-    ("skewed", "paper", [37, 17, 0, 24, 4], 1120, 92, 7, 1, 9),
-    ("skewed", "narrow211", [39, 12, 0, 20, 5], 1657, 119, 6, 3, 8),
-    ("dot_cond", "paper", [62, 33, 0, 42, 5], 2249, 144, 9, 1, 12),
+    ("skewed", "paper", [37, 17, 0, 24, 4], 1120, 96, 7, 1, 9),
+    ("skewed", "narrow211", [39, 12, 0, 20, 5], 1657, 125, 6, 3, 8),
+    ("dot_cond", "paper", [62, 33, 0, 42, 5], 2249, 154, 9, 1, 12),
     ("dot_cond", "narrow211", [51, 12, 0, 16, 4], 1647, 110, 8, 4, 11),
-    ("threshold_store", "paper", [37, 13, 0, 33, 4], 1300, 86, 7, 1, 11),
+    ("threshold_store", "paper", [37, 13, 0, 33, 4], 1300, 88, 7, 1, 11),
     ("threshold_store", "narrow211", [38, 7, 0, 23, 3], 1648, 146, 7, 3, 11),
     ("bubble_pass", "paper", [58, 16, 0, 47, 5], 8159, 256, 8, 2, 15),
     ("bubble_pass", "narrow211", [63, 9, 0, 31, 5], 5512, 405, 6, 5, 13),
-    ("minmax", "paper", [46, 18, 0, 27, 4], 1780, 204, 6, 2, 11),
-    ("minmax", "narrow211", [49, 12, 0, 27, 5], 2709, 228, 5, 3, 10),
-    ("mac_cond", "paper", [62, 33, 0, 42, 5], 2245, 144, 10, 1, 12),
+    ("minmax", "paper", [46, 18, 0, 27, 4], 1780, 208, 6, 2, 11),
+    ("minmax", "narrow211", [49, 12, 0, 27, 5], 2709, 234, 5, 3, 10),
+    ("mac_cond", "paper", [62, 33, 0, 42, 5], 2245, 154, 10, 1, 12),
     ("mac_cond", "narrow211", [47, 12, 0, 18, 4], 1848, 173, 8, 3, 10),
-    ("synthetic4", "paper", [88, 38, 0, 57, 5], 12847, 1088, 9, 2, 18),
-    ("synthetic4", "narrow211", [88, 12, 0, 40, 5], 9031, 412, 7, 5, 16),
-    ("synthetic6", "paper", [123, 43, 0, 68, 5], 26946, 2834, 11, 2, 24),
-    ("synthetic6", "narrow211", [122, 12, 0, 58, 5], 21817, 813, 9, 7, 22),
+    ("synthetic4", "paper", [88, 38, 0, 57, 5], 12847, 1096, 9, 2, 18),
+    ("synthetic4", "narrow211", [88, 12, 0, 40, 5], 9031, 418, 7, 5, 16),
+    ("synthetic6", "paper", [123, 43, 0, 68, 5], 26946, 2839, 11, 2, 24),
+    ("synthetic6", "narrow211", [122, 12, 0, 58, 5], 21817, 821, 9, 7, 22),
 ];
 
 fn loops() -> Vec<(&'static str, LoopSpec)> {

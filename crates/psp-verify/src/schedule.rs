@@ -10,9 +10,14 @@
 //! * within one iteration frame, naive sequential register semantics hold
 //!   (reads in a later row than their reaching definition, writes after
 //!   reads, writes in order; latencies are counted in cycles on each path
-//!   of the generated code, which `validate_vliw` checks) — the transformations that legitimately break
-//!   the naive rules (induction combining) are recognized syntactically,
-//!   exactly the way the scheduler recognizes them, and skipped;
+//!   of the generated code, which `validate_vliw` checks) — the
+//!   transformation that legitimately breaks the naive rules, induction
+//!   combining, is recognized the way the scheduler recognizes it and
+//!   skipped: by its operation pattern and, for a flow, by the update
+//!   executing on every path of the consumer. Register order across
+//!   frames is never examined, so a combine across the loop boundary (a
+//!   wrapped load combined past the previous iteration's update) is left
+//!   to the differential equivalence check;
 //! * memory accesses and the BREAK protocol are checked across frames with
 //!   the pass-time model: an instance with iteration index `i` executes
 //!   the work of original iteration `j` during pass `j - i`, so for one
@@ -270,7 +275,8 @@ fn register_order(insts: &[Inst], out: &mut Vec<Violation>) {
                 if b_uses.contains(d) {
                     let exempt = matches!(d, RegRef::Gpr(r)
                         if is_induction_update(a.inner.op(), *r)
-                            && uses_only_as_index(b.inner.op(), *r));
+                            && uses_only_as_index(b.inner.op(), *r)
+                            && a.iter.subsumes(&b.iter));
                     if !exempt && !shadowed(insts, a, b, d) && b.row <= a.row {
                         out.push(Violation::RegisterOrder {
                             kind: "flow",

@@ -299,3 +299,52 @@ fn dropped_instance_is_rejected() {
         "expected DroppedOp/Coverage, got {v:?}"
     );
 }
+
+/// Flow order exempts a combined read only on its update's paths. In
+/// `tests/repros/conditional-index-update.psp`, `ADD R2, R2, #1` runs on
+/// [1] and `LOAD R5, a1[R2]` on every path. Hoisting the load beside the
+/// update with the stride folded in reads `y[j + 1]` on the [0] paths too,
+/// where j did not move: a flow violation. Splitting the load first and
+/// hoisting only its [1] clone is legal.
+#[test]
+fn a_combined_read_outside_its_updates_paths_is_flagged() {
+    let wide = MachineConfig::paper_default();
+    let spec = psp_lang::compile(include_str!(
+        "../../../tests/repros/conditional-index-update.psp"
+    ))
+    .unwrap();
+    let register_order = |split_first: bool| {
+        let mut sched = psp_core::Schedule::initial(&spec);
+        // Row 2: `IF CC0`; row 3: the update on [1]; row 4: the load.
+        assert_eq!(sched.rows[2][0].computes_if, Some(0));
+        if split_first {
+            let id = sched.rows[4][0].id;
+            psp_core::transform::split(&mut sched, id, 0, 0).unwrap();
+        }
+        let mut load = sched.rows[4].pop().unwrap();
+        let mut op = *load.op();
+        let psp_ir::OpKind::Load { dst, addr } = op.kind else {
+            panic!("not a load: {op}");
+        };
+        op.kind = psp_ir::OpKind::Load {
+            dst,
+            addr: addr.displaced(1),
+        };
+        load.set_op(op);
+        sched.insert(3, load);
+        validate_schedule(&spec, &wide, &sched)
+            .into_iter()
+            .filter_map(|v| match v {
+                Violation::RegisterOrder {
+                    kind,
+                    early_row,
+                    late_row,
+                    ..
+                } => Some((kind, early_row, late_row)),
+                _ => None,
+            })
+            .collect::<Vec<_>>()
+    };
+    assert_eq!(register_order(false), [("flow", 3, 3)]);
+    assert_eq!(register_order(true), []);
+}

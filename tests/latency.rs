@@ -10,7 +10,10 @@
 //! - `baseline_latency_violations_are_pinned`: the baselines do not apply
 //!   the rule across iterations, and the pass flags some of their programs
 //!   (ROADMAP, "Baselines that read a value before it lands"). The counts
-//!   are pinned so that a fix shows here.
+//!   are pinned so that a fix shows here;
+//! - `combining_past_one_clone_of_a_split_update_stays_equivalent`: a
+//!   grammar loop whose latency-aware search once combined a load past
+//!   only one clone of a split induction update.
 
 mod common;
 
@@ -135,4 +138,45 @@ fn baseline_latency_violations_are_pinned() {
         "flagged (local, unrolled, modulo) of {} loops",
         loops.len()
     );
+}
+
+/// A grammar loop on `narrow(1,1,1)` with ALU 3, load 5 and compare 4. The
+/// latency-aware scores steer the search to a wrapped `LOAD R5, a0[R1+1]`
+/// landing in the row of the [0] clone of a split `ADD R1, R1, #1`, below
+/// its [1] clone. Combining that one clone's stride read `x[k + 2]` on the
+/// [1] paths, and four of these six trials failed. Combining now needs the
+/// crossed update on every path of the mover, which no single clone is.
+#[test]
+fn combining_past_one_clone_of_a_split_update_stays_equivalent() {
+    let spec = psp::lang::compile(
+        "kernel fuzz(n, k, acc, s0, s1, s2; x[], y[]) -> acc {
+            s2 = x[k]; y[k] = s1;
+            if (s2 < s1) { acc = acc + s2;
+                if (s0 != 0) { acc = acc + s2; } else { acc = acc + s0; } }
+            if ((-2) <= k) { s1 = y[k]; y[k] = k; } else { s1 = x[k]; }
+            if (s2 < s1) { s2 = s0 & s2; s2 = x[k]; } else { acc = acc + 1; }
+            s0 = x[k]; k = k + 1;
+            break if (k >= n);
+        }",
+    )
+    .unwrap();
+    let machine = MachineConfig {
+        alu_latency: 3,
+        load_latency: 5,
+        cmp_latency: 4,
+        ..MachineConfig::narrow(1, 1, 1)
+    };
+    let res = pipeline_loop(&spec, &PspConfig::with_machine(machine.clone())).unwrap();
+    assert_eq!(latency_violations(&spec, &machine, &res.program), []);
+    let failures: Vec<String> = psp::sim::EquivConfig::fixed(6, 1)
+        .trial_inputs()
+        .into_iter()
+        .filter_map(|(seed, len)| {
+            let init = psp::verify::grammar::initial(&spec, len, seed);
+            check_equivalence(&spec, &res.program, &init, 10_000_000)
+                .err()
+                .map(|e| format!("len {len} seed {seed}: {e}"))
+        })
+        .collect();
+    assert!(failures.is_empty(), "{failures:#?}\n{}", res.program);
 }

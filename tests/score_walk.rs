@@ -13,6 +13,10 @@
 //!   `walk_scores_match_the_generated_program_at_latency` holds it to the
 //!   same on a machine with multi-cycle latencies, where the walk and the
 //!   generated loop count the latency rule's empty cycles alike;
+//! - `corpus_block_matrices_are_exactly_their_reach_sets` runs
+//!   `codegen_invariants`' reach-set check on the E12 corpus on the paper
+//!   machine, where `fuzz0` generates a group of equal blocks whose union
+//!   is no matrix;
 //! - `expected_ii_matches_the_simulator_on_abs_sum` pins the §4 score of a
 //!   loop whose short path returns to the loop head straight from a
 //!   branching block;
@@ -23,6 +27,8 @@
 //!   walk, crossed by a row's fan-out and by the entry split.
 
 mod common;
+#[path = "../crates/psp-core/tests/reach_sets/mod.rs"]
+mod reach_sets;
 
 use common::fuzz_corpus;
 use psp::core::codegen::MAX_WALK_PATHS;
@@ -478,6 +484,15 @@ fn abs_sum_input(kernel: &Kernel, n: usize, q: f64) -> MachineState {
         ..KernelData::random(7, n)
     };
     kernel.initial_state(&data)
+}
+
+#[test]
+fn corpus_block_matrices_are_exactly_their_reach_sets() {
+    let cfg = PspConfig::with_machine(MachineConfig::paper_default());
+    for spec in fuzz_corpus() {
+        let res = pipeline_loop(&spec, &cfg).unwrap_or_else(|e| panic!("{}: {e}", spec.name));
+        reach_sets::assert_exact(&res.program);
+    }
 }
 
 #[test]
